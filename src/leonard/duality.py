@@ -22,6 +22,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
+    bidiagonal,
     intersect_column_spaces,
     same_column_space,
 )
@@ -29,13 +30,10 @@ from .report import VerificationReport
 from .systems import (
     LeonardSystem,
     ParameterArray,
-    eta_roots,
-    extract_parameter_array,
+    edge_values,
     nu_scalars,
-    poly_at,
     product,
     split_subspace,
-    tau_roots,
 )
 
 
@@ -141,20 +139,10 @@ class DualityBundle:
         }
 
 
-def _poly_matrix_family(M: Matrix, roots):
-    """[p_0(M), ..., p_k(M)] where p_i has the first i roots of the list."""
-    out = [Matrix.identity(M.field, M.nrows)]
-    ident = out[0]
-    for r in roots:
-        out.append(out[-1] * (M - ident.scale(r)))
-    return out
-
-
 def duality_operator(sys: LeonardSystem) -> Matrix:
     """T = sum_i eta_{d-i}(A) E*_0 E_d tau*_i(A*)."""
     d = sys.d
-    etaA = _poly_matrix_family(sys.A, tuple(reversed(sys.theta))[:d])
-    tausAs = _poly_matrix_family(sys.Astar, sys.theta_star[:d])
+    etaA, tausAs = sys.eta(), sys.tau(star=True)
     mid = sys.Estar[0] * sys.E[d]
     total = Matrix.zeros(sys.field, d + 1)
     for i in range(d + 1):
@@ -165,25 +153,19 @@ def duality_operator(sys: LeonardSystem) -> Matrix:
 def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
     """T as a polynomial in A and A* (the edge idempotents expanded)."""
     d, f = sys.d, sys.field
-    etaA = _poly_matrix_family(sys.A, tuple(reversed(sys.theta))[:d])
-    tausAs = _poly_matrix_family(sys.Astar, sys.theta_star[:d])
-    etas_d_As = _poly_matrix_family(sys.Astar, tuple(reversed(sys.theta_star))[:d])[d]
-    tau_d_A = _poly_matrix_family(sys.A, sys.theta[:d])[d]
-    denom = poly_at(f, tau_roots(sys.theta, d), sys.theta[d]) * poly_at(
-        f, eta_roots(sys.theta_star, d), sys.theta_star[0]
-    )
-    core = etas_d_As * tau_d_A
+    etaA, tausAs = sys.eta(), sys.tau(star=True)
+    tau_d, _, _, etas_d = edge_values(sys.parameter_array)
+    core = sys.eta(star=True)[d] * sys.tau()[d]
     total = Matrix.zeros(f, d + 1)
     for i in range(d + 1):
         total = total + etaA[d - i] * core * tausAs[i]
-    return total.scale(f.invert(denom))
+    return total.scale(f.invert(tau_d * etas_d))
 
 
 def dual_duality_operator(sys: LeonardSystem) -> Matrix:
     """T* = sum_i eta*_{d-i}(A*) E_0 E*_d tau_i(A)."""
     d = sys.d
-    etasAs = _poly_matrix_family(sys.Astar, tuple(reversed(sys.theta_star))[:d])
-    tauA = _poly_matrix_family(sys.A, sys.theta[:d])
+    etasAs, tauA = sys.eta(star=True), sys.tau()
     mid = sys.E[0] * sys.Estar[d]
     total = Matrix.zeros(sys.field, d + 1)
     for i in range(d + 1):
@@ -199,10 +181,10 @@ def build_duality_bundle(
     T itself exists for every Leonard system; the bundle invariants
     (T^2 = lambda I and the anchor equations) hold in the self-dual case.
     """
-    pa = sys.pa if sys.pa is not None else extract_parameter_array(sys)
+    pa = sys.parameter_array
     if require_self_dual and not is_self_dual(pa):
         raise NotSelfDual("theta differs from theta*")
-    f, d = sys.field, sys.d
+    f = sys.field
     if anchors is None:
         anchors = choose_anchor_vectors(sys)
     t = duality_operator(sys)
@@ -210,12 +192,11 @@ def build_duality_bundle(
     inv_nu_ddown = f.invert(nu_ddown)
     lam = inv_nu_ddown * inv_nu_ddown * product(f, pa.phi)
     vp = product(f, pa.varphi)
-    tau_d_thd = poly_at(f, tau_roots(pa.theta, d), pa.theta[d])
-    eta_d_th0 = poly_at(f, eta_roots(pa.theta, d), pa.theta[0])
-    alpha = vp / tau_d_thd * anchors.x00 / anchors.ss0
-    beta = vp / eta_d_th0 * anchors.xdd / anchors.ssd
-    alpha_star = vp / tau_d_thd * anchors.x00 / anchors.vv0
-    beta_star = vp / eta_d_th0 * anchors.xdd / anchors.vvd
+    tau_d, eta_d, _, _ = edge_values(pa)
+    alpha = vp / tau_d * anchors.x00 / anchors.ss0
+    beta = vp / eta_d * anchors.xdd / anchors.ssd
+    alpha_star = vp / tau_d * anchors.x00 / anchors.vv0
+    beta_star = vp / eta_d * anchors.xdd / anchors.vvd
     return DualityBundle(t, lam, alpha, beta, alpha_star, beta_star)
 
 
@@ -224,7 +205,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     when theta differs from theta* (that failure is the negative control)."""
     report = VerificationReport()
     f, d = sys.field, sys.d
-    pa = sys.pa if sys.pa is not None else extract_parameter_array(sys)
+    pa = sys.parameter_array
     ident = Matrix.identity(f, d + 1)
     t = bundle.t
     t_star = dual_duality_operator(sys)
@@ -234,10 +215,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("T_polynomial_form", t == duality_operator_polynomial_form(sys))
 
     # displayed adjoint sums
-    etaA = _poly_matrix_family(sys.A, tuple(reversed(sys.theta))[:d])
-    tauA = _poly_matrix_family(sys.A, sys.theta[:d])
-    tausAs = _poly_matrix_family(sys.Astar, sys.theta_star[:d])
-    etasAs = _poly_matrix_family(sys.Astar, tuple(reversed(sys.theta_star))[:d])
+    etaA, tauA = sys.eta(), sys.tau()
+    tausAs, etasAs = sys.tau(star=True), sys.eta(star=True)
     acc = Matrix.zeros(f, d + 1)
     mid = sys.E[d] * sys.Estar[0]
     for i in range(d + 1):
@@ -273,10 +252,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     # the eight product formulas with their displayed coefficients
     vp = product(f, pa.varphi)
     ph = product(f, pa.phi)
-    tau_d = poly_at(f, tau_roots(pa.theta, d), pa.theta[d])
-    eta_d = poly_at(f, eta_roots(pa.theta, d), pa.theta[0])
-    taus_d = poly_at(f, tau_roots(pa.theta_star, d), pa.theta_star[d])
-    etas_d = poly_at(f, eta_roots(pa.theta_star, d), pa.theta_star[0])
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     E0, Es0 = sys.E[0], sys.Estar[0]
     c1 = eta_d * vp / (tau_d * etas_d)
     c2 = etas_d * vp / (taus_d * eta_d)
@@ -325,8 +301,13 @@ class Flag:
 
 
 def build_flag(sys: LeonardSystem, z: str) -> Flag:
+    """The flag [z], memoised on the system."""
     if z not in OMEGA:
         raise ValueError(f"flag symbol must be one of {OMEGA}")
+    return sys.cached(("flag", z), lambda: _flag(sys, z))
+
+
+def _flag(sys: LeonardSystem, z: str) -> Flag:
     star = z.endswith("*")
     descending = z.startswith("D")
     order = range(sys.d, -1, -1) if descending else range(sys.d + 1)
@@ -379,9 +360,13 @@ class Decomposition:
 
 
 def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    """The decomposition induced by the ordered flag pair ([z], [w])."""
+    """The decomposition induced by the ordered flag pair ([z], [w]), memoised on the system."""
     if z == w:
         raise ValueError("decomposition symbols must differ")
+    return sys.cached(("decomposition", z, w), lambda: _decomposition(sys, z, w))
+
+
+def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
     Fz, Fw = build_flag(sys, z), build_flag(sys, w)
     d = sys.d
     vectors = []
@@ -626,7 +611,7 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors, family: dict
 def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> VerificationReport:
     report = VerificationReport()
     f, d = sys.field, sys.d
-    pa = sys.pa if sys.pa is not None else extract_parameter_array(sys)
+    pa = sys.parameter_array
     a = anchors
     E0, Ed, Es0, Esd = sys.E[0], sys.E[d], sys.Estar[0], sys.Estar[d]
 
@@ -654,10 +639,7 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         a.x0d * a.xd0 / (a.x00 * a.xdd) == vp / ph,
     )
 
-    tau_d = poly_at(f, tau_roots(pa.theta, d), pa.theta[d])
-    eta_d = poly_at(f, eta_roots(pa.theta, d), pa.theta[0])
-    taus_d = poly_at(f, tau_roots(pa.theta_star, d), pa.theta_star[d])
-    etas_d = poly_at(f, eta_roots(pa.theta_star, d), pa.theta_star[0])
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     squares = (
         (a.vv0 * a.ss0 / (a.x00 * a.x00), eta_d * etas_d / ph),
         (a.vv0 * a.ssd / (a.x0d * a.x0d), eta_d * taus_d / vp),
@@ -683,15 +665,11 @@ def verify_transition_relations(sys: LeonardSystem, anchors: AnchorVectors) -> V
     """
     report = VerificationReport()
     f, d = sys.field, sys.d
-    pa = sys.pa if sys.pa is not None else extract_parameter_array(sys)
+    pa = sys.parameter_array
     a = anchors
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
     vp, ph = pa.varphi, pa.phi
-
-    tau_d = poly_at(f, tau_roots(pa.theta, d), pa.theta[d])
-    eta_d = poly_at(f, eta_roots(pa.theta, d), pa.theta[0])
-    taus_d = poly_at(f, tau_roots(pa.theta_star, d), pa.theta_star[d])
-    etas_d = poly_at(f, eta_roots(pa.theta_star, d), pa.theta_star[0])
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
 
     def vp_head(i):  # varphi_1 ... varphi_i
         return product(f, vp[:i])
@@ -802,10 +780,8 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
     """The antidiagonal closed form: entry (d-i, i) is phi_1...phi_i times
     varphi_1...varphi_d / (tau_d(theta_d) eta_d(theta_0))."""
     f, d = pa.field, pa.d
-    coeff = product(f, pa.varphi) / (
-        poly_at(f, tau_roots(pa.theta, d), pa.theta[d])
-        * poly_at(f, eta_roots(pa.theta, d), pa.theta[0])
-    )
+    tau_d, eta_d, _, _ = edge_values(pa)
+    coeff = product(f, pa.varphi) / (tau_d * eta_d)
     rows = [[f.zero()] * (d + 1) for _ in range(d + 1)]
     run = f.one()
     for i in range(d + 1):
@@ -826,44 +802,19 @@ def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
     return B.solve(bundle.t * B)
 
 
-def _bidiagonal(f, diag, upper=None, lower_ones=False) -> Matrix:
-    n = len(diag)
-    rows = [[f.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
-    for i in range(n - 1):
-        if upper is not None:
-            rows[i][i + 1] = upper[i]
-        if lower_ones:
-            rows[i + 1][i] = f.one()
-    return Matrix(f, rows)
-
-
 def expected_pair_shapes(pa: ParameterArray, basis_id: str):
     """The displayed bidiagonal shapes of A and A* in the four bases."""
-    f, d = pa.field, pa.d
+    f = pa.field
     th, ths, ph = pa.theta, pa.theta_star, pa.phi
-    th_rev, ths_rev, ph_rev = tuple(reversed(th)), tuple(reversed(ths)), tuple(reversed(ph))
+    th_rev, ths_rev, ph_rev = th[::-1], ths[::-1], ph[::-1]
     if basis_id == "etastar-v0":
-        return (
-            _bidiagonal(f, th, upper=ph_rev),
-            _bidiagonal(f, ths_rev, lower_ones=True),
-        )
+        return bidiagonal(f, th, ph_rev), bidiagonal(f, ths_rev)
     if basis_id == "eta-vstar0":
-        return (
-            _bidiagonal(f, th_rev, lower_ones=True),
-            _bidiagonal(f, ths, upper=ph),
-        )
+        return bidiagonal(f, th_rev), bidiagonal(f, ths, ph)
     if basis_id == "taustar-vd":
-        return (
-            _bidiagonal(f, th_rev, upper=ph),
-            _bidiagonal(f, ths, lower_ones=True),
-        )
+        return bidiagonal(f, th_rev, ph), bidiagonal(f, ths)
     if basis_id == "tau-vstard":
-        return (
-            _bidiagonal(f, th, lower_ones=True),
-            _bidiagonal(f, ths_rev, upper=ph_rev),
-        )
+        return bidiagonal(f, th), bidiagonal(f, ths_rev, ph_rev)
     raise UnknownBasis(basis_id)
 
 
@@ -872,7 +823,7 @@ def verify_matrix_of_T(
 ) -> VerificationReport:
     """The closed antidiagonal form, its basis independence and the A/A* shapes."""
     report = VerificationReport()
-    pa = sys.pa if sys.pa is not None else extract_parameter_array(sys)
+    pa = sys.parameter_array
     if anchors is None:
         anchors = choose_anchor_vectors(sys)
     expected = expected_matrix_of_T(pa)

@@ -188,15 +188,24 @@ class Field:
         return x.r
 
     def decode_scalar(self, obj):
+        """Decode one JSON scalar.  Booleans, zero denominators and residues
+        outside [0, p) raise ValueError."""
+        if isinstance(obj, bool):
+            raise ValueError(f"cannot decode a scalar from the boolean {obj!r}")
         if self.is_rational:
             if isinstance(obj, str):
                 num, _, den = obj.partition("/")
-                return Fraction(int(num), int(den) if den else 1)
+                den = int(den) if den else 1
+                if den == 0:
+                    raise ValueError(f"zero denominator in rational scalar {obj!r}")
+                return Fraction(int(num), den)
             if isinstance(obj, int):
                 return Fraction(obj)
             raise ValueError(f"cannot decode rational scalar from {obj!r}")
         if not isinstance(obj, int):
             raise ValueError(f"cannot decode GF({self.p}) scalar from {obj!r}")
+        if not 0 <= obj < self.p:
+            raise ValueError(f"GF({self.p}) residue {obj} lies outside [0, {self.p})")
         return PrimeFieldElement(self.p, obj)
 
     def to_json(self) -> dict:

@@ -305,16 +305,36 @@ class Matrix:
         return "Matrix([" + ",\n        ".join(str(list(r)) for r in self.rows) + "])"
 
 
+def bidiagonal(field: Field, diag, upper=None) -> Matrix:
+    """Diagonal diag with upper on the superdiagonal, or ones on the
+    subdiagonal when upper is None."""
+    n = len(diag)
+    rows = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diag[i]
+    for i in range(1, n):
+        if upper is None:
+            rows[i][i - 1] = field.one()
+        else:
+            rows[i - 1][i] = upper[i - 1]
+    return Matrix(field, rows)
+
+
 # --- polynomial evaluation at a matrix ---
+
+
+def root_product_family(M: Matrix, roots) -> list:
+    """[p_0(M), ..., p_k(M)] where p_i is the product of (x - r) over the first i roots."""
+    out = [Matrix.identity(M.field, M.nrows)]
+    ident = out[0]
+    for r in roots:
+        out.append(out[-1] * (M - ident.scale(r)))
+    return out
 
 
 def eval_root_product(roots, M: Matrix) -> Matrix:
     """The product over r in roots of (M - r*I); the empty product is I."""
-    out = Matrix.identity(M.field, M.nrows)
-    ident = out
-    for r in roots:
-        out = out * (M - ident.scale(r))
-    return out
+    return root_product_family(M, roots)[-1]
 
 
 def lagrange_idempotent(M: Matrix, eigenvalues, i: int) -> Matrix:

@@ -19,7 +19,7 @@ from itertools import permutations, product as iproduct
 from .duality import is_self_dual
 from .errors import BudgetExceeded, DegenerateSplit, ExhaustedTrials, NotALeonardPair
 from .fields import Field, PrimeFieldElement
-from .linalg import Matrix, is_irreducible_tridiagonal
+from .linalg import Matrix, bidiagonal, is_irreducible_tridiagonal
 from .systems import LeonardSystem, ParameterArray, certify, extract_parameter_array
 
 DEFAULT_BUDGET = 10**8
@@ -49,21 +49,7 @@ class SearchConfig:
         return int(env) if env else DEFAULT_BUDGET
 
 
-def _bidiagonal_pair(field: Field, theta, theta_star, varphi):
-    d = len(theta) - 1
-    zero, one = field.zero(), field.one()
-    A = [[zero] * (d + 1) for _ in range(d + 1)]
-    As = [[zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        A[i][i] = theta[i]
-        As[i][i] = theta_star[i]
-    for i in range(1, d + 1):
-        A[i][i - 1] = one
-        As[i - 1][i] = varphi[i - 1]
-    return Matrix(field, A), Matrix(field, As)
-
-
-def _pair_certifies(field: Field, theta, theta_star, varphi) -> bool:
+def _pair_certifies(A: Matrix, As: Matrix, theta, theta_star, varphi) -> bool:
     """Cheap exact test of both tridiagonality axioms.
 
     The eigenvectors of the bidiagonal pair come from two-term recurrences,
@@ -71,8 +57,7 @@ def _pair_certifies(field: Field, theta, theta_star, varphi) -> bool:
     matrix does not depend on the eigenvector scaling, hence this test
     agrees exactly with the idempotent-based axiom verifier.
     """
-    d = len(theta) - 1
-    A, As = _bidiagonal_pair(field, theta, theta_star, varphi)
+    d, field = len(theta) - 1, A.field
     zero, one = field.zero(), field.one()
 
     cols = []
@@ -98,10 +83,10 @@ def _pair_certifies(field: Field, theta, theta_star, varphi) -> bool:
 
 
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:
-    """Extract the full array from a surviving candidate and certify it."""
-    if not _pair_certifies(field, theta, theta_star, varphi):
+    """Test a candidate; for a survivor, extract the full array and certify it."""
+    A, As = bidiagonal(field, theta), bidiagonal(field, theta_star, varphi)
+    if not _pair_certifies(A, As, theta, theta_star, varphi):
         return None
-    A, As = _bidiagonal_pair(field, theta, theta_star, varphi)
     try:
         pa = extract_parameter_array(LeonardSystem.from_pair(A, As, theta, theta_star))
         certify(pa)

@@ -22,9 +22,12 @@ from .fields import Field
 from .linalg import (
     Matrix,
     Vector,
+    bidiagonal,
     eval_root_product,
+    intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
+    root_product_family,
 )
 from .report import VerificationReport
 
@@ -52,6 +55,17 @@ def tau_roots(theta, i: int):
 def eta_roots(theta, i: int):
     """Roots of eta_i: theta_d, theta_{d-1}, ..., theta_{d-i+1}."""
     return theta[len(theta) - i:]
+
+
+def edge_values(pa: ParameterArray):
+    """(tau_d(theta_d), eta_d(theta_0), tau*_d(theta*_d), eta*_d(theta*_0))."""
+    f, d, th, ths = pa.field, pa.d, pa.theta, pa.theta_star
+    return (
+        poly_at(f, tau_roots(th, d), th[d]),
+        poly_at(f, eta_roots(th, d), th[0]),
+        poly_at(f, tau_roots(ths, d), ths[d]),
+        poly_at(f, eta_roots(ths, d), ths[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -113,9 +127,13 @@ class ParameterArray:
 
 
 class LeonardSystem:
-    """Matrices A, A* with both idempotent families, in a fixed ambient basis."""
+    """Matrices A, A* with both idempotent families, in a fixed ambient basis.
 
-    __slots__ = ("pa", "A", "Astar", "E", "Estar", "theta", "theta_star", "_gram", "_gram_inv")
+    Derived data (the Gram matrix, the tau/eta families, flags and
+    decompositions) is built on first use and memoised on the instance.
+    """
+
+    __slots__ = ("pa", "A", "Astar", "E", "Estar", "theta", "theta_star", "_memo")
 
     def __init__(self, A, Astar, E, Estar, theta, theta_star, pa=None):
         self.A = A
@@ -125,8 +143,7 @@ class LeonardSystem:
         self.theta = tuple(theta)
         self.theta_star = tuple(theta_star)
         self.pa = pa
-        self._gram = None
-        self._gram_inv = None
+        self._memo = {}
 
     @property
     def field(self) -> Field:
@@ -144,17 +161,9 @@ class LeonardSystem:
 
     @classmethod
     def from_parameter_array(cls, pa: ParameterArray) -> "LeonardSystem":
-        field, d = pa.field, pa.d
-        zero, one = field.zero(), field.one()
-        A = [[zero] * (d + 1) for _ in range(d + 1)]
-        Astar = [[zero] * (d + 1) for _ in range(d + 1)]
-        for i in range(d + 1):
-            A[i][i] = pa.theta[i]
-            Astar[i][i] = pa.theta_star[i]
-        for i in range(1, d + 1):
-            A[i][i - 1] = one
-            Astar[i - 1][i] = pa.varphi[i - 1]
-        return cls.from_pair(Matrix(field, A), Matrix(field, Astar), pa.theta, pa.theta_star, pa)
+        A = bidiagonal(pa.field, pa.theta)
+        Astar = bidiagonal(pa.field, pa.theta_star, pa.varphi)
+        return cls.from_pair(A, Astar, pa.theta, pa.theta_star, pa)
 
     def conjugated(self, K: Matrix) -> "LeonardSystem":
         """The isomorphic system K X K^-1 (same parameter array)."""
@@ -170,17 +179,39 @@ class LeonardSystem:
             self.pa,
         )
 
+    def cached(self, key, build):
+        """The value memoised under key, computed by build() on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    @property
+    def parameter_array(self) -> ParameterArray:
+        """The stored array, else the one extracted from the matrices."""
+        if self.pa is not None:
+            return self.pa
+        return self.cached("pa", lambda: extract_parameter_array(self))
+
     @property
     def gram(self) -> Matrix:
-        if self._gram is None:
-            self._gram = solve_gram(self.A, self.Astar)
-        return self._gram
+        return self.cached("gram", lambda: solve_gram(self.A, self.Astar))
 
     @property
     def gram_inverse(self) -> Matrix:
-        if self._gram_inv is None:
-            self._gram_inv = self.gram.inverse()
-        return self._gram_inv
+        return self.cached("gram_inv", lambda: self.gram.inverse())
+
+    def tau(self, star: bool = False) -> tuple:
+        """(tau_0, ..., tau_d) at A (resp. tau*_i at A*); tau_i has roots theta_0..theta_{i-1}."""
+        return self._root_family("tau", star)
+
+    def eta(self, star: bool = False) -> tuple:
+        """(eta_0, ..., eta_d) at A (resp. eta*_i at A*); eta_i has roots theta_d..theta_{d-i+1}."""
+        return self._root_family("eta", star)
+
+    def _root_family(self, kind: str, star: bool) -> tuple:
+        M, theta = (self.Astar, self.theta_star) if star else (self.A, self.theta)
+        roots = theta[:-1] if kind == "tau" else theta[:0:-1]
+        return self.cached((kind, star), lambda: tuple(root_product_family(M, roots)))
 
     def dagger(self, X: Matrix) -> Matrix:
         """The antiautomorphism fixing A and A*: X -> G^-1 X^T G."""
@@ -241,14 +272,12 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
     """Check the defining axioms; failures are report entries, never exceptions."""
     report = VerificationReport()
 
-    for name, source, target, theta in (
-        ("tridiagonal_Astar_in_A_eigenbasis", sys.E, sys.Astar, sys.theta),
-        ("tridiagonal_A_in_Astar_eigenbasis", sys.Estar, sys.A, sys.theta_star),
+    for name, star, target in (
+        ("tridiagonal_Astar_in_A_eigenbasis", False, sys.Astar),
+        ("tridiagonal_A_in_Astar_eigenbasis", True, sys.A),
     ):
         try:
-            W = Matrix.from_columns(sys.field, [
-                _first_nonzero_column(Ei) for Ei in source
-            ])
+            W = eigenspace_span(sys, range(sys.d + 1), star=star)
             rep = W.inverse() * target * W
             report.add(name, is_irreducible_tridiagonal(rep), None)
         except (SingularMatrix, DegenerateSplit) as exc:
@@ -263,14 +292,6 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
     _idempotent_checks(report, "E", sys.E, sys.A, sys.theta)
     _idempotent_checks(report, "Estar", sys.Estar, sys.Astar, sys.theta_star)
     return report
-
-
-def _first_nonzero_column(M: Matrix) -> Vector:
-    for j in range(M.ncols):
-        col = M.column(j)
-        if not col.is_zero():
-            return col
-    raise DegenerateSplit("zero idempotent")
 
 
 def certify(pa: ParameterArray) -> LeonardSystem:
@@ -384,16 +405,13 @@ def d4_orbit(pa: ParameterArray) -> dict:
 def nu_scalars(pa: ParameterArray):
     """(nu, nu_down, nu_ddown, nu_down_ddown) by their closed forms."""
     f = pa.field
-    eta_d_at_th0 = poly_at(f, eta_roots(pa.theta, pa.d), pa.theta[0])
-    tau_d_at_thd = poly_at(f, tau_roots(pa.theta, pa.d), pa.theta[pa.d])
-    etas_d_at_ths0 = poly_at(f, eta_roots(pa.theta_star, pa.d), pa.theta_star[0])
-    taus_d_at_thsd = poly_at(f, tau_roots(pa.theta_star, pa.d), pa.theta_star[pa.d])
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     vp = product(f, pa.varphi)
     ph = product(f, pa.phi)
-    nu = eta_d_at_th0 * etas_d_at_ths0 / ph
-    nu_down = eta_d_at_th0 * taus_d_at_thsd / vp
-    nu_ddown = tau_d_at_thd * etas_d_at_ths0 / vp
-    nu_dd = tau_d_at_thd * taus_d_at_thsd / ph
+    nu = eta_d * etas_d / ph
+    nu_down = eta_d * taus_d / vp
+    nu_ddown = tau_d * etas_d / vp
+    nu_dd = tau_d * taus_d / ph
     return nu, nu_down, nu_ddown, nu_dd
 
 
@@ -420,15 +438,12 @@ def trace_products_closed_form(pa: ParameterArray, r: int):
     eta_dr = poly_at(f, th[r + 1:], th[r])  # eta_{d-r} at theta_r
     taus_r = poly_at(f, tau_roots(ths, r), ths[r])
     etas_dr = poly_at(f, ths[r + 1:], ths[r])
-    eta_d_th0 = poly_at(f, eta_roots(th, d), th[0])
-    tau_d_thd = poly_at(f, tau_roots(th, d), th[d])
-    etas_d_ths0 = poly_at(f, eta_roots(ths, d), ths[0])
-    taus_d_thsd = poly_at(f, tau_roots(ths, d), ths[d])
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     return (
-        product(f, vp[:r]) * product(f, ph[: d - r]) / (etas_d_ths0 * tau_r * eta_dr),
-        product(f, ph[d - r:]) * product(f, vp[r:]) / (taus_d_thsd * tau_r * eta_dr),
-        product(f, vp[:r]) * product(f, ph[r:]) / (eta_d_th0 * taus_r * etas_dr),
-        product(f, ph[:r]) * product(f, vp[r:]) / (tau_d_thd * taus_r * etas_dr),
+        product(f, vp[:r]) * product(f, ph[: d - r]) / (etas_d * tau_r * eta_dr),
+        product(f, ph[d - r:]) * product(f, vp[r:]) / (taus_d * tau_r * eta_dr),
+        product(f, vp[:r]) * product(f, ph[r:]) / (eta_d * taus_r * etas_dr),
+        product(f, ph[:r]) * product(f, vp[r:]) / (tau_d * taus_r * etas_dr),
     )
 
 
@@ -437,21 +452,13 @@ def trace_products_closed_form(pa: ParameterArray, r: int):
 
 def split_projectors(sys: LeonardSystem) -> list:
     """F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / (varphi_1 ... varphi_i)."""
-    pa = sys.pa
-    if pa is None:
-        pa = extract_parameter_array(sys)
-    f = sys.field
+    pa = sys.parameter_array
     nu = nu_scalars(pa)[0]
     middle = sys.Estar[0] * sys.E[0]
     out = []
-    left = Matrix.identity(f, sys.d + 1)
-    right = Matrix.identity(f, sys.d + 1)
-    denom = f.one()
-    ident = Matrix.identity(f, sys.d + 1)
-    for i in range(sys.d + 1):
+    denom = sys.field.one()
+    for i, (left, right) in enumerate(zip(sys.tau(), sys.tau(star=True))):
         if i > 0:
-            left = left * (sys.A - ident.scale(pa.theta[i - 1]))
-            right = right * (sys.Astar - ident.scale(pa.theta_star[i - 1]))
             denom = denom * pa.varphi[i - 1]
         out.append((left * middle * right).scale(nu / denom))
     return out
@@ -466,8 +473,6 @@ def eigenspace_span(sys: LeonardSystem, indices, star: bool = False) -> Matrix:
 
 def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
     """U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V), as columns."""
-    from .linalg import intersect_column_spaces
-
     lower = eigenspace_span(sys, range(i + 1), star=True)
     upper = eigenspace_span(sys, range(i, sys.d + 1), star=False)
     return intersect_column_spaces(lower, upper)
@@ -541,42 +546,22 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     except (DegenerateSplit, SingularMatrix) as exc:
         report.add("round_trip_parameter_array", False, {"error": str(exc)})
         return report
-    pa = sys.pa if sys.pa is not None else extracted
+    pa = sys.parameter_array
     report.add("round_trip_parameter_array", extracted == pa)
 
     # edge idempotents as normalized tau/eta evaluations
-    eta_d_A = eval_root_product(eta_roots(pa.theta, d), sys.A)
-    tau_d_A = eval_root_product(tau_roots(pa.theta, d), sys.A)
-    etas_d_As = eval_root_product(eta_roots(pa.theta_star, d), sys.Astar)
-    taus_d_As = eval_root_product(tau_roots(pa.theta_star, d), sys.Astar)
-    report.add(
-        "edge_idempotent_E0",
-        eta_d_A.scale(f.invert(poly_at(f, eta_roots(pa.theta, d), pa.theta[0]))) == sys.E[0],
-    )
-    report.add(
-        "edge_idempotent_Ed",
-        tau_d_A.scale(f.invert(poly_at(f, tau_roots(pa.theta, d), pa.theta[d]))) == sys.E[d],
-    )
-    report.add(
-        "edge_idempotent_E0star",
-        etas_d_As.scale(f.invert(poly_at(f, eta_roots(pa.theta_star, d), pa.theta_star[0])))
-        == sys.Estar[0],
-    )
-    report.add(
-        "edge_idempotent_Edstar",
-        taus_d_As.scale(f.invert(poly_at(f, tau_roots(pa.theta_star, d), pa.theta_star[d])))
-        == sys.Estar[d],
-    )
+    taus, etas, taus_s, etas_s = sys.tau(), sys.eta(), sys.tau(star=True), sys.eta(star=True)
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
+    report.add("edge_idempotent_E0", etas[d].scale(f.invert(eta_d)) == sys.E[0])
+    report.add("edge_idempotent_Ed", taus[d].scale(f.invert(tau_d)) == sys.E[d])
+    report.add("edge_idempotent_E0star", etas_s[d].scale(f.invert(etas_d)) == sys.Estar[0])
+    report.add("edge_idempotent_Edstar", taus_s[d].scale(f.invert(taus_d)) == sys.Estar[d])
 
     # vanishing characteristic products
     report.add("char_product_A", eval_root_product(pa.theta, sys.A).is_zero())
     report.add("char_product_Astar", eval_root_product(pa.theta_star, sys.Astar).is_zero())
 
     # three bases of <A> and <A*>
-    taus = [eval_root_product(tau_roots(pa.theta, i), sys.A) for i in range(d + 1)]
-    etas = [eval_root_product(eta_roots(pa.theta, i), sys.A) for i in range(d + 1)]
-    taus_s = [eval_root_product(tau_roots(pa.theta_star, i), sys.Astar) for i in range(d + 1)]
-    etas_s = [eval_root_product(eta_roots(pa.theta_star, i), sys.Astar) for i in range(d + 1)]
     powers = [ident]
     powers_s = [ident]
     for _ in range(d):

@@ -75,6 +75,31 @@ def test_verify_structurally_invalid_is_malformed(tmp_path):
     assert code == 2
 
 
+GF7_D1 = {
+    "field": {"kind": "prime", "p": 7},
+    "d": 1,
+    "theta": [0, 1],
+    "theta_star": [0, 1],
+    "varphi": [1],
+    "phi": [2],
+}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(D1_SELF_DUAL, phi=["1/0"]),
+    dict(D1_SELF_DUAL, theta=[True, "-1/1"]),
+    dict(D1_NON_SELF_DUAL, theta_star=["2/1", False]),
+    dict(GF7_D1, theta=[0, 8]),
+    dict(GF7_D1, phi=[-5]),
+], ids=["zero-denominator", "true", "false", "residue-above-p", "negative-residue"])
+def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
+    # each of these once decoded (or crashed) instead of being rejected
+    code, _ = run_cli(tmp_path, ["verify"], payload)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+
+
 def test_relatives_round_trip(tmp_path):
     code, text = run_cli(tmp_path, ["relatives"], D1_SELF_DUAL)
     assert code == 0

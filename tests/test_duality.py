@@ -4,10 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from leonard import duality as du
+from leonard import systems
 from leonard.errors import InconsistentArray, NotSelfDual, UnknownBasis
 from leonard.fields import Field
 from leonard.linalg import Matrix, Vector
 from leonard.systems import ParameterArray, certify
+
+from conftest import FROZEN_ARRAYS
 
 Q = Field.rational()
 
@@ -27,6 +30,33 @@ def sd1():
     anchors = du.choose_anchor_vectors(s)
     bundle = du.build_duality_bundle(s, anchors)
     return pa, s, anchors, bundle
+
+
+# --- memoised derived data ---
+
+
+def test_gram_solved_once_across_suites(monkeypatch):
+    calls = []
+    solve = systems.solve_gram
+    monkeypatch.setattr(systems, "solve_gram", lambda A, As: calls.append(1) or solve(A, As))
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
+    assert systems.standard_identity_suite(s).all_pass
+    anchors = du.choose_anchor_vectors(s)
+    bundle = du.build_duality_bundle(s, anchors)
+    assert du.verify_duality_suite(s, bundle).all_pass
+    assert du.verify_geometry_suite(s, bundle).all_pass
+    assert len(calls) == 1
+
+
+def test_flags_and_decompositions_built_once():
+    s = certify(d1_example())
+    assert du.build_flag(s, "0*") is du.build_flag(s, "0*")
+    dec = du.build_decomposition(s, "0*", "D")
+    assert du.build_decomposition(s, "0*", "D") is dec
+    assert du.build_decomposition(s, "D", "0*") is not dec
+    # memos belong to one instance: an isomorphic copy builds its own
+    K = Matrix.from_ints(Q, [[1, 1], [0, 1]])
+    assert du.build_decomposition(s.conjugated(K), "0*", "D") is not dec
 
 
 # --- the self-duality criterion ---

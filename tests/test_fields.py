@@ -118,6 +118,29 @@ def test_scalar_json_round_trip():
         G7.decode_scalar("5/1")
 
 
+@pytest.mark.parametrize("field, obj", [
+    (Q, "1/0"),
+    (Q, "-3/0"),
+    (Q, True),
+    (Q, False),
+    (G7, True),
+    (G7, False),
+    (G7, 7),
+    (G7, 8),
+    (G7, -1),
+])
+def test_decode_rejects_non_canonical_scalars(field, obj):
+    with pytest.raises(ValueError):
+        field.decode_scalar(obj)
+
+
+def test_decode_accepts_residue_range_arithmetic_still_reduces():
+    assert G7.decode_scalar(0) == PrimeFieldElement(7, 0)
+    assert G7.decode_scalar(6) == PrimeFieldElement(7, 6)
+    assert PrimeFieldElement(7, 8) == PrimeFieldElement(7, 1)
+    assert PrimeFieldElement(7, 3) + 5 == PrimeFieldElement(7, 1)
+
+
 def test_field_json_round_trip():
     for f in (Q, G7):
         assert Field.from_json(f.to_json()) == f

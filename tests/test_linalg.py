@@ -8,10 +8,12 @@ from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import (
     Matrix,
     Vector,
+    bidiagonal,
     eval_root_product,
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
+    root_product_family,
     same_column_space,
     transition_matrix,
 )
@@ -55,6 +57,39 @@ def test_eval_root_product():
     assert eval_root_product([F(2)], diag) == mat([[0, 0], [0, 3]])
     # (x-3)(x-2) annihilates a matrix with spectrum {3, 2}
     assert eval_root_product([F(3), F(2)], m).is_zero()
+    # the family holds every prefix product, the last one being eval_root_product
+    roots = [F(3), F(-1), F(2)]
+    family = root_product_family(m, roots)
+    assert len(family) == 4
+    for i, P in enumerate(family):
+        assert P == eval_root_product(roots[:i], m)
+    assert root_product_family(m, []) == [Matrix.identity(Q, 2)]
+
+
+def _split_pair_oracle(field, theta, theta_star, varphi):
+    # the explicit split-form construction: ones below the diagonal of A,
+    # varphi above the diagonal of A*
+    n = len(theta)
+    zero, one = field.zero(), field.one()
+    A = [[zero] * n for _ in range(n)]
+    As = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i], As[i][i] = theta[i], theta_star[i]
+    for i in range(1, n):
+        A[i][i - 1] = one
+        As[i - 1][i] = varphi[i - 1]
+    return Matrix(field, A), Matrix(field, As)
+
+
+@pytest.mark.parametrize("field", [Q, G7])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_bidiagonal_reproduces_split_pair(field, n):
+    rng = random.Random(n)
+    draw = lambda k: [field.from_int(rng.randint(1, 6)) for _ in range(k)]
+    theta, theta_star, varphi = draw(n), draw(n), draw(n - 1)
+    A, As = _split_pair_oracle(field, theta, theta_star, varphi)
+    assert bidiagonal(field, theta) == A
+    assert bidiagonal(field, theta_star, varphi) == As
 
 
 def test_lagrange_idempotent_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
-from leonard.linalg import Matrix
+from leonard.linalg import Matrix, eval_root_product
 from leonard.systems import (
     LeonardSystem,
     ParameterArray,
@@ -14,12 +14,16 @@ from leonard.systems import (
     d4_apply,
     d4_orbit,
     d4_reduce,
+    edge_values,
+    eta_roots,
     extract_parameter_array,
     nu_scalars,
+    product,
     solve_gram,
     split_projectors,
     split_projectors_by_intersection,
     standard_identity_suite,
+    tau_roots,
     trace_products,
     trace_products_closed_form,
     verify_axioms,
@@ -306,6 +310,41 @@ def test_dagger_fixes_idempotents_higher_d(corpus):
     s = corpus.system(pa)
     assert s.dagger(s.E[1]) == s.E[1]
     assert s.dagger(s.Estar[1]) == s.Estar[1]
+
+
+# --- memoised derived data ---
+
+
+def test_root_families_match_per_index_products(corpus):
+    for pa in corpus.arrays:
+        s = corpus.system(pa)
+        for star, M, theta in ((False, s.A, s.theta), (True, s.Astar, s.theta_star)):
+            taus, etas = s.tau(star), s.eta(star)
+            assert len(taus) == len(etas) == s.d + 1
+            for i in range(s.d + 1):
+                assert taus[i] == eval_root_product(tau_roots(theta, i), M)
+                assert etas[i] == eval_root_product(eta_roots(theta, i), M)
+            assert s.tau(star) is taus and s.eta(star) is etas
+
+
+def test_edge_values_match_direct_products(corpus):
+    for pa in corpus.arrays:
+        f, d, th, ths = pa.field, pa.d, pa.theta, pa.theta_star
+        assert edge_values(pa) == (
+            product(f, (th[d] - th[j] for j in range(d))),
+            product(f, (th[0] - th[j] for j in range(1, d + 1))),
+            product(f, (ths[d] - ths[j] for j in range(d))),
+            product(f, (ths[0] - ths[j] for j in range(1, d + 1))),
+        )
+
+
+def test_parameter_array_stored_or_extracted_once():
+    pa = d1_example()
+    s = build_system(pa)
+    assert s.parameter_array is pa
+    bare = LeonardSystem.from_pair(s.A, s.Astar, s.theta, s.theta_star)
+    assert bare.parameter_array == pa
+    assert bare.parameter_array is bare.parameter_array
 
 
 # --- the aggregated suite ---
