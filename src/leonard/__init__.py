@@ -31,6 +31,7 @@ from .systems import (
     ParameterArray,
     build_system,
     certify,
+    complete_parameter_array,
     d4_apply,
     d4_orbit,
     d4_reduce,

@@ -2,10 +2,10 @@
 
 Two modes: exhaustive lexicographic enumeration over a small odd prime
 field, and seeded random search over the rationals with entries drawn from
-a small box.  A candidate is a (theta, theta*, varphi) triple; those data
-already determine the defining matrices, and the second split sequence is
-read off the built system (any independently guessed value either matches
-it or fails the round trip).  Every emitted array is oracle-certified.
+a small box.  A candidate is a (theta, theta*, varphi) triple; the closed-form
+conditions PA1-PA5 decide it, with the second split sequence phi fixed by
+PA4.  Every emitted array is then certified once by the matrix route, and a
+disagreement between the two routes raises NotALeonardPair.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .duality import is_self_dual
-from .errors import BudgetExceeded, DegenerateSplit, ExhaustedTrials, NotALeonardPair
+from .errors import BudgetExceeded, ExhaustedTrials, NotALeonardPair
 from .fields import Field, PrimeFieldElement
-from .linalg import Matrix, bidiagonal, is_irreducible_tridiagonal
-from .systems import LeonardSystem, ParameterArray, certify, extract_parameter_array
+from .systems import ParameterArray, certify, complete_parameter_array
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_MAX_TRIALS = 10**6
@@ -41,6 +40,10 @@ class SearchConfig:
             raise ValueError("diameter must be >= 0")
         if self.limit < 1:
             raise ValueError("limit must be >= 1")
+        if self.max_trials < 1:
+            raise ValueError("max_trials must be >= 1")
+        if self.field.is_rational and self.d + 1 > _BOX_SIZE:
+            raise ValueError(f"rational search needs d + 1 <= {_BOX_SIZE}, the draw box size")
 
     def effective_budget(self) -> int:
         if self.budget is not None:
@@ -49,49 +52,13 @@ class SearchConfig:
         return int(env) if env else DEFAULT_BUDGET
 
 
-def _pair_certifies(A: Matrix, As: Matrix, theta, theta_star, varphi) -> bool:
-    """Cheap exact test of both tridiagonality axioms.
-
-    The eigenvectors of the bidiagonal pair come from two-term recurrences,
-    so the eigenbases are triangular; the zero pattern of a conjugated
-    matrix does not depend on the eigenvector scaling, hence this test
-    agrees exactly with the idempotent-based axiom verifier.
-    """
-    d, field = len(theta) - 1, A.field
-    zero, one = field.zero(), field.one()
-
-    cols = []
-    for j in range(d + 1):
-        w = [zero] * (d + 1)
-        w[j] = one
-        for i in range(j + 1, d + 1):
-            w[i] = -w[i - 1] / (theta[i] - theta[j])
-        cols.append(w)
-    W = Matrix(field, zip(*cols))
-    if not is_irreducible_tridiagonal(W.solve(As * W)):
-        return False
-
-    cols = []
-    for j in range(d + 1):
-        u = [zero] * (d + 1)
-        u[j] = one
-        for i in range(j - 1, -1, -1):
-            u[i] = -(varphi[i] * u[i + 1]) / (theta_star[i] - theta_star[j])
-        cols.append(u)
-    U = Matrix(field, zip(*cols))
-    return is_irreducible_tridiagonal(U.solve(A * U))
-
-
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:
-    """Test a candidate; for a survivor, extract the full array and certify it."""
-    A, As = bidiagonal(field, theta), bidiagonal(field, theta_star, varphi)
-    if not _pair_certifies(A, As, theta, theta_star, varphi):
-        return None
+    """Classify a candidate by PA1-PA5; certify a survivor by the matrix route."""
     try:
-        pa = extract_parameter_array(LeonardSystem.from_pair(A, As, theta, theta_star))
-        certify(pa)
-    except (DegenerateSplit, NotALeonardPair, ValueError):
+        pa = complete_parameter_array(field, theta, theta_star, varphi)
+    except NotALeonardPair:
         return None
+    certify(pa)
     return pa
 
 
@@ -99,8 +66,8 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
     """Deterministic lexicographic enumeration over GF(p), p odd.
 
     Candidates are scanned in lexicographic (theta, theta*, varphi, phi)
-    order; for a fixed prefix at most one phi can certify (the round trip
-    pins it), so the scan walks (theta, theta*, varphi) and derives phi.
+    order; for a fixed prefix at most one phi can certify (PA4 pins it), so
+    the scan walks (theta, theta*, varphi) and derives phi.
     """
     field = cfg.field
     if field.is_rational:
@@ -149,6 +116,10 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
 
 def _draw_scalar(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+# the number of distinct values _draw_scalar returns (51)
+_BOX_SIZE = len({Fraction(n, q) for n in range(-9, 10) for q in range(1, 5)})
 
 
 def _draw_distinct(rng: random.Random, n: int) -> tuple:

@@ -10,7 +10,7 @@ reports, ``certify`` raises NotALeonardPair on any failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     DegenerateSplit,
@@ -308,6 +308,33 @@ def certify(pa: ParameterArray) -> LeonardSystem:
     if extracted != pa:
         raise NotALeonardPair("parameter array does not round-trip", report)
     return sys
+
+
+def complete_parameter_array(field: Field, theta, theta_star, varphi) -> ParameterArray:
+    """The unique parameter array with first split sequence varphi, by PA1-PA5.
+
+    Terwilliger's closed-form classification (LAA 330, 2001; any field), in
+    O(d) scalar steps and independent of the matrix route in ``certify``:
+    PA4 fixes phi, then PA2, PA3 and PA5 are checked.  Raises NotALeonardPair
+    naming the failed condition and index; ParameterArray checks PA1.
+    """
+    pa = ParameterArray(field, len(theta) - 1, theta, theta_star, varphi, varphi)  # phi: placeholder
+    d, th, ths = pa.d, pa.theta, pa.theta_star
+    s = [field.zero()]  # s_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
+    for h in range(d):
+        s.append(s[-1] + (th[h] - th[d - h]) / (th[0] - th[d]))
+    phi = tuple(varphi[0] * s[i] + (ths[i] - ths[0]) * (th[d - i + 1] - th[0]) for i in range(1, d + 1))
+    for i in range(1, d + 1):
+        if not phi[i - 1]:
+            raise NotALeonardPair(f"PA2 fails at i={i}: phi_{i} = 0")
+    for i in range(1, d + 1):
+        if varphi[i - 1] != phi[0] * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]):
+            raise NotALeonardPair(f"PA3 fails at i={i}: varphi_{i} disagrees with phi_1")
+    ratio = lambda t, i: (t[i - 2] - t[i + 1]) / (t[i - 1] - t[i])
+    for i in range(2, d):
+        if not ratio(th, i) == ratio(ths, i) == ratio(th, 2):
+            raise NotALeonardPair(f"PA5 fails at i={i}: the theta, theta* recurrences differ")
+    return replace(pa, phi=phi)
 
 
 def _split_basis_columns(sys: LeonardSystem, theta_order) -> Matrix:

@@ -191,6 +191,18 @@ def test_search_exhausted_partial_output(tmp_path, capsys):
     assert err["error"]["type"] == "ExhaustedTrials"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "rational", "--d", "60", "--max-trials", "1"],
+    ["--field", "rational", "--d", "1", "--max-trials", "0"],
+    ["--field", "prime:7", "--d", "1", "--max-trials", "-5"],
+], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials"])
+def test_search_bad_config_exit_2(tmp_path, capsys, argv):
+    # the first once looped forever, the others reported "found 0 of 1" with exit 1
+    code, text = run_cli(tmp_path, ["search", *argv])
+    assert code == 2 and text == ""
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+
 def test_installed_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "leonard.cli", "verify"],

@@ -59,6 +59,13 @@ CASES = {f"{name} {' '.join(verb)}": (verb, obj) for name, obj in ARRAYS.items()
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
+# 40 arrays over 13 theta orders (PA5), characteristic d + 1, and an ExhaustedTrials exit 1
+CASES["search prime:7 d3 self-dual"] = (
+    ["search", "--field", "prime:7", "--d", "3", "--self-dual", "--limit", "40"], None)
+CASES["search prime:5 d4 self-dual"] = (
+    ["search", "--field", "prime:5", "--d", "4", "--self-dual", "--limit", "5"], None)
+CASES["search rational d3 exhausted"] = (
+    ["search", "--field", "rational", "--d", "3", "--max-trials", "300", "--seed", "1"], None)
 
 GOLDEN = {
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
@@ -96,8 +103,11 @@ GOLDEN = {
     'q2 matrix-of-t --basis tau-vstard': '3d6240a138044fc8a841cf56914df22670ace48ac043e9f1dd11d12c9fdbaa7d',
     'q2 matrix-of-t --basis taustar-vd': '407f7a7f7967956ee7e2f36b0e578396650262c1ea4c68590cbe2961c24f29a3',
     'q2 verify': '4a384e515331dd72e5acc3d36e82233590eceba2609a9f278226d34a3d877fd1',
+    'search prime:5 d4 self-dual': '48c5e416a45200a1ea9459a3327d95f51e426b005388344704356cfb3de3d8e4',
     'search prime:7 d2': '4b012d9f0bfd0b51f27b22da398ed23f8420d462dff5b41b04b8f13479910b1b',
+    'search prime:7 d3 self-dual': 'd5f3ef55662c8fcbb2af1e84b7663364c50e7e6f3b9d5db439d31412fdd21516',
     'search rational d2': '26c340aaf7b1e558e88aeda96540cdf61da86028a23b5de79e140adf12bdc84f',
+    'search rational d3 exhausted': '7ea39e25fb2a2a6a800e1cbf3a0a37b98cda25fc3de3cc1186a96aaf79726d67',
 }
 
 

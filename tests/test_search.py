@@ -1,17 +1,27 @@
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
 
+from leonard import search
 from leonard.duality import is_self_dual
 from leonard.errors import BudgetExceeded, ExhaustedTrials, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
 from leonard.search import (
+    _BOX_SIZE,
     SearchConfig,
+    _draw_scalar,
     enumerate_prime_field,
     random_rational,
     run_search,
 )
-from leonard.systems import ParameterArray, build_system, certify, extract_parameter_array
+from leonard.systems import (
+    ParameterArray,
+    build_system,
+    certify,
+    complete_parameter_array,
+    extract_parameter_array,
+)
 
 GF7 = Field.prime(7)
 GF3 = Field.prime(3)
@@ -55,6 +65,34 @@ def test_enumerate_gf3_d1_census():
     # by-hand count 6 * 6 * 1 (one admissible varphi_1 per (theta, theta*))
     found = enumerate_prime_field(SearchConfig(GF3, 1, limit=10_000))
     assert len(found) == 36
+
+
+@pytest.mark.parametrize("p, d, self_dual, accepted", [
+    (5, 2, False, 6000),  # of 57,600 candidates
+    (5, 4, True, 80),  # of 30,720 candidates; characteristic d + 1
+])
+def test_classifier_census(p, d, self_dual, accepted):
+    # regression constants counted by the matrix route (from_pair + axioms)
+    F = Field.prime(p)
+    orders = [tuple(PrimeFieldElement(p, r) for r in th) for th in permutations(range(p), d + 1)]
+    count = 0
+    for theta in orders:
+        for theta_star in (theta,) if self_dual else orders:
+            for vp in product(range(1, p), repeat=d):
+                try:
+                    complete_parameter_array(F, theta, theta_star, [PrimeFieldElement(p, r) for r in vp])
+                    count += 1
+                except NotALeonardPair:
+                    pass
+    assert count == accepted
+
+
+def test_route_disagreement_raises(monkeypatch):
+    # an array the classifier accepts and certify refutes is an error, not a skip
+    wrong = lambda f, th, ths, vp: ParameterArray(f, len(th) - 1, th, ths, vp, vp)
+    monkeypatch.setattr(search, "complete_parameter_array", wrong)
+    with pytest.raises(NotALeonardPair):
+        run_search(SearchConfig(GF7, 1, limit=1))
 
 
 def test_enumerate_rejects_bad_fields():
@@ -130,6 +168,19 @@ def test_config_validation():
         SearchConfig(Q, -1)
     with pytest.raises(ValueError):
         SearchConfig(Q, 1, limit=0)
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            SearchConfig(Q, 1, max_trials=trials)
+
+
+def test_rational_diameter_bounded_by_draw_box():
+    # d + 1 distinct draws from a box of 51 values: d = 51 used to loop forever
+    rng = random.Random(0)
+    assert len({_draw_scalar(rng) for _ in range(5000)}) == _BOX_SIZE == 51
+    SearchConfig(Q, 50)
+    SearchConfig(GF7, 60)  # prime-field enumeration is bounded by its budget instead
+    with pytest.raises(ValueError):
+        SearchConfig(Q, 51)
 
 
 def test_char2_recorded_behavior():

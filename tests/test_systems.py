@@ -2,15 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
-from leonard.linalg import Matrix, eval_root_product
+from leonard.linalg import Matrix, bidiagonal, eval_root_product
 from leonard.systems import (
     LeonardSystem,
     ParameterArray,
     build_system,
     certify,
+    complete_parameter_array,
     d4_apply,
     d4_orbit,
     d4_reduce,
@@ -121,6 +124,87 @@ def test_degenerate_split_detected():
     s = LeonardSystem(eye, eye, (eye, zero), (zero, zero), (F(0), F(1)), (F(0), F(1)))
     with pytest.raises(DegenerateSplit):
         extract_parameter_array(s)
+
+
+# --- closed-form classification (PA1-PA5) against the matrix route ---
+
+
+def matrix_route_phi(field, theta, theta_star, varphi):
+    """phi of the bidiagonal pair when it passes the axioms, else None."""
+    A, Astar = bidiagonal(field, theta), bidiagonal(field, theta_star, varphi)
+    s = LeonardSystem.from_pair(A, Astar, theta, theta_star)
+    if not verify_axioms(s).all_pass:
+        return None
+    return extract_parameter_array(s).phi
+
+
+def classifier_phi(field, theta, theta_star, varphi):
+    try:
+        return complete_parameter_array(field, theta, theta_star, varphi).phi
+    except NotALeonardPair:
+        return None
+
+
+@st.composite
+def near_realizable(draw):
+    """(theta, theta*, varphi) near the Krawtchouk family, drawn to reach each condition.
+
+    theta and theta* are arithmetic and varphi_i = i (d - i + 1) r, which is
+    realizable with phi_i = i (d - i + 1) (r + s s*).  Variants: r = -s s*
+    breaks PA2; one perturbed varphi_i breaks PA3; one perturbed eigenvalue,
+    with varphi_2..varphi_d re-solved from PA3, leaves PA5 to decide.
+    """
+    p = draw(st.sampled_from([None, 5, 7, 13]))
+    field = Q if p is None else Field.prime(p)
+    d = draw(st.sampled_from([1, 2, 3, 4, 3, 4]))  # PA5 needs d >= 3
+    num = lambda: field.from_int(draw(st.integers(min_value=-6, max_value=6)))
+    kind = draw(st.sampled_from(["exact", "PA2", "varphi", "eigenvalue"]))
+    th0, step, ths0, step_star = num(), num(), num(), num()
+    r = -step * step_star if kind == "PA2" else num()
+    theta = [th0 + step * field.from_int(i) for i in range(d + 1)]
+    theta_star = [ths0 + step_star * field.from_int(i) for i in range(d + 1)]
+    varphi = [field.from_int(i * (d - i + 1)) * r for i in range(1, d + 1)]
+    if kind in ("varphi", "eigenvalue"):
+        target = varphi if kind == "varphi" else draw(st.sampled_from([theta, theta_star]))
+        k = draw(st.integers(min_value=0, max_value=len(target) - 1))
+        target[k] = target[k] + num()
+    assume(len(set(theta)) == d + 1 and len(set(theta_star)) == d + 1)
+    if kind == "eigenvalue":
+        th, ths = theta, theta_star
+        s_ = lambda i: sum(((th[h] - th[d - h]) / (th[0] - th[d]) for h in range(i)), field.zero())
+        phi_1 = varphi[0] + (ths[1] - ths[0]) * (th[d] - th[0])
+        for i in range(2, d + 1):
+            varphi[i - 1] = phi_1 * s_(i) + (ths[i] - ths[0]) * (th[i - 1] - th[d])
+    assume(all(varphi))
+    return field, tuple(theta), tuple(theta_star), tuple(varphi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_realizable())
+def test_classifier_agrees_with_matrix_route(candidate):
+    assert classifier_phi(*candidate) == matrix_route_phi(*candidate)
+
+
+def test_classifier_completes_certified_arrays(corpus):
+    for pa in corpus.arrays:
+        assert complete_parameter_array(pa.field, pa.theta, pa.theta_star, pa.varphi) == pa
+
+
+@pytest.mark.parametrize("theta, theta_star, varphi, witness", [
+    ((0, 1), (0, 1), (-1,), "PA2 fails at i=1"),
+    ((0, 1, 2), (0, 1, 2), (2, 3), "PA3 fails at i=2"),
+    ((0, 1, 2, 4), (0, 1, 2, 3), (4, 4, 2), "PA5 fails at i=2"),
+])
+def test_classifier_names_failed_condition(theta, theta_star, varphi, witness):
+    args = (Q, [F(x) for x in theta], [F(x) for x in theta_star], [F(x) for x in varphi])
+    with pytest.raises(NotALeonardPair, match=witness):
+        complete_parameter_array(*args)
+    assert matrix_route_phi(*args) is None
+
+
+def test_classifier_rejects_repeated_eigenvalues():
+    with pytest.raises(ValueError):
+        complete_parameter_array(Q, (F(1), F(1)), (F(0), F(1)), (F(1),))
 
 
 # --- relatives ---
