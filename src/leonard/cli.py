@@ -13,11 +13,11 @@ import json
 import sys
 
 from . import duality as du
-from .errors import ExhaustedTrials, LeonardError, NotALeonardPair
+from .errors import BudgetExceeded, ExhaustedTrials, LeonardError, NotALeonardPair
 from .fields import Field
 from .linalg import Matrix
 from .report import VerificationReport
-from .search import SearchConfig, run_search
+from .search import SearchConfig, env_budget, run_search
 from .systems import (
     ParameterArray,
     build_system,
@@ -48,6 +48,14 @@ def _read_parameter_array(args) -> ParameterArray:
     return ParameterArray.from_json(json.loads(text))
 
 
+def _read_bounded_array(args) -> ParameterArray:
+    """The input array; BudgetExceeded when (d+1)^5 exceeds the work budget."""
+    pa, budget = _read_parameter_array(args), env_budget()
+    if (pa.d + 1) ** 5 > budget:
+        raise BudgetExceeded(f"d = {pa.d}: (d+1)^5 = {(pa.d + 1) ** 5} exceeds budget {budget}")
+    return pa
+
+
 def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -61,7 +69,7 @@ def _error_object(exc: Exception) -> str:
 
 
 def _cmd_verify(args) -> int:
-    pa = _read_parameter_array(args)
+    pa = _read_bounded_array(args)
     report = standard_identity_suite(build_system(pa))
     _write(args, _dump({"parameter_array": pa.to_json(), "report": report.to_json()}))
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
@@ -76,7 +84,7 @@ def _cmd_relatives(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    pa = _read_parameter_array(args)
+    pa = _read_bounded_array(args)
     sys_ = certify(pa)
     self_dual = du.is_self_dual(pa)
     if args.require_self_dual and not self_dual:
@@ -103,7 +111,7 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_bases(args) -> int:
-    pa = _read_parameter_array(args)
+    pa = _read_bounded_array(args)
     sys_ = certify(pa)
     anchors = du.choose_anchor_vectors(sys_)
     family = du.build_24_bases(sys_, anchors)
@@ -127,7 +135,7 @@ def _cmd_bases(args) -> int:
 
 
 def _cmd_matrix_of_t(args) -> int:
-    pa = _read_parameter_array(args)
+    pa = _read_bounded_array(args)
     sys_ = certify(pa)
     if not du.is_self_dual(pa):
         raise LeonardError("matrix-of-t requires a self-dual system")

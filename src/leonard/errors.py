@@ -54,7 +54,7 @@ class UnknownBasis(LeonardError):
 
 
 class BudgetExceeded(LeonardError):
-    """The enumeration candidate space exceeds the configured budget."""
+    """The work a call would do exceeds the configured budget."""
 
 
 class ExhaustedTrials(LeonardError):

@@ -1,12 +1,16 @@
 """Dense exact linear algebra over a ground field.
 
 Matrices and vectors are immutable value types; every operation returns a
-new object.  Elimination uses first-nonzero pivoting (GF(p) has no magnitude
-order) and exact division, so results are exact over both field kinds.
+new object.  Products and elimination run on integer rows (`Field.to_ints`)
+and convert back to field elements once per output entry: a product entry is
+one exact integer dot product, and Gauss-Jordan elimination is fraction-free
+with first-nonzero pivoting (GF(p) has no magnitude order).
 Indexing is 0-based on rows and columns 0..d.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import DuplicateEigenvalue, SingularMatrix
 from .fields import Field
@@ -53,10 +57,7 @@ class Vector:
         return Vector(self.field, (c * a for a in self.entries))
 
     def dot(self, other) -> object:
-        total = self.field.zero()
-        for a, b in zip(self.entries, other.entries):
-            total = total + a * b
-        return total
+        return _products(self.field, [self.entries], [other.entries])[0][0]
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -176,27 +177,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("incompatible shapes")
-            cols = list(zip(*other.rows))
-            zero = self.field.zero()
-            out = []
-            for row in self.rows:
-                out_row = []
-                for col in cols:
-                    total = zero
-                    for a, b in zip(row, col):
-                        total = total + a * b
-                    out_row.append(total)
-                out.append(out_row)
-            return Matrix(self.field, out)
+            return Matrix(self.field, _products(self.field, self.rows, zip(*other.rows)))
         if isinstance(other, Vector):
-            zero = self.field.zero()
-            out = []
-            for row in self.rows:
-                total = zero
-                for a, b in zip(row, other.entries):
-                    total = total + a * b
-                out.append(total)
-            return Vector(self.field, out)
+            return Vector(self.field, (row[0] for row in _products(self.field, self.rows, [other.entries])))
         return self.scale(other)
 
     def transpose(self) -> "Matrix":
@@ -211,41 +194,31 @@ class Matrix:
     # --- elimination-based operations ---
 
     def _echelon(self, augment=None):
-        """Row-reduce (Gauss-Jordan, first-nonzero pivot).
+        """Row-reduce [self | augment]: fraction-free Gauss-Jordan, first-nonzero pivot.
 
+        A row update pv*a - g*b on integer rows is kept small by
+        `Field.reduce_ints`; each pivot row is divided by its pivot at the end.
         Returns (reduced rows, pivot column list, reduced augment rows).
         """
-        rows = [list(r) for r in self.rows]
-        aug = [list(r) for r in augment] if augment is not None else None
-        n, m = len(rows), self.ncols
+        field, m = self.field, self.ncols
+        extra = augment if augment is not None else [()] * self.nrows
+        rows, _ = field.to_ints(r + tuple(a) for r, a in zip(self.rows, extra, strict=True))
         pivots = []
-        r = 0
         for c in range(m):
-            pivot_row = None
-            for i in range(r, n):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
+            r = len(pivots)
+            pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            if aug is not None:
-                aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            inv = self.field.invert(rows[r][c])
-            rows[r] = [inv * a for a in rows[r]]
-            if aug is not None:
-                aug[r] = [inv * a for a in aug[r]]
-            for i in range(n):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                    if aug is not None:
-                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            top, pv = rows[r], rows[r][c]
+            for i, row in enumerate(rows):
+                g = row[c]
+                if g and i != r:
+                    rows[i] = field.reduce_ints([pv * a - g * b for a, b in zip(row, top)])
             pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        return rows, pivots, aug
+        out = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
+        out += [field.from_ints(row, 1) for row in rows[len(pivots):]]
+        return [row[:m] for row in out], pivots, [row[m:] for row in out] if augment is not None else None
 
     def rref(self):
         rows, pivots, _ = self._echelon()
@@ -303,6 +276,14 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix([" + ",\n        ".join(str(list(r)) for r in self.rows) + "])"
+
+
+def _products(field: Field, left, right):
+    """Rows of dot products of each left row with each right column, one
+    exact integer dot product per entry."""
+    a_rows, da = field.to_ints(left)
+    b_cols, db = field.to_ints(right)
+    return [field.from_ints([sum(map(mul, a, b)) for b in b_cols], da * db) for a in a_rows]
 
 
 def bidiagonal(field: Field, diag, upper=None) -> Matrix:

@@ -25,6 +25,12 @@ DEFAULT_BUDGET = 10**8
 DEFAULT_MAX_TRIALS = 10**6
 
 
+def env_budget() -> int:
+    """LEONARD_BUDGET from the environment, else DEFAULT_BUDGET."""
+    env = os.environ.get("LEONARD_BUDGET")
+    return int(env) if env else DEFAULT_BUDGET
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     field: Field
@@ -46,10 +52,7 @@ class SearchConfig:
             raise ValueError(f"rational search needs d + 1 <= {_BOX_SIZE}, the draw box size")
 
     def effective_budget(self) -> int:
-        if self.budget is not None:
-            return self.budget
-        env = os.environ.get("LEONARD_BUDGET")
-        return int(env) if env else DEFAULT_BUDGET
+        return env_budget() if self.budget is None else self.budget
 
 
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import leonard.cli as cli
 from leonard.cli import main
 
 D1_SELF_DUAL = {
@@ -98,6 +99,37 @@ def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
+
+
+ARRAY_VERBS = (["verify"], ["dualize"], ["bases"], ["matrix-of-t", "--basis", "tau-vstard"])
+
+
+@pytest.mark.parametrize("argv", ARRAY_VERBS, ids=lambda argv: argv[0])
+def test_budget_bounds_every_array_verb(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("LEONARD_BUDGET", "10")
+    assert run_cli(tmp_path, argv, D0)[0] == 0  # (0+1)^5 = 1 fits
+    (tmp_path / "out.json").unlink()
+    # (1+1)^5 = 32 does not, and nothing is built before the refusal
+    for name in ("build_system", "certify"):
+        monkeypatch.setattr(cli, name, lambda pa: pytest.fail("built an array over budget"))
+    code, text = run_cli(tmp_path, argv, D1_SELF_DUAL)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "BudgetExceeded"
+    assert "d = 1" in err["message"] and "budget 10" in err["message"]
+
+
+def test_default_budget_refuses_d39(tmp_path, capsys, monkeypatch):
+    # 39^5 = 90224199 fits the default 10^8, 40^5 does not
+    monkeypatch.delenv("LEONARD_BUDGET", raising=False)
+    ints = lambda k: [f"{i}/1" for i in range(k)]
+    big = {"field": {"kind": "rational"}, "d": 39, "theta": ints(40), "theta_star": ints(40),
+           "varphi": ints(40)[1:], "phi": ints(40)[1:]}
+    code, _ = run_cli(tmp_path, ["verify"], big)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "BudgetExceeded",
+                   "message": "d = 39: (d+1)^5 = 102400000 exceeds budget 100000000"}
 
 
 def test_relatives_round_trip(tmp_path):

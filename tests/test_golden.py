@@ -37,6 +37,12 @@ GFP_NON_SELF_DUAL = {
     "phi": [84, 112, 84],
 }
 
+# d = 0: 1 x 1 matrices and empty split sequences, self-dual so matrix-of-t runs.
+Q_D0 = {"field": {"kind": "rational"}, "d": 0, "theta": ["-5/3"], "theta_star": ["-5/3"],
+        "varphi": [], "phi": []}
+GF7_D0 = {"field": {"kind": "prime", "p": 7}, "d": 0, "theta": [3], "theta_star": [3],
+          "varphi": [], "phi": []}
+
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
     "q1": FROZEN_ARRAYS[1],
@@ -56,6 +62,9 @@ VERBS = (
 )
 
 CASES = {f"{name} {' '.join(verb)}": (verb, obj) for name, obj in ARRAYS.items() for verb in VERBS}
+for name, obj in (("q_d0", Q_D0), ("gf7_d0", GF7_D0)):
+    for verb in VERBS[:3] + VERBS[-1:]:
+        CASES[f"{name} {' '.join(verb)}"] = (verb, obj)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
@@ -68,6 +77,10 @@ CASES["search rational d3 exhausted"] = (
     ["search", "--field", "rational", "--d", "3", "--max-trials", "300", "--seed", "1"], None)
 
 GOLDEN = {
+    'gf7_d0 bases': '16cb67a3554ecdbf9f4ce21feff1a71ffa0df645feb67a028a6594e26b65dfde',
+    'gf7_d0 dualize': 'b6f5c724579fd9eb86d754272f4c0eafd02efe7541d5ae86231bd5468762021a',
+    'gf7_d0 matrix-of-t --basis tau-vstard': '8c9cd91f6731726d5d43a103aa77a761c9b2a5bb78d09e8397573cb71b5fba68',
+    'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
     'gfp_nsd dualize': '5ecffc0ea67badc7631a61d74631ddc2d0465fda9dcbe962619dbe4301007b11',
     'gfp_nsd matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
@@ -103,6 +116,10 @@ GOLDEN = {
     'q2 matrix-of-t --basis tau-vstard': '3d6240a138044fc8a841cf56914df22670ace48ac043e9f1dd11d12c9fdbaa7d',
     'q2 matrix-of-t --basis taustar-vd': '407f7a7f7967956ee7e2f36b0e578396650262c1ea4c68590cbe2961c24f29a3',
     'q2 verify': '4a384e515331dd72e5acc3d36e82233590eceba2609a9f278226d34a3d877fd1',
+    'q_d0 bases': 'c22a2ff33c79d70791018d7205533f28ce8d7d0eaf60bc6afdae3f3a87896a97',
+    'q_d0 dualize': '67d12e322957e69677b4488abfc0a3f07c0ee993f8dcb2b13f43f8a30cb1df24',
+    'q_d0 matrix-of-t --basis tau-vstard': '036d8e729fb36b20ae15d40a330995776d332e2693edc926b613bdab81a91707',
+    'q_d0 verify': 'a4401f677529946007d5e7897cd0f40445f84ce1243a01ce14a66e73ac55b606',
     'search prime:5 d4 self-dual': '48c5e416a45200a1ea9459a3327d95f51e426b005388344704356cfb3de3d8e4',
     'search prime:7 d2': '4b012d9f0bfd0b51f27b22da398ed23f8420d462dff5b41b04b8f13479910b1b',
     'search prime:7 d3 self-dual': 'd5f3ef55662c8fcbb2af1e84b7663364c50e7e6f3b9d5db439d31412fdd21516',

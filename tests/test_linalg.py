@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard.errors import DuplicateEigenvalue, SingularMatrix
 from leonard.fields import Field, PrimeFieldElement
@@ -20,6 +23,7 @@ from leonard.linalg import (
 
 Q = Field.rational()
 G7 = Field.prime(7)
+KERNEL_FIELDS = (Q, Field.prime(2), G7, Field.prime(2**31 - 1))
 
 
 def mat(rows):
@@ -209,3 +213,167 @@ def test_vector_normalization():
     assert n.first_nonzero_index() == 1
     with pytest.raises(ValueError):
         Vector(Q, (F(0),)).normalized()
+
+
+# --- reference implementations: elementwise field arithmetic, no integer rows ---
+
+
+def _ref_dot(field, a, b):
+    total = field.zero()
+    for x, y in zip(a, b):
+        total = total + x * y
+    return total
+
+
+def _ref_mul(A, B):
+    cols = list(zip(*B.rows))
+    return Matrix(A.field, [[_ref_dot(A.field, row, col) for col in cols] for row in A.rows])
+
+
+def _ref_echelon(M, augment=None):
+    """Gauss-Jordan with first-nonzero pivots, one field operation at a time."""
+    rows = [list(r) for r in M.rows]
+    aug = [list(r) for r in augment] if augment is not None else None
+    n, pivots, r = len(rows), [], 0
+    for c in range(M.ncols):
+        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if aug is not None:
+            aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        inv = M.field.invert(rows[r][c])
+        rows[r] = [inv * a for a in rows[r]]
+        if aug is not None:
+            aug[r] = [inv * a for a in aug[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                if aug is not None:
+                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows, pivots, aug
+
+
+def _ref_nullspace(M):
+    rows, pivots, _ = _ref_echelon(M)
+    basis = []
+    for fc in (c for c in range(M.ncols) if c not in pivots):
+        v = [M.field.zero()] * M.ncols
+        v[fc] = M.field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(Vector(M.field, v))
+    return basis
+
+
+def _ref_solve(M, rhs):
+    _, pivots, aug = _ref_echelon(M, rhs.rows)
+    if len(pivots) != M.nrows:
+        raise SingularMatrix("matrix has zero determinant")
+    return Matrix(M.field, aug)
+
+
+def _assert_canonical(field, entries):
+    for x in entries:
+        if field.is_rational:
+            assert type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        else:
+            assert type(x) is PrimeFieldElement and x.p == field.p and 0 <= x.r < field.p
+
+
+@st.composite
+def _matrix(draw, field, n, m):
+    """An n x m matrix, sometimes with a zero row, a zero column or a repeated row."""
+    size = n * m
+    if field.is_rational:  # mixed and negative denominators
+        nums = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+        dens = draw(st.lists(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), min_size=size, max_size=size))
+        flat = [F(a, b) for a, b in zip(nums, dens)]
+    else:
+        residues = draw(st.lists(st.integers(0, field.p - 1), min_size=size, max_size=size))
+        flat = [PrimeFieldElement(field.p, r) for r in residues]
+    rows = [flat[i * m:(i + 1) * m] for i in range(n)]
+    shape = draw(st.sampled_from(["dense", "zero row", "zero column", "repeated row"]))
+    if shape == "zero row" and n:
+        rows[draw(st.integers(0, n - 1))] = [field.zero()] * m
+    elif shape == "zero column" and m:
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = field.zero()
+    elif shape == "repeated row" and n > 1:
+        rows[-1] = list(rows[0])
+    return Matrix(field, rows)
+
+
+@st.composite
+def _kernel_case(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    # a matrix without rows has no columns either, so only k (B's columns) may be 0
+    n, m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    return field, draw(_matrix(field, n, m)), draw(_matrix(field, m, k)), draw(_matrix(field, n, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_integer_kernels_match_elementwise_reference(case):
+    field, A, B, S = case
+    AB = A * B
+    assert AB == _ref_mul(A, B)
+    _assert_canonical(field, (x for row in AB.rows for x in row))
+    if B.ncols:
+        col = B.column(0)
+        Av = A * col
+        assert Av == Vector(field, (_ref_dot(field, row, col) for row in A.rows))
+        _assert_canonical(field, Av)
+        dot = col.dot(col)
+        assert dot == _ref_dot(field, col, col)
+        _assert_canonical(field, [dot])
+    for M in (A, B, S):
+        R, pivots = M.rref()
+        ref_rows, ref_pivots, _ = _ref_echelon(M)
+        assert (R, pivots) == (Matrix(field, ref_rows), ref_pivots)
+        assert M.rank() == len(ref_pivots)
+        _assert_canonical(field, (x for row in R.rows for x in row))
+        null = M.nullspace()
+        assert null == _ref_nullspace(M)
+        _assert_canonical(field, (x for v in null for x in v))
+    rhs = A if A.nrows == S.nrows and A.ncols else Matrix.identity(field, S.nrows)
+    for got, want in ((S.inverse, lambda: _ref_solve(S, Matrix.identity(field, S.nrows))),
+                      (lambda: S.solve(rhs), lambda: _ref_solve(S, rhs))):
+        try:
+            expected = want()
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                got()
+            continue
+        X = got()
+        assert X == expected
+        _assert_canonical(field, (x for row in X.rows for x in row))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_kernels_on_empty_shapes(field):
+    # n x 0 matrices come out of intersect_column_spaces; empty rows must not divide by 0
+    assert field.to_ints([]) == ([], 1)
+    assert field.to_ints([[]]) == ([[]], 1)
+    assert field.reduce_ints([]) == []
+    assert field.reduce_ints([0, 0]) == [0, 0]
+    assert field.from_ints([], 3) == []
+    empty3 = Matrix(field, ((), (), ()))
+    assert empty3.ncols == 0 and empty3.rank() == 0
+    assert empty3.rref() == (empty3, [])
+    assert empty3.nullspace() == []
+    assert empty3.column_space_basis().ncols == 0
+    M = Matrix.identity(field, 3)
+    assert M * empty3 == empty3
+    assert empty3 * Vector(field, ()) == Vector(field, [field.zero()] * 3)
+    assert Vector(field, ()).dot(Vector(field, ())) == field.zero()
+    assert Matrix(field, ()).inverse() == Matrix(field, ())
+    meet = intersect_column_spaces(M, empty3)
+    assert (meet.nrows, meet.ncols) == (3, 0)
+    assert intersect_column_spaces(empty3, M) == meet
