@@ -80,7 +80,7 @@ class PrimeFieldElement:
     def inverse(self) -> "PrimeFieldElement":
         if self.r == 0:
             raise ZeroDivisionError("0 has no inverse in GF(p)")
-        return PrimeFieldElement(self.p, pow(self.r, self.p - 2, self.p))
+        return PrimeFieldElement(self.p, pow(self.r, -1, self.p))
 
     def __truediv__(self, other):
         r = self._res(other)

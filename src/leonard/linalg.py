@@ -263,7 +263,8 @@ class Matrix:
     def column_space_basis(self) -> "Matrix":
         """Canonical basis of the column space, returned as matrix columns."""
         rows, pivots, _ = self.transpose()._echelon()
-        return Matrix.from_columns(self.field, (Vector(self.field, rows[i]) for i in range(len(pivots))))
+        basis = rows[: len(pivots)]
+        return Matrix(self.field, (tuple(v[i] for v in basis) for i in range(self.nrows)))
 
     def to_json(self):
         enc = self.field.encode_scalar
@@ -299,6 +300,31 @@ def bidiagonal(field: Field, diag, upper=None) -> Matrix:
         else:
             rows[i - 1][i] = upper[i - 1]
     return Matrix(field, rows)
+
+
+def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
+    """The primitive idempotents E_i = w_i u_i^T of bidiagonal(field, diag, upper).
+
+    w_i and u_i^T are the right and left diag[i]-eigenvectors, triangular with
+    w_i[i] = u_i[i] = 1 (so u_i^T w_i = 1); the eigenvalue equations are
+    two-term recurrences, so each E_i takes O(n^2) field operations and no
+    elimination.  Equal to lagrange_idempotent(bidiagonal(...), diag, i).
+    """
+    n = len(diag)
+    if len(set(diag)) != n:
+        raise DuplicateEigenvalue("diagonal entries must be mutually distinct")
+    c = [field.one()] * (n - 1) if upper is None else upper  # the off-diagonal entries
+    out = []
+    for i, th in enumerate(diag):
+        below, above = [field.zero()] * n, [field.zero()] * n  # supported on k >= i, k <= i
+        below[i] = above[i] = field.one()
+        for k in range(i + 1, n):
+            below[k] = c[k - 1] * below[k - 1] / (th - diag[k])
+        for k in range(i - 1, -1, -1):
+            above[k] = c[k] * above[k + 1] / (th - diag[k])
+        w, u = (below, above) if upper is None else (above, below)
+        out.append(Matrix(field, ((a * b for b in u) for a in w)))
+    return out
 
 
 # --- polynomial evaluation at a matrix ---
@@ -371,16 +397,10 @@ def transition_matrix(from_basis, to_basis) -> Matrix:
 def intersect_column_spaces(A: Matrix, B: Matrix) -> Matrix:
     """Canonical basis (as columns) of col(A) ∩ col(B)."""
     field = A.field
-    if A.ncols == 0 or B.ncols == 0:
-        return Matrix(field, tuple(() for _ in range(A.nrows)))
     stacked = Matrix(field, (ra + tuple(-b for b in rb) for ra, rb in zip(A.rows, B.rows)))
-    vectors = []
-    for v in stacked.nullspace():
-        x = Vector(field, v.entries[: A.ncols])
-        vectors.append(A * x)
-    if not vectors:
-        return Matrix(field, tuple(() for _ in range(A.nrows)))
-    return Matrix.from_columns(field, vectors).column_space_basis()
+    kernel = stacked.nullspace()
+    X = Matrix(field, (tuple(v[j] for v in kernel) for j in range(A.ncols)))
+    return (A * X).column_space_basis()
 
 
 def same_column_space(A: Matrix, B: Matrix) -> bool:

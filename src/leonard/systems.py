@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     Vector,
     bidiagonal,
+    bidiagonal_idempotents,
     eval_root_product,
     intersect_column_spaces,
     is_irreducible_tridiagonal,
@@ -161,9 +162,13 @@ class LeonardSystem:
 
     @classmethod
     def from_parameter_array(cls, pa: ParameterArray) -> "LeonardSystem":
-        A = bidiagonal(pa.field, pa.theta)
-        Astar = bidiagonal(pa.field, pa.theta_star, pa.varphi)
-        return cls.from_pair(A, Astar, pa.theta, pa.theta_star, pa)
+        """The system in a split basis: A and A* bidiagonal, and both
+        idempotent families from their triangular eigenvectors
+        (`bidiagonal_idempotents`, O(d^3) in all) rather than Lagrange products."""
+        f = pa.field
+        A, Astar = bidiagonal(f, pa.theta), bidiagonal(f, pa.theta_star, pa.varphi)
+        E, Estar = bidiagonal_idempotents(f, pa.theta), bidiagonal_idempotents(f, pa.theta_star, pa.varphi)
+        return cls(A, Astar, E, Estar, pa.theta, pa.theta_star, pa)
 
     def conjugated(self, K: Matrix) -> "LeonardSystem":
         """The isomorphic system K X K^-1 (same parameter array)."""
@@ -194,11 +199,11 @@ class LeonardSystem:
 
     @property
     def gram(self) -> Matrix:
-        return self.cached("gram", lambda: solve_gram(self.A, self.Astar))
+        return self.cached("gram", lambda: solve_gram(self))[0]
 
     @property
     def gram_inverse(self) -> Matrix:
-        return self.cached("gram_inv", lambda: self.gram.inverse())
+        return self.cached("gram", lambda: solve_gram(self))[1]
 
     def tau(self, star: bool = False) -> tuple:
         """(tau_0, ..., tau_d) at A (resp. tau*_i at A*); tau_i has roots theta_0..theta_{i-1}."""
@@ -524,13 +529,49 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
 # --- the bilinear form ---
 
 
-def solve_gram(A: Matrix, Astar: Matrix) -> Matrix:
-    """The symmetric invertible G with A^T G = G A and A*^T G = G A*.
+def solve_gram(sys: LeonardSystem) -> tuple:
+    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*.
 
-    Solved as the null space of the stacked intertwining constraints; the
-    solution space must be 1-dimensional (NonUniqueForm otherwise).  G is
-    normalized so the first nonzero entry of row 0 equals 1.
+    The solution space must be 1-dimensional (NonUniqueForm otherwise); G is
+    normalized so the first nonzero entry of row 0 equals 1.  Closed form: read
+    E_i = w_i u_i^T off the idempotents (W of columns w_i, U of rows u_i^T);
+    then G = U^T diag(m) U and G^-1 = W diag(m)^-1 W^T with m_0 = 1 and
+    m_{i+1} = m_i B[i][i+1] / B[i+1][i] for B = U A* W.  It applies when theta
+    is distinct, U W = I, U A W = diag(theta) and B is irreducible tridiagonal,
+    which prove the solution space 1-dimensional; otherwise G spans the null
+    space of the stacked intertwining constraints.
     """
+    closed = _gram_in_eigenbasis(sys)
+    return closed if closed is not None else _gram_by_nullspace(sys.A, sys.Astar)
+
+
+def _gram_in_eigenbasis(sys: LeonardSystem):
+    """The closed form of solve_gram, or None when one of its checks fails."""
+    f, n, theta = sys.field, sys.d + 1, sys.theta
+    if not len(sys.E) == len(theta) == len(set(theta)) == n:
+        return None
+    scale_rows = lambda c, M: Matrix(f, ((x * y for y in row) for x, row in zip(c, M.rows)))
+    cols, rows = [], []
+    for E in sys.E:  # w_i: the first nonzero column; u_i^T: a row through it, scaled
+        k, j = next(((k, j) for k, row in enumerate(E.rows) for j, x in enumerate(row) if x), (0, 0))
+        if not E[k][j]:
+            return None
+        cols.append(E.column(j))
+        rows.append(tuple(x / E[k][j] for x in E[k]))
+    W, U, ident = Matrix.from_columns(f, cols), Matrix(f, rows), Matrix.identity(f, n)
+    B = U * sys.Astar * W
+    if U * W != ident or U * sys.A * W != scale_rows(theta, ident) or not is_irreducible_tridiagonal(B):
+        return None
+    m = [f.one()]
+    for i in range(n - 1):
+        m.append(m[i] * B[i][i + 1] / B[i + 1][i])
+    G = U.transpose() * scale_rows(m, U)
+    pivot = next(x for x in G[0] if x)
+    return G.scale(f.invert(pivot)), W * scale_rows([pivot / x for x in m], W.transpose())
+
+
+def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
+    """(G, G^-1) with G spanning the null space of the stacked constraints."""
     f = A.field
     n = A.nrows
     rows = []
@@ -552,8 +593,7 @@ def solve_gram(A: Matrix, Astar: Matrix) -> Matrix:
     if pivot is None:
         raise NonUniqueForm("gram candidate has a zero first row")
     G = G.scale(f.invert(pivot))
-    G.inverse()  # raises SingularMatrix if degenerate
-    return G
+    return G, G.inverse()  # raises SingularMatrix if degenerate
 
 
 # --- the aggregated Sections 3..6 identity suite ---

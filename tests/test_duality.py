@@ -38,7 +38,7 @@ def sd1():
 def test_gram_solved_once_across_suites(monkeypatch):
     calls = []
     solve = systems.solve_gram
-    monkeypatch.setattr(systems, "solve_gram", lambda A, As: calls.append(1) or solve(A, As))
+    monkeypatch.setattr(systems, "solve_gram", lambda s: calls.append(1) or solve(s))
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
     assert systems.standard_identity_suite(s).all_pass
     anchors = du.choose_anchor_vectors(s)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,15 @@ def test_field_json_round_trip():
         assert Field.from_json(f.to_json()) == f
     with pytest.raises(ValueError):
         Field.from_json({"kind": "real"})
+
+
+@pytest.mark.parametrize("p", [2, 7, 2**31 - 1])
+def test_prime_inverse_matches_fermat(p):
+    rng = random.Random(p)
+    residues = range(1, p) if p < 100 else [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(200)]
+    for r in residues:
+        inv = PrimeFieldElement(p, r).inverse()
+        assert inv == PrimeFieldElement(p, pow(r, p - 2, p))
+        assert 0 <= inv.r < p and (inv * r).r == 1
+    with pytest.raises(ZeroDivisionError):
+        PrimeFieldElement(p, 0).inverse()

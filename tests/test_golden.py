@@ -43,6 +43,11 @@ Q_D0 = {"field": {"kind": "rational"}, "d": 0, "theta": ["-5/3"], "theta_star": 
 GF7_D0 = {"field": {"kind": "prime", "p": 7}, "d": 0, "theta": [3], "theta_star": [3],
           "varphi": [], "phi": []}
 
+# Not Leonard: the first split sequence perturbed by +1, so A* is not tridiagonal
+# in the A-eigenbasis and verify reports "intertwiner space has dimension 0".
+Q_NOT_LEONARD = dict(FROZEN_ARRAYS[0], varphi=["-5/1", "-8/1", "-6/1"])
+GFP_NOT_LEONARD = dict(GFP_SELF_DUAL, varphi=[2147470922, 2147466679, 2147470921])
+
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
     "q1": FROZEN_ARRAYS[1],
@@ -65,6 +70,9 @@ CASES = {f"{name} {' '.join(verb)}": (verb, obj) for name, obj in ARRAYS.items()
 for name, obj in (("q_d0", Q_D0), ("gf7_d0", GF7_D0)):
     for verb in VERBS[:3] + VERBS[-1:]:
         CASES[f"{name} {' '.join(verb)}"] = (verb, obj)
+for name, obj in (("q0_not_leonard", Q_NOT_LEONARD), ("gfp_not_leonard", GFP_NOT_LEONARD)):
+    for verb in VERBS[:2]:
+        CASES[f"{name} {' '.join(verb)}"] = (verb, obj)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
@@ -81,6 +89,8 @@ GOLDEN = {
     'gf7_d0 dualize': 'b6f5c724579fd9eb86d754272f4c0eafd02efe7541d5ae86231bd5468762021a',
     'gf7_d0 matrix-of-t --basis tau-vstard': '8c9cd91f6731726d5d43a103aa77a761c9b2a5bb78d09e8397573cb71b5fba68',
     'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
+    'gfp_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
+    'gfp_not_leonard verify': '3853211fffdae78c9e22ff5e842b1ea7bef37f2943029a4036247b9dadf29efc',
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
     'gfp_nsd dualize': '5ecffc0ea67badc7631a61d74631ddc2d0465fda9dcbe962619dbe4301007b11',
     'gfp_nsd matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
@@ -102,6 +112,8 @@ GOLDEN = {
     'q0 matrix-of-t --basis tau-vstard': '41edbac21f887ea82a7ff3b29b1b98e276630d37be24ebf06a3399e491e1b9a1',
     'q0 matrix-of-t --basis taustar-vd': '7976beb83ac6293a6aa3438a195dde9025fc13ff60529f6902c3857d22d8621a',
     'q0 verify': '4c009070e5f33a0b98da5df377075980b669424ddb99ee8520448a4ca30d1dc0',
+    'q0_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
+    'q0_not_leonard verify': '396d26f393cd4b50d25b72fb1878e1e4fcdaa5ce171b4ab050b50e14563deded',
     'q1 bases': 'f8a88db197ba738a93271cf18db5b39494111d12c8759c8568983385238bcaed',
     'q1 dualize': 'c70078986a1d6517c91df19ccfe9fc9c7813391b9a8ee1a44ef74f689e280932',
     'q1 matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',

@@ -12,6 +12,7 @@ from leonard.linalg import (
     Matrix,
     Vector,
     bidiagonal,
+    bidiagonal_idempotents,
     eval_root_product,
     intersect_column_spaces,
     is_irreducible_tridiagonal,
@@ -124,6 +125,35 @@ def test_lagrange_idempotent_partition():
 def test_lagrange_duplicate_eigenvalue():
     with pytest.raises(DuplicateEigenvalue):
         lagrange_idempotent(mat([[1, 0], [0, 1]]), [F(1), F(1)], 0)
+    with pytest.raises(DuplicateEigenvalue):
+        bidiagonal_idempotents(Q, [F(1), F(2), F(1)])
+
+
+def _scalars(field, n, nonzero=False, unique=False):
+    if field.is_rational:
+        elems = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        elems = st.integers(0, field.p - 1).map(lambda r: PrimeFieldElement(field.p, r))
+    return st.lists(elems.filter(bool) if nonzero else elems, min_size=n, max_size=n, unique=unique)
+
+
+@st.composite
+def _bidiagonal_case(draw):
+    """Distinct diagonal, and ones below it (upper None) or any nonzero superdiagonal."""
+    field = draw(st.sampled_from((Q, G7, Field.prime(2**31 - 1))))
+    n = draw(st.integers(1, 6))
+    diag = draw(_scalars(field, n, unique=True))
+    upper = draw(st.one_of(st.none(), _scalars(field, n - 1, nonzero=True)))
+    return field, diag, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bidiagonal_case())
+def test_bidiagonal_idempotents_match_lagrange(case):
+    field, diag, upper = case
+    M = bidiagonal(field, diag, upper)
+    expected = [lagrange_idempotent(M, diag, i) for i in range(len(diag))]
+    assert bidiagonal_idempotents(field, diag, upper) == expected
 
 
 def test_is_irreducible_tridiagonal():
@@ -377,3 +407,16 @@ def test_kernels_on_empty_shapes(field):
     meet = intersect_column_spaces(M, empty3)
     assert (meet.nrows, meet.ncols) == (3, 0)
     assert intersect_column_spaces(empty3, M) == meet
+
+
+@pytest.mark.parametrize("field", (Q, G7))
+def test_column_space_basis_keeps_rows_at_rank_zero(field):
+    for n, m in ((3, 2), (3, 0), (1, 1)):
+        basis = Matrix.zeros(field, n, m).column_space_basis()
+        assert (basis.nrows, basis.ncols) == (n, 0)
+    M = Matrix.from_ints(field, [[0, 2], [0, 0], [0, 4]])
+    assert M.column_space_basis() == Matrix.from_ints(field, [[1], [0], [2]])
+    # col(e0) ∩ col(e1) = 0: a nonempty stack with an empty kernel
+    e = Matrix.identity(field, 3)
+    meet = intersect_column_spaces(Matrix(field, (r[:1] for r in e.rows)), Matrix(field, (r[1:2] for r in e.rows)))
+    assert (meet.nrows, meet.ncols) == (3, 0)

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair
+from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair, SingularMatrix
 from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import Matrix, bidiagonal, eval_root_product
 from leonard.systems import (
@@ -22,6 +23,8 @@ from leonard.systems import (
     extract_parameter_array,
     nu_scalars,
     product,
+    _gram_by_nullspace,
+    _gram_in_eigenbasis,
     solve_gram,
     split_projectors,
     split_projectors_by_intersection,
@@ -372,7 +375,56 @@ def test_gram_normalization_leading_one(corpus):
 def test_gram_non_unique_rejected():
     eye = Matrix.identity(Q, 2)
     with pytest.raises(NonUniqueForm):
-        solve_gram(eye, eye)
+        solve_gram(LeonardSystem.from_pair(eye, eye, (F(1), F(2)), (F(1), F(2))))
+
+
+def _conjugator(field, n):
+    """Upper unitriangular ones times its transpose: dense, determinant 1."""
+    upper = Matrix(field, ((field.one() if c >= r else field.zero() for c in range(n)) for r in range(n)))
+    return upper * upper.transpose()
+
+
+def test_closed_form_gram_matches_nullspace(corpus):
+    for pa in corpus.arrays:
+        s = corpus.system(pa)
+        for sys in (s, s.conjugated(_conjugator(pa.field, s.d + 1))):
+            closed = _gram_in_eigenbasis(sys)
+            G, _ = _gram_by_nullspace(sys.A, sys.Astar)
+            assert closed == (G, G.inverse())
+            assert solve_gram(sys) == closed
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (NonUniqueForm, SingularMatrix) as exc:
+        return type(exc), str(exc)
+
+
+def test_gram_fallback_raises_like_nullspace(corpus):
+    eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
+    diag = Matrix(Q, [[F(1), F(0)], [F(0), F(2)]])
+    units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
+    cases = [
+        LeonardSystem.from_pair(diag, diag, (F(1), F(2)), (F(1), F(2))),  # B diagonal, reducible
+        LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1))),  # theta repeated
+    ]
+    for pa in corpus.arrays:
+        for i in {0, pa.d - 1}:
+            varphi = list(pa.varphi)
+            varphi[i] = varphi[i] + 1
+            if pa.d >= 2 and all(varphi):
+                cases.append(build_system(replace(pa, varphi=tuple(varphi))))
+    raised = 0
+    for s in cases:
+        expected = _outcome(lambda: _gram_by_nullspace(s.A, s.Astar))
+        assert _outcome(lambda: solve_gram(s)) == expected
+        if expected[0] in (NonUniqueForm, SingularMatrix):
+            raised += 1
+            assert _gram_in_eigenbasis(s) is None
+    assert raised >= len(corpus.frozen) + 2
+    with pytest.raises(NonUniqueForm, match="intertwiner space has dimension 0"):
+        solve_gram(cases[-1])
 
 
 def test_dagger_properties():
