@@ -48,6 +48,23 @@ GF7_D0 = {"field": {"kind": "prime", "p": 7}, "d": 0, "theta": [3], "theta_star"
 Q_NOT_LEONARD = dict(FROZEN_ARRAYS[0], varphi=["-5/1", "-8/1", "-6/1"])
 GFP_NOT_LEONARD = dict(GFP_SELF_DUAL, varphi=[2147470922, 2147466679, 2147470921])
 
+
+def krawtchouk_not_leonard(field, d, enc):
+    """theta_i = theta*_i = d - 2i, varphi_i = i(i-d-1) with varphi_1 raised by 1,
+    phi_i = -3 i(i-d-1): not Leonard, so verify solves for the form on a
+    non-Leonard array of moderate size."""
+    return {
+        "field": field, "d": d,
+        "theta": [enc(d - 2 * i) for i in range(d + 1)],
+        "theta_star": [enc(d - 2 * i) for i in range(d + 1)],
+        "varphi": [enc(i * (i - d - 1) + (i == 1)) for i in range(1, d + 1)],
+        "phi": [enc(-3 * i * (i - d - 1)) for i in range(1, d + 1)],
+    }
+
+
+Q_D8_NOT_LEONARD = krawtchouk_not_leonard({"kind": "rational"}, 8, lambda x: f"{x}/1")
+GFP_D8_NOT_LEONARD = krawtchouk_not_leonard(GFP, 8, lambda x: x % GFP["p"])
+
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
     "q1": FROZEN_ARRAYS[1],
@@ -73,6 +90,8 @@ for name, obj in (("q_d0", Q_D0), ("gf7_d0", GF7_D0)):
 for name, obj in (("q0_not_leonard", Q_NOT_LEONARD), ("gfp_not_leonard", GFP_NOT_LEONARD)):
     for verb in VERBS[:2]:
         CASES[f"{name} {' '.join(verb)}"] = (verb, obj)
+for name, obj in (("q_d8_not_leonard", Q_D8_NOT_LEONARD), ("gfp_d8_not_leonard", GFP_D8_NOT_LEONARD)):
+    CASES[f"{name} verify"] = (["verify"], obj)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
@@ -90,6 +109,7 @@ GOLDEN = {
     'gf7_d0 matrix-of-t --basis tau-vstard': '8c9cd91f6731726d5d43a103aa77a761c9b2a5bb78d09e8397573cb71b5fba68',
     'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
     'gfp_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
+    'gfp_d8_not_leonard verify': 'c0b36b15489912a18239f1397ff1226d2fc26a315765f0f26700b75d85e7bc78',
     'gfp_not_leonard verify': '3853211fffdae78c9e22ff5e842b1ea7bef37f2943029a4036247b9dadf29efc',
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
     'gfp_nsd dualize': '5ecffc0ea67badc7631a61d74631ddc2d0465fda9dcbe962619dbe4301007b11',
@@ -128,6 +148,7 @@ GOLDEN = {
     'q2 matrix-of-t --basis tau-vstard': '3d6240a138044fc8a841cf56914df22670ace48ac043e9f1dd11d12c9fdbaa7d',
     'q2 matrix-of-t --basis taustar-vd': '407f7a7f7967956ee7e2f36b0e578396650262c1ea4c68590cbe2961c24f29a3',
     'q2 verify': '4a384e515331dd72e5acc3d36e82233590eceba2609a9f278226d34a3d877fd1',
+    'q_d8_not_leonard verify': '4d8e94e9da06d963627e794e305fa63b709fb50b43a1b5be723f9350d079683e',
     'q_d0 bases': 'c22a2ff33c79d70791018d7205533f28ce8d7d0eaf60bc6afdae3f3a87896a97',
     'q_d0 dualize': '67d12e322957e69677b4488abfc0a3f07c0ee993f8dcb2b13f43f8a30cb1df24',
     'q_d0 matrix-of-t --basis tau-vstard': '036d8e729fb36b20ae15d40a330995776d332e2693edc926b613bdab81a91707',
