@@ -24,6 +24,8 @@ from .linalg import (
     Vector,
     bidiagonal,
     intersect_column_spaces,
+    outer,
+    rank_one_sum,
     same_column_space,
 )
 from .report import VerificationReport
@@ -141,13 +143,7 @@ class DualityBundle:
 
 def duality_operator(sys: LeonardSystem) -> Matrix:
     """T = sum_i eta_{d-i}(A) E*_0 E_d tau*_i(A*)."""
-    d = sys.d
-    etaA, tausAs = sys.eta(), sys.tau(star=True)
-    mid = sys.Estar[0] * sys.E[d]
-    total = Matrix.zeros(sys.field, d + 1)
-    for i in range(d + 1):
-        total = total + etaA[d - i] * mid * tausAs[i]
-    return total
+    return rank_one_sum(sys.eta()[::-1], sys.Estar[0] * sys.E[sys.d], sys.tau(star=True))
 
 
 def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
@@ -156,21 +152,12 @@ def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
     etaA, tausAs = sys.eta(), sys.tau(star=True)
     tau_d, _, _, etas_d = edge_values(sys.parameter_array)
     core = sys.eta(star=True)[d] * sys.tau()[d]
-    total = Matrix.zeros(f, d + 1)
-    for i in range(d + 1):
-        total = total + etaA[d - i] * core * tausAs[i]
-    return total.scale(f.invert(tau_d * etas_d))
+    return rank_one_sum(etaA[::-1], core, tausAs).scale(f.invert(tau_d * etas_d))
 
 
 def dual_duality_operator(sys: LeonardSystem) -> Matrix:
     """T* = sum_i eta*_{d-i}(A*) E_0 E*_d tau_i(A)."""
-    d = sys.d
-    etasAs, tauA = sys.eta(star=True), sys.tau()
-    mid = sys.E[0] * sys.Estar[d]
-    total = Matrix.zeros(sys.field, d + 1)
-    for i in range(d + 1):
-        total = total + etasAs[d - i] * mid * tauA[i]
-    return total
+    return rank_one_sum(sys.eta(star=True)[::-1], sys.E[0] * sys.Estar[sys.d], sys.tau())
 
 
 def build_duality_bundle(
@@ -217,16 +204,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     # displayed adjoint sums
     etaA, tauA = sys.eta(), sys.tau()
     tausAs, etasAs = sys.tau(star=True), sys.eta(star=True)
-    acc = Matrix.zeros(f, d + 1)
-    mid = sys.E[d] * sys.Estar[0]
-    for i in range(d + 1):
-        acc = acc + tausAs[i] * mid * etaA[d - i]
-    report.add("T_dagger_displayed_sum", t_dag == acc)
-    acc = Matrix.zeros(f, d + 1)
-    mid = sys.Estar[d] * sys.E[0]
-    for i in range(d + 1):
-        acc = acc + tauA[i] * mid * etasAs[d - i]
-    report.add("T_star_dagger_displayed_sum", t_star_dag == acc)
+    report.add("T_dagger_displayed_sum", t_dag == rank_one_sum(tausAs, sys.E[d] * sys.Estar[0], etaA[::-1]))
+    report.add("T_star_dagger_displayed_sum", t_star_dag == rank_one_sum(tauA, sys.Estar[d] * sys.E[0], etasAs[::-1]))
 
     report.add("T_equals_T_star", t == t_star)
     report.add("T_equals_T_dagger", t == t_dag)
@@ -236,18 +215,13 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
-    ok, witness = True, None
-    for i in range(d + 1):
-        if sys.E[i] * t != t * sys.Estar[i]:
-            ok, witness = False, {"i": i}
-            break
-    report.add("Ei_T_equals_T_Estar_i", ok, witness)
-    ok, witness = True, None
-    for i in range(d + 1):
-        if sys.Estar[i] * t != t * sys.E[i]:
-            ok, witness = False, {"i": i}
-            break
-    report.add("Estar_i_T_equals_T_Ei", ok, witness)
+    # with E_i = w_i u_i^T: E_i T = w_i (T^T u_i)^T and T E*_i = (T w*_i) u*_i^T
+    factors, t_tr = (sys.eigenbasis(), sys.eigenbasis(star=True)), t.transpose()
+    for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
+        (W, U), (Wr, Ur) = factors[star], factors[not star]
+        i = next((i for i in range(d + 1) if outer(W.column(i), t_tr * Vector(f, U[i]))
+                  != outer(t * Wr.column(i), Vector(f, Ur[i]))), None)
+        report.add(name, i is None, None if i is None else {"i": i})
 
     # the eight product formulas with their displayed coefficients
     vp = product(f, pa.varphi)
@@ -267,12 +241,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
 
     # the general expansion of T^2
     nu_ddown = nu_scalars(pa)[2]
-    mid = sys.Estar[0] * sys.E[d]
-    acc = Matrix.zeros(f, d + 1)
-    for j in range(d + 1):
-        term = etaA[j] * mid * tausAs[j]
-        acc = acc + term.scale(f.invert(product(f, pa.phi[d - j:])))
-    acc = acc.scale(f.invert(nu_ddown) * ph)
+    weighted = [t_j.scale(f.invert(product(f, pa.phi[d - j:]))) for j, t_j in enumerate(tausAs)]
+    acc = rank_one_sum(etaA, sys.Estar[0] * sys.E[d], weighted).scale(f.invert(nu_ddown) * ph)
     report.add("T_squared_expansion", t * t == acc)
     return report
 

@@ -287,6 +287,44 @@ def _products(field: Field, left, right):
     return [field.from_ints([sum(map(mul, a, b)) for b in b_cols], da * db) for a in a_rows]
 
 
+def outer(u: Vector, v: Vector) -> Matrix:
+    """The rank-one matrix u v^T, one integer product per entry."""
+    return Matrix(u.field, _products(u.field, [[a] for a in u], [[b] for b in v]))
+
+
+def trace_of_product(X: Matrix, Y: Matrix):
+    """tr(XY) for n x m X and m x n Y as one exact integer dot product, O(nm)."""
+    flat = lambda rows: [[x for row in rows for x in row]]
+    return _products(X.field, flat(X.rows), flat(zip(*Y.rows)))[0][0]
+
+
+def rank_one_factors(mats):
+    """(W, U) with mats[i] == w_i u_i^T, w_i (column i of W) the first nonzero
+    column of mats[i] and u_i^T (row i of U) the row through its first nonzero
+    entry, divided by that entry; None when some matrix is not of rank one."""
+    cols, rows = [], []
+    for M in mats:
+        k, j = next(((k, j) for k, row in enumerate(M.rows) for j, x in enumerate(row) if x), (0, None))
+        if j is None:
+            return None
+        w, u = M.column(j), Vector(M.field, M[k]).scale(M.field.invert(M[k][j]))
+        if outer(w, u) != M:
+            return None
+        cols.append(w)
+        rows.append(u)
+    return Matrix.from_columns(mats[0].field, cols), Matrix(mats[0].field, rows)
+
+
+def rank_one_sum(lefts, mid: Matrix, rights) -> Matrix:
+    """sum_i lefts[i] mid rights[i] for a rank-one mid = w u^T, as one product:
+    the columns lefts[i] w times the rows u^T rights[i]."""
+    found = rank_one_factors([mid])
+    if found is None:
+        raise ValueError("the middle factor is not of rank one")
+    (W, U), f = found, mid.field
+    return Matrix.from_columns(f, [L * W.column(0) for L in lefts]) * Matrix(f, ((U * R)[0] for R in rights))
+
+
 def bidiagonal(field: Field, diag, upper=None) -> Matrix:
     """Diagonal diag with upper on the superdiagonal, or ones on the
     subdiagonal when upper is None."""
@@ -333,9 +371,9 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
 def root_product_family(M: Matrix, roots) -> list:
     """[p_0(M), ..., p_k(M)] where p_i is the product of (x - r) over the first i roots."""
     out = [Matrix.identity(M.field, M.nrows)]
-    ident = out[0]
-    for r in roots:
-        out.append(out[-1] * (M - ident.scale(r)))
+    for r in roots:  # M - r I: only the diagonal moves
+        shifted = Matrix(M.field, (row[:i] + (row[i] - r,) + row[i + 1:] for i, row in enumerate(M.rows)))
+        out.append(out[-1] * shifted)
     return out
 
 

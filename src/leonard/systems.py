@@ -11,6 +11,8 @@ reports, ``certify`` raises NotALeonardPair on any failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import mul
 
 from .errors import (
     DegenerateSplit,
@@ -28,7 +30,10 @@ from .linalg import (
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
+    outer,
+    rank_one_factors,
     root_product_family,
+    trace_of_product,
 )
 from .report import VerificationReport
 
@@ -226,50 +231,66 @@ class LeonardSystem:
         """The bilinear form <u, v> = u^T G v."""
         return u.dot(self.gram * v)
 
+    def eigenbasis(self, star: bool = False):
+        """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and
+        u_i^T row i of U (`rank_one_factors`); None when some E_i does not factor."""
+        return self.cached(("eigenbasis", star), lambda: rank_one_factors(self.Estar if star else self.E))
+
     def eigencolumn(self, i: int, star: bool = False) -> Vector:
-        """First nonzero column of E_i (resp. E*_i), a theta_i-eigenvector."""
-        M = (self.Estar if star else self.E)[i]
-        for j in range(M.ncols):
-            col = M.column(j)
-            if not col.is_zero():
-                return col
-        raise DegenerateSplit(f"idempotent {i} is zero")
+        """w_i: the first nonzero column of E_i (resp. E*_i), a theta_i-eigenvector."""
+        return _factors(self, star)[0].column(i)
 
 
 def build_system(pa: ParameterArray) -> LeonardSystem:
     return LeonardSystem.from_parameter_array(pa)
 
 
-def _idempotent_checks(report, label, mats, M, theta):
-    field = M.field
-    d = M.nrows - 1
-    ok = True
-    witness = None
-    for i in range(d + 1):
-        for j in range(d + 1):
-            expected = mats[i] if i == j else Matrix.zeros(field, d + 1)
-            if mats[i] * mats[j] != expected:
-                ok, witness = False, {"i": i, "j": j}
-                break
-        if not ok:
-            break
-    report.add(f"idempotents_{label}_orthogonal", ok, witness)
+def _factors(sys: LeonardSystem, star: bool = False) -> tuple:
+    """sys.eigenbasis(star), or DegenerateSplit naming the first E_i (resp. E*_i) not of rank one."""
+    if sys.eigenbasis(star) is None:
+        i = next(i for i, M in enumerate(sys.Estar if star else sys.E) if M.rank() != 1)
+        raise DegenerateSplit(f"idempotent {'E*' if star else 'E'}_{i} is not of rank one")
+    return sys.eigenbasis(star)
 
-    total = Matrix.zeros(field, d + 1)
-    for Ei in mats:
-        total = total + Ei
-    report.add(f"idempotents_{label}_sum", total == Matrix.identity(field, d + 1))
 
-    spectral = Matrix.zeros(field, d + 1)
-    for th, Ei in zip(theta, mats):
-        spectral = spectral + Ei.scale(th)
-    report.add(f"idempotents_{label}_spectral", spectral == M)
+def _add_factored(report, name: str, check) -> None:
+    """Add check() = (passed, witness); a family that does not factor fails it."""
+    try:
+        passed, witness = check()
+    except DegenerateSplit as exc:
+        passed, witness = False, {"error": str(exc)}
+    report.add(name, passed, witness)
 
-    ranks = [Ei.rank() for Ei in mats]
+
+def _off_diagonal(M: Matrix, diag):
+    """{"i", "j"} of the first entry (row-major) where M differs from the diagonal matrix diag, else None."""
+    zero = M.field.zero()
+    return next(({"i": i, "j": j} for i, row in enumerate(M.rows) for j, x in enumerate(row)
+                 if x != (diag[i] if i == j else zero)), None)
+
+
+def _idempotent_checks(report, sys: LeonardSystem, star: bool):
+    """With E_i = w_i u_i^T, E_i E_j = (u_i^T w_j) w_i u_j^T, so the family is
+    orthogonal exactly when U W = I, and the first (i, j) with (U W)_ij !=
+    delta_ij is the first failing product."""
+    label, mats, M, theta = ("Estar", sys.Estar, sys.Astar, sys.theta_star) if star else ("E", sys.E, sys.A, sys.theta)
+    field, n = M.field, M.nrows
+
+    def orthogonal():
+        W, U = _factors(sys, star)
+        witness = _off_diagonal(U * W, [field.one()] * n)
+        return witness is None, witness
+
+    _add_factored(report, f"idempotents_{label}_orthogonal", orthogonal)
+    zero = Matrix.zeros(field, n)
+    report.add(f"idempotents_{label}_sum", sum(mats, zero) == Matrix.identity(field, n))
+    report.add(f"idempotents_{label}_spectral", sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M)
+
+    factored = sys.eigenbasis(star) is not None
     report.add(
         f"idempotents_{label}_rank_one",
-        all(r == 1 for r in ranks),
-        None if all(r == 1 for r in ranks) else {"ranks": ranks},
+        factored,
+        None if factored else {"ranks": [Ei.rank() for Ei in mats]},
     )
 
 
@@ -282,9 +303,9 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
         ("tridiagonal_A_in_Astar_eigenbasis", True, sys.A),
     ):
         try:
-            W = eigenspace_span(sys, range(sys.d + 1), star=star)
-            rep = W.inverse() * target * W
-            report.add(name, is_irreducible_tridiagonal(rep), None)
+            W, U = _factors(sys, star)
+            Winv = U if _off_diagonal(U * W, [sys.field.one()] * W.ncols) is None else W.inverse()
+            report.add(name, is_irreducible_tridiagonal(Winv * target * W), None)
         except (SingularMatrix, DegenerateSplit) as exc:
             report.add(name, False, {"error": str(exc)})
 
@@ -294,8 +315,8 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
         and report["tridiagonal_A_in_Astar_eigenbasis"].passed,
     )
 
-    _idempotent_checks(report, "E", sys.E, sys.A, sys.theta)
-    _idempotent_checks(report, "Estar", sys.Estar, sys.Astar, sys.theta_star)
+    _idempotent_checks(report, sys, star=False)
+    _idempotent_checks(report, sys, star=True)
     return report
 
 
@@ -369,8 +390,8 @@ def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
     from the representation of A* in a split basis, and phi from the split
     basis of the relative with the eigenvalue ordering reversed.
     """
-    theta = tuple((sys.A * Ei).trace() for Ei in sys.E)
-    theta_star = tuple((sys.Astar * Ei).trace() for Ei in sys.Estar)
+    theta = tuple(trace_of_product(sys.A, Ei) for Ei in sys.E)
+    theta_star = tuple(trace_of_product(sys.Astar, Ei) for Ei in sys.Estar)
     varphi = _superdiagonal_in_split_basis(sys, theta)
     phi = _superdiagonal_in_split_basis(sys, tuple(reversed(theta)))
     return ParameterArray(sys.field, sys.d, theta, theta_star, varphi, phi)
@@ -451,13 +472,8 @@ def trace_products(sys: LeonardSystem, r: int):
     """Direct traces (tr E_r E*_0, tr E_r E*_d, tr E*_r E_0, tr E*_r E_d)."""
     if not 0 <= r <= sys.d:
         raise IndexError(f"r = {r} outside 0..{sys.d}")
-    d = sys.d
-    return (
-        (sys.E[r] * sys.Estar[0]).trace(),
-        (sys.E[r] * sys.Estar[d]).trace(),
-        (sys.Estar[r] * sys.E[0]).trace(),
-        (sys.Estar[r] * sys.E[d]).trace(),
-    )
+    d, E, Es = sys.d, sys.E, sys.Estar
+    return tuple(trace_of_product(X, Y) for X, Y in ((E[r], Es[0]), (E[r], Es[d]), (Es[r], E[0]), (Es[r], E[d])))
 
 
 def trace_products_closed_form(pa: ParameterArray, r: int):
@@ -483,24 +499,19 @@ def trace_products_closed_form(pa: ParameterArray, r: int):
 
 
 def split_projectors(sys: LeonardSystem) -> list:
-    """F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / (varphi_1 ... varphi_i)."""
-    pa = sys.parameter_array
-    nu = nu_scalars(pa)[0]
-    middle = sys.Estar[0] * sys.E[0]
-    out = []
-    denom = sys.field.one()
-    for i, (left, right) in enumerate(zip(sys.tau(), sys.tau(star=True))):
-        if i > 0:
-            denom = denom * pa.varphi[i - 1]
-        out.append((left * middle * right).scale(nu / denom))
-    return out
+    """F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / c_i, c_i = varphi_1 ... varphi_i,
+    built as p_i q_i^T: with E*_0 = w*_0 u*_0^T and E_0 = w_0 u_0^T,
+    p_i = tau_i(A) w*_0 and q_i^T = nu (u*_0^T w_0) u_0^T tau*_i(A*) / c_i."""
+    f, pa = sys.field, sys.parameter_array
+    (W, U), (Ws, Us) = _factors(sys), _factors(sys, star=True)
+    scale, u0 = nu_scalars(pa)[0] * Vector(f, Us[0]).dot(W.column(0)), Matrix(f, U.rows[:1])
+    return [outer(t * Ws.column(0), Vector(f, (u0 * ts)[0]).scale(scale / c))
+            for t, ts, c in zip(sys.tau(), sys.tau(star=True), accumulate(pa.varphi, mul, initial=f.one()))]
 
 
 def eigenspace_span(sys: LeonardSystem, indices, star: bool = False) -> Matrix:
-    """Matrix whose columns span the sum of the listed eigenspaces."""
-    return Matrix.from_columns(
-        sys.field, [sys.eigencolumn(i, star=star) for i in indices]
-    )
+    """Matrix whose columns span the sum of the listed eigenspaces: columns of eigenbasis(star)[0]."""
+    return Matrix.from_columns(sys.field, [sys.eigencolumn(i, star=star) for i in indices])
 
 
 def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
@@ -518,12 +529,8 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
         raise DegenerateSplit("split component is not one-dimensional")
     C = Matrix.from_columns(f, [S.column(0) for S in spans])
     Cinv = C.inverse()
-    out = []
-    zero, one = f.zero(), f.one()
-    for i in range(sys.d + 1):
-        D = Matrix(f, ((one if (r == c == i) else zero for c in range(sys.d + 1)) for r in range(sys.d + 1)))
-        out.append(C * D * Cinv)
-    return out
+    # C e_i e_i^T C^-1: column i of C times row i of C^-1
+    return [outer(C.column(i), Vector(f, Cinv[i])) for i in range(sys.d + 1)]
 
 
 # --- the bilinear form ---
@@ -533,41 +540,48 @@ def solve_gram(sys: LeonardSystem) -> tuple:
     """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*.
 
     The solution space must be 1-dimensional (NonUniqueForm otherwise); G is
-    normalized so the first nonzero entry of row 0 equals 1.  Closed form: read
-    E_i = w_i u_i^T off the idempotents (W of columns w_i, U of rows u_i^T);
-    then G = U^T diag(m) U and G^-1 = W diag(m)^-1 W^T with m_0 = 1 and
-    m_{i+1} = m_i B[i][i+1] / B[i+1][i] for B = U A* W.  It applies when theta
-    is distinct, U W = I, U A W = diag(theta) and B is irreducible tridiagonal,
-    which prove the solution space 1-dimensional; otherwise G spans the null
-    space of the stacked intertwining constraints.
+    normalized so the first nonzero entry of row 0 equals 1.  Solved in the
+    eigenbasis of A (`_gram_in_eigenbasis`), or where that does not apply as
+    the null space of the n^2-unknown intertwining constraints.
     """
     closed = _gram_in_eigenbasis(sys)
     return closed if closed is not None else _gram_by_nullspace(sys.A, sys.Astar)
 
 
 def _gram_in_eigenbasis(sys: LeonardSystem):
-    """The closed form of solve_gram, or None when one of its checks fails."""
+    """solve_gram in the eigenbasis (W, U) of A; None unless theta is distinct,
+    U W = I and U A W = diag(theta).  Then A^T G = G A forces G = U^T diag(m) U,
+    and A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji (i < j) for
+    B = U A* W: an n(n-1)/2 x n null space.  G^-1 = W diag(m)^-1 W^T.  Raises
+    NonUniqueForm and SingularMatrix as `_gram_by_nullspace` does."""
     f, n, theta = sys.field, sys.d + 1, sys.theta
-    if not len(sys.E) == len(theta) == len(set(theta)) == n:
+    basis = sys.eigenbasis()
+    if basis is None or not len(theta) == len(set(theta)) == n:
         return None
+    W, U = basis
     scale_rows = lambda c, M: Matrix(f, ((x * y for y in row) for x, row in zip(c, M.rows)))
-    cols, rows = [], []
-    for E in sys.E:  # w_i: the first nonzero column; u_i^T: a row through it, scaled
-        k, j = next(((k, j) for k, row in enumerate(E.rows) for j, x in enumerate(row) if x), (0, 0))
-        if not E[k][j]:
-            return None
-        cols.append(E.column(j))
-        rows.append(tuple(x / E[k][j] for x in E[k]))
-    W, U, ident = Matrix.from_columns(f, cols), Matrix(f, rows), Matrix.identity(f, n)
-    B = U * sys.Astar * W
-    if U * W != ident or U * sys.A * W != scale_rows(theta, ident) or not is_irreducible_tridiagonal(B):
+    if _off_diagonal(U * W, [f.one()] * n) or _off_diagonal(U * sys.A * W, theta):
         return None
-    m = [f.one()]
-    for i in range(n - 1):
-        m.append(m[i] * B[i][i + 1] / B[i + 1][i])
-    G = U.transpose() * scale_rows(m, U)
-    pivot = next(x for x in G[0] if x)
-    return G.scale(f.invert(pivot)), W * scale_rows([pivot / x for x in m], W.transpose())
+    B, zero = U * sys.Astar * W, f.zero()
+    rows = [[B[i][j] if k == i else -B[j][i] if k == j else zero for k in range(n)]
+            for i in range(n) for j in range(i + 1, n)]
+    forms = Matrix(f, rows or [[zero] * n]).nullspace()
+    G, pivot = _one_form(f, [U.transpose() * scale_rows(m, U) for m in forms])
+    m = forms[0].entries
+    if not all(m):
+        raise SingularMatrix("matrix has zero determinant")
+    return G, W * scale_rows([pivot / x for x in m], W.transpose())
+
+
+def _one_form(f: Field, forms) -> tuple:
+    """(G, pivot): the only matrix in forms divided by the first nonzero entry
+    of its row 0; NonUniqueForm when there is not exactly one or row 0 is zero."""
+    if len(forms) != 1:
+        raise NonUniqueForm(f"intertwiner space has dimension {len(forms)}")
+    pivot = next((x for x in forms[0][0] if x), None)
+    if pivot is None:
+        raise NonUniqueForm("gram candidate has a zero first row")
+    return forms[0].scale(f.invert(pivot)), pivot
 
 
 def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
@@ -585,14 +599,7 @@ def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
                     row[i * n + k] = row[i * n + k] - P[k][j]
                 rows.append(row)
     basis = Matrix(f, rows).nullspace()
-    if len(basis) != 1:
-        raise NonUniqueForm(f"intertwiner space has dimension {len(basis)}")
-    entries = basis[0].entries
-    G = Matrix(f, (entries[i * n:(i + 1) * n] for i in range(n)))
-    pivot = next((x for x in G[0] if x), None)
-    if pivot is None:
-        raise NonUniqueForm("gram candidate has a zero first row")
-    G = G.scale(f.invert(pivot))
+    G, _ = _one_form(f, [Matrix(f, (v.entries[i * n:(i + 1) * n] for i in range(n))) for v in basis])
     return G, G.inverse()  # raises SingularMatrix if degenerate
 
 
@@ -607,7 +614,6 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     """Axioms plus every general-system identity used by the acceptance gate."""
     report = verify_axioms(sys)
     f, d = sys.field, sys.d
-    ident = Matrix.identity(f, d + 1)
     try:
         extracted = extract_parameter_array(sys)
     except (DegenerateSplit, SingularMatrix) as exc:
@@ -629,11 +635,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     report.add("char_product_Astar", eval_root_product(pa.theta_star, sys.Astar).is_zero())
 
     # three bases of <A> and <A*>
-    powers = [ident]
-    powers_s = [ident]
-    for _ in range(d):
-        powers.append(powers[-1] * sys.A)
-        powers_s.append(powers_s[-1] * sys.Astar)
+    powers, powers_s = (root_product_family(M, [f.zero()] * d) for M in (sys.A, sys.Astar))
     for label, fams in (
         ("subalgebra_three_bases_A", (sys.E, taus, etas, powers)),
         ("subalgebra_three_bases_Astar", (sys.Estar, taus_s, etas_s, powers_s)),
@@ -643,10 +645,13 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         ok = all(r == d + 1 for r in ranks) and union_rank == d + 1
         report.add(label, ok, None if ok else {"ranks": ranks, "union": union_rank})
 
-    # trace scalars, nu and the sandwich identities
+    # trace scalars, nu and the sandwich identities: a rank-one E has
+    # E X E = tr(E X) E, so nu E_0 E*_0 E_0 = E_0 reads nu tr(E_0 E*_0) = 1
+    one = f.one()
     nu, nu_down, nu_ddown, nu_dd = nu_scalars(pa)
-    report.add("nu_sandwich_E0", (sys.E[0] * sys.Estar[0] * sys.E[0]).scale(nu) == sys.E[0])
-    report.add("nu_sandwich_E0star", (sys.Estar[0] * sys.E[0] * sys.Estar[0]).scale(nu) == sys.Estar[0])
+    traces = trace_products(sys, 0)[:2] + trace_products(sys, d)[:2]  # tr E_0 E*_0, E_0 E*_d, E_d E*_0, E_d E*_d
+    for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):
+        _add_factored(report, name, lambda: (bool(_factors(sys, star)) and nu * traces[0] == one, None))
 
     ok, witness = True, None
     for r in range(d + 1):
@@ -656,13 +661,6 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
             break
     report.add("trace_products_closed_form", ok, witness)
 
-    one = f.one()
-    traces = (
-        (sys.E[0] * sys.Estar[0]).trace(),
-        (sys.E[0] * sys.Estar[d]).trace(),
-        (sys.E[d] * sys.Estar[0]).trace(),
-        (sys.E[d] * sys.Estar[d]).trace(),
-    )
     names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
     values = (nu, nu_down, nu_ddown, nu_dd)
     ok = all(t * v == one for t, v in zip(traces, values))
@@ -672,43 +670,32 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         None if ok else {"scalars": dict(zip(names, map(str, values)))},
     )
 
-    # split projectors: the closed form against the intersection construction
+    # split projectors: the closed form against the intersection construction.
+    # With F_i = p_i q_i^T, F_i F_j = (q_i^T p_j) p_i q_j^T and sum F_i = P Q,
+    # so the F_i resolve the identity exactly when Q P = I.
     try:
         F = split_projectors(sys)
-        F_oracle = split_projectors_by_intersection(sys)
-        report.add("split_projectors_match_intersection", F == F_oracle)
-        total = Matrix.zeros(f, d + 1)
-        ok = True
-        for i in range(d + 1):
-            total = total + F[i]
-            for j in range(d + 1):
-                expected = F[i] if i == j else Matrix.zeros(f, d + 1)
-                if F[i] * F[j] != expected:
-                    ok = False
-        report.add("split_projectors_resolution", ok and total == ident)
+        report.add("split_projectors_match_intersection", F == split_projectors_by_intersection(sys))
+        PQ = rank_one_factors(F)
+        report.add("split_projectors_resolution", PQ is not None and not _off_diagonal(PQ[1] * PQ[0], [one] * (d + 1)))
     except (DegenerateSplit, SingularMatrix) as exc:
         report.add("split_projectors_match_intersection", False, {"error": str(exc)})
         report.add("split_projectors_resolution", False, {"error": str(exc)})
 
-    # pairing of the split polynomials against E*_0 ... E_0
-    Es0, E0 = sys.Estar[0], sys.E[0]
-    ok, witness = True, None
-    prefix = f.one()
-    coeffs = []
-    for i in range(d + 1):
-        coeffs.append(prefix)
-        if i < d:
-            prefix = prefix * pa.varphi[i]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            lhs = Es0 * taus[i] * taus_s[j] * E0
-            rhs = (Es0 * E0).scale(coeffs[i]) if i == j else Matrix.zeros(f, d + 1)
-            if lhs != rhs:
-                ok, witness = False, {"i": i, "j": j}
-                break
-        if not ok:
-            break
-    report.add("split_pairing_delta", ok, witness)
+    # pairing of the split polynomials against E*_0 ... E_0: with E*_0 =
+    # w*_0 u*_0^T and E_0 = w_0 u_0^T both sides are multiples of w*_0 u_0^T,
+    # so E*_0 tau_i(A) tau*_j(A*) E_0 = delta_ij c_i E*_0 E_0 reads S = diag(c)
+    # (u*_0^T w_0) for S_ij = (u*_0^T tau_i(A)) (tau*_j(A*) w_0)
+    def pairing():
+        (W, U), (_, Us) = _factors(sys), _factors(sys, star=True)
+        us0, w0 = Matrix(f, Us.rows[:1]), W.column(0)
+        left = Matrix(f, ((us0 * t)[0] for t in taus))
+        right = Matrix.from_columns(f, (t * w0 for t in taus_s))
+        scale = Vector(f, Us[0]).dot(w0)
+        witness = _off_diagonal(left * right, [c * scale for c in accumulate(pa.varphi, mul, initial=f.one())])
+        return witness is None, witness
+
+    _add_factored(report, "split_pairing_delta", pairing)
 
     # the bilinear form and the antiautomorphism it carries
     try:
@@ -718,10 +705,13 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         report.add("gram_intertwines_Astar", sys.Astar.transpose() * G == G * sys.Astar)
         report.add("dagger_fixes_A", sys.dagger(sys.A) == sys.A)
         report.add("dagger_fixes_Astar", sys.dagger(sys.Astar) == sys.Astar)
-        ok = all(sys.dagger(Ei) == Ei for Ei in sys.E) and all(
-            sys.dagger(Ei) == Ei for Ei in sys.Estar
-        )
-        report.add("dagger_fixes_idempotents", ok)
+        # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
+        Ginv, Gt = sys.gram_inverse, G.transpose()
+        _add_factored(report, "dagger_fixes_idempotents", lambda: (all(
+            outer(Ginv * Vector(f, U[i]), Gt * W.column(i)) == mats[i]
+            for mats, (W, U) in ((sys.E, _factors(sys)), (sys.Estar, _factors(sys, star=True)))
+            for i in range(d + 1)
+        ), None))
         probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
         report.add("dagger_involution", sys.dagger(sys.dagger(probe)) == probe)
     except (NonUniqueForm, SingularMatrix) as exc:

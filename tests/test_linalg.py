@@ -17,8 +17,11 @@ from leonard.linalg import (
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
+    outer,
+    rank_one_factors,
     root_product_family,
     same_column_space,
+    trace_of_product,
     transition_matrix,
 )
 
@@ -420,3 +423,34 @@ def test_column_space_basis_keeps_rows_at_rank_zero(field):
     e = Matrix.identity(field, 3)
     meet = intersect_column_spaces(Matrix(field, (r[:1] for r in e.rows)), Matrix(field, (r[1:2] for r in e.rows)))
     assert (meet.nrows, meet.ncols) == (3, 0)
+
+
+@st.composite
+def _trace_case(draw):
+    """n x m and m x n operands, n, m >= 1, or the 0 x 0 pair."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n, m = draw(st.just((0, 0)) | st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    return field, draw(_matrix(field, n, m)), draw(_matrix(field, m, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_case())
+def test_trace_of_product_is_the_trace_of_the_product(case):
+    field, X, Y = case
+    t = trace_of_product(X, Y)
+    assert t == (X * Y).trace()
+    _assert_canonical(field, [t])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_case())
+def test_rank_one_factors_exactly_the_rank_one_matrices(case):
+    field, _, _, S = case
+    for M in (S, outer(S.column(0), Vector(field, S[0]))):
+        found = rank_one_factors([M])
+        assert (found is not None) == (M.rank() == 1)
+        if found is not None:
+            W, U = found
+            assert W.column(0) == next(c for c in M.columns() if not c.is_zero())
+            assert outer(W.column(0), Vector(field, U[0])) == M
+            assert M == Matrix.from_columns(field, [W.column(0)]) * Matrix(field, [U[0]])
