@@ -565,9 +565,9 @@ def _gram_in_eigenbasis(sys: LeonardSystem):
     B, zero = U * sys.Astar * W, f.zero()
     rows = [[B[i][j] if k == i else -B[j][i] if k == j else zero for k in range(n)]
             for i in range(n) for j in range(i + 1, n)]
-    forms = Matrix(f, rows or [[zero] * n]).nullspace()
-    G, pivot = _one_form(f, [U.transpose() * scale_rows(m, U) for m in forms])
-    m = forms[0].entries
+    ms = Matrix(f, rows or [[zero] * n]).nullspace()
+    G, pivot = _one_form(f, [U.transpose() * scale_rows(m, U) for m in ms])
+    m = ms[0].entries
     if not all(m):
         raise SingularMatrix("matrix has zero determinant")
     return G, W * scale_rows([pivot / x for x in m], W.transpose())
@@ -650,8 +650,8 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     one = f.one()
     nu, nu_down, nu_ddown, nu_dd = nu_scalars(pa)
     traces = trace_products(sys, 0)[:2] + trace_products(sys, d)[:2]  # tr E_0 E*_0, E_0 E*_d, E_d E*_0, E_d E*_d
-    for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):
-        _add_factored(report, name, lambda: (bool(_factors(sys, star)) and nu * traces[0] == one, None))
+    for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):  # needs E_0 (E*_0) = w u^T
+        _add_factored(report, name, lambda: (_factors(sys, star) is not None and nu * traces[0] == one, None))
 
     ok, witness = True, None
     for r in range(d + 1):

@@ -218,6 +218,7 @@ def perturbed_arrays():
 
 
 def _extracts(pa) -> bool:
+    """False when reading the array back off the matrices raises ValueError."""
     try:
         extract_parameter_array(build_system(pa))
     except ValueError:
@@ -268,12 +269,8 @@ def test_non_leonard_reports_match_dense(pa):
 # --- families that do not factor ---
 
 
-def _d_example(d):
-    return build_system(krawtchouk(Q, d))
-
-
 def test_zero_idempotent_reports_true_ranks():
-    s = _d_example(1)
+    s = build_system(krawtchouk(Q, 1))
     broken = LeonardSystem(s.A, s.Astar, (s.E[0], Matrix.zeros(Q, 2)), s.Estar, s.theta, s.theta_star, s.pa)
     assert broken.eigenbasis() is None and broken.eigenbasis(star=True) is not None
     axioms = verify_axioms(broken)
@@ -288,7 +285,7 @@ def test_zero_idempotent_reports_true_ranks():
 
 
 def test_rank_two_idempotent_reports_true_ranks():
-    s = _d_example(2)
+    s = build_system(krawtchouk(Q, 2))
     broken = LeonardSystem(s.A, s.Astar, (s.E[0] + s.E[1], s.E[1], s.E[2]), s.Estar, s.theta, s.theta_star, s.pa)
     assert broken.eigenbasis() is None
     axioms = verify_axioms(broken)
