@@ -51,7 +51,6 @@ from .duality import (
     build_decomposition,
     build_duality_bundle,
     build_flag,
-    check_mutually_opposite,
     choose_anchor_vectors,
     expected_matrix_of_T,
     is_self_dual,

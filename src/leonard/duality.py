@@ -23,10 +23,8 @@ from .linalg import (
     Matrix,
     Vector,
     bidiagonal,
-    intersect_column_spaces,
     outer,
     rank_one_sum,
-    same_column_space,
 )
 from .report import VerificationReport
 from .systems import (
@@ -254,14 +252,16 @@ OMEGA = ("0", "D", "0*", "D*")
 
 @dataclass(frozen=True)
 class Flag:
-    """Nested subspaces of dimensions 1..d+1, each stored as basis columns."""
+    """Nested subspaces of dimensions 1..d+1 as one ordered basis: component
+    i is spanned by the first i+1 columns of basis."""
 
     label: str
-    components: tuple
+    basis: Matrix
 
     @property
-    def d(self) -> int:
-        return len(self.components) - 1
+    def components(self) -> tuple:
+        f, rows = self.basis.field, self.basis.rows
+        return tuple(Matrix(f, (row[:i] for row in rows)) for i in range(1, len(rows) + 1))
 
     def to_json(self) -> dict:
         return {
@@ -279,35 +279,45 @@ def build_flag(sys: LeonardSystem, z: str) -> Flag:
 
 def _flag(sys: LeonardSystem, z: str) -> Flag:
     star = z.endswith("*")
-    descending = z.startswith("D")
-    order = range(sys.d, -1, -1) if descending else range(sys.d + 1)
-    cols = [sys.eigencolumn(i, star=star) for i in order]
-    components = tuple(
-        Matrix.from_columns(sys.field, cols[: i + 1]) for i in range(sys.d + 1)
-    )
-    return Flag(z, components)
+    order = range(sys.d, -1, -1) if z.startswith("D") else range(sys.d + 1)
+    return Flag(z, Matrix.from_columns(sys.field, [sys.eigencolumn(i, star=star) for i in order]))
+
+
+def opposite_vectors(F: Flag, G: Flag):
+    """x_0..x_d with x_i spanning F_i ∩ G_{d-i} when F and G are opposite, else None.
+
+    They are opposite exactly when C' (C = F^-1 G with its rows reversed) has
+    an LU factorisation without pivoting.  The column operations C' V = L (V unit
+    upper triangular), done on the columns of G as well, leave x_i = G V[:, d-i]."""
+    try:
+        C = F.basis.solve(G.basis)
+    except SingularMatrix:
+        return None
+    n = C.nrows
+    cols = [Vector(C.field, C.column(j).entries[::-1] + G.basis.column(j).entries) for j in range(n)]
+    for k in range(n):
+        if not cols[k][k]:
+            return None
+        for j in range(k + 1, n):
+            if cols[j][k]:
+                cols[j] = cols[j] - cols[k].scale(cols[j][k] / cols[k][k])
+    return tuple(Vector(C.field, cols[n - 1 - i].entries[n:]) for i in range(n))
 
 
 def flags_opposite(F: Flag, G: Flag) -> bool:
-    """H_i ∩ H'_{d-i} one-dimensional for all i with direct sum the whole space."""
-    d = F.d
-    vectors = []
-    for i in range(d + 1):
-        meet = intersect_column_spaces(F.components[i], G.components[d - i])
-        if meet.ncols != 1:
-            return False
-        vectors.append(meet.column(0))
-    field = vectors[0].field
-    return Matrix.from_columns(field, vectors).rank() == d + 1
+    """F_i ∩ G_{d-i} one-dimensional for all i with direct sum the whole space."""
+    return opposite_vectors(F, G) is not None
 
 
-def check_mutually_opposite(flags) -> bool:
-    flags = list(flags)
-    for F in flags:
-        for G in flags:
-            if F.label != G.label and not flags_opposite(F, G):
-                return False
-    return True
+def spans_components(F: Flag, X: Matrix) -> list:
+    """For each i, whether the first i+1 columns of X span component i of F.
+
+    In F's coordinates Y = F^-1 X: the first i+1 columns of Y vanish below
+    row i and have rank i+1, the number of pivot columns <= i of Y."""
+    Y = F.basis.solve(X)
+    pivots, n = Y.rref()[1], Y.nrows
+    return [not any(Y[r][c] for r in range(i + 1, n) for c in range(i + 1))
+            and sum(p <= i for p in pivots) == i + 1 for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -337,15 +347,10 @@ def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
 
 
 def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    Fz, Fw = build_flag(sys, z), build_flag(sys, w)
-    d = sys.d
-    vectors = []
-    for i in range(d + 1):
-        meet = intersect_column_spaces(Fz.components[i], Fw.components[d - i])
-        if meet.ncols != 1:
-            raise DegenerateSplit(f"component {i} of [{z}{w}] is not one-dimensional")
-        vectors.append(meet.column(0).normalized())
-    return Decomposition(z, w, tuple(vectors))
+    vectors = opposite_vectors(build_flag(sys, z), build_flag(sys, w))
+    if vectors is None:
+        raise DegenerateSplit(f"the flags [{z}] and [{w}] of [{z}{w}] are not opposite")
+    return Decomposition(z, w, tuple(v.normalized() for v in vectors))
 
 
 DECOMPOSITION_PAIRS = tuple((z, w) for z in OMEGA for w in OMEGA if z != w)
@@ -383,24 +388,23 @@ def verify_geometry_suite(
     f, d = sys.field, sys.d
     flags = {z: build_flag(sys, z) for z in OMEGA}
 
+    # a dependent prefix of the basis makes every longer one dependent: the last failure is at i = d
     ok, witness = True, None
     for z, F in flags.items():
-        for i, comp in enumerate(F.components):
-            if comp.rank() != i + 1:
-                ok, witness = False, {"flag": z, "i": i}
+        if F.basis.rank() != d + 1:
+            ok, witness = False, {"flag": z, "i": d}
     report.add("flag_component_dimensions", ok, witness)
 
-    report.add("flags_mutually_opposite", check_mutually_opposite(flags.values()))
-
-    decomps = {}
-    ok, witness = True, None
+    # DECOMPOSITION_PAIRS is every ordered pair of distinct flags; each builds iff the two are opposite
+    decomps, witness = {}, None
     for z, w in DECOMPOSITION_PAIRS:
         try:
             decomps[(z, w)] = build_decomposition(sys, z, w)
         except DegenerateSplit as exc:
-            ok, witness = False, {"pair": f"[{z}{w}]", "error": str(exc)}
-    report.add("decomposition_components_one_dimensional", ok, witness)
-    if not ok:
+            witness = {"pair": f"[{z}{w}]", "error": str(exc)}
+    report.add("flags_mutually_opposite", witness is None)
+    report.add("decomposition_components_one_dimensional", witness is None, witness)
+    if witness is not None:
         return report
 
     ok, witness = True, None
@@ -411,13 +415,12 @@ def verify_geometry_suite(
 
     ok, witness = True, None
     for (z, w), dec in decomps.items():
+        spans = {u: spans_components(flags[u], Matrix.from_columns(f, vectors))
+                 for u, vectors in ((z, dec.vectors), (w, dec.inversion_vectors()))}
         for i in range(d + 1):
-            induced = Matrix.from_columns(f, dec.vectors[: i + 1])
-            if not same_column_space(induced, flags[z].components[i]):
-                ok, witness = False, {"pair": f"[{z}{w}]", "flag": z, "i": i}
-            induced_rev = Matrix.from_columns(f, dec.inversion_vectors()[: i + 1])
-            if not same_column_space(induced_rev, flags[w].components[i]):
-                ok, witness = False, {"pair": f"[{z}{w}]", "flag": w, "i": i}
+            for u in (z, w):
+                if not spans[u][i]:
+                    ok, witness = False, {"pair": f"[{z}{w}]", "flag": u, "i": i}
     report.add("decompositions_induce_flags", ok, witness)
 
     ok, witness = True, None
@@ -451,9 +454,8 @@ def verify_geometry_suite(
 
     ok, witness = True, None
     for z, image in T_FLAG_IMAGE.items():
-        for i in range(d + 1):
-            moved = t * flags[z].components[i]
-            if not same_column_space(moved, flags[image].components[i]):
+        for i, spans in enumerate(spans_components(flags[image], t * flags[z].basis)):
+            if not spans:
                 ok, witness = False, {"flag": z, "i": i}
     report.add("T_on_flags", ok, witness)
 
@@ -761,6 +763,18 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
     return Matrix(f, rows)
 
 
+def basis_representations(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
+                          anchors: AnchorVectors) -> tuple:
+    """The matrices of T, A and A* in the basis basis_id: one solve of
+    B X = [T B | A B | A* B] for the basis matrix B."""
+    f = sys.field
+    B = Matrix.from_columns(f, build_basis(sys, anchors, basis_id))
+    images = [(M * B).rows for M in (bundle.t, sys.A, sys.Astar)]
+    X = B.solve(Matrix(f, (rt + ra + ras for rt, ra, ras in zip(*images))))
+    n = B.ncols
+    return tuple(Matrix(f, (row[k * n:(k + 1) * n] for row in X.rows)) for k in range(3))
+
+
 def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
                 anchors: AnchorVectors | None = None) -> Matrix:
     """The matrix representing T with respect to one of the four bases."""
@@ -768,8 +782,7 @@ def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
         raise UnknownBasis(f"{basis_id!r} is not one of {FOUR_BASES}")
     if anchors is None:
         anchors = choose_anchor_vectors(sys)
-    B = Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id))
-    return B.solve(bundle.t * B)
+    return basis_representations(sys, bundle, basis_id, anchors)[0]
 
 
 def expected_pair_shapes(pa: ParameterArray, basis_id: str):
@@ -796,30 +809,19 @@ def verify_matrix_of_T(
     pa = sys.parameter_array
     if anchors is None:
         anchors = choose_anchor_vectors(sys)
-    expected = expected_matrix_of_T(pa)
-    mats = {}
-    ok, witness = True, None
-    for basis_id in FOUR_BASES:
-        mats[basis_id] = matrix_of_T(sys, bundle, basis_id, anchors)
-        if mats[basis_id] != expected:
-            ok, witness = False, {"basis": basis_id}
-    report.add("matrix_of_T_closed_form", ok, witness)
-    first = mats[FOUR_BASES[0]]
+    reps = {basis_id: basis_representations(sys, bundle, basis_id, anchors) for basis_id in FOUR_BASES}
+    wanted = {basis_id: (expected_matrix_of_T(pa),) + expected_pair_shapes(pa, basis_id) for basis_id in FOUR_BASES}
+
+    def add(name, k):  # k: 0 for T, 1 for A, 2 for A*; the witness is the last failing basis
+        bad = [basis_id for basis_id in FOUR_BASES if reps[basis_id][k] != wanted[basis_id][k]]
+        report.add(name, not bad, {"basis": bad[-1]} if bad else None)
+
+    add("matrix_of_T_closed_form", 0)
+    first = reps[FOUR_BASES[0]][0]
     report.add(
         "matrix_of_T_basis_independent",
-        all(M == first for M in mats.values()),
+        all(rep[0] == first for rep in reps.values()),
     )
-
-    ok_a, ok_as, witness = True, True, None
-    for basis_id in FOUR_BASES:
-        B = Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id))
-        repA = B.solve(sys.A * B)
-        repAs = B.solve(sys.Astar * B)
-        expA, expAs = expected_pair_shapes(pa, basis_id)
-        if repA != expA:
-            ok_a, witness = False, {"basis": basis_id}
-        if repAs != expAs:
-            ok_as, witness = False, {"basis": basis_id}
-    report.add("A_representations_in_four_bases", ok_a, witness)
-    report.add("Astar_representations_in_four_bases", ok_as, witness)
+    add("A_representations_in_four_bases", 1)
+    add("Astar_representations_in_four_bases", 2)
     return report

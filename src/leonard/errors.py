@@ -26,7 +26,8 @@ class NotALeonardPair(LeonardError):
 
 
 class DegenerateSplit(LeonardError):
-    """A split-basis vector vanished; the input is not a Leonard system."""
+    """A split-basis vector vanished, the extracted array is invalid or two
+    flags are not opposite: the input is not a Leonard system."""
 
 
 class NonUniqueForm(LeonardError):

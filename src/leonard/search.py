@@ -39,7 +39,6 @@ class SearchConfig:
     limit: int = 1
     seed: int = 0
     max_trials: int = DEFAULT_MAX_TRIALS
-    budget: int | None = None  # None: LEONARD_BUDGET env var, else 10^8
 
     def __post_init__(self):
         if self.d < 0:
@@ -50,9 +49,6 @@ class SearchConfig:
             raise ValueError("max_trials must be >= 1")
         if self.field.is_rational and self.d + 1 > _BOX_SIZE:
             raise ValueError(f"rational search needs d + 1 <= {_BOX_SIZE}, the draw box size")
-
-    def effective_budget(self) -> int:
-        return env_budget() if self.budget is None else self.budget
 
 
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:
@@ -88,7 +84,7 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
         space = n_theta * n_phi * (p - 1) ** ((d + 1) // 2)
     else:
         space = n_theta * n_theta * n_phi * n_phi
-    budget = cfg.effective_budget()
+    budget = env_budget()
     if space > budget:
         raise BudgetExceeded(f"candidate space {space} exceeds budget {budget}")
 

@@ -388,13 +388,17 @@ def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
 
     theta_i is read off as tr(A E_i) (the idempotents have trace 1), varphi
     from the representation of A* in a split basis, and phi from the split
-    basis of the relative with the eigenvalue ordering reversed.
+    basis of the relative with the eigenvalue ordering reversed.  Raises
+    DegenerateSplit when what is read back is not a parameter array.
     """
     theta = tuple(trace_of_product(sys.A, Ei) for Ei in sys.E)
     theta_star = tuple(trace_of_product(sys.Astar, Ei) for Ei in sys.Estar)
     varphi = _superdiagonal_in_split_basis(sys, theta)
     phi = _superdiagonal_in_split_basis(sys, tuple(reversed(theta)))
-    return ParameterArray(sys.field, sys.d, theta, theta_star, varphi, phi)
+    try:
+        return ParameterArray(sys.field, sys.d, theta, theta_star, varphi, phi)
+    except ValueError as exc:
+        raise DegenerateSplit(f"extracted array is not a parameter array: {exc}") from exc
 
 
 # --- the dihedral group action on parameter arrays ---

@@ -63,6 +63,21 @@ def test_verify_failing_array_exits_1(tmp_path):
     assert not checks["round_trip_parameter_array"]
 
 
+def test_verify_zero_extracted_phi_is_a_failed_check(tmp_path, capsys):
+    # well-formed but not Leonard: the phi read back off the matrices has a zero entry
+    gf7 = {"field": {"kind": "prime", "p": 7}, "d": 2, "theta": [2, 0, 5], "theta_star": [2, 0, 5],
+           "varphi": [6, 5], "phi": [3, 3]}
+    code, text = run_cli(tmp_path, ["verify"], gf7)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(text)["report"]["checks"]}
+    assert checks["round_trip_parameter_array"] == {
+        "name": "round_trip_parameter_array",
+        "pass": False,
+        "witness": {"error": "extracted array is not a parameter array: phi entries must be nonzero"},
+    }
+
+
 def test_verify_malformed_input(tmp_path, capsys):
     code, _ = run_cli(tmp_path, ["verify"], {"not": "an array"})
     assert code == 2

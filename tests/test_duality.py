@@ -161,7 +161,7 @@ def test_flag_components():
 def test_flags_mutually_opposite(sd1):
     _, s, _, _ = sd1
     flags = [du.build_flag(s, z) for z in du.OMEGA]
-    assert du.check_mutually_opposite(flags)
+    assert all(du.flags_opposite(F, G) for F in flags for G in flags if F is not G)
     # a flag is never opposite to itself for d >= 1
     assert not du.flags_opposite(flags[0], flags[0])
 

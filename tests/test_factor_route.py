@@ -19,7 +19,6 @@ from leonard.systems import (
     LeonardSystem,
     ParameterArray,
     build_system,
-    extract_parameter_array,
     nu_scalars,
     product,
     split_subspace,
@@ -217,23 +216,6 @@ def perturbed_arrays():
     return out
 
 
-def _extracts(pa) -> bool:
-    """False when reading the array back off the matrices raises ValueError."""
-    try:
-        extract_parameter_array(build_system(pa))
-    except ValueError:
-        return False
-    except (DegenerateSplit, SingularMatrix):
-        pass
-    return True
-
-
-# The suite reads the array back off the matrices before its later checks;
-# where the read-back phi has a zero entry, ParameterArray raises ValueError
-# out of standard_identity_suite (and `verify` exits 2 as on malformed input).
-EXTRACTION_RAISES = pytest.mark.xfail(raises=ValueError, strict=True, reason="the extracted phi has a zero entry")
-
-
 # --- factor route == dense reference ---
 
 
@@ -257,10 +239,7 @@ def test_non_leonard_axioms_match_dense(pa):
     assert_matches_dense(verify_axioms(s), dense_checks(s))
 
 
-@pytest.mark.parametrize("pa", [
-    p if _extracts(p.values[0]) else pytest.param(*p.values, id=p.id, marks=EXTRACTION_RAISES)
-    for p in perturbed_arrays()
-])
+@pytest.mark.parametrize("pa", perturbed_arrays())
 def test_non_leonard_reports_match_dense(pa):
     report = assert_both_reports_match(build_system(pa))
     assert not report.all_pass

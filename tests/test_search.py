@@ -102,11 +102,12 @@ def test_enumerate_rejects_bad_fields():
         enumerate_prime_field(SearchConfig(Field.prime(2), 1))
 
 
-def test_enumerate_budget_guard():
+def test_enumerate_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceeded):
         enumerate_prime_field(SearchConfig(Field.prime(11), 3, limit=1))
+    monkeypatch.setenv("LEONARD_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        enumerate_prime_field(SearchConfig(GF7, 1, limit=1, budget=100))
+        enumerate_prime_field(SearchConfig(GF7, 1, limit=1))
 
 
 def test_budget_env_override(monkeypatch):
