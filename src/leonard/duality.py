@@ -209,7 +209,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("T_equals_T_dagger", t == t_dag)
     report.add("T_equals_T_star_dagger", t == t_star_dag)
 
-    report.add("T_squared_equals_lambda_identity", t * t == ident.scale(bundle.lam))
+    t_squared = t * t
+    report.add("T_squared_equals_lambda_identity", t_squared == ident.scale(bundle.lam))
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
@@ -241,7 +242,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     nu_ddown = nu_scalars(pa)[2]
     weighted = [t_j.scale(f.invert(product(f, pa.phi[d - j:]))) for j, t_j in enumerate(tausAs)]
     acc = rank_one_sum(etaA, sys.Estar[0] * sys.E[d], weighted).scale(f.invert(nu_ddown) * ph)
-    report.add("T_squared_expansion", t * t == acc)
+    report.add("T_squared_expansion", t_squared == acc)
     return report
 
 
@@ -499,23 +500,20 @@ def _parse_basis_id(basis_id: str):
 
 
 def build_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
-    """One of the 24 sequences, as a tuple of d+1 vectors."""
+    """One of the 24 sequences, as a tuple of d+1 vectors.  Each forward
+    sequence is built once per system and memoised; a -rev- id is its reversal."""
     gen, rev, anchor_key = _parse_basis_id(basis_id)
     v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
-    d = sys.d
+    seq = sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v))
+    return seq[::-1] if rev else seq
+
+
+def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
+    """E_i v or E*_i v, else the tau/eta family gen on v (`LeonardSystem.root_family`)."""
+    star = gen.endswith("star")
     if gen in ("e", "estar"):
-        mats = sys.E if gen == "e" else sys.Estar
-        seq = [mats[i] * v for i in range(d + 1)]
-    else:
-        M = sys.A if gen in ("tau", "eta") else sys.Astar
-        theta = sys.theta if gen in ("tau", "eta") else sys.theta_star
-        roots = theta[:d] if gen in ("tau", "taustar") else tuple(reversed(theta))[:d]
-        seq = [v]
-        for r in roots:
-            seq.append(M * seq[-1] - seq[-1].scale(r))
-    if rev:
-        seq.reverse()
-    return tuple(seq)
+        return tuple(E * v for E in (sys.Estar if star else sys.E))
+    return sys.root_family(gen.removesuffix("star"), star, v)
 
 
 def build_24_bases(sys: LeonardSystem, anchors: AnchorVectors) -> dict:

@@ -368,12 +368,13 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
 # --- polynomial evaluation at a matrix ---
 
 
-def root_product_family(M: Matrix, roots) -> list:
-    """[p_0(M), ..., p_k(M)] where p_i is the product of (x - r) over the first i roots."""
-    out = [Matrix.identity(M.field, M.nrows)]
+def root_product_family(M: Matrix, roots, start=None) -> list:
+    """[p_0(M) X, ..., p_k(M) X] where p_i is the product of (x - r) over the
+    first i roots and X is start (a Matrix or a Vector; the identity when None)."""
+    out = [Matrix.identity(M.field, M.nrows) if start is None else start]
     for r in roots:  # M - r I: only the diagonal moves
         shifted = Matrix(M.field, (row[:i] + (row[i] - r,) + row[i + 1:] for i, row in enumerate(M.rows)))
-        out.append(out[-1] * shifted)
+        out.append(shifted * out[-1])
     return out
 
 

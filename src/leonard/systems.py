@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     bidiagonal,
     bidiagonal_idempotents,
-    eval_root_product,
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
@@ -90,6 +89,8 @@ class ParameterArray:
         object.__setattr__(self, "theta_star", tuple(self.theta_star))
         object.__setattr__(self, "varphi", tuple(self.varphi))
         object.__setattr__(self, "phi", tuple(self.phi))
+        if not isinstance(self.d, int) or isinstance(self.d, bool):
+            raise ValueError(f"diameter must be an integer, not {self.d!r}")
         if self.d < 0:
             raise ValueError("diameter must be >= 0")
         if len(self.theta) != self.d + 1 or len(self.theta_star) != self.d + 1:
@@ -212,16 +213,17 @@ class LeonardSystem:
 
     def tau(self, star: bool = False) -> tuple:
         """(tau_0, ..., tau_d) at A (resp. tau*_i at A*); tau_i has roots theta_0..theta_{i-1}."""
-        return self._root_family("tau", star)
+        return self.cached(("tau", star), lambda: self.root_family("tau", star))
 
     def eta(self, star: bool = False) -> tuple:
         """(eta_0, ..., eta_d) at A (resp. eta*_i at A*); eta_i has roots theta_d..theta_{d-i+1}."""
-        return self._root_family("eta", star)
+        return self.cached(("eta", star), lambda: self.root_family("eta", star))
 
-    def _root_family(self, kind: str, star: bool) -> tuple:
+    def root_family(self, kind: str, star: bool = False, start=None) -> tuple:
+        """(p_0(M) X, ..., p_d(M) X) for the tau or eta family (kind) at M = A
+        (resp. A*) and X = start, the identity when None (`root_product_family`)."""
         M, theta = (self.Astar, self.theta_star) if star else (self.A, self.theta)
-        roots = theta[:-1] if kind == "tau" else theta[:0:-1]
-        return self.cached((kind, star), lambda: tuple(root_product_family(M, roots)))
+        return tuple(root_product_family(M, theta[:-1] if kind == "tau" else theta[:0:-1], start))
 
     def dagger(self, X: Matrix) -> Matrix:
         """The antiautomorphism fixing A and A*: X -> G^-1 X^T G."""
@@ -363,21 +365,14 @@ def complete_parameter_array(field: Field, theta, theta_star, varphi) -> Paramet
     return replace(pa, phi=phi)
 
 
-def _split_basis_columns(sys: LeonardSystem, theta_order) -> Matrix:
-    v = sys.eigencolumn(0, star=True)
-    u, cols = v, [v]
-    for th in theta_order[:-1]:
-        u = sys.A * u - u.scale(th)
-        if u.is_zero():
-            raise DegenerateSplit("split basis vector vanished")
-        cols.append(u)
-    return Matrix.from_columns(sys.field, cols)
-
-
 def _superdiagonal_in_split_basis(sys: LeonardSystem, theta_order):
-    U = _split_basis_columns(sys, theta_order)
+    """The superdiagonal of A* in the split basis of w*_0 over the eigenvalue order theta_order."""
+    cols = root_product_family(sys.A, theta_order[:-1], sys.eigencolumn(0, star=True))
+    if any(u.is_zero() for u in cols):
+        raise DegenerateSplit("split basis vector vanished")
+    U = Matrix.from_columns(sys.field, cols)
     try:
-        rep = U.inverse() * sys.Astar * U
+        rep = U.solve(sys.Astar * U)
     except SingularMatrix as exc:
         raise DegenerateSplit("split vectors are linearly dependent") from exc
     return tuple(rep[i - 1][i] for i in range(1, sys.d + 1))
@@ -634,9 +629,9 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     report.add("edge_idempotent_E0star", etas_s[d].scale(f.invert(etas_d)) == sys.Estar[0])
     report.add("edge_idempotent_Edstar", taus_s[d].scale(f.invert(taus_d)) == sys.Estar[d])
 
-    # vanishing characteristic products
-    report.add("char_product_A", eval_root_product(pa.theta, sys.A).is_zero())
-    report.add("char_product_Astar", eval_root_product(pa.theta_star, sys.Astar).is_zero())
+    # vanishing characteristic products: (A - theta_d I) tau_d(A), (A* - theta*_d I) tau*_d(A*)
+    report.add("char_product_A", root_product_family(sys.A, sys.theta[d:], taus[d])[-1].is_zero())
+    report.add("char_product_Astar", root_product_family(sys.Astar, sys.theta_star[d:], taus_s[d])[-1].is_zero())
 
     # three bases of <A> and <A*>
     powers, powers_s = (root_product_family(M, [f.zero()] * d) for M in (sys.A, sys.Astar))

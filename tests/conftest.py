@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from leonard.duality import is_self_dual
-from leonard.errors import ExhaustedTrials
-from leonard.fields import Field
+from leonard.errors import ExhaustedTrials, NotALeonardPair
+from leonard.fields import Field, PrimeFieldElement
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
-from leonard.systems import LeonardSystem, ParameterArray, certify
+from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array
 
 GF7 = Field.prime(7)
 RATIONAL = Field.rational()
@@ -130,3 +132,52 @@ def build_corpus() -> Corpus:
 @pytest.fixture(scope="session")
 def corpus() -> Corpus:
     return build_corpus()
+
+
+# --- a generator of Leonard parameter arrays (PA1-PA5) ---
+
+
+def leonard_array(field: Field, d: int, theta012, theta_star012, beta, varphi_1):
+    """The parameter array fixed by eight scalars, or None when PA1 or PA2 fails.
+
+    theta and theta* continue from their first three entries by the shared
+    recurrence theta_{i+1} = theta_{i-2} - (beta + 1)(theta_{i-1} - theta_i)
+    (PA5); phi_1 follows from varphi_1 by PA4 and varphi_2..varphi_d from
+    phi_1 by PA3.  `complete_parameter_array` re-checks PA2-PA5 and
+    `ParameterArray` PA1 (Terwilliger, LAA 330 (2001), Theorem 1.9).
+    """
+    def extend(seq):
+        seq = list(seq)
+        while len(seq) < d + 1:
+            seq.append(seq[-3] - (beta + 1) * (seq[-2] - seq[-1]))
+        return seq[:d + 1]
+
+    th, ths = extend(theta012), extend(theta_star012)
+    if len(set(th)) != d + 1 or len(set(ths)) != d + 1:
+        return None
+    varphi = [varphi_1][:d]
+    if d:
+        s = [field.zero()]  # s_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
+        for h in range(d):
+            s.append(s[-1] + (th[h] - th[d - h]) / (th[0] - th[d]))
+        phi_1 = varphi_1 + (ths[1] - ths[0]) * (th[d] - th[0])
+        varphi += [phi_1 * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]) for i in range(2, d + 1)]
+    try:
+        return complete_parameter_array(field, th, ths, varphi)
+    except (ValueError, NotALeonardPair):
+        return None
+
+
+def field_scalars(field: Field):
+    """The rational search box num/den (|num| <= 9, 1 <= den <= 4), or uniform residues mod p."""
+    if field.is_rational:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    return st.integers(0, field.p - 1).map(lambda r: PrimeFieldElement(field.p, r))
+
+
+def leonard_arrays(field: Field, d: int):
+    """Hypothesis strategy: parameter arrays of Leonard systems of diameter d over field."""
+    x = field_scalars(field)
+    return (st.tuples(st.tuples(x, x, x), st.tuples(x, x, x), x, x)
+            .map(lambda scalars: leonard_array(field, d, *scalars))
+            .filter(lambda pa: pa is not None))

@@ -107,7 +107,11 @@ GF7_D1 = {
     dict(D1_NON_SELF_DUAL, theta_star=["2/1", False]),
     dict(GF7_D1, theta=[0, 8]),
     dict(GF7_D1, phi=[-5]),
-], ids=["zero-denominator", "true", "false", "residue-above-p", "negative-residue"])
+    dict(D1_SELF_DUAL, field="rational"),
+    dict(D1_SELF_DUAL, d=True),
+    dict(D1_SELF_DUAL, d=1.0),
+], ids=["zero-denominator", "true", "false", "residue-above-p", "negative-residue",
+        "field-not-an-object", "d-boolean", "d-float"])
 def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
     # each of these once decoded (or crashed) instead of being rejected
     code, _ = run_cli(tmp_path, ["verify"], payload)

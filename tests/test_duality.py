@@ -1,16 +1,20 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard import duality as du
 from leonard import systems
+from leonard.cli import main
 from leonard.errors import InconsistentArray, NotSelfDual, UnknownBasis
 from leonard.fields import Field
-from leonard.linalg import Matrix, Vector
+from leonard.linalg import Matrix, Vector, eval_root_product
 from leonard.systems import ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS
+from conftest import FROZEN_ARRAYS, leonard_arrays
 
 Q = Field.rational()
 
@@ -57,6 +61,30 @@ def test_flags_and_decompositions_built_once():
     # memos belong to one instance: an isomorphic copy builds its own
     K = Matrix.from_ints(Q, [[1, 1], [0, 1]])
     assert du.build_decomposition(s.conjugated(K), "0*", "D") is not dec
+
+
+def test_each_basis_sequence_built_once(tmp_path, monkeypatch):
+    """The 12 forward sequences are built once per system; the 12 -rev- ids
+    and every later suite read them back."""
+    calls = []
+    build = du._basis_sequence
+    monkeypatch.setattr(du, "_basis_sequence", lambda *args: calls.append(args[1]) or build(*args))
+    path, out = tmp_path / "in.json", str(tmp_path / "out.json")
+    path.write_text(json.dumps(FROZEN_ARRAYS[2]))  # d = 4, self-dual
+    assert main(["bases", "--input", str(path), "--output", out]) == 0
+    assert len(calls) == 12
+    calls.clear()
+    assert main(["matrix-of-t", "--basis", "tau-vstard", "--input", str(path), "--output", out]) == 0
+    assert calls == ["tau"]
+
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
+    anchors = du.choose_anchor_vectors(s)
+    family = du.build_24_bases(s, anchors)
+    calls.clear()
+    assert du.verify_transition_relations(s, anchors).all_pass
+    assert du.verify_T_on_bases(s, du.build_duality_bundle(s, anchors), anchors).all_pass
+    assert calls == []
+    assert all(du.build_basis(s, anchors, basis_id) == seq for basis_id, seq in family.items())
 
 
 # --- the self-duality criterion ---
@@ -252,6 +280,36 @@ def test_24_bases_family(sd1):
     assert set(fam) == set(du.BASIS_IDS)
     report = du.verify_basis_family(s, a, fam)
     assert report.all_pass
+
+
+def _basis_by_recurrence(s, anchors, basis_id):
+    """The reference: each id, -rev- ids included, built by its own recurrence."""
+    gen, rev, anchor_key = du._parse_basis_id(basis_id)
+    v = getattr(anchors, du._ANCHOR_ATTR[anchor_key])
+    if gen in ("e", "estar"):
+        seq = [E * v for E in (s.E if gen == "e" else s.Estar)]
+    else:
+        M, theta = (s.A, s.theta) if gen in ("tau", "eta") else (s.Astar, s.theta_star)
+        seq = [v]
+        for r in (theta[:s.d] if gen in ("tau", "taustar") else theta[::-1][:s.d]):
+            seq.append(M * seq[-1] - seq[-1].scale(r))
+    return tuple(reversed(seq)) if rev else tuple(seq)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_leonard_arrays(field, data):
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    pa = data.draw(leonard_arrays(field, d), label="pa")
+    s = certify(pa)
+    assert systems.extract_parameter_array(s) == pa
+    for M, theta, tau in ((s.A, pa.theta, s.tau()), (s.Astar, pa.theta_star, s.tau(star=True))):
+        assert eval_root_product(theta, M).is_zero()
+        assert ((M - Matrix.identity(field, d + 1).scale(theta[d])) * tau[d]).is_zero()
+    anchors = du.choose_anchor_vectors(s)
+    family = du.build_24_bases(s, anchors)
+    assert family == {basis_id: _basis_by_recurrence(s, anchors, basis_id) for basis_id in du.BASIS_IDS}
 
 
 def test_unknown_basis_id(sd1):

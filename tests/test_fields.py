@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,29 @@ def test_prime_validation():
     with pytest.raises(ValueError):
         Field.prime(2**31 + 11)
     assert not is_prime(561)  # Carmichael number, composite
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    """The reference primality test."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    # 2047, 1373653 and 25326001 are the least strong pseudoprimes to the
+    # bases {2}, {2, 3} and {2, 3, 5}: each needs a later witness
+    for n in itertools.chain(range(10**5), range(2**31 - 10**4, 2**31), (561, 2047, 1373653, 25326001)):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+    for n in (2047, 1373653, 25326001):
+        assert not is_prime(n)
 
 
 def test_invert_examples():
