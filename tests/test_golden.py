@@ -49,21 +49,35 @@ Q_NOT_LEONARD = dict(FROZEN_ARRAYS[0], varphi=["-5/1", "-8/1", "-6/1"])
 GFP_NOT_LEONARD = dict(GFP_SELF_DUAL, varphi=[2147470922, 2147466679, 2147470921])
 
 
+def krawtchouk(field, d, enc, s=-2, s_star=-2, r=1):
+    """theta_i = d + s i, theta*_i = d + s* i, varphi_i = r i(i-d-1) and
+    phi_i = (r - s s*) i(i-d-1): Krawtchouk type, self-dual when s* = s."""
+    return {
+        "field": field, "d": d,
+        "theta": [enc(d + s * i) for i in range(d + 1)],
+        "theta_star": [enc(d + s_star * i) for i in range(d + 1)],
+        "varphi": [enc(r * i * (i - d - 1)) for i in range(1, d + 1)],
+        "phi": [enc((r - s * s_star) * i * (i - d - 1)) for i in range(1, d + 1)],
+    }
+
+
 def krawtchouk_not_leonard(field, d, enc):
     """theta_i = theta*_i = d - 2i, varphi_i = i(i-d-1) with varphi_1 raised by 1,
     phi_i = -3 i(i-d-1): not Leonard, so verify solves for the form on a
     non-Leonard array of moderate size."""
-    return {
-        "field": field, "d": d,
-        "theta": [enc(d - 2 * i) for i in range(d + 1)],
-        "theta_star": [enc(d - 2 * i) for i in range(d + 1)],
-        "varphi": [enc(i * (i - d - 1) + (i == 1)) for i in range(1, d + 1)],
-        "phi": [enc(-3 * i * (i - d - 1)) for i in range(1, d + 1)],
-    }
+    return dict(krawtchouk(field, d, enc), varphi=[enc(i * (i - d - 1) + (i == 1)) for i in range(1, d + 1)])
+
+
+def gfp(x):
+    return x % GFP["p"]
 
 
 Q_D8_NOT_LEONARD = krawtchouk_not_leonard({"kind": "rational"}, 8, lambda x: f"{x}/1")
-GFP_D8_NOT_LEONARD = krawtchouk_not_leonard(GFP, 8, lambda x: x % GFP["p"])
+GFP_D8_NOT_LEONARD = krawtchouk_not_leonard(GFP, 8, gfp)
+# d = 8 over GF(2^31 - 1): self-dual, and theta* != theta as the negative control
+# (its dualize failures include the geometry suite's T_on_flags and T_on_decompositions).
+GFP_D8_SELF_DUAL = krawtchouk(GFP, 8, gfp)
+GFP_D8_NON_SELF_DUAL = krawtchouk(GFP, 8, gfp, s_star=-4)
 
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
@@ -92,6 +106,9 @@ for name, obj in (("q0_not_leonard", Q_NOT_LEONARD), ("gfp_not_leonard", GFP_NOT
         CASES[f"{name} {' '.join(verb)}"] = (verb, obj)
 for name, obj in (("q_d8_not_leonard", Q_D8_NOT_LEONARD), ("gfp_d8_not_leonard", GFP_D8_NOT_LEONARD)):
     CASES[f"{name} verify"] = (["verify"], obj)
+for verb in VERBS[1:3] + VERBS[-1:]:
+    CASES[f"gfp_d8_sd {' '.join(verb)}"] = (verb, GFP_D8_SELF_DUAL)
+CASES["gfp_d8_nsd dualize"] = (["dualize"], GFP_D8_NON_SELF_DUAL)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
@@ -110,6 +127,10 @@ GOLDEN = {
     'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
     'gfp_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
     'gfp_d8_not_leonard verify': 'c0b36b15489912a18239f1397ff1226d2fc26a315765f0f26700b75d85e7bc78',
+    'gfp_d8_nsd dualize': 'aea5d841038352facecf2a4c3767082a0a80778ab2f937913d0eab15cae9ae84',
+    'gfp_d8_sd bases': '69f38e28f59da9261f3f525c7d29b7304d88f6be4ab8201bcbd538857330add0',
+    'gfp_d8_sd dualize': 'eea9a32937f23da219c0cbebc98c7423ca1e0de082cd8f59a7ce1ce597d1d7a6',
+    'gfp_d8_sd matrix-of-t --basis tau-vstard': '88b7362e6cbf98d18a3f713611c912859f83b4a839be014f8889a0e0d8f67958',
     'gfp_not_leonard verify': '3853211fffdae78c9e22ff5e842b1ea7bef37f2943029a4036247b9dadf29efc',
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
     'gfp_nsd dualize': '5ecffc0ea67badc7631a61d74631ddc2d0465fda9dcbe962619dbe4301007b11',
