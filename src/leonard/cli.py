@@ -44,7 +44,11 @@ def _read_parameter_array(args) -> ParameterArray:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return ParameterArray.from_json(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:  # deep nesting is malformed input, not an internal fault
+        raise ValueError("input JSON is nested too deeply") from exc
+    return ParameterArray.from_json(obj)
 
 
 def _read_bounded_array(args) -> ParameterArray:
@@ -115,7 +119,7 @@ def _cmd_bases(args) -> int:
     anchors = du.choose_anchor_vectors(sys_)
     family = du.build_24_bases(sys_, anchors)
     report = du.verify_anchor_relations(sys_, anchors)
-    report.merge(du.verify_basis_family(sys_, anchors, family))
+    report.merge(du.verify_basis_family(sys_, anchors))
     report.merge(du.verify_transition_relations(sys_, anchors))
     payload = {
         "parameter_array": pa.to_json(),

@@ -9,6 +9,7 @@ the suites below machine-check every identity involved, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateSplit,
@@ -47,6 +48,12 @@ def is_self_dual(pa: ParameterArray) -> bool:
             "theta = theta* but the second split sequence is not palindromic"
         )
     return True
+
+
+def _add_first_failure(report: VerificationReport, name: str, holds, key: str = "i") -> None:
+    """Add the check name, failing at the first k where holds[k] is false, witness {key: k}."""
+    k = next((k for k, ok in enumerate(holds) if not ok), None)
+    report.add(name, k is None, None if k is None else {key: k})
 
 
 # --- anchor vectors and their eight inner products ---
@@ -218,9 +225,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     factors, t_tr = (sys.eigenbasis(), sys.eigenbasis(star=True)), t.transpose()
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
         (W, U), (Wr, Ur) = factors[star], factors[not star]
-        i = next((i for i in range(d + 1) if outer(W.column(i), t_tr * Vector(f, U[i]))
-                  != outer(t * Wr.column(i), Vector(f, Ur[i]))), None)
-        report.add(name, i is None, None if i is None else {"i": i})
+        _add_first_failure(report, name, (outer(W.column(i), t_tr * Vector(f, U[i]))
+                                          == outer(t * Wr.column(i), Vector(f, Ur[i])) for i in range(d + 1)))
 
     # the eight product formulas with their displayed coefficients
     vp = product(f, pa.varphi)
@@ -259,6 +265,14 @@ class Flag:
     label: str
     basis: Matrix
 
+    @cached_property
+    def inverse(self) -> Matrix | None:
+        """basis^-1, computed on first use; None when basis is singular."""
+        try:
+            return self.basis.inverse()
+        except SingularMatrix:
+            return None
+
     @property
     def components(self) -> tuple:
         f, rows = self.basis.field, self.basis.rows
@@ -284,16 +298,22 @@ def _flag(sys: LeonardSystem, z: str) -> Flag:
     return Flag(z, Matrix.from_columns(sys.field, [sys.eigencolumn(i, star=star) for i in order]))
 
 
+def _coordinates(inverse: Matrix | None, X: Matrix) -> Matrix:
+    """inverse * X, X in the basis with that inverse; SingularMatrix when it is None."""
+    if inverse is None:
+        raise SingularMatrix("matrix has zero determinant")
+    return inverse * X
+
+
 def opposite_vectors(F: Flag, G: Flag):
     """x_0..x_d with x_i spanning F_i ∩ G_{d-i} when F and G are opposite, else None.
 
     They are opposite exactly when C' (C = F^-1 G with its rows reversed) has
     an LU factorisation without pivoting.  The column operations C' V = L (V unit
     upper triangular), done on the columns of G as well, leave x_i = G V[:, d-i]."""
-    try:
-        C = F.basis.solve(G.basis)
-    except SingularMatrix:
+    if F.inverse is None:
         return None
+    C = F.inverse * G.basis
     n = C.nrows
     cols = [Vector(C.field, C.column(j).entries[::-1] + G.basis.column(j).entries) for j in range(n)]
     for k in range(n):
@@ -315,7 +335,7 @@ def spans_components(F: Flag, X: Matrix) -> list:
 
     In F's coordinates Y = F^-1 X: the first i+1 columns of Y vanish below
     row i and have rank i+1, the number of pivot columns <= i of Y."""
-    Y = F.basis.solve(X)
+    Y = _coordinates(F.inverse, X)
     pivots, n = Y.rref()[1], Y.nrows
     return [not any(Y[r][c] for r in range(i + 1, n) for c in range(i + 1))
             and sum(p <= i for p in pivots) == i + 1 for i in range(n)]
@@ -390,11 +410,8 @@ def verify_geometry_suite(
     flags = {z: build_flag(sys, z) for z in OMEGA}
 
     # a dependent prefix of the basis makes every longer one dependent: the last failure is at i = d
-    ok, witness = True, None
-    for z, F in flags.items():
-        if F.basis.rank() != d + 1:
-            ok, witness = False, {"flag": z, "i": d}
-    report.add("flag_component_dimensions", ok, witness)
+    singular = [z for z, F in flags.items() if F.inverse is None]
+    report.add("flag_component_dimensions", not singular, {"flag": singular[-1], "i": d} if singular else None)
 
     # DECOMPOSITION_PAIRS is every ordered pair of distinct flags; each builds iff the two are opposite
     decomps, witness = {}, None
@@ -499,34 +516,47 @@ def _parse_basis_id(basis_id: str):
     return gen, rev, anchor
 
 
+def _forward_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
+    """The memoised (vectors, Flag) of the forward sequence behind basis_id,
+    and whether basis_id is its reversal."""
+    gen, rev, anchor_key = _parse_basis_id(basis_id)
+    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
+    return sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v)), rev
+
+
 def build_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
     """One of the 24 sequences, as a tuple of d+1 vectors.  Each forward
     sequence is built once per system and memoised; a -rev- id is its reversal."""
-    gen, rev, anchor_key = _parse_basis_id(basis_id)
-    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
-    seq = sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v))
+    (seq, _), rev = _forward_basis(sys, anchors, basis_id)
     return seq[::-1] if rev else seq
 
 
+def basis_inverse(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
+    """The inverse of the matrix with columns build_basis(...), None when singular:
+    each forward matrix is inverted once (`Flag.inverse`), and a -rev- matrix has
+    its columns reversed, so its inverse has the forward inverse's rows reversed."""
+    (_, flag), rev = _forward_basis(sys, anchors, basis_id)
+    inv = flag.inverse
+    return Matrix(inv.field, inv.rows[::-1]) if rev and inv is not None else inv
+
+
 def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
-    """E_i v or E*_i v, else the tau/eta family gen on v (`LeonardSystem.root_family`)."""
+    """(vectors, the Flag of their matrix): E_i v or E*_i v, else the tau/eta
+    family gen on v (`LeonardSystem.root_family`)."""
     star = gen.endswith("star")
     if gen in ("e", "estar"):
-        return tuple(E * v for E in (sys.Estar if star else sys.E))
-    return sys.root_family(gen.removesuffix("star"), star, v)
+        seq = tuple(E * v for E in (sys.Estar if star else sys.E))
+    else:
+        seq = sys.root_family(gen.removesuffix("star"), star, v)
+    return seq, Flag(gen, Matrix.from_columns(sys.field, seq))
 
 
 def build_24_bases(sys: LeonardSystem, anchors: AnchorVectors) -> dict:
     """All 24 sequences keyed by identifier, each certified invertible."""
-    family = {}
     for basis_id in BASIS_IDS:
-        seq = build_basis(sys, anchors, basis_id)
-        try:
-            Matrix.from_columns(sys.field, seq).inverse()
-        except SingularMatrix as exc:
-            raise SingularBasis(f"{basis_id} is not a basis") from exc
-        family[basis_id] = seq
-    return family
+        if basis_inverse(sys, anchors, basis_id) is None:
+            raise SingularBasis(f"{basis_id} is not a basis")
+    return {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
 
 # Each decomposition with the two basis families spanning its components.
 BASIS_MEMBERSHIP = {
@@ -545,16 +575,14 @@ BASIS_MEMBERSHIP = {
 }
 
 
-def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors, family: dict) -> VerificationReport:
-    """Invertibility, component membership and the inversion pairing."""
+def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> VerificationReport:
+    """Invertibility, component membership and the inversion pairing of the 24 bases."""
     report = VerificationReport()
-    f, d = sys.field, sys.d
+    d = sys.d
+    family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
 
-    ok, witness = True, None
-    for basis_id, seq in family.items():
-        if Matrix.from_columns(f, seq).rank() != d + 1:
-            ok, witness = False, {"basis": basis_id}
-    report.add("bases_invertible", ok, witness)
+    singular = [basis_id for basis_id in BASIS_IDS if basis_inverse(sys, anchors, basis_id) is None]
+    report.add("bases_invertible", not singular, {"basis": singular[-1]} if singular else None)
 
     ok, witness = True, None
     for (z, w), ids in BASIS_MEMBERSHIP.items():
@@ -595,12 +623,7 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         (Es0 * a.vd, a.v0s.scale(a.xd0 / a.ss0)),
         (Esd * a.vd, a.vds.scale(a.xdd / a.ssd)),
     )
-    ok, witness = True, None
-    for k, (lhs, rhs) in enumerate(projections):
-        if lhs != rhs:
-            ok, witness = False, {"projection": k}
-            break
-    report.add("anchor_projections", ok, witness)
+    _add_first_failure(report, "anchor_projections", (lhs == rhs for lhs, rhs in projections), "projection")
 
     vp = product(f, pa.varphi)
     ph = product(f, pa.phi)
@@ -616,12 +639,9 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         (a.vvd * a.ss0 / (a.xd0 * a.xd0), tau_d * etas_d / vp),
         (a.vvd * a.ssd / (a.xdd * a.xdd), tau_d * taus_d / ph),
     )
-    ok, witness = True, None
-    for k, (lhs, rhs) in enumerate(squares):
-        if lhs != rhs:
-            ok, witness = False, {"identity": k, "lhs": str(lhs), "rhs": str(rhs)}
-            break
-    report.add("anchor_ratio_squares", ok, witness)
+    k = next((k for k, (lhs, rhs) in enumerate(squares) if lhs != rhs), None)
+    report.add("anchor_ratio_squares", k is None,
+               None if k is None else {"identity": k, "lhs": str(squares[k][0]), "rhs": str(squares[k][1])})
     return report
 
 
@@ -680,12 +700,8 @@ def verify_transition_relations(sys: LeonardSystem, anchors: AnchorVectors) -> V
          lambda i: vp_tail(i) / ph_head(i) * (a.xdd / a.xd0)),
     )
     for name, lhs_id, rhs_id, coeff in relations:
-        ok, witness = True, None
-        for i in range(d + 1):
-            if family[lhs_id][i] != family[rhs_id][i].scale(coeff(i)):
-                ok, witness = False, {"i": i}
-                break
-        report.add(name, ok, witness)
+        _add_first_failure(report, name, (family[lhs_id][i] == family[rhs_id][i].scale(coeff(i))
+                                          for i in range(d + 1)))
     return report
 
 
@@ -721,22 +737,13 @@ def verify_T_on_bases(
         (t * a.v0s, a.v0.scale(bundle.alpha_star)),
         (t * a.vds, a.vd.scale(bundle.beta_star)),
     )
-    ok, witness = True, None
-    for k, (lhs, rhs) in enumerate(anchor_eqs):
-        if lhs != rhs:
-            ok, witness = False, {"equation": k}
-            break
-    report.add("T_on_anchor_vectors", ok, witness)
+    _add_first_failure(report, "T_on_anchor_vectors", (lhs == rhs for lhs, rhs in anchor_eqs), "equation")
 
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
     for src, dst, scalar_name in T_BASIS_ACTION:
         c = getattr(bundle, scalar_name)
-        ok, witness = True, None
-        for i in range(sys.d + 1):
-            if t * family[src][i] != family[dst][i].scale(c):
-                ok, witness = False, {"i": i}
-                break
-        report.add(f"T_on_family_{src.replace('-', '_')}", ok, witness)
+        _add_first_failure(report, f"T_on_family_{src.replace('-', '_')}",
+                           (t * family[src][i] == family[dst][i].scale(c) for i in range(sys.d + 1)))
 
     report.add(
         "T_squared_on_v0",
@@ -763,14 +770,11 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
 
 def basis_representations(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
                           anchors: AnchorVectors) -> tuple:
-    """The matrices of T, A and A* in the basis basis_id: one solve of
-    B X = [T B | A B | A* B] for the basis matrix B."""
-    f = sys.field
-    B = Matrix.from_columns(f, build_basis(sys, anchors, basis_id))
-    images = [(M * B).rows for M in (bundle.t, sys.A, sys.Astar)]
-    X = B.solve(Matrix(f, (rt + ra + ras for rt, ra, ras in zip(*images))))
-    n = B.ncols
-    return tuple(Matrix(f, (row[k * n:(k + 1) * n] for row in X.rows)) for k in range(3))
+    """The matrices B^-1 T B, B^-1 A B and B^-1 A* B of T, A and A* in the
+    basis basis_id (columns of B), with the memoised B^-1 (`basis_inverse`)."""
+    B = Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id))
+    inv = basis_inverse(sys, anchors, basis_id)
+    return tuple(_coordinates(inv, M * B) for M in (bundle.t, sys.A, sys.Astar))
 
 
 def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,

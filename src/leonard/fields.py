@@ -195,12 +195,6 @@ class Field:
             return isinstance(x, Fraction)
         return isinstance(x, PrimeFieldElement) and x.p == self.p
 
-    def elements(self):
-        """All field elements in canonical order (prime fields only)."""
-        if self.is_rational:
-            raise ValueError("the rational field is not enumerable")
-        return (PrimeFieldElement(self.p, r) for r in range(self.p))
-
     # --- JSON encoding: rationals as "num/den" strings, residues as ints ---
 
     def encode_scalar(self, x):

@@ -270,11 +270,6 @@ class Matrix:
         enc = self.field.encode_scalar
         return [[enc(a) for a in row] for row in self.rows]
 
-    @classmethod
-    def from_json(cls, field: Field, obj) -> "Matrix":
-        dec = field.decode_scalar
-        return cls(field, ((dec(a) for a in row) for row in obj))
-
     def __repr__(self):
         return "Matrix([" + ",\n        ".join(str(list(r)) for r in self.rows) + "])"
 

@@ -28,9 +28,9 @@ class VerificationReport:
         self._names.add(name)
         self.checks.append(Check(name, bool(passed), witness if not passed else None))
 
-    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
+    def merge(self, other: "VerificationReport") -> None:
         for check in other.checks:
-            self.add(prefix + check.name, check.passed, check.witness)
+            self.add(check.name, check.passed, check.witness)
 
     @property
     def all_pass(self) -> bool:

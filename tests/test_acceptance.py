@@ -44,7 +44,7 @@ def verified(corpus):
         anchors = du.choose_anchor_vectors(sys_)
         bundle = du.build_duality_bundle(sys_, anchors, require_self_dual=False)
         self_dual = du.is_self_dual(pa)
-        family = du.build_24_bases(sys_, anchors)
+        du.build_24_bases(sys_, anchors)
         entry = {
             "pa": pa,
             "sys": sys_,
@@ -55,7 +55,7 @@ def verified(corpus):
             "duality": du.verify_duality_suite(sys_, bundle),
             "geometry": du.verify_geometry_suite(sys_, bundle if self_dual else None),
             "anchor_rels": du.verify_anchor_relations(sys_, anchors),
-            "basis_family": du.verify_basis_family(sys_, anchors, family),
+            "basis_family": du.verify_basis_family(sys_, anchors),
             "transitions": du.verify_transition_relations(sys_, anchors),
         }
         if self_dual:

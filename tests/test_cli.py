@@ -120,6 +120,17 @@ def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
     assert err["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("verb", ["verify", "relatives"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, verb):
+    # json.loads raises RecursionError on 100 000 nested lists
+    inp = tmp_path / "in.json"
+    inp.write_text("[" * 100_000)
+    assert main([verb, "--input", str(inp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+
 ARRAY_VERBS = (["verify"], ["dualize"], ["bases"], ["matrix-of-t", "--basis", "tau-vstard"])
 
 

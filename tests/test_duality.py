@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
-from leonard.errors import InconsistentArray, NotSelfDual, UnknownBasis
+from leonard.errors import InconsistentArray, NotSelfDual, SingularBasis, SingularMatrix, UnknownBasis
 from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product
 from leonard.systems import ParameterArray, certify
@@ -85,6 +86,58 @@ def test_each_basis_sequence_built_once(tmp_path, monkeypatch):
     assert du.verify_T_on_bases(s, du.build_duality_bundle(s, anchors), anchors).all_pass
     assert calls == []
     assert all(du.build_basis(s, anchors, basis_id) == seq for basis_id, seq in family.items())
+
+
+def test_eliminations_per_verb(tmp_path, monkeypatch):
+    """Each flag and each forward basis is inverted once; coordinates are products.
+
+    At d = 6 certify takes 3 eliminations.  dualize adds the 4 flag inverses,
+    one rref per spans_components call (24 + 4) and the 7 split_subspace
+    intersections (2 each); bases the 4 flag and 12 basis inverses;
+    matrix-of-t one basis inverse."""
+    GFP = {"kind": "prime", "p": 2**31 - 1}
+    d, enc = 6, lambda x: x % GFP["p"]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "field": GFP, "d": d,
+        "theta": [enc(d - 2 * i) for i in range(d + 1)],
+        "theta_star": [enc(d - 2 * i) for i in range(d + 1)],
+        "varphi": [enc(i * (i - d - 1)) for i in range(1, d + 1)],
+        "phi": [enc(-3 * i * (i - d - 1)) for i in range(1, d + 1)],
+    }))
+    calls = []
+    echelon = Matrix._echelon
+    monkeypatch.setattr(Matrix, "_echelon", lambda self, **kw: calls.append(1) or echelon(self, **kw))
+    bounds = {"verify": 28, "dualize": 49, "bases": 19, "matrix-of-t": 4}
+    for verb, bound in bounds.items():
+        calls.clear()
+        extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
+        assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+        assert len(calls) <= bound, verb
+
+
+def test_singular_basis_inverses():
+    """With v0 replaced by v*0, every basis on v0 is singular; the first of them
+    in BASIS_IDS order is a -rev- id."""
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
+    good = du.choose_anchor_vectors(s)
+    anchors = dataclasses.replace(good, v0=good.v0s)
+    singular = []
+    for basis_id in du.BASIS_IDS:
+        B = Matrix.from_columns(Q, du.build_basis(s, anchors, basis_id))
+        inverse = du.basis_inverse(s, anchors, basis_id)
+        if B.rank() <= s.d:
+            singular.append(basis_id)
+            assert inverse is None
+        else:
+            assert inverse == B.inverse()
+    assert singular[0] == "taustar-rev-v0" and singular[-1] == "estar-rev-v0"
+    with pytest.raises(SingularBasis, match="^taustar-rev-v0 is not a basis$"):
+        du.build_24_bases(s, anchors)
+    assert du.verify_basis_family(s, anchors)["bases_invertible"].witness == {"basis": "estar-rev-v0"}
+    bundle = du.build_duality_bundle(s, good)
+    with pytest.raises(SingularMatrix, match="^matrix has zero determinant$"):
+        du.basis_representations(s, bundle, "etastar-v0", anchors)
 
 
 # --- the self-duality criterion ---
@@ -278,7 +331,7 @@ def test_24_bases_family(sd1):
     _, s, a, _ = sd1
     fam = du.build_24_bases(s, a)
     assert set(fam) == set(du.BASIS_IDS)
-    report = du.verify_basis_family(s, a, fam)
+    report = du.verify_basis_family(s, a)
     assert report.all_pass
 
 
@@ -409,11 +462,11 @@ def test_scale_robustness(sd1):
 
 def _all_reports(s, anchors):
     bundle = du.build_duality_bundle(s, anchors)
-    fam = du.build_24_bases(s, anchors)
+    du.build_24_bases(s, anchors)
     out = []
     for rep in (
         du.verify_anchor_relations(s, anchors),
-        du.verify_basis_family(s, anchors, fam),
+        du.verify_basis_family(s, anchors),
         du.verify_transition_relations(s, anchors),
         du.verify_T_on_bases(s, bundle, anchors),
         du.verify_matrix_of_T(s, bundle, anchors),
@@ -432,8 +485,8 @@ def test_higher_diameter_full_stack(corpus):
     assert du.verify_duality_suite(s, bundle).all_pass
     assert du.verify_geometry_suite(s, bundle).all_pass
     assert du.verify_anchor_relations(s, anchors).all_pass
-    fam = du.build_24_bases(s, anchors)
-    assert du.verify_basis_family(s, anchors, fam).all_pass
+    du.build_24_bases(s, anchors)
+    assert du.verify_basis_family(s, anchors).all_pass
     assert du.verify_transition_relations(s, anchors).all_pass
     assert du.verify_T_on_bases(s, bundle, anchors).all_pass
     assert du.verify_matrix_of_T(s, bundle, anchors).all_pass

@@ -21,7 +21,7 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, intersect_column_spaces, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS
+from conftest import FROZEN_ARRAYS, leonard_arrays
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -173,6 +173,17 @@ def test_geometry_without_bundle_matches_reference(corpus):
         assert_geometry_matches_reference(certify(pa))
 
 
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_generated_geometry_matches_reference(field, data):
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    pa = data.draw(leonard_arrays(field, d), label="pa")
+    s = certify(pa)
+    report = assert_geometry_matches_reference(s, with_bundle(s))
+    assert report.all_pass or not du.is_self_dual(pa)
+
+
 def test_basis_representations_match_separate_solves(corpus):
     for pa in corpus.self_dual:
         s = corpus.system(pa)
@@ -298,5 +309,6 @@ def test_suites_use_no_rank_or_intersection_loops(monkeypatch):
     anchors = du.choose_anchor_vectors(s)
     bundle = du.build_duality_bundle(s, anchors)
     assert du.verify_geometry_suite(s, bundle).all_pass
-    assert du.verify_basis_family(s, anchors, du.build_24_bases(s, anchors)).all_pass
+    du.build_24_bases(s, anchors)
+    assert du.verify_basis_family(s, anchors).all_pass
     assert calls == {"same_column_space": 0, "intersect_column_spaces": s.d + 1}
