@@ -9,6 +9,7 @@ occurs, 2 on malformed input.  Errors are mirrored as a JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,6 +189,7 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leonard",
@@ -233,8 +235,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:

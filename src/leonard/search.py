@@ -19,7 +19,7 @@ from itertools import permutations, product as iproduct
 from .duality import is_self_dual
 from .errors import BudgetExceeded, ExhaustedTrials, NotALeonardPair
 from .fields import Field, PrimeFieldElement
-from .systems import ParameterArray, certify, complete_parameter_array
+from .systems import ParameterArray, certify, complete_parameter_array, pa5_failure
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_MAX_TRIALS = 10**6
@@ -52,7 +52,9 @@ class SearchConfig:
 
 
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:
-    """Classify a candidate by PA1-PA5; certify a survivor by the matrix route."""
+    """Classify a candidate by PA5 on (theta, theta*), then PA1-PA5; certify a survivor."""
+    if pa5_failure(theta, theta_star) is not None:
+        return None
     try:
         pa = complete_parameter_array(field, theta, theta_star, varphi)
     except NotALeonardPair:
@@ -100,6 +102,8 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
                 for res in permutations(range(p), d + 1)
             )
         for theta_star in star_iter:
+            if pa5_failure(theta, theta_star) is not None:
+                continue  # no varphi can repair the eigenvalue sequences
             for vp_res in iproduct(nonzero, repeat=d):
                 varphi = tuple(PrimeFieldElement(p, r) for r in vp_res)
                 pa = _certified_array(field, theta, theta_star, varphi)
@@ -113,21 +117,21 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
     return found
 
 
+_BOX = {(n, q): Fraction(n, q) for n in range(-9, 10) for q in range(1, 5)}
+_BOX = {key: _BOX[x.numerator, x.denominator] for key, x in _BOX.items()}  # equal values: one object
+_BOX_SIZE = len(set(_BOX.values()))  # the number of distinct values _draw_scalar returns (51)
+
+
 def _draw_scalar(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-
-
-# the number of distinct values _draw_scalar returns (51)
-_BOX_SIZE = len({Fraction(n, q) for n in range(-9, 10) for q in range(1, 5)})
+    return _BOX[rng.randint(-9, 9), rng.randint(1, 4)]
 
 
 def _draw_distinct(rng: random.Random, n: int) -> tuple:
-    out = []
+    out = {}  # canonical draws keyed by identity: no Fraction comparison
     while len(out) < n:
         x = _draw_scalar(rng)
-        if x not in out:
-            out.append(x)
-    return tuple(out)
+        out.setdefault(id(x), x)
+    return tuple(out.values())
 
 
 def _draw_nonzero(rng: random.Random, n: int) -> tuple:

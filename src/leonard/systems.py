@@ -338,6 +338,16 @@ def certify(pa: ParameterArray) -> LeonardSystem:
     return sys
 
 
+def pa5_failure(theta, theta_star) -> int | None:
+    """The first i in 2..d-1 where PA5 fails, else None; each ratio is compared with
+    theta's at i = 2 by cross-multiplication (PA1 keeps every denominator nonzero)."""
+    for i in range(2, len(theta) - 1):
+        for t in (theta_star, theta):
+            if (t[i - 2] - t[i + 1]) * (theta[1] - theta[2]) != (theta[0] - theta[3]) * (t[i - 1] - t[i]):
+                return i
+    return None
+
+
 def complete_parameter_array(field: Field, theta, theta_star, varphi) -> ParameterArray:
     """The unique parameter array with first split sequence varphi, by PA1-PA5.
 
@@ -358,10 +368,9 @@ def complete_parameter_array(field: Field, theta, theta_star, varphi) -> Paramet
     for i in range(1, d + 1):
         if varphi[i - 1] != phi[0] * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]):
             raise NotALeonardPair(f"PA3 fails at i={i}: varphi_{i} disagrees with phi_1")
-    ratio = lambda t, i: (t[i - 2] - t[i + 1]) / (t[i - 1] - t[i])
-    for i in range(2, d):
-        if not ratio(th, i) == ratio(ths, i) == ratio(th, 2):
-            raise NotALeonardPair(f"PA5 fails at i={i}: the theta, theta* recurrences differ")
+    i = pa5_failure(th, ths)
+    if i is not None:
+        raise NotALeonardPair(f"PA5 fails at i={i}: the theta, theta* recurrences differ")
     return replace(pa, phi=phi)
 
 

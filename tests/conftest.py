@@ -3,10 +3,10 @@
 The searched part follows the acceptance recipe: exhaustive enumeration over
 GF(7) at d = 1, 2 and seeded random search over the rationals at d = 1..6.
 Blind box draws are empty at d >= 3 (the eigenvalue recurrences cut a
-measure-zero variety), so the corpus also carries frozen externally supplied
-arrays of Krawtchouk type at d = 3..6; each was produced offline by solving
-the bidiagonal tridiagonality conditions and is re-certified here by the
-oracle before use.
+measure-zero variety), so the corpus also carries frozen arrays of
+Krawtchouk type at d = 3..6; `test_systems.py::test_frozen_arrays_rederived`
+re-derives each from eight scalars with `leonard_array`, and each is
+re-certified here by the oracle before use.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from leonard.systems import LeonardSystem, ParameterArray, certify, complete_par
 GF7 = Field.prime(7)
 RATIONAL = Field.rational()
 
-# Externally supplied candidate arrays (offline-derived, oracle-verified).
+# Krawtchouk-type arrays, re-derived by test_systems.py::test_frozen_arrays_rederived.
 FROZEN_ARRAYS = [
     {
         "field": {"kind": "rational"}, "d": 3,

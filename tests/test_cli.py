@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -263,6 +265,35 @@ def test_search_bad_config_exit_2(tmp_path, capsys, argv):
     code, text = run_cli(tmp_path, ["search", *argv])
     assert code == 2 and text == ""
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_calls_share_one_parser(tmp_path):
+    # main reuses one cached parser: an argparse error must not change later calls
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(D1_SELF_DUAL))
+    calls = [
+        ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"],
+        ["search", "--field", "prime:7", "--d", "1", "--self-dual", "--limit", "3"],
+        ["verify", "--input", str(inp)],
+        ["matrix-of-t", "--basis", "tau-vstard", "--input", str(inp)],
+    ]
+    first = [_call(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
+    bad = _call(["search", "--field", "rational", "--self-dual"])  # --d is required
+    assert bad[0] == 2 and bad[1] == "" and "--d" in bad[2]
+    assert [_call(argv) for argv in calls] == first
+    assert _call(["search", "--field", "rational", "--self-dual"]) == bad
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_installed_entry_point(tmp_path):

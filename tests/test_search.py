@@ -1,5 +1,6 @@
 import random
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -182,6 +183,72 @@ def test_rational_diameter_bounded_by_draw_box():
     SearchConfig(GF7, 60)  # prime-field enumeration is bounded by its budget instead
     with pytest.raises(ValueError):
         SearchConfig(Q, 51)
+
+
+def _oracle_scalar(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _oracle_distinct(rng, n):
+    out = []
+    while len(out) < n:
+        x = _oracle_scalar(rng)
+        if x not in out:
+            out.append(x)
+    return tuple(out)
+
+
+def _oracle_nonzero(rng, n):
+    out = []
+    while len(out) < n:
+        x = _oracle_scalar(rng)
+        if x:
+            out.append(x)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 51])
+def test_draws_match_fraction_oracle(n):
+    # the canonical box must leave the draw stream, and so the search output, unchanged
+    for seed in range(100):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert search._draw_distinct(fast, n) == _oracle_distinct(slow, n)
+            assert fast.getstate() == slow.getstate()
+            assert search._draw_nonzero(fast, n) == _oracle_nonzero(slow, n)
+            assert fast.getstate() == slow.getstate()
+
+
+def test_draw_box_shares_equal_values():
+    assert len(search._BOX) == 19 * 4
+    assert all(x == Fraction(*key) and type(x) is Fraction for key, x in search._BOX.items())
+    assert search._BOX[-2, 2] is search._BOX[-1, 1] is search._BOX[-4, 4]
+    assert search._BOX[0, 3] is search._BOX[0, 1]
+    assert len({id(x) for x in search._BOX.values()}) == _BOX_SIZE
+
+
+def _classifier_scan(field, d, self_dual):
+    """Every certified-by-classifier candidate in lexicographic order, with no PA5 shortcut."""
+    p = field.p
+    orders = [tuple(PrimeFieldElement(p, r) for r in th) for th in permutations(range(p), d + 1)]
+    for theta in orders:
+        for theta_star in (theta,) if self_dual else orders:
+            for vp in product(range(1, p), repeat=d):
+                try:
+                    pa = complete_parameter_array(field, theta, theta_star, [PrimeFieldElement(p, r) for r in vp])
+                except NotALeonardPair:
+                    continue
+                if not self_dual or is_self_dual(pa):
+                    yield pa
+
+
+@pytest.mark.parametrize("self_dual, limit", [(True, 10**6), (False, 30)])
+def test_enumeration_matches_classifier_scan(self_dual, limit):
+    # d = 3 over GF(5): the per-(theta, theta*) PA5 skip keeps the lexicographic output
+    F5 = Field.prime(5)
+    found = enumerate_prime_field(SearchConfig(F5, 3, self_dual_only=self_dual, limit=limit))
+    assert found == list(islice(_classifier_scan(F5, 3, self_dual), limit))
+    assert len(found) == (200 if self_dual else limit)
 
 
 def test_char2_recorded_behavior():

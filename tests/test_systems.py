@@ -23,6 +23,7 @@ from leonard.systems import (
     eta_roots,
     extract_parameter_array,
     nu_scalars,
+    pa5_failure,
     product,
     _gram_by_nullspace,
     solve_gram,
@@ -35,7 +36,10 @@ from leonard.systems import (
     verify_axioms,
 )
 
+from conftest import FROZEN_ARRAYS, field_scalars, leonard_array, leonard_arrays
+
 Q = Field.rational()
+GFP = Field.prime(2**31 - 1)
 
 
 def d1_example() -> ParameterArray:
@@ -208,6 +212,87 @@ def test_classifier_names_failed_condition(theta, theta_star, varphi, witness):
 def test_classifier_rejects_repeated_eigenvalues():
     with pytest.raises(ValueError):
         complete_parameter_array(Q, (F(1), F(1)), (F(0), F(1)), (F(1),))
+
+
+# --- PA5 by cross-multiplication against its division form ---
+
+
+def pa5_by_division(theta, theta_star):
+    """PA5 as ratios of differences, the oracle of pa5_failure: the first failing i, else None."""
+    ratio = lambda t, i: (t[i - 2] - t[i + 1]) / (t[i - 1] - t[i])
+    for i in range(2, len(theta) - 1):
+        if not ratio(theta, i) == ratio(theta_star, i) == ratio(theta, 2):
+            return i
+    return None
+
+
+@st.composite
+def distinct_pairs(draw, max_d=6):
+    """(theta, theta*), each d + 1 distinct scalars over Q or GF(p), d = 0..max_d."""
+    field = draw(st.sampled_from([Q, Field.prime(11), Field.prime(13), GFP]))
+    d = draw(st.integers(min_value=0, max_value=max_d))
+    seq = lambda: tuple(draw(st.lists(field_scalars(field), min_size=d + 1, max_size=d + 1, unique=True)))
+    return seq(), seq()
+
+
+@st.composite
+def perturbed_leonard_pairs(draw):
+    """(theta, theta*) of a Leonard array, d = 3..6, with one entry moved: PA5 fails at any i."""
+    field = draw(st.sampled_from([Q, GFP]))
+    d = draw(st.integers(min_value=3, max_value=6))
+    pa = draw(leonard_arrays(field, d))
+    seqs = [list(pa.theta), list(pa.theta_star)]
+    which, k = draw(st.integers(min_value=0, max_value=1)), draw(st.integers(min_value=0, max_value=d))
+    seqs[which][k] = seqs[which][k] + draw(field_scalars(field))
+    assume(all(len(set(seq)) == d + 1 for seq in seqs))
+    return tuple(seqs[0]), tuple(seqs[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_realizable())
+def test_pa5_failure_agrees_with_division_near_realizable(candidate):
+    _, theta, theta_star, _ = candidate
+    assert pa5_failure(theta, theta_star) == pa5_by_division(theta, theta_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(distinct_pairs(), perturbed_leonard_pairs()))
+def test_pa5_failure_agrees_with_division_form(pair):
+    assert pa5_failure(*pair) == pa5_by_division(*pair)
+
+
+@settings(max_examples=50, deadline=None)
+@given(distinct_pairs(max_d=2))
+def test_pa5_failure_needs_d_at_least_3(pair):
+    assert pa5_failure(*pair) is None
+
+
+@pytest.mark.parametrize("theta, theta_star, index", [
+    ((0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, 6), 4),  # theta's own ratio changes at i = 4
+    ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4), 3),  # theta*'s ratio changes at i = 3
+    ((0, 1, 2, 4), (0, 1, 2, 3), 2),
+    ((0, 1, 3, 4), (0, 1, 3, 4), None),
+])
+def test_pa5_failure_index(theta, theta_star, index):
+    th, ths = [F(x) for x in theta], [F(x) for x in theta_star]
+    assert pa5_failure(th, ths) == pa5_by_division(th, ths) == index
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pa5_holds_on_leonard_arrays(field, data):
+    pa = data.draw(leonard_arrays(field, data.draw(st.integers(min_value=0, max_value=6), label="d")), label="pa")
+    assert pa5_failure(pa.theta, pa.theta_star) is None
+
+
+@pytest.mark.parametrize("obj", FROZEN_ARRAYS, ids=[f"frozen{k}-d{o['d']}" for k, o in enumerate(FROZEN_ARRAYS)])
+def test_frozen_arrays_rederived(obj):
+    # beta + 1 = (theta_0 - theta_3) / (theta_1 - theta_2) fixes the shared recurrence (PA5)
+    frozen = ParameterArray.from_json(obj)
+    th = frozen.theta
+    beta = (th[0] - th[3]) / (th[1] - th[2]) - 1
+    assert leonard_array(Q, frozen.d, th[:3], frozen.theta_star[:3], beta, frozen.varphi[0]) == frozen
 
 
 # --- relatives ---
