@@ -225,8 +225,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     factors, t_tr = (sys.eigenbasis(), sys.eigenbasis(star=True)), t.transpose()
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
         (W, U), (Wr, Ur) = factors[star], factors[not star]
-        _add_first_failure(report, name, (outer(W.column(i), t_tr * Vector(f, U[i]))
-                                          == outer(t * Wr.column(i), Vector(f, Ur[i])) for i in range(d + 1)))
+        _add_first_failure(report, name, (outer(W.column(i), t_tr * U.row(i))
+                                          == outer(t * Wr.column(i), Ur.row(i)) for i in range(d + 1)))
 
     # the eight product formulas with their displayed coefficients
     vp = product(f, pa.varphi)
@@ -275,8 +275,7 @@ class Flag:
 
     @property
     def components(self) -> tuple:
-        f, rows = self.basis.field, self.basis.rows
-        return tuple(Matrix(f, (row[:i] for row in rows)) for i in range(1, len(rows) + 1))
+        return tuple(self.basis.submatrix(cols=slice(0, i)) for i in range(1, self.basis.nrows + 1))
 
     def to_json(self) -> dict:
         return {
@@ -537,7 +536,7 @@ def basis_inverse(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
     its columns reversed, so its inverse has the forward inverse's rows reversed."""
     (_, flag), rev = _forward_basis(sys, anchors, basis_id)
     inv = flag.inverse
-    return Matrix(inv.field, inv.rows[::-1]) if rev and inv is not None else inv
+    return inv.submatrix(slice(None, None, -1)) if rev and inv is not None else inv
 
 
 def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
@@ -758,14 +757,10 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
     varphi_1...varphi_d / (tau_d(theta_d) eta_d(theta_0))."""
     f, d = pa.field, pa.d
     tau_d, eta_d, _, _ = edge_values(pa)
-    coeff = product(f, pa.varphi) / (tau_d * eta_d)
-    rows = [[f.zero()] * (d + 1) for _ in range(d + 1)]
-    run = f.one()
-    for i in range(d + 1):
-        rows[d - i][i] = coeff * run
-        if i < d:
-            run = run * pa.phi[i]
-    return Matrix(f, rows)
+    run = [product(f, pa.varphi) / (tau_d * eta_d)]  # run[i] is entry (d-i, i)
+    for x in pa.phi:
+        run.append(run[-1] * x)
+    return Matrix(f, [[run[j] if i + j == d else f.zero() for j in range(d + 1)] for i in range(d + 1)])
 
 
 def basis_representations(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,

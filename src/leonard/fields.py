@@ -187,7 +187,7 @@ class Field:
         p = self.p
         if den % p == 0:
             raise ZeroDivisionError("denominator is 0 in GF(p)")
-        inv = pow(den, -1, p)
+        inv = pow(den, -1, p) if den != 1 else 1
         return [PrimeFieldElement(p, a * inv) for a in nums]
 
     def contains(self, x) -> bool:

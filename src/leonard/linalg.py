@@ -1,79 +1,130 @@
 """Dense exact linear algebra over a ground field.
 
-Matrices and vectors are immutable value types; every operation returns a
-new object.  Products and elimination run on integer rows (`Field.to_ints`)
-and convert back to field elements once per output entry: a product entry is
-one exact integer dot product, and Gauss-Jordan elimination is fraction-free
-with first-nonzero pivoting (GF(p) has no magnitude order).
-Indexing is 0-based on rows and columns 0..d.
+Matrices and vectors are immutable values holding one canonical integer form,
+which all arithmetic reads: integer rows `nums` over one denominator `den` > 0
+with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
+A product entry is one exact integer dot product, each result is made
+canonical with one gcd pass, and equality compares canonical forms.  Field
+elements are made only at the edges (indexing, scalars, JSON), once per
+instance.  Gauss-Jordan elimination is fraction-free with first-nonzero
+pivoting (GF(p) has no magnitude order).  Indexing is 0-based.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DuplicateEigenvalue, SingularMatrix
 from .fields import Field
 
 
-class Vector:
+def _check_shapes(ok: bool, a, b) -> None:
+    if not ok:
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+
+
+class _Exact:
+    """The canonical integer form that Matrix and Vector hold (a Vector has
+    one row), and the arithmetic they share."""
+
+    __slots__ = ("field", "nums", "den", "_elements")
+
+    def __init__(self, field: Field, rows):
+        rows = [tuple(row) for row in rows]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("rows of unequal length")
+        nums, self.den = field.to_ints(rows)
+        self.field, self.nums, self._elements = field, tuple(map(tuple, nums)), None
+
+    @classmethod
+    def _of(cls, field: Field, rows, den: int = 1):
+        """The object rows / den in canonical form, for a list or tuple of integer rows and den != 0."""
+        out = object.__new__(cls)
+        out.field, out._elements = field, None
+        if not field.is_rational:
+            p, s = field.p, (pow(den, -1, field.p) if den != 1 else 1)
+            out.nums, out.den = tuple([tuple([a * s % p for a in row]) for row in rows]), 1
+            return out
+        g = gcd(den, *chain.from_iterable(rows)) * (-1 if den < 0 else 1)
+        out.nums = tuple([tuple([a // g for a in row]) for row in rows]) if g != 1 else tuple(map(tuple, rows))
+        out.den = den // g
+        return out
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.nums), len(self.nums[0]) if self.nums else 0)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as rows of field elements, made from the integer form on first use."""
+        if self._elements is None:
+            self._elements = tuple(tuple(self.field.from_ints(row, self.den)) for row in self.nums)
+        return self._elements
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.field, self.den, self.nums) == (other.field, other.den, other.nums)
+
+    def __hash__(self):
+        return hash((self.field, self.nums, self.den))
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.nums))
+
+    def _combine(self, other, sign: int):
+        _check_shapes(self.shape == other.shape, self, other)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        rows = [[a * sa + b * sb for a, b in zip(r, s)] for r, s in zip(self.nums, other.nums)]
+        return self._of(self.field, rows, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._of(self.field, [[-a for a in r] for r in self.nums], self.den)
+
+    def scale(self, c):
+        num, den = (c.numerator, c.denominator) if self.field.is_rational else (c.r, 1)
+        return self._of(self.field, [[num * a for a in r] for r in self.nums], self.den * den)
+
+
+class Vector(_Exact):
     """An exact column vector with entries in a fixed field."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ()
 
     def __init__(self, field: Field, entries):
-        self.field = field
-        self.entries = tuple(entries)
+        super().__init__(field, [entries])
+
+    entries = property(lambda self: self.rows[0], doc="The coordinates as field elements.")
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.nums[0])
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return self.field.fraction(self.nums[0][i], self.den)
 
     def __iter__(self):
         return iter(self.entries)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and self.field == other.field
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __add__(self, other):
-        return Vector(self.field, (a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        return Vector(self.field, (a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return Vector(self.field, (-a for a in self.entries))
-
-    def scale(self, c):
-        return Vector(self.field, (c * a for a in self.entries))
-
     def dot(self, other) -> object:
-        return _products(self.field, [self.entries], [other.entries])[0][0]
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
+        _check_shapes(self.shape == other.shape, self, other)
+        return self.field.fraction(sum(map(mul, self.nums[0], other.nums[0])), self.den * other.den)
 
     def first_nonzero_index(self) -> int | None:
-        for i, a in enumerate(self.entries):
-            if a:
-                return i
-        return None
+        return next((i for i, a in enumerate(self.nums[0]) if a), None)
 
     def normalized(self) -> "Vector":
         """Scale so the first nonzero coordinate equals 1."""
         i = self.first_nonzero_index()
         if i is None:
             raise ValueError("cannot normalize the zero vector")
-        return self.scale(self.field.invert(self.entries[i]))
+        return Vector._of(self.field, self.nums, self.nums[0][i])
 
     def to_json(self):
         enc = self.field.encode_scalar
@@ -83,46 +134,43 @@ class Vector:
         return f"Vector({list(self.entries)})"
 
 
-class Matrix:
+class Matrix(_Exact):
     """An exact dense matrix with entries in a fixed field."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ()
 
-    def __init__(self, field: Field, rows):
-        self.field = field
-        self.rows = tuple(tuple(row) for row in rows)
+    # bound on Matrix itself: perfbench/tracing.py wraps them by name in Matrix.__dict__
+    __add__, __sub__, scale = _Exact.__add__, _Exact.__sub__, _Exact.scale
 
     # --- constructors ---
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, ((one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls._of(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, n: int, m: int | None = None) -> "Matrix":
-        zero = field.zero()
-        m = n if m is None else m
-        return cls(field, ((zero for _ in range(m)) for _ in range(n)))
+        return cls._of(field, [(0,) * (n if m is None else m)] * n)
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
-        cols = [list(c) for c in columns]
-        return cls(field, zip(*cols)) if cols else cls(field, ())
+        cols = list(columns)
+        den = lcm(*(c.den for c in cols))
+        return cls._of(field, list(zip(*([a * (den // c.den) for a in c.nums[0]] for c in cols))), den)
 
     @classmethod
     def from_ints(cls, field: Field, rows) -> "Matrix":
-        return cls(field, ((field.from_int(a) for a in row) for row in rows))
+        return cls._of(field, [tuple(row) for row in rows])
 
     # --- shape and access ---
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.nums[0]) if self.nums else 0
 
     @property
     def is_square(self) -> bool:
@@ -132,139 +180,102 @@ class Matrix:
         return self.rows[i]
 
     def column(self, j: int) -> Vector:
-        return Vector(self.field, (row[j] for row in self.rows))
+        return Vector._of(self.field, [[row[j] for row in self.nums]], self.den)
 
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-        )
+    def row(self, i: int) -> Vector:
+        return Vector._of(self.field, self.nums[i:i + 1], self.den)
 
-    def __hash__(self):
-        return hash((self.field, self.rows))
+    def submatrix(self, rows=slice(None), cols=slice(None)) -> "Matrix":
+        """The block on the given row and column slices."""
+        return Matrix._of(self.field, [row[cols] for row in self.nums[rows]], self.den)
 
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
+    def beside(self, other: "Matrix") -> "Matrix":
+        """[self | other]: the columns of self, then those of other."""
+        _check_shapes(self.nrows == other.nrows, self, other)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        rows = [[a * sa for a in r] + [b * sb for b in s] for r, s in zip(self.nums, other.nums)]
+        return Matrix._of(self.field, rows, den)
 
     # --- arithmetic ---
-
-    def __add__(self, other):
-        return Matrix(
-            self.field,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-        )
-
-    def __sub__(self, other):
-        return Matrix(
-            self.field,
-            ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-        )
-
-    def __neg__(self):
-        return Matrix(self.field, ((-a for a in row) for row in self.rows))
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.field, ((c * a for a in row) for row in self.rows))
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("incompatible shapes")
-            return Matrix(self.field, _products(self.field, self.rows, zip(*other.rows)))
-        if isinstance(other, Vector):
-            return Vector(self.field, (row[0] for row in _products(self.field, self.rows, [other.entries])))
-        return self.scale(other)
+        if not isinstance(other, _Exact):
+            return self.scale(other)
+        vec = isinstance(other, Vector)  # a Vector's one row is the one column to multiply
+        _check_shapes(self.ncols == (len(other) if vec else other.nrows), self, other)
+        cols = other.nums if vec else list(zip(*other.nums))
+        rows = [[sum(map(mul, a, b)) for b in cols] for a in self.nums]
+        return type(other)._of(self.field, [[r[0] for r in rows]] if vec else rows, self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows))
+        return Matrix._of(self.field, list(zip(*self.nums)), self.den)
 
     def trace(self):
-        total = self.field.zero()
-        for i in range(self.nrows):
-            total = total + self.rows[i][i]
-        return total
+        return self.field.fraction(sum(self.nums[i][i] for i in range(self.nrows)), self.den)
 
     # --- elimination-based operations ---
 
     def _echelon(self, augment=None):
-        """Row-reduce [self | augment]: fraction-free Gauss-Jordan, first-nonzero pivot.
-
-        A row update pv*a - g*b on integer rows is kept small by
-        `Field.reduce_ints`; each pivot row is divided by its pivot at the end.
-        Returns (reduced rows, pivot column list, reduced augment rows).
-        """
+        """Row-reduce [self | augment] (`_gauss_jordan` on the integer rows), then
+        divide each pivot row by its pivot.  Returns (reduced self, pivot column
+        list, reduced augment or None)."""
         field, m = self.field, self.ncols
-        extra = augment if augment is not None else [()] * self.nrows
-        rows, _ = field.to_ints(r + tuple(a) for r, a in zip(self.rows, extra, strict=True))
-        pivots = []
-        for c in range(m):
-            r = len(pivots)
-            pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            top, pv = rows[r], rows[r][c]
-            for i, row in enumerate(rows):
-                g = row[c]
-                if g and i != r:
-                    rows[i] = field.reduce_ints([pv * a - g * b for a, b in zip(row, top)])
-            pivots.append(c)
-        out = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
-        out += [field.from_ints(row, 1) for row in rows[len(pivots):]]
-        return [row[:m] for row in out], pivots, [row[m:] for row in out] if augment is not None else None
+        rows = [list(r) for r in (self if augment is None else self.beside(augment)).nums]
+        pivots = _gauss_jordan(field, rows, m)
+        heads = [rows[r][c] for r, c in enumerate(pivots)]
+        den = lcm(*heads)  # over GF(p) an lcm of residues in [1, p), so prime to p
+        rows = [[a * (den // pv) for a in row] for row, pv in zip(rows, heads)] + rows[len(pivots):]
+        reduced = Matrix._of(field, [row[:m] for row in rows], den)
+        return reduced, pivots, Matrix._of(field, [row[m:] for row in rows], den) if augment is not None else None
 
     def rref(self):
-        rows, pivots, _ = self._echelon()
-        return Matrix(self.field, rows), pivots
+        return self._echelon()[:2]
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(_gauss_jordan(self.field, [list(r) for r in self.nums], self.ncols))
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises SingularMatrix when the determinant is 0."""
         if not self.is_square:
             raise SingularMatrix("only square matrices are invertible")
-        ident = Matrix.identity(self.field, self.nrows)
-        _, pivots, aug = self._echelon(augment=ident.rows)
+        _, pivots, inv = self._echelon(augment=Matrix.identity(self.field, self.nrows))
         if len(pivots) != self.nrows:
             raise SingularMatrix("matrix has zero determinant")
-        return Matrix(self.field, aug)
+        return inv
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """X with self*X = rhs; raises SingularMatrix when not uniquely solvable."""
         if not self.is_square:
             raise SingularMatrix("solve requires a square matrix")
-        _, pivots, aug = self._echelon(augment=rhs.rows)
+        _, pivots, X = self._echelon(augment=rhs)
         if len(pivots) != self.nrows:
             raise SingularMatrix("matrix has zero determinant")
-        return Matrix(self.field, aug)
+        return X
 
     def nullspace(self) -> list[Vector]:
         """Canonical nullspace basis (one vector per free column)."""
-        rows, pivots, _ = self._echelon()
-        zero, one = self.field.zero(), self.field.one()
-        free = [c for c in range(self.ncols) if c not in pivots]
+        R, pivots, _ = self._echelon()
         basis = []
-        for fc in free:
-            v = [zero] * self.ncols
-            v[fc] = one
+        for fc in (c for c in range(self.ncols) if c not in pivots):
+            v = [0] * self.ncols
+            v[fc] = R.den
             for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][fc]
-            basis.append(Vector(self.field, v))
+                v[pc] = -R.nums[r][fc]
+            basis.append(Vector._of(self.field, [v], R.den))
         return basis
 
     def column_space_basis(self) -> "Matrix":
         """Canonical basis of the column space, returned as matrix columns."""
-        rows, pivots, _ = self.transpose()._echelon()
-        basis = rows[: len(pivots)]
-        return Matrix(self.field, (tuple(v[i] for v in basis) for i in range(self.nrows)))
+        R, pivots, _ = self.transpose()._echelon()
+        basis = R.nums[: len(pivots)]
+        return Matrix._of(self.field, [[v[i] for v in basis] for i in range(self.nrows)], R.den)
 
     def to_json(self):
         enc = self.field.encode_scalar
@@ -274,40 +285,57 @@ class Matrix:
         return "Matrix([" + ",\n        ".join(str(list(r)) for r in self.rows) + "])"
 
 
-def _products(field: Field, left, right):
-    """Rows of dot products of each left row with each right column, one
-    exact integer dot product per entry."""
-    a_rows, da = field.to_ints(left)
-    b_cols, db = field.to_ints(right)
-    return [field.from_ints([sum(map(mul, a, b)) for b in b_cols], da * db) for a in a_rows]
+def _gauss_jordan(field: Field, rows: list, m: int) -> list:
+    """Reduce the integer rows in place on their first m columns; returns the
+    pivot columns.  A row update pv*a - g*b is kept small by `Field.reduce_ints`."""
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top, pv = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            g = row[c]
+            if g and i != r:
+                rows[i] = field.reduce_ints([pv * a - g * b for a, b in zip(row, top)])
+        pivots.append(c)
+    return pivots
 
 
 def outer(u: Vector, v: Vector) -> Matrix:
     """The rank-one matrix u v^T, one integer product per entry."""
-    return Matrix(u.field, _products(u.field, [[a] for a in u], [[b] for b in v]))
+    return Matrix._of(u.field, [[a * b for b in v.nums[0]] for a in u.nums[0]], u.den * v.den)
 
 
 def trace_of_product(X: Matrix, Y: Matrix):
     """tr(XY) for n x m X and m x n Y as one exact integer dot product, O(nm)."""
-    flat = lambda rows: [[x for row in rows for x in row]]
-    return _products(X.field, flat(X.rows), flat(zip(*Y.rows)))[0][0]
+    _check_shapes(X.shape == Y.shape[::-1], X, Y)
+    total = sum(map(mul, chain.from_iterable(X.nums), chain.from_iterable(zip(*Y.nums))))
+    return X.field.fraction(total, X.den * Y.den)
+
+
+def flat_rank(mats) -> int:
+    """dim span(mats), each matrix read as one vector of its entries; the integer
+    rows serve, as each is the matrix times its nonzero denominator."""
+    return Matrix.from_ints(mats[0].field, (chain.from_iterable(M.nums) for M in mats)).rank()
 
 
 def rank_one_factors(mats):
     """(W, U) with mats[i] == w_i u_i^T, w_i (column i of W) the first nonzero
     column of mats[i] and u_i^T (row i of U) the row through its first nonzero
     entry, divided by that entry; None when some matrix is not of rank one."""
-    cols, rows = [], []
+    factors = []
     for M in mats:
-        k, j = next(((k, j) for k, row in enumerate(M.rows) for j, x in enumerate(row) if x), (0, None))
+        k, j = next(((k, j) for k, row in enumerate(M.nums) for j, x in enumerate(row) if x), (0, None))
         if j is None:
             return None
-        w, u = M.column(j), Vector(M.field, M[k]).scale(M.field.invert(M[k][j]))
-        if outer(w, u) != M:
+        factors.append((M.column(j), M.row(k).normalized()))
+        if outer(*factors[-1]) != M:
             return None
-        cols.append(w)
-        rows.append(u)
-    return Matrix.from_columns(mats[0].field, cols), Matrix(mats[0].field, rows)
+    cols, rows = zip(*factors)
+    return Matrix.from_columns(M.field, cols), Matrix.from_columns(M.field, rows).transpose()
 
 
 def rank_one_sum(lefts, mid: Matrix, rights) -> Matrix:
@@ -317,16 +345,15 @@ def rank_one_sum(lefts, mid: Matrix, rights) -> Matrix:
     if found is None:
         raise ValueError("the middle factor is not of rank one")
     (W, U), f = found, mid.field
-    return Matrix.from_columns(f, [L * W.column(0) for L in lefts]) * Matrix(f, ((U * R)[0] for R in rights))
+    left = Matrix.from_columns(f, [L * W.column(0) for L in lefts])
+    return left * Matrix.from_columns(f, [(U * R).row(0) for R in rights]).transpose()
 
 
 def bidiagonal(field: Field, diag, upper=None) -> Matrix:
     """Diagonal diag with upper on the superdiagonal, or ones on the
     subdiagonal when upper is None."""
     n = len(diag)
-    rows = [[field.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
+    rows = [[diag[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
     for i in range(1, n):
         if upper is None:
             rows[i][i - 1] = field.one()
@@ -356,7 +383,7 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
         for k in range(i - 1, -1, -1):
             above[k] = c[k] * above[k + 1] / (th - diag[k])
         w, u = (below, above) if upper is None else (above, below)
-        out.append(Matrix(field, ((a * b for b in u) for a in w)))
+        out.append(outer(Vector(field, w), Vector(field, u)))
     return out
 
 
@@ -366,10 +393,10 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
 def root_product_family(M: Matrix, roots, start=None) -> list:
     """[p_0(M) X, ..., p_k(M) X] where p_i is the product of (x - r) over the
     first i roots and X is start (a Matrix or a Vector; the identity when None)."""
-    out = [Matrix.identity(M.field, M.nrows) if start is None else start]
-    for r in roots:  # M - r I: only the diagonal moves
-        shifted = Matrix(M.field, (row[:i] + (row[i] - r,) + row[i + 1:] for i, row in enumerate(M.rows)))
-        out.append(shifted * out[-1])
+    ident = Matrix.identity(M.field, M.nrows)
+    out = [ident if start is None else start]
+    for r in roots:
+        out.append((M - ident.scale(r)) * out[-1])
     return out
 
 
@@ -384,44 +411,26 @@ def lagrange_idempotent(M: Matrix, eigenvalues, i: int) -> Matrix:
     When M is multiplicity-free with the listed spectrum these satisfy
     E_i E_j = delta_ij E_i, sum E_i = I and M = sum theta_i E_i.
     """
-    eigenvalues = list(eigenvalues)
-    for a in range(len(eigenvalues)):
-        for b in range(a + 1, len(eigenvalues)):
-            if eigenvalues[a] == eigenvalues[b]:
-                raise DuplicateEigenvalue(f"eigenvalues {a} and {b} coincide")
-    out = Matrix.identity(M.field, M.nrows)
-    ident = out
-    for j, theta_j in enumerate(eigenvalues):
-        if j == i:
-            continue
-        out = out * (M - ident.scale(theta_j))
-        out = out.scale(M.field.invert(eigenvalues[i] - theta_j))
-    return out
+    ev = list(eigenvalues)
+    for a, b in ((a, b) for a in range(len(ev)) for b in range(a + 1, len(ev)) if ev[a] == ev[b]):
+        raise DuplicateEigenvalue(f"eigenvalues {a} and {b} coincide")
+    others, c = ev[:i] + ev[i + 1:], M.field.one()
+    for theta_j in others:
+        c = c * (ev[i] - theta_j)
+    return root_product_family(M, others)[-1].scale(M.field.invert(c))
 
 
 def is_irreducible_tridiagonal(M: Matrix) -> bool:
     """True iff M is tridiagonal with every sub- and superdiagonal entry nonzero."""
-    n = M.nrows
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and M[i][j]:
-                return False
-    for i in range(1, n):
-        if not M[i][i - 1] or not M[i - 1][i]:
-            return False
-    return True
+    rows, n = M.nums, M.nrows
+    return all(i == j or bool(rows[i][j]) == (abs(i - j) == 1) for i in range(n) for j in range(n))
 
 
 def transition_matrix(from_basis, to_basis) -> Matrix:
-    """Columns express from_basis vectors in to_basis coordinates.
-
-    Raises SingularMatrix when either vector list is not a basis.
-    """
-    from_basis = list(from_basis)
+    """Columns express from_basis vectors in to_basis coordinates; raises
+    SingularMatrix when either vector list is not a basis."""
     to_basis = list(to_basis)
-    field = to_basis[0].field
-    from_mat = Matrix.from_columns(field, from_basis)
-    to_mat = Matrix.from_columns(field, to_basis)
+    from_mat, to_mat = (Matrix.from_columns(to_basis[0].field, b) for b in (from_basis, to_basis))
     if not (from_mat.is_square and to_mat.is_square):
         raise SingularMatrix("basis lists must be square")
     from_mat.inverse()  # existence check for the source list
@@ -430,17 +439,13 @@ def transition_matrix(from_basis, to_basis) -> Matrix:
 
 def intersect_column_spaces(A: Matrix, B: Matrix) -> Matrix:
     """Canonical basis (as columns) of col(A) ∩ col(B)."""
-    field = A.field
-    stacked = Matrix(field, (ra + tuple(-b for b in rb) for ra, rb in zip(A.rows, B.rows)))
-    kernel = stacked.nullspace()
-    X = Matrix(field, (tuple(v[j] for v in kernel) for j in range(A.ncols)))
+    kernel = A.beside(-B).nullspace()
+    den = lcm(*(v.den for v in kernel))
+    X = Matrix._of(A.field, [[v.nums[0][j] * (den // v.den) for v in kernel] for j in range(A.ncols)], den)
     return (A * X).column_space_basis()
 
 
 def same_column_space(A: Matrix, B: Matrix) -> bool:
     """Subspace equality via ranks of the stacked generators."""
-    ra, rb = A.rank(), B.rank()
-    if ra != rb:
-        return False
-    joined = Matrix(A.field, (x + y for x, y in zip(A.rows, B.rows)))
-    return joined.rank() == ra
+    ra = A.rank()
+    return ra == B.rank() and A.beside(B).rank() == ra

@@ -10,7 +10,7 @@ reports, ``certify`` raises NotALeonardPair on any failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     bidiagonal,
     bidiagonal_idempotents,
+    flat_rank,
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
@@ -85,28 +86,9 @@ class ParameterArray:
     phi: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(self.theta))
-        object.__setattr__(self, "theta_star", tuple(self.theta_star))
-        object.__setattr__(self, "varphi", tuple(self.varphi))
-        object.__setattr__(self, "phi", tuple(self.phi))
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
-            raise ValueError(f"diameter must be an integer, not {self.d!r}")
-        if self.d < 0:
-            raise ValueError("diameter must be >= 0")
-        if len(self.theta) != self.d + 1 or len(self.theta_star) != self.d + 1:
-            raise ValueError("eigenvalue sequences must have length d+1")
-        if len(self.varphi) != self.d or len(self.phi) != self.d:
-            raise ValueError("split sequences must have length d")
-        for name, seq in (("theta", self.theta), ("theta_star", self.theta_star)):
-            if len(set(seq)) != len(seq):
-                raise ValueError(f"{name} entries must be mutually distinct")
-        for name, seq in (("varphi", self.varphi), ("phi", self.phi)):
-            if not all(seq):
-                raise ValueError(f"{name} entries must be nonzero")
-        for seq in (self.theta, self.theta_star, self.varphi, self.phi):
-            for x in seq:
-                if not self.field.contains(x):
-                    raise ValueError("entry does not lie in the stated field")
+        for name in ("theta", "theta_star", "varphi", "phi"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_pa1(self.field, self.d, self.theta, self.theta_star, self.varphi, self.phi)
 
     def to_json(self) -> dict:
         enc = self.field.encode_scalar
@@ -131,6 +113,27 @@ class ParameterArray:
             varphi=tuple(dec(x) for x in obj["varphi"]),
             phi=tuple(dec(x) for x in obj["phi"]),
         )
+
+
+def check_pa1(field: Field, d, theta, theta_star, varphi, phi) -> None:
+    """The checks of ParameterArray on the tuples: shapes, PA1 (distinct
+    eigenvalues), nonzero split sequences and field membership (ValueError)."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"diameter must be an integer, not {d!r}")
+    if d < 0:
+        raise ValueError("diameter must be >= 0")
+    if len(theta) != d + 1 or len(theta_star) != d + 1:
+        raise ValueError("eigenvalue sequences must have length d+1")
+    if len(varphi) != d or len(phi) != d:
+        raise ValueError("split sequences must have length d")
+    for name, seq in (("theta", theta), ("theta_star", theta_star)):
+        if len(set(seq)) != len(seq):
+            raise ValueError(f"{name} entries must be mutually distinct")
+    for name, seq in (("varphi", varphi), ("phi", phi)):
+        if not all(seq):
+            raise ValueError(f"{name} entries must be nonzero")
+    if not all(field.contains(x) for seq in (theta, theta_star, varphi, phi) for x in seq):
+        raise ValueError("entry does not lie in the stated field")
 
 
 class LeonardSystem:
@@ -354,10 +357,11 @@ def complete_parameter_array(field: Field, theta, theta_star, varphi) -> Paramet
     Terwilliger's closed-form classification (LAA 330, 2001; any field), in
     O(d) scalar steps and independent of the matrix route in ``certify``:
     PA4 fixes phi, then PA2, PA3 and PA5 are checked.  Raises NotALeonardPair
-    naming the failed condition and index; ParameterArray checks PA1.
+    naming the failed condition and index; `check_pa1` checks PA1 first.
     """
-    pa = ParameterArray(field, len(theta) - 1, theta, theta_star, varphi, varphi)  # phi: placeholder
-    d, th, ths = pa.d, pa.theta, pa.theta_star
+    th, ths, varphi = tuple(theta), tuple(theta_star), tuple(varphi)
+    d = len(th) - 1
+    check_pa1(field, d, th, ths, varphi, varphi)  # phi is not known yet; varphi stands in
     s = [field.zero()]  # s_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
     for h in range(d):
         s.append(s[-1] + (th[h] - th[d - h]) / (th[0] - th[d]))
@@ -371,7 +375,7 @@ def complete_parameter_array(field: Field, theta, theta_star, varphi) -> Paramet
     i = pa5_failure(th, ths)
     if i is not None:
         raise NotALeonardPair(f"PA5 fails at i={i}: the theta, theta* recurrences differ")
-    return replace(pa, phi=phi)
+    return ParameterArray(field, d, th, ths, varphi, phi)
 
 
 def _superdiagonal_in_split_basis(sys: LeonardSystem, theta_order):
@@ -512,8 +516,8 @@ def split_projectors(sys: LeonardSystem) -> list:
     p_i = tau_i(A) w*_0 and q_i^T = nu (u*_0^T w_0) u_0^T tau*_i(A*) / c_i."""
     f, pa = sys.field, sys.parameter_array
     (W, U), (Ws, Us) = _factors(sys), _factors(sys, star=True)
-    scale, u0 = nu_scalars(pa)[0] * Vector(f, Us[0]).dot(W.column(0)), Matrix(f, U.rows[:1])
-    return [outer(t * Ws.column(0), Vector(f, (u0 * ts)[0]).scale(scale / c))
+    scale, u0 = nu_scalars(pa)[0] * Us.row(0).dot(W.column(0)), U.submatrix(slice(0, 1))
+    return [outer(t * Ws.column(0), (u0 * ts).row(0).scale(scale / c))
             for t, ts, c in zip(sys.tau(), sys.tau(star=True), accumulate(pa.varphi, mul, initial=f.one()))]
 
 
@@ -538,7 +542,7 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
     C = Matrix.from_columns(f, [S.column(0) for S in spans])
     Cinv = C.inverse()
     # C e_i e_i^T C^-1: column i of C times row i of C^-1
-    return [outer(C.column(i), Vector(f, Cinv[i])) for i in range(sys.d + 1)]
+    return [outer(C.column(i), Cinv.row(i)) for i in range(sys.d + 1)]
 
 
 # --- the bilinear form ---
@@ -567,7 +571,7 @@ def _gram_in_eigenbasis(sys: LeonardSystem):
     if basis is None or not len(theta) == len(set(theta)) == n:
         return None
     W, U = basis
-    scale_rows = lambda c, M: Matrix(f, ((x * y for y in row) for x, row in zip(c, M.rows)))
+    scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
     if _off_diagonal(U * W, [f.one()] * n) or _off_diagonal(U * sys.A * W, theta):
         return None
     B, zero = U * sys.Astar * W, f.zero()
@@ -614,10 +618,6 @@ def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
 # --- the aggregated Sections 3..6 identity suite ---
 
 
-def _matrix_family_rank(field: Field, mats) -> int:
-    return Matrix(field, (tuple(x for row in M.rows for x in row) for M in mats)).rank()
-
-
 def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     """Axioms plus every general-system identity used by the acceptance gate."""
     report = verify_axioms(sys)
@@ -648,8 +648,8 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         ("subalgebra_three_bases_A", (sys.E, taus, etas, powers)),
         ("subalgebra_three_bases_Astar", (sys.Estar, taus_s, etas_s, powers_s)),
     ):
-        ranks = [_matrix_family_rank(f, fam) for fam in fams]
-        union_rank = _matrix_family_rank(f, [M for fam in fams for M in fam])
+        ranks = [flat_rank(fam) for fam in fams]
+        union_rank = flat_rank([M for fam in fams for M in fam])
         ok = all(r == d + 1 for r in ranks) and union_rank == d + 1
         report.add(label, ok, None if ok else {"ranks": ranks, "union": union_rank})
 
@@ -696,10 +696,10 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # (u*_0^T w_0) for S_ij = (u*_0^T tau_i(A)) (tau*_j(A*) w_0)
     def pairing():
         (W, U), (_, Us) = _factors(sys), _factors(sys, star=True)
-        us0, w0 = Matrix(f, Us.rows[:1]), W.column(0)
-        left = Matrix(f, ((us0 * t)[0] for t in taus))
+        us0, w0 = Us.submatrix(slice(0, 1)), W.column(0)
+        left = Matrix.from_columns(f, [(us0 * t).row(0) for t in taus]).transpose()
         right = Matrix.from_columns(f, (t * w0 for t in taus_s))
-        scale = Vector(f, Us[0]).dot(w0)
+        scale = Us.row(0).dot(w0)
         witness = _off_diagonal(left * right, [c * scale for c in accumulate(pa.varphi, mul, initial=f.one())])
         return witness is None, witness
 
@@ -716,7 +716,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
         Ginv, Gt = sys.gram_inverse, G.transpose()
         _add_factored(report, "dagger_fixes_idempotents", lambda: (all(
-            outer(Ginv * Vector(f, U[i]), Gt * W.column(i)) == mats[i]
+            outer(Ginv * U.row(i), Gt * W.column(i)) == mats[i]
             for mats, (W, U) in ((sys.E, _factors(sys)), (sys.Estar, _factors(sys, star=True)))
             for i in range(d + 1)
         ), None))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from leonard.linalg import (
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
+    flat_rank,
     outer,
     rank_one_factors,
     root_product_family,
@@ -292,8 +294,8 @@ def _ref_echelon(M, augment=None):
     return rows, pivots, aug
 
 
-def _ref_nullspace(M):
-    rows, pivots, _ = _ref_echelon(M)
+def _ref_nullspace(M, echelon=None):
+    rows, pivots, _ = (echelon or _ref_echelon)(M)
     basis = []
     for fc in (c for c in range(M.ncols) if c not in pivots):
         v = [M.field.zero()] * M.ncols
@@ -331,8 +333,10 @@ def _matrix(draw, field, n, m):
         residues = draw(st.lists(st.integers(0, field.p - 1), min_size=size, max_size=size))
         flat = [PrimeFieldElement(field.p, r) for r in residues]
     rows = [flat[i * m:(i + 1) * m] for i in range(n)]
-    shape = draw(st.sampled_from(["dense", "zero row", "zero column", "repeated row"]))
-    if shape == "zero row" and n:
+    shape = draw(st.sampled_from(["dense", "zero row", "zero column", "repeated row", "zero"]))
+    if shape == "zero":
+        rows = [[field.zero()] * m for _ in range(n)]
+    elif shape == "zero row" and n:
         rows[draw(st.integers(0, n - 1))] = [field.zero()] * m
     elif shape == "zero column" and m:
         j = draw(st.integers(0, m - 1))
@@ -454,3 +458,129 @@ def test_rank_one_factors_exactly_the_rank_one_matrices(case):
             assert W.column(0) == next(c for c in M.columns() if not c.is_zero())
             assert outer(W.column(0), Vector(field, U[0])) == M
             assert M == Matrix.from_columns(field, [W.column(0)]) * Matrix(field, [U[0]])
+
+
+# --- mismatched shapes are rejected, never truncated ---
+
+
+@pytest.mark.parametrize("field", (Q, G7))
+def test_mismatched_shapes_raise(field):
+    v3, v2 = Vector(field, [field.from_int(x) for x in (1, 2, 3)]), Vector(field, [field.one()] * 2)
+    M22, M13 = Matrix.from_ints(field, [[1, 2], [3, 4]]), Matrix.from_ints(field, [[1, 2, 3]])
+    for bad in (lambda: v3.dot(v2), lambda: v3 + v2, lambda: v3 - v2, lambda: M22 + M13, lambda: M22 - M13,
+                lambda: M22 * v3, lambda: M22 * M13.transpose(), lambda: trace_of_product(M22, M13),
+                lambda: M22.solve(M13), lambda: intersect_column_spaces(M22, M13.transpose())):
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            bad()
+    with pytest.raises(ValueError, match="unequal length"):
+        Matrix(field, [[field.one(), field.one()], [field.one()]])
+    assert M22 * v2 == Vector(field, [field.from_int(3), field.from_int(7)])
+
+
+# --- the canonical integer form against the element-row kernels it replaced ---
+
+
+def _ref_products(field, left, right):
+    """Rows of dot products of the element rows left with the element columns right:
+    the rows go to integers (`Field.to_ints`) and each entry back to a field element."""
+    a_rows, da = field.to_ints(left)
+    b_cols, db = field.to_ints(right)
+    return [field.from_ints([sum(map(mul, a, b)) for b in b_cols], da * db) for a in a_rows]
+
+
+def _ref_int_echelon(M, augment=None):
+    """Gauss-Jordan on the element rows of [M | augment] through one `to_ints`,
+    each output row back to field elements."""
+    field, m = M.field, M.ncols
+    extra = augment if augment is not None else [()] * M.nrows
+    rows, _ = field.to_ints(r + tuple(a) for r, a in zip(M.rows, extra, strict=True))
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top, pv = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            g = row[c]
+            if g and i != r:
+                rows[i] = field.reduce_ints([pv * a - g * b for a, b in zip(row, top)])
+        pivots.append(c)
+    out = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
+    out += [field.from_ints(row, 1) for row in rows[len(pivots):]]
+    return [row[:m] for row in out], pivots, [row[m:] for row in out] if augment is not None else None
+
+
+def _assert_canonical_form(X):
+    """den > 0 and gcd(den, every numerator) = 1 over Q; residues and den = 1 over GF(p)."""
+    flat = [a for row in X.nums for a in row]
+    if X.field.is_rational:
+        assert X.den > 0 and gcd(X.den, *flat) == 1
+    else:
+        assert X.den == 1 and all(0 <= a < X.field.p for a in flat)
+
+
+ORACLE_FIELDS = (Q, Field.prime(2**31 - 1))
+
+
+@st.composite
+def _oracle_case(draw):
+    """Same-shape A, A2 (n x m), B (m x k), square S, a vector of length m and a scalar."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    n, m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    A, A2, B, S = (draw(_matrix(field, r, c)) for r, c in ((n, m), (n, m), (m, k), (n, n)))
+    c = draw(_scalars(field, 1))[0]
+    return field, A, A2, B, S, draw(_matrix(field, 1, m)).row(0), c
+
+
+@settings(max_examples=250, deadline=None)
+@given(_oracle_case())
+def test_canonical_form_matches_element_row_reference(case):
+    field, A, A2, B, S, v, c = case
+    el = lambda rows: Matrix(field, rows)  # a matrix rebuilt from element rows
+    expected = {
+        "mul": el(_ref_products(field, A.rows, list(zip(*B.rows)))),
+        "add": el([[a + b for a, b in zip(r, s)] for r, s in zip(A.rows, A2.rows)]),
+        "sub": el([[a - b for a, b in zip(r, s)] for r, s in zip(A.rows, A2.rows)]),
+        "scale": el([[c * a for a in r] for r in A.rows]),
+        "transpose": el(list(zip(*A.rows))),
+        "outer": el(_ref_products(field, [[a] for a in A.column(0)], [[b] for b in v])),
+    }
+    got = {"mul": A * B, "add": A + A2, "sub": A - A2, "scale": A.scale(c), "transpose": A.transpose(),
+           "outer": outer(A.column(0), v)}
+    assert got == expected
+    Av = A * v
+    assert Av == Vector(field, (r[0] for r in _ref_products(field, A.rows, [v.entries])))
+    assert trace_of_product(A, A2.transpose()) == _ref_products(
+        field, [[x for r in A.rows for x in r]], [[x for r in A2.rows for x in r]])[0][0]
+    assert (A == A2) == (A.rows == A2.rows)
+    i = v.first_nonzero_index()
+    if i is not None:
+        assert v.normalized() == Vector(field, [x / v.entries[i] for x in v.entries])
+        _assert_canonical_form(v.normalized())
+    assert flat_rank([A, A2]) == Matrix(field, [[x for r in X.rows for x in r] for X in (A, A2)]).rank()
+    for M in (A, B, S):
+        rows, pivots, _ = _ref_int_echelon(M)
+        assert M.rref() == (el(rows), pivots) and M.rank() == len(pivots)
+        assert M.nullspace() == _ref_nullspace(M, _ref_int_echelon)
+        rows_t, pivots_t, _ = _ref_int_echelon(M.transpose())
+        basis = rows_t[: len(pivots_t)]
+        assert M.column_space_basis() == el([[b[i] for b in basis] for i in range(M.nrows)])
+    for rhs in (Matrix.identity(field, S.nrows), A):
+        _, pivots, X = _ref_int_echelon(S, rhs.rows)
+        if len(pivots) != S.nrows:
+            with pytest.raises(SingularMatrix):
+                S.solve(rhs)
+            with pytest.raises(SingularMatrix):
+                S.inverse()
+            continue
+        assert S.solve(rhs) == el(X)
+        assert S.inverse() == el(_ref_int_echelon(S, Matrix.identity(field, S.nrows).rows)[2])
+
+    # one value, one form: built from rows or reached by arithmetic, equal values hash alike
+    reached = (A + A2 - A2, A.scale(c).scale(field.invert(c)) if c else A, A * Matrix.identity(field, A.ncols))
+    for N in reached:
+        assert N == el(A.rows) and hash(N) == hash(el(A.rows))
+    for X in (*got.values(), Av, A + A2 - A2, *A.nullspace(), A.column_space_basis(), S.rref()[0]):
+        _assert_canonical_form(X)
