@@ -33,7 +33,6 @@ from .systems import (
     ParameterArray,
     edge_values,
     nu_scalars,
-    product,
     split_subspace,
 )
 
@@ -182,8 +181,8 @@ def build_duality_bundle(
     t = duality_operator(sys)
     nu_ddown = nu_scalars(pa)[2]
     inv_nu_ddown = f.invert(nu_ddown)
-    lam = inv_nu_ddown * inv_nu_ddown * product(f, pa.phi)
-    vp = product(f, pa.varphi)
+    vp, ph = pa.split_products[0][pa.d], pa.split_products[2][pa.d]
+    lam = inv_nu_ddown * inv_nu_ddown * ph
     tau_d, eta_d, _, _ = edge_values(pa)
     alpha = vp / tau_d * anchors.x00 / anchors.ss0
     beta = vp / eta_d * anchors.xdd / anchors.ssd
@@ -229,8 +228,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
                                           == outer(t * Wr.column(i), Ur.row(i)) for i in range(d + 1)))
 
     # the eight product formulas with their displayed coefficients
-    vp = product(f, pa.varphi)
-    ph = product(f, pa.phi)
+    vp_head, _, ph_head, ph_tail = pa.split_products
+    vp, ph = vp_head[d], ph_head[d]
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     E0, Es0 = sys.E[0], sys.Estar[0]
     c1 = eta_d * vp / (tau_d * etas_d)
@@ -246,7 +245,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
 
     # the general expansion of T^2
     nu_ddown = nu_scalars(pa)[2]
-    weighted = [t_j.scale(f.invert(product(f, pa.phi[d - j:]))) for j, t_j in enumerate(tausAs)]
+    weighted = [t_j.scale(f.invert(ph_tail[j])) for j, t_j in enumerate(tausAs)]
     acc = rank_one_sum(etaA, sys.Estar[0] * sys.E[d], weighted).scale(f.invert(nu_ddown) * ph)
     report.add("T_squared_expansion", t_squared == acc)
     return report
@@ -322,11 +321,6 @@ def opposite_vectors(F: Flag, G: Flag):
             if cols[j][k]:
                 cols[j] = cols[j] - cols[k].scale(cols[j][k] / cols[k][k])
     return tuple(Vector(C.field, cols[n - 1 - i].entries[n:]) for i in range(n))
-
-
-def flags_opposite(F: Flag, G: Flag) -> bool:
-    """F_i ∩ G_{d-i} one-dimensional for all i with direct sum the whole space."""
-    return opposite_vectors(F, G) is not None
 
 
 def spans_components(F: Flag, X: Matrix) -> list:
@@ -607,7 +601,7 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> Verificat
 
 def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> VerificationReport:
     report = VerificationReport()
-    f, d = sys.field, sys.d
+    d = sys.d
     pa = sys.parameter_array
     a = anchors
     E0, Ed, Es0, Esd = sys.E[0], sys.E[d], sys.Estar[0], sys.Estar[d]
@@ -624,8 +618,7 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
     )
     _add_first_failure(report, "anchor_projections", (lhs == rhs for lhs, rhs in projections), "projection")
 
-    vp = product(f, pa.varphi)
-    ph = product(f, pa.phi)
+    vp, ph = pa.split_products[0][d], pa.split_products[2][d]
     report.add(
         "anchor_ratio_product",
         a.x0d * a.xd0 / (a.x00 * a.xdd) == vp / ph,
@@ -653,50 +646,38 @@ def verify_transition_relations(sys: LeonardSystem, anchors: AnchorVectors) -> V
     These hold for every Leonard system; self-duality is not assumed.
     """
     report = VerificationReport()
-    f, d = sys.field, sys.d
+    d = sys.d
     pa = sys.parameter_array
     a = anchors
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
-    vp, ph = pa.varphi, pa.phi
+    vp_head, vp_tail, ph_head, ph_tail = pa.split_products
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
-
-    def vp_head(i):  # varphi_1 ... varphi_i
-        return product(f, vp[:i])
-
-    def vp_tail(i):  # varphi_d ... varphi_{d-i+1}
-        return product(f, vp[d - i:])
-
-    def ph_head(i):
-        return product(f, ph[:i])
-
-    def ph_tail(i):
-        return product(f, ph[d - i:])
 
     relations = (
         ("taustar_rev_v0_vs_eta_vstard", "taustar-rev-v0", "eta-vstard",
-         lambda i: taus_d / vp_tail(i) * (a.x0d / a.ssd)),
+         lambda i: taus_d / vp_tail[i] * (a.x0d / a.ssd)),
         ("etastar_rev_v0_vs_eta_vstar0", "etastar-rev-v0", "eta-vstar0",
-         lambda i: etas_d / ph_head(i) * (a.x00 / a.ss0)),
+         lambda i: etas_d / ph_head[i] * (a.x00 / a.ss0)),
         ("taustar_rev_vd_vs_tau_vstard", "taustar-rev-vd", "tau-vstard",
-         lambda i: taus_d / ph_tail(i) * (a.xdd / a.ssd)),
+         lambda i: taus_d / ph_tail[i] * (a.xdd / a.ssd)),
         ("etastar_rev_vd_vs_tau_vstar0", "etastar-rev-vd", "tau-vstar0",
-         lambda i: etas_d / vp_head(i) * (a.xd0 / a.ss0)),
+         lambda i: etas_d / vp_head[i] * (a.xd0 / a.ss0)),
         ("tau_rev_vstar0_vs_etastar_vd", "tau-rev-vstar0", "etastar-vd",
-         lambda i: tau_d / vp_tail(i) * (a.xd0 / a.vvd)),
+         lambda i: tau_d / vp_tail[i] * (a.xd0 / a.vvd)),
         ("eta_rev_vstar0_vs_etastar_v0", "eta-rev-vstar0", "etastar-v0",
-         lambda i: eta_d / ph_tail(i) * (a.x00 / a.vv0)),
+         lambda i: eta_d / ph_tail[i] * (a.x00 / a.vv0)),
         ("tau_rev_vstard_vs_taustar_vd", "tau-rev-vstard", "taustar-vd",
-         lambda i: tau_d / ph_head(i) * (a.xdd / a.vvd)),
+         lambda i: tau_d / ph_head[i] * (a.xdd / a.vvd)),
         ("eta_rev_vstard_vs_taustar_v0", "eta-rev-vstard", "taustar-v0",
-         lambda i: eta_d / vp_head(i) * (a.x0d / a.vv0)),
+         lambda i: eta_d / vp_head[i] * (a.x0d / a.vv0)),
         ("estar_vd_vs_estar_v0", "estar-vd", "estar-v0",
-         lambda i: ph_head(i) / vp_head(i) * (a.xd0 / a.x00)),
+         lambda i: ph_head[i] / vp_head[i] * (a.xd0 / a.x00)),
         ("estar_rev_vd_vs_estar_rev_v0", "estar-rev-vd", "estar-rev-v0",
-         lambda i: vp_tail(i) / ph_tail(i) * (a.xdd / a.x0d)),
+         lambda i: vp_tail[i] / ph_tail[i] * (a.xdd / a.x0d)),
         ("e_vstard_vs_e_vstar0", "e-vstard", "e-vstar0",
-         lambda i: ph_tail(i) / vp_head(i) * (a.x0d / a.x00)),
+         lambda i: ph_tail[i] / vp_head[i] * (a.x0d / a.x00)),
         ("e_rev_vstard_vs_e_rev_vstar0", "e-rev-vstard", "e-rev-vstar0",
-         lambda i: vp_tail(i) / ph_head(i) * (a.xdd / a.xd0)),
+         lambda i: vp_tail[i] / ph_head[i] * (a.xdd / a.xd0)),
     )
     for name, lhs_id, rhs_id, coeff in relations:
         _add_first_failure(report, name, (family[lhs_id][i] == family[rhs_id][i].scale(coeff(i))
@@ -757,10 +738,9 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
     varphi_1...varphi_d / (tau_d(theta_d) eta_d(theta_0))."""
     f, d = pa.field, pa.d
     tau_d, eta_d, _, _ = edge_values(pa)
-    run = [product(f, pa.varphi) / (tau_d * eta_d)]  # run[i] is entry (d-i, i)
-    for x in pa.phi:
-        run.append(run[-1] * x)
-    return Matrix(f, [[run[j] if i + j == d else f.zero() for j in range(d + 1)] for i in range(d + 1)])
+    vp_head, _, ph_head, _ = pa.split_products
+    c = vp_head[d] / (tau_d * eta_d)
+    return Matrix(f, [[c * ph_head[j] if i + j == d else f.zero() for j in range(d + 1)] for i in range(d + 1)])
 
 
 def basis_representations(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,

@@ -5,7 +5,9 @@ field, and seeded random search over the rationals with entries drawn from
 a small box.  A candidate is a (theta, theta*, varphi) triple; the closed-form
 conditions PA1-PA5 decide it, with the second split sequence phi fixed by
 PA4.  Every emitted array is then certified once by the matrix route, and a
-disagreement between the two routes raises NotALeonardPair.
+disagreement between the two routes raises NotALeonardPair.  Self-dual mode
+draws theta* = theta; PA4's phi is then palindromic (s_{d+1-i} = s_i), so
+every array it accepts is self-dual with no further test.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .duality import is_self_dual
 from .errors import BudgetExceeded, ExhaustedTrials, NotALeonardPair
 from .fields import Field, PrimeFieldElement
 from .systems import ParameterArray, certify, complete_parameter_array, pa5_failure
@@ -109,8 +110,6 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
                 pa = _certified_array(field, theta, theta_star, varphi)
                 if pa is None:
                     continue
-                if cfg.self_dual_only and not is_self_dual(pa):
-                    continue
                 found.append(pa)
                 if len(found) >= cfg.limit:
                     return found
@@ -160,8 +159,6 @@ def random_rational(cfg: SearchConfig) -> list[ParameterArray]:
         varphi = _draw_nonzero(rng, cfg.d)
         pa = _certified_array(field, theta, theta_star, varphi)
         if pa is None:
-            continue
-        if cfg.self_dual_only and not is_self_dual(pa):
             continue
         found.append(pa)
         if len(found) >= cfg.limit:

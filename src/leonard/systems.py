@@ -11,7 +11,9 @@ reports, ``certify`` raises NotALeonardPair on any failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 from .errors import (
@@ -38,40 +40,10 @@ from .linalg import (
 from .report import VerificationReport
 
 
-def product(field: Field, scalars):
-    out = field.one()
-    for x in scalars:
-        out = out * x
-    return out
-
-
-def poly_at(field: Field, roots, x):
-    """Evaluate prod (x - r) over the root list; empty product is 1."""
-    out = field.one()
-    for r in roots:
-        out = out * (x - r)
-    return out
-
-
-def tau_roots(theta, i: int):
-    """Roots of tau_i: theta_0, ..., theta_{i-1}."""
-    return theta[:i]
-
-
-def eta_roots(theta, i: int):
-    """Roots of eta_i: theta_d, theta_{d-1}, ..., theta_{d-i+1}."""
-    return theta[len(theta) - i:]
-
-
 def edge_values(pa: ParameterArray):
-    """(tau_d(theta_d), eta_d(theta_0), tau*_d(theta*_d), eta*_d(theta*_0))."""
-    f, d, th, ths = pa.field, pa.d, pa.theta, pa.theta_star
-    return (
-        poly_at(f, tau_roots(th, d), th[d]),
-        poly_at(f, eta_roots(th, d), th[0]),
-        poly_at(f, tau_roots(ths, d), ths[d]),
-        poly_at(f, eta_roots(ths, d), ths[0]),
-    )
+    """(tau_d(theta_d), eta_d(theta_0), tau*_d(theta*_d), eta*_d(theta*_0)): the ends of `pa.gaps`."""
+    (g, gs), d = pa.gaps, pa.d
+    return g[d], g[0], gs[d], gs[0]
 
 
 @dataclass(frozen=True)
@@ -89,6 +61,22 @@ class ParameterArray:
         for name in ("theta", "theta_star", "varphi", "phi"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         check_pa1(self.field, self.d, self.theta, self.theta_star, self.varphi, self.phi)
+
+    @cached_property
+    def split_products(self) -> tuple:
+        """(varphi heads, varphi tails, phi heads, phi tails), built on first use:
+        entry i = 0..d of a head is varphi_1 ... varphi_i, of a tail varphi_d ... varphi_{d-i+1}."""
+        one = self.field.one()
+        return tuple(tuple(accumulate(run, mul, initial=one))
+                     for seq in (self.varphi, self.phi) for run in (seq, seq[::-1]))
+
+    @cached_property
+    def gaps(self) -> tuple:
+        """(g, g*), built on first use: g_r = prod_{h != r} (theta_r - theta_h), which is
+        tau_r(theta_r) eta_{d-r}(theta_r), and g*_r the same over theta*."""
+        one = self.field.one()
+        return tuple(tuple(prod((x - y for h, y in enumerate(t) if h != r), start=one) for r, x in enumerate(t))
+                     for t in (self.theta, self.theta_star))
 
     def to_json(self) -> dict:
         enc = self.field.encode_scalar
@@ -469,10 +457,8 @@ def d4_orbit(pa: ParameterArray) -> dict:
 
 def nu_scalars(pa: ParameterArray):
     """(nu, nu_down, nu_ddown, nu_down_ddown) by their closed forms."""
-    f = pa.field
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
-    vp = product(f, pa.varphi)
-    ph = product(f, pa.phi)
+    vp, ph = pa.split_products[0][pa.d], pa.split_products[2][pa.d]
     nu = eta_d * etas_d / ph
     nu_down = eta_d * taus_d / vp
     nu_ddown = tau_d * etas_d / vp
@@ -489,21 +475,16 @@ def trace_products(sys: LeonardSystem, r: int):
 
 
 def trace_products_closed_form(pa: ParameterArray, r: int):
-    """The four trace scalars as ratios of split-sequence products."""
+    """The four trace scalars as ratios of split-sequence products and gaps."""
     if not 0 <= r <= pa.d:
         raise IndexError(f"r = {r} outside 0..{pa.d}")
-    f, d = pa.field, pa.d
-    th, ths, vp, ph = pa.theta, pa.theta_star, pa.varphi, pa.phi
-    tau_r = poly_at(f, tau_roots(th, r), th[r])
-    eta_dr = poly_at(f, th[r + 1:], th[r])  # eta_{d-r} at theta_r
-    taus_r = poly_at(f, tau_roots(ths, r), ths[r])
-    etas_dr = poly_at(f, ths[r + 1:], ths[r])
-    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
+    d, (g, gs) = pa.d, pa.gaps
+    vp_head, vp_tail, ph_head, ph_tail = pa.split_products
     return (
-        product(f, vp[:r]) * product(f, ph[: d - r]) / (etas_d * tau_r * eta_dr),
-        product(f, ph[d - r:]) * product(f, vp[r:]) / (taus_d * tau_r * eta_dr),
-        product(f, vp[:r]) * product(f, ph[r:]) / (eta_d * taus_r * etas_dr),
-        product(f, ph[:r]) * product(f, vp[r:]) / (tau_d * taus_r * etas_dr),
+        vp_head[r] * ph_head[d - r] / (gs[0] * g[r]),
+        ph_tail[r] * vp_tail[d - r] / (gs[d] * g[r]),
+        vp_head[r] * ph_tail[d - r] / (g[0] * gs[r]),
+        ph_head[r] * vp_tail[d - r] / (g[d] * gs[r]),
     )
 
 
@@ -514,11 +495,11 @@ def split_projectors(sys: LeonardSystem) -> list:
     """F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / c_i, c_i = varphi_1 ... varphi_i,
     built as p_i q_i^T: with E*_0 = w*_0 u*_0^T and E_0 = w_0 u_0^T,
     p_i = tau_i(A) w*_0 and q_i^T = nu (u*_0^T w_0) u_0^T tau*_i(A*) / c_i."""
-    f, pa = sys.field, sys.parameter_array
+    pa = sys.parameter_array
     (W, U), (Ws, Us) = _factors(sys), _factors(sys, star=True)
     scale, u0 = nu_scalars(pa)[0] * Us.row(0).dot(W.column(0)), U.submatrix(slice(0, 1))
     return [outer(t * Ws.column(0), (u0 * ts).row(0).scale(scale / c))
-            for t, ts, c in zip(sys.tau(), sys.tau(star=True), accumulate(pa.varphi, mul, initial=f.one()))]
+            for t, ts, c in zip(sys.tau(), sys.tau(star=True), pa.split_products[0])]
 
 
 def eigenspace_span(sys: LeonardSystem, indices, star: bool = False) -> Matrix:
@@ -700,7 +681,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         left = Matrix.from_columns(f, [(us0 * t).row(0) for t in taus]).transpose()
         right = Matrix.from_columns(f, (t * w0 for t in taus_s))
         scale = Us.row(0).dot(w0)
-        witness = _off_diagonal(left * right, [c * scale for c in accumulate(pa.varphi, mul, initial=f.one())])
+        witness = _off_diagonal(left * right, [c * scale for c in pa.split_products[0]])
         return witness is None, witness
 
     _add_factored(report, "split_pairing_delta", pairing)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -225,8 +226,6 @@ DUALITY_CHECKS = (
 
 def test_criterion_6_duality_suite(verified):
     ok, detail = True, ""
-    from leonard.systems import product as fproduct
-
     for entry in verified:
         pa, bundle = entry["pa"], entry["bundle"]
         if entry["self_dual"]:
@@ -236,7 +235,7 @@ def test_criterion_6_duality_suite(verified):
                     break
             nu_ddown = nu_scalars(pa)[2]
             inv = pa.field.invert(nu_ddown)
-            if bundle.lam != inv * inv * fproduct(pa.field, pa.phi):
+            if bundle.lam != inv * inv * prod(pa.phi, start=pa.field.one()):
                 ok, detail = False, f"lambda closed form d={pa.d}"
         else:
             if entry["duality"]["A_T_equals_T_Astar"].passed:

@@ -242,9 +242,9 @@ def test_flag_components():
 def test_flags_mutually_opposite(sd1):
     _, s, _, _ = sd1
     flags = [du.build_flag(s, z) for z in du.OMEGA]
-    assert all(du.flags_opposite(F, G) for F in flags for G in flags if F is not G)
+    assert all(du.opposite_vectors(F, G) is not None for F in flags for G in flags if F is not G)
     # a flag is never opposite to itself for d >= 1
-    assert not du.flags_opposite(flags[0], flags[0])
+    assert du.opposite_vectors(flags[0], flags[0]) is None
 
 
 def test_decomposition_known_rows(sd1):

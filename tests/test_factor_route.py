@@ -9,6 +9,7 @@ must agree check for check, witness included.
 
 from dataclasses import replace
 from functools import cache
+from math import prod
 
 import pytest
 
@@ -20,7 +21,6 @@ from leonard.systems import (
     ParameterArray,
     build_system,
     nu_scalars,
-    product,
     split_subspace,
     standard_identity_suite,
     trace_products_closed_form,
@@ -112,7 +112,7 @@ def _split_pairing(sys):
     for i in range(n):
         for j in range(n):
             lhs = Es0 * sys.tau()[i] * sys.tau(star=True)[j] * E0
-            rhs = (Es0 * E0).scale(product(f, pa.varphi[:i])) if i == j else Matrix.zeros(f, n)
+            rhs = (Es0 * E0).scale(prod(pa.varphi[:i], start=f.one())) if i == j else Matrix.zeros(f, n)
             if lhs != rhs:
                 return False, {"i": i, "j": j}
     return True, None

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import islice, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leonard import search
 from leonard.duality import is_self_dual
@@ -23,6 +25,8 @@ from leonard.systems import (
     complete_parameter_array,
     extract_parameter_array,
 )
+
+from conftest import field_scalars, leonard_array
 
 GF7 = Field.prime(7)
 GF3 = Field.prime(3)
@@ -59,6 +63,20 @@ def test_enumerate_self_dual_only():
         assert is_self_dual(pa)
         assert pa.theta == pa.theta_star
         assert pa.phi == tuple(reversed(pa.phi))
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_self_dual_completion_is_palindromic(field, data):
+    # theta* = theta gives s_{d+1-i} = s_i, so PA4's phi is palindromic and search
+    # needs no is_self_dual filter on what complete_parameter_array accepts
+    x = field_scalars(field)
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    theta012, beta, varphi_1 = data.draw(st.tuples(st.tuples(x, x, x), x, x), label="scalars")
+    pa = leonard_array(field, d, theta012, theta012, beta, varphi_1)
+    assume(pa is not None)
+    assert pa.phi == pa.phi[::-1] and is_self_dual(pa)
 
 
 def test_enumerate_gf3_d1_census():

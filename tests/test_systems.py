@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,17 +21,14 @@ from leonard.systems import (
     d4_orbit,
     d4_reduce,
     edge_values,
-    eta_roots,
     extract_parameter_array,
     nu_scalars,
     pa5_failure,
-    product,
     _gram_by_nullspace,
     solve_gram,
     split_projectors,
     split_projectors_by_intersection,
     standard_identity_suite,
-    tau_roots,
     trace_products,
     trace_products_closed_form,
     verify_axioms,
@@ -284,6 +282,24 @@ def test_pa5_failure_index(theta, theta_star, index):
 def test_pa5_holds_on_leonard_arrays(field, data):
     pa = data.draw(leonard_arrays(field, data.draw(st.integers(min_value=0, max_value=6), label="d")), label="pa")
     assert pa5_failure(pa.theta, pa.theta_star) is None
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scalar_tables_match_direct_products(field, data):
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    pa = data.draw(leonard_arrays(field, d), label="pa")
+    one = field.one()
+    assert pa.split_products == tuple(
+        part for seq in (pa.varphi, pa.phi)
+        for part in (tuple(prod(seq[:i], start=one) for i in range(d + 1)),
+                     tuple(prod(seq[d - i:], start=one) for i in range(d + 1))))
+    assert pa.gaps == tuple(tuple(prod((t[r] - t[h] for h in range(d + 1) if h != r), start=one) for r in range(d + 1))
+                            for t in (pa.theta, pa.theta_star))
+    (g, gs) = pa.gaps
+    assert edge_values(pa) == (g[d], g[0], gs[d], gs[0])
+    assert pa.split_products is pa.split_products and pa.gaps is pa.gaps  # each built once
 
 
 @pytest.mark.parametrize("obj", FROZEN_ARRAYS, ids=[f"frozen{k}-d{o['d']}" for k, o in enumerate(FROZEN_ARRAYS)])
@@ -552,8 +568,9 @@ def test_root_families_match_per_index_products(corpus):
             taus, etas = s.tau(star), s.eta(star)
             assert len(taus) == len(etas) == s.d + 1
             for i in range(s.d + 1):
-                assert taus[i] == eval_root_product(tau_roots(theta, i), M)
-                assert etas[i] == eval_root_product(eta_roots(theta, i), M)
+                # tau_i has roots theta_0..theta_{i-1}, eta_i has theta_d..theta_{d-i+1}
+                assert taus[i] == eval_root_product(theta[:i], M)
+                assert etas[i] == eval_root_product(theta[len(theta) - i:], M)
             assert s.tau(star) is taus and s.eta(star) is etas
 
 
@@ -561,10 +578,10 @@ def test_edge_values_match_direct_products(corpus):
     for pa in corpus.arrays:
         f, d, th, ths = pa.field, pa.d, pa.theta, pa.theta_star
         assert edge_values(pa) == (
-            product(f, (th[d] - th[j] for j in range(d))),
-            product(f, (th[0] - th[j] for j in range(1, d + 1))),
-            product(f, (ths[d] - ths[j] for j in range(d))),
-            product(f, (ths[0] - ths[j] for j in range(1, d + 1))),
+            prod((th[d] - th[j] for j in range(d)), start=f.one()),
+            prod((th[0] - th[j] for j in range(1, d + 1)), start=f.one()),
+            prod((ths[d] - ths[j] for j in range(d)), start=f.one()),
+            prod((ths[0] - ths[j] for j in range(1, d + 1)), start=f.one()),
         )
 
 
