@@ -49,12 +49,6 @@ def is_self_dual(pa: ParameterArray) -> bool:
     return True
 
 
-def _add_first_failure(report: VerificationReport, name: str, holds, key: str = "i") -> None:
-    """Add the check name, failing at the first k where holds[k] is false, witness {key: k}."""
-    k = next((k for k, ok in enumerate(holds) if not ok), None)
-    report.add(name, k is None, None if k is None else {key: k})
-
-
 # --- anchor vectors and their eight inner products ---
 
 
@@ -224,8 +218,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     factors, t_tr = (sys.eigenbasis(), sys.eigenbasis(star=True)), t.transpose()
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
         (W, U), (Wr, Ur) = factors[star], factors[not star]
-        _add_first_failure(report, name, (outer(W.column(i), t_tr * U.row(i))
-                                          == outer(t * Wr.column(i), Ur.row(i)) for i in range(d + 1)))
+        report.add_first_failure(name, ({"i": i} for i in range(d + 1)
+                                        if outer(W.column(i), t_tr * U.row(i)) != outer(t * Wr.column(i), Ur.row(i))))
 
     # the eight product formulas with their displayed coefficients
     vp_head, _, ph_head, ph_tail = pa.split_products
@@ -369,23 +363,11 @@ def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
 
 DECOMPOSITION_PAIRS = tuple((z, w) for z in OMEGA for w in OMEGA if z != w)
 
-# Images under T: the six displayed rows and the six forced by inversion.
-T_DECOMPOSITION_IMAGE = {
-    ("0*", "D"): ("0", "D*"),
-    ("D*", "D"): ("D", "D*"),
-    ("0*", "0"): ("0", "0*"),
-    ("D*", "0"): ("D", "0*"),
-    ("0", "D"): ("0*", "D*"),
-    ("0*", "D*"): ("0", "D"),
-    ("D", "0*"): ("D*", "0"),
-    ("D", "D*"): ("D*", "D"),
-    ("0", "0*"): ("0*", "0"),
-    ("0", "D*"): ("0*", "D"),
-    ("D", "0"): ("D*", "0*"),
-    ("D*", "0*"): ("D", "0"),
-}
-
 T_FLAG_IMAGE = {"0": "0*", "0*": "0", "D": "D*", "D*": "D"}
+
+# T maps [zw] to [T(z) T(w)]; T_on_decompositions sweeps the six displayed pairs, then their swaps.
+_T_DISPLAYED = (("0*", "D"), ("D*", "D"), ("0*", "0"), ("D*", "0"), ("0", "D"), ("0*", "D*"))
+T_DECOMPOSITION_ORDER = _T_DISPLAYED + tuple((w, z) for z, w in _T_DISPLAYED)
 
 
 def _colinear(u: Vector, v: Vector) -> bool:
@@ -403,8 +385,8 @@ def verify_geometry_suite(
     flags = {z: build_flag(sys, z) for z in OMEGA}
 
     # a dependent prefix of the basis makes every longer one dependent: the last failure is at i = d
-    singular = [z for z, F in flags.items() if F.inverse is None]
-    report.add("flag_component_dimensions", not singular, {"flag": singular[-1], "i": d} if singular else None)
+    report.add_last_failure("flag_component_dimensions", (
+        {"flag": z, "i": d} for z, F in flags.items() if F.inverse is None))
 
     # DECOMPOSITION_PAIRS is every ordered pair of distinct flags; each builds iff the two are opposite
     decomps, witness = {}, None
@@ -418,65 +400,39 @@ def verify_geometry_suite(
     if witness is not None:
         return report
 
-    ok, witness = True, None
-    for (z, w), dec in decomps.items():
-        if decomps[(w, z)].vectors != dec.inversion_vectors():
-            ok, witness = False, {"pair": f"[{z}{w}]"}
-    report.add("decomposition_inversion_pairs", ok, witness)
+    report.add_last_failure("decomposition_inversion_pairs", (
+        {"pair": f"[{z}{w}]"} for (z, w), dec in decomps.items()
+        if decomps[(w, z)].vectors != dec.inversion_vectors()))
 
-    ok, witness = True, None
-    for (z, w), dec in decomps.items():
-        spans = {u: spans_components(flags[u], Matrix.from_columns(f, vectors))
-                 for u, vectors in ((z, dec.vectors), (w, dec.inversion_vectors()))}
-        for i in range(d + 1):
-            for u in (z, w):
-                if not spans[u][i]:
-                    ok, witness = False, {"pair": f"[{z}{w}]", "flag": u, "i": i}
-    report.add("decompositions_induce_flags", ok, witness)
+    spans = {(z, w): {u: spans_components(flags[u], Matrix.from_columns(f, vectors))
+                      for u, vectors in ((z, dec.vectors), (w, dec.inversion_vectors()))}
+             for (z, w), dec in decomps.items()}
+    report.add_last_failure("decompositions_induce_flags", (
+        {"pair": f"[{z}{w}]", "flag": u, "i": i}
+        for (z, w), by_flag in spans.items() for i in range(d + 1) for u in (z, w) if not by_flag[u][i]))
 
-    ok, witness = True, None
-    for i in range(d + 1):
-        rows = (
-            (decomps[("0", "D")].vectors[i], sys.eigencolumn(i)),
-            (decomps[("0*", "D*")].vectors[i], sys.eigencolumn(i, star=True)),
-            (decomps[("0*", "D")].vectors[i], None),
-        )
-        for k, (vec, expected) in enumerate(rows):
-            if expected is not None:
-                if not _colinear(vec, expected):
-                    ok, witness = False, {"i": i, "row": k}
-            else:
-                U = split_subspace(sys, i)
-                if U.ncols != 1 or not _colinear(vec, U.column(0)):
-                    ok, witness = False, {"i": i, "row": "split"}
-    report.add("decomposition_table_rows", ok, witness)
+    # rows 0, 1 and split: component i of [0D], [0*D*] and [0*D] spans E_iV, E*_iV and the split line U_i
+    lines = [(sys.eigencolumn(i), sys.eigencolumn(i, star=True), split_subspace(sys, i)) for i in range(d + 1)]
+    report.add_last_failure("decomposition_table_rows", (
+        {"i": i, "row": row} for i, (v, vs, U) in enumerate(lines) for row, ok in (
+            (0, _colinear(decomps[("0", "D")].vectors[i], v)),
+            (1, _colinear(decomps[("0*", "D*")].vectors[i], vs)),
+            ("split", U.ncols == 1 and _colinear(decomps[("0*", "D")].vectors[i], U.column(0))),
+        ) if not ok))
 
     if bundle is None:
         return report
     t = bundle.t
 
-    ok, witness = True, None
-    for i in range(d + 1):
-        if not _colinear(t * sys.eigencolumn(i), sys.eigencolumn(i, star=True)):
-            ok, witness = False, {"i": i, "side": "E"}
-        if not _colinear(t * sys.eigencolumn(i, star=True), sys.eigencolumn(i)):
-            ok, witness = False, {"i": i, "side": "Estar"}
-    report.add("T_maps_eigenspaces", ok, witness)
-
-    ok, witness = True, None
-    for z, image in T_FLAG_IMAGE.items():
-        for i, spans in enumerate(spans_components(flags[image], t * flags[z].basis)):
-            if not spans:
-                ok, witness = False, {"flag": z, "i": i}
-    report.add("T_on_flags", ok, witness)
-
-    ok, witness = True, None
-    for pair, image in T_DECOMPOSITION_IMAGE.items():
-        source, target = decomps[pair], decomps[image]
-        for i in range(d + 1):
-            if not _colinear(t * source.vectors[i], target.vectors[i]):
-                ok, witness = False, {"pair": f"[{pair[0]}{pair[1]}]", "i": i}
-    report.add("T_on_decompositions", ok, witness)
+    report.add_last_failure("T_maps_eigenspaces", (
+        {"i": i, "side": side} for i in range(d + 1) for side, star in (("E", False), ("Estar", True))
+        if not _colinear(t * sys.eigencolumn(i, star), sys.eigencolumn(i, not star))))
+    report.add_last_failure("T_on_flags", (
+        {"flag": z, "i": i} for z, image in T_FLAG_IMAGE.items()
+        for i, spans in enumerate(spans_components(flags[image], t * flags[z].basis)) if not spans))
+    report.add_last_failure("T_on_decompositions", (
+        {"pair": f"[{z}{w}]", "i": i} for z, w in T_DECOMPOSITION_ORDER for i in range(d + 1)
+        if not _colinear(t * decomps[(z, w)].vectors[i], decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
     return report
 
 
@@ -574,25 +530,18 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> Verificat
     d = sys.d
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
 
-    singular = [basis_id for basis_id in BASIS_IDS if basis_inverse(sys, anchors, basis_id) is None]
-    report.add("bases_invertible", not singular, {"basis": singular[-1]} if singular else None)
+    report.add_last_failure("bases_invertible", (
+        {"basis": basis_id} for basis_id in BASIS_IDS if basis_inverse(sys, anchors, basis_id) is None))
 
-    ok, witness = True, None
-    for (z, w), ids in BASIS_MEMBERSHIP.items():
-        dec = build_decomposition(sys, z, w)
-        for basis_id in ids:
-            for i in range(d + 1):
-                if not _colinear(family[basis_id][i], dec.vectors[i]):
-                    ok, witness = False, {"pair": f"[{z}{w}]", "basis": basis_id, "i": i}
-    report.add("bases_span_decomposition_components", ok, witness)
+    decomps = {(z, w): build_decomposition(sys, z, w) for z, w in BASIS_MEMBERSHIP}
+    report.add_last_failure("bases_span_decomposition_components", (
+        {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), ids in BASIS_MEMBERSHIP.items()
+        for basis_id in ids for i in range(d + 1) if not _colinear(family[basis_id][i], decomps[(z, w)].vectors[i])))
 
-    ok, witness = True, None
-    for basis_id, seq in family.items():
-        gen, rev, anchor = _parse_basis_id(basis_id)
-        partner = f"{gen}-{anchor}" if rev else f"{gen}-rev-{anchor}"
-        if tuple(reversed(seq)) != family[partner]:
-            ok, witness = False, {"basis": basis_id}
-    report.add("bases_inversion_pairing", ok, witness)
+    partner = lambda gen, rev, anchor: f"{gen}-{anchor}" if rev else f"{gen}-rev-{anchor}"
+    report.add_last_failure("bases_inversion_pairing", (
+        {"basis": basis_id} for basis_id, seq in family.items()
+        if seq[::-1] != family[partner(*_parse_basis_id(basis_id))]))
     return report
 
 
@@ -616,7 +565,8 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         (Es0 * a.vd, a.v0s.scale(a.xd0 / a.ss0)),
         (Esd * a.vd, a.vds.scale(a.xdd / a.ssd)),
     )
-    _add_first_failure(report, "anchor_projections", (lhs == rhs for lhs, rhs in projections), "projection")
+    report.add_first_failure("anchor_projections", (
+        {"projection": k} for k, (lhs, rhs) in enumerate(projections) if lhs != rhs))
 
     vp, ph = pa.split_products[0][d], pa.split_products[2][d]
     report.add(
@@ -631,9 +581,8 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         (a.vvd * a.ss0 / (a.xd0 * a.xd0), tau_d * etas_d / vp),
         (a.vvd * a.ssd / (a.xdd * a.xdd), tau_d * taus_d / ph),
     )
-    k = next((k for k, (lhs, rhs) in enumerate(squares) if lhs != rhs), None)
-    report.add("anchor_ratio_squares", k is None,
-               None if k is None else {"identity": k, "lhs": str(squares[k][0]), "rhs": str(squares[k][1])})
+    report.add_first_failure("anchor_ratio_squares", (
+        {"identity": k, "lhs": str(lhs), "rhs": str(rhs)} for k, (lhs, rhs) in enumerate(squares) if lhs != rhs))
     return report
 
 
@@ -680,8 +629,8 @@ def verify_transition_relations(sys: LeonardSystem, anchors: AnchorVectors) -> V
          lambda i: vp_tail[i] / ph_head[i] * (a.xdd / a.xd0)),
     )
     for name, lhs_id, rhs_id, coeff in relations:
-        _add_first_failure(report, name, (family[lhs_id][i] == family[rhs_id][i].scale(coeff(i))
-                                          for i in range(d + 1)))
+        report.add_first_failure(name, (
+            {"i": i} for i in range(d + 1) if family[lhs_id][i] != family[rhs_id][i].scale(coeff(i))))
     return report
 
 
@@ -717,13 +666,14 @@ def verify_T_on_bases(
         (t * a.v0s, a.v0.scale(bundle.alpha_star)),
         (t * a.vds, a.vd.scale(bundle.beta_star)),
     )
-    _add_first_failure(report, "T_on_anchor_vectors", (lhs == rhs for lhs, rhs in anchor_eqs), "equation")
+    report.add_first_failure("T_on_anchor_vectors", (
+        {"equation": k} for k, (lhs, rhs) in enumerate(anchor_eqs) if lhs != rhs))
 
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
     for src, dst, scalar_name in T_BASIS_ACTION:
         c = getattr(bundle, scalar_name)
-        _add_first_failure(report, f"T_on_family_{src.replace('-', '_')}",
-                           (t * family[src][i] == family[dst][i].scale(c) for i in range(sys.d + 1)))
+        report.add_first_failure(f"T_on_family_{src.replace('-', '_')}", (
+            {"i": i} for i in range(sys.d + 1) if t * family[src][i] != family[dst][i].scale(c)))
 
     report.add(
         "T_squared_on_v0",
@@ -790,8 +740,7 @@ def verify_matrix_of_T(
     wanted = {basis_id: (expected_matrix_of_T(pa),) + expected_pair_shapes(pa, basis_id) for basis_id in FOUR_BASES}
 
     def add(name, k):  # k: 0 for T, 1 for A, 2 for A*; the witness is the last failing basis
-        bad = [basis_id for basis_id in FOUR_BASES if reps[basis_id][k] != wanted[basis_id][k]]
-        report.add(name, not bad, {"basis": bad[-1]} if bad else None)
+        report.add_last_failure(name, ({"basis": b} for b in FOUR_BASES if reps[b][k] != wanted[b][k]))
 
     add("matrix_of_T_closed_form", 0)
     first = reps[FOUR_BASES[0]][0]

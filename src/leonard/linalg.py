@@ -6,8 +6,9 @@ with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
 A product entry is one exact integer dot product, each result is made
 canonical with one gcd pass, and equality compares canonical forms.  Field
 elements are made only at the edges (indexing, scalars, JSON), once per
-instance.  Gauss-Jordan elimination is fraction-free with first-nonzero
-pivoting (GF(p) has no magnitude order).  Indexing is 0-based.
+instance.  Both operands of an operation, and every scalar, must lie in one
+field (ValueError otherwise).  Gauss-Jordan elimination is fraction-free with
+first-nonzero pivoting (GF(p) has no magnitude order).  Indexing is 0-based.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from .errors import DuplicateEigenvalue, SingularMatrix
 from .fields import Field
 
 
-def _check_shapes(ok: bool, a, b) -> None:
-    if not ok:
+def _check_operands(a, b, shapes_fit: bool = True) -> None:
+    """ValueError unless a and b lie over one field and shapes_fit."""
+    if a.field is not b.field and a.field != b.field:
+        raise ValueError(f"operands over different fields {a.field} and {b.field}")
+    if not shapes_fit:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -73,7 +77,7 @@ class _Exact:
         return not any(map(any, self.nums))
 
     def _combine(self, other, sign: int):
-        _check_shapes(self.shape == other.shape, self, other)
+        _check_operands(self, other, self.shape == other.shape)
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, sign * (den // other.den)
         rows = [[a * sa + b * sb for a, b in zip(r, s)] for r, s in zip(self.nums, other.nums)]
@@ -89,6 +93,8 @@ class _Exact:
         return self._of(self.field, [[-a for a in r] for r in self.nums], self.den)
 
     def scale(self, c):
+        if not self.field.contains(c):
+            raise ValueError(f"scalar {c!r} is not an element of {self.field}")
         num, den = (c.numerator, c.denominator) if self.field.is_rational else (c.r, 1)
         return self._of(self.field, [[num * a for a in r] for r in self.nums], self.den * den)
 
@@ -113,7 +119,7 @@ class Vector(_Exact):
         return iter(self.entries)
 
     def dot(self, other) -> object:
-        _check_shapes(self.shape == other.shape, self, other)
+        _check_operands(self, other, self.shape == other.shape)
         return self.field.fraction(sum(map(mul, self.nums[0], other.nums[0])), self.den * other.den)
 
     def first_nonzero_index(self) -> int | None:
@@ -194,7 +200,7 @@ class Matrix(_Exact):
 
     def beside(self, other: "Matrix") -> "Matrix":
         """[self | other]: the columns of self, then those of other."""
-        _check_shapes(self.nrows == other.nrows, self, other)
+        _check_operands(self, other, self.nrows == other.nrows)
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         rows = [[a * sa for a in r] + [b * sb for b in s] for r, s in zip(self.nums, other.nums)]
@@ -209,7 +215,7 @@ class Matrix(_Exact):
         if not isinstance(other, _Exact):
             return self.scale(other)
         vec = isinstance(other, Vector)  # a Vector's one row is the one column to multiply
-        _check_shapes(self.ncols == (len(other) if vec else other.nrows), self, other)
+        _check_operands(self, other, self.ncols == (len(other) if vec else other.nrows))
         cols = other.nums if vec else list(zip(*other.nums))
         rows = [[sum(map(mul, a, b)) for b in cols] for a in self.nums]
         return type(other)._of(self.field, [[r[0] for r in rows]] if vec else rows, self.den * other.den)
@@ -306,12 +312,13 @@ def _gauss_jordan(field: Field, rows: list, m: int) -> list:
 
 def outer(u: Vector, v: Vector) -> Matrix:
     """The rank-one matrix u v^T, one integer product per entry."""
+    _check_operands(u, v)
     return Matrix._of(u.field, [[a * b for b in v.nums[0]] for a in u.nums[0]], u.den * v.den)
 
 
 def trace_of_product(X: Matrix, Y: Matrix):
     """tr(XY) for n x m X and m x n Y as one exact integer dot product, O(nm)."""
-    _check_shapes(X.shape == Y.shape[::-1], X, Y)
+    _check_operands(X, Y, X.shape == Y.shape[::-1])
     total = sum(map(mul, chain.from_iterable(X.nums), chain.from_iterable(zip(*Y.nums))))
     return X.field.fraction(total, X.den * Y.den)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -27,6 +28,18 @@ class VerificationReport:
             raise ValueError(f"duplicate check name {name!r}")
         self._names.add(name)
         self.checks.append(Check(name, bool(passed), witness if not passed else None))
+
+    def add_first_failure(self, name: str, failures) -> None:
+        """Add a sweep check: failures yields one witness (never None) per failing
+        case in sweep order.  The first witness is kept and ends the sweep; the
+        check passes when there is none."""
+        witness = next(iter(failures), None)
+        self.add(name, witness is None, witness)
+
+    def add_last_failure(self, name: str, failures) -> None:
+        """As add_first_failure, but the whole sweep runs and the last witness is kept."""
+        last = deque(failures, maxlen=1)
+        self.add(name, not last, last[0] if last else None)
 
     def merge(self, other: "VerificationReport") -> None:
         for check in other.checks:

@@ -578,7 +578,11 @@ def _one_form(f: Field, forms) -> tuple:
 
 
 def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
-    """(G, G^-1) with G spanning the null space of the stacked constraints."""
+    """(G, G^-1) with G spanning the null space of the stacked constraints.
+
+    The rows for P are built from P.nums = P.den P, since scaling a block of
+    rows leaves the null space unchanged; G is read off the integer form of a
+    null vector, as `_one_form` normalizes away any scalar factor."""
     f = A.field
     n = A.nrows
     rows = []
@@ -586,13 +590,13 @@ def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
         for i in range(n):
             for j in range(n):
                 # coefficient of g_{ab} in (P^T G - G P)_{ij}
-                row = [f.zero()] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
-                    row[k * n + j] = row[k * n + j] + P[k][i]
-                    row[i * n + k] = row[i * n + k] - P[k][j]
+                    row[k * n + j] += P.nums[k][i]
+                    row[i * n + k] -= P.nums[k][j]
                 rows.append(row)
-    basis = Matrix(f, rows).nullspace()
-    G, _ = _one_form(f, [Matrix(f, (v.entries[i * n:(i + 1) * n] for i in range(n))) for v in basis])
+    basis = Matrix.from_ints(f, rows).nullspace()
+    G, _ = _one_form(f, [Matrix.from_ints(f, (v.nums[0][i * n:(i + 1) * n] for i in range(n))) for v in basis])
     return G, G.inverse()  # raises SingularMatrix if degenerate
 
 
@@ -642,13 +646,9 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):  # needs E_0 (E*_0) = w u^T
         _add_factored(report, name, lambda: (_factors(sys, star) is not None and nu * traces[0] == one, None))
 
-    ok, witness = True, None
-    for r in range(d + 1):
-        direct = trace_products(sys, r)
-        if direct != trace_products_closed_form(pa, r) or not all(direct):
-            ok, witness = False, {"r": r}
-            break
-    report.add("trace_products_closed_form", ok, witness)
+    report.add_first_failure("trace_products_closed_form", (
+        {"r": r} for r in range(d + 1)
+        if (direct := trace_products(sys, r)) != trace_products_closed_form(pa, r) or not all(direct)))
 
     names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
     values = (nu, nu_down, nu_ddown, nu_dd)

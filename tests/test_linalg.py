@@ -475,6 +475,21 @@ def test_mismatched_shapes_raise(field):
     with pytest.raises(ValueError, match="unequal length"):
         Matrix(field, [[field.one(), field.one()], [field.one()]])
     assert M22 * v2 == Vector(field, [field.from_int(3), field.from_int(7)])
+    # operands over different fields, and scalars outside the field (an int included)
+    other = Field.prime(11)
+    N22, w2 = Matrix.from_ints(other, [[1, 2], [3, 4]]), Vector(other, [other.one()] * 2)
+    for bad in (lambda: M22 + N22, lambda: M22 - N22, lambda: M22 * N22, lambda: M22 * w2, lambda: v2 + w2,
+                lambda: v2.dot(w2), lambda: M22.beside(N22), lambda: M22.solve(N22), lambda: outer(v2, w2),
+                lambda: trace_of_product(M22, N22)):
+        with pytest.raises(ValueError, match="different fields"):
+            bad()
+    for c in (other.from_int(10), 2, F(1, 2) if not field.is_rational else G7.one()):
+        for bad in (lambda: M22.scale(c), lambda: M22 * c, lambda: c * M22, lambda: v2.scale(c)):
+            with pytest.raises(ValueError, match="not an element"):
+                bad()
+    # an equal field is accepted whether or not it is the same object
+    same = Field.from_json(field.to_json())
+    assert M22 + Matrix.from_ints(same, [[1, 2], [3, 4]]) == M22.scale(field.from_int(2))
 
 
 # --- the canonical integer form against the element-row kernels it replaced ---
