@@ -10,7 +10,6 @@ from .errors import (
     LeonardError,
     NonUniqueForm,
     NotALeonardPair,
-    NotSelfDual,
     SingularBasis,
     SingularMatrix,
     UnknownBasis,

@@ -94,7 +94,7 @@ def _cmd_dualize(args) -> int:
     if args.require_self_dual and not self_dual:
         raise LeonardError("self-duality required but theta differs from theta*")
     anchors = du.choose_anchor_vectors(sys_)
-    bundle = du.build_duality_bundle(sys_, anchors, require_self_dual=False)
+    bundle = du.build_duality_bundle(sys_, anchors)
     report = du.verify_duality_suite(sys_, bundle)
     report.merge(du.verify_geometry_suite(sys_, bundle))
     flags = {z: du.build_flag(sys_, z).to_json() for z in du.OMEGA}
@@ -208,11 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-self-dual", action="store_true")
     with_io(sub.add_parser("bases", help="the 24 bases and transition relations"))
     p = with_io(sub.add_parser("matrix-of-t", help="the matrix representing T"))
-    p.add_argument(
-        "--basis",
-        required=True,
-        choices=list(du.FOUR_BASES),
-    )
+    p.add_argument("--basis", required=True, choices=list(du.FOUR_BASES))
     p = sub.add_parser("search", help="emit certified arrays as JSON lines")
     p.add_argument("--field", required=True, help="'rational' or 'prime:P'")
     p.add_argument("--d", type=int, required=True)

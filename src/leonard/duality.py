@@ -14,7 +14,6 @@ from functools import cached_property
 from .errors import (
     DegenerateSplit,
     InconsistentArray,
-    NotSelfDual,
     SingularBasis,
     SingularMatrix,
     UnknownBasis,
@@ -26,6 +25,7 @@ from .linalg import (
     bidiagonal,
     outer,
     rank_one_sum,
+    unpivoted_column_reduction,
 )
 from .report import VerificationReport
 from .systems import (
@@ -158,17 +158,13 @@ def dual_duality_operator(sys: LeonardSystem) -> Matrix:
     return rank_one_sum(sys.eta(star=True)[::-1], sys.E[0] * sys.Estar[sys.d], sys.tau())
 
 
-def build_duality_bundle(
-    sys: LeonardSystem, anchors: AnchorVectors | None = None, require_self_dual: bool = True
-) -> DualityBundle:
+def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = None) -> DualityBundle:
     """T with lambda = (nu_ddown)^-2 phi_1...phi_d and the anchor scalars.
 
     T itself exists for every Leonard system; the bundle invariants
     (T^2 = lambda I and the anchor equations) hold in the self-dual case.
     """
     pa = sys.parameter_array
-    if require_self_dual and not is_self_dual(pa):
-        raise NotSelfDual("theta differs from theta*")
     f = sys.field
     if anchors is None:
         anchors = choose_anchor_vectors(sys)
@@ -301,20 +297,13 @@ def opposite_vectors(F: Flag, G: Flag):
     """x_0..x_d with x_i spanning F_i ∩ G_{d-i} when F and G are opposite, else None.
 
     They are opposite exactly when C' (C = F^-1 G with its rows reversed) has
-    an LU factorisation without pivoting.  The column operations C' V = L (V unit
-    upper triangular), done on the columns of G as well, leave x_i = G V[:, d-i]."""
+    an LU factorisation without pivoting.  The column operations C' V = L (V
+    upper triangular), done on the columns of G as well, leave x_i = G V[:, d-i]
+    (`unpivoted_column_reduction`; each x_i up to a nonzero scalar)."""
     if F.inverse is None:
         return None
-    C = F.inverse * G.basis
-    n = C.nrows
-    cols = [Vector(C.field, C.column(j).entries[::-1] + G.basis.column(j).entries) for j in range(n)]
-    for k in range(n):
-        if not cols[k][k]:
-            return None
-        for j in range(k + 1, n):
-            if cols[j][k]:
-                cols[j] = cols[j] - cols[k].scale(cols[j][k] / cols[k][k])
-    return tuple(Vector(C.field, cols[n - 1 - i].entries[n:]) for i in range(n))
+    cols = unpivoted_column_reduction((F.inverse * G.basis).submatrix(slice(None, None, -1)), G.basis)
+    return None if cols is None else tuple(reversed(cols))
 
 
 def spans_components(F: Flag, X: Matrix) -> list:
@@ -324,7 +313,7 @@ def spans_components(F: Flag, X: Matrix) -> list:
     row i and have rank i+1, the number of pivot columns <= i of Y."""
     Y = _coordinates(F.inverse, X)
     pivots, n = Y.rref()[1], Y.nrows
-    return [not any(Y[r][c] for r in range(i + 1, n) for c in range(i + 1))
+    return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
             and sum(p <= i for p in pivots) == i + 1 for i in range(n)]
 
 

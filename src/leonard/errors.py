@@ -38,10 +38,6 @@ class InconsistentArray(LeonardError):
     """theta = theta* held but the second split sequence is not palindromic."""
 
 
-class NotSelfDual(LeonardError):
-    """Self-duality was required but theta differs from theta*."""
-
-
 class ZeroInnerProduct(LeonardError):
     """An anchor inner product vanished; the input is not certified."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 
 def is_prime(n: int) -> bool:
@@ -155,40 +154,17 @@ class Field:
 
     def fraction(self, num: int, den: int):
         """Canonical element num/den; raises ZeroDivisionError when den = 0."""
-        return self.from_ints([num], den)[0]
+        if self.is_rational:
+            return Fraction(num, den)
+        if den % self.p == 0:
+            raise ZeroDivisionError("denominator is 0 in GF(p)")
+        return PrimeFieldElement(self.p, num * pow(den, -1, self.p) if den != 1 else num)
 
     def invert(self, x):
         """Multiplicative inverse; raises ZeroDivisionError when x = 0."""
         if self.is_rational:
             return Fraction(1) / x
         return x.inverse()
-
-    def to_ints(self, rows):
-        """(nums, den) with rows[i][k] = nums[i][k] / den: den is the lcm of
-        the denominators over Q; over GF(p) nums are the residues and den = 1."""
-        if not self.is_rational:
-            return [[x.r for x in row] for row in rows], 1
-        rows = list(rows)
-        den = lcm(*(x.denominator for row in rows for x in row))
-        return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-    def reduce_ints(self, nums):
-        """nums times a nonzero scalar, kept small: over Q the content (gcd)
-        is divided out, over GF(p) each entry is taken mod p."""
-        if not self.is_rational:
-            return [a % self.p for a in nums]
-        g = gcd(*nums)
-        return [a // g for a in nums] if g > 1 else nums
-
-    def from_ints(self, nums, den: int):
-        """The elements nums[k] / den; raises ZeroDivisionError when den = 0."""
-        if self.is_rational:
-            return [Fraction(a, den) for a in nums]
-        p = self.p
-        if den % p == 0:
-            raise ZeroDivisionError("denominator is 0 in GF(p)")
-        inv = pow(den, -1, p) if den != 1 else 1
-        return [PrimeFieldElement(p, a * inv) for a in nums]
 
     def contains(self, x) -> bool:
         if self.is_rational:

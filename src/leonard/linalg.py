@@ -5,10 +5,12 @@ which all arithmetic reads: integer rows `nums` over one denominator `den` > 0
 with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
 A product entry is one exact integer dot product, each result is made
 canonical with one gcd pass, and equality compares canonical forms.  Field
-elements are made only at the edges (indexing, scalars, JSON), once per
-instance.  Both operands of an operation, and every scalar, must lie in one
-field (ValueError otherwise).  Gauss-Jordan elimination is fraction-free with
-first-nonzero pivoting (GF(p) has no magnitude order).  Indexing is 0-based.
+elements are read in by `_to_ints` and made by `Field.fraction` only at the
+edges (indexing, scalars, JSON), once per instance.  Every entry, both
+operands of an operation and every scalar must lie in one field (ValueError
+otherwise).  Gauss-Jordan elimination is fraction-free with first-nonzero
+pivoting (GF(p) has no magnitude order); `unpivoted_column_reduction` runs the
+same update on columns without pivoting.  Indexing is 0-based.
 """
 
 from __future__ import annotations
@@ -29,6 +31,27 @@ def _check_operands(a, b, shapes_fit: bool = True) -> None:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
 
 
+def _to_ints(field: Field, rows):
+    """(nums, den) with rows[i][k] = nums[i][k] / den for a list of element rows: den is the lcm
+    of the denominators over Q, and 1 over GF(p).  ValueError for an entry not in field."""
+    for x in chain.from_iterable(rows):
+        if not field.contains(x):
+            raise ValueError(f"{x!r} is not an element of {field}")
+    if not field.is_rational:
+        return [[x.r for x in row] for row in rows], 1
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _reduce_ints(field: Field, nums):
+    """nums times a nonzero scalar, kept small: over Q the content (gcd)
+    is divided out, over GF(p) each entry is taken mod p."""
+    if not field.is_rational:
+        return [a % field.p for a in nums]
+    g = gcd(*nums)
+    return [a // g for a in nums] if g > 1 else nums
+
+
 class _Exact:
     """The canonical integer form that Matrix and Vector hold (a Vector has
     one row), and the arithmetic they share."""
@@ -39,7 +62,7 @@ class _Exact:
         rows = [tuple(row) for row in rows]
         if len({len(row) for row in rows}) > 1:
             raise ValueError("rows of unequal length")
-        nums, self.den = field.to_ints(rows)
+        nums, self.den = _to_ints(field, rows)
         self.field, self.nums, self._elements = field, tuple(map(tuple, nums)), None
 
     @classmethod
@@ -64,7 +87,8 @@ class _Exact:
     def rows(self) -> tuple:
         """The entries as rows of field elements, made from the integer form on first use."""
         if self._elements is None:
-            self._elements = tuple(tuple(self.field.from_ints(row, self.den)) for row in self.nums)
+            fraction, den = self.field.fraction, self.den
+            self._elements = tuple(tuple(fraction(a, den) for a in row) for row in self.nums)
         return self._elements
 
     def __eq__(self, other):
@@ -93,9 +117,7 @@ class _Exact:
         return self._of(self.field, [[-a for a in r] for r in self.nums], self.den)
 
     def scale(self, c):
-        if not self.field.contains(c):
-            raise ValueError(f"scalar {c!r} is not an element of {self.field}")
-        num, den = (c.numerator, c.denominator) if self.field.is_rational else (c.r, 1)
+        [[num]], den = _to_ints(self.field, [[c]])
         return self._of(self.field, [[num * a for a in r] for r in self.nums], self.den * den)
 
 
@@ -161,6 +183,8 @@ class Matrix(_Exact):
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
         cols = list(columns)
+        if any(c.field is not field and c.field != field for c in cols):
+            raise ValueError(f"columns over a field other than {field}")
         den = lcm(*(c.den for c in cols))
         return cls._of(field, list(zip(*([a * (den // c.den) for a in c.nums[0]] for c in cols))), den)
 
@@ -293,7 +317,7 @@ class Matrix(_Exact):
 
 def _gauss_jordan(field: Field, rows: list, m: int) -> list:
     """Reduce the integer rows in place on their first m columns; returns the
-    pivot columns.  A row update pv*a - g*b is kept small by `Field.reduce_ints`."""
+    pivot columns.  A row update pv*a - g*b is kept small by `_reduce_ints`."""
     pivots = []
     for c in range(m):
         r = len(pivots)
@@ -305,9 +329,29 @@ def _gauss_jordan(field: Field, rows: list, m: int) -> list:
         for i, row in enumerate(rows):
             g = row[c]
             if g and i != r:
-                rows[i] = field.reduce_ints([pv * a - g * b for a, b in zip(row, top)])
+                rows[i] = _reduce_ints(field, [pv * a - g * b for a, b in zip(row, top)])
         pivots.append(c)
     return pivots
+
+
+def unpivoted_column_reduction(M: Matrix, X: Matrix):
+    """The columns of X V, each up to a nonzero scalar, for the upper triangular V
+    with M V lower triangular, by column operations without pivoting: the update of
+    `_gauss_jordan` on the integer columns of M stacked over those of X (scaling M or
+    X scales every column of M V or X V alike).  None when a pivot is 0, that is,
+    when some leading principal minor of M is 0."""
+    _check_operands(M, X, M.is_square and X.ncols == M.ncols)
+    field, n = M.field, M.nrows
+    cols = [list(m + x) for m, x in zip(zip(*M.nums), zip(*X.nums))]
+    for k, top in enumerate(cols):  # cols[k] is final once reached
+        pv = top[k]
+        if not pv:
+            return None
+        for j in range(k + 1, n):
+            g = cols[j][k]
+            if g:
+                cols[j] = _reduce_ints(field, [pv * a - g * b for a, b in zip(cols[j], top)])
+    return [Vector._of(field, [col[n:]]) for col in cols]
 
 
 def outer(u: Vector, v: Vector) -> Matrix:

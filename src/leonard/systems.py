@@ -256,10 +256,11 @@ def _add_factored(report, name: str, check) -> None:
 
 
 def _off_diagonal(M: Matrix, diag):
-    """{"i", "j"} of the first entry (row-major) where M differs from the diagonal matrix diag, else None."""
-    zero = M.field.zero()
-    return next(({"i": i, "j": j} for i, row in enumerate(M.rows) for j, x in enumerate(row)
-                 if x != (diag[i] if i == j else zero)), None)
+    """{"i", "j"} of the first entry (row-major) where M differs from the diagonal matrix diag, else None;
+    an off-diagonal entry is 0 exactly when its integer is, so only the diagonal becomes field elements."""
+    f, den = M.field, M.den
+    return next(({"i": i, "j": j} for i, row in enumerate(M.nums) for j, a in enumerate(row)
+                 if (f.fraction(a, den) != diag[i] if i == j else a)), None)
 
 
 def _idempotent_checks(report, sys: LeonardSystem, star: bool):
@@ -376,7 +377,7 @@ def _superdiagonal_in_split_basis(sys: LeonardSystem, theta_order):
         rep = U.solve(sys.Astar * U)
     except SingularMatrix as exc:
         raise DegenerateSplit("split vectors are linearly dependent") from exc
-    return tuple(rep[i - 1][i] for i in range(1, sys.d + 1))
+    return tuple(rep.row(i - 1)[i] for i in range(1, sys.d + 1))
 
 
 def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
@@ -555,10 +556,10 @@ def _gram_in_eigenbasis(sys: LeonardSystem):
     scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
     if _off_diagonal(U * W, [f.one()] * n) or _off_diagonal(U * sys.A * W, theta):
         return None
-    B, zero = U * sys.Astar * W, f.zero()
-    rows = [[B[i][j] if k == i else -B[j][i] if k == j else zero for k in range(n)]
+    B = (U * sys.Astar * W).nums  # B.den B: scaling every row leaves the null space unchanged
+    rows = [[B[i][j] if k == i else -B[j][i] if k == j else 0 for k in range(n)]
             for i in range(n) for j in range(i + 1, n)]
-    ms = Matrix(f, rows or [[zero] * n]).nullspace()
+    ms = Matrix.from_ints(f, rows or [[0] * n]).nullspace()
     G, pivot = _one_form(f, [U.transpose() * scale_rows(m, U) for m in ms])
     m = ms[0].entries
     if not all(m):
@@ -571,7 +572,7 @@ def _one_form(f: Field, forms) -> tuple:
     of its row 0; NonUniqueForm when there is not exactly one or row 0 is zero."""
     if len(forms) != 1:
         raise NonUniqueForm(f"intertwiner space has dimension {len(forms)}")
-    pivot = next((x for x in forms[0][0] if x), None)
+    pivot = next((x for x in forms[0].row(0) if x), None)
     if pivot is None:
         raise NonUniqueForm("gram candidate has a zero first row")
     return forms[0].scale(f.invert(pivot)), pivot
@@ -643,8 +644,12 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     one = f.one()
     nu, nu_down, nu_ddown, nu_dd = nu_scalars(pa)
     traces = trace_products(sys, 0)[:2] + trace_products(sys, d)[:2]  # tr E_0 E*_0, E_0 E*_d, E_d E*_0, E_d E*_d
-    for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):  # needs E_0 (E*_0) = w u^T
-        _add_factored(report, name, lambda: (_factors(sys, star) is not None and nu * traces[0] == one, None))
+    def sandwich(star):
+        _factors(sys, star)  # E_0 (resp. E*_0) = w u^T, else DegenerateSplit
+        return nu * traces[0] == one, None
+
+    for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):
+        _add_factored(report, name, lambda: sandwich(star))
 
     report.add_first_failure("trace_products_closed_form", (
         {"r": r} for r in range(d + 1)
@@ -704,15 +709,8 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
         report.add("dagger_involution", sys.dagger(sys.dagger(probe)) == probe)
     except (NonUniqueForm, SingularMatrix) as exc:
-        for name in (
-            "gram_symmetric",
-            "gram_intertwines_A",
-            "gram_intertwines_Astar",
-            "dagger_fixes_A",
-            "dagger_fixes_Astar",
-            "dagger_fixes_idempotents",
-            "dagger_involution",
-        ):
+        for name in ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
+                     "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"):
             report.add(name, False, {"error": str(exc)})
 
     return report

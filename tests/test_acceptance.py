@@ -43,7 +43,7 @@ def verified(corpus):
     for pa in corpus.arrays:
         sys_ = corpus.system(pa)
         anchors = du.choose_anchor_vectors(sys_)
-        bundle = du.build_duality_bundle(sys_, anchors, require_self_dual=False)
+        bundle = du.build_duality_bundle(sys_, anchors)
         self_dual = du.is_self_dual(pa)
         du.build_24_bases(sys_, anchors)
         entry = {

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
-from leonard.errors import InconsistentArray, NotSelfDual, SingularBasis, SingularMatrix, UnknownBasis
+from leonard.errors import InconsistentArray, SingularBasis, SingularMatrix, UnknownBasis
 from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product
 from leonard.systems import ParameterArray, certify
@@ -183,11 +183,9 @@ def test_T_polynomial_form(sd1):
     assert du.duality_operator_polynomial_form(s) == bundle.t
 
 
-def test_build_bundle_requires_self_dual():
+def test_build_bundle_without_self_duality():
     s = certify(d1_nonselfdual())
-    with pytest.raises(NotSelfDual):
-        du.build_duality_bundle(s)
-    bundle = du.build_duality_bundle(s, require_self_dual=False)
+    bundle = du.build_duality_bundle(s)
     assert bundle.t == du.duality_operator(s)
 
 
@@ -199,7 +197,7 @@ def test_duality_suite_self_dual(sd1):
 
 def test_duality_suite_negative_control():
     s = certify(d1_nonselfdual())
-    bundle = du.build_duality_bundle(s, require_self_dual=False)
+    bundle = du.build_duality_bundle(s)
     report = du.verify_duality_suite(s, bundle)
     assert not report["A_T_equals_T_Astar"].passed
     assert not report["Astar_T_equals_T_A"].passed

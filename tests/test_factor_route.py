@@ -12,6 +12,8 @@ from functools import cache
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard.errors import DegenerateSplit, NonUniqueForm, SingularMatrix
 from leonard.fields import Field
@@ -19,13 +21,17 @@ from leonard.linalg import Matrix, is_irreducible_tridiagonal
 from leonard.systems import (
     LeonardSystem,
     ParameterArray,
+    _gram_by_nullspace,
     build_system,
     nu_scalars,
+    solve_gram,
     split_subspace,
     standard_identity_suite,
     trace_products_closed_form,
     verify_axioms,
 )
+
+from conftest import leonard_arrays
 
 Q = Field.rational()
 FIELDS = (Q, Field.prime(7), Field.prime(2**31 - 1))
@@ -231,6 +237,20 @@ def test_conjugated_corpus_reports_match_dense(corpus):
         conj = s.conjugated(_conjugator(pa.field, s.d + 1))
         report = assert_both_reports_match(conj)
         assert report.all_pass
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generated_reports_match_dense(field, data):
+    """Beyond the corpus (d <= 6): the factor checks, and the Gram form in the
+    eigenbasis, against their dense references on generated arrays."""
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    s = build_system(data.draw(leonard_arrays(field, d), label="pa"))
+    for sys in (s, s.conjugated(_conjugator(field, d + 1))):
+        assert assert_both_reports_match(sys).all_pass
+        G, _ = _gram_by_nullspace(sys.A, sys.Astar)
+        assert solve_gram(sys) == (G, G.inverse())
 
 
 @pytest.mark.parametrize("pa", perturbed_arrays())

@@ -7,7 +7,9 @@ the decomposition they induce.  "The first i+1 columns of X span component i
 of F" is read off Y = F^-1 X.  The reference below is the intersection and
 rank route those replace, one `intersect_column_spaces` or
 `same_column_space` call per component; both must agree verdict for verdict,
-witness and vector included.
+witness and vector included.  The elimination itself runs on integer columns
+(`linalg.unpivoted_column_reduction`); the element-level loop it replaced is
+kept below as a second reference.
 """
 
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from leonard import duality as du
 from leonard import linalg, systems
 from leonard.errors import DegenerateSplit
 from leonard.fields import Field
-from leonard.linalg import Matrix, intersect_column_spaces, same_column_space
+from leonard.linalg import Matrix, Vector, intersect_column_spaces, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
 from conftest import FROZEN_ARRAYS, leonard_arrays
@@ -41,6 +43,33 @@ def ref_flags_opposite(F: du.Flag, G: du.Flag) -> bool:
     if any(meet.ncols != 1 for meet in meets):
         return False
     return Matrix.from_columns(F.basis.field, [meet.column(0) for meet in meets]).rank() == len(meets)
+
+
+def ref_opposite_vectors(F: du.Flag, G: du.Flag):
+    """The element-level loop that `opposite_vectors` replaced: the columns of C'
+    (C = F^-1 G, rows reversed) over those of G, reduced without pivoting one
+    field element and one Vector at a time; x_i = G V[:, d-i], or None."""
+    if F.inverse is None:
+        return None
+    C = F.inverse * G.basis
+    n = C.nrows
+    cols = [Vector(C.field, C.column(j).entries[::-1] + G.basis.column(j).entries) for j in range(n)]
+    for k in range(n):
+        if not cols[k][k]:
+            return None
+        for j in range(k + 1, n):
+            if cols[j][k]:
+                cols[j] = cols[j] - cols[k].scale(cols[j][k] / cols[k][k])
+    return tuple(Vector(C.field, cols[n - 1 - i].entries[n:]) for i in range(n))
+
+
+def assert_opposite_vectors_match_loop(F: du.Flag, G: du.Flag):
+    """Same verdict as the element loop, and the same vectors up to nonzero scalars."""
+    got, want = du.opposite_vectors(F, G), ref_opposite_vectors(F, G)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [v.normalized() for v in got] == [v.normalized() for v in want]
+    return got
 
 
 def ref_decomposition_vectors(sys, z, w):
@@ -141,7 +170,7 @@ def negative_controls():
 
 
 def with_bundle(sys):
-    return du.build_duality_bundle(sys, require_self_dual=False)
+    return du.build_duality_bundle(sys)
 
 
 # --- route == reference on certified systems ---
@@ -152,6 +181,13 @@ def test_corpus_geometry_matches_reference(corpus):
         s = corpus.system(pa)
         report = assert_geometry_matches_reference(s, with_bundle(s))
         assert report.all_pass == du.is_self_dual(pa)
+
+
+def test_corpus_opposite_vectors_match_element_loop(corpus):
+    for pa in corpus.arrays:
+        s = corpus.system(pa)
+        for z, w in du.DECOMPOSITION_PAIRS:
+            assert assert_opposite_vectors_match_loop(du.build_flag(s, z), du.build_flag(s, w)) is not None
 
 
 def test_conjugated_corpus_geometry_matches_reference(corpus):
@@ -268,7 +304,7 @@ def basis_pairs(draw):
 @given(basis_pairs())
 def test_random_bases_match_reference(case):
     F, G, X = case
-    vectors = du.opposite_vectors(F, G)
+    vectors = assert_opposite_vectors_match_loop(F, G)
     assert (vectors is not None) == ref_flags_opposite(F, G)
     if vectors is not None:
         assert [v.normalized() for v in vectors] == [m.column(0).normalized() for m in ref_meets(F, G)]
@@ -283,7 +319,7 @@ def test_singular_basis_is_never_opposite():
     F = du.Flag("F", Matrix.from_ints(field, [[1, 2], [2, 4]]))
     G = du.Flag("G", Matrix.from_ints(field, [[0, 1], [1, 0]]))
     for pair in ((F, G), (G, F), (F, F)):
-        assert du.opposite_vectors(*pair) is None
+        assert assert_opposite_vectors_match_loop(*pair) is None
         assert not ref_flags_opposite(*pair)
 
 

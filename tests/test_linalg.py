@@ -12,6 +12,8 @@ from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import (
     Matrix,
     Vector,
+    _reduce_ints,
+    _to_ints,
     bidiagonal,
     bidiagonal_idempotents,
     eval_root_product,
@@ -25,6 +27,7 @@ from leonard.linalg import (
     same_column_space,
     trace_of_product,
     transition_matrix,
+    unpivoted_column_reduction,
 )
 
 Q = Field.rational()
@@ -396,11 +399,10 @@ def test_integer_kernels_match_elementwise_reference(case):
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_kernels_on_empty_shapes(field):
     # n x 0 matrices come out of intersect_column_spaces; empty rows must not divide by 0
-    assert field.to_ints([]) == ([], 1)
-    assert field.to_ints([[]]) == ([[]], 1)
-    assert field.reduce_ints([]) == []
-    assert field.reduce_ints([0, 0]) == [0, 0]
-    assert field.from_ints([], 3) == []
+    assert _to_ints(field, []) == ([], 1)
+    assert _to_ints(field, [[]]) == ([[]], 1)
+    assert _reduce_ints(field, []) == []
+    assert _reduce_ints(field, [0, 0]) == [0, 0]
     empty3 = Matrix(field, ((), (), ()))
     assert empty3.ncols == 0 and empty3.rank() == 0
     assert empty3.rref() == (empty3, [])
@@ -497,10 +499,10 @@ def test_mismatched_shapes_raise(field):
 
 def _ref_products(field, left, right):
     """Rows of dot products of the element rows left with the element columns right:
-    the rows go to integers (`Field.to_ints`) and each entry back to a field element."""
-    a_rows, da = field.to_ints(left)
-    b_cols, db = field.to_ints(right)
-    return [field.from_ints([sum(map(mul, a, b)) for b in b_cols], da * db) for a in a_rows]
+    the rows go to integers (`linalg._to_ints`) and each entry back to a field element (`Field.fraction`)."""
+    a_rows, da = _to_ints(field, left)
+    b_cols, db = _to_ints(field, right)
+    return [[field.fraction(sum(map(mul, a, b)), da * db) for b in b_cols] for a in a_rows]
 
 
 def _ref_int_echelon(M, augment=None):
@@ -508,7 +510,7 @@ def _ref_int_echelon(M, augment=None):
     each output row back to field elements."""
     field, m = M.field, M.ncols
     extra = augment if augment is not None else [()] * M.nrows
-    rows, _ = field.to_ints(r + tuple(a) for r, a in zip(M.rows, extra, strict=True))
+    rows, _ = _to_ints(field, [r + tuple(a) for r, a in zip(M.rows, extra, strict=True)])
     pivots = []
     for c in range(m):
         r = len(pivots)
@@ -520,10 +522,10 @@ def _ref_int_echelon(M, augment=None):
         for i, row in enumerate(rows):
             g = row[c]
             if g and i != r:
-                rows[i] = field.reduce_ints([pv * a - g * b for a, b in zip(row, top)])
+                rows[i] = _reduce_ints(field, [pv * a - g * b for a, b in zip(row, top)])
         pivots.append(c)
-    out = [field.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
-    out += [field.from_ints(row, 1) for row in rows[len(pivots):]]
+    out = [[field.fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+    out += [[field.fraction(a, 1) for a in row] for row in rows[len(pivots):]]
     return [row[:m] for row in out], pivots, [row[m:] for row in out] if augment is not None else None
 
 
@@ -599,3 +601,67 @@ def test_canonical_form_matches_element_row_reference(case):
         assert N == el(A.rows) and hash(N) == hash(el(A.rows))
     for X in (*got.values(), Av, A + A2 - A2, *A.nullspace(), A.column_space_basis(), S.rref()[0]):
         _assert_canonical_form(X)
+
+
+# --- entries outside the field are rejected ---
+
+
+def test_entries_outside_the_field_raise():
+    G11 = Field.prime(11)
+    for bad in (lambda: Matrix(G7, [[G11.from_int(10)]]), lambda: Matrix(G7, [[F(1, 2)]]),
+                lambda: Vector(G7, [G7.one(), G11.one()]), lambda: Matrix(Q, [[G7.one()]]), lambda: Vector(Q, [1])):
+        with pytest.raises(ValueError, match="not an element"):
+            bad()
+    with pytest.raises(ValueError, match="field other than"):
+        Matrix.from_columns(G7, [Vector(G11, [G11.from_int(10)])])
+    assert Matrix(G7, [[G7.from_int(10)]]) == Matrix.from_ints(G7, [[3]])
+    assert Matrix.from_columns(G7, [Vector(Field.prime(7), [G7.from_int(3)])]) == Matrix.from_ints(G7, [[3]])
+
+
+# --- column reduction without pivoting ---
+
+
+def _in_span(basis: Matrix, v: Vector) -> bool:
+    return basis.beside(Matrix.from_columns(v.field, [v])).rank() == basis.rank()
+
+
+@st.composite
+def _unpivoted_case(draw):
+    field = draw(st.sampled_from((Q, G7, Field.prime(2**31 - 1))))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return field, draw(_matrix(field, n, n)), draw(_matrix(field, k, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unpivoted_case())
+def test_unpivoted_column_reduction(case):
+    """None exactly when a leading principal minor of M is 0; otherwise, run on M
+    over [I; X], column j is (v_j, X v_j) with v_j in span(e_0..e_j) but not
+    span(e_0..e_{j-1}), and M v_j in span(e_j..e_{n-1})."""
+    field, M, X = case
+    n, eye = M.nrows, Matrix.identity(field, M.nrows)
+    minor_vanishes = any(M.submatrix(slice(0, k), slice(0, k)).rank() < k for k in range(1, n + 1))
+    assert (unpivoted_column_reduction(M, X) is None) == minor_vanishes
+    cols = unpivoted_column_reduction(M, Matrix(field, eye.rows + X.rows))
+    assert (cols is None) == minor_vanishes
+    if cols is None:
+        return
+    reduced = unpivoted_column_reduction(M, X)
+    for j, col in enumerate(cols):
+        v, xv = Vector(field, col.entries[:n]), Vector(field, col.entries[n:])
+        assert xv == X * v
+        assert reduced[j].is_zero() == xv.is_zero() and (xv.is_zero() or reduced[j].normalized() == xv.normalized())
+        assert _in_span(eye.submatrix(cols=slice(0, j + 1)), v) and not _in_span(eye.submatrix(cols=slice(0, j)), v)
+        assert _in_span(eye.submatrix(cols=slice(j, n)), M * v)
+
+
+def test_unpivoted_column_reduction_examples():
+    for rows in ([[0, 1], [1, 0]], [[1, 1], [1, 1]], [[0]]):  # a row swap needed, singular, zero
+        assert unpivoted_column_reduction(mat(rows), Matrix.identity(Q, len(rows))) is None
+    X = mat([[1, 2], [3, 4], [5, 6]])
+    assert unpivoted_column_reduction(Matrix.identity(Q, 2), X) == X.columns()
+    # M = [[2, 1], [4, 3]]: v_0 = e_0, v_1 = e_1 - e_0 / 2 (times 2), so X v_1 = 2 X e_1 - X e_0
+    v1 = unpivoted_column_reduction(mat([[2, 1], [4, 3]]), X)[1]
+    assert v1.normalized() == Vector(Q, [F(3), F(5), F(7)]).normalized()
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        unpivoted_column_reduction(mat([[1, 2]]), mat([[1, 2]]))

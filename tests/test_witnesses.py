@@ -26,7 +26,7 @@ SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]  # Krawtchouk, d =
 def _setup(array):
     s = certify(ParameterArray.from_json(array))
     anchors = du.choose_anchor_vectors(s)
-    return s, anchors, du.build_duality_bundle(s, anchors, require_self_dual=False)
+    return s, anchors, du.build_duality_bundle(s, anchors)
 
 
 def _checks(*reports) -> dict:
