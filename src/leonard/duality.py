@@ -23,9 +23,9 @@ from .linalg import (
     Matrix,
     Vector,
     bidiagonal,
+    flag_decomposition,
     outer,
     rank_one_sum,
-    unpivoted_column_reduction,
 )
 from .report import VerificationReport
 from .systems import (
@@ -33,7 +33,6 @@ from .systems import (
     ParameterArray,
     edge_values,
     nu_scalars,
-    split_subspace,
 )
 
 
@@ -293,19 +292,6 @@ def _coordinates(inverse: Matrix | None, X: Matrix) -> Matrix:
     return inverse * X
 
 
-def opposite_vectors(F: Flag, G: Flag):
-    """x_0..x_d with x_i spanning F_i ∩ G_{d-i} when F and G are opposite, else None.
-
-    They are opposite exactly when C' (C = F^-1 G with its rows reversed) has
-    an LU factorisation without pivoting.  The column operations C' V = L (V
-    upper triangular), done on the columns of G as well, leave x_i = G V[:, d-i]
-    (`unpivoted_column_reduction`; each x_i up to a nonzero scalar)."""
-    if F.inverse is None:
-        return None
-    cols = unpivoted_column_reduction((F.inverse * G.basis).submatrix(slice(None, None, -1)), G.basis)
-    return None if cols is None else tuple(reversed(cols))
-
-
 def spans_components(F: Flag, X: Matrix) -> list:
     """For each i, whether the first i+1 columns of X span component i of F.
 
@@ -344,7 +330,8 @@ def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
 
 
 def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    vectors = opposite_vectors(build_flag(sys, z), build_flag(sys, w))
+    F = build_flag(sys, z)
+    vectors = None if F.inverse is None else flag_decomposition(F.inverse, build_flag(sys, w).basis)
     if vectors is None:
         raise DegenerateSplit(f"the flags [{z}] and [{w}] of [{z}{w}] are not opposite")
     return Decomposition(z, w, tuple(v.normalized() for v in vectors))
@@ -400,13 +387,14 @@ def verify_geometry_suite(
         {"pair": f"[{z}{w}]", "flag": u, "i": i}
         for (z, w), by_flag in spans.items() for i in range(d + 1) for u in (z, w) if not by_flag[u][i]))
 
-    # rows 0, 1 and split: component i of [0D], [0*D*] and [0*D] spans E_iV, E*_iV and the split line U_i
-    lines = [(sys.eigencolumn(i), sys.eigencolumn(i, star=True), split_subspace(sys, i)) for i in range(d + 1)]
+    # rows 0, 1 and split: component i of [0D], [0*D*] and [0*D] spans E_iV, E*_iV and the split
+    # line U_i, which is tau_i(A) E*_0 V (Terwilliger, LAA 330, 2001)
+    splits = sys.root_family("tau", False, sys.eigencolumn(0, star=True))
     report.add_last_failure("decomposition_table_rows", (
-        {"i": i, "row": row} for i, (v, vs, U) in enumerate(lines) for row, ok in (
-            (0, _colinear(decomps[("0", "D")].vectors[i], v)),
-            (1, _colinear(decomps[("0*", "D*")].vectors[i], vs)),
-            ("split", U.ncols == 1 and _colinear(decomps[("0*", "D")].vectors[i], U.column(0))),
+        {"i": i, "row": row} for i in range(d + 1) for row, ok in (
+            (0, _colinear(decomps[("0", "D")].vectors[i], sys.eigencolumn(i))),
+            (1, _colinear(decomps[("0*", "D*")].vectors[i], sys.eigencolumn(i, star=True))),
+            ("split", _colinear(decomps[("0*", "D")].vectors[i], splits[i])),
         ) if not ok))
 
     if bundle is None:

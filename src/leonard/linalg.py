@@ -10,7 +10,8 @@ edges (indexing, scalars, JSON), once per instance.  Every entry, both
 operands of an operation and every scalar must lie in one field (ValueError
 otherwise).  Gauss-Jordan elimination is fraction-free with first-nonzero
 pivoting (GF(p) has no magnitude order); `unpivoted_column_reduction` runs the
-same update on columns without pivoting.  Indexing is 0-based.
+same update on columns without pivoting, and `flag_decomposition` decomposes a
+pair of flags with it.  Indexing is 0-based.
 """
 
 from __future__ import annotations
@@ -352,6 +353,18 @@ def unpivoted_column_reduction(M: Matrix, X: Matrix):
             if g:
                 cols[j] = _reduce_ints(field, [pv * a - g * b for a, b in zip(cols[j], top)])
     return [Vector._of(field, [col[n:]]) for col in cols]
+
+
+def flag_decomposition(F_inverse: Matrix, G: Matrix):
+    """x_0..x_d with x_i spanning F_i ∩ G_{d-i}, for the flags with ordered bases F
+    and G (component i: the first i+1 columns), when they are opposite, else None.
+
+    They are opposite exactly when C' (C = F^-1 G with its rows reversed) has an LU
+    factorisation without pivoting.  The column operations C' V = L (V upper
+    triangular), done on the columns of G as well, leave x_i = G V[:, d-i]
+    (`unpivoted_column_reduction`; each x_i up to a nonzero scalar)."""
+    cols = unpivoted_column_reduction((F_inverse * G).submatrix(slice(None, None, -1)), G)
+    return None if cols is None else tuple(reversed(cols))
 
 
 def outer(u: Vector, v: Vector) -> Matrix:

@@ -28,8 +28,8 @@ from .linalg import (
     Vector,
     bidiagonal,
     bidiagonal_idempotents,
+    flag_decomposition,
     flat_rank,
-    intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
     outer,
@@ -503,25 +503,15 @@ def split_projectors(sys: LeonardSystem) -> list:
             for t, ts, c in zip(sys.tau(), sys.tau(star=True), pa.split_products[0])]
 
 
-def eigenspace_span(sys: LeonardSystem, indices, star: bool = False) -> Matrix:
-    """Matrix whose columns span the sum of the listed eigenspaces: columns of eigenbasis(star)[0]."""
-    return Matrix.from_columns(sys.field, [sys.eigencolumn(i, star=star) for i in indices])
-
-
-def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
-    """U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V), as columns."""
-    lower = eigenspace_span(sys, range(i + 1), star=True)
-    upper = eigenspace_span(sys, range(i, sys.d + 1), star=False)
-    return intersect_column_spaces(lower, upper)
-
-
 def split_projectors_by_intersection(sys: LeonardSystem) -> list:
-    """Independent construction of the split projectors from the subspaces."""
-    f = sys.field
-    spans = [split_subspace(sys, i) for i in range(sys.d + 1)]
-    if any(S.ncols != 1 for S in spans):
+    """Independent construction of the split projectors from the split lines
+    U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V): the decomposition of
+    the flags with ordered bases W* and W reversed (`flag_decomposition`)."""
+    W, Ws = _factors(sys)[0], _factors(sys, star=True)[0]
+    lines = flag_decomposition(Ws.inverse(), W.submatrix(cols=slice(None, None, -1)))
+    if lines is None:
         raise DegenerateSplit("split component is not one-dimensional")
-    C = Matrix.from_columns(f, [S.column(0) for S in spans])
+    C = Matrix.from_columns(sys.field, lines)
     Cinv = C.inverse()
     # C e_i e_i^T C^-1: column i of C times row i of C^-1
     return [outer(C.column(i), Cinv.row(i)) for i in range(sys.d + 1)]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from leonard.duality import is_self_dual
 from leonard.errors import ExhaustedTrials, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
+from leonard.linalg import Matrix, intersect_column_spaces
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
 from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array
 
@@ -181,3 +182,14 @@ def leonard_arrays(field: Field, d: int):
     return (st.tuples(st.tuples(x, x, x), st.tuples(x, x, x), x, x)
             .map(lambda scalars: leonard_array(field, d, *scalars))
             .filter(lambda pa: pa is not None))
+
+
+# --- the null-space reference for the split lines ---
+
+
+def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
+    """U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V), as columns: the two
+    eigenvector spans met by one null space (`intersect_column_spaces`), the route
+    that `flag_decomposition` replaced in the split checks."""
+    span = lambda indices, star: Matrix.from_columns(sys.field, [sys.eigencolumn(j, star=star) for j in indices])
+    return intersect_column_spaces(span(range(i + 1), True), span(range(i, sys.d + 1), False))

@@ -112,10 +112,12 @@ GF7_D1 = {
     dict(D1_SELF_DUAL, field="rational"),
     dict(D1_SELF_DUAL, d=True),
     dict(D1_SELF_DUAL, d=1.0),
+    dict(D1_SELF_DUAL, d=-1),
+    dict(D1_SELF_DUAL, theta=["1/1"]),
 ], ids=["zero-denominator", "true", "false", "residue-above-p", "negative-residue",
-        "field-not-an-object", "d-boolean", "d-float"])
+        "field-not-an-object", "d-boolean", "d-float", "d-negative", "theta-wrong-length"])
 def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
-    # each of these once decoded (or crashed) instead of being rejected
+    # the first eight once decoded (or crashed) instead of being rejected
     code, _ = run_cli(tmp_path, ["verify"], payload)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
@@ -259,9 +261,11 @@ def test_search_exhausted_partial_output(tmp_path, capsys):
     ["--field", "rational", "--d", "60", "--max-trials", "1"],
     ["--field", "rational", "--d", "1", "--max-trials", "0"],
     ["--field", "prime:7", "--d", "1", "--max-trials", "-5"],
-], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials"])
+    ["--field", "bogus", "--d", "1"],
+    ["--field", "prime:8", "--d", "1"],
+], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials", "unknown-field", "composite-p"])
 def test_search_bad_config_exit_2(tmp_path, capsys, argv):
-    # the first once looped forever, the others reported "found 0 of 1" with exit 1
+    # the first once looped forever, the next two reported "found 0 of 1" with exit 1
     code, text = run_cli(tmp_path, ["search", *argv])
     assert code == 2 and text == ""
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
@@ -294,6 +298,21 @@ def test_main_calls_share_one_parser(tmp_path):
     assert [_call(argv) for argv in calls] == first
     assert _call(["search", "--field", "rational", "--self-dual"]) == bad
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_input_file_matches_stdin(tmp_path, monkeypatch):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(D1_SELF_DUAL))
+    from_file = _call(["verify", "--input", str(inp)])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(inp.read_text()))
+    assert _call(["verify"]) == from_file
+    assert from_file[0] == 0 and from_file[2] == ""
+
+
+def test_missing_input_file_exits_2(tmp_path):
+    code, out, err = _call(["verify", "--input", str(tmp_path / "missing.json")])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
 
 def test_installed_entry_point(tmp_path):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
-from leonard.errors import InconsistentArray, SingularBasis, SingularMatrix, UnknownBasis
+from leonard.errors import InconsistentArray, SingularBasis, SingularMatrix, UnknownBasis, ZeroInnerProduct
 from leonard.fields import Field
-from leonard.linalg import Matrix, Vector, eval_root_product
+from leonard.linalg import Matrix, Vector, eval_root_product, flag_decomposition
 from leonard.systems import ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, leonard_arrays
+from conftest import FROZEN_ARRAYS, leonard_arrays, split_subspace
 
 Q = Field.rational()
 
@@ -91,9 +91,9 @@ def test_each_basis_sequence_built_once(tmp_path, monkeypatch):
 def test_eliminations_per_verb(tmp_path, monkeypatch):
     """Each flag and each forward basis is inverted once; coordinates are products.
 
-    At d = 6 certify takes 3 eliminations.  dualize adds the 4 flag inverses,
-    one rref per spans_components call (24 + 4) and the 7 split_subspace
-    intersections (2 each); bases the 4 flag and 12 basis inverses;
+    At d = 6 certify takes 3 eliminations.  verify adds the inverses of W* and
+    of the split lines; dualize the 4 flag inverses and one rref per
+    spans_components call (24 + 4); bases the 4 flag and 12 basis inverses;
     matrix-of-t one basis inverse."""
     GFP = {"kind": "prime", "p": 2**31 - 1}
     d, enc = 6, lambda x: x % GFP["p"]
@@ -108,7 +108,7 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     calls = []
     echelon = Matrix._echelon
     monkeypatch.setattr(Matrix, "_echelon", lambda self, **kw: calls.append(1) or echelon(self, **kw))
-    bounds = {"verify": 28, "dualize": 49, "bases": 19, "matrix-of-t": 4}
+    bounds = {"verify": 5, "dualize": 35, "bases": 19, "matrix-of-t": 4}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
@@ -240,9 +240,9 @@ def test_flag_components():
 def test_flags_mutually_opposite(sd1):
     _, s, _, _ = sd1
     flags = [du.build_flag(s, z) for z in du.OMEGA]
-    assert all(du.opposite_vectors(F, G) is not None for F in flags for G in flags if F is not G)
+    assert all(flag_decomposition(F.inverse, G.basis) is not None for F in flags for G in flags if F is not G)
     # a flag is never opposite to itself for d >= 1
-    assert du.opposite_vectors(flags[0], flags[0]) is None
+    assert flag_decomposition(flags[0].inverse, flags[0].basis) is None
 
 
 def test_decomposition_known_rows(sd1):
@@ -257,16 +257,20 @@ def test_decomposition_known_rows(sd1):
         du.build_decomposition(s, "0", "0")
 
 
-def test_decomposition_intersection_oracle(sd1):
-    # [0*D] component i equals the split subspace U_i computed independently
-    from leonard.systems import split_subspace
-
-    _, s, _, _ = sd1
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_decomposition_intersection_oracle(data):
+    """Three routes to the split line U_i: component i of [0*D] (the flag
+    elimination), the null-space intersection and tau_i(A) w*_0."""
+    field = data.draw(st.sampled_from([Q, Field.prime(2**31 - 1)]), label="field")
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    s = certify(data.draw(leonard_arrays(field, d), label="pa"))
     dec = du.build_decomposition(s, "0*", "D")
+    splits = s.root_family("tau", False, s.eigencolumn(0, star=True))
     for i in range(s.d + 1):
         U = split_subspace(s, i)
         assert U.ncols == 1
-        assert dec.vectors[i] == U.column(0).normalized()
+        assert dec.vectors[i] == U.column(0).normalized() == splits[i].normalized()
 
 
 def test_geometry_suite(sd1):
@@ -310,6 +314,13 @@ def test_anchor_relations_general():
     s = certify(d1_nonselfdual())
     a = du.choose_anchor_vectors(s)
     assert du.verify_anchor_relations(s, a).all_pass
+
+
+def test_vanishing_anchor_inner_product(sd1):
+    # with v_d in place of v*_0, x00 = <v_0, v_d> = 0: E_0 V and E_d V are orthogonal under the form
+    _, s, a, _ = sd1
+    with pytest.raises(ZeroInnerProduct, match="^anchor inner product x00 vanished$"):
+        du.anchors_from_vectors(s, a.v0, a.vd, a.vd, a.vds)
 
 
 # --- the 24 bases ---

@@ -25,13 +25,12 @@ from leonard.systems import (
     build_system,
     nu_scalars,
     solve_gram,
-    split_subspace,
     standard_identity_suite,
     trace_products_closed_form,
     verify_axioms,
 )
 
-from conftest import leonard_arrays
+from conftest import leonard_arrays, split_subspace
 
 Q = Field.rational()
 FIELDS = (Q, Field.prime(7), Field.prime(2**31 - 1))

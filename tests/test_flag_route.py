@@ -8,8 +8,8 @@ of F" is read off Y = F^-1 X.  The reference below is the intersection and
 rank route those replace, one `intersect_column_spaces` or
 `same_column_space` call per component; both must agree verdict for verdict,
 witness and vector included.  The elimination itself runs on integer columns
-(`linalg.unpivoted_column_reduction`); the element-level loop it replaced is
-kept below as a second reference.
+(`linalg.flag_decomposition`, through `unpivoted_column_reduction`); the
+element-level loop it replaced is kept below as a second reference.
 """
 
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from leonard import duality as du
 from leonard import linalg, systems
 from leonard.errors import DegenerateSplit
 from leonard.fields import Field
-from leonard.linalg import Matrix, Vector, intersect_column_spaces, same_column_space
+from leonard.linalg import Matrix, Vector, flag_decomposition, intersect_column_spaces, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
 from conftest import FROZEN_ARRAYS, leonard_arrays
@@ -45,8 +45,13 @@ def ref_flags_opposite(F: du.Flag, G: du.Flag) -> bool:
     return Matrix.from_columns(F.basis.field, [meet.column(0) for meet in meets]).rank() == len(meets)
 
 
+def opposite_vectors(F: du.Flag, G: du.Flag):
+    """`linalg.flag_decomposition` of F and G; None when F is singular."""
+    return None if F.inverse is None else flag_decomposition(F.inverse, G.basis)
+
+
 def ref_opposite_vectors(F: du.Flag, G: du.Flag):
-    """The element-level loop that `opposite_vectors` replaced: the columns of C'
+    """The element-level loop that `flag_decomposition` replaced: the columns of C'
     (C = F^-1 G, rows reversed) over those of G, reduced without pivoting one
     field element and one Vector at a time; x_i = G V[:, d-i], or None."""
     if F.inverse is None:
@@ -65,7 +70,7 @@ def ref_opposite_vectors(F: du.Flag, G: du.Flag):
 
 def assert_opposite_vectors_match_loop(F: du.Flag, G: du.Flag):
     """Same verdict as the element loop, and the same vectors up to nonzero scalars."""
-    got, want = du.opposite_vectors(F, G), ref_opposite_vectors(F, G)
+    got, want = opposite_vectors(F, G), ref_opposite_vectors(F, G)
     assert (got is None) == (want is None)
     if got is not None:
         assert [v.normalized() for v in got] == [v.normalized() for v in want]
@@ -327,7 +332,8 @@ def test_singular_basis_is_never_opposite():
 
 
 def test_suites_use_no_rank_or_intersection_loops(monkeypatch):
-    """Only split_subspace intersects subspaces (d+1 calls); nothing compares column spaces."""
+    """No suite intersects subspaces or compares column spaces: the split lines too come
+    from the flag elimination."""
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
     calls = {"same_column_space": 0, "intersect_column_spaces": 0}
 
@@ -342,9 +348,10 @@ def test_suites_use_no_rank_or_intersection_loops(monkeypatch):
         for module in (linalg, systems, du):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
+    assert systems.standard_identity_suite(s).all_pass
     anchors = du.choose_anchor_vectors(s)
     bundle = du.build_duality_bundle(s, anchors)
     assert du.verify_geometry_suite(s, bundle).all_pass
     du.build_24_bases(s, anchors)
     assert du.verify_basis_family(s, anchors).all_pass
-    assert calls == {"same_column_space": 0, "intersect_column_spaces": s.d + 1}
+    assert calls == {"same_column_space": 0, "intersect_column_spaces": 0}

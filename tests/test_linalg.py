@@ -23,6 +23,7 @@ from leonard.linalg import (
     flat_rank,
     outer,
     rank_one_factors,
+    rank_one_sum,
     root_product_family,
     same_column_space,
     trace_of_product,
@@ -460,6 +461,13 @@ def test_rank_one_factors_exactly_the_rank_one_matrices(case):
             assert W.column(0) == next(c for c in M.columns() if not c.is_zero())
             assert outer(W.column(0), Vector(field, U[0])) == M
             assert M == Matrix.from_columns(field, [W.column(0)]) * Matrix(field, [U[0]])
+
+
+def test_rank_one_sum_rejects_other_ranks():
+    eye = Matrix.identity(Q, 2)
+    for mid in (Matrix.zeros(Q, 2), eye):  # rank 0 and rank 2
+        with pytest.raises(ValueError, match="^the middle factor is not of rank one$"):
+            rank_one_sum([eye], mid, [eye])
 
 
 # --- mismatched shapes are rejected, never truncated ---

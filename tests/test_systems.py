@@ -537,6 +537,16 @@ def test_gram_fallback_raises_like_nullspace(corpus):
         solve_gram(cases[-1])
 
 
+def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
+    # E_i := E*_i factors with U W = I, but U A W != diag(theta): the null space solves
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
+    swapped = LeonardSystem(s.A, s.Astar, s.Estar, s.Estar, s.theta, s.theta_star, s.pa)
+    assert swapped.eigenbasis() is not None
+    assert _eigenbasis_route(swapped) is None
+    assert solve_gram(swapped) == _gram_by_nullspace(s.A, s.Astar)
+    assert solve_gram(swapped)[0] == s.gram
+
+
 def test_dagger_properties():
     s = certify(d1_example())
     assert s.dagger(s.A) == s.A
