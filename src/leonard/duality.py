@@ -25,12 +25,13 @@ from .linalg import (
     bidiagonal,
     flag_decomposition,
     outer,
-    rank_one_sum,
+    rank_one_factors,
 )
 from .report import VerificationReport
 from .systems import (
     LeonardSystem,
     ParameterArray,
+    _factors,
     edge_values,
     nu_scalars,
 )
@@ -138,23 +139,44 @@ class DualityBundle:
         }
 
 
+def _through(sys: LeonardSystem, x: tuple, y: tuple) -> tuple:
+    """(w, c, u) with E_x E_y = c w u^T, for x and y each (star, i) naming E_i or E*_i:
+    with E_x = w u_x^T and E_y = w_y u^T, c = u_x^T w_y.  ValueError when c = 0 (E_x E_y is not of rank one),
+    DegenerateSplit when a family does not factor."""
+    (W, U), (Wy, Uy) = _factors(sys, x[0]), _factors(sys, y[0])
+    if not (c := U.row(x[1]).dot(Wy.column(y[1]))):
+        raise ValueError("the middle factor is not of rank one")
+    return W.column(x[1]), c, Uy.row(y[1])
+
+
+def _outer_sum(c, cols, rows) -> Matrix:
+    """c sum_i cols[i] rows[i]^T as one product: a sum sum_i L_i w u^T R_i is that of the
+    columns L_i w and the rows u^T R_i, built by `LeonardSystem.root_family` on w and u."""
+    f = cols[0].field
+    return (Matrix.from_columns(f, cols) * Matrix.from_columns(f, rows).transpose()).scale(c)
+
+
 def duality_operator(sys: LeonardSystem) -> Matrix:
     """T = sum_i eta_{d-i}(A) E*_0 E_d tau*_i(A*)."""
-    return rank_one_sum(sys.eta()[::-1], sys.Estar[0] * sys.E[sys.d], sys.tau(star=True))
+    w, c, u = _through(sys, (True, 0), (False, sys.d))
+    return _outer_sum(c, sys.root_family("eta", False, w)[::-1], sys.root_family("tau", True, u, covector=True))
 
 
 def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
-    """T as a polynomial in A and A* (the edge idempotents expanded)."""
-    d, f = sys.d, sys.field
-    etaA, tausAs = sys.eta(), sys.tau(star=True)
+    """T as a polynomial in A and A*: the edge idempotents E*_0 E_d expanded into the
+    dense core eta*_d(A*) tau_d(A), which is factored as w u^T (`rank_one_factors`)."""
     tau_d, _, _, etas_d = edge_values(sys.parameter_array)
-    core = sys.eta(star=True)[d] * sys.tau()[d]
-    return rank_one_sum(etaA[::-1], core, tausAs).scale(f.invert(tau_d * etas_d))
+    found = rank_one_factors([sys.root_family("eta", True)[sys.d] * sys.root_family("tau")[sys.d]])
+    if found is None:
+        raise ValueError("the middle factor is not of rank one")
+    return _outer_sum(sys.field.invert(tau_d * etas_d), sys.root_family("eta", False, found[0].column(0))[::-1],
+                      sys.root_family("tau", True, found[1].row(0), covector=True))
 
 
 def dual_duality_operator(sys: LeonardSystem) -> Matrix:
     """T* = sum_i eta*_{d-i}(A*) E_0 E*_d tau_i(A)."""
-    return rank_one_sum(sys.eta(star=True)[::-1], sys.E[0] * sys.Estar[sys.d], sys.tau())
+    w, c, u = _through(sys, (False, 0), (True, sys.d))
+    return _outer_sum(c, sys.root_family("eta", True, w)[::-1], sys.root_family("tau", False, u, covector=True))
 
 
 def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = None) -> DualityBundle:
@@ -186,7 +208,6 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report = VerificationReport()
     f, d = sys.field, sys.d
     pa = sys.parameter_array
-    ident = Matrix.identity(f, d + 1)
     t = bundle.t
     t_star = dual_duality_operator(sys)
     t_dag = sys.dagger(t)
@@ -194,18 +215,18 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
 
     report.add("T_polynomial_form", t == duality_operator_polynomial_form(sys))
 
-    # displayed adjoint sums
-    etaA, tauA = sys.eta(), sys.tau()
-    tausAs, etasAs = sys.tau(star=True), sys.eta(star=True)
-    report.add("T_dagger_displayed_sum", t_dag == rank_one_sum(tausAs, sys.E[d] * sys.Estar[0], etaA[::-1]))
-    report.add("T_star_dagger_displayed_sum", t_star_dag == rank_one_sum(tauA, sys.Estar[d] * sys.E[0], etasAs[::-1]))
+    # displayed adjoint sums: sum_i tau*_i(A*) E_d E*_0 eta_{d-i}(A), and its dual with the stars swapped
+    for name, lhs, s in (("T_dagger_displayed_sum", t_dag, True), ("T_star_dagger_displayed_sum", t_star_dag, False)):
+        w, c, u = _through(sys, (not s, d), (s, 0))
+        report.add(name, lhs == _outer_sum(c, sys.root_family("tau", s, w),
+                                           sys.root_family("eta", not s, u, covector=True)[::-1]))
 
     report.add("T_equals_T_star", t == t_star)
     report.add("T_equals_T_dagger", t == t_dag)
     report.add("T_equals_T_star_dagger", t == t_star_dag)
 
     t_squared = t * t
-    report.add("T_squared_equals_lambda_identity", t_squared == ident.scale(bundle.lam))
+    report.add("T_squared_equals_lambda_identity", t_squared == Matrix.identity(f, d + 1).scale(bundle.lam))
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
@@ -232,10 +253,10 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("product_E0_Tdagger", E0 * t_dag == (E0 * Es0).scale(vp / tau_d))
     report.add("product_E0star_Tstardagger", Es0 * t_star_dag == (Es0 * E0).scale(vp / taus_d))
 
-    # the general expansion of T^2
-    nu_ddown = nu_scalars(pa)[2]
-    weighted = [t_j.scale(f.invert(ph_tail[j])) for j, t_j in enumerate(tausAs)]
-    acc = rank_one_sum(etaA, sys.Estar[0] * sys.E[d], weighted).scale(f.invert(nu_ddown) * ph)
+    # T^2 expanded: (phi_1...phi_d / nu_ddown) sum_j eta_j(A) E*_0 E_d tau*_j(A*) / (phi_d...phi_{d-j+1})
+    w, c, u = _through(sys, (True, 0), (False, d))
+    weighted = [r.scale(f.invert(ph_tail[j])) for j, r in enumerate(sys.root_family("tau", True, u, covector=True))]
+    acc = _outer_sum(c * f.invert(nu_scalars(pa)[2]) * ph, sys.root_family("eta", False, w), weighted)
     report.add("T_squared_expansion", t_squared == acc)
     return report
 
@@ -266,10 +287,8 @@ class Flag:
         return tuple(self.basis.submatrix(cols=slice(0, i)) for i in range(1, self.basis.nrows + 1))
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "components": [M.to_json() for M in self.components],
-        }
+        rows = self.basis.to_json()  # component i is the first i+1 entries of every row
+        return {"label": self.label, "components": [[row[:i] for row in rows] for i in range(1, len(rows) + 1)]}
 
 
 def build_flag(sys: LeonardSystem, z: str) -> Flag:
@@ -558,8 +577,9 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         (a.vvd * a.ss0 / (a.xd0 * a.xd0), tau_d * etas_d / vp),
         (a.vvd * a.ssd / (a.xdd * a.xdd), tau_d * taus_d / ph),
     )
+    enc = sys.field.encode_scalar
     report.add_first_failure("anchor_ratio_squares", (
-        {"identity": k, "lhs": str(lhs), "rhs": str(rhs)} for k, (lhs, rhs) in enumerate(squares) if lhs != rhs))
+        {"identity": k, "lhs": enc(lhs), "rhs": enc(rhs)} for k, (lhs, rhs) in enumerate(squares) if lhs != rhs))
     return report
 
 

@@ -402,17 +402,6 @@ def rank_one_factors(mats):
     return Matrix.from_columns(M.field, cols), Matrix.from_columns(M.field, rows).transpose()
 
 
-def rank_one_sum(lefts, mid: Matrix, rights) -> Matrix:
-    """sum_i lefts[i] mid rights[i] for a rank-one mid = w u^T, as one product:
-    the columns lefts[i] w times the rows u^T rights[i]."""
-    found = rank_one_factors([mid])
-    if found is None:
-        raise ValueError("the middle factor is not of rank one")
-    (W, U), f = found, mid.field
-    left = Matrix.from_columns(f, [L * W.column(0) for L in lefts])
-    return left * Matrix.from_columns(f, [(U * R).row(0) for R in rights]).transpose()
-
-
 def bidiagonal(field: Field, diag, upper=None) -> Matrix:
     """Diagonal diag with upper on the superdiagonal, or ones on the
     subdiagonal when upper is None."""
@@ -455,12 +444,11 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
 
 
 def root_product_family(M: Matrix, roots, start=None) -> list:
-    """[p_0(M) X, ..., p_k(M) X] where p_i is the product of (x - r) over the
-    first i roots and X is start (a Matrix or a Vector; the identity when None)."""
-    ident = Matrix.identity(M.field, M.nrows)
-    out = [ident if start is None else start]
+    """[p_0(M) X, ..., p_k(M) X] where p_i is the product of (x - r) over the first i roots
+    and X is start (a Matrix or a Vector; the identity when None), each step M Y - r Y."""
+    out = [Matrix.identity(M.field, M.nrows) if start is None else start]
     for r in roots:
-        out.append((M - ident.scale(r)) * out[-1])
+        out.append(M * out[-1] - out[-1].scale(r))
     return out
 
 

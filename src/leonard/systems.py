@@ -202,19 +202,15 @@ class LeonardSystem:
     def gram_inverse(self) -> Matrix:
         return self.cached("gram", lambda: solve_gram(self))[1]
 
-    def tau(self, star: bool = False) -> tuple:
-        """(tau_0, ..., tau_d) at A (resp. tau*_i at A*); tau_i has roots theta_0..theta_{i-1}."""
-        return self.cached(("tau", star), lambda: self.root_family("tau", star))
-
-    def eta(self, star: bool = False) -> tuple:
-        """(eta_0, ..., eta_d) at A (resp. eta*_i at A*); eta_i has roots theta_d..theta_{d-i+1}."""
-        return self.cached(("eta", star), lambda: self.root_family("eta", star))
-
-    def root_family(self, kind: str, star: bool = False, start=None) -> tuple:
-        """(p_0(M) X, ..., p_d(M) X) for the tau or eta family (kind) at M = A
-        (resp. A*) and X = start, the identity when None (`root_product_family`)."""
+    def root_family(self, kind: str, star: bool = False, start=None, covector: bool = False) -> tuple:
+        """The tau or eta family (kind) p_0..p_d at M = A (resp. A*), memoised: tau_i has roots
+        theta_0..theta_{i-1}, eta_i has theta_d..theta_{d-i+1}.  The matrices p_i(M) when start
+        is None, else the vectors p_i(M) v for v = start, or with covector the covectors
+        u^T p_i(M) for u = start, built as p_i(M^T) u (`root_product_family`)."""
         M, theta = (self.Astar, self.theta_star) if star else (self.A, self.theta)
-        return tuple(root_product_family(M, theta[:-1] if kind == "tau" else theta[:0:-1], start))
+        roots = theta[:-1] if kind == "tau" else theta[:0:-1]
+        return self.cached(("root_family", kind, star, start, covector),
+                           lambda: tuple(root_product_family(M.transpose() if covector else M, roots, start)))
 
     def dagger(self, X: Matrix) -> Matrix:
         """The antiautomorphism fixing A and A*: X -> G^-1 X^T G."""
@@ -367,9 +363,9 @@ def complete_parameter_array(field: Field, theta, theta_star, varphi) -> Paramet
     return ParameterArray(field, d, th, ths, varphi, phi)
 
 
-def _superdiagonal_in_split_basis(sys: LeonardSystem, theta_order):
-    """The superdiagonal of A* in the split basis of w*_0 over the eigenvalue order theta_order."""
-    cols = root_product_family(sys.A, theta_order[:-1], sys.eigencolumn(0, star=True))
+def _superdiagonal_in_split_basis(sys: LeonardSystem, kind: str):
+    """The superdiagonal of A* in the split basis tau_i(A) w*_0 (resp. eta_i(A) w*_0) for kind."""
+    cols = sys.root_family(kind, False, sys.eigencolumn(0, star=True))
     if any(u.is_zero() for u in cols):
         raise DegenerateSplit("split basis vector vanished")
     U = Matrix.from_columns(sys.field, cols)
@@ -390,8 +386,7 @@ def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
     """
     theta = tuple(trace_of_product(sys.A, Ei) for Ei in sys.E)
     theta_star = tuple(trace_of_product(sys.Astar, Ei) for Ei in sys.Estar)
-    varphi = _superdiagonal_in_split_basis(sys, theta)
-    phi = _superdiagonal_in_split_basis(sys, tuple(reversed(theta)))
+    varphi, phi = (_superdiagonal_in_split_basis(sys, kind) for kind in ("tau", "eta"))
     try:
         return ParameterArray(sys.field, sys.d, theta, theta_star, varphi, phi)
     except ValueError as exc:
@@ -498,9 +493,9 @@ def split_projectors(sys: LeonardSystem) -> list:
     p_i = tau_i(A) w*_0 and q_i^T = nu (u*_0^T w_0) u_0^T tau*_i(A*) / c_i."""
     pa = sys.parameter_array
     (W, U), (Ws, Us) = _factors(sys), _factors(sys, star=True)
-    scale, u0 = nu_scalars(pa)[0] * Us.row(0).dot(W.column(0)), U.submatrix(slice(0, 1))
-    return [outer(t * Ws.column(0), (u0 * ts).row(0).scale(scale / c))
-            for t, ts, c in zip(sys.tau(), sys.tau(star=True), pa.split_products[0])]
+    scale = nu_scalars(pa)[0] * Us.row(0).dot(W.column(0))
+    ps, qs = sys.root_family("tau", False, Ws.column(0)), sys.root_family("tau", True, U.row(0), covector=True)
+    return [outer(p, q.scale(scale / c)) for p, q, c in zip(ps, qs, pa.split_products[0])]
 
 
 def split_projectors_by_intersection(sys: LeonardSystem) -> list:
@@ -607,7 +602,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     report.add("round_trip_parameter_array", extracted == pa)
 
     # edge idempotents as normalized tau/eta evaluations
-    taus, etas, taus_s, etas_s = sys.tau(), sys.eta(), sys.tau(star=True), sys.eta(star=True)
+    taus, etas, taus_s, etas_s = (sys.root_family(kind, star) for star in (False, True) for kind in ("tau", "eta"))
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     report.add("edge_idempotent_E0", etas[d].scale(f.invert(eta_d)) == sys.E[0])
     report.add("edge_idempotent_Ed", taus[d].scale(f.invert(tau_d)) == sys.E[d])
@@ -648,11 +643,8 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
     values = (nu, nu_down, nu_ddown, nu_dd)
     ok = all(t * v == one for t, v in zip(traces, values))
-    report.add(
-        "nu_closed_forms_match_traces",
-        ok,
-        None if ok else {"scalars": dict(zip(names, map(str, values)))},
-    )
+    report.add("nu_closed_forms_match_traces", ok,
+               None if ok else {"scalars": dict(zip(names, map(f.encode_scalar, values)))})
 
     # split projectors: the closed form against the intersection construction.
     # With F_i = p_i q_i^T, F_i F_j = (q_i^T p_j) p_i q_j^T and sum F_i = P Q,
@@ -671,11 +663,10 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # so E*_0 tau_i(A) tau*_j(A*) E_0 = delta_ij c_i E*_0 E_0 reads S = diag(c)
     # (u*_0^T w_0) for S_ij = (u*_0^T tau_i(A)) (tau*_j(A*) w_0)
     def pairing():
-        (W, U), (_, Us) = _factors(sys), _factors(sys, star=True)
-        us0, w0 = Us.submatrix(slice(0, 1)), W.column(0)
-        left = Matrix.from_columns(f, [(us0 * t).row(0) for t in taus]).transpose()
-        right = Matrix.from_columns(f, (t * w0 for t in taus_s))
-        scale = Us.row(0).dot(w0)
+        w0, us0 = _factors(sys)[0].column(0), _factors(sys, star=True)[1].row(0)
+        left = Matrix.from_columns(f, sys.root_family("tau", False, us0, covector=True)).transpose()
+        right = Matrix.from_columns(f, sys.root_family("tau", True, w0))
+        scale = us0.dot(w0)
         witness = _off_diagonal(left * right, [c * scale for c in pa.split_products[0]])
         return witness is None, witness
 

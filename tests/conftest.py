@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from leonard.duality import is_self_dual
 from leonard.errors import ExhaustedTrials, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
-from leonard.linalg import Matrix, intersect_column_spaces
+from leonard.linalg import Matrix, eval_root_product, intersect_column_spaces
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
 from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array
 
@@ -193,3 +193,22 @@ def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
     that `flag_decomposition` replaced in the split checks."""
     span = lambda indices, star: Matrix.from_columns(sys.field, [sys.eigencolumn(j, star=star) for j in indices])
     return intersect_column_spaces(span(range(i + 1), True), span(range(i, sys.d + 1), False))
+
+
+# --- dense references for the sums through a rank-one middle factor ---
+
+
+def dense_family(sys: LeonardSystem, kind: str, star: bool = False) -> list:
+    """tau_0..tau_d (kind "tau") or eta_0..eta_d at A (resp. A*), each its own dense root product."""
+    M, theta = (sys.Astar, sys.theta_star) if star else (sys.A, sys.theta)
+    roots = lambda i: theta[:i] if kind == "tau" else theta[len(theta) - i:]
+    return [eval_root_product(roots(i), M) for i in range(sys.d + 1)]
+
+
+def dense_sum(lefts, mid: Matrix, rights) -> Matrix:
+    """sum_i lefts[i] mid rights[i] as dense products, with mid multiplied out: the reference
+    for the sums that `duality` builds on the eigenvector factors."""
+    total = Matrix.zeros(mid.field, mid.nrows)
+    for L, R in zip(lefts, rights):
+        total = total + L * mid * R
+    return total

@@ -366,7 +366,7 @@ def test_generated_leonard_arrays(field, data):
     pa = data.draw(leonard_arrays(field, d), label="pa")
     s = certify(pa)
     assert systems.extract_parameter_array(s) == pa
-    for M, theta, tau in ((s.A, pa.theta, s.tau()), (s.Astar, pa.theta_star, s.tau(star=True))):
+    for M, theta, tau in ((s.A, pa.theta, s.root_family("tau")), (s.Astar, pa.theta_star, s.root_family("tau", True))):
         assert eval_root_product(theta, M).is_zero()
         assert ((M - Matrix.identity(field, d + 1).scale(theta[d])) * tau[d]).is_zero()
     anchors = du.choose_anchor_vectors(s)

@@ -78,7 +78,7 @@ def _split_projectors(sys):
     """F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / (varphi_1 ... varphi_i), densely."""
     pa = sys.parameter_array
     nu, middle, denom, out = nu_scalars(pa)[0], sys.Estar[0] * sys.E[0], sys.field.one(), []
-    for i, (left, right) in enumerate(zip(sys.tau(), sys.tau(star=True))):
+    for i, (left, right) in enumerate(zip(sys.root_family("tau"), sys.root_family("tau", True))):
         if i > 0:
             denom = denom * pa.varphi[i - 1]
         out.append((left * middle * right).scale(nu / denom))
@@ -116,7 +116,7 @@ def _split_pairing(sys):
     Es0, E0 = sys.Estar[0], sys.E[0]
     for i in range(n):
         for j in range(n):
-            lhs = Es0 * sys.tau()[i] * sys.tau(star=True)[j] * E0
+            lhs = Es0 * sys.root_family("tau")[i] * sys.root_family("tau", True)[j] * E0
             rhs = (Es0 * E0).scale(prod(pa.varphi[:i], start=f.one())) if i == j else Matrix.zeros(f, n)
             if lhs != rhs:
                 return False, {"i": i, "j": j}
@@ -141,7 +141,7 @@ def _nu_traces(sys):
     traces = [_trace(sys.E[a], sys.Estar[b]) for a, b in ((0, 0), (0, d), (d, 0), (d, d))]
     ok = all(t * v == one for t, v in zip(traces, values))
     names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
-    return ok, None if ok else {"scalars": dict(zip(names, map(str, values)))}
+    return ok, None if ok else {"scalars": dict(zip(names, map(sys.field.encode_scalar, values)))}
 
 
 def _dagger_fixes_idempotents(sys):

@@ -126,12 +126,12 @@ GOLDEN = {
     'gf7_d0 matrix-of-t --basis tau-vstard': '8c9cd91f6731726d5d43a103aa77a761c9b2a5bb78d09e8397573cb71b5fba68',
     'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
     'gfp_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
-    'gfp_d8_not_leonard verify': 'c0b36b15489912a18239f1397ff1226d2fc26a315765f0f26700b75d85e7bc78',
+    'gfp_d8_not_leonard verify': '4733f50b5aa639853695b1c5b516dc7a87a73165886b7efc8b2b6ff985d429f5',
     'gfp_d8_nsd dualize': 'aea5d841038352facecf2a4c3767082a0a80778ab2f937913d0eab15cae9ae84',
     'gfp_d8_sd bases': '69f38e28f59da9261f3f525c7d29b7304d88f6be4ab8201bcbd538857330add0',
     'gfp_d8_sd dualize': 'eea9a32937f23da219c0cbebc98c7423ca1e0de082cd8f59a7ce1ce597d1d7a6',
     'gfp_d8_sd matrix-of-t --basis tau-vstard': '88b7362e6cbf98d18a3f713611c912859f83b4a839be014f8889a0e0d8f67958',
-    'gfp_not_leonard verify': '3853211fffdae78c9e22ff5e842b1ea7bef37f2943029a4036247b9dadf29efc',
+    'gfp_not_leonard verify': 'af683b678ce187a28a7601ebb1c9e3f0b54fdcdaf975247acab6781666e8bcbc',
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
     'gfp_nsd dualize': '5ecffc0ea67badc7631a61d74631ddc2d0465fda9dcbe962619dbe4301007b11',
     'gfp_nsd matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
@@ -154,7 +154,7 @@ GOLDEN = {
     'q0 matrix-of-t --basis taustar-vd': '7976beb83ac6293a6aa3438a195dde9025fc13ff60529f6902c3857d22d8621a',
     'q0 verify': '4c009070e5f33a0b98da5df377075980b669424ddb99ee8520448a4ca30d1dc0',
     'q0_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
-    'q0_not_leonard verify': '396d26f393cd4b50d25b72fb1878e1e4fcdaa5ce171b4ab050b50e14563deded',
+    'q0_not_leonard verify': '93bcf38d30ac87a2ff8c0c91d03f61729205b4e8b0bb07c9bb3b5f88b5d400c3',
     'q1 bases': 'f8a88db197ba738a93271cf18db5b39494111d12c8759c8568983385238bcaed',
     'q1 dualize': 'c70078986a1d6517c91df19ccfe9fc9c7813391b9a8ee1a44ef74f689e280932',
     'q1 matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',

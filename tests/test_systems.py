@@ -575,13 +575,13 @@ def test_root_families_match_per_index_products(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
         for star, M, theta in ((False, s.A, s.theta), (True, s.Astar, s.theta_star)):
-            taus, etas = s.tau(star), s.eta(star)
+            taus, etas = s.root_family("tau", star), s.root_family("eta", star)
             assert len(taus) == len(etas) == s.d + 1
             for i in range(s.d + 1):
                 # tau_i has roots theta_0..theta_{i-1}, eta_i has theta_d..theta_{d-i+1}
                 assert taus[i] == eval_root_product(theta[:i], M)
                 assert etas[i] == eval_root_product(theta[len(theta) - i:], M)
-            assert s.tau(star) is taus and s.eta(star) is etas
+            assert s.root_family("tau", star) is taus and s.root_family("eta", star) is etas
 
 
 def test_edge_values_match_direct_products(corpus):

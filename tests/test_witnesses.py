@@ -97,9 +97,9 @@ def zero_basis():
     return _checks(du.verify_basis_family(s, anchors))
 
 
-def doubled_estar_d():
+def doubled_estar_d(array=SELF_DUAL):
     """A hand-built system with E*_d doubled: every tr(E_r E*_d) is off."""
-    s, _, _ = _setup(SELF_DUAL)
+    s, _, _ = _setup(array)
     Estar = s.Estar[:-1] + (s.Estar[-1].scale(s.field.from_int(2)),)
     return _checks(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, s.E, Estar, s.theta,
                                                                  s.theta_star, s.pa)))
@@ -142,7 +142,7 @@ PINS = {
         **{name: {"i": i} for name, i in TRANSITIONS.items()},
     },
     mixed_anchors: {
-        "anchor_ratio_squares": {"identity": 0, "lhs": "92200/2601", "rhs": "8"},
+        "anchor_ratio_squares": {"identity": 0, "lhs": "92200/2601", "rhs": "8/1"},
         "bases_span_decomposition_components": {"pair": "[0D*]", "basis": "eta-rev-vstard", "i": 3},
         "A_representations_in_four_bases": {"basis": "taustar-vd"},
         "Astar_representations_in_four_bases": {"basis": "tau-vstard"},
@@ -195,3 +195,16 @@ def test_witness_pinned(mutation):
     checks = mutation()
     assert {name: checks[name] for name in PINS[mutation]} == {
         name: (False, witness) for name, witness in PINS[mutation].items()}
+
+
+P = 2**31 - 1
+# SELF_DUAL over GF(2^31 - 1): its integer entries as residues
+SELF_DUAL_GFP = {"field": {"kind": "prime", "p": P}, "d": 3, **{
+    key: [int(x.removesuffix("/1")) % P for x in SELF_DUAL[key]] for key in ("theta", "theta_star", "varphi", "phi")}}
+
+
+@pytest.mark.parametrize("array, nu", [(SELF_DUAL, "8/1"), (SELF_DUAL_GFP, 8)], ids=["Q", "GF(2^31-1)"])
+def test_nu_witness_scalars_are_canonical(array, nu):
+    """The nu closed forms in the witness are encoded like every other scalar of the output."""
+    names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
+    assert doubled_estar_d(array)["nu_closed_forms_match_traces"] == (False, {"scalars": dict.fromkeys(names, nu)})
