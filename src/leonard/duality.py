@@ -282,10 +282,6 @@ class Flag:
         except SingularMatrix:
             return None
 
-    @property
-    def components(self) -> tuple:
-        return tuple(self.basis.submatrix(cols=slice(0, i)) for i in range(1, self.basis.nrows + 1))
-
     def to_json(self) -> dict:
         rows = self.basis.to_json()  # component i is the first i+1 entries of every row
         return {"label": self.label, "components": [[row[:i] for row in rows] for i in range(1, len(rows) + 1)]}
@@ -304,19 +300,14 @@ def _flag(sys: LeonardSystem, z: str) -> Flag:
     return Flag(z, Matrix.from_columns(sys.field, [sys.eigencolumn(i, star=star) for i in order]))
 
 
-def _coordinates(inverse: Matrix | None, X: Matrix) -> Matrix:
-    """inverse * X, X in the basis with that inverse; SingularMatrix when it is None."""
-    if inverse is None:
-        raise SingularMatrix("matrix has zero determinant")
-    return inverse * X
-
-
 def spans_components(F: Flag, X: Matrix) -> list:
     """For each i, whether the first i+1 columns of X span component i of F.
 
     In F's coordinates Y = F^-1 X: the first i+1 columns of Y vanish below
     row i and have rank i+1, the number of pivot columns <= i of Y."""
-    Y = _coordinates(F.inverse, X)
+    if F.inverse is None:
+        raise SingularMatrix("matrix has zero determinant")
+    Y = F.inverse * X
     pivots, n = Y.rref()[1], Y.nrows
     return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
             and sum(p <= i for p in pivots) == i + 1 for i in range(n)]
@@ -461,45 +452,36 @@ def _parse_basis_id(basis_id: str):
     return gen, rev, anchor
 
 
-def _forward_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
-    """The memoised (vectors, Flag) of the forward sequence behind basis_id,
-    and whether basis_id is its reversal."""
-    gen, rev, anchor_key = _parse_basis_id(basis_id)
-    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
-    return sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v)), rev
-
-
 def build_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
     """One of the 24 sequences, as a tuple of d+1 vectors.  Each forward
     sequence is built once per system and memoised; a -rev- id is its reversal."""
-    (seq, _), rev = _forward_basis(sys, anchors, basis_id)
+    gen, rev, anchor_key = _parse_basis_id(basis_id)
+    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
+    seq = sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v))
     return seq[::-1] if rev else seq
 
 
-def basis_inverse(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
-    """The inverse of the matrix with columns build_basis(...), None when singular:
-    each forward matrix is inverted once (`Flag.inverse`), and a -rev- matrix has
-    its columns reversed, so its inverse has the forward inverse's rows reversed."""
-    (_, flag), rev = _forward_basis(sys, anchors, basis_id)
-    inv = flag.inverse
-    return inv.submatrix(slice(None, None, -1)) if rev and inv is not None else inv
-
-
 def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
-    """(vectors, the Flag of their matrix): E_i v or E*_i v, else the tau/eta
-    family gen on v (`LeonardSystem.root_family`)."""
+    """E_i v or E*_i v, else the tau/eta family gen on v (`LeonardSystem.root_family`)."""
     star = gen.endswith("star")
     if gen in ("e", "estar"):
-        seq = tuple(E * v for E in (sys.Estar if star else sys.E))
-    else:
-        seq = sys.root_family(gen.removesuffix("star"), star, v)
-    return seq, Flag(gen, Matrix.from_columns(sys.field, seq))
+        return tuple(E * v for E in (sys.Estar if star else sys.E))
+    return sys.root_family(gen.removesuffix("star"), star, v)
+
+
+def _is_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str) -> bool:
+    """Whether the vectors build_basis(...) are a basis: ranked once per forward
+    sequence and memoised, since a -rev- id has the same columns reversed."""
+    gen, _, anchor_key = _parse_basis_id(basis_id)
+    key = ("is_basis", gen, getattr(anchors, _ANCHOR_ATTR[anchor_key]))
+    return sys.cached(key, lambda: Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id)).rank()
+                      == sys.d + 1)
 
 
 def build_24_bases(sys: LeonardSystem, anchors: AnchorVectors) -> dict:
     """All 24 sequences keyed by identifier, each certified invertible."""
     for basis_id in BASIS_IDS:
-        if basis_inverse(sys, anchors, basis_id) is None:
+        if not _is_basis(sys, anchors, basis_id):
             raise SingularBasis(f"{basis_id} is not a basis")
     return {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
 
@@ -527,7 +509,7 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> Verificat
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
 
     report.add_last_failure("bases_invertible", (
-        {"basis": basis_id} for basis_id in BASIS_IDS if basis_inverse(sys, anchors, basis_id) is None))
+        {"basis": basis_id} for basis_id in BASIS_IDS if not _is_basis(sys, anchors, basis_id)))
 
     decomps = {(z, w): build_decomposition(sys, z, w) for z, w in BASIS_MEMBERSHIP}
     report.add_last_failure("bases_span_decomposition_components", (
@@ -693,10 +675,10 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
 def basis_representations(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
                           anchors: AnchorVectors) -> tuple:
     """The matrices B^-1 T B, B^-1 A B and B^-1 A* B of T, A and A* in the
-    basis basis_id (columns of B), with the memoised B^-1 (`basis_inverse`)."""
+    basis basis_id (columns of B); SingularMatrix when B is singular."""
     B = Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id))
-    inv = basis_inverse(sys, anchors, basis_id)
-    return tuple(_coordinates(inv, M * B) for M in (bundle.t, sys.A, sys.Astar))
+    inv = B.inverse()
+    return tuple(inv * (M * B) for M in (bundle.t, sys.A, sys.Astar))
 
 
 def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,

@@ -12,8 +12,13 @@ Never compare an element against the literal ``0``; use its truth value
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+# the one accepted form of a rational scalar string: ASCII digits, an optional
+# leading minus, an optional unsigned denominator; no spaces, "+" or "_"
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_prime(n: int) -> bool:
@@ -179,17 +184,18 @@ class Field:
         return x.r
 
     def decode_scalar(self, obj):
-        """Decode one JSON scalar.  Booleans, zero denominators and residues
-        outside [0, p) raise ValueError."""
+        """Decode one JSON scalar.  Booleans, zero denominators, rational strings
+        outside `_RATIONAL` and residues outside [0, p) raise ValueError."""
         if isinstance(obj, bool):
             raise ValueError(f"cannot decode a scalar from the boolean {obj!r}")
         if self.is_rational:
             if isinstance(obj, str):
-                num, _, den = obj.partition("/")
-                den = int(den) if den else 1
+                if not (m := _RATIONAL.fullmatch(obj)):
+                    raise ValueError(f"rational scalar {obj!r} is not of the form -?[0-9]+(/[0-9]+)?")
+                num, den = int(m[1]), int(m[2] or 1)
                 if den == 0:
                     raise ValueError(f"zero denominator in rational scalar {obj!r}")
-                return Fraction(int(num), den)
+                return Fraction(num, den)
             if isinstance(obj, int):
                 return Fraction(obj)
             raise ValueError(f"cannot decode rational scalar from {obj!r}")

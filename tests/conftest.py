@@ -184,6 +184,14 @@ def leonard_arrays(field: Field, d: int):
             .filter(lambda pa: pa is not None))
 
 
+# --- flags as nested subspaces ---
+
+
+def flag_components(F) -> tuple:
+    """The d+1 components of a `duality.Flag`: component i is spanned by the first i+1 columns of its basis."""
+    return tuple(F.basis.submatrix(cols=slice(0, i)) for i in range(1, F.basis.nrows + 1))
+
+
 # --- the null-space reference for the split lines ---
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import leonard.cli as cli
 from leonard.cli import main
+from leonard.fields import Field
 
 D1_SELF_DUAL = {
     "field": {"kind": "rational"},
@@ -122,6 +123,30 @@ def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
+
+
+# forms Python's int() reads but the scalar grammar -?[0-9]+(/[0-9]+)? does not
+REJECTED_SCALARS = [" 6/1", "6/1 ", "+6/1", "6/+1", "6/ 1", "6_0/10", "\u0666/\u0661", "6/", "6/-1", "6/1\n"]
+KEPT_SCALARS = ["6", "12/2", "06/1", "6/01", "6/1"]
+
+
+@pytest.mark.parametrize("text", REJECTED_SCALARS)
+def test_rational_scalar_grammar_rejects(tmp_path, capsys, text):
+    with pytest.raises(ValueError, match="is not of the form"):
+        Field.rational().decode_scalar(text)
+    code, out = run_cli(tmp_path, ["verify"], dict(D1_SELF_DUAL, phi=[text]))
+    assert code == 2 and out == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"type": "ValueError", "message": (
+        f"rational scalar {text!r} is not of the form -?[0-9]+(/[0-9]+)?")}}
+
+
+@pytest.mark.parametrize("text", KEPT_SCALARS)
+def test_rational_scalar_grammar_keeps(tmp_path, capsys, text):
+    assert Field.rational().decode_scalar(text) == 6
+    assert run_cli(tmp_path, ["verify"], dict(D1_SELF_DUAL, phi=[text])) == run_cli(tmp_path, ["verify"], D1_SELF_DUAL)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("verb", ["verify", "relatives"])

@@ -23,7 +23,7 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, flag_decomposition, intersect_column_spaces, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, leonard_arrays
+from conftest import FROZEN_ARRAYS, flag_components, leonard_arrays
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -34,8 +34,8 @@ GFP = Field.prime(2**31 - 1)
 
 def ref_meets(F: du.Flag, G: du.Flag):
     """Bases of F_i ∩ G_{d-i}, i = 0..d."""
-    d = len(F.components) - 1
-    return [intersect_column_spaces(F.components[i], G.components[d - i]) for i in range(d + 1)]
+    Fc, Gc = flag_components(F), flag_components(G)
+    return [intersect_column_spaces(Fc[i], Gc[-1 - i]) for i in range(len(Fc))]
 
 
 def ref_flags_opposite(F: du.Flag, G: du.Flag) -> bool:
@@ -99,7 +99,7 @@ def reference_geometry(sys, bundle=None):
 
     ok, witness = True, None
     for z, F in flags.items():
-        for i, comp in enumerate(F.components):
+        for i, comp in enumerate(flag_components(F)):
             if comp.rank() != i + 1:
                 ok, witness = False, {"flag": z, "i": i}
     checks["flag_component_dimensions"] = (ok, witness)
@@ -120,9 +120,9 @@ def reference_geometry(sys, bundle=None):
     ok, witness = True, None
     for (z, w), vectors in decomps.items():
         for i in range(d + 1):
-            if not same_column_space(Matrix.from_columns(f, vectors[: i + 1]), flags[z].components[i]):
+            if not same_column_space(Matrix.from_columns(f, vectors[: i + 1]), flag_components(flags[z])[i]):
                 ok, witness = False, {"pair": f"[{z}{w}]", "flag": z, "i": i}
-            if not same_column_space(Matrix.from_columns(f, vectors[::-1][: i + 1]), flags[w].components[i]):
+            if not same_column_space(Matrix.from_columns(f, vectors[::-1][: i + 1]), flag_components(flags[w])[i]):
                 ok, witness = False, {"pair": f"[{z}{w}]", "flag": w, "i": i}
     checks["decompositions_induce_flags"] = (ok, witness)
 
@@ -130,7 +130,7 @@ def reference_geometry(sys, bundle=None):
         ok, witness = True, None
         for z, image in du.T_FLAG_IMAGE.items():
             for i in range(d + 1):
-                if not same_column_space(bundle.t * flags[z].components[i], flags[image].components[i]):
+                if not same_column_space(bundle.t * flag_components(flags[z])[i], flag_components(flags[image])[i]):
                     ok, witness = False, {"flag": z, "i": i}
         checks["T_on_flags"] = (ok, witness)
     return checks, decomps
@@ -314,8 +314,8 @@ def test_random_bases_match_reference(case):
     if vectors is not None:
         assert [v.normalized() for v in vectors] == [m.column(0).normalized() for m in ref_meets(F, G)]
     n = X.ncols
-    assert du.spans_components(F, X) == [same_column_space(_prefix(X, i + 1), F.components[i]) for i in range(n)]
-    assert du.spans_components(F, G.basis) == [same_column_space(_prefix(G.basis, i + 1), F.components[i])
+    assert du.spans_components(F, X) == [same_column_space(_prefix(X, i + 1), flag_components(F)[i]) for i in range(n)]
+    assert du.spans_components(F, G.basis) == [same_column_space(_prefix(G.basis, i + 1), flag_components(F)[i])
                                                for i in range(n)]
 
 

@@ -1,0 +1,125 @@
+"""Reduction mod p as a second route through every array verb.
+
+The Q and GF(p) backends share every formula but not their integer kernels
+(gcd passes and lcm denominators against residues mod p).  Reduction
+Z_(p) -> GF(p) is a ring map, so for an array over Q whose denominators are
+prime to p, the GF(p) run on the reduced array must exit with the same code
+and print the reduction of the Q run's stdout, byte for byte once each
+"num/den" scalar is replaced by its residue, unless some scalar the run
+divides by or normalises on vanishes mod p.  With
+p = 2^31 - 1 and entries num/den (|num| <= 6, den <= 3) that does not happen
+in practice; an input or output denominator divisible by p is assumed away.
+"""
+
+import json
+import re
+from fractions import Fraction
+
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from leonard.cli import _dump
+from leonard.duality import FOUR_BASES
+from leonard.fields import Field
+
+from conftest import leonard_array
+from test_cli_fuzz import _call
+
+Q = Field.rational()
+P = 2**31 - 1
+GFP_JSON = {"kind": "prime", "p": P}
+SCALAR = re.compile(r"-?[0-9]+/[0-9]+")
+SEQUENCES = ("theta", "theta_star", "varphi", "phi")
+
+ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+VERBS = st.sampled_from([["verify"], ["relatives"], ["dualize"], ["bases"]]
+                        + [["matrix-of-t", "--basis", b] for b in FOUR_BASES])
+
+
+class _NotReducible(Exception):
+    """A denominator divisible by p: the value has no image in GF(p)."""
+
+
+def _residue(x: Fraction) -> int:
+    if x.denominator % P == 0:
+        raise _NotReducible(x)
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+def _reduce(obj):
+    """The image in GF(p) of a Q document: every "num/den" scalar becomes its residue."""
+    if isinstance(obj, dict):
+        return GFP_JSON if obj == Q.to_json() else {k: _reduce(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_reduce(v) for v in obj]
+    if isinstance(obj, str) and SCALAR.fullmatch(obj):
+        return _residue(Fraction(obj))
+    return obj
+
+
+def _reducible(doc: dict) -> bool:
+    """The entries reduce, keep theta and theta* distinct and varphi and phi nonzero."""
+    try:
+        seqs = {name: [_residue(Fraction(x)) for x in doc[name]] for name in SEQUENCES}
+    except _NotReducible:
+        return False
+    return all(len(set(seqs[n])) == len(set(doc[n])) for n in ("theta", "theta_star")) and all(
+        all(r for r in seqs[n]) == all(Fraction(x) for x in doc[n]) for n in ("varphi", "phi"))
+
+
+@st.composite
+def general_arrays(draw):
+    d = draw(st.integers(1, 5))
+    pa = leonard_array(Q, d, draw(st.tuples(ENTRIES, ENTRIES, ENTRIES)), draw(st.tuples(ENTRIES, ENTRIES, ENTRIES)),
+                       draw(ENTRIES), draw(ENTRIES))
+    assume(pa is not None)
+    return pa.to_json()
+
+
+@st.composite
+def self_dual_arrays(draw):
+    d = draw(st.integers(1, 6))
+    theta012 = draw(st.tuples(ENTRIES, ENTRIES, ENTRIES))
+    pa = leonard_array(Q, d, theta012, theta012, draw(ENTRIES), draw(ENTRIES))
+    assume(pa is not None)
+    return pa.to_json()
+
+
+@st.composite
+def perturbed_arrays(draw):
+    """A general array with one entry of theta, theta*, varphi or phi raised by 1."""
+    doc = draw(general_arrays())
+    seq = doc[draw(st.sampled_from(SEQUENCES))]
+    i = draw(st.integers(0, len(seq) - 1))
+    seq[i] = Q.encode_scalar(Fraction(seq[i]) + 1)
+    return doc
+
+
+def _assert_reduction_commutes(argv, doc):
+    assume(_reducible(doc))
+    code, out, _ = _call(argv, json.dumps(doc))
+    gf_code, gf_out, _ = _call(argv, json.dumps(_reduce(doc)))
+    event(f"exit {code}")
+    try:
+        reduced = _dump(_reduce(json.loads(out))) if out else ""
+    except _NotReducible:
+        assume(False)
+    assert (gf_code, gf_out) == (code, reduced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(VERBS, general_arrays())
+def test_general_arrays_reduce(argv, doc):
+    _assert_reduction_commutes(argv, doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(VERBS, self_dual_arrays())
+def test_self_dual_arrays_reduce(argv, doc):
+    _assert_reduction_commutes(argv, doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(VERBS, perturbed_arrays())
+def test_perturbed_arrays_reduce(argv, doc):
+    _assert_reduction_commutes(argv, doc)
