@@ -78,6 +78,10 @@ GFP_D8_NOT_LEONARD = krawtchouk_not_leonard(GFP, 8, gfp)
 # (its dualize failures include the geometry suite's T_on_flags and T_on_decompositions).
 GFP_D8_SELF_DUAL = krawtchouk(GFP, 8, gfp)
 GFP_D8_NON_SELF_DUAL = krawtchouk(GFP, 8, gfp, s_star=-4)
+# d = 20, theta_i = theta*_i = 20 - 2i and r = 1: verify at a diameter where its
+# checks on one cyclic vector and the dense checks they replace differ most in cost.
+Q_D20 = krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1")
+GFP_D20 = krawtchouk(GFP, 20, gfp)
 
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
@@ -109,6 +113,8 @@ for name, obj in (("q_d8_not_leonard", Q_D8_NOT_LEONARD), ("gfp_d8_not_leonard",
 for verb in VERBS[1:3] + VERBS[-1:]:
     CASES[f"gfp_d8_sd {' '.join(verb)}"] = (verb, GFP_D8_SELF_DUAL)
 CASES["gfp_d8_nsd dualize"] = (["dualize"], GFP_D8_NON_SELF_DUAL)
+CASES["q_d20 verify"] = (["verify"], Q_D20)
+CASES["gfp_d20 verify"] = (["verify"], GFP_D20)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
@@ -126,6 +132,7 @@ GOLDEN = {
     'gf7_d0 matrix-of-t --basis tau-vstard': '8c9cd91f6731726d5d43a103aa77a761c9b2a5bb78d09e8397573cb71b5fba68',
     'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
     'gfp_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
+    'gfp_d20 verify': 'f1ebf8fbf1e28f84765dd6111c38a834d28ed1fd6d9e77dcb6ff9f3162274300',
     'gfp_d8_not_leonard verify': '4733f50b5aa639853695b1c5b516dc7a87a73165886b7efc8b2b6ff985d429f5',
     'gfp_d8_nsd dualize': 'aea5d841038352facecf2a4c3767082a0a80778ab2f937913d0eab15cae9ae84',
     'gfp_d8_sd bases': '69f38e28f59da9261f3f525c7d29b7304d88f6be4ab8201bcbd538857330add0',
@@ -169,6 +176,7 @@ GOLDEN = {
     'q2 matrix-of-t --basis tau-vstard': '3d6240a138044fc8a841cf56914df22670ace48ac043e9f1dd11d12c9fdbaa7d',
     'q2 matrix-of-t --basis taustar-vd': '407f7a7f7967956ee7e2f36b0e578396650262c1ea4c68590cbe2961c24f29a3',
     'q2 verify': '4a384e515331dd72e5acc3d36e82233590eceba2609a9f278226d34a3d877fd1',
+    'q_d20 verify': '5246db3943536001db2a7133f6840e668e4e421082a20d3668cefb0dc74058ff',
     'q_d8_not_leonard verify': '4d8e94e9da06d963627e794e305fa63b709fb50b43a1b5be723f9350d079683e',
     'q_d0 bases': 'c22a2ff33c79d70791018d7205533f28ce8d7d0eaf60bc6afdae3f3a87896a97',
     'q_d0 dualize': '67d12e322957e69677b4488abfc0a3f07c0ee993f8dcb2b13f43f8a30cb1df24',
