@@ -601,28 +601,28 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     pa = sys.parameter_array
     report.add("round_trip_parameter_array", extracted == pa)
 
-    # edge idempotents as normalized tau/eta evaluations
-    taus, etas, taus_s, etas_s = (sys.root_family(kind, star) for star in (False, True) for kind in ("tau", "eta"))
-    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
-    report.add("edge_idempotent_E0", etas[d].scale(f.invert(eta_d)) == sys.E[0])
-    report.add("edge_idempotent_Ed", taus[d].scale(f.invert(tau_d)) == sys.E[d])
-    report.add("edge_idempotent_E0star", etas_s[d].scale(f.invert(etas_d)) == sys.Estar[0])
-    report.add("edge_idempotent_Edstar", taus_s[d].scale(f.invert(taus_d)) == sys.Estar[d])
-
-    # vanishing characteristic products: (A - theta_d I) tau_d(A), (A* - theta*_d I) tau*_d(A*)
-    report.add("char_product_A", root_product_family(sys.A, sys.theta[d:], taus[d])[-1].is_zero())
-    report.add("char_product_Astar", root_product_family(sys.Astar, sys.theta_star[d:], taus_s[d])[-1].is_zero())
-
-    # three bases of <A> and <A*>
-    powers, powers_s = (root_product_family(M, [f.zero()] * d) for M in (sys.A, sys.Astar))
-    for label, fams in (
-        ("subalgebra_three_bases_A", (sys.E, taus, etas, powers)),
-        ("subalgebra_three_bases_Astar", (sys.Estar, taus_s, etas_s, powers_s)),
-    ):
-        ranks = [flat_rank(fam) for fam in fams]
-        union_rank = flat_rank([M for fam in fams for M in fam])
-        ok = all(r == d + 1 for r in ranks) and union_rank == d + 1
-        report.add(label, ok, None if ok else {"ranks": ranks, "union": union_rank})
+    # edge idempotents, char products and bases of F[M], M = A (A*): orthogonal and spectral E_i commute with M,
+    # and if the Krylov vectors M^i v of v = e_0 (e_d) have rank d+1, v is cyclic, so the E_i lie in F[M] and
+    # X -> X v is one-to-one on F[M] (Horn & Johnson, Matrix Analysis, ch. 3): X is read as X v, else densely.
+    edges, chars, bases = [], [], []  # (name, passed, witness) for A, then for A*
+    for s, M, theta, j, (g_d, g_0) in (("", sys.A, sys.theta, 0, edge_values(pa)[:2]),
+                                       ("star", sys.Astar, sys.theta_star, d, edge_values(pa)[2:])):
+        v = Matrix.identity(f, d + 1).column(j)
+        powers = root_product_family(M, [f.zero()] * d, v)
+        if not (report[f"idempotents_E{s}_orthogonal"].passed and report[f"idempotents_E{s}_spectral"].passed
+                and Matrix.from_columns(f, powers).rank() == d + 1):
+            v, powers = None, root_product_family(M, [f.zero()] * d)
+        E = [X if v is None else X.column(j) for X in (sys.Estar if s else sys.E)]  # E_i e_j
+        taus, etas = (sys.root_family(kind, bool(s), v) for kind in ("tau", "eta"))
+        edges += [(f"edge_idempotent_E0{s}", etas[d].scale(f.invert(g_0)) == E[0], None),
+                  (f"edge_idempotent_Ed{s}", taus[d].scale(f.invert(g_d)) == E[d], None)]
+        chars.append((f"char_product_A{s}", root_product_family(M, theta[d:], taus[d])[-1].is_zero(), None))
+        rank = flat_rank if v is None else lambda fam: Matrix.from_columns(f, fam).rank()
+        ranks = [rank(fam) for fam in (E, taus, etas, powers)]
+        union = flat_rank([*E, *taus, *etas, *powers]) if v is None else d + 1  # on v, the powers span V
+        bases.append((f"subalgebra_three_bases_A{s}", {*ranks, union} == {d + 1}, {"ranks": ranks, "union": union}))
+    for name, passed, witness in edges + chars + bases:
+        report.add(name, passed, witness)
 
     # trace scalars, nu and the sandwich identities: a rank-one E has
     # E X E = tr(E X) E, so nu E_0 E*_0 E_0 = E_0 reads nu tr(E_0 E*_0) = 1

@@ -78,8 +78,8 @@ GFP_D8_NOT_LEONARD = krawtchouk_not_leonard(GFP, 8, gfp)
 # (its dualize failures include the geometry suite's T_on_flags and T_on_decompositions).
 GFP_D8_SELF_DUAL = krawtchouk(GFP, 8, gfp)
 GFP_D8_NON_SELF_DUAL = krawtchouk(GFP, 8, gfp, s_star=-4)
-# d = 20, theta_i = theta*_i = 20 - 2i and r = 1: verify at a diameter where its
-# checks on one cyclic vector and the dense checks they replace differ most in cost.
+# d = 20, theta_i = theta*_i = 20 - 2i and r = 1: verify at a larger diameter, where
+# its edge-idempotent, characteristic-product and subalgebra checks cost the most.
 Q_D20 = krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1")
 GFP_D20 = krawtchouk(GFP, 20, gfp)
 
