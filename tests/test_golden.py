@@ -125,6 +125,12 @@ CASES["search prime:5 d4 self-dual"] = (
     ["search", "--field", "prime:5", "--d", "4", "--self-dual", "--limit", "5"], None)
 CASES["search rational d3 exhausted"] = (
     ["search", "--field", "rational", "--d", "3", "--max-trials", "300", "--seed", "1"], None)
+# the acceptance recipe's self-dual rational lines
+CASES["search rational d1 self-dual"] = (
+    ["search", "--field", "rational", "--d", "1", "--self-dual", "--limit", "3", "--seed", "5"], None)
+CASES["search rational d2 self-dual"] = (
+    ["search", "--field", "rational", "--d", "2", "--self-dual", "--limit", "2", "--seed", "3",
+     "--max-trials", "20000"], None)
 
 GOLDEN = {
     'gf7_d0 bases': '16cb67a3554ecdbf9f4ce21feff1a71ffa0df645feb67a028a6594e26b65dfde',
@@ -185,7 +191,9 @@ GOLDEN = {
     'search prime:5 d4 self-dual': '48c5e416a45200a1ea9459a3327d95f51e426b005388344704356cfb3de3d8e4',
     'search prime:7 d2': '4b012d9f0bfd0b51f27b22da398ed23f8420d462dff5b41b04b8f13479910b1b',
     'search prime:7 d3 self-dual': 'd5f3ef55662c8fcbb2af1e84b7663364c50e7e6f3b9d5db439d31412fdd21516',
+    'search rational d1 self-dual': '7065950df088b37ce0597817ecddee988512632b98b883f945380e9f218fc856',
     'search rational d2': '26c340aaf7b1e558e88aeda96540cdf61da86028a23b5de79e140adf12bdc84f',
+    'search rational d2 self-dual': '593feb8f87d656578e87a0b572eca11643893fcc3772522f961ba5fac140c272',
     'search rational d3 exhausted': '7ea39e25fb2a2a6a800e1cbf3a0a37b98cda25fc3de3cc1186a96aaf79726d67',
 }
 
