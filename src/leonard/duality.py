@@ -303,14 +303,15 @@ def _flag(sys: LeonardSystem, z: str) -> Flag:
 def spans_components(F: Flag, X: Matrix) -> list:
     """For each i, whether the first i+1 columns of X span component i of F.
 
-    In F's coordinates Y = F^-1 X: the first i+1 columns of Y vanish below
-    row i and have rank i+1, the number of pivot columns <= i of Y."""
+    In F's coordinates Y = F^-1 X: the first i+1 columns of Y vanish below row i and
+    their leading block is invertible (read off its diagonal when upper triangular, else ranked)."""
     if F.inverse is None:
         raise SingularMatrix("matrix has zero determinant")
-    Y = F.inverse * X
-    pivots, n = Y.rref()[1], Y.nrows
-    return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
-            and sum(p <= i for p in pivots) == i + 1 for i in range(n)]
+    Y, n = F.inverse * X, X.nrows
+    low = [max((r for r in range(n) if Y.nums[r][c]), default=-1) for c in range(n)]  # last nonzero row
+    lead = lambda i: Y.submatrix(slice(0, i + 1), slice(0, i + 1))
+    return [all(low[c] == c for c in range(i + 1)) if all(low[c] <= c for c in range(i + 1))
+            else max(low[:i + 1]) <= i and lead(i).rank() == i + 1 for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,10 @@ PA4.  Every emitted array is then certified once by the matrix route, and a
 disagreement between the two routes raises NotALeonardPair.  Self-dual mode
 draws theta* = theta; PA4's phi is then palindromic (s_{d+1-i} = s_i), so
 every array it accepts is self-dual with no further test.
+
+Rational draws are integers, 12 times each box value.  PA1-PA5 are homogeneous
+((theta, theta*, varphi, phi) -> (a theta, b theta*, ab varphi, ab phi) keeps each), so
+`systems.pa_failure` classifies (12 theta, 12 theta*, 144 varphi); only survivors become Fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import permutations, product as iproduct
 
 from .errors import BudgetExceeded, ExhaustedTrials, NotALeonardPair
 from .fields import Field, PrimeFieldElement
-from .systems import ParameterArray, certify, complete_parameter_array, pa5_failure
+from .systems import ParameterArray, certify, complete_parameter_array, pa5_failure, pa_failure
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_MAX_TRIALS = 10**6
@@ -53,9 +57,7 @@ class SearchConfig:
 
 
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:
-    """Classify a candidate by PA5 on (theta, theta*), then PA1-PA5; certify a survivor."""
-    if pa5_failure(theta, theta_star) is not None:
-        return None
+    """Classify a candidate by PA1-PA5; certify a survivor."""
     try:
         pa = complete_parameter_array(field, theta, theta_star, varphi)
     except NotALeonardPair:
@@ -116,21 +118,19 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
     return found
 
 
-_BOX = {(n, q): Fraction(n, q) for n in range(-9, 10) for q in range(1, 5)}
-_BOX = {key: _BOX[x.numerator, x.denominator] for key, x in _BOX.items()}  # equal values: one object
+_BOX = {(n, q): 12 * n // q for n in range(-9, 10) for q in range(1, 5)}  # 12 n/q: 12 is the lcm of the q
 _BOX_SIZE = len(set(_BOX.values()))  # the number of distinct values _draw_scalar returns (51)
 
 
-def _draw_scalar(rng: random.Random) -> Fraction:
+def _draw_scalar(rng: random.Random) -> int:
     return _BOX[rng.randint(-9, 9), rng.randint(1, 4)]
 
 
 def _draw_distinct(rng: random.Random, n: int) -> tuple:
-    out = {}  # canonical draws keyed by identity: no Fraction comparison
+    out = {}  # insertion order: each value where it was first drawn
     while len(out) < n:
-        x = _draw_scalar(rng)
-        out.setdefault(id(x), x)
-    return tuple(out.values())
+        out[_draw_scalar(rng)] = None
+    return tuple(out)
 
 
 def _draw_nonzero(rng: random.Random, n: int) -> tuple:
@@ -157,7 +157,10 @@ def random_rational(cfg: SearchConfig) -> list[ParameterArray]:
         theta = _draw_distinct(rng, cfg.d + 1)
         theta_star = theta if cfg.self_dual_only else _draw_distinct(rng, cfg.d + 1)
         varphi = _draw_nonzero(rng, cfg.d)
-        pa = _certified_array(field, theta, theta_star, varphi)
+        # draws are 12 times the entries, and PA2-PA5 hold on (12 theta, 12 theta*, 144 varphi) iff on the array
+        if isinstance(pa_failure(theta, theta_star, [12 * x for x in varphi]), str):
+            continue
+        pa = _certified_array(field, *(tuple(Fraction(x, 12) for x in seq) for seq in (theta, theta_star, varphi)))
         if pa is None:
             continue
         found.append(pa)

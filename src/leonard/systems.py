@@ -336,31 +336,42 @@ def pa5_failure(theta, theta_star) -> int | None:
     return None
 
 
+def pa_failure(theta, theta_star, varphi):
+    """PA2, PA3 and PA5 by ring operations: the message of the first failure in that order, else
+    phi_i D for i = 1..d, D = theta_0 - theta_d (PA4 times D).  PA3 is compared times D^2.  Each
+    condition is homogeneous, so (a theta, b theta*, ab varphi) gets the same verdict and message."""
+    th, ths, d = theta, theta_star, len(theta) - 1
+    D = th[0] - th[d]
+    S = tuple(accumulate((th[h] - th[d - h] for h in range(d)), initial=D - D))  # s_i D
+    phi_D = tuple(varphi[0] * S[i] + (ths[i] - ths[0]) * (th[d - i + 1] - th[0]) * D for i in range(1, d + 1))
+    for i in range(1, d + 1):
+        if not phi_D[i - 1]:
+            return f"PA2 fails at i={i}: phi_{i} = 0"
+    DD = D * D
+    for i in range(1, d + 1):
+        if varphi[i - 1] * DD != phi_D[0] * S[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]) * DD:
+            return f"PA3 fails at i={i}: varphi_{i} disagrees with phi_1"
+    i = pa5_failure(th, ths)
+    if i is not None:
+        return f"PA5 fails at i={i}: the theta, theta* recurrences differ"
+    return phi_D
+
+
 def complete_parameter_array(field: Field, theta, theta_star, varphi) -> ParameterArray:
     """The unique parameter array with first split sequence varphi, by PA1-PA5.
 
     Terwilliger's closed-form classification (LAA 330, 2001; any field), in
     O(d) scalar steps and independent of the matrix route in ``certify``:
-    PA4 fixes phi, then PA2, PA3 and PA5 are checked.  Raises NotALeonardPair
-    naming the failed condition and index; `check_pa1` checks PA1 first.
+    `check_pa1` checks PA1, `pa_failure` PA2, PA3 and PA5, and PA4 fixes phi.
+    Raises NotALeonardPair naming the failed condition and index.
     """
     th, ths, varphi = tuple(theta), tuple(theta_star), tuple(varphi)
     d = len(th) - 1
     check_pa1(field, d, th, ths, varphi, varphi)  # phi is not known yet; varphi stands in
-    s = [field.zero()]  # s_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
-    for h in range(d):
-        s.append(s[-1] + (th[h] - th[d - h]) / (th[0] - th[d]))
-    phi = tuple(varphi[0] * s[i] + (ths[i] - ths[0]) * (th[d - i + 1] - th[0]) for i in range(1, d + 1))
-    for i in range(1, d + 1):
-        if not phi[i - 1]:
-            raise NotALeonardPair(f"PA2 fails at i={i}: phi_{i} = 0")
-    for i in range(1, d + 1):
-        if varphi[i - 1] != phi[0] * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]):
-            raise NotALeonardPair(f"PA3 fails at i={i}: varphi_{i} disagrees with phi_1")
-    i = pa5_failure(th, ths)
-    if i is not None:
-        raise NotALeonardPair(f"PA5 fails at i={i}: the theta, theta* recurrences differ")
-    return ParameterArray(field, d, th, ths, varphi, phi)
+    phi_D = pa_failure(th, ths, varphi)
+    if isinstance(phi_D, str):
+        raise NotALeonardPair(phi_D)
+    return ParameterArray(field, d, th, ths, varphi, tuple(x / (th[0] - th[d]) for x in phi_D))
 
 
 def _superdiagonal_in_split_basis(sys: LeonardSystem, kind: str):

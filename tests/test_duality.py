@@ -92,8 +92,8 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     """Each flag is inverted once, and no basis is inverted to be certified.
 
     At d = 6 certify takes 3 eliminations.  verify adds the inverses of W* and
-    of the split lines; dualize the 4 flag inverses and one rref per
-    spans_components call (24 + 4); bases the 4 flag inverses (its 12 forward
+    of the split lines; dualize the 4 flag inverses (`spans_components` reads
+    triangular blocks, with no elimination); bases the 4 flag inverses (its 12 forward
     sequences are ranked, by `Matrix.rank`, not `_echelon`); matrix-of-t one
     basis inverse."""
     GFP = {"kind": "prime", "p": 2**31 - 1}
@@ -109,7 +109,7 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     calls = []
     echelon = Matrix._echelon
     monkeypatch.setattr(Matrix, "_echelon", lambda self, **kw: calls.append(1) or echelon(self, **kw))
-    bounds = {"verify": 5, "dualize": 35, "bases": 7, "matrix-of-t": 4}
+    bounds = {"verify": 5, "dualize": 7, "bases": 7, "matrix-of-t": 4}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []

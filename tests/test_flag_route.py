@@ -319,6 +319,34 @@ def test_random_bases_match_reference(case):
                                                for i in range(n)]
 
 
+def spans_components_by_rref(F: du.Flag, X: Matrix) -> list:
+    """The rref route that `spans_components` replaced: with Y = F^-1 X, the first i+1
+    columns of Y vanish below row i and hold i+1 pivot columns of Y's rref."""
+    Y = F.inverse * X
+    pivots, n = Y.rref()[1], Y.nrows
+    return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
+            and sum(p <= i for p in pivots) == i + 1 for i in range(n)]
+
+
+@st.composite
+def block_triangular_coordinates(draw):
+    """(F, F Y) with Y block upper triangular: at each block end i the first i+1 columns of Y
+    vanish below row i, and the leading block is triangular only when every block is."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 6))
+    ends = sorted(draw(st.sets(st.integers(0, n - 1))) | {n - 1})
+    block = lambda i: next(k for k, end in enumerate(ends) if i <= end)
+    Y = Matrix.from_ints(field, [[draw(ENTRIES) if block(r) <= block(c) else 0 for c in range(n)] for r in range(n)])
+    F = draw(invertible(field, n))
+    return du.Flag("F", F), F * Y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(basis_pairs().map(lambda case: (case[0], case[2])), block_triangular_coordinates()))
+def test_spans_components_match_rref(case):
+    assert du.spans_components(*case) == spans_components_by_rref(*case)
+
+
 def test_singular_basis_is_never_opposite():
     field = Field.prime(7)
     F = du.Flag("F", Matrix.from_ints(field, [[1, 2], [2, 4]]))

@@ -227,22 +227,24 @@ def _oracle_nonzero(rng, n):
 
 @pytest.mark.parametrize("n", [1, 4, 7, 51])
 def test_draws_match_fraction_oracle(n):
-    # the canonical box must leave the draw stream, and so the search output, unchanged
+    # the integer box must leave the draw stream, and so the search output, unchanged
+    twelfths = lambda draws: tuple(Fraction(x, 12) for x in draws)
     for seed in range(100):
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            assert search._draw_distinct(fast, n) == _oracle_distinct(slow, n)
+            assert twelfths(search._draw_distinct(fast, n)) == _oracle_distinct(slow, n)
             assert fast.getstate() == slow.getstate()
-            assert search._draw_nonzero(fast, n) == _oracle_nonzero(slow, n)
+            assert twelfths(search._draw_nonzero(fast, n)) == _oracle_nonzero(slow, n)
             assert fast.getstate() == slow.getstate()
 
 
 def test_draw_box_shares_equal_values():
+    # each key (n, q) holds the integer 12 n/q, so equal fractions hold one value
     assert len(search._BOX) == 19 * 4
-    assert all(x == Fraction(*key) and type(x) is Fraction for key, x in search._BOX.items())
-    assert search._BOX[-2, 2] is search._BOX[-1, 1] is search._BOX[-4, 4]
-    assert search._BOX[0, 3] is search._BOX[0, 1]
-    assert len({id(x) for x in search._BOX.values()}) == _BOX_SIZE
+    assert all(type(x) is int and x == 12 * Fraction(*key) for key, x in search._BOX.items())
+    assert search._BOX[-2, 2] == search._BOX[-1, 1] == search._BOX[-4, 4] == -12
+    assert search._BOX[0, 3] == search._BOX[0, 1] == 0
+    assert len(set(search._BOX.values())) == _BOX_SIZE == 51
 
 
 def _classifier_scan(field, d, self_dual):

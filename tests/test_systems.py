@@ -4,9 +4,10 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from leonard import search
 from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair, SingularMatrix
 from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import Matrix, bidiagonal, eval_root_product
@@ -23,7 +24,9 @@ from leonard.systems import (
     edge_values,
     extract_parameter_array,
     nu_scalars,
+    check_pa1,
     pa5_failure,
+    pa_failure,
     _gram_by_nullspace,
     solve_gram,
     split_projectors,
@@ -282,6 +285,119 @@ def test_pa5_failure_index(theta, theta_star, index):
 def test_pa5_holds_on_leonard_arrays(field, data):
     pa = data.draw(leonard_arrays(field, data.draw(st.integers(min_value=0, max_value=6), label="d")), label="pa")
     assert pa5_failure(pa.theta, pa.theta_star) is None
+
+
+# --- PA2-PA5 without division against the division route ---
+
+
+def complete_by_division(field, theta, theta_star, varphi):
+    """PA1-PA5 with s_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d) divided
+    out, the oracle of the division-free `complete_parameter_array`."""
+    th, ths, varphi = tuple(theta), tuple(theta_star), tuple(varphi)
+    d = len(th) - 1
+    check_pa1(field, d, th, ths, varphi, varphi)
+    s = [field.zero()]
+    for h in range(d):
+        s.append(s[-1] + (th[h] - th[d - h]) / (th[0] - th[d]))
+    phi = tuple(varphi[0] * s[i] + (ths[i] - ths[0]) * (th[d - i + 1] - th[0]) for i in range(1, d + 1))
+    for i in range(1, d + 1):
+        if not phi[i - 1]:
+            raise NotALeonardPair(f"PA2 fails at i={i}: phi_{i} = 0")
+    for i in range(1, d + 1):
+        if varphi[i - 1] != phi[0] * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]):
+            raise NotALeonardPair(f"PA3 fails at i={i}: varphi_{i} disagrees with phi_1")
+    i = pa5_by_division(th, ths)
+    if i is not None:
+        raise NotALeonardPair(f"PA5 fails at i={i}: the theta, theta* recurrences differ")
+    return ParameterArray(field, d, th, ths, varphi, phi)
+
+
+def completion(complete, *args):
+    """The array, or the message of the NotALeonardPair or ValueError raised."""
+    try:
+        out = complete(*args)
+    except (NotALeonardPair, ValueError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    event(out.split(" at ")[0] if isinstance(out, str) else "accepted")
+    return out
+
+
+BOX_VALUES = sorted(set(search._BOX.values()))  # twelve times each value of the rational search box
+
+
+@st.composite
+def box_candidates(draw):
+    """A rational search candidate as the search draws it: (12 theta, 12 theta*, 12 varphi), d = 0..4,
+    with varphi_1 sometimes set to (theta*_1 - theta*_0)(theta_0 - theta_d), where PA2 fails at i = 1."""
+    d = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 4]))
+    distinct = lambda: tuple(draw(st.lists(st.sampled_from(BOX_VALUES), min_size=d + 1, max_size=d + 1, unique=True)))
+    theta = distinct()
+    theta_star = theta if draw(st.booleans()) else distinct()
+    varphi = draw(st.lists(st.sampled_from([x for x in BOX_VALUES if x]), min_size=d, max_size=d))
+    if d and draw(st.booleans()):
+        varphi[0] = F((theta_star[1] - theta_star[0]) * (theta[0] - theta[d]), 12)
+        assume(varphi[0].denominator == 1 and varphi[0] in BOX_VALUES and varphi[0])
+        varphi[0] = int(varphi[0])
+    return theta, theta_star, tuple(varphi)
+
+
+@st.composite
+def perturbed_krawtchouk(draw):
+    """theta_i = theta_0 + s i, theta*_i = theta*_0 + s* i and varphi_i = r i (i - d - 1) over Q or
+    GF(2^31 - 1), d = 0..6: Leonard unless r = s s* (PA2 fails).  Then at most one entry of
+    theta, theta* or varphi moves; after a moved eigenvalue, varphi_2..varphi_d may be
+    re-solved from PA3, which leaves PA5 to decide."""
+    field = draw(st.sampled_from([Q, GFP]))
+    x = field_scalars(field)
+    d = draw(st.integers(min_value=0, max_value=6))
+    th0, s, ths0, s_star = draw(x), draw(x), draw(x), draw(x)
+    r = s * s_star if draw(st.integers(0, 4)) == 0 else draw(x)
+    th, ths, varphi = ([th0 + s * field.from_int(i) for i in range(d + 1)],
+                       [ths0 + s_star * field.from_int(i) for i in range(d + 1)],
+                       [r * field.from_int(i * (i - d - 1)) for i in range(1, d + 1)])
+    which = draw(st.sampled_from([None, 0, 1, 2]))
+    target = (th, ths, varphi)[which] if which is not None else []
+    if target:
+        k = draw(st.integers(min_value=0, max_value=len(target) - 1))
+        target[k] = target[k] + draw(x)
+    if which in (0, 1) and d and th[0] != th[d] and draw(st.booleans()):
+        s_ = lambda i: sum(((th[h] - th[d - h]) / (th[0] - th[d]) for h in range(i)), field.zero())
+        phi_1 = varphi[0] + (ths[1] - ths[0]) * (th[d] - th[0])
+        for i in range(2, d + 1):
+            varphi[i - 1] = phi_1 * s_(i) + (ths[i] - ths[0]) * (th[i - 1] - th[d])
+    a, b = draw(x.filter(bool)), draw(x.filter(bool))  # (a theta, b theta*, ab varphi) must agree
+    return field, tuple(th), tuple(ths), tuple(varphi), a, b
+
+
+def assert_same_verdict(expected, verdict):
+    """`pa_failure`'s verdict on scaled sequences against the oracle's outcome on the array."""
+    if isinstance(verdict, str):
+        assert expected == f"NotALeonardPair: {verdict}"
+    else:
+        assert isinstance(expected, ParameterArray)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_candidates())
+def test_division_free_classifier_on_box_candidates(candidate):
+    theta, theta_star, varphi = candidate
+    args = (Q, *(tuple(F(x, 12) for x in seq) for seq in candidate))
+    expected = completion(complete_by_division, *args)
+    assert completion(complete_parameter_array, *args) == expected
+    # the search classifies (12 theta, 12 theta*, 144 varphi) in place of the array
+    assert_same_verdict(expected, pa_failure(theta, theta_star, tuple(12 * x for x in varphi)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_krawtchouk())
+def test_division_free_classifier_on_perturbed_krawtchouk(candidate):
+    field, theta, theta_star, varphi, a, b = candidate
+    expected = completion(complete_by_division, field, theta, theta_star, varphi)
+    assert completion(complete_parameter_array, field, theta, theta_star, varphi) == expected
+    if isinstance(expected, str) and expected.startswith("ValueError"):
+        return  # PA1 fails, and pa_failure presumes it
+    scaled = ([a * t for t in theta], [b * t for t in theta_star], [a * b * v for v in varphi])
+    assert_same_verdict(expected, pa_failure(*scaled))
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
