@@ -9,7 +9,6 @@ the suites below machine-check every identity involved, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DegenerateSplit,
@@ -31,6 +30,7 @@ from .report import VerificationReport
 from .systems import (
     LeonardSystem,
     ParameterArray,
+    _eigenbasis_inverse,
     _factors,
     edge_values,
     nu_scalars,
@@ -269,18 +269,11 @@ OMEGA = ("0", "D", "0*", "D*")
 @dataclass(frozen=True)
 class Flag:
     """Nested subspaces of dimensions 1..d+1 as one ordered basis: component
-    i is spanned by the first i+1 columns of basis."""
+    i is spanned by the first i+1 columns of basis; inverse is basis^-1, None when basis is singular."""
 
     label: str
     basis: Matrix
-
-    @cached_property
-    def inverse(self) -> Matrix | None:
-        """basis^-1, computed on first use; None when basis is singular."""
-        try:
-            return self.basis.inverse()
-        except SingularMatrix:
-            return None
+    inverse: Matrix | None
 
     def to_json(self) -> dict:
         rows = self.basis.to_json()  # component i is the first i+1 entries of every row
@@ -295,9 +288,13 @@ def build_flag(sys: LeonardSystem, z: str) -> Flag:
 
 
 def _flag(sys: LeonardSystem, z: str) -> Flag:
-    star = z.endswith("*")
-    order = range(sys.d, -1, -1) if z.startswith("D") else range(sys.d + 1)
-    return Flag(z, Matrix.from_columns(sys.field, [sys.eigencolumn(i, star=star) for i in order]))
+    """[0] and [0*] are W and W*, [D] and [D*] reverse their columns: the inverse is W^-1 (W*^-1), rows reversed."""
+    star, order = z.endswith("*"), slice(None, None, -1 if z.startswith("D") else 1)
+    try:
+        inverse = _eigenbasis_inverse(sys, star).submatrix(rows=order)
+    except SingularMatrix:
+        inverse = None
+    return Flag(z, _factors(sys, star)[0].submatrix(cols=order), inverse)
 
 
 def spans_components(F: Flag, X: Matrix) -> list:
@@ -548,10 +545,7 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
         {"projection": k} for k, (lhs, rhs) in enumerate(projections) if lhs != rhs))
 
     vp, ph = pa.split_products[0][d], pa.split_products[2][d]
-    report.add(
-        "anchor_ratio_product",
-        a.x0d * a.xd0 / (a.x00 * a.xdd) == vp / ph,
-    )
+    report.add("anchor_ratio_product", a.x0d * a.xd0 / (a.x00 * a.xdd) == vp / ph)
 
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     squares = (
@@ -655,11 +649,8 @@ def verify_T_on_bases(
         report.add_first_failure(f"T_on_family_{src.replace('-', '_')}", (
             {"i": i} for i in range(sys.d + 1) if t * family[src][i] != family[dst][i].scale(c)))
 
-    report.add(
-        "T_squared_on_v0",
-        t * (t * a.v0) == a.v0.scale(bundle.lam)
-        and bundle.alpha * bundle.alpha_star == bundle.lam,
-    )
+    report.add("T_squared_on_v0",
+               t * (t * a.v0) == a.v0.scale(bundle.lam) and bundle.alpha * bundle.alpha_star == bundle.lam)
     return report
 
 

@@ -242,6 +242,14 @@ def _factors(sys: LeonardSystem, star: bool = False) -> tuple:
     return sys.eigenbasis(star)
 
 
+def _eigenbasis_inverse(sys: LeonardSystem, star: bool = False) -> Matrix:
+    """W^-1 for (W, U) = _factors(sys, star), memoised: U once U W = I, else Gauss-Jordan on W
+    (SingularMatrix when W is singular)."""
+    W, U = _factors(sys, star)
+    return sys.cached(("eigenbasis_inverse", star),
+                      lambda: U if _off_diagonal(U * W, [sys.field.one()] * W.ncols) is None else W.inverse())
+
+
 def _add_factored(report, name: str, check) -> None:
     """Add check() = (passed, witness); a family that does not factor fails it."""
     try:
@@ -293,9 +301,8 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
         ("tridiagonal_A_in_Astar_eigenbasis", True, sys.A),
     ):
         try:
-            W, U = _factors(sys, star)
-            Winv = U if _off_diagonal(U * W, [sys.field.one()] * W.ncols) is None else W.inverse()
-            report.add(name, is_irreducible_tridiagonal(Winv * target * W), None)
+            W = _factors(sys, star)[0]
+            report.add(name, is_irreducible_tridiagonal(_eigenbasis_inverse(sys, star) * target * W), None)
         except (SingularMatrix, DegenerateSplit) as exc:
             report.add(name, False, {"error": str(exc)})
 
@@ -513,8 +520,8 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
     """Independent construction of the split projectors from the split lines
     U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V): the decomposition of
     the flags with ordered bases W* and W reversed (`flag_decomposition`)."""
-    W, Ws = _factors(sys)[0], _factors(sys, star=True)[0]
-    lines = flag_decomposition(Ws.inverse(), W.submatrix(cols=slice(None, None, -1)))
+    W = _factors(sys)[0]
+    lines = flag_decomposition(_eigenbasis_inverse(sys, star=True), W.submatrix(cols=slice(None, None, -1)))
     if lines is None:
         raise DegenerateSplit("split component is not one-dimensional")
     C = Matrix.from_columns(sys.field, lines)

@@ -96,21 +96,25 @@ def _one_error_line(err: str) -> dict:
     return obj
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(VERBS), mutated_documents())
-def test_cli_contract_on_mutated_documents(argv, doc):
-    text = json.dumps(doc)
+def assert_cli_contract(argv, text: str) -> int:
+    """The contract of the module docstring for one call on the input text; returns the exit code."""
     code, out, err = result = _call(argv, text)
     assert code in (0, 1, 2)
-    event(f"exit {code}")
     assert "Traceback" not in out + err
     if code == 2:
         assert out == ""
         assert set(_one_error_line(err)) == {"error"}
-        return
+        return code
     if out:
         json.loads(out)
     else:  # a domain error (exit 1): the error object alone
         assert code == 1
         _one_error_line(err)
     assert _call(argv, text) == result
+    return code
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(VERBS), mutated_documents())
+def test_cli_contract_on_mutated_documents(argv, doc):
+    event(f"exit {assert_cli_contract(argv, json.dumps(doc))}")

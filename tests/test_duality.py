@@ -88,33 +88,57 @@ def test_each_basis_sequence_built_once(tmp_path, monkeypatch):
     assert all(du.build_basis(s, anchors, basis_id) == seq for basis_id, seq in family.items())
 
 
-def test_eliminations_per_verb(tmp_path, monkeypatch):
-    """Each flag is inverted once, and no basis is inverted to be certified.
-
-    At d = 6 certify takes 3 eliminations.  verify adds the inverses of W* and
-    of the split lines; dualize the 4 flag inverses (`spans_components` reads
-    triangular blocks, with no elimination); bases the 4 flag inverses (its 12 forward
-    sequences are ranked, by `Matrix.rank`, not `_echelon`); matrix-of-t one
-    basis inverse."""
-    GFP = {"kind": "prime", "p": 2**31 - 1}
-    d, enc = 6, lambda x: x % GFP["p"]
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({
-        "field": GFP, "d": d,
+def _krawtchouk_json(field: dict, d: int) -> dict:
+    """theta_i = theta*_i = d - 2i, varphi_i = i(i-d-1), phi_i = -3 i(i-d-1), over Q or GF(p)."""
+    enc = (lambda x: x % field["p"]) if field["kind"] == "prime" else (lambda x: f"{x}/1")
+    return {
+        "field": field, "d": d,
         "theta": [enc(d - 2 * i) for i in range(d + 1)],
         "theta_star": [enc(d - 2 * i) for i in range(d + 1)],
         "varphi": [enc(i * (i - d - 1)) for i in range(1, d + 1)],
         "phi": [enc(-3 * i * (i - d - 1)) for i in range(1, d + 1)],
-    }))
+    }
+
+
+def test_eliminations_per_verb(tmp_path, monkeypatch):
+    """No eigenbasis is inverted, and no basis is inverted to be certified.
+
+    At d = 6 certify takes 3 eliminations.  verify adds the inverse of the split
+    lines; W*^-1 is U*, since U* W* = I (`systems._eigenbasis_inverse`).  dualize
+    and bases add none: each flag's inverse is W^-1 or W*^-1, rows reversed for [D]
+    and [D*], `spans_components` reads triangular blocks with no elimination, and
+    the 12 forward sequences of bases are ranked by `Matrix.rank`, not `_echelon`.
+    matrix-of-t adds one basis inverse."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_krawtchouk_json({"kind": "prime", "p": 2**31 - 1}, 6)))
     calls = []
     echelon = Matrix._echelon
     monkeypatch.setattr(Matrix, "_echelon", lambda self, **kw: calls.append(1) or echelon(self, **kw))
-    bounds = {"verify": 5, "dualize": 7, "bases": 7, "matrix-of-t": 4}
+    bounds = {"verify": 4, "dualize": 3, "bases": 3, "matrix-of-t": 4}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
         assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         assert len(calls) <= bound, verb
+
+
+@pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
+def test_no_verb_inverts_an_eigenbasis(field, tmp_path, monkeypatch):
+    """Every array the CLI reads is in split form, where U W = I: W^-1 is U, so neither
+    W nor W*, nor either with its columns reversed (the flags [D] and [D*]), is inverted."""
+    doc = _krawtchouk_json(field, 8)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    s = systems.build_system(ParameterArray.from_json(doc))
+    eigenbases = [s.eigenbasis(star)[0] for star in (False, True)]
+    eigenbases += [W.submatrix(cols=slice(None, None, -1)) for W in eigenbases]
+    inverted = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or inverse(self))
+    for verb in ("verify", "dualize", "bases"):
+        inverted.clear()
+        assert main([verb, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+        assert not [W for W in eigenbases if W in inverted], verb
 
 
 def test_singular_basis_inverses():

@@ -18,12 +18,14 @@ import pytest
 
 from leonard import duality as du
 from leonard import linalg, systems
-from leonard.errors import DegenerateSplit
+from leonard.errors import DegenerateSplit, SingularMatrix
 from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, flag_decomposition, intersect_column_spaces, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
 from conftest import FROZEN_ARRAYS, flag_components, leonard_arrays
+from test_cyclic_route import hand_built, w_inverse_conjugate
+from test_factor_route import assert_both_reports_match
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -225,6 +227,32 @@ def test_generated_geometry_matches_reference(field, data):
     assert report.all_pass or not du.is_self_dual(pa)
 
 
+def flag(label: str, basis: Matrix) -> du.Flag:
+    """A flag on an arbitrary ordered basis, its inverse by Gauss-Jordan (None when singular)."""
+    try:
+        return du.Flag(label, basis, basis.inverse())
+    except SingularMatrix:
+        return du.Flag(label, basis, None)
+
+
+def assert_flag_inverses_match_elimination(sys):
+    """Each flag's inverse is Gauss-Jordan's inverse of its basis, and None exactly when that is singular."""
+    for z in du.OMEGA:
+        F = du.build_flag(sys, z)
+        assert F.inverse == flag(z, F.basis).inverse, z
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_flag_inverses_match_elimination(field, data):
+    """U W = I holds on every system below, so each flag reads U or U* with its rows reversed."""
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    s = certify(data.draw(leonard_arrays(field, d), label="pa"))
+    for sys in (s, s.conjugated(_conjugator(field, d + 1)), w_inverse_conjugate(s)):
+        assert_flag_inverses_match_elimination(sys)
+
+
 def test_basis_representations_match_separate_solves(corpus):
     for pa in corpus.self_dual:
         s = corpus.system(pa)
@@ -274,6 +302,30 @@ def test_dependent_flag_basis_matches_reference():
     assert not report["decomposition_components_one_dimensional"].passed
 
 
+def test_families_with_UW_not_I_invert_by_elimination(monkeypatch):
+    """Where U W != I, W^-1 comes from Gauss-Jordan on W, for the flags, both tridiagonal axioms
+    and the split lines: E_0 twice (W singular, so the E-flags have no inverse), and the sheared
+    E_0 and doubled E*_d of `test_cyclic_route.py` (W, resp. W*, invertible, and its inverse != U)."""
+    s = certify(krawtchouk_type(Q, 1, 3, 5, 3, 5, 13))
+    repeated = LeonardSystem(s.A, s.Astar, (s.E[0], s.E[0]), s.Estar, s.theta, s.theta_star, s.pa)
+    sheared, doubled = (hand_built(Q, 2)[name] for name in ("E_0 sheared", "Estar_d doubled"))
+    inverted = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or inverse(self))
+    for sys, star in ((repeated, False), (sheared, False), (doubled, True)):
+        W, U = sys.eigenbasis(star)
+        assert U * W != Matrix.identity(Q, sys.d + 1)
+        inverted.clear()
+        systems.standard_identity_suite(sys)
+        assert W in inverted
+        assert_both_reports_match(sys)  # the axioms and split lines against their references
+        assert_flag_inverses_match_elimination(sys)
+    assert du.build_flag(repeated, "0").inverse is du.build_flag(repeated, "D").inverse is None
+    for sys, z, star in ((sheared, "0", False), (doubled, "0*", True)):
+        W, U = sys.eigenbasis(star)
+        assert du.build_flag(sys, z).inverse == inverse(W) != U
+
+
 # --- random ordered bases ---
 
 
@@ -302,7 +354,7 @@ def basis_pairs(draw):
         X = F * Matrix.from_ints(field, [[draw(ENTRIES) if c >= r else 0 for c in range(n)] for r in range(n)])
     else:
         X = Matrix.from_ints(field, [[draw(ENTRIES) for _ in range(n)] for _ in range(n)])
-    return du.Flag("F", F), du.Flag("G", G), X
+    return flag("F", F), flag("G", G), X
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,7 +390,7 @@ def block_triangular_coordinates(draw):
     block = lambda i: next(k for k, end in enumerate(ends) if i <= end)
     Y = Matrix.from_ints(field, [[draw(ENTRIES) if block(r) <= block(c) else 0 for c in range(n)] for r in range(n)])
     F = draw(invertible(field, n))
-    return du.Flag("F", F), F * Y
+    return flag("F", F), F * Y
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,8 +401,8 @@ def test_spans_components_match_rref(case):
 
 def test_singular_basis_is_never_opposite():
     field = Field.prime(7)
-    F = du.Flag("F", Matrix.from_ints(field, [[1, 2], [2, 4]]))
-    G = du.Flag("G", Matrix.from_ints(field, [[0, 1], [1, 0]]))
+    F = flag("F", Matrix.from_ints(field, [[1, 2], [2, 4]]))
+    G = flag("G", Matrix.from_ints(field, [[0, 1], [1, 0]]))
     for pair in ((F, G), (G, F), (F, F)):
         assert assert_opposite_vectors_match_loop(*pair) is None
         assert not ref_flags_opposite(*pair)

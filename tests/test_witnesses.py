@@ -84,7 +84,7 @@ def zero_flags():
     """The flags [0] and [D] with a zero basis."""
     s, _, _ = _setup(SELF_DUAL)
     for z in ("0", "D"):
-        s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1))
+        s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1), None)
     return _checks(du.verify_geometry_suite(s))
 
 
@@ -206,3 +206,47 @@ def test_nu_witness_scalars_are_canonical(array, nu):
     """The nu closed forms in the witness are encoded like every other scalar of the output."""
     names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
     assert doubled_estar_d(array)["nu_closed_forms_match_traces"] == (False, {"scalars": dict.fromkeys(names, nu)})
+
+
+def _raised_inverse_entry(star: bool, i: int, j: int) -> dict:
+    """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built."""
+    s, _, bundle = _setup(SELF_DUAL)
+    assert not any(key[0] == "flag" for key in s._memo)
+    rows = [list(row) for row in systems._eigenbasis_inverse(s, star).rows]
+    rows[i][j] += s.field.one()
+    s._memo[("eigenbasis_inverse", star)] = Matrix(s.field, rows)
+    return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
+
+
+# (star, i, j) -> {check name: its witness}, over the checks that read W^-1 or W*^-1
+INVERSE_PINS = {
+    (True, 2, 1): {
+        "tridiagonal_A_in_Astar_eigenbasis": None,
+        "split_projectors_match_intersection": None,
+        "decompositions_induce_flags": {"pair": "[D*0*]", "flag": "0*", "i": 1},
+        "T_on_flags": {"flag": "D", "i": 0},
+    },
+    (False, 3, 0): {
+        "tridiagonal_Astar_in_A_eigenbasis": None,
+        "flags_mutually_opposite": None,
+        "decomposition_components_one_dimensional": {
+            "pair": "[0D*]", "error": "the flags [0] and [D*] of [0D*] are not opposite"},
+    },
+}
+INVERSE_READERS = {"tridiagonal_Astar_in_A_eigenbasis", "tridiagonal_A_in_Astar_eigenbasis",
+                   "split_projectors_match_intersection", "flags_mutually_opposite", "decompositions_induce_flags",
+                   "decomposition_components_one_dimensional", "T_on_flags"}
+
+
+@pytest.mark.parametrize("entry", INVERSE_PINS, ids=lambda e: f"{'Wstar' if e[0] else 'W'}-inverse-{e[1]}{e[2]}")
+def test_eigenbasis_inverse_readers_fail_with_pinned_witness(entry):
+    """Each check that reads the memoised W^-1 or W*^-1 (the tridiagonal axioms, the split
+    lines and the flags) fails when one entry of it is wrong; among them, only the pinned ones."""
+    checks = _raised_inverse_entry(*entry)
+    assert {name for name in INVERSE_READERS & checks.keys() if not checks[name][0]} == set(INVERSE_PINS[entry])
+    assert {name: checks[name] for name in INVERSE_PINS[entry]} == {
+        name: (False, witness) for name, witness in INVERSE_PINS[entry].items()}
+
+
+def test_every_eigenbasis_inverse_reader_is_pinned():
+    assert set().union(*INVERSE_PINS.values()) == INVERSE_READERS
