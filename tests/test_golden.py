@@ -16,8 +16,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import FROZEN_ARRAYS
+from conftest import FROZEN_ARRAYS, leonard_array
 from leonard.cli import main
+from leonard.fields import Field
 
 GFP = {"kind": "prime", "p": 2147483647}
 
@@ -83,6 +84,16 @@ GFP_D8_NON_SELF_DUAL = krawtchouk(GFP, 8, gfp, s_star=-4)
 Q_D20 = krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1")
 GFP_D20 = krawtchouk(GFP, 20, gfp)
 
+
+def q_racah(field: Field) -> dict:
+    """leonard_array(field, 8, (1, 2, 7), (1, 3, 4), 13/6, 5/2): q-Racah type with q = 3/2
+    (13/6 = q + 1/q), not self-dual; over Q its W, U and W* have mixed denominators."""
+    n = field.from_int
+    return leonard_array(field, 8, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2)).to_json()
+
+
+Q_RACAH_D8, GFP_RACAH_D8 = q_racah(Field.rational()), q_racah(Field.prime(GFP["p"]))
+
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
     "q1": FROZEN_ARRAYS[1],
@@ -114,6 +125,9 @@ for verb in VERBS[1:3] + VERBS[-1:]:
     CASES[f"gfp_d8_sd {' '.join(verb)}"] = (verb, GFP_D8_SELF_DUAL)
 CASES["gfp_d8_nsd dualize"] = (["dualize"], GFP_D8_NON_SELF_DUAL)
 CASES["q_d20 verify"] = (["verify"], Q_D20)
+for name, obj in (("q_racah_d8", Q_RACAH_D8), ("gfp_racah_d8", GFP_RACAH_D8)):
+    for verb in VERBS[:3]:  # exit 0, 1 (not self-dual) and 0
+        CASES[f"{name} {verb[0]}"] = (verb, obj)
 CASES["gfp_d20 verify"] = (["verify"], GFP_D20)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
@@ -152,6 +166,9 @@ GOLDEN = {
     'gfp_nsd matrix-of-t --basis tau-vstard': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
     'gfp_nsd matrix-of-t --basis taustar-vd': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
     'gfp_nsd verify': '3e7b555d141c8dc725e9bc15885537ee8aa18ac5485c8681c97ed2cd7ec7f8c2',
+    'gfp_racah_d8 bases': '8296081f8da758bd05031078d9edf32fa4ac2caf2fcc91644331f5aee0b6616c',
+    'gfp_racah_d8 dualize': '0ca2fd2d8f2768cceba179899fc28ae52404fbc7f9178b3d470b288ea300101c',
+    'gfp_racah_d8 verify': 'af9d46b85cd853d319757e55d03980e35f0e54ff688a09fca43270617c690002',
     'gfp_sd bases': 'fa4c5e7f14d4185c80efee033573cbd7eb6be15b3ce8d697f3e1c740630e34ae',
     'gfp_sd dualize': '073a569584f1c468aa705de38f3d29db20cc5ffc4358ffc5ba38a03ccec168f1',
     'gfp_sd matrix-of-t --basis eta-vstar0': '168c35ade058d0f44fadea9488c080deef649af02d88b9fd2179634d78779e9c',
@@ -182,6 +199,9 @@ GOLDEN = {
     'q2 matrix-of-t --basis tau-vstard': '3d6240a138044fc8a841cf56914df22670ace48ac043e9f1dd11d12c9fdbaa7d',
     'q2 matrix-of-t --basis taustar-vd': '407f7a7f7967956ee7e2f36b0e578396650262c1ea4c68590cbe2961c24f29a3',
     'q2 verify': '4a384e515331dd72e5acc3d36e82233590eceba2609a9f278226d34a3d877fd1',
+    'q_racah_d8 bases': '71296ad2edd913aaa8f1c48ccf04162449496eb836b3a8e35dc79e8d19aaa2d7',
+    'q_racah_d8 dualize': '87b5e1bd7e77b96089710d7fa3f6479b9afa9b3c839e1ffc829d8fae6211eec3',
+    'q_racah_d8 verify': '548bac09c3b9ff3dea511fbcd03a250d5027d68047ddd882d890841873c5fe5c',
     'q_d20 verify': '5246db3943536001db2a7133f6840e668e4e421082a20d3668cefb0dc74058ff',
     'q_d8_not_leonard verify': '4d8e94e9da06d963627e794e305fa63b709fb50b43a1b5be723f9350d079683e',
     'q_d0 bases': 'c22a2ff33c79d70791018d7205533f28ce8d7d0eaf60bc6afdae3f3a87896a97',
