@@ -49,7 +49,10 @@ def _read_parameter_array(args) -> ParameterArray:
         obj = json.loads(text)
     except RecursionError as exc:  # deep nesting is malformed input, not an internal fault
         raise ValueError("input JSON is nested too deeply") from exc
-    return ParameterArray.from_json(obj)
+    pa = ParameterArray.from_json(obj)
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7; `main` restores the limit
+        sys.set_int_max_str_digits(0)  # every input integer is capped, computed ones may be longer
+    return pa
 
 
 def _read_bounded_array(args) -> ParameterArray:
@@ -232,6 +235,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         return _COMMANDS[args.verb](args)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
@@ -246,6 +250,9 @@ def main(argv=None) -> int:
     except LeonardError as exc:
         sys.stderr.write(_error_object(exc))
         return EXIT_CHECK_FAILED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

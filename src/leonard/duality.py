@@ -32,6 +32,7 @@ from .systems import (
     ParameterArray,
     _eigenbasis_inverse,
     _factors,
+    change_of_basis,
     edge_values,
     nu_scalars,
 )
@@ -264,6 +265,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
 # --- flags and decompositions ---
 
 OMEGA = ("0", "D", "0*", "D*")
+_ORDER = {z: slice(None, None, -1 if z.startswith("D") else 1) for z in OMEGA}  # columns of W (W*) in [z]
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ def build_flag(sys: LeonardSystem, z: str) -> Flag:
 
 def _flag(sys: LeonardSystem, z: str) -> Flag:
     """[0] and [0*] are W and W*, [D] and [D*] reverse their columns: the inverse is W^-1 (W*^-1), rows reversed."""
-    star, order = z.endswith("*"), slice(None, None, -1 if z.startswith("D") else 1)
+    star, order = z.endswith("*"), _ORDER[z]
     try:
         inverse = _eigenbasis_inverse(sys, star).submatrix(rows=order)
     except SingularMatrix:
@@ -338,8 +340,10 @@ def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
 
 
 def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    F = build_flag(sys, z)
-    vectors = None if F.inverse is None else flag_decomposition(F.inverse, build_flag(sys, w).basis)
+    """[z]^-1 [w] is W_a^-1 W_b (`change_of_basis`) with its rows and columns in the flags' orders."""
+    F, G = build_flag(sys, z), build_flag(sys, w)
+    C = None if F.inverse is None else change_of_basis(sys, z.endswith("*"), None, w.endswith("*"))
+    vectors = None if C is None else flag_decomposition(C.submatrix(_ORDER[z], _ORDER[w]), G.basis)
     if vectors is None:
         raise DegenerateSplit(f"the flags [{z}] and [{w}] of [{z}{w}] are not opposite")
     return Decomposition(z, w, tuple(v.normalized() for v in vectors))

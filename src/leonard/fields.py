@@ -19,6 +19,7 @@ from fractions import Fraction
 # the one accepted form of a rational scalar string: ASCII digits, an optional
 # leading minus, an optional unsigned denominator; no spaces, "+" or "_"
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+MAX_DIGITS = 4300  # per input integer: CPython's default int/str conversion limit
 
 
 def is_prime(n: int) -> bool:
@@ -184,20 +185,22 @@ class Field:
         return x.r
 
     def decode_scalar(self, obj):
-        """Decode one JSON scalar.  Booleans, zero denominators, rational strings
-        outside `_RATIONAL` and residues outside [0, p) raise ValueError."""
+        """Decode one JSON scalar.  Booleans, zero denominators, rational strings outside
+        `_RATIONAL`, integers of over MAX_DIGITS digits and residues outside [0, p) raise ValueError."""
         if isinstance(obj, bool):
             raise ValueError(f"cannot decode a scalar from the boolean {obj!r}")
         if self.is_rational:
+            if isinstance(obj, int):
+                obj = str(obj)  # one grammar and one digit cap for both JSON forms
             if isinstance(obj, str):
                 if not (m := _RATIONAL.fullmatch(obj)):
                     raise ValueError(f"rational scalar {obj!r} is not of the form -?[0-9]+(/[0-9]+)?")
+                if max(len(m[1].lstrip("-")), len(m[2] or "")) > MAX_DIGITS:
+                    raise ValueError(f"rational scalar has an integer of more than {MAX_DIGITS} digits")
                 num, den = int(m[1]), int(m[2] or 1)
                 if den == 0:
                     raise ValueError(f"zero denominator in rational scalar {obj!r}")
                 return Fraction(num, den)
-            if isinstance(obj, int):
-                return Fraction(obj)
             raise ValueError(f"cannot decode rational scalar from {obj!r}")
         if not isinstance(obj, int):
             raise ValueError(f"cannot decode GF({self.p}) scalar from {obj!r}")

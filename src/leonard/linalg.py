@@ -355,15 +355,15 @@ def unpivoted_column_reduction(M: Matrix, X: Matrix):
     return [Vector._of(field, [col[n:]]) for col in cols]
 
 
-def flag_decomposition(F_inverse: Matrix, G: Matrix):
+def flag_decomposition(C: Matrix, G: Matrix):
     """x_0..x_d with x_i spanning F_i ∩ G_{d-i}, for the flags with ordered bases F
-    and G (component i: the first i+1 columns), when they are opposite, else None.
+    and G (component i: the first i+1 columns) and C = F^-1 G, when they are opposite, else None.
 
-    They are opposite exactly when C' (C = F^-1 G with its rows reversed) has an LU
+    They are opposite exactly when C' (C with its rows reversed) has an LU
     factorisation without pivoting.  The column operations C' V = L (V upper
     triangular), done on the columns of G as well, leave x_i = G V[:, d-i]
     (`unpivoted_column_reduction`; each x_i up to a nonzero scalar)."""
-    cols = unpivoted_column_reduction((F_inverse * G).submatrix(slice(None, None, -1)), G)
+    cols = unpivoted_column_reduction(C.submatrix(slice(None, None, -1)), G)
     return None if cols is None else tuple(reversed(cols))
 
 

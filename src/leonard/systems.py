@@ -242,19 +242,35 @@ def _factors(sys: LeonardSystem, star: bool = False) -> tuple:
     return sys.eigenbasis(star)
 
 
+def _orthogonality_witness(sys: LeonardSystem, star: bool = False):
+    """The first (i, j) where U W != I for (W, U) = _factors(sys, star), else None, memoised."""
+    W, U = _factors(sys, star)
+    return sys.cached(("UW_witness", star), lambda: _off_diagonal(U * W, [sys.field.one()] * W.ncols))
+
+
 def _eigenbasis_inverse(sys: LeonardSystem, star: bool = False) -> Matrix:
     """W^-1 for (W, U) = _factors(sys, star), memoised: U once U W = I, else Gauss-Jordan on W
     (SingularMatrix when W is singular)."""
     W, U = _factors(sys, star)
-    return sys.cached(("eigenbasis_inverse", star),
-                      lambda: U if _off_diagonal(U * W, [sys.field.one()] * W.ncols) is None else W.inverse())
+    return sys.cached(("eigenbasis_inverse", star), lambda: W.inverse() if _orthogonality_witness(sys, star) else U)
+
+
+def change_of_basis(sys: LeonardSystem, a: bool, X: str | None, b: bool) -> Matrix:
+    """W_a^-1 X W_b, memoised, for the eigenbases W_a and W_b of E (False) or E* (True) and X one of
+    None (I), "A" or "Astar"; W_a^-1 W_a is I.  SingularMatrix when W_a is singular."""
+    def build():
+        inverse, W = _eigenbasis_inverse(sys, a), _factors(sys, b)[0]
+        if X is None:
+            return Matrix.identity(sys.field, sys.d + 1) if a == b else inverse * W
+        return inverse * getattr(sys, X) * W
+    return sys.cached(("change_of_basis", a, X, b), build)
 
 
 def _add_factored(report, name: str, check) -> None:
-    """Add check() = (passed, witness); a family that does not factor fails it."""
+    """Add check() = (passed, witness); a family that does not factor, or a singular W, fails it."""
     try:
         passed, witness = check()
-    except DegenerateSplit as exc:
+    except (DegenerateSplit, SingularMatrix) as exc:
         passed, witness = False, {"error": str(exc)}
     report.add(name, passed, witness)
 
@@ -275,8 +291,7 @@ def _idempotent_checks(report, sys: LeonardSystem, star: bool):
     field, n = M.field, M.nrows
 
     def orthogonal():
-        W, U = _factors(sys, star)
-        witness = _off_diagonal(U * W, [field.one()] * n)
+        witness = _orthogonality_witness(sys, star)
         return witness is None, witness
 
     _add_factored(report, f"idempotents_{label}_orthogonal", orthogonal)
@@ -296,15 +311,11 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
     """Check the defining axioms; failures are report entries, never exceptions."""
     report = VerificationReport()
 
-    for name, star, target in (
-        ("tridiagonal_Astar_in_A_eigenbasis", False, sys.Astar),
-        ("tridiagonal_A_in_Astar_eigenbasis", True, sys.A),
+    for name, star, X in (
+        ("tridiagonal_Astar_in_A_eigenbasis", False, "Astar"),
+        ("tridiagonal_A_in_Astar_eigenbasis", True, "A"),
     ):
-        try:
-            W = _factors(sys, star)[0]
-            report.add(name, is_irreducible_tridiagonal(_eigenbasis_inverse(sys, star) * target * W), None)
-        except (SingularMatrix, DegenerateSplit) as exc:
-            report.add(name, False, {"error": str(exc)})
+        _add_factored(report, name, lambda: (is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None))
 
     report.add(
         "standard_orderings",
@@ -520,8 +531,8 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
     """Independent construction of the split projectors from the split lines
     U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V): the decomposition of
     the flags with ordered bases W* and W reversed (`flag_decomposition`)."""
-    W = _factors(sys)[0]
-    lines = flag_decomposition(_eigenbasis_inverse(sys, star=True), W.submatrix(cols=slice(None, None, -1)))
+    W = _factors(sys)[0].submatrix(cols=slice(None, None, -1))
+    lines = flag_decomposition(change_of_basis(sys, True, None, False).submatrix(cols=slice(None, None, -1)), W)
     if lines is None:
         raise DegenerateSplit("split component is not one-dimensional")
     C = Matrix.from_columns(sys.field, lines)
@@ -557,9 +568,9 @@ def _gram_in_eigenbasis(sys: LeonardSystem):
         return None
     W, U = basis
     scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
-    if _off_diagonal(U * W, [f.one()] * n) or _off_diagonal(U * sys.A * W, theta):
+    if _orthogonality_witness(sys) or _off_diagonal(change_of_basis(sys, False, "A", False), theta):
         return None
-    B = (U * sys.Astar * W).nums  # B.den B: scaling every row leaves the null space unchanged
+    B = change_of_basis(sys, False, "Astar", False).nums  # U A* W, as W^-1 = U; B.den B has the same null space
     rows = [[B[i][j] if k == i else -B[j][i] if k == j else 0 for k in range(n)]
             for i in range(n) for j in range(i + 1, n)]
     ms = Matrix.from_ints(f, rows or [[0] * n]).nullspace()

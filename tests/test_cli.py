@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import leonard.cli as cli
 from leonard.cli import main
-from leonard.fields import Field
+from leonard.fields import MAX_DIGITS, Field
+
+from conftest import leonard_array
 
 D1_SELF_DUAL = {
     "field": {"kind": "rational"},
@@ -147,6 +150,54 @@ def test_rational_scalar_grammar_keeps(tmp_path, capsys, text):
     assert Field.rational().decode_scalar(text) == 6
     assert run_cli(tmp_path, ["verify"], dict(D1_SELF_DUAL, phi=[text])) == run_cli(tmp_path, ["verify"], D1_SELF_DUAL)
     assert capsys.readouterr().err == ""
+
+
+def test_scalar_digit_cap(tmp_path, capsys):
+    """An input integer of more than MAX_DIGITS = 4300 digits is malformed input, with or without
+    the interpreter's own int/str limit; one of exactly 4300 digits is read."""
+    assert MAX_DIGITS == 4300
+    longest = "9" * MAX_DIGITS
+    assert Field.rational().decode_scalar(f"-{longest}/{longest}") == -1
+    message = "rational scalar has an integer of more than 4300 digits"
+    for text in ("1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "0" * 4300 + "1"):
+        with pytest.raises(ValueError, match=message):
+            Field.rational().decode_scalar(text)
+        code, out = run_cli(tmp_path, ["verify"], dict(D1_SELF_DUAL, phi=[text]))
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {"error": {"type": "ValueError", "message": message}}
+
+
+def high_entry_array() -> dict:
+    """leonard_array(Q, 2, (1, 2B, 7), (1, 3, 4B), 13/6, 5/B) for B = 10^700 + 7: input integers of at most
+    2,101 digits, while dualize computes integers beyond the interpreter's default int/str limit of 4300 digits."""
+    B, n = 10**700 + 7, Fraction
+    pa = leonard_array(Field.rational(), 2, (n(1), n(2 * B), n(7)), (n(1), n(3), n(4 * B)), n(13, 6), n(5, B))
+    return pa.to_json()
+
+
+def test_valid_high_entry_array_is_not_malformed(tmp_path):
+    """dualize printed a computed scalar of more than 4300 digits and exited 2; it is not self-dual, so it exits 1."""
+    payload = high_entry_array()
+    assert max(len(x) for key in ("theta", "theta_star", "varphi", "phi") for x in payload[key]) <= MAX_DIGITS
+    first = _call_with(tmp_path, ["dualize"], payload)
+    assert first[0] in (0, 1) and first[2] == ""
+    scalars = json.loads(first[1])["bundle"].values()
+    assert max(len(x) for x in scalars if isinstance(x, str)) > MAX_DIGITS
+    assert _call_with(tmp_path, ["dualize"], payload) == first
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str limit before Python 3.10.7")
+@pytest.mark.parametrize("payload, code", [(D1_SELF_DUAL, 0), (dict(D1_SELF_DUAL, phi=["1" * 4301]), 2)],
+                         ids=["parsed", "refused"])
+def test_main_restores_the_int_str_limit(tmp_path, payload, code):
+    """main lifts the interpreter's int/str limit once the array is parsed, and puts back the one it found."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert _call_with(tmp_path, ["dualize"], payload)[0] == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("verb", ["verify", "relatives"])
@@ -304,6 +355,13 @@ def _call(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _call_with(tmp_path, argv, payload):
+    """_call on argv with payload as the input file."""
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    return _call([*argv, "--input", str(inp)])
 
 
 def test_main_calls_share_one_parser(tmp_path):

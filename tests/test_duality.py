@@ -123,6 +123,25 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
+def test_products_per_verb(field, tmp_path, monkeypatch):
+    """Each change of basis W_a^-1 X W_b is formed once per system (`systems.change_of_basis`) and U W
+    once per family (`systems._orthogonality_witness`).  At d = 6 that is 28/90/14/19 products of two
+    matrices for verify/dualize/bases/matrix-of-t.  When each reader formed its own, there were
+    33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_krawtchouk_json(field, 6)))
+    calls = []  # one bool per call: whether both operands are matrices
+    mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
+    bounds = {"verify": 28, "dualize": 90, "bases": 14, "matrix-of-t": 19}
+    for verb, bound in bounds.items():
+        calls.clear()
+        extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
+        assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+        assert sum(calls) <= bound, verb
+
+
+@pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
 def test_no_verb_inverts_an_eigenbasis(field, tmp_path, monkeypatch):
     """Every array the CLI reads is in split form, where U W = I: W^-1 is U, so neither
     W nor W*, nor either with its columns reversed (the flags [D] and [D*]), is inverted."""
@@ -264,9 +283,9 @@ def test_flag_components():
 def test_flags_mutually_opposite(sd1):
     _, s, _, _ = sd1
     flags = [du.build_flag(s, z) for z in du.OMEGA]
-    assert all(flag_decomposition(F.inverse, G.basis) is not None for F in flags for G in flags if F is not G)
+    assert all(flag_decomposition(F.inverse * G.basis, G.basis) is not None for F in flags for G in flags if F is not G)
     # a flag is never opposite to itself for d >= 1
-    assert flag_decomposition(flags[0].inverse, flags[0].basis) is None
+    assert flag_decomposition(flags[0].inverse * flags[0].basis, flags[0].basis) is None
 
 
 def test_decomposition_known_rows(sd1):

@@ -12,6 +12,8 @@ witness and vector included.  The elimination itself runs on integer columns
 element-level loop it replaced is kept below as a second reference.
 """
 
+from math import prod
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -49,7 +51,7 @@ def ref_flags_opposite(F: du.Flag, G: du.Flag) -> bool:
 
 def opposite_vectors(F: du.Flag, G: du.Flag):
     """`linalg.flag_decomposition` of F and G; None when F is singular."""
-    return None if F.inverse is None else flag_decomposition(F.inverse, G.basis)
+    return None if F.inverse is None else flag_decomposition(F.inverse * G.basis, G.basis)
 
 
 def ref_opposite_vectors(F: du.Flag, G: du.Flag):
@@ -263,6 +265,48 @@ def test_basis_representations_match_separate_solves(corpus):
             want = tuple(B.solve(M * B) for M in (bundle.t, s.A, s.Astar))
             assert du.basis_representations(s, bundle, basis_id, anchors) == want
             assert du.matrix_of_T(s, bundle, basis_id, anchors) == want[0]
+
+
+def closed_form_basis_inverse(sys, anchors, basis_id) -> Matrix:
+    """B^-1 for the basis basis_id (columns of B) without elimination, where U W = I, so W^-1 = U.
+
+    E_i v = (u_i^T v) w_i, so an e/estar basis is W diag(c) with c_i = u_i^T v, and B^-1 = diag(c)^-1 U.
+    A tau or eta family on v is p_i(M) v = sum_j p_i(theta_j) c_j w_j, so B = W diag(c) L with
+    L_ji = p_i(theta_j), and B^-1 = L^-1 diag(c)^-1 U.  With x_k the roots in the family's order
+    (x_k = theta_k for tau, theta_{d-k} for eta), L^-1 is the Newton-to-Lagrange matrix of divided
+    differences: its entry (i, j) for theta_j = x_k is 1 / prod_{l <= i, l != k} (x_k - x_l) when
+    k <= i, else 0.  A -rev- id reverses the columns of B, so the rows of B^-1."""
+    gen, rev, anchor = du._parse_basis_id(basis_id)
+    star, f, n = gen.endswith("star"), sys.field, sys.d + 1
+    W, U = sys.eigenbasis(star)
+    v = getattr(anchors, du._ANCHOR_ATTR[anchor])
+    inv = Matrix(f, [U.row(i).scale(f.invert(U.row(i).dot(v))).entries for i in range(n)])  # diag(c)^-1 U
+    if gen not in ("e", "estar"):
+        order = range(n) if gen.startswith("tau") else range(n - 1, -1, -1)  # x_k = theta[order[k]]
+        x = [(sys.theta_star if star else sys.theta)[j] for j in order]
+        L_inv = [[f.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(i + 1):
+                L_inv[i][order[k]] = f.invert(prod((x[k] - x[l] for l in range(i + 1) if l != k), start=f.one()))
+        inv = Matrix(f, L_inv) * inv
+    return inv.submatrix(rows=slice(None, None, -1)) if rev else inv
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_basis_inverses_match_closed_form(field, data):
+    """The one inverse of `basis_representations` against its closed form, on all 24 bases."""
+    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
+    s = certify(data.draw(leonard_arrays(field, d), label="pa"))
+    anchors = du.choose_anchor_vectors(s)
+    bundle = du.build_duality_bundle(s, anchors)
+    for basis_id in du.BASIS_IDS:
+        B = Matrix.from_columns(field, du.build_basis(s, anchors, basis_id))
+        inv = closed_form_basis_inverse(s, anchors, basis_id)
+        assert inv == B.inverse(), basis_id
+        assert du.basis_representations(s, bundle, basis_id, anchors) == tuple(
+            inv * (M * B) for M in (bundle.t, s.A, s.Astar))
 
 
 # --- hand-built systems ---

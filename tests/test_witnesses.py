@@ -81,10 +81,12 @@ def reversed_decompositions():
 
 
 def zero_flags():
-    """The flags [0] and [D] with a zero basis."""
+    """The flags [0] and [D] with a zero basis, and so zero transitions W_a^-1 W_b from or to them."""
     s, _, _ = _setup(SELF_DUAL)
     for z in ("0", "D"):
         s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1), None)
+    for a, b in ((False, False), (False, True), (True, False)):
+        s._memo[("change_of_basis", a, None, b)] = Matrix.zeros(s.field, s.d + 1)
     return _checks(du.verify_geometry_suite(s))
 
 
@@ -208,13 +210,21 @@ def test_nu_witness_scalars_are_canonical(array, nu):
     assert doubled_estar_d(array)["nu_closed_forms_match_traces"] == (False, {"scalars": dict.fromkeys(names, nu)})
 
 
+def _raised(M: Matrix, i: int, j: int) -> Matrix:
+    """M with entry (i, j) raised by 1."""
+    rows = [list(row) for row in M.rows]
+    rows[i][j] += M.field.one()
+    return Matrix(M.field, rows)
+
+
 def _raised_inverse_entry(star: bool, i: int, j: int) -> dict:
-    """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built."""
+    """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built; the
+    memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it."""
     s, _, bundle = _setup(SELF_DUAL)
     assert not any(key[0] == "flag" for key in s._memo)
-    rows = [list(row) for row in systems._eigenbasis_inverse(s, star).rows]
-    rows[i][j] += s.field.one()
-    s._memo[("eigenbasis_inverse", star)] = Matrix(s.field, rows)
+    s._memo[("eigenbasis_inverse", star)] = _raised(systems._eigenbasis_inverse(s, star), i, j)
+    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star)]:
+        del s._memo[key]
     return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 
 
@@ -250,3 +260,79 @@ def test_eigenbasis_inverse_readers_fail_with_pinned_witness(entry):
 
 def test_every_eigenbasis_inverse_reader_is_pinned():
     assert set().union(*INVERSE_PINS.values()) == INVERSE_READERS
+
+
+def _mutated_memo(key, mutation) -> dict:
+    """A new build of SELF_DUAL whose memoised key is mutated before any reader runs: a U W witness
+    is replaced by mutation, a change of basis has entry mutation = (i, j) raised by 1.  T is the
+    certified system's, as no change of basis enters it."""
+    _, _, bundle = _setup(SELF_DUAL)
+    s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
+    s._memo[key] = mutation if key[0] == "UW_witness" else _raised(systems.change_of_basis(s, *key[1:]), *mutation)
+    return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
+
+
+GRAM_CHECKS = ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
+               "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution")
+
+# memo key -> (mutation, {check name: its witness}); the pinned checks are the only ones that fail
+MEMO_PINS = {
+    ("UW_witness", False): ({"i": 1, "j": 2}, {"idempotents_E_orthogonal": {"i": 1, "j": 2}}),
+    ("UW_witness", True): ({"i": 2, "j": 0}, {"idempotents_Estar_orthogonal": {"i": 2, "j": 0}}),
+    # U A* W: the tridiagonal axiom, and B of the Gram solver, whose null space becomes 0
+    ("change_of_basis", False, "Astar", False): ((0, 2), {
+        "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None,
+        **dict.fromkeys(GRAM_CHECKS, {"error": "intertwiner space has dimension 0"})}),
+    ("change_of_basis", True, "A", True): ((0, 2), {
+        "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None}),
+    # W*^-1 W: the split lines and [0*0], [0*D], [D*0], [D*D]
+    ("change_of_basis", True, None, False): ((2, 1), {
+        "split_projectors_match_intersection": None,
+        "decomposition_inversion_pairs": {"pair": "[D*D]"},
+        "decompositions_induce_flags": {"pair": "[D*D]", "flag": "D*", "i": 0},
+        "decomposition_table_rows": {"i": 1, "row": "split"},
+        "T_on_decompositions": {"pair": "[0D*]", "i": 1}}),
+    # W^-1 W*: [00*], [0D*], [D0*], [DD*]
+    ("change_of_basis", False, None, True): ((2, 1), {
+        "decomposition_inversion_pairs": {"pair": "[D*D]"},
+        "decompositions_induce_flags": {"pair": "[DD*]", "flag": "D", "i": 0},
+        "T_on_decompositions": {"pair": "[0D*]", "i": 1}}),
+    # W^-1 W = I: [0D] and [D0]; W*^-1 W* = I: [0*D*] and [D*0*]
+    ("change_of_basis", False, None, False): ((1, 2), {
+        "decomposition_inversion_pairs": {"pair": "[D0]"},
+        "decompositions_induce_flags": {"pair": "[D0]", "flag": "D", "i": 1},
+        "T_on_decompositions": {"pair": "[D*0*]", "i": 1}}),
+    ("change_of_basis", True, None, True): ((2, 1), {
+        "decomposition_inversion_pairs": {"pair": "[D*0*]"},
+        "decompositions_induce_flags": {"pair": "[0*D*]", "flag": "0*", "i": 1},
+        "decomposition_table_rows": {"i": 1, "row": 1},
+        "T_on_decompositions": {"pair": "[0*D*]", "i": 1}}),
+}
+# read only by the premise of the Gram solver: a wrong entry sends it to the null-space route
+GRAM_PREMISE = ("change_of_basis", False, "A", False)
+
+
+@pytest.mark.parametrize("key", MEMO_PINS, ids=lambda key: "-".join(map(str, key)))
+def test_memo_readers_fail_with_pinned_witness(key):
+    mutation, pins = MEMO_PINS[key]
+    checks = _mutated_memo(key, mutation)
+    assert {name for name, (passed, _) in checks.items() if not passed} == set(pins)
+    assert {name: checks[name] for name in pins} == {name: (False, witness) for name, witness in pins.items()}
+
+
+def test_gram_premise_reads_the_memo(monkeypatch):
+    routes = []
+    nullspace = systems._gram_by_nullspace
+    monkeypatch.setattr(systems, "_gram_by_nullspace", lambda *args: routes.append(1) or nullspace(*args))
+    assert all(passed for passed, _ in _mutated_memo(GRAM_PREMISE, (0, 1)).values())
+    assert routes == [1]
+
+
+def test_every_memo_entry_is_mutated():
+    """The U W witnesses and changes of basis that the suites memoise are exactly those mutated above."""
+    s, anchors, bundle = _setup(SELF_DUAL)
+    _t_suites(s, anchors, bundle)
+    _anchor_suites(s, anchors, bundle)
+    systems.standard_identity_suite(s)
+    memoised = {key for key in s._memo if key[0] in ("UW_witness", "change_of_basis")}
+    assert memoised == {*MEMO_PINS, GRAM_PREMISE}
