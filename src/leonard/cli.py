@@ -1,9 +1,12 @@
 """Command-line front end.
 
 One verb per invocation; parameter arrays travel as JSON (stdin or --input),
-results as canonically serialized JSON on stdout (or --output).  Exit status:
-0 when every requested check passes, 1 when a check fails or a domain error
-occurs, 2 on malformed input.  Errors are mirrored as a JSON object on stderr.
+results as canonically serialized JSON on stdout (or --output).  `main` runs
+every verb as one pipeline: read the input, run the verb, write its result.
+Exit status: 0 when every requested check passes; 2 on malformed input, that
+is an error while the input is read, or an --output that cannot be written;
+1 otherwise: a failing check, a domain error, the work budget or an internal
+fault.  Errors are mirrored as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +42,24 @@ def _dump_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _read_parameter_array(args) -> ParameterArray:
+def _parse_field(text: str) -> Field:
+    if text == "rational":
+        return Field.rational()
+    if text.startswith("prime:"):
+        return Field.prime(int(text.split(":", 1)[1]))
+    raise ValueError(f"unknown field {text!r}; use 'rational' or 'prime:P'")
+
+
+def _read(args):
+    """The verb's input: for search a SearchConfig, else the parameter array of the JSON document
+    on stdin or --input.  Every verb whose run reads the work budget reads it here first, and an
+    array verb other than relatives raises BudgetExceeded when (d+1)^5 exceeds it."""
+    if args.verb == "search":
+        cfg = SearchConfig(field=_parse_field(args.field), d=args.d, self_dual_only=args.self_dual, limit=args.limit,
+                           seed=args.seed, max_trials=args.max_trials)
+        if not cfg.field.is_rational:  # enumeration over GF(p) reads it again
+            env_budget()
+        return cfg
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -50,48 +70,26 @@ def _read_parameter_array(args) -> ParameterArray:
     except RecursionError as exc:  # deep nesting is malformed input, not an internal fault
         raise ValueError("input JSON is nested too deeply") from exc
     pa = ParameterArray.from_json(obj)
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7; `main` restores the limit
-        sys.set_int_max_str_digits(0)  # every input integer is capped, computed ones may be longer
+    if args.verb != "relatives":
+        budget = env_budget()
+        if (pa.d + 1) ** 5 > budget:
+            raise BudgetExceeded(f"d = {pa.d}: (d+1)^5 = {(pa.d + 1) ** 5} exceeds budget {budget}")
     return pa
 
 
-def _read_bounded_array(args) -> ParameterArray:
-    """The input array; BudgetExceeded when (d+1)^5 exceeds the work budget."""
-    pa, budget = _read_parameter_array(args), env_budget()
-    if (pa.d + 1) ** 5 > budget:
-        raise BudgetExceeded(f"d = {pa.d}: (d+1)^5 = {(pa.d + 1) ** 5} exceeds budget {budget}")
-    return pa
+# --- one run per verb: (payload, verdict), the verdict a report, None, or the error of a partial result ---
 
 
-def _write(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _error_object(exc: Exception) -> str:
-    return _dump_line({"error": {"type": type(exc).__name__, "message": str(exc)}})
-
-
-def _cmd_verify(args) -> int:
-    pa = _read_bounded_array(args)
+def _verify(pa: ParameterArray, args):
     report = standard_identity_suite(build_system(pa))
-    _write(args, _dump({"parameter_array": pa.to_json(), "report": report.to_json()}))
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    return {"parameter_array": pa.to_json(), "report": report.to_json()}, report
 
 
-def _cmd_relatives(args) -> int:
-    pa = _read_parameter_array(args)
-    orbit = d4_orbit(pa)
-    payload = {"relatives": {label: rel.to_json() for label, rel in orbit.items()}}
-    _write(args, _dump(payload))
-    return EXIT_OK
+def _relatives(pa: ParameterArray, args):
+    return {"relatives": {label: rel.to_json() for label, rel in d4_orbit(pa).items()}}, None
 
 
-def _cmd_dualize(args) -> int:
-    pa = _read_bounded_array(args)
+def _dualize(pa: ParameterArray, args):
     sys_ = certify(pa)
     self_dual = du.is_self_dual(pa)
     if args.require_self_dual and not self_dual:
@@ -100,32 +98,25 @@ def _cmd_dualize(args) -> int:
     bundle = du.build_duality_bundle(sys_, anchors)
     report = du.verify_duality_suite(sys_, bundle)
     report.merge(du.verify_geometry_suite(sys_, bundle))
-    flags = {z: du.build_flag(sys_, z).to_json() for z in du.OMEGA}
-    decomps = {}
-    for z, w in du.DECOMPOSITION_PAIRS:
-        dec = du.build_decomposition(sys_, z, w)
-        decomps[dec.label] = dec.to_json()
-    payload = {
+    decomps = (du.build_decomposition(sys_, z, w) for z, w in du.DECOMPOSITION_PAIRS)
+    return {
         "parameter_array": pa.to_json(),
         "self_dual": self_dual,
         "bundle": bundle.to_json(pa.field),
-        "flags": flags,
-        "decompositions": decomps,
+        "flags": {z: du.build_flag(sys_, z).to_json() for z in du.OMEGA},
+        "decompositions": {dec.label: dec.to_json() for dec in decomps},
         "report": report.to_json(),
-    }
-    _write(args, _dump(payload))
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    }, report
 
 
-def _cmd_bases(args) -> int:
-    pa = _read_bounded_array(args)
+def _bases(pa: ParameterArray, args):
     sys_ = certify(pa)
     anchors = du.choose_anchor_vectors(sys_)
     family = du.build_24_bases(sys_, anchors)
     report = du.verify_anchor_relations(sys_, anchors)
     report.merge(du.verify_basis_family(sys_, anchors))
     report.merge(du.verify_transition_relations(sys_, anchors))
-    payload = {
+    return {
         "parameter_array": pa.to_json(),
         "anchors": {
             "v0": anchors.v0.to_json(),
@@ -136,13 +127,10 @@ def _cmd_bases(args) -> int:
         },
         "bases": {key: [v.to_json() for v in seq] for key, seq in family.items()},
         "report": report.to_json(),
-    }
-    _write(args, _dump(payload))
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    }, report
 
 
-def _cmd_matrix_of_t(args) -> int:
-    pa = _read_bounded_array(args)
+def _matrix_of_t(pa: ParameterArray, args):
     sys_ = certify(pa)
     if not du.is_self_dual(pa):
         raise LeonardError("matrix-of-t requires a self-dual system")
@@ -155,41 +143,30 @@ def _cmd_matrix_of_t(args) -> int:
     expA, expAs = du.expected_pair_shapes(pa, args.basis)
     report.add("A_representation_shape", repA == expA)
     report.add("Astar_representation_shape", repAs == expAs)
-    payload = {
+    return {
         "basis": args.basis,
         "matrix": rep.to_json(),
         "expected": expected.to_json(),
         "report": report.to_json(),
-    }
-    _write(args, _dump(payload))
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    }, report
 
 
-def _parse_field(text: str) -> Field:
-    if text == "rational":
-        return Field.rational()
-    if text.startswith("prime:"):
-        return Field.prime(int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown field {text!r}; use 'rational' or 'prime:P'")
-
-
-def _cmd_search(args) -> int:
-    cfg = SearchConfig(
-        field=_parse_field(args.field),
-        d=args.d,
-        self_dual_only=args.self_dual,
-        limit=args.limit,
-        seed=args.seed,
-        max_trials=args.max_trials,
-    )
+def _search(cfg: SearchConfig, args):
+    """The arrays found, one JSON line each; on ExhaustedTrials the arrays found so far, and the error."""
     try:
-        found = run_search(cfg)
+        return [pa.to_json() for pa in run_search(cfg)], None
     except ExhaustedTrials as exc:
-        _write(args, "".join(_dump_line(pa.to_json()) for pa in exc.found))
-        sys.stderr.write(_error_object(exc))
-        return EXIT_CHECK_FAILED
-    _write(args, "".join(_dump_line(pa.to_json()) for pa in found))
-    return EXIT_OK
+        return [pa.to_json() for pa in exc.found], exc
+
+
+_RUNS = {
+    "verify": _verify,
+    "relatives": _relatives,
+    "dualize": _dualize,
+    "bases": _bases,
+    "matrix-of-t": _matrix_of_t,
+    "search": _search,
+}
 
 
 @functools.cache
@@ -223,33 +200,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "relatives": _cmd_relatives,
-    "dualize": _cmd_dualize,
-    "bases": _cmd_bases,
-    "matrix-of-t": _cmd_matrix_of_t,
-    "search": _cmd_search,
-}
+def _fail(exc: Exception, code: int) -> int:
+    """exc as one JSON error line on stderr, with the failing report a NotALeonardPair carries; returns code."""
+    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if isinstance(exc, NotALeonardPair) and exc.report is not None:
+        payload["report"] = exc.report.to_json()
+    sys.stderr.write(_dump_line(payload))
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
-        return _COMMANDS[args.verb](args)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
-        sys.stderr.write(_error_object(exc))
-        return EXIT_BAD_INPUT
-    except NotALeonardPair as exc:
-        payload = {"error": {"type": "NotALeonardPair", "message": str(exc)}}
-        if exc.report is not None:
-            payload["report"] = exc.report.to_json()
-        sys.stderr.write(_dump_line(payload))
-        return EXIT_CHECK_FAILED
-    except LeonardError as exc:
-        sys.stderr.write(_error_object(exc))
-        return EXIT_CHECK_FAILED
+        try:
+            value = _read(args)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:  # malformed input
+            return _fail(exc, EXIT_BAD_INPUT)
+        if limit:  # Python >= 3.10.7: every input integer is capped, computed ones may be longer
+            sys.set_int_max_str_digits(0)
+        result, verdict = _RUNS[args.verb](value, args)
+        text = "".join(map(_dump_line, result)) if args.verb == "search" else _dump(result)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if isinstance(verdict, LeonardError):
+            return _fail(verdict, EXIT_CHECK_FAILED)
+        return EXIT_OK if verdict is None or verdict.all_pass else EXIT_CHECK_FAILED
+    except OSError as exc:  # --output cannot be written
+        return _fail(exc, EXIT_BAD_INPUT)
+    except Exception as exc:  # a domain error, the work budget or an internal fault: never a traceback
+        return _fail(exc, EXIT_CHECK_FAILED)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

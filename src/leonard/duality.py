@@ -243,16 +243,17 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     vp, ph = vp_head[d], ph_head[d]
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     E0, Es0 = sys.E[0], sys.Estar[0]
+    E0_Es0, Es0_E0 = E0 * Es0, Es0 * E0
     c1 = eta_d * vp / (tau_d * etas_d)
     c2 = etas_d * vp / (taus_d * eta_d)
-    report.add("product_T_E0star", t * Es0 == (E0 * Es0).scale(c1))
-    report.add("product_Tstar_E0", t_star * E0 == (Es0 * E0).scale(c2))
-    report.add("product_E0star_Tdagger", Es0 * t_dag == (Es0 * E0).scale(c1))
-    report.add("product_E0_Tstardagger", E0 * t_star_dag == (E0 * Es0).scale(c2))
-    report.add("product_T_E0", t * E0 == (Es0 * E0).scale(vp / tau_d))
-    report.add("product_Tstar_E0star", t_star * Es0 == (E0 * Es0).scale(vp / taus_d))
-    report.add("product_E0_Tdagger", E0 * t_dag == (E0 * Es0).scale(vp / tau_d))
-    report.add("product_E0star_Tstardagger", Es0 * t_star_dag == (Es0 * E0).scale(vp / taus_d))
+    report.add("product_T_E0star", t * Es0 == E0_Es0.scale(c1))
+    report.add("product_Tstar_E0", t_star * E0 == Es0_E0.scale(c2))
+    report.add("product_E0star_Tdagger", Es0 * t_dag == Es0_E0.scale(c1))
+    report.add("product_E0_Tstardagger", E0 * t_star_dag == E0_Es0.scale(c2))
+    report.add("product_T_E0", t * E0 == Es0_E0.scale(vp / tau_d))
+    report.add("product_Tstar_E0star", t_star * Es0 == E0_Es0.scale(vp / taus_d))
+    report.add("product_E0_Tdagger", E0 * t_dag == E0_Es0.scale(vp / tau_d))
+    report.add("product_E0star_Tstardagger", Es0 * t_star_dag == Es0_E0.scale(vp / taus_d))
 
     # T^2 expanded: (phi_1...phi_d / nu_ddown) sum_j eta_j(A) E*_0 E_d tau*_j(A*) / (phi_d...phi_{d-j+1})
     w, c, u = _through(sys, (True, 0), (False, d))
@@ -392,12 +393,14 @@ def verify_geometry_suite(
         {"pair": f"[{z}{w}]"} for (z, w), dec in decomps.items()
         if decomps[(w, z)].vectors != dec.inversion_vectors()))
 
-    spans = {(z, w): {u: spans_components(flags[u], Matrix.from_columns(f, vectors))
-                      for u, vectors in ((z, dec.vectors), (w, dec.inversion_vectors()))}
-             for (z, w), dec in decomps.items()}
+    # ([zw], z) reads the vectors of [zw] and ([wz], z) their reversal; once the inversion pairs hold these are one
+    # (flag, vectors) case, and each distinct case forms its F^-1 X once
+    cases = {(z, w): ((z, dec.vectors), (w, dec.inversion_vectors())) for (z, w), dec in decomps.items()}
+    spans = {(u, vectors): spans_components(flags[u], Matrix.from_columns(f, vectors))
+             for u, vectors in dict.fromkeys(case for pair in cases.values() for case in pair)}
     report.add_last_failure("decompositions_induce_flags", (
-        {"pair": f"[{z}{w}]", "flag": u, "i": i}
-        for (z, w), by_flag in spans.items() for i in range(d + 1) for u in (z, w) if not by_flag[u][i]))
+        {"pair": f"[{z}{w}]", "flag": case[0], "i": i}
+        for (z, w), pair in cases.items() for i in range(d + 1) for case in pair if not spans[case][i]))
 
     # rows 0, 1 and split: component i of [0D], [0*D*] and [0*D] spans E_iV, E*_iV and the split
     # line U_i, which is tau_i(A) E*_0 V (Terwilliger, LAA 330, 2001)

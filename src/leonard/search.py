@@ -54,6 +54,8 @@ class SearchConfig:
             raise ValueError("max_trials must be >= 1")
         if self.field.is_rational and self.d + 1 > _BOX_SIZE:
             raise ValueError(f"rational search needs d + 1 <= {_BOX_SIZE}, the draw box size")
+        if not self.field.is_rational and self.field.p == 2:
+            raise ValueError("enumeration requires an odd prime")
 
 
 def _certified_array(field: Field, theta, theta_star, varphi) -> ParameterArray | None:
@@ -77,8 +79,6 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
     if field.is_rational:
         raise ValueError("enumerate_prime_field needs a prime field")
     p = field.p
-    if p == 2:
-        raise ValueError("enumeration requires an odd prime")
     d = cfg.d
 
     n_theta = 1

@@ -339,12 +339,68 @@ def test_search_exhausted_partial_output(tmp_path, capsys):
     ["--field", "prime:7", "--d", "1", "--max-trials", "-5"],
     ["--field", "bogus", "--d", "1"],
     ["--field", "prime:8", "--d", "1"],
-], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials", "unknown-field", "composite-p"])
+    ["--field", "prime:2", "--d", "1"],
+], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials", "unknown-field", "composite-p", "even-p"])
 def test_search_bad_config_exit_2(tmp_path, capsys, argv):
-    # the first once looped forever, the next two reported "found 0 of 1" with exit 1
+    # the first once looped forever, the next two reported "found 0 of 1" with exit 1; GF(2) is refused by
+    # SearchConfig while the input is read, not by the enumeration
     code, text = run_cli(tmp_path, ["search", *argv])
     assert code == 2 and text == ""
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["search", "--field", "prime:7", "--d", "1"], None),
+    (["verify"], D1_SELF_DUAL),
+], ids=["search", "verify"])
+def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, argv, payload):
+    """LEONARD_BUDGET is read while the input is read, by every verb whose run reads it."""
+    monkeypatch.setenv("LEONARD_BUDGET", "abc")
+    assert run_cli(tmp_path, argv, payload) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "ValueError", "message": "invalid literal for int() with base 10: 'abc'"}}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["search", "--field", "rational", "--d", "1"], None),
+    (["relatives"], D1_SELF_DUAL),
+], ids=["rational-search", "relatives"])
+def test_verbs_without_budget_ignore_it(tmp_path, capsys, monkeypatch, argv, payload):
+    monkeypatch.setenv("LEONARD_BUDGET", "abc")
+    assert run_cli(tmp_path, argv, payload)[0] == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str limit before Python 3.10.7")
+@pytest.mark.parametrize("fault", [ValueError, KeyError, TypeError])
+def test_fault_after_reading_exits_1(tmp_path, monkeypatch, fault):
+    """Exit 2 is decided while the input is read: the same exception types raised once a valid array is
+    read are an internal fault, reported as one JSON error line with exit 1 and no traceback."""
+    def suite(system):
+        assert sys.get_int_max_str_digits() == 0  # lifted once the array was read
+        raise fault("injected")
+    monkeypatch.setattr(cli, "standard_identity_suite", suite)
+    before = sys.get_int_max_str_digits()
+    code, out, err = _call_with(tmp_path, ["verify"], D1_SELF_DUAL)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": {"type": fault.__name__, "message": str(fault("injected"))}}
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    """An --output that cannot be written is the one error after reading that exits 2."""
+    code, out, err = _call_with(tmp_path, ["verify", "--output", str(tmp_path / "missing" / "out.json")], D1_SELF_DUAL)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+def test_search_budget_beyond_the_int_str_limit(tmp_path, capsys):
+    """The candidate space of GF(2^31 - 1) at d = 600 has more than 4300 digits.  main lifts the int/str limit
+    once the input is read, so the refusal names it (exit 1); it once exited 2 on the conversion."""
+    assert run_cli(tmp_path, ["search", "--field", f"prime:{2**31 - 1}", "--d", "600"]) == (1, "")
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "BudgetExceeded" and len(err["message"]) > MAX_DIGITS
 
 
 def _call(argv):

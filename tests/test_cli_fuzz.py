@@ -19,18 +19,24 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from leonard.cli import main
+from leonard.fields import Field
 
-from conftest import FROZEN_ARRAYS
+from conftest import FROZEN_ARRAYS, leonard_array
 from test_cli import D0, D1_NON_SELF_DUAL, D1_SELF_DUAL, REJECTED_SCALARS
 
 GF7_D2 = {"field": {"kind": "prime", "p": 7}, "d": 2, "theta": [0, 1, 2], "theta_star": [0, 1, 2],
           "varphi": [1, 1], "phi": [3, 3]}
-DOCUMENTS = [D0, D1_SELF_DUAL, D1_NON_SELF_DUAL, GF7_D2, FROZEN_ARRAYS[0]]
+# a valid array of height: theta* = (1, B), varphi = (B), phi = (2B - 1) for B = 10^4199 + 7, entries of 4,200
+# digits under the 4300-digit input cap, while dualize prints integers of about 12,600 digits
+B, n = 10**4199 + 7, Fraction
+HIGH_D1 = leonard_array(Field.rational(), 1, (n(1), n(2), n(0)), (n(1), n(B), n(0)), n(0), n(B)).to_json()
+DOCUMENTS = [D0, D1_SELF_DUAL, D1_NON_SELF_DUAL, GF7_D2, FROZEN_ARRAYS[0], HIGH_D1]
 VERBS = [["verify"], ["relatives"], ["dualize"], ["bases"], ["matrix-of-t", "--basis", "tau-vstard"]]
 KEYS = ["field", "d", "theta", "theta_star", "varphi", "phi"]
 

@@ -125,15 +125,18 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
 def test_products_per_verb(field, tmp_path, monkeypatch):
     """Each change of basis W_a^-1 X W_b is formed once per system (`systems.change_of_basis`) and U W
-    once per family (`systems._orthogonality_witness`).  At d = 6 that is 28/90/14/19 products of two
+    once per family (`systems._orthogonality_witness`).  `dualize` forms E_0 E*_0 and E*_0 E_0 once for the
+    eight product formulas, and F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`:
+    12, as ([zw], z) and ([wz], z) read the same vectors.  At d = 6 that is 28/72/14/19 products of two
     matrices for verify/dualize/bases/matrix-of-t.  When each reader formed its own, there were
-    33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition."""
+    33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition; and
+    dualize formed 90 while each product formula and each of the 24 cases formed its own."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_krawtchouk_json(field, 6)))
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 28, "dualize": 90, "bases": 14, "matrix-of-t": 19}
+    bounds = {"verify": 28, "dualize": 72, "bases": 14, "matrix-of-t": 19}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []

@@ -336,3 +336,29 @@ def test_every_memo_entry_is_mutated():
     systems.standard_identity_suite(s)
     memoised = {key for key in s._memo if key[0] in ("UW_witness", "change_of_basis")}
     assert memoised == {*MEMO_PINS, GRAM_PREMISE}
+
+
+DAGGER_CHECKS = ("dagger_fixes_A", "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution")
+
+# mutation of the memoised (G, G^-1) -> the checks that fail, all of them among GRAM_CHECKS
+GRAM_PINS = {
+    "G-raised-at-01": (lambda G, Ginv: (_raised(G, 0, 1), Ginv), set(GRAM_CHECKS)),
+    "G-raised-at-01-and-10": (lambda G, Ginv: (_raised(_raised(G, 0, 1), 1, 0), Ginv),
+                              set(GRAM_CHECKS) - {"gram_symmetric"}),
+    "Ginv-raised-at-21": (lambda G, Ginv: (G, _raised(Ginv, 2, 1)), set(DAGGER_CHECKS)),
+}
+
+
+@pytest.mark.parametrize("array", [SELF_DUAL, SELF_DUAL_GFP], ids=["Q", "GF(2^31-1)"])
+@pytest.mark.parametrize("mutation", GRAM_PINS)
+def test_gram_block_fails_under_a_wrong_gram_entry(array, mutation):
+    """The Gram block of `standard_identity_suite` on a new build whose memoised ("gram") entry (G, G^-1)
+    is mutated before any reader runs.  A G that is no longer symmetric fails all seven checks, and a
+    symmetric one that intertwines neither A nor A* all but `gram_symmetric`.  The four `dagger_*` checks
+    are the only ones that read G^-1, so a wrong G^-1 fails exactly those: none of the seven holds by
+    construction, and only the dagger checks test G^-1."""
+    mutate, failing = GRAM_PINS[mutation]
+    s = systems.build_system(ParameterArray.from_json(array))
+    s._memo["gram"] = mutate(*systems.solve_gram(s))
+    checks = _checks(systems.standard_identity_suite(s))
+    assert {name for name, (passed, _) in checks.items() if not passed} == failing
