@@ -4,7 +4,8 @@ One verb per invocation; parameter arrays travel as JSON (stdin or --input),
 results as canonically serialized JSON on stdout (or --output).  `main` runs
 every verb as one pipeline: read the input, run the verb, write its result.
 Exit status: 0 when every requested check passes; 2 on malformed input, that
-is an error while the input is read, or an --output that cannot be written;
+is a command-line syntax error or an error while the input is read, or an
+--output that cannot be written;
 1 otherwise: a failing check, a domain error, the work budget or an internal
 fault.  Errors are mirrored as one JSON object on stderr.
 """
@@ -169,9 +170,16 @@ _RUNS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a syntax error as ValueError, so that main reports it as malformed input; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leonard",
         description="Exact verification of Leonard systems and their self-duality operator.",
     )
@@ -210,10 +218,10 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         try:
+            args = build_parser().parse_args(argv)
             value = _read(args)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:  # malformed input
             return _fail(exc, EXIT_BAD_INPUT)

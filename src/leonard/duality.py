@@ -33,6 +33,7 @@ from .systems import (
     _eigenbasis_inverse,
     _factors,
     change_of_basis,
+    d4_apply,
     edge_values,
     nu_scalars,
 )
@@ -157,10 +158,11 @@ def _outer_sum(c, cols, rows) -> Matrix:
     return (Matrix.from_columns(f, cols) * Matrix.from_columns(f, rows).transpose()).scale(c)
 
 
-def duality_operator(sys: LeonardSystem) -> Matrix:
-    """T = sum_i eta_{d-i}(A) E*_0 E_d tau*_i(A*)."""
-    w, c, u = _through(sys, (True, 0), (False, sys.d))
-    return _outer_sum(c, sys.root_family("eta", False, w)[::-1], sys.root_family("tau", True, u, covector=True))
+def duality_operator(sys: LeonardSystem, star: bool = False) -> Matrix:
+    """T = sum_i eta_{d-i}(A) E*_0 E_d tau*_i(A*), or with star its dual
+    T* = sum_i eta*_{d-i}(A*) E_0 E*_d tau_i(A)."""
+    w, c, u = _through(sys, (not star, 0), (star, sys.d))
+    return _outer_sum(c, sys.root_family("eta", star, w)[::-1], sys.root_family("tau", not star, u, covector=True))
 
 
 def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
@@ -172,12 +174,6 @@ def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
         raise ValueError("the middle factor is not of rank one")
     return _outer_sum(sys.field.invert(tau_d * etas_d), sys.root_family("eta", False, found[0].column(0))[::-1],
                       sys.root_family("tau", True, found[1].row(0), covector=True))
-
-
-def dual_duality_operator(sys: LeonardSystem) -> Matrix:
-    """T* = sum_i eta*_{d-i}(A*) E_0 E*_d tau_i(A)."""
-    w, c, u = _through(sys, (False, 0), (True, sys.d))
-    return _outer_sum(c, sys.root_family("eta", True, w)[::-1], sys.root_family("tau", False, u, covector=True))
 
 
 def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = None) -> DualityBundle:
@@ -210,7 +206,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     f, d = sys.field, sys.d
     pa = sys.parameter_array
     t = bundle.t
-    t_star = dual_duality_operator(sys)
+    t_star = duality_operator(sys, star=True)
     t_dag = sys.dagger(t)
     t_star_dag = sys.dagger(t_star)
 
@@ -690,20 +686,19 @@ def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
     return basis_representations(sys, bundle, basis_id, anchors)[0]
 
 
+# basis id -> (the D4 relative whose split form is the displayed pair, whether A and A* trade places)
+PAIR_SHAPES = {"etastar-v0": ("*D", True), "eta-vstar0": ("D", False),
+               "taustar-vd": ("*d", True), "tau-vstard": ("d", False)}
+
+
 def expected_pair_shapes(pa: ParameterArray, basis_id: str):
-    """The displayed bidiagonal shapes of A and A* in the four bases."""
-    f = pa.field
-    th, ths, ph = pa.theta, pa.theta_star, pa.phi
-    th_rev, ths_rev, ph_rev = th[::-1], ths[::-1], ph[::-1]
-    if basis_id == "etastar-v0":
-        return bidiagonal(f, th, ph_rev), bidiagonal(f, ths_rev)
-    if basis_id == "eta-vstar0":
-        return bidiagonal(f, th_rev), bidiagonal(f, ths, ph)
-    if basis_id == "taustar-vd":
-        return bidiagonal(f, th_rev, ph), bidiagonal(f, ths)
-    if basis_id == "tau-vstard":
-        return bidiagonal(f, th), bidiagonal(f, ths_rev, ph_rev)
-    raise UnknownBasis(basis_id)
+    """The displayed bidiagonal shapes of A and A* in the four bases: each the split form of a relative."""
+    if basis_id not in PAIR_SHAPES:
+        raise UnknownBasis(basis_id)
+    word, swapped = PAIR_SHAPES[basis_id]
+    rel = d4_apply(pa, word)
+    pair = bidiagonal(pa.field, rel.theta), bidiagonal(pa.field, rel.theta_star, rel.varphi)
+    return pair[::-1] if swapped else pair
 
 
 def verify_matrix_of_T(

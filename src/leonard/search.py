@@ -16,6 +16,7 @@ Rational draws are integers, 12 times each box value.  PA1-PA5 are homogeneous
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -81,9 +82,7 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
     p = field.p
     d = cfg.d
 
-    n_theta = 1
-    for k in range(d + 1):
-        n_theta *= p - k
+    n_theta = math.perm(p, d + 1)
     n_phi = (p - 1) ** d
     if cfg.self_dual_only:
         space = n_theta * n_phi * (p - 1) ** ((d + 1) // 2)
@@ -91,7 +90,7 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
         space = n_theta * n_theta * n_phi * n_phi
     budget = env_budget()
     if space > budget:
-        raise BudgetExceeded(f"candidate space {space} exceeds budget {budget}")
+        raise BudgetExceeded(f"candidate space, a {space.bit_length()}-bit number, exceeds budget {budget}")
 
     found = []
     nonzero = range(1, p)

@@ -545,74 +545,37 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
 
 
 def solve_gram(sys: LeonardSystem) -> tuple:
-    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*.
-
-    The solution space must be 1-dimensional (NonUniqueForm otherwise); G is
-    normalized so the first nonzero entry of row 0 equals 1.  Solved in the
-    eigenbasis of A (`_gram_in_eigenbasis`), or where that does not apply as
-    the null space of the n^2-unknown intertwining constraints.
+    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*, solved in the
+    eigenbasis (W, U) of A.  Its premises, in order, each a DegenerateSplit naming it: every E_i of
+    rank one (`_factors`), theta distinct, U W = I and U A W = diag(theta).  Then A^T G = G A forces
+    G = U^T diag(m) U, and A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji (i < j) for
+    B = U A* W: an n(n-1)/2 x n null space.  It must be 1-dimensional (NonUniqueForm otherwise);
+    G is normalized so the first nonzero entry of row 0 equals 1, and G^-1 = W diag(m)^-1 W^T
+    (SingularMatrix when some m_i is 0).
     """
-    closed = _gram_in_eigenbasis(sys)
-    return closed if closed is not None else _gram_by_nullspace(sys.A, sys.Astar)
-
-
-def _gram_in_eigenbasis(sys: LeonardSystem):
-    """solve_gram in the eigenbasis (W, U) of A; None unless theta is distinct,
-    U W = I and U A W = diag(theta).  Then A^T G = G A forces G = U^T diag(m) U,
-    and A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji (i < j) for
-    B = U A* W: an n(n-1)/2 x n null space.  G^-1 = W diag(m)^-1 W^T.  Raises
-    NonUniqueForm and SingularMatrix as `_gram_by_nullspace` does."""
     f, n, theta = sys.field, sys.d + 1, sys.theta
-    basis = sys.eigenbasis()
-    if basis is None or not len(theta) == len(set(theta)) == n:
-        return None
-    W, U = basis
-    scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
-    if _orthogonality_witness(sys) or _off_diagonal(change_of_basis(sys, False, "A", False), theta):
-        return None
+    W, U = _factors(sys)
+    at = next(((i, j) for j in range(len(theta)) for i in range(j) if theta[i] == theta[j]), None)
+    if at or len(theta) != n:
+        raise DegenerateSplit(f"theta is not distinct at (i, j) = {at}" if at else f"theta has {len(theta)} entries")
+    if at := _orthogonality_witness(sys):
+        raise DegenerateSplit(f"U W is not I at (i, j) = ({at['i']}, {at['j']})")
+    if at := _off_diagonal(change_of_basis(sys, False, "A", False), theta):
+        raise DegenerateSplit(f"U A W is not diag(theta) at (i, j) = ({at['i']}, {at['j']})")
     B = change_of_basis(sys, False, "Astar", False).nums  # U A* W, as W^-1 = U; B.den B has the same null space
     rows = [[B[i][j] if k == i else -B[j][i] if k == j else 0 for k in range(n)]
             for i in range(n) for j in range(i + 1, n)]
     ms = Matrix.from_ints(f, rows or [[0] * n]).nullspace()
-    G, pivot = _one_form(f, [U.transpose() * scale_rows(m, U) for m in ms])
-    m = ms[0].entries
-    if not all(m):
-        raise SingularMatrix("matrix has zero determinant")
-    return G, W * scale_rows([pivot / x for x in m], W.transpose())
-
-
-def _one_form(f: Field, forms) -> tuple:
-    """(G, pivot): the only matrix in forms divided by the first nonzero entry
-    of its row 0; NonUniqueForm when there is not exactly one or row 0 is zero."""
-    if len(forms) != 1:
-        raise NonUniqueForm(f"intertwiner space has dimension {len(forms)}")
-    pivot = next((x for x in forms[0].row(0) if x), None)
+    if len(ms) != 1:
+        raise NonUniqueForm(f"intertwiner space has dimension {len(ms)}")
+    scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
+    G, m = U.transpose() * scale_rows(ms[0], U), ms[0].entries
+    pivot = next((x for x in G.row(0) if x), None)
     if pivot is None:
         raise NonUniqueForm("gram candidate has a zero first row")
-    return forms[0].scale(f.invert(pivot)), pivot
-
-
-def _gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
-    """(G, G^-1) with G spanning the null space of the stacked constraints.
-
-    The rows for P are built from P.nums = P.den P, since scaling a block of
-    rows leaves the null space unchanged; G is read off the integer form of a
-    null vector, as `_one_form` normalizes away any scalar factor."""
-    f = A.field
-    n = A.nrows
-    rows = []
-    for P in (A, Astar):
-        for i in range(n):
-            for j in range(n):
-                # coefficient of g_{ab} in (P^T G - G P)_{ij}
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += P.nums[k][i]
-                    row[i * n + k] -= P.nums[k][j]
-                rows.append(row)
-    basis = Matrix.from_ints(f, rows).nullspace()
-    G, _ = _one_form(f, [Matrix.from_ints(f, (v.nums[0][i * n:(i + 1) * n] for i in range(n))) for v in basis])
-    return G, G.inverse()  # raises SingularMatrix if degenerate
+    if not all(m):
+        raise SingularMatrix("matrix has zero determinant")
+    return G.scale(f.invert(pivot)), W * scale_rows([pivot / x for x in m], W.transpose())
 
 
 # --- the aggregated Sections 3..6 identity suite ---
@@ -718,7 +681,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         ), None))
         probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
         report.add("dagger_involution", sys.dagger(sys.dagger(probe)) == probe)
-    except (NonUniqueForm, SingularMatrix) as exc:
+    except (DegenerateSplit, NonUniqueForm, SingularMatrix) as exc:
         for name in ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
                      "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"):
             report.add(name, False, {"error": str(exc)})

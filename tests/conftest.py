@@ -19,7 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from leonard.duality import is_self_dual
-from leonard.errors import ExhaustedTrials, NotALeonardPair
+from leonard.errors import ExhaustedTrials, NonUniqueForm, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import Matrix, eval_root_product, intersect_column_spaces
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
@@ -201,6 +201,42 @@ def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
     that `flag_decomposition` replaced in the split checks."""
     span = lambda indices, star: Matrix.from_columns(sys.field, [sys.eigencolumn(j, star=star) for j in indices])
     return intersect_column_spaces(span(range(i + 1), True), span(range(i, sys.d + 1), False))
+
+
+# --- the Gram block and the null-space reference for the Gram matrix ---
+
+
+# the Gram block of `standard_identity_suite`: every check that reads (G, G^-1)
+GRAM_CHECKS = ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
+               "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution")
+
+
+def gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
+    """(G, G^-1) for G spanning the null space of the n^2-unknown intertwining constraints
+    P^T G = G P, P = A and A*: the oracle for `systems.solve_gram`, which needs no eigenbasis.
+    The rows for P are built from P.nums = P.den P, since scaling a block of rows leaves the null
+    space unchanged.  G is normalized and refused as `solve_gram` does (NonUniqueForm when the
+    space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G is singular)."""
+    f, n = A.field, A.nrows
+    rows = []
+    for P in (A, Astar):
+        for i in range(n):
+            for j in range(n):
+                # coefficient of g_{ab} in (P^T G - G P)_{ij}
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[k * n + j] += P.nums[k][i]
+                    row[i * n + k] -= P.nums[k][j]
+                rows.append(row)
+    basis = Matrix.from_ints(f, rows).nullspace()
+    if len(basis) != 1:
+        raise NonUniqueForm(f"intertwiner space has dimension {len(basis)}")
+    G = Matrix.from_ints(f, (basis[0].nums[0][i * n:(i + 1) * n] for i in range(n)))
+    pivot = next((x for x in G.row(0) if x), None)
+    if pivot is None:
+        raise NonUniqueForm("gram candidate has a zero first row")
+    G = G.scale(f.invert(pivot))
+    return G, G.inverse()
 
 
 # --- dense references for the sums through a rank-one middle factor ---

@@ -298,10 +298,37 @@ def test_matrix_of_t_rejects_non_self_dual(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_matrix_of_t_unknown_basis_flag(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["matrix-of-t", "--basis", "nope"])
-    assert info.value.code == 2
+def _usage_error(argv) -> dict:
+    """The one JSON error line of a command-line syntax error, which exits 2 with empty stdout."""
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert set(payload) == {"error"} and set(payload["error"]) == {"type", "message"}
+    return payload["error"]
+
+
+def test_matrix_of_t_unknown_basis_flag():
+    error = _usage_error(["matrix-of-t", "--basis", "nope"])
+    assert error["type"] == "ValueError" and "invalid choice: 'nope'" in error["message"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["search", "--field", "rational"], "the following arguments are required: --d"),
+    (["search", "--field", "rational", "--d", "abc"], "invalid int value: 'abc'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["matrix-of-t"], "the following arguments are required: --basis"),
+], ids=["search-without-d", "search-d-not-an-int", "unknown-verb", "matrix-of-t-without-basis"])
+def test_usage_errors_follow_the_cli_contract(argv, needle):
+    """Syntax errors are malformed input: exit 2, empty stdout, one JSON error line and no usage text."""
+    error = _usage_error(argv)
+    assert error["type"] == "ValueError" and needle in error["message"]
+
+
+def test_help_still_exits_0():
+    code, out, err = _call(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: leonard")
 
 
 def test_search_verb_jsonl(tmp_path):
@@ -396,11 +423,12 @@ def test_unwritable_output_exits_2(tmp_path):
 
 
 def test_search_budget_beyond_the_int_str_limit(tmp_path, capsys):
-    """The candidate space of GF(2^31 - 1) at d = 600 has more than 4300 digits.  main lifts the int/str limit
-    once the input is read, so the refusal names it (exit 1); it once exited 2 on the conversion."""
+    """The candidate space of GF(2^31 - 1) at d = 600 has more than 4300 digits.  The refusal gives its
+    size by bit length, so the message stays short and names the budget (exit 1)."""
     assert run_cli(tmp_path, ["search", "--field", f"prime:{2**31 - 1}", "--d", "600"]) == (1, "")
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "BudgetExceeded" and len(err["message"]) > MAX_DIGITS
+    assert err["type"] == "BudgetExceeded" and len(err["message"]) < 200
+    assert err["message"].endswith(f"exceeds budget {10**8}")
 
 
 def _call(argv):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from leonard import search
 from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair, SingularMatrix
 from leonard.fields import Field, PrimeFieldElement
-from leonard.linalg import Matrix, bidiagonal, eval_root_product
-from leonard.systems import _gram_in_eigenbasis as _eigenbasis_route
+from leonard.linalg import Matrix, bidiagonal, eval_root_product, outer
 from leonard.systems import (
     LeonardSystem,
     ParameterArray,
@@ -27,7 +26,6 @@ from leonard.systems import (
     check_pa1,
     pa5_failure,
     pa_failure,
-    _gram_by_nullspace,
     solve_gram,
     split_projectors,
     split_projectors_by_intersection,
@@ -37,7 +35,7 @@ from leonard.systems import (
     verify_axioms,
 )
 
-from conftest import FROZEN_ARRAYS, field_scalars, leonard_array, leonard_arrays
+from conftest import FROZEN_ARRAYS, GRAM_CHECKS, field_scalars, gram_by_nullspace, leonard_array, leonard_arrays
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -590,9 +588,10 @@ def test_gram_normalization_leading_one(corpus):
 
 
 def test_gram_non_unique_rejected():
-    eye = Matrix.identity(Q, 2)
-    with pytest.raises(NonUniqueForm):
-        solve_gram(LeonardSystem.from_pair(eye, eye, (F(1), F(2)), (F(1), F(2))))
+    # a reducible pair: every premise of the eigenbasis solve holds, and B = U A* W is diagonal
+    diag = Matrix(Q, [[F(1), F(0)], [F(0), F(2)]])
+    with pytest.raises(NonUniqueForm, match="^intertwiner space has dimension 2$"):
+        solve_gram(LeonardSystem.from_pair(diag, diag, (F(1), F(2)), (F(1), F(2))))
 
 
 def _conjugator(field, n):
@@ -601,66 +600,94 @@ def _conjugator(field, n):
     return upper * upper.transpose()
 
 
-def _gram_in_eigenbasis(s):
-    """The eigenbasis route of solve_gram alone: its form, or None where it
-    does not apply or finds no unique invertible form."""
-    try:
-        return _eigenbasis_route(s)
-    except (NonUniqueForm, SingularMatrix):
-        return None
-
-
 def test_closed_form_gram_matches_nullspace(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
         for sys in (s, s.conjugated(_conjugator(pa.field, s.d + 1))):
-            closed = _gram_in_eigenbasis(sys)
-            G, _ = _gram_by_nullspace(sys.A, sys.Astar)
-            assert closed == (G, G.inverse())
-            assert solve_gram(sys) == closed
+            assert solve_gram(sys) == gram_by_nullspace(sys.A, sys.Astar)
 
 
 def _outcome(build):
     try:
         return build()
-    except (NonUniqueForm, SingularMatrix) as exc:
+    except (DegenerateSplit, NonUniqueForm, SingularMatrix) as exc:
         return type(exc), str(exc)
 
 
 def test_gram_fallback_raises_like_nullspace(corpus):
+    """Where the premises hold, solve_gram gives the oracle's form or raises its error; a repeated
+    theta is refused as a premise before any form is sought."""
     eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
-    diag = Matrix(Q, [[F(1), F(0)], [F(0), F(2)]])
     units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
-    cases = [
-        LeonardSystem.from_pair(diag, diag, (F(1), F(2)), (F(1), F(2))),  # B diagonal, reducible
-        LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1))),  # theta repeated
-    ]
+    repeated = LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1)))
+    assert _outcome(lambda: solve_gram(repeated)) == (DegenerateSplit, "theta is not distinct at (i, j) = (0, 1)")
+    assert _outcome(lambda: gram_by_nullspace(repeated.A, repeated.Astar)) == (
+        NonUniqueForm, "intertwiner space has dimension 2")
+    diag = Matrix(Q, [[F(1), F(0)], [F(0), F(2)]])
+    cases = [LeonardSystem.from_pair(diag, diag, (F(1), F(2)), (F(1), F(2)))]  # B diagonal, reducible
     for pa in corpus.arrays:
         for i in {0, pa.d - 1}:
             varphi = list(pa.varphi)
             varphi[i] = varphi[i] + 1
             if pa.d >= 2 and all(varphi):
                 cases.append(build_system(replace(pa, varphi=tuple(varphi))))
-    raised = 0
-    for s in cases:
-        expected = _outcome(lambda: _gram_by_nullspace(s.A, s.Astar))
-        assert _outcome(lambda: solve_gram(s)) == expected
-        if expected[0] in (NonUniqueForm, SingularMatrix):
-            raised += 1
-            assert _gram_in_eigenbasis(s) is None
-    assert raised >= len(corpus.frozen) + 2
+    outcomes = [_outcome(lambda: solve_gram(s)) for s in cases]
+    assert outcomes == [_outcome(lambda: gram_by_nullspace(s.A, s.Astar)) for s in cases]
+    assert sum(outcome[0] in (NonUniqueForm, SingularMatrix) for outcome in outcomes) >= len(corpus.frozen) + 1
     with pytest.raises(NonUniqueForm, match="intertwiner space has dimension 0"):
         solve_gram(cases[-1])
 
 
 def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
-    # E_i := E*_i factors with U W = I, but U A W != diag(theta): the null space solves
+    # E_i := E*_i factors with U W = I, but U A W != diag(theta): a failed premise, where the
+    # n^2-unknown null space would still find the form of (A, A*)
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
     swapped = LeonardSystem(s.A, s.Astar, s.Estar, s.Estar, s.theta, s.theta_star, s.pa)
     assert swapped.eigenbasis() is not None
-    assert _eigenbasis_route(swapped) is None
-    assert solve_gram(swapped) == _gram_by_nullspace(s.A, s.Astar)
-    assert solve_gram(swapped)[0] == s.gram
+    with pytest.raises(DegenerateSplit, match=r"^U A W is not diag\(theta\) at \(i, j\) = \(0, 0\)$"):
+        solve_gram(swapped)
+    assert gram_by_nullspace(swapped.A, swapped.Astar)[0] == s.gram
+
+
+def _gram_premise_failure(case: str) -> LeonardSystem:
+    """The certified d = 3 Krawtchouk system with one premise of the eigenbasis solve broken, so
+    that the suite still reaches its Gram block: E_0 of rank two, theta_1 := theta_0, theta_0 and
+    theta_1 swapped (U A W != diag(theta)), or E_0 := w_0 (u_0 + u_1)^T (U W != I)."""
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
+    (W, U), th, E = s.eigenbasis(), s.theta, s.E
+    theta, E = {
+        "E0-rank-two": (th, (E[0] + E[1], *E[1:])),
+        "theta-repeated": ((th[0], th[0], *th[2:]), E),
+        "UAW-not-diagonal": ((th[1], th[0], *th[2:]), E),
+        "UW-not-I": (th, (outer(W.column(0), U.row(0) + U.row(1)), *E[1:])),
+    }[case]
+    return LeonardSystem(s.A, s.Astar, E, s.Estar, theta, s.theta_star, s.pa)
+
+
+# case -> (the premise solve_gram names, the checks outside the Gram block that carry the same error)
+GRAM_PREMISE_FAILURES = {
+    "E0-rank-two": ("idempotent E_0 is not of rank one", {
+        "tridiagonal_Astar_in_A_eigenbasis", "idempotents_E_orthogonal", "nu_sandwich_E0",
+        "split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta"}),
+    "theta-repeated": ("theta is not distinct at (i, j) = (0, 1)", set()),
+    "UAW-not-diagonal": ("U A W is not diag(theta) at (i, j) = (0, 0)", set()),
+    "UW-not-I": ("U W is not I at (i, j) = (0, 1)", set()),
+}
+
+
+@pytest.mark.parametrize("case", GRAM_PREMISE_FAILURES)
+def test_gram_premise_failure_fails_the_gram_block(case):
+    """solve_gram raises DegenerateSplit naming the failed premise, and the seven Gram checks fail
+    with it as their witness; no other check gains it."""
+    message, others = GRAM_PREMISE_FAILURES[case]
+    s = _gram_premise_failure(case)
+    with pytest.raises(DegenerateSplit) as info:
+        solve_gram(s)
+    assert str(info.value) == message
+    report = standard_identity_suite(s)
+    carriers = {c.name for c in report.checks if c.witness == {"error": message}}
+    assert carriers == set(GRAM_CHECKS) | others
+    assert not any(report[name].passed for name in GRAM_CHECKS)
 
 
 def test_dagger_properties():

@@ -18,7 +18,7 @@ from leonard import systems
 from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS
+from conftest import FROZEN_ARRAYS, GRAM_CHECKS
 
 SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]  # Krawtchouk, d = 3
 
@@ -272,12 +272,12 @@ def _mutated_memo(key, mutation) -> dict:
     return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 
 
-GRAM_CHECKS = ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
-               "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution")
-
 # memo key -> (mutation, {check name: its witness}); the pinned checks are the only ones that fail
 MEMO_PINS = {
-    ("UW_witness", False): ({"i": 1, "j": 2}, {"idempotents_E_orthogonal": {"i": 1, "j": 2}}),
+    # U W of E: the orthogonality axiom, and a premise of the Gram solver
+    ("UW_witness", False): ({"i": 1, "j": 2}, {
+        "idempotents_E_orthogonal": {"i": 1, "j": 2},
+        **dict.fromkeys(GRAM_CHECKS, {"error": "U W is not I at (i, j) = (1, 2)"})}),
     ("UW_witness", True): ({"i": 2, "j": 0}, {"idempotents_Estar_orthogonal": {"i": 2, "j": 0}}),
     # U A* W: the tridiagonal axiom, and B of the Gram solver, whose null space becomes 0
     ("change_of_basis", False, "Astar", False): ((0, 2), {
@@ -308,7 +308,7 @@ MEMO_PINS = {
         "decomposition_table_rows": {"i": 1, "row": 1},
         "T_on_decompositions": {"pair": "[0*D*]", "i": 1}}),
 }
-# read only by the premise of the Gram solver: a wrong entry sends it to the null-space route
+# read only by the premise U A W = diag(theta) of the Gram solver
 GRAM_PREMISE = ("change_of_basis", False, "A", False)
 
 
@@ -320,12 +320,13 @@ def test_memo_readers_fail_with_pinned_witness(key):
     assert {name: checks[name] for name in pins} == {name: (False, witness) for name, witness in pins.items()}
 
 
-def test_gram_premise_reads_the_memo(monkeypatch):
-    routes = []
-    nullspace = systems._gram_by_nullspace
-    monkeypatch.setattr(systems, "_gram_by_nullspace", lambda *args: routes.append(1) or nullspace(*args))
-    assert all(passed for passed, _ in _mutated_memo(GRAM_PREMISE, (0, 1)).values())
-    assert routes == [1]
+def test_gram_premise_reads_the_memo():
+    """A wrong entry of the memoised U A W fails the premise U A W = diag(theta): exactly the seven
+    Gram checks fail, each with the premise as its witness."""
+    checks = _mutated_memo(GRAM_PREMISE, (0, 1))
+    assert {name for name, (passed, _) in checks.items() if not passed} == set(GRAM_CHECKS)
+    assert {name: checks[name] for name in GRAM_CHECKS} == dict.fromkeys(
+        GRAM_CHECKS, (False, {"error": "U A W is not diag(theta) at (i, j) = (0, 1)"}))
 
 
 def test_every_memo_entry_is_mutated():
