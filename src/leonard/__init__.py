@@ -8,7 +8,6 @@ from .errors import (
     ExhaustedTrials,
     InconsistentArray,
     LeonardError,
-    NonUniqueForm,
     NotALeonardPair,
     SingularBasis,
     SingularMatrix,

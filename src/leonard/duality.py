@@ -31,7 +31,6 @@ from .systems import (
     LeonardSystem,
     ParameterArray,
     _eigenbasis_inverse,
-    _factors,
     change_of_basis,
     d4_apply,
     edge_values,
@@ -145,7 +144,7 @@ def _through(sys: LeonardSystem, x: tuple, y: tuple) -> tuple:
     """(w, c, u) with E_x E_y = c w u^T, for x and y each (star, i) naming E_i or E*_i:
     with E_x = w u_x^T and E_y = w_y u^T, c = u_x^T w_y.  ValueError when c = 0 (E_x E_y is not of rank one),
     DegenerateSplit when a family does not factor."""
-    (W, U), (Wy, Uy) = _factors(sys, x[0]), _factors(sys, y[0])
+    (W, U), (Wy, Uy) = sys.eigenbasis(x[0]), sys.eigenbasis(y[0])
     if not (c := U.row(x[1]).dot(Wy.column(y[1]))):
         raise ValueError("the middle factor is not of rank one")
     return W.column(x[1]), c, Uy.row(y[1])
@@ -293,7 +292,7 @@ def _flag(sys: LeonardSystem, z: str) -> Flag:
         inverse = _eigenbasis_inverse(sys, star).submatrix(rows=order)
     except SingularMatrix:
         inverse = None
-    return Flag(z, _factors(sys, star)[0].submatrix(cols=order), inverse)
+    return Flag(z, sys.eigenbasis(star)[0].submatrix(cols=order), inverse)
 
 
 def spans_components(F: Flag, X: Matrix) -> list:

@@ -30,10 +30,6 @@ class DegenerateSplit(LeonardError):
     flags are not opposite: the input is not a Leonard system."""
 
 
-class NonUniqueForm(LeonardError):
-    """The intertwining constraints do not have a 1-dimensional solution space."""
-
-
 class InconsistentArray(LeonardError):
     """theta = theta* held but the second split sequence is not palindromic."""
 

@@ -16,12 +16,7 @@ from itertools import accumulate
 from math import prod
 from operator import mul
 
-from .errors import (
-    DegenerateSplit,
-    NonUniqueForm,
-    NotALeonardPair,
-    SingularMatrix,
-)
+from .errors import DegenerateSplit, NotALeonardPair, SingularMatrix
 from .fields import Field
 from .linalg import (
     Matrix,
@@ -220,38 +215,35 @@ class LeonardSystem:
         """The bilinear form <u, v> = u^T G v."""
         return u.dot(self.gram * v)
 
-    def eigenbasis(self, star: bool = False):
-        """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and
-        u_i^T row i of U (`rank_one_factors`); None when some E_i does not factor."""
-        return self.cached(("eigenbasis", star), lambda: rank_one_factors(self.Estar if star else self.E))
+    def eigenbasis(self, star: bool = False) -> tuple:
+        """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U
+        (`rank_one_factors`, memoised); DegenerateSplit naming the first E_i not of rank one."""
+        mats = self.Estar if star else self.E
+        found = self.cached(("eigenbasis", star), lambda: rank_one_factors(mats))
+        if found is None:
+            i = next(i for i, M in enumerate(mats) if M.rank() != 1)
+            raise DegenerateSplit(f"idempotent {'E*' if star else 'E'}_{i} is not of rank one")
+        return found
 
     def eigencolumn(self, i: int, star: bool = False) -> Vector:
         """w_i: the first nonzero column of E_i (resp. E*_i), a theta_i-eigenvector."""
-        return _factors(self, star)[0].column(i)
+        return self.eigenbasis(star)[0].column(i)
 
 
 def build_system(pa: ParameterArray) -> LeonardSystem:
     return LeonardSystem.from_parameter_array(pa)
 
 
-def _factors(sys: LeonardSystem, star: bool = False) -> tuple:
-    """sys.eigenbasis(star), or DegenerateSplit naming the first E_i (resp. E*_i) not of rank one."""
-    if sys.eigenbasis(star) is None:
-        i = next(i for i, M in enumerate(sys.Estar if star else sys.E) if M.rank() != 1)
-        raise DegenerateSplit(f"idempotent {'E*' if star else 'E'}_{i} is not of rank one")
-    return sys.eigenbasis(star)
-
-
 def _orthogonality_witness(sys: LeonardSystem, star: bool = False):
-    """The first (i, j) where U W != I for (W, U) = _factors(sys, star), else None, memoised."""
-    W, U = _factors(sys, star)
+    """The first (i, j) where U W != I for (W, U) = sys.eigenbasis(star), else None, memoised."""
+    W, U = sys.eigenbasis(star)
     return sys.cached(("UW_witness", star), lambda: _off_diagonal(U * W, [sys.field.one()] * W.ncols))
 
 
 def _eigenbasis_inverse(sys: LeonardSystem, star: bool = False) -> Matrix:
-    """W^-1 for (W, U) = _factors(sys, star), memoised: U once U W = I, else Gauss-Jordan on W
+    """W^-1 for (W, U) = sys.eigenbasis(star), memoised: U once U W = I, else Gauss-Jordan on W
     (SingularMatrix when W is singular)."""
-    W, U = _factors(sys, star)
+    W, U = sys.eigenbasis(star)
     return sys.cached(("eigenbasis_inverse", star), lambda: W.inverse() if _orthogonality_witness(sys, star) else U)
 
 
@@ -259,20 +251,26 @@ def change_of_basis(sys: LeonardSystem, a: bool, X: str | None, b: bool) -> Matr
     """W_a^-1 X W_b, memoised, for the eigenbases W_a and W_b of E (False) or E* (True) and X one of
     None (I), "A" or "Astar"; W_a^-1 W_a is I.  SingularMatrix when W_a is singular."""
     def build():
-        inverse, W = _eigenbasis_inverse(sys, a), _factors(sys, b)[0]
+        inverse, W = _eigenbasis_inverse(sys, a), sys.eigenbasis(b)[0]
         if X is None:
             return Matrix.identity(sys.field, sys.d + 1) if a == b else inverse * W
         return inverse * getattr(sys, X) * W
     return sys.cached(("change_of_basis", a, X, b), build)
 
 
-def _add_factored(report, name: str, check) -> None:
-    """Add check() = (passed, witness); a family that does not factor, or a singular W, fails it."""
+def _outcomes(n: int, check, errors=(DegenerateSplit, SingularMatrix)) -> list:
+    """check(), a list of n (passed, witness); n failures with the error as witness when it raises
+    one of errors: a family that does not factor, a singular W or an array that cannot be extracted."""
     try:
-        passed, witness = check()
-    except (DegenerateSplit, SingularMatrix) as exc:
-        passed, witness = False, {"error": str(exc)}
-    report.add(name, passed, witness)
+        return check()
+    except errors as exc:
+        return [(False, {"error": str(exc)})] * n
+
+
+def _add_factored(report, names, check, errors=(DegenerateSplit, SingularMatrix)) -> None:
+    """Add the checks names in order, one outcome of check() each (`_outcomes`)."""
+    for name, (passed, witness) in zip(names, _outcomes(len(names), check, errors), strict=True):
+        report.add(name, passed, witness)
 
 
 def _off_diagonal(M: Matrix, diag):
@@ -290,21 +288,17 @@ def _idempotent_checks(report, sys: LeonardSystem, star: bool):
     label, mats, M, theta = ("Estar", sys.Estar, sys.Astar, sys.theta_star) if star else ("E", sys.E, sys.A, sys.theta)
     field, n = M.field, M.nrows
 
-    def orthogonal():
-        witness = _orthogonality_witness(sys, star)
-        return witness is None, witness
-
-    _add_factored(report, f"idempotents_{label}_orthogonal", orthogonal)
+    _add_factored(report, [f"idempotents_{label}_orthogonal"],
+                  lambda: [((witness := _orthogonality_witness(sys, star)) is None, witness)])
     zero = Matrix.zeros(field, n)
     report.add(f"idempotents_{label}_sum", sum(mats, zero) == Matrix.identity(field, n))
     report.add(f"idempotents_{label}_spectral", sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M)
 
-    factored = sys.eigenbasis(star) is not None
-    report.add(
-        f"idempotents_{label}_rank_one",
-        factored,
-        None if factored else {"ranks": [Ei.rank() for Ei in mats]},
-    )
+    try:
+        factored = bool(sys.eigenbasis(star))
+    except DegenerateSplit:
+        factored = False
+    report.add(f"idempotents_{label}_rank_one", factored, None if factored else {"ranks": [Ei.rank() for Ei in mats]})
 
 
 def verify_axioms(sys: LeonardSystem) -> VerificationReport:
@@ -315,7 +309,7 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
         ("tridiagonal_Astar_in_A_eigenbasis", False, "Astar"),
         ("tridiagonal_A_in_Astar_eigenbasis", True, "A"),
     ):
-        _add_factored(report, name, lambda: (is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None))
+        _add_factored(report, [name], lambda: [(is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None)])
 
     report.add(
         "standard_orderings",
@@ -521,7 +515,7 @@ def split_projectors(sys: LeonardSystem) -> list:
     built as p_i q_i^T: with E*_0 = w*_0 u*_0^T and E_0 = w_0 u_0^T,
     p_i = tau_i(A) w*_0 and q_i^T = nu (u*_0^T w_0) u_0^T tau*_i(A*) / c_i."""
     pa = sys.parameter_array
-    (W, U), (Ws, Us) = _factors(sys), _factors(sys, star=True)
+    (W, U), (Ws, Us) = sys.eigenbasis(), sys.eigenbasis(star=True)
     scale = nu_scalars(pa)[0] * Us.row(0).dot(W.column(0))
     ps, qs = sys.root_family("tau", False, Ws.column(0)), sys.root_family("tau", True, U.row(0), covector=True)
     return [outer(p, q.scale(scale / c)) for p, q, c in zip(ps, qs, pa.split_products[0])]
@@ -531,7 +525,7 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
     """Independent construction of the split projectors from the split lines
     U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V): the decomposition of
     the flags with ordered bases W* and W reversed (`flag_decomposition`)."""
-    W = _factors(sys)[0].submatrix(cols=slice(None, None, -1))
+    W = sys.eigenbasis()[0].submatrix(cols=slice(None, None, -1))
     lines = flag_decomposition(change_of_basis(sys, True, None, False).submatrix(cols=slice(None, None, -1)), W)
     if lines is None:
         raise DegenerateSplit("split component is not one-dimensional")
@@ -545,36 +539,30 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
 
 
 def solve_gram(sys: LeonardSystem) -> tuple:
-    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*, solved in the
+    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*, read off in the
     eigenbasis (W, U) of A.  Its premises, in order, each a DegenerateSplit naming it: every E_i of
-    rank one (`_factors`), theta distinct, U W = I and U A W = diag(theta).  Then A^T G = G A forces
-    G = U^T diag(m) U, and A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji (i < j) for
-    B = U A* W: an n(n-1)/2 x n null space.  It must be 1-dimensional (NonUniqueForm otherwise);
-    G is normalized so the first nonzero entry of row 0 equals 1, and G^-1 = W diag(m)^-1 W^T
-    (SingularMatrix when some m_i is 0).
+    rank one (`LeonardSystem.eigenbasis`), theta distinct, U W = I, U A W = diag(theta) and
+    B = U A* W irreducible tridiagonal.  Then A^T G = G A forces G = U^T diag(m) U, and A*^T G = G A*
+    holds exactly when m_i B_ij = m_j B_ji: m_0 = 1 and m_{i+1} = m_i B_{i,i+1} / B_{i+1,i}, all
+    nonzero (Terwilliger, LAA 330 (2001)).  G is normalized so the first nonzero entry of row 0
+    equals 1, and G^-1 = W diag(m)^-1 W^T.
     """
-    f, n, theta = sys.field, sys.d + 1, sys.theta
-    W, U = _factors(sys)
+    f, d, theta = sys.field, sys.d, sys.theta
+    W, U = sys.eigenbasis()
     at = next(((i, j) for j in range(len(theta)) for i in range(j) if theta[i] == theta[j]), None)
-    if at or len(theta) != n:
+    if at or len(theta) != d + 1:
         raise DegenerateSplit(f"theta is not distinct at (i, j) = {at}" if at else f"theta has {len(theta)} entries")
     if at := _orthogonality_witness(sys):
         raise DegenerateSplit(f"U W is not I at (i, j) = ({at['i']}, {at['j']})")
     if at := _off_diagonal(change_of_basis(sys, False, "A", False), theta):
         raise DegenerateSplit(f"U A W is not diag(theta) at (i, j) = ({at['i']}, {at['j']})")
-    B = change_of_basis(sys, False, "Astar", False).nums  # U A* W, as W^-1 = U; B.den B has the same null space
-    rows = [[B[i][j] if k == i else -B[j][i] if k == j else 0 for k in range(n)]
-            for i in range(n) for j in range(i + 1, n)]
-    ms = Matrix.from_ints(f, rows or [[0] * n]).nullspace()
-    if len(ms) != 1:
-        raise NonUniqueForm(f"intertwiner space has dimension {len(ms)}")
+    B = change_of_basis(sys, False, "Astar", False)  # U A* W, as W^-1 = U
+    if not is_irreducible_tridiagonal(B):
+        raise DegenerateSplit("U A* W is not irreducible tridiagonal")
+    m = list(accumulate((f.fraction(B.nums[i][i + 1], B.nums[i + 1][i]) for i in range(d)), mul, initial=f.one()))
     scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
-    G, m = U.transpose() * scale_rows(ms[0], U), ms[0].entries
-    pivot = next((x for x in G.row(0) if x), None)
-    if pivot is None:
-        raise NonUniqueForm("gram candidate has a zero first row")
-    if not all(m):
-        raise SingularMatrix("matrix has zero determinant")
+    G = U.transpose() * scale_rows(m, U)
+    pivot = next(x for x in G.row(0) if x)
     return G.scale(f.invert(pivot)), W * scale_rows([pivot / x for x in m], W.transpose())
 
 
@@ -582,23 +570,30 @@ def solve_gram(sys: LeonardSystem) -> tuple:
 
 
 def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
-    """Axioms plus every general-system identity used by the acceptance gate."""
+    """Axioms plus every general-system identity used by the acceptance gate, the same checks in the
+    same order on every system.  When the array cannot be extracted, the round trip fails with that
+    error, and the other checks read the stored array; without one, each check that reads the array
+    fails with the error as witness."""
     report = verify_axioms(sys)
     f, d = sys.field, sys.d
     try:
-        extracted = extract_parameter_array(sys)
+        extracted, error = sys.cached("pa", lambda: extract_parameter_array(sys)), None
     except (DegenerateSplit, SingularMatrix) as exc:
-        report.add("round_trip_parameter_array", False, {"error": str(exc)})
-        return report
-    pa = sys.parameter_array
-    report.add("round_trip_parameter_array", extracted == pa)
+        extracted, error = None, exc
+    report.add("round_trip_parameter_array", error is None and extracted == sys.parameter_array,
+               {"error": str(error)} if error else None)
+
+    def array() -> ParameterArray:
+        """The stored array, else the extracted one; the extraction error when there is neither."""
+        if error and sys.pa is None:
+            raise error
+        return sys.parameter_array
 
     # edge idempotents, char products and bases of F[M], M = A (A*): orthogonal and spectral E_i commute with M,
     # and if the Krylov vectors M^i v of v = e_0 (e_d) have rank d+1, v is cyclic, so the E_i lie in F[M] and
     # X -> X v is one-to-one on F[M] (Horn & Johnson, Matrix Analysis, ch. 3): X is read as X v, else densely.
-    edges, chars, bases = [], [], []  # (name, passed, witness) for A, then for A*
-    for s, M, theta, j, (g_d, g_0) in (("", sys.A, sys.theta, 0, edge_values(pa)[:2]),
-                                       ("star", sys.Astar, sys.theta_star, d, edge_values(pa)[2:])):
+    edges, chars, bases = [], [], []  # (name, (passed, witness)) for A, then for A*
+    for s, M, theta, j, k in (("", sys.A, sys.theta, 0, 0), ("star", sys.Astar, sys.theta_star, d, 2)):
         v = Matrix.identity(f, d + 1).column(j)
         powers = root_product_family(M, [f.zero()] * d, v)
         if not (report[f"idempotents_E{s}_orthogonal"].passed and report[f"idempotents_E{s}_spectral"].passed
@@ -606,84 +601,85 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
             v, powers = None, root_product_family(M, [f.zero()] * d)
         E = [X if v is None else X.column(j) for X in (sys.Estar if s else sys.E)]  # E_i e_j
         taus, etas = (sys.root_family(kind, bool(s), v) for kind in ("tau", "eta"))
-        edges += [(f"edge_idempotent_E0{s}", etas[d].scale(f.invert(g_0)) == E[0], None),
-                  (f"edge_idempotent_Ed{s}", taus[d].scale(f.invert(g_d)) == E[d], None)]
-        chars.append((f"char_product_A{s}", root_product_family(M, theta[d:], taus[d])[-1].is_zero(), None))
+
+        def edge():
+            g_d, g_0 = edge_values(array())[k:k + 2]
+            return [(etas[d].scale(f.invert(g_0)) == E[0], None), (taus[d].scale(f.invert(g_d)) == E[d], None)]
+
+        edges += zip((f"edge_idempotent_E0{s}", f"edge_idempotent_Ed{s}"), _outcomes(2, edge))
+        chars.append((f"char_product_A{s}", (root_product_family(M, theta[d:], taus[d])[-1].is_zero(), None)))
         rank = flat_rank if v is None else lambda fam: Matrix.from_columns(f, fam).rank()
         ranks = [rank(fam) for fam in (E, taus, etas, powers)]
         union = flat_rank([*E, *taus, *etas, *powers]) if v is None else d + 1  # on v, the powers span V
-        bases.append((f"subalgebra_three_bases_A{s}", {*ranks, union} == {d + 1}, {"ranks": ranks, "union": union}))
-    for name, passed, witness in edges + chars + bases:
+        bases.append((f"subalgebra_three_bases_A{s}", ({*ranks, union} == {d + 1}, {"ranks": ranks, "union": union})))
+    for name, (passed, witness) in edges + chars + bases:
         report.add(name, passed, witness)
 
     # trace scalars, nu and the sandwich identities: a rank-one E has
     # E X E = tr(E X) E, so nu E_0 E*_0 E_0 = E_0 reads nu tr(E_0 E*_0) = 1
     one = f.one()
-    nu, nu_down, nu_ddown, nu_dd = nu_scalars(pa)
     traces = trace_products(sys, 0)[:2] + trace_products(sys, d)[:2]  # tr E_0 E*_0, E_0 E*_d, E_d E*_0, E_d E*_d
     def sandwich(star):
-        _factors(sys, star)  # E_0 (resp. E*_0) = w u^T, else DegenerateSplit
-        return nu * traces[0] == one, None
+        sys.eigenbasis(star)  # E_0 (resp. E*_0) = w u^T, else DegenerateSplit
+        return [(nu_scalars(array())[0] * traces[0] == one, None)]
 
     for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):
-        _add_factored(report, name, lambda: sandwich(star))
+        _add_factored(report, [name], lambda: sandwich(star))
 
-    report.add_first_failure("trace_products_closed_form", (
-        {"r": r} for r in range(d + 1)
-        if (direct := trace_products(sys, r)) != trace_products_closed_form(pa, r) or not all(direct)))
+    def closed_forms():
+        pa = array()
+        first = next(({"r": r} for r in range(d + 1)
+                      if (direct := trace_products(sys, r)) != trace_products_closed_form(pa, r) or not all(direct)),
+                     None)
+        values = nu_scalars(pa)
+        ok = all(t * v == one for t, v in zip(traces, values))
+        scalars = dict(zip(("nu", "nu_down", "nu_ddown", "nu_down_ddown"), map(f.encode_scalar, values)))
+        return [(first is None, first), (ok, None if ok else {"scalars": scalars})]
 
-    names = ("nu", "nu_down", "nu_ddown", "nu_down_ddown")
-    values = (nu, nu_down, nu_ddown, nu_dd)
-    ok = all(t * v == one for t, v in zip(traces, values))
-    report.add("nu_closed_forms_match_traces", ok,
-               None if ok else {"scalars": dict(zip(names, map(f.encode_scalar, values)))})
+    _add_factored(report, ["trace_products_closed_form", "nu_closed_forms_match_traces"], closed_forms)
 
     # split projectors: the closed form against the intersection construction.
     # With F_i = p_i q_i^T, F_i F_j = (q_i^T p_j) p_i q_j^T and sum F_i = P Q,
     # so the F_i resolve the identity exactly when Q P = I.
-    try:
+    def split():
+        array()  # raises the extraction error before split_projectors would extract again
         F = split_projectors(sys)
-        report.add("split_projectors_match_intersection", F == split_projectors_by_intersection(sys))
-        PQ = rank_one_factors(F)
-        report.add("split_projectors_resolution", PQ is not None and not _off_diagonal(PQ[1] * PQ[0], [one] * (d + 1)))
-    except (DegenerateSplit, SingularMatrix) as exc:
-        report.add("split_projectors_match_intersection", False, {"error": str(exc)})
-        report.add("split_projectors_resolution", False, {"error": str(exc)})
+        match, PQ = F == split_projectors_by_intersection(sys), rank_one_factors(F)
+        return [(match, None), (PQ is not None and not _off_diagonal(PQ[1] * PQ[0], [one] * (d + 1)), None)]
+
+    _add_factored(report, ["split_projectors_match_intersection", "split_projectors_resolution"], split)
 
     # pairing of the split polynomials against E*_0 ... E_0: with E*_0 =
     # w*_0 u*_0^T and E_0 = w_0 u_0^T both sides are multiples of w*_0 u_0^T,
     # so E*_0 tau_i(A) tau*_j(A*) E_0 = delta_ij c_i E*_0 E_0 reads S = diag(c)
     # (u*_0^T w_0) for S_ij = (u*_0^T tau_i(A)) (tau*_j(A*) w_0)
     def pairing():
-        w0, us0 = _factors(sys)[0].column(0), _factors(sys, star=True)[1].row(0)
+        w0, us0 = sys.eigenbasis()[0].column(0), sys.eigenbasis(star=True)[1].row(0)
         left = Matrix.from_columns(f, sys.root_family("tau", False, us0, covector=True)).transpose()
         right = Matrix.from_columns(f, sys.root_family("tau", True, w0))
         scale = us0.dot(w0)
-        witness = _off_diagonal(left * right, [c * scale for c in pa.split_products[0]])
-        return witness is None, witness
+        witness = _off_diagonal(left * right, [c * scale for c in array().split_products[0]])
+        return [(witness is None, witness)]
 
-    _add_factored(report, "split_pairing_delta", pairing)
+    _add_factored(report, ["split_pairing_delta"], pairing)
 
-    # the bilinear form and the antiautomorphism it carries
-    try:
-        G = sys.gram
-        report.add("gram_symmetric", G == G.transpose())
-        report.add("gram_intertwines_A", sys.A.transpose() * G == G * sys.A)
-        report.add("gram_intertwines_Astar", sys.Astar.transpose() * G == G * sys.Astar)
-        report.add("dagger_fixes_A", sys.dagger(sys.A) == sys.A)
-        report.add("dagger_fixes_Astar", sys.dagger(sys.Astar) == sys.Astar)
+    # the bilinear form and the antiautomorphism it carries; a failed premise of solve_gram fails all seven
+    def gram():
+        G, Ginv = sys.gram, sys.gram_inverse
+        Gt = G.transpose()
         # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
-        Ginv, Gt = sys.gram_inverse, G.transpose()
-        _add_factored(report, "dagger_fixes_idempotents", lambda: (all(
+        idempotents = lambda: [(all(
             outer(Ginv * U.row(i), Gt * W.column(i)) == mats[i]
-            for mats, (W, U) in ((sys.E, _factors(sys)), (sys.Estar, _factors(sys, star=True)))
+            for mats, (W, U) in ((sys.E, sys.eigenbasis()), (sys.Estar, sys.eigenbasis(star=True)))
             for i in range(d + 1)
-        ), None))
+        ), None)]
         probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
-        report.add("dagger_involution", sys.dagger(sys.dagger(probe)) == probe)
-    except (DegenerateSplit, NonUniqueForm, SingularMatrix) as exc:
-        for name in ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
-                     "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"):
-            report.add(name, False, {"error": str(exc)})
+        verdicts = (G == Gt, sys.A.transpose() * G == G * sys.A, sys.Astar.transpose() * G == G * sys.Astar,
+                    sys.dagger(sys.A) == sys.A, sys.dagger(sys.Astar) == sys.Astar)
+        return ([(passed, None) for passed in verdicts] + _outcomes(1, idempotents)
+                + [(sys.dagger(sys.dagger(probe)) == probe, None)])
 
+    _add_factored(report, ["gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
+                           "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"],
+                  gram, DegenerateSplit)
     return report

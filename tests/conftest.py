@@ -19,7 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from leonard.duality import is_self_dual
-from leonard.errors import ExhaustedTrials, NonUniqueForm, NotALeonardPair
+from leonard.errors import ExhaustedTrials, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import Matrix, eval_root_product, intersect_column_spaces
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
@@ -209,14 +209,37 @@ def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
 # the Gram block of `standard_identity_suite`: every check that reads (G, G^-1)
 GRAM_CHECKS = ("gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
                "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution")
+# the checks of `standard_identity_suite` that read the parameter array: without a stored array,
+# each fails with the extraction error when the extraction fails
+ARRAY_CHECKS = ("edge_idempotent_E0", "edge_idempotent_Ed", "edge_idempotent_E0star", "edge_idempotent_Edstar",
+                "nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "nu_closed_forms_match_traces",
+                "split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta")
+# every check of `standard_identity_suite`, in the order of every report, passing or not
+SUITE_CHECKS = (
+    "tridiagonal_Astar_in_A_eigenbasis", "tridiagonal_A_in_Astar_eigenbasis", "standard_orderings",
+    "idempotents_E_orthogonal", "idempotents_E_sum", "idempotents_E_spectral", "idempotents_E_rank_one",
+    "idempotents_Estar_orthogonal", "idempotents_Estar_sum", "idempotents_Estar_spectral", "idempotents_Estar_rank_one",
+    "round_trip_parameter_array",
+    "edge_idempotent_E0", "edge_idempotent_Ed", "edge_idempotent_E0star", "edge_idempotent_Edstar",
+    "char_product_A", "char_product_Astar", "subalgebra_three_bases_A", "subalgebra_three_bases_Astar",
+    "nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "nu_closed_forms_match_traces",
+    "split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta",
+    "gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
+    "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution",
+)
+
+
+class NonUniqueForm(Exception):
+    """The oracle's refusal: the intertwining constraints do not have a 1-dimensional solution space."""
 
 
 def gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
     """(G, G^-1) for G spanning the null space of the n^2-unknown intertwining constraints
     P^T G = G P, P = A and A*: the oracle for `systems.solve_gram`, which needs no eigenbasis.
     The rows for P are built from P.nums = P.den P, since scaling a block of rows leaves the null
-    space unchanged.  G is normalized and refused as `solve_gram` does (NonUniqueForm when the
-    space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G is singular)."""
+    space unchanged.  G is normalized as `solve_gram` normalizes it, and refused with NonUniqueForm
+    when the space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G is singular;
+    where `solve_gram` finds a form, the oracle finds the same one."""
     f, n = A.field, A.nrows
     rows = []
     for P in (A, Astar):

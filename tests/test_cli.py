@@ -11,7 +11,7 @@ import leonard.cli as cli
 from leonard.cli import main
 from leonard.fields import MAX_DIGITS, Field
 
-from conftest import leonard_array
+from conftest import SUITE_CHECKS, leonard_array
 
 D1_SELF_DUAL = {
     "field": {"kind": "rational"},
@@ -82,6 +82,12 @@ def test_verify_zero_extracted_phi_is_a_failed_check(tmp_path, capsys):
         "pass": False,
         "witness": {"error": "extracted array is not a parameter array: phi entries must be nonzero"},
     }
+    # every other check still runs, on the stored array: the report lists all of them, in the
+    # order of a passing report
+    assert list(checks) == list(SUITE_CHECKS)
+    code, passing = run_cli(tmp_path, ["verify"], D1_SELF_DUAL)
+    assert code == 0
+    assert [c["name"] for c in json.loads(passing)["report"]["checks"]] == list(checks)
 
 
 def test_verify_malformed_input(tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard.errors import DegenerateSplit, NonUniqueForm, SingularMatrix
+from leonard.errors import DegenerateSplit, SingularMatrix
 from leonard.fields import Field
 from leonard.linalg import Matrix, is_irreducible_tridiagonal
 from leonard.systems import (
@@ -146,7 +146,7 @@ def _nu_traces(sys):
 def _dagger_fixes_idempotents(sys):
     try:
         return all(sys.dagger(E) == E for E in sys.E + sys.Estar), None
-    except (DegenerateSplit, NonUniqueForm, SingularMatrix) as exc:
+    except DegenerateSplit as exc:
         return False, {"error": str(exc)}
 
 
@@ -268,7 +268,9 @@ def test_non_leonard_reports_match_dense(pa):
 def test_zero_idempotent_reports_true_ranks():
     s = build_system(krawtchouk(Q, 1))
     broken = LeonardSystem(s.A, s.Astar, (s.E[0], Matrix.zeros(Q, 2)), s.Estar, s.theta, s.theta_star, s.pa)
-    assert broken.eigenbasis() is None and broken.eigenbasis(star=True) is not None
+    with pytest.raises(DegenerateSplit, match="^idempotent E_1 is not of rank one$"):
+        broken.eigenbasis()
+    assert broken.eigenbasis(star=True) == s.eigenbasis(star=True)
     axioms = verify_axioms(broken)
     assert axioms["idempotents_E_rank_one"].witness == {"ranks": [1, 0]}
     assert axioms["idempotents_Estar_rank_one"].passed
@@ -283,7 +285,8 @@ def test_zero_idempotent_reports_true_ranks():
 def test_rank_two_idempotent_reports_true_ranks():
     s = build_system(krawtchouk(Q, 2))
     broken = LeonardSystem(s.A, s.Astar, (s.E[0] + s.E[1], s.E[1], s.E[2]), s.Estar, s.theta, s.theta_star, s.pa)
-    assert broken.eigenbasis() is None
+    with pytest.raises(DegenerateSplit, match="^idempotent E_0 is not of rank one$"):
+        broken.eigenbasis()
     axioms = verify_axioms(broken)
     assert axioms["idempotents_E_rank_one"].witness == {"ranks": [2, 1, 1]}
     assert axioms["idempotents_Estar_rank_one"].passed

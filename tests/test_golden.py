@@ -45,9 +45,13 @@ GF7_D0 = {"field": {"kind": "prime", "p": 7}, "d": 0, "theta": [3], "theta_star"
           "varphi": [], "phi": []}
 
 # Not Leonard: the first split sequence perturbed by +1, so A* is not tridiagonal
-# in the A-eigenbasis and verify reports "intertwiner space has dimension 0".
+# in the A-eigenbasis and verify reports "U A* W is not irreducible tridiagonal".
 Q_NOT_LEONARD = dict(FROZEN_ARRAYS[0], varphi=["-5/1", "-8/1", "-6/1"])
 GFP_NOT_LEONARD = dict(GFP_SELF_DUAL, varphi=[2147470922, 2147466679, 2147470921])
+# Not Leonard, and the phi read back off its matrices has a zero entry, so the extraction fails:
+# verify reports the round trip with that error and runs every other check on the stored array.
+GF7_ZERO_PHI = {"field": {"kind": "prime", "p": 7}, "d": 2, "theta": [2, 0, 5], "theta_star": [2, 0, 5],
+                "varphi": [6, 5], "phi": [3, 3]}
 
 
 def krawtchouk(field, d, enc, s=-2, s_star=-2, r=1):
@@ -121,6 +125,7 @@ for name, obj in (("q0_not_leonard", Q_NOT_LEONARD), ("gfp_not_leonard", GFP_NOT
         CASES[f"{name} {' '.join(verb)}"] = (verb, obj)
 for name, obj in (("q_d8_not_leonard", Q_D8_NOT_LEONARD), ("gfp_d8_not_leonard", GFP_D8_NOT_LEONARD)):
     CASES[f"{name} verify"] = (["verify"], obj)
+CASES["gf7_zero_phi verify"] = (["verify"], GF7_ZERO_PHI)
 for verb in VERBS[1:3] + VERBS[-1:]:
     CASES[f"gfp_d8_sd {' '.join(verb)}"] = (verb, GFP_D8_SELF_DUAL)
 CASES["gfp_d8_nsd dualize"] = (["dualize"], GFP_D8_NON_SELF_DUAL)
@@ -151,14 +156,15 @@ GOLDEN = {
     'gf7_d0 dualize': 'b6f5c724579fd9eb86d754272f4c0eafd02efe7541d5ae86231bd5468762021a',
     'gf7_d0 matrix-of-t --basis tau-vstard': '8c9cd91f6731726d5d43a103aa77a761c9b2a5bb78d09e8397573cb71b5fba68',
     'gf7_d0 verify': '386e2a44fecbb06f89f5dc6b24edc421055bf78e9834dd4116d82be95f550a83',
+    'gf7_zero_phi verify': '8c712113dded8981aa1ed900c1f5073241fe700de3895c4348e9619acc5df978',
     'gfp_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
     'gfp_d20 verify': 'f1ebf8fbf1e28f84765dd6111c38a834d28ed1fd6d9e77dcb6ff9f3162274300',
-    'gfp_d8_not_leonard verify': '4733f50b5aa639853695b1c5b516dc7a87a73165886b7efc8b2b6ff985d429f5',
+    'gfp_d8_not_leonard verify': '3fa3fff3c27df8de067b729a8edc990b6e554fe75e09490a051330f7dce6a3df',
     'gfp_d8_nsd dualize': 'aea5d841038352facecf2a4c3767082a0a80778ab2f937913d0eab15cae9ae84',
     'gfp_d8_sd bases': '69f38e28f59da9261f3f525c7d29b7304d88f6be4ab8201bcbd538857330add0',
     'gfp_d8_sd dualize': 'eea9a32937f23da219c0cbebc98c7423ca1e0de082cd8f59a7ce1ce597d1d7a6',
     'gfp_d8_sd matrix-of-t --basis tau-vstard': '88b7362e6cbf98d18a3f713611c912859f83b4a839be014f8889a0e0d8f67958',
-    'gfp_not_leonard verify': 'af683b678ce187a28a7601ebb1c9e3f0b54fdcdaf975247acab6781666e8bcbc',
+    'gfp_not_leonard verify': '26a3cfeab493b1aaf7facfc8b89ee8c7786d4c2f72c814bb3251b0627a803b88',
     'gfp_nsd bases': 'c7055024028980816071125c9d7c4cebf86ba4271c6293ee44e8819c04fd611f',
     'gfp_nsd dualize': '5ecffc0ea67badc7631a61d74631ddc2d0465fda9dcbe962619dbe4301007b11',
     'gfp_nsd matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
@@ -184,7 +190,7 @@ GOLDEN = {
     'q0 matrix-of-t --basis taustar-vd': '7976beb83ac6293a6aa3438a195dde9025fc13ff60529f6902c3857d22d8621a',
     'q0 verify': '4c009070e5f33a0b98da5df377075980b669424ddb99ee8520448a4ca30d1dc0',
     'q0_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
-    'q0_not_leonard verify': '93bcf38d30ac87a2ff8c0c91d03f61729205b4e8b0bb07c9bb3b5f88b5d400c3',
+    'q0_not_leonard verify': 'd54810560238ccb6c58748537f294fc3d66e230553cecee8ed1c08e819cd26bc',
     'q1 bases': 'f8a88db197ba738a93271cf18db5b39494111d12c8759c8568983385238bcaed',
     'q1 dualize': 'c70078986a1d6517c91df19ccfe9fc9c7813391b9a8ee1a44ef74f689e280932',
     'q1 matrix-of-t --basis eta-vstar0': '9989999fcf5e812ee159d9efb373e9f716fba42a46019049ad4fe02e126c0cfd',
@@ -203,7 +209,7 @@ GOLDEN = {
     'q_racah_d8 dualize': '87b5e1bd7e77b96089710d7fa3f6479b9afa9b3c839e1ffc829d8fae6211eec3',
     'q_racah_d8 verify': '548bac09c3b9ff3dea511fbcd03a250d5027d68047ddd882d890841873c5fe5c',
     'q_d20 verify': '5246db3943536001db2a7133f6840e668e4e421082a20d3668cefb0dc74058ff',
-    'q_d8_not_leonard verify': '4d8e94e9da06d963627e794e305fa63b709fb50b43a1b5be723f9350d079683e',
+    'q_d8_not_leonard verify': '08cb2c15bdc7a854bf26cf432ac2b567d6655f9a49e6e585c6a7316989aaf8f6',
     'q_d0 bases': 'c22a2ff33c79d70791018d7205533f28ce8d7d0eaf60bc6afdae3f3a87896a97',
     'q_d0 dualize': '67d12e322957e69677b4488abfc0a3f07c0ee993f8dcb2b13f43f8a30cb1df24',
     'q_d0 matrix-of-t --basis tau-vstard': '036d8e729fb36b20ae15d40a330995776d332e2693edc926b613bdab81a91707',

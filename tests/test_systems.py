@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from math import prod
@@ -8,7 +9,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from leonard import search
-from leonard.errors import DegenerateSplit, NonUniqueForm, NotALeonardPair, SingularMatrix
+from leonard.errors import DegenerateSplit, NotALeonardPair, SingularMatrix
 from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import Matrix, bidiagonal, eval_root_product, outer
 from leonard.systems import (
@@ -35,7 +36,17 @@ from leonard.systems import (
     verify_axioms,
 )
 
-from conftest import FROZEN_ARRAYS, GRAM_CHECKS, field_scalars, gram_by_nullspace, leonard_array, leonard_arrays
+from conftest import (
+    ARRAY_CHECKS,
+    FROZEN_ARRAYS,
+    GRAM_CHECKS,
+    SUITE_CHECKS,
+    NonUniqueForm,
+    field_scalars,
+    gram_by_nullspace,
+    leonard_array,
+    leonard_arrays,
+)
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -587,11 +598,17 @@ def test_gram_normalization_leading_one(corpus):
         assert lead == pa.field.one()
 
 
+B_PREMISE = "U A* W is not irreducible tridiagonal"
+
+
 def test_gram_non_unique_rejected():
-    # a reducible pair: every premise of the eigenbasis solve holds, and B = U A* W is diagonal
+    # a reducible pair: the first four premises of the eigenbasis solve hold, and B = U A* W is
+    # diagonal, so the form is not unique: the oracle finds a 2-dimensional space of them
     diag = Matrix(Q, [[F(1), F(0)], [F(0), F(2)]])
-    with pytest.raises(NonUniqueForm, match="^intertwiner space has dimension 2$"):
+    with pytest.raises(DegenerateSplit, match=f"^{re.escape(B_PREMISE)}$"):
         solve_gram(LeonardSystem.from_pair(diag, diag, (F(1), F(2)), (F(1), F(2))))
+    with pytest.raises(NonUniqueForm, match="^intertwiner space has dimension 2$"):
+        gram_by_nullspace(diag, diag)
 
 
 def _conjugator(field, n):
@@ -615,7 +632,8 @@ def _outcome(build):
 
 
 def test_gram_fallback_raises_like_nullspace(corpus):
-    """Where the premises hold, solve_gram gives the oracle's form or raises its error; a repeated
+    """Where the oracle finds a form, solve_gram finds the same one; where the oracle refuses (no
+    form, or not one up to scale), solve_gram refuses with the premise on B = U A* W.  A repeated
     theta is refused as a premise before any form is sought."""
     eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
     units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
@@ -632,10 +650,48 @@ def test_gram_fallback_raises_like_nullspace(corpus):
             if pa.d >= 2 and all(varphi):
                 cases.append(build_system(replace(pa, varphi=tuple(varphi))))
     outcomes = [_outcome(lambda: solve_gram(s)) for s in cases]
-    assert outcomes == [_outcome(lambda: gram_by_nullspace(s.A, s.Astar)) for s in cases]
-    assert sum(outcome[0] in (NonUniqueForm, SingularMatrix) for outcome in outcomes) >= len(corpus.frozen) + 1
-    with pytest.raises(NonUniqueForm, match="intertwiner space has dimension 0"):
+    oracle = [_outcome(lambda: gram_by_nullspace(s.A, s.Astar)) for s in cases]
+    refused = [i for i, outcome in enumerate(oracle) if outcome[0] in (NonUniqueForm, SingularMatrix)]
+    assert len(refused) >= len(corpus.frozen) + 1
+    assert all(outcomes[i] == (DegenerateSplit, B_PREMISE) for i in refused)
+    assert all(outcomes[i] == oracle[i] for i in range(len(cases)) if i not in refused)
+    assert oracle[-1] == (NonUniqueForm, "intertwiner space has dimension 0")
+    with pytest.raises(DegenerateSplit, match=f"^{re.escape(B_PREMISE)}$"):
         solve_gram(cases[-1])
+
+
+def random_split_arrays(field, d, count, seed):
+    """count seeded random parameter arrays over field, Leonard or not: distinct theta and theta*,
+    nonzero varphi and phi, each entry a uniform residue mod p, or over Q num/den with |num| <= 3
+    and 1 <= den <= 2.  A draw that breaks PA1 is drawn again."""
+    rng = random.Random(seed)
+    if field.is_rational:
+        draw = lambda k: [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+    else:
+        draw = lambda k: [PrimeFieldElement(field.p, rng.randrange(field.p)) for _ in range(k)]
+    out = []
+    while len(out) < count:
+        try:
+            out.append(ParameterArray(field, d, draw(d + 1), draw(d + 1), draw(d), draw(d)))
+        except ValueError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("field, d", [(Field.prime(5), 2), (Field.prime(7), 3), (Q, 2)],
+                         ids=["GF(5)-d2", "GF(7)-d3", "Q-d2"])
+def test_gram_recurrence_never_flips_a_verdict(field, d):
+    """On 300 seeded random arrays in split form, Leonard or not, solve_gram returns the oracle's
+    (G, G^-1) wherever the oracle finds a form, and refuses with the premise on B = U A* W wherever
+    the oracle refuses: the recurrence gives up no form that the n^2-unknown null space finds."""
+    verdicts = {True: 0, False: 0}
+    for pa in random_split_arrays(field, d, 300, seed=24):
+        s = build_system(pa)
+        oracle = _outcome(lambda: gram_by_nullspace(s.A, s.Astar))
+        refused = oracle[0] in (NonUniqueForm, SingularMatrix)
+        assert _outcome(lambda: solve_gram(s)) == ((DegenerateSplit, B_PREMISE) if refused else oracle)
+        verdicts[refused] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
@@ -643,7 +699,7 @@ def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
     # n^2-unknown null space would still find the form of (A, A*)
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
     swapped = LeonardSystem(s.A, s.Astar, s.Estar, s.Estar, s.theta, s.theta_star, s.pa)
-    assert swapped.eigenbasis() is not None
+    assert swapped.eigenbasis() == s.eigenbasis(star=True)
     with pytest.raises(DegenerateSplit, match=r"^U A W is not diag\(theta\) at \(i, j\) = \(0, 0\)$"):
         solve_gram(swapped)
     assert gram_by_nullspace(swapped.A, swapped.Astar)[0] == s.gram
@@ -688,6 +744,56 @@ def test_gram_premise_failure_fails_the_gram_block(case):
     carriers = {c.name for c in report.checks if c.witness == {"error": message}}
     assert carriers == set(GRAM_CHECKS) | others
     assert not any(report[name].passed for name in GRAM_CHECKS)
+
+
+def _swapped_idempotents(stored: bool) -> LeonardSystem:
+    """The certified d = 3 Krawtchouk system with E replaced by E*, with its array stored or not:
+    the theta read back is tr(A E*_i), not distinct, so the extraction fails."""
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
+    return LeonardSystem(s.A, s.Astar, s.Estar, s.Estar, s.theta, s.theta_star, s.pa if stored else None)
+
+
+EXTRACTION_ERROR = "extracted array is not a parameter array: theta entries must be mutually distinct"
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "no-stored-array"])
+def test_failed_extraction_still_runs_every_check(stored):
+    """The round trip fails with the extraction error.  With the array stored, every other check runs
+    on it; without one, exactly the checks that read the array fail with that error, and the rest,
+    the Gram block included, still run (the Gram block fails its own premise)."""
+    s = _swapped_idempotents(stored)
+    with pytest.raises(DegenerateSplit, match=f"^{EXTRACTION_ERROR}$"):
+        extract_parameter_array(s)
+    report = standard_identity_suite(s)
+    assert [c.name for c in report.checks] == list(SUITE_CHECKS)
+    carriers = {c.name for c in report.checks if c.witness == {"error": EXTRACTION_ERROR}}
+    assert carriers == {"round_trip_parameter_array", *(() if stored else ARRAY_CHECKS)}
+    premise = {"error": "U A W is not diag(theta) at (i, j) = (0, 0)"}
+    assert all(report[name].witness == premise for name in GRAM_CHECKS)
+
+
+def _hand_built_systems() -> dict:
+    """Systems whose reports fail in different places, by name."""
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
+    eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
+    units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
+    return {
+        "certified": s,
+        "not-leonard": build_system(replace(s.pa, varphi=(F(-5), F(-8), F(-6)))),
+        "E0-zero": LeonardSystem(s.A, s.Astar, (Matrix.zeros(Q, 4), *s.E[1:]), s.Estar, s.theta, s.theta_star),
+        "theta-repeated": LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1))),
+        "E-is-Estar": _swapped_idempotents(False),
+        **{f"gram-{case}": _gram_premise_failure(case) for case in GRAM_PREMISE_FAILURES},
+    }
+
+
+@pytest.mark.parametrize("case", ["certified", "not-leonard", "E0-zero", "theta-repeated", "E-is-Estar",
+                                  *(f"gram-{case}" for case in GRAM_PREMISE_FAILURES)])
+def test_every_report_lists_every_check(case):
+    """However a system fails, its report lists the same checks in the same order."""
+    report = standard_identity_suite(_hand_built_systems()[case])
+    assert [c.name for c in report.checks] == list(SUITE_CHECKS)
+    assert report.all_pass == (case == "certified")
 
 
 def test_dagger_properties():

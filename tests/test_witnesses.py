@@ -279,10 +279,10 @@ MEMO_PINS = {
         "idempotents_E_orthogonal": {"i": 1, "j": 2},
         **dict.fromkeys(GRAM_CHECKS, {"error": "U W is not I at (i, j) = (1, 2)"})}),
     ("UW_witness", True): ({"i": 2, "j": 0}, {"idempotents_Estar_orthogonal": {"i": 2, "j": 0}}),
-    # U A* W: the tridiagonal axiom, and B of the Gram solver, whose null space becomes 0
+    # U A* W: the tridiagonal axiom, and B of the Gram solver, whose premise it fails
     ("change_of_basis", False, "Astar", False): ((0, 2), {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None,
-        **dict.fromkeys(GRAM_CHECKS, {"error": "intertwiner space has dimension 0"})}),
+        **dict.fromkeys(GRAM_CHECKS, {"error": "U A* W is not irreducible tridiagonal"})}),
     ("change_of_basis", True, "A", True): ((0, 2), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None}),
     # W*^-1 W: the split lines and [0*0], [0*D], [D*0], [D*D]
