@@ -354,12 +354,6 @@ _T_DISPLAYED = (("0*", "D"), ("D*", "D"), ("0*", "0"), ("D*", "0"), ("0", "D"), 
 T_DECOMPOSITION_ORDER = _T_DISPLAYED + tuple((w, z) for z, w in _T_DISPLAYED)
 
 
-def _colinear(u: Vector, v: Vector) -> bool:
-    if u.is_zero() or v.is_zero():
-        return False
-    return u.normalized() == v.normalized()
-
-
 def verify_geometry_suite(
     sys: LeonardSystem, bundle: DualityBundle | None = None
 ) -> VerificationReport:
@@ -402,9 +396,9 @@ def verify_geometry_suite(
     splits = sys.root_family("tau", False, sys.eigencolumn(0, star=True))
     report.add_last_failure("decomposition_table_rows", (
         {"i": i, "row": row} for i in range(d + 1) for row, ok in (
-            (0, _colinear(decomps[("0", "D")].vectors[i], sys.eigencolumn(i))),
-            (1, _colinear(decomps[("0*", "D*")].vectors[i], sys.eigencolumn(i, star=True))),
-            ("split", _colinear(decomps[("0*", "D")].vectors[i], splits[i])),
+            (0, decomps[("0", "D")].vectors[i].is_colinear(sys.eigencolumn(i))),
+            (1, decomps[("0*", "D*")].vectors[i].is_colinear(sys.eigencolumn(i, star=True))),
+            ("split", decomps[("0*", "D")].vectors[i].is_colinear(splits[i])),
         ) if not ok))
 
     if bundle is None:
@@ -413,13 +407,13 @@ def verify_geometry_suite(
 
     report.add_last_failure("T_maps_eigenspaces", (
         {"i": i, "side": side} for i in range(d + 1) for side, star in (("E", False), ("Estar", True))
-        if not _colinear(t * sys.eigencolumn(i, star), sys.eigencolumn(i, not star))))
+        if not (t * sys.eigencolumn(i, star)).is_colinear(sys.eigencolumn(i, not star))))
     report.add_last_failure("T_on_flags", (
         {"flag": z, "i": i} for z, image in T_FLAG_IMAGE.items()
         for i, spans in enumerate(spans_components(flags[image], t * flags[z].basis)) if not spans))
     report.add_last_failure("T_on_decompositions", (
         {"pair": f"[{z}{w}]", "i": i} for z, w in T_DECOMPOSITION_ORDER for i in range(d + 1)
-        if not _colinear(t * decomps[(z, w)].vectors[i], decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
+        if not (t * decomps[(z, w)].vectors[i]).is_colinear(decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
     return report
 
 
@@ -514,7 +508,7 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> Verificat
     decomps = {(z, w): build_decomposition(sys, z, w) for z, w in BASIS_MEMBERSHIP}
     report.add_last_failure("bases_span_decomposition_components", (
         {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), ids in BASIS_MEMBERSHIP.items()
-        for basis_id in ids for i in range(d + 1) if not _colinear(family[basis_id][i], decomps[(z, w)].vectors[i])))
+        for basis_id in ids for i in range(d + 1) if not family[basis_id][i].is_colinear(decomps[(z, w)].vectors[i])))
 
     partner = lambda gen, rev, anchor: f"{gen}-{anchor}" if rev else f"{gen}-rev-{anchor}"
     report.add_last_failure("bases_inversion_pairing", (

@@ -3,8 +3,12 @@
 Matrices and vectors are immutable values holding one canonical integer form,
 which all arithmetic reads: integer rows `nums` over one denominator `den` > 0
 with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
-A product entry is one exact integer dot product, each result is made
-canonical with one gcd pass, and equality compares canonical forms.  Field
+Each result is made canonical in one pass, the gcd pass over Q and `% p` over
+GF(p), where a product reduces each dot product as it forms it; a step
+M Y - r Y of `root_product_family` is one integer pass, then that pass.  A
+transpose, or a slice (`row`, `column`, `submatrix`) with den = 1, copies the
+rows with no pass; with den > 1 a slice may drop the entries that kept
+gcd(den, nums) = 1, so it keeps the pass.  Equality compares forms.  Field
 elements are read in by `_to_ints` and made by `Field.fraction` only at the
 edges (indexing, scalars, JSON), once per instance.  Every entry, both
 operands of an operation and every scalar must lie in one field (ValueError
@@ -69,15 +73,18 @@ class _Exact:
     @classmethod
     def _of(cls, field: Field, rows, den: int = 1):
         """The object rows / den in canonical form, for a list or tuple of integer rows and den != 0."""
-        out = object.__new__(cls)
-        out.field, out._elements = field, None
         if not field.is_rational:
             p, s = field.p, (pow(den, -1, field.p) if den != 1 else 1)
-            out.nums, out.den = tuple([tuple([a * s % p for a in row]) for row in rows]), 1
-            return out
+            return cls._canonical(field, tuple([tuple([a * s % p for a in row]) for row in rows]))
         g = gcd(den, *chain.from_iterable(rows)) * (-1 if den < 0 else 1)
-        out.nums = tuple([tuple([a // g for a in row]) for row in rows]) if g != 1 else tuple(map(tuple, rows))
-        out.den = den // g
+        nums = tuple([tuple([a // g for a in row]) for row in rows]) if g != 1 else tuple(map(tuple, rows))
+        return cls._canonical(field, nums, den // g)
+
+    @classmethod
+    def _canonical(cls, field: Field, nums, den: int = 1):
+        """The object nums / den for a tuple of integer row tuples already in canonical form: no pass."""
+        out = object.__new__(cls)
+        out.field, out.nums, out.den, out._elements = field, nums, den, None
         return out
 
     @property
@@ -148,6 +155,16 @@ class Vector(_Exact):
     def first_nonzero_index(self) -> int | None:
         return next((i for i, a in enumerate(self.nums[0]) if a), None)
 
+    def is_colinear(self, other) -> bool:
+        """True iff self and other are nonzero multiples of each other: one field and length, and for i the first
+        nonzero index of self, v_i != 0 and u_k v_i = v_k u_i (mod p over GF(p)) on the stored integers, every k."""
+        i = self.first_nonzero_index()
+        if i is None or type(other) is not Vector or (other.field, len(other)) != (self.field, len(self)):
+            return False
+        (u,), (v,) = self.nums, other.nums
+        cross = (a * v[i] - b * u[i] for a, b in zip(u, v))
+        return bool(v[i]) and not any(cross if self.field.is_rational else (x % self.field.p for x in cross))
+
     def normalized(self) -> "Vector":
         """Scale so the first nonzero coordinate equals 1."""
         i = self.first_nonzero_index()
@@ -210,18 +227,22 @@ class Matrix(_Exact):
     def __getitem__(self, i):
         return self.rows[i]
 
+    def _slice(self, cls, nums):
+        """nums, integer rows cut from self, as a cls: no pass when den = 1, else the gcd pass."""
+        return cls._canonical(self.field, nums) if self.den == 1 else cls._of(self.field, nums, self.den)
+
     def column(self, j: int) -> Vector:
-        return Vector._of(self.field, [[row[j] for row in self.nums]], self.den)
+        return self._slice(Vector, (tuple([row[j] for row in self.nums]),))
 
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
     def row(self, i: int) -> Vector:
-        return Vector._of(self.field, self.nums[i:i + 1], self.den)
+        return self._slice(Vector, (self.nums[i],))
 
     def submatrix(self, rows=slice(None), cols=slice(None)) -> "Matrix":
         """The block on the given row and column slices."""
-        return Matrix._of(self.field, [row[cols] for row in self.nums[rows]], self.den)
+        return self._slice(Matrix, tuple([row[cols] for row in self.nums[rows]]))
 
     def beside(self, other: "Matrix") -> "Matrix":
         """[self | other]: the columns of self, then those of other."""
@@ -242,11 +263,15 @@ class Matrix(_Exact):
         vec = isinstance(other, Vector)  # a Vector's one row is the one column to multiply
         _check_operands(self, other, self.ncols == (len(other) if vec else other.nrows))
         cols = other.nums if vec else list(zip(*other.nums))
+        if not self.field.is_rational:  # each dot product reduced here is canonical as it stands
+            p = self.field.p
+            rows = tuple([tuple([sum(map(mul, a, b)) % p for b in cols]) for a in self.nums])
+            return type(other)._canonical(self.field, tuple(zip(*rows)) if vec else rows)
         rows = [[sum(map(mul, a, b)) for b in cols] for a in self.nums]
-        return type(other)._of(self.field, [[r[0] for r in rows]] if vec else rows, self.den * other.den)
+        return type(other)._of(self.field, list(zip(*rows)) if vec else rows, self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, list(zip(*self.nums)), self.den)
+        return Matrix._canonical(self.field, tuple(zip(*self.nums)), self.den)
 
     def trace(self):
         return self.field.fraction(sum(self.nums[i][i] for i in range(self.nrows)), self.den)
@@ -444,11 +469,17 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
 
 
 def root_product_family(M: Matrix, roots, start=None) -> list:
-    """[p_0(M) X, ..., p_k(M) X] where p_i is the product of (x - r) over the first i roots
-    and X is start (a Matrix or a Vector; the identity when None), each step M Y - r Y."""
-    out = [Matrix.identity(M.field, M.nrows) if start is None else start]
-    for r in roots:
-        out.append(M * out[-1] - out[-1].scale(r))
+    """[p_0(M) X, ..., p_k(M) X], where p_i is the product of (x - r) over the first i roots and X is
+    start (a Matrix or a Vector; the identity when None).  A step M Y - r Y is the one integer pass
+    (rd Mn Yn - rn Md Yn) / (Md Yd rd), for M = Mn / Md, Y = Yn / Yd and r = rn / rd, then one canonical pass."""
+    Y = Matrix.identity(M.field, M.nrows) if start is None else start
+    vec = isinstance(Y, Vector)  # a Vector's one row is the one column to multiply
+    _check_operands(M, Y, M.is_square and M.ncols == (len(Y) if vec else Y.nrows))
+    out = [Y]
+    for [[rn]], rd in (_to_ints(M.field, [[r]]) for r in roots):
+        c, (cols, ys) = rn * M.den, (Y.nums, list(zip(*Y.nums))) if vec else (list(zip(*Y.nums)), Y.nums)
+        rows = [[rd * sum(map(mul, a, b)) - c * y for b, y in zip(cols, yr)] for a, yr in zip(M.nums, ys)]
+        out.append(Y := type(Y)._of(M.field, list(zip(*rows)) if vec else rows, M.den * Y.den * rd))
     return out
 
 

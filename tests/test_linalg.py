@@ -602,6 +602,143 @@ def test_canonical_form_matches_element_row_reference(case):
     for X in (*got.values(), Av, A + A2 - A2, *A.nullspace(), A.column_space_basis(), S.rref()[0]):
         _assert_canonical_form(X)
 
+    # slices copy the stored rows: each equals the cut of the element rows and is in canonical form
+    n, m = A.shape
+    cuts = [(A.row(i), Vector(field, A.rows[i])) for i in range(-n, n)]
+    cuts += [(A.column(j), Vector(field, [r[j] for r in A.rows])) for j in range(m)]
+    for rs, cs in ((slice(None), slice(None)), (slice(1, None), slice(None, -1)), (slice(None, None, -1), slice(1, 3))):
+        cuts.append((A.submatrix(rs, cs), el([r[cs] for r in A.rows[rs]])))
+    for X, want in cuts:
+        assert X == want
+        _assert_canonical_form(X)
+
+
+def test_slices_over_q_keep_the_gcd_pass():
+    """[[1, 0], [0, 2]] / 2 is canonical, but its column 1, row 1 and lower right entry are 1 over 1."""
+    A = mat([[1, 0], [0, 2]]).scale(F(1, 2))
+    assert (A.nums, A.den) == (((1, 0), (0, 2)), 2)
+    for X, nums in ((A.column(1), ((0, 1),)), (A.row(1), ((0, 1),)), (A.submatrix(slice(1, 2), slice(1, 2)), ((1,),))):
+        assert (X.nums, X.den) == (nums, 1)
+    assert (A.transpose().nums, A.transpose().den) == (((1, 0), (0, 2)), 2)
+
+
+# --- the fused root-product step against the step-by-step reference ---
+
+
+def _root_product_family_by_steps(M, roots, start=None):
+    """The reference: each step is a product, a scale and a difference, Y = M * Y - Y.scale(r)."""
+    Y = Matrix.identity(M.field, M.nrows) if start is None else start
+    out = [Y]
+    for r in roots:
+        Y = M * Y - Y.scale(r)
+        out.append(Y)
+    return out
+
+
+@st.composite
+def _root_product_case(draw):
+    """n x n M (1 x 1 included), up to four roots (none included) and a start: None, an n x k matrix or a
+    vector, zero ones included (`_matrix` draws the zero shape)."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 4))
+    roots = draw(_scalars(field, draw(st.integers(0, 4))))
+    kind = draw(st.sampled_from(["none", "matrix", "vector"]))
+    if kind == "none":
+        start = None
+    elif kind == "matrix":
+        start = draw(_matrix(field, n, draw(st.integers(1, 3))))
+    else:
+        start = draw(_matrix(field, 1, n)).row(0)
+    return draw(_matrix(field, n, n)), roots, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(_root_product_case())
+def test_root_product_family_matches_step_by_step_reference(case):
+    M, roots, start = case
+    family = root_product_family(M, roots, start)
+    assert family == _root_product_family_by_steps(M, roots, start)
+    assert len(family) == len(roots) + 1 and {type(Y) for Y in family} == {type(family[0])}
+    for Y in family:
+        _assert_canonical_form(Y)
+
+
+def test_root_product_family_examples_and_refusals():
+    # 1 x 1: 3 - 1 = 2, then (3 - 5/2) 2 = 1; a vector start and a zero start keep their type
+    assert root_product_family(mat([[3]]), [F(1), F(5, 2)]) == [mat([[1]]), mat([[2]]), mat([[1]])]
+    v = Vector(Q, [F(-1, 2), F(3, 4)])
+    assert root_product_family(mat([[1, 2], [0, 3]]), [F(3)], v) == [v, Vector(Q, [F(5, 2), F(0)])]
+    zero = Vector(G7, [G7.zero()] * 2)
+    assert root_product_family(Matrix.from_ints(G7, [[1, 2], [3, 4]]), [G7.one()] * 2, zero) == [zero] * 3
+    square = mat([[1, 2], [3, 4]])
+    refused = (
+        (square, Vector(G7, [G7.one()] * 2), [F(1)]),  # a start over another field
+        (square, Matrix.from_ints(G7, [[1], [1]]), [F(1)]),
+        (square, Vector(Q, [F(1)] * 3), [F(1)]),  # a start of the wrong shape
+        (square, mat([[1, 2, 3]]), [F(1)]),
+        (mat([[1, 2, 3], [4, 5, 6]]), mat([[1], [2], [3]]), [F(1)]),  # M not square
+        (square, None, [G7.one()]),  # a root over another field
+    )
+    for M, start, roots in refused:
+        with pytest.raises(ValueError):
+            root_product_family(M, roots, start)
+        with pytest.raises(ValueError):
+            _root_product_family_by_steps(M, roots, start)
+
+
+# --- colinearity on the stored integers against normalized vectors ---
+
+
+def _colinear_by_normalizing(u, v):
+    return not u.is_zero() and not v.is_zero() and u.normalized() == v.normalized()
+
+
+@st.composite
+def _colinear_case(draw):
+    """(u, v) with v a multiple of u (negative, fractional and zero factors), u with one entry changed,
+    u shifted by one place (the same entries from another first nonzero index) or any vector."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 5))
+    u = draw(_matrix(field, 1, n)).row(0)
+    kind = draw(st.sampled_from(["multiple", "near miss", "shifted", "any"]))
+    if kind == "multiple":
+        v = u.scale(draw(_scalars(field, 1))[0])
+    elif kind == "near miss":
+        k, entries = draw(st.integers(0, n - 1)), list(u.entries)
+        entries[k] += draw(_scalars(field, 1, nonzero=True))[0]
+        v = Vector(field, entries)
+    elif kind == "shifted":
+        v = Vector(field, u.entries[-1:] + u.entries[:-1])
+    else:
+        v = draw(_matrix(field, 1, n)).row(0)
+    return u, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(_colinear_case())
+def test_is_colinear_matches_normalized_vectors(case):
+    u, v = case
+    assert u.is_colinear(v) == _colinear_by_normalizing(u, v)
+    assert v.is_colinear(u) == _colinear_by_normalizing(v, u)
+
+
+def test_is_colinear_examples():
+    u = Vector(Q, [F(1), F(2)])
+    assert u.is_colinear(u.scale(F(-3, 2))) and u.is_colinear(Vector(Q, [F(1, 3), F(2, 3)]))
+    # equal support, or one entry off, from the first nonzero index on
+    assert not Vector(Q, [F(0), F(1)]).is_colinear(Vector(Q, [F(1), F(1)]))
+    assert not u.is_colinear(Vector(Q, [F(1), F(3)]))
+    # another length: False both ways, where a zip cut to the shorter vector would find a multiple
+    longer = Vector(Q, [F(2), F(4), F(5)])
+    assert not u.is_colinear(longer) and not longer.is_colinear(u)
+    # another field, with the same stored integers
+    G11 = Field.prime(11)
+    w7, w11 = Vector(G7, [G7.one(), G7.from_int(2)]), Vector(G11, [G11.one(), G11.from_int(2)])
+    assert w7.is_colinear(w7.scale(G7.from_int(3)))
+    assert not w7.is_colinear(w11) and not w7.is_colinear(u) and not u.is_colinear(w7)
+    zero = Vector(Q, [F(0), F(0)])
+    assert not zero.is_colinear(zero) and not u.is_colinear(zero) and not zero.is_colinear(u)
+
 
 # --- entries outside the field are rejected ---
 
