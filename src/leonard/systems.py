@@ -282,17 +282,18 @@ def _off_diagonal(M: Matrix, diag):
 
 
 def _idempotent_checks(report, sys: LeonardSystem, star: bool):
-    """With E_i = w_i u_i^T, E_i E_j = (u_i^T w_j) w_i u_j^T, so the family is
-    orthogonal exactly when U W = I, and the first (i, j) with (U W)_ij !=
-    delta_ij is the first failing product."""
+    """With E_i = w_i u_i^T, E_i E_j = (u_i^T w_j) w_i u_j^T: the family is orthogonal exactly when U W = I, and the
+    first (i, j) with (U W)_ij != delta_ij is the first failing product.  Then, with d+1 of each, W U = I, so sum E_i
+    is I and sum theta_i E_i = W diag(theta) U is M exactly when each M w_i = theta_i w_i; else the sums are dense."""
     label, mats, M, theta = ("Estar", sys.Estar, sys.Astar, sys.theta_star) if star else ("E", sys.E, sys.A, sys.theta)
     field, n = M.field, M.nrows
-
     _add_factored(report, [f"idempotents_{label}_orthogonal"],
                   lambda: [((witness := _orthogonality_witness(sys, star)) is None, witness)])
-    zero = Matrix.zeros(field, n)
-    report.add(f"idempotents_{label}_sum", sum(mats, zero) == Matrix.identity(field, n))
-    report.add(f"idempotents_{label}_spectral", sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M)
+    decided = report[f"idempotents_{label}_orthogonal"].passed and len(mats) == len(theta) == n
+    W, zero = (sys.eigenbasis(star)[0] if decided else None), Matrix.zeros(field, n)
+    report.add(f"idempotents_{label}_sum", decided or sum(mats, zero) == Matrix.identity(field, n))
+    report.add(f"idempotents_{label}_spectral", all(M * w == w.scale(th) for th, w in zip(theta, W.columns()))
+               if decided else sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M)
 
     try:
         factored = bool(sys.eigenbasis(star))
@@ -539,19 +540,23 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
 
 
 def solve_gram(sys: LeonardSystem) -> tuple:
-    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*, read off in the
-    eigenbasis (W, U) of A.  Its premises, in order, each a DegenerateSplit naming it: every E_i of
-    rank one (`LeonardSystem.eigenbasis`), theta distinct, U W = I, U A W = diag(theta) and
-    B = U A* W irreducible tridiagonal.  Then A^T G = G A forces G = U^T diag(m) U, and A*^T G = G A*
-    holds exactly when m_i B_ij = m_j B_ji: m_0 = 1 and m_{i+1} = m_i B_{i,i+1} / B_{i+1,i}, all
-    nonzero (Terwilliger, LAA 330 (2001)).  G is normalized so the first nonzero entry of row 0
-    equals 1, and G^-1 = W diag(m)^-1 W^T.
-    """
+    """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*, read off in the eigenbasis
+    (W, U) of A.  Its premises, in order, each a DegenerateSplit naming it: every E_i of rank one
+    (`LeonardSystem.eigenbasis`), d+1 distinct theta and d+1 idempotents, U W = I, U A W = diag(theta) and
+    B = U A* W irreducible tridiagonal.  Then W U = I, A = W diag(theta) U and A* = W B U, so A^T G = G A forces
+    G = U^T diag(m) U, and A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji: m_0 = 1 and
+    m_{i+1} = m_i B_{i,i+1} / B_{i+1,i}, all nonzero (Terwilliger, LAA 330 (2001)).  G is divided by pivot, its
+    first nonzero entry of row 0, and G^-1 = W diag(pivot/m) W^T, as G G^-1 = U^T W^T = I.  So G is symmetric and
+    intertwines A and A*, and X -> G^-1 X^T G fixes A and A*, is an involution and fixes each E_i = w_i u_i^T, as
+    G w_i = (m_i/pivot) u_i and G^-1 u_i = (pivot/m_i) w_i.  Once E* is orthogonal and spectral, A* is
+    W* diag(theta*) U*, diagonalizable and, like B (irreducible tridiagonal), with only lines for eigenspaces:
+    theta* is distinct, and each E*_i, a Lagrange polynomial in A*, is fixed too."""
     f, d, theta = sys.field, sys.d, sys.theta
     W, U = sys.eigenbasis()
     at = next(((i, j) for j in range(len(theta)) for i in range(j) if theta[i] == theta[j]), None)
-    if at or len(theta) != d + 1:
-        raise DegenerateSplit(f"theta is not distinct at (i, j) = {at}" if at else f"theta has {len(theta)} entries")
+    if at or not len(theta) == W.ncols == d + 1:
+        raise DegenerateSplit(f"theta is not distinct at (i, j) = {at}" if at else
+                              f"{len(theta)} eigenvalues and {W.ncols} idempotents, not d + 1 = {d + 1}")
     if at := _orthogonality_witness(sys):
         raise DegenerateSplit(f"U W is not I at (i, j) = ({at['i']}, {at['j']})")
     if at := _off_diagonal(change_of_basis(sys, False, "A", False), theta):
@@ -663,21 +668,16 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
 
     _add_factored(report, ["split_pairing_delta"], pairing)
 
-    # the bilinear form and the antiautomorphism it carries; a failed premise of solve_gram fails all seven
+    # the bilinear form and its antiautomorphism: theorems of solve_gram's premises (a failed one fails all seven), and
+    # of E* orthogonal and spectral for dagger_fixes_idempotents, else (w u^T)^dagger = (G^-1 u)(G w)^T on E*'s factors
+    theorem = len(sys.Estar) == d + 1 and all(report[f"idempotents_Estar_{c}"].passed
+                                              for c in ("orthogonal", "spectral"))
+
     def gram():
         G, Ginv = sys.gram, sys.gram_inverse
-        Gt = G.transpose()
-        # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
-        idempotents = lambda: [(all(
-            outer(Ginv * U.row(i), Gt * W.column(i)) == mats[i]
-            for mats, (W, U) in ((sys.E, sys.eigenbasis()), (sys.Estar, sys.eigenbasis(star=True)))
-            for i in range(d + 1)
-        ), None)]
-        probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
-        verdicts = (G == Gt, sys.A.transpose() * G == G * sys.A, sys.Astar.transpose() * G == G * sys.Astar,
-                    sys.dagger(sys.A) == sys.A, sys.dagger(sys.Astar) == sys.Astar)
-        return ([(passed, None) for passed in verdicts] + _outcomes(1, idempotents)
-                + [(sys.dagger(sys.dagger(probe)) == probe, None)])
+        fixed = lambda W, U: all(outer(Ginv * U.row(i), G * W.column(i)) == sys.Estar[i] for i in range(d + 1))
+        idempotents = lambda: [(theorem or fixed(*sys.eigenbasis(star=True)), None)]
+        return [(True, None)] * 5 + _outcomes(1, idempotents) + [(True, None)]
 
     _add_factored(report, ["gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
                            "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"],

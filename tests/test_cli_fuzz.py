@@ -46,10 +46,10 @@ JUNK = st.one_of(
     st.sampled_from(REJECTED_SCALARS),
     st.integers(-50, 50),
     st.text(alphabet="0123456789/-+ _", max_size=6),
-)
+).map(copy.deepcopy)  # a fresh copy of each sampled list or dict, which a later mutation may change
 BAD_FIELDS = st.sampled_from([
     {"kind": "prime", "p": p} for p in (4, 1, 0, -7, 2**31 - 2, 2**31 + 11, 2**70, "7", 7.0, True, None)
-] + [{"kind": "prime"}, {"kind": "rational", "p": 7}, {"kind": "complex"}, {}, "rational", None])
+] + [{"kind": "prime"}, {"kind": "rational", "p": 7}, {"kind": "complex"}, {}, "rational", None]).map(copy.deepcopy)
 
 
 @st.composite

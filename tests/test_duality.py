@@ -127,16 +127,19 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     """Each change of basis W_a^-1 X W_b is formed once per system (`systems.change_of_basis`) and U W
     once per family (`systems._orthogonality_witness`).  `dualize` forms E_0 E*_0 and E*_0 E_0 once for the
     eight product formulas, and F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`:
-    12, as ([zw], z) and ([wz], z) read the same vectors.  At d = 6 that is 28/72/14/19 products of two
-    matrices for verify/dualize/bases/matrix-of-t.  When each reader formed its own, there were
-    33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition; and
-    dualize formed 90 while each product formula and each of the 24 cases formed its own."""
+    12, as ([zw], z) and ([wz], z) read the same vectors.  `verify` decides the Gram block from the premises of
+    `solve_gram` and the idempotent sums from U W = I, with M w_i = theta_i w_i, d+1 products of a matrix and a
+    vector, for each spectral check.  At d = 6 that is 15/72/14/19 products of two matrices for
+    verify/dualize/bases/matrix-of-t.  When each reader formed its own, there were 33/105/29/24: U W five times
+    for two families, U A* W twice, and one F^-1 G per decomposition; dualize formed 90 while each product
+    formula and each of the 24 cases formed its own; and verify formed 28 while it tested the Gram block with
+    products by G and G^-1."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_krawtchouk_json(field, 6)))
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 28, "dualize": 72, "bases": 14, "matrix-of-t": 19}
+    bounds = {"verify": 15, "dualize": 72, "bases": 14, "matrix-of-t": 19}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []

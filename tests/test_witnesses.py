@@ -18,7 +18,7 @@ from leonard import systems
 from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, GRAM_CHECKS
+from conftest import FROZEN_ARRAYS, GRAM_CHECKS, SUITE_CHECKS
 
 SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]  # Krawtchouk, d = 3
 
@@ -165,6 +165,21 @@ WITHOUT_MUTATION = {
     "bases_inversion_pairing": "each -rev- id is the reversal of the memoised forward sequence it is compared with",
 }
 
+# Checks of `verify` decided from premises that run before them in the same report -> those premises.  The Gram
+# checks hold by construction once `solve_gram` returns; its premises are named by the checks that state them
+# (U A W = diag(theta) is idempotents_E_spectral once U W = I), and it tests theta distinct itself.  The sums hold
+# by construction once U W = I with d+1 idempotents and eigenvalues, and the spectral checks then read
+# M w_i = theta_i w_i; a failed premise fails the Gram checks with it as witness, and the sums are formed densely
+# (`tests/test_premise_route.py`).
+SOLVE_GRAM_PREMISES = ("idempotents_E_rank_one", "theta distinct", "idempotents_E_orthogonal",
+                       "idempotents_E_spectral", "tridiagonal_Astar_in_A_eigenbasis")
+FROM_PREMISES = {
+    **dict.fromkeys(GRAM_CHECKS, SOLVE_GRAM_PREMISES),
+    "dagger_fixes_idempotents": (*SOLVE_GRAM_PREMISES, "idempotents_Estar_orthogonal", "idempotents_Estar_spectral"),
+    **{f"idempotents_{label}_{sums}": (f"idempotents_{label}_orthogonal",)
+       for label in ("E", "Estar") for sums in ("sum", "spectral")},
+}
+
 SWEEP_CHECKS = {
     "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", "anchor_projections", "anchor_ratio_squares",
     "T_on_anchor_vectors", "trace_products_closed_form", *TRANSITIONS, *MIXED_TRANSITIONS,
@@ -180,6 +195,15 @@ def test_every_sweep_check_is_pinned_or_listed():
     pinned = {name for pins in PINS.values() for name in pins}
     assert pinned | set(WITHOUT_MUTATION) == SWEEP_CHECKS
     assert not pinned & set(WITHOUT_MUTATION)
+
+
+def test_every_decided_check_names_premises_that_run_first():
+    assert set(FROM_PREMISES) == {*GRAM_CHECKS, *(f"idempotents_{label}_{sums}" for label in ("E", "Estar")
+                                                  for sums in ("sum", "spectral"))}
+    assert not set(FROM_PREMISES) & (SWEEP_CHECKS | set(WITHOUT_MUTATION))
+    for name, premises in FROM_PREMISES.items():
+        checked = [p for p in premises if p != "theta distinct"]
+        assert all(SUITE_CHECKS.index(p) < SUITE_CHECKS.index(name) for p in checked), name
 
 
 def test_unmutated_system_passes_every_sweep_check():
@@ -339,27 +363,93 @@ def test_every_memo_entry_is_mutated():
     assert memoised == {*MEMO_PINS, GRAM_PREMISE}
 
 
-DAGGER_CHECKS = ("dagger_fixes_A", "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution")
+# the checks of `dualize` that read the memoised (G, G^-1), through T^dagger and T*^dagger
+DAGGER_READERS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equals_T_dagger",
+                  "T_equals_T_star_dagger", "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger",
+                  "product_E0star_Tstardagger")
 
-# mutation of the memoised (G, G^-1) -> the checks that fail, all of them among GRAM_CHECKS
+# mutation of the memoised (G, G^-1) -> the checks that fail, all of them among DAGGER_READERS
 GRAM_PINS = {
-    "G-raised-at-01": (lambda G, Ginv: (_raised(G, 0, 1), Ginv), set(GRAM_CHECKS)),
-    "G-raised-at-01-and-10": (lambda G, Ginv: (_raised(_raised(G, 0, 1), 1, 0), Ginv),
-                              set(GRAM_CHECKS) - {"gram_symmetric"}),
-    "Ginv-raised-at-21": (lambda G, Ginv: (G, _raised(Ginv, 2, 1)), set(DAGGER_CHECKS)),
+    "G-raised-at-01": (lambda G, Ginv: (_raised(G, 0, 1), Ginv), set(DAGGER_READERS)),
+    "G-raised-at-01-and-10": (lambda G, Ginv: (_raised(_raised(G, 0, 1), 1, 0), Ginv), set(DAGGER_READERS)),
+    # in split form E_0 = w_0 e_0^T, so E_0 G^-1 reads only row 0 of G^-1
+    "Ginv-raised-at-21": (lambda G, Ginv: (G, _raised(Ginv, 2, 1)),
+                          set(DAGGER_READERS) - {"product_E0_Tdagger", "product_E0_Tstardagger"}),
 }
 
 
 @pytest.mark.parametrize("array", [SELF_DUAL, SELF_DUAL_GFP], ids=["Q", "GF(2^31-1)"])
 @pytest.mark.parametrize("mutation", GRAM_PINS)
 def test_gram_block_fails_under_a_wrong_gram_entry(array, mutation):
-    """The Gram block of `standard_identity_suite` on a new build whose memoised ("gram") entry (G, G^-1)
-    is mutated before any reader runs.  A G that is no longer symmetric fails all seven checks, and a
-    symmetric one that intertwines neither A nor A* all but `gram_symmetric`.  The four `dagger_*` checks
-    are the only ones that read G^-1, so a wrong G^-1 fails exactly those: none of the seven holds by
-    construction, and only the dagger checks test G^-1."""
+    """The reports of `verify` and `dualize` on a new build whose memoised ("gram") entry (G, G^-1) is mutated
+    before any reader runs.  `verify` decides its Gram block from the premises of `solve_gram` and reads neither
+    G nor G^-1, so it passes; the `dualize` checks that form T^dagger = G^-1 T^T G and T*^dagger fail, all of them
+    under a wrong G, symmetric or not, and under a wrong entry (2, 1) of G^-1 all but the two that multiply the
+    dagger by E_0 on the left."""
     mutate, failing = GRAM_PINS[mutation]
+    _, _, bundle = _setup(array)
     s = systems.build_system(ParameterArray.from_json(array))
     s._memo["gram"] = mutate(*systems.solve_gram(s))
-    checks = _checks(systems.standard_identity_suite(s))
+    checks = _checks(systems.standard_identity_suite(s), du.verify_duality_suite(s, bundle))
     assert {name for name, (passed, _) in checks.items() if not passed} == failing
+
+
+def _set(M: Matrix, i: int, j: int, x) -> Matrix:
+    """M with entry (i, j) replaced by x."""
+    rows = [list(row) for row in M.rows]
+    rows[i][j] = x
+    return Matrix(M.field, rows)
+
+
+def _mixed_eigenbasis(star):
+    """(W K, K^-1 U) for the eigenbasis (W, U) of E (resp. E*) and K = I + e_0 e_1^T: still U W = I, but column 1
+    is w_0 + w_1, no eigenvector, and E_1 != w_1 u_1^T."""
+    def mutate(s):
+        (W, U), K = s.eigenbasis(star), _raised(Matrix.identity(s.field, s.d + 1), 0, 1)
+        s._memo[("eigenbasis", star)] = (W * K, K.inverse() * U)
+    return mutate
+
+
+def _reducible_b(s):
+    """U A* W with its entry (1, 0) set to 0: tridiagonal, but not irreducible."""
+    s._memo[("change_of_basis", False, "Astar", False)] = _set(
+        systems.change_of_basis(s, False, "Astar", False), 1, 0, s.field.zero())
+
+
+B_ERROR, UAW_ERROR = "U A* W is not irreducible tridiagonal", "U A W is not diag(theta) at (i, j) = (0, 1)"
+# a premise's memo entry, mutated -> {check of `verify`: its witness}; the pinned checks are the only ones that fail
+PREMISE_PINS = {
+    "B-reducible": (_reducible_b, {
+        "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None,
+        **dict.fromkeys(GRAM_CHECKS, {"error": B_ERROR})}),
+    # U A W = diag(theta) fails at (0, 1): the E spectral check, and the premise of solve_gram
+    "W-mixed": (_mixed_eigenbasis(False), {
+        "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None, "idempotents_E_spectral": None,
+        **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"),
+                        {"error": "split component is not one-dimensional"}),
+        **dict.fromkeys(GRAM_CHECKS, {"error": UAW_ERROR})}),
+    # E* is orthogonal but not spectral on its factors: the dagger is tested on them, and E*_1 is not w*_1 u*_1^T
+    "Wstar-mixed": (_mixed_eigenbasis(True), {
+        "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None, "idempotents_Estar_spectral": None,
+        "split_projectors_match_intersection": None, "split_projectors_resolution": None,
+        "split_pairing_delta": {"i": 0, "j": 1}, "dagger_fixes_idempotents": None}),
+}
+
+
+@pytest.mark.parametrize("array", [SELF_DUAL, SELF_DUAL_GFP], ids=["Q", "GF(2^31-1)"])
+@pytest.mark.parametrize("mutation", PREMISE_PINS)
+def test_decided_checks_fail_under_a_wrong_premise_entry(array, mutation):
+    """`verify` on a new build whose memoised premise entry is mutated before any reader runs: the checks decided
+    from it fail, the Gram checks with the failed premise of `solve_gram` as witness."""
+    mutate, pins = PREMISE_PINS[mutation]
+    s = systems.build_system(ParameterArray.from_json(array))
+    mutate(s)
+    checks = _checks(systems.standard_identity_suite(s))
+    assert {name: (passed, witness) for name, (passed, witness) in checks.items() if not passed} == {
+        name: (False, witness) for name, witness in pins.items()}
+
+
+def test_every_decided_check_fails_under_a_premise_mutation():
+    """Each decided check but the two sums, which are W U = I whenever U W = I, fails under a mutation above."""
+    failing = {name for _, pins in PREMISE_PINS.values() for name in pins}
+    assert set(FROM_PREMISES) - failing == {"idempotents_E_sum", "idempotents_Estar_sum"}
