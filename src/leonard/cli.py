@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import duality as du
 from .errors import BudgetExceeded, ExhaustedTrials, LeonardError, NotALeonardPair
@@ -35,8 +36,28 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get,
+            type(None): lambda _: "null"}
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, for str keys and str, int, bool and None scalars:
+    json's indented encoder is pure Python, so this one escapes with its C encoder and joins a one-type list at once."""
+    def encode(obj, indent: str) -> str:
+        kind = type(obj)
+        if kind in _SCALARS:
+            return _SCALARS[kind](obj)
+        if kind not in (dict, list, tuple):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        inner, (opening, closing) = indent + "  ", "{}" if kind is dict else "[]"
+        if kind is dict:
+            items = (f"{encode_basestring_ascii(k)}: {encode(obj[k], inner)}" for k in sorted(obj))
+        elif len(kinds := set(map(type, obj))) == 1 and kinds <= _SCALARS.keys():
+            items = map(_SCALARS[kinds.pop()], obj)
+        else:
+            items = (encode(x, inner) for x in obj)
+        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}" if obj else opening + closing
+    return encode(obj, "") + "\n"
 
 
 def _dump_line(obj) -> str:

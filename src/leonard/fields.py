@@ -13,7 +13,7 @@ Never compare an element against the literal ``0``; use its truth value
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # the one accepted form of a rational scalar string: ASCII digits, an optional
@@ -124,8 +124,10 @@ class Field:
 
     kind: str  # "rational" or "prime"
     p: int | None = None
+    is_rational: bool = field(init=False, repr=False, compare=False)  # set once: every linalg kernel reads it
 
     def __post_init__(self):
+        object.__setattr__(self, "is_rational", self.kind == "rational")
         if self.kind == "rational":
             if self.p is not None:
                 raise ValueError("rational field takes no modulus")
@@ -144,10 +146,6 @@ class Field:
     @classmethod
     def prime(cls, p: int) -> "Field":
         return cls("prime", p)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.kind == "rational"
 
     def zero(self):
         return Fraction(0) if self.is_rational else PrimeFieldElement(self.p, 0)

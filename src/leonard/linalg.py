@@ -6,11 +6,12 @@ with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
 Each result is made canonical in one pass, the gcd pass over Q and `% p` over
 GF(p), where a product reduces each dot product as it forms it; a step
 M Y - r Y of `root_product_family` is one integer pass, then that pass.  A
-transpose, or a slice (`row`, `column`, `submatrix`) with den = 1, copies the
-rows with no pass; with den > 1 a slice may drop the entries that kept
+transpose, `beside`, `from_columns`, `identity`, `zeros`, and a slice (`row`,
+`column`, `submatrix`) with den = 1 make rows canonical by construction and
+run no pass; with den > 1 a slice may drop the entries that kept
 gcd(den, nums) = 1, so it keeps the pass.  Equality compares forms.  Field
-elements are read in by `_to_ints` and made by `Field.fraction` only at the
-edges (indexing, scalars, JSON), once per instance.  Every entry, both
+elements are read in by `_to_ints` and made by `Field.fraction` only for
+indexing and scalars; JSON is read off the integer form.  Every entry, both
 operands of an operation and every scalar must lie in one field (ValueError
 otherwise).  Gauss-Jordan elimination is fraction-free with first-nonzero
 pivoting (GF(p) has no magnitude order); `unpivoted_column_reduction` runs the
@@ -20,7 +21,7 @@ pair of flags with it.  Indexing is 0-based.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
 
@@ -128,6 +129,12 @@ class _Exact:
         [[num]], den = _to_ints(self.field, [[c]])
         return self._of(self.field, [[num * a for a in r] for r in self.nums], self.den * den)
 
+    def to_json(self):
+        """The rows for JSON, read off the integer form: residues over GF(p), "n/d" in lowest terms over Q."""
+        if not self.field.is_rational:
+            return [list(row) for row in self.nums]
+        return [[f"{a // g}/{self.den // g}" for a in row for g in (gcd(a, self.den),)] for row in self.nums]
+
 
 class Vector(_Exact):
     """An exact column vector with entries in a fixed field."""
@@ -173,8 +180,7 @@ class Vector(_Exact):
         return Vector._of(self.field, self.nums, self.nums[0][i])
 
     def to_json(self):
-        enc = self.field.encode_scalar
-        return [enc(a) for a in self.entries]
+        return _Exact.to_json(self)[0]
 
     def __repr__(self):
         return f"Vector({list(self.entries)})"
@@ -192,11 +198,11 @@ class Matrix(_Exact):
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._of(field, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._canonical(field, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
 
     @classmethod
     def zeros(cls, field: Field, n: int, m: int | None = None) -> "Matrix":
-        return cls._of(field, [(0,) * (n if m is None else m)] * n)
+        return cls._canonical(field, ((0,) * (n if m is None else m),) * n)
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
@@ -204,7 +210,7 @@ class Matrix(_Exact):
         if any(c.field is not field and c.field != field for c in cols):
             raise ValueError(f"columns over a field other than {field}")
         den = lcm(*(c.den for c in cols))
-        return cls._of(field, list(zip(*([a * (den // c.den) for a in c.nums[0]] for c in cols))), den)
+        return cls._canonical(field, tuple(zip(*([a * (den // c.den) for a in c.nums[0]] for c in cols))), den)
 
     @classmethod
     def from_ints(cls, field: Field, rows) -> "Matrix":
@@ -249,8 +255,8 @@ class Matrix(_Exact):
         _check_operands(self, other, self.nrows == other.nrows)
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
-        rows = [[a * sa for a in r] + [b * sb for b in s] for r, s in zip(self.nums, other.nums)]
-        return Matrix._of(self.field, rows, den)
+        rows = tuple([tuple([a * sa for a in r] + [b * sb for b in s]) for r, s in zip(self.nums, other.nums)])
+        return Matrix._canonical(self.field, rows, den)
 
     # --- arithmetic ---
 
@@ -333,10 +339,6 @@ class Matrix(_Exact):
         basis = R.nums[: len(pivots)]
         return Matrix._of(self.field, [[v[i] for v in basis] for i in range(self.nrows)], R.den)
 
-    def to_json(self):
-        enc = self.field.encode_scalar
-        return [[enc(a) for a in row] for row in self.rows]
-
     def __repr__(self):
         return "Matrix([" + ",\n        ".join(str(list(r)) for r in self.rows) + "])"
 
@@ -412,56 +414,58 @@ def flat_rank(mats) -> int:
 
 
 def rank_one_factors(mats):
-    """(W, U) with mats[i] == w_i u_i^T, w_i (column i of W) the first nonzero
-    column of mats[i] and u_i^T (row i of U) the row through its first nonzero
-    entry, divided by that entry; None when some matrix is not of rank one."""
-    factors = []
+    """(W, U) with mats[i] == w_i u_i^T, w_i (column i of W) the first nonzero column of mats[i] and u_i^T
+    (row i of U) the row k through its first nonzero entry pv = row_k[j], divided by pv; None when some matrix
+    is not of rank one, decided on the integer rows: row_r pv = row_r[j] row_k (mod p over GF(p)) for every r."""
+    field, heads = mats[0].field, []
     for M in mats:
+        _check_operands(M, mats[0])
         k, j = next(((k, j) for k, row in enumerate(M.nums) for j, x in enumerate(row) if x), (0, None))
         if j is None:
             return None
-        factors.append((M.column(j), M.row(k).normalized()))
-        if outer(*factors[-1]) != M:
+        top, pv = M.nums[k], M.nums[k][j]
+        cross = (a * pv - row[j] * b for row in M.nums for a, b in zip(row, top))
+        if any(cross if field.is_rational else (x % field.p for x in cross)):
             return None
-    cols, rows = zip(*factors)
-    return Matrix.from_columns(M.field, cols), Matrix.from_columns(M.field, rows).transpose()
+        heads.append((M, top, pv, j))
+    wden, uden = lcm(*(M.den for M, *_ in heads)), lcm(*(pv for _, _, pv, _ in heads))
+    W = [[M.nums[r][j] * (wden // M.den) for M, _, _, j in heads] for r in range(len(mats[0].nums))]
+    U = [[b * (uden // pv) for b in top] for _, top, pv, _ in heads]
+    return Matrix._of(field, W, wden), Matrix._of(field, U, uden)
 
 
 def bidiagonal(field: Field, diag, upper=None) -> Matrix:
     """Diagonal diag with upper on the superdiagonal, or ones on the
     subdiagonal when upper is None."""
-    n = len(diag)
-    rows = [[diag[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
-    for i in range(1, n):
-        if upper is None:
-            rows[i][i - 1] = field.one()
-        else:
-            rows[i - 1][i] = upper[i - 1]
-    return Matrix(field, rows)
+    n, k = len(diag), (1 if upper is None else -1)  # c_i sits at (i + 1, i) below the diagonal, (i, i + 1) above
+    (t, c), den = _to_ints(field, [diag, [field.one()] * (n - 1) if upper is None else upper])
+    return Matrix._of(field, [[t[i] if i == j else c[min(i, j)] if i - j == k else 0 for j in range(n)]
+                              for i in range(n)], den)
 
 
 def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
     """The primitive idempotents E_i = w_i u_i^T of bidiagonal(field, diag, upper).
 
     w_i and u_i^T are the right and left diag[i]-eigenvectors, triangular with
-    w_i[i] = u_i[i] = 1 (so u_i^T w_i = 1); the eigenvalue equations are
-    two-term recurrences, so each E_i takes O(n^2) field operations and no
-    elimination.  Equal to lagrange_idempotent(bidiagonal(...), diag, i).
+    w_i[i] = u_i[i] = 1 (so u_i^T w_i = 1); the eigenvalue equations are two-term recurrences in
+    c_h / (t_i - t_h), where the one denominator of the integers t and c cancels: entry k of the
+    vector below the diagonal is c_i..c_{k-1} prod_{h>k} g_h / prod_{h>i} g_h (g_h = t_i - t_h), of
+    the one above it c_k..c_{i-1} prod_{h<k} g_h / prod_{h<i} g_h, so each E_i is one canonical pass.
+    Equal to lagrange_idempotent(bidiagonal(...), diag, i).
     """
     n = len(diag)
     if len(set(diag)) != n:
         raise DuplicateEigenvalue("diagonal entries must be mutually distinct")
-    c = [field.one()] * (n - 1) if upper is None else upper  # the off-diagonal entries
+    (t, c), _ = _to_ints(field, [diag, [field.one()] * (n - 1) if upper is None else upper])
     out = []
-    for i, th in enumerate(diag):
-        below, above = [field.zero()] * n, [field.zero()] * n  # supported on k >= i, k <= i
-        below[i] = above[i] = field.one()
-        for k in range(i + 1, n):
-            below[k] = c[k - 1] * below[k - 1] / (th - diag[k])
-        for k in range(i - 1, -1, -1):
-            above[k] = c[k] * above[k + 1] / (th - diag[k])
+    for i, ti in enumerate(t):
+        g = [ti - th for th in t]
+        pre = list(accumulate(g[:i], mul, initial=1))  # pre[k] = prod_{h < k} g_h, k <= i
+        suf = list(accumulate(reversed(g[i + 1:]), mul, initial=1))[::-1]  # suf[k - i] = prod_{h > k} g_h, k >= i
+        below = [0] * i + list(map(mul, accumulate(c[i:], mul, initial=1), suf))
+        above = list(map(mul, list(accumulate(reversed(c[:i]), mul, initial=1))[::-1], pre)) + [0] * (n - 1 - i)
         w, u = (below, above) if upper is None else (above, below)
-        out.append(outer(Vector(field, w), Vector(field, u)))
+        out.append(Matrix._of(field, [[a * b for b in u] for a in w], pre[-1] * suf[0]))
     return out
 
 

@@ -594,6 +594,10 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
             raise error
         return sys.parameter_array
 
+    def sized() -> None:  # called first by each check that reads E_d or E*_d, or W and W* as bases
+        if not len(sys.E) == len(sys.Estar) == d + 1:
+            raise DegenerateSplit(f"{len(sys.E)} idempotents E and {len(sys.Estar)} E*, not d + 1 = {d + 1}")
+
     # edge idempotents, char products and bases of F[M], M = A (A*): orthogonal and spectral E_i commute with M,
     # and if the Krylov vectors M^i v of v = e_0 (e_d) have rank d+1, v is cyclic, so the E_i lie in F[M] and
     # X -> X v is one-to-one on F[M] (Horn & Johnson, Matrix Analysis, ch. 3): X is read as X v, else densely.
@@ -608,6 +612,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
         taus, etas = (sys.root_family(kind, bool(s), v) for kind in ("tau", "eta"))
 
         def edge():
+            sized()
             g_d, g_0 = edge_values(array())[k:k + 2]
             return [(etas[d].scale(f.invert(g_0)) == E[0], None), (taus[d].scale(f.invert(g_d)) == E[d], None)]
 
@@ -620,24 +625,24 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     for name, (passed, witness) in edges + chars + bases:
         report.add(name, passed, witness)
 
-    # trace scalars, nu and the sandwich identities: a rank-one E has
-    # E X E = tr(E X) E, so nu E_0 E*_0 E_0 = E_0 reads nu tr(E_0 E*_0) = 1
+    # trace scalars, nu and the sandwich identities: a rank-one E has E X E = tr(E X) E, so nu E_0 E*_0 E_0 = E_0
+    # reads nu tr(E_0 E*_0) = 1; traces() is tr E_0 E*_0, E_0 E*_d, E_d E*_0 and E_d E*_d
     one = f.one()
-    traces = trace_products(sys, 0)[:2] + trace_products(sys, d)[:2]  # tr E_0 E*_0, E_0 E*_d, E_d E*_0, E_d E*_d
+    traces = lambda: sized() or sys.cached("traces", lambda: trace_products(sys, 0)[:2] + trace_products(sys, d)[:2])
     def sandwich(star):
         sys.eigenbasis(star)  # E_0 (resp. E*_0) = w u^T, else DegenerateSplit
-        return [(nu_scalars(array())[0] * traces[0] == one, None)]
+        return [(nu_scalars(array())[0] * traces()[0] == one, None)]
 
     for name, star in (("nu_sandwich_E0", False), ("nu_sandwich_E0star", True)):
         _add_factored(report, [name], lambda: sandwich(star))
 
     def closed_forms():
-        pa = array()
+        pa, direct_edges = array(), traces()
         first = next(({"r": r} for r in range(d + 1)
                       if (direct := trace_products(sys, r)) != trace_products_closed_form(pa, r) or not all(direct)),
                      None)
         values = nu_scalars(pa)
-        ok = all(t * v == one for t, v in zip(traces, values))
+        ok = all(t * v == one for t, v in zip(direct_edges, values))
         scalars = dict(zip(("nu", "nu_down", "nu_ddown", "nu_down_ddown"), map(f.encode_scalar, values)))
         return [(first is None, first), (ok, None if ok else {"scalars": scalars})]
 
@@ -648,6 +653,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # so the F_i resolve the identity exactly when Q P = I.
     def split():
         array()  # raises the extraction error before split_projectors would extract again
+        sized()
         F = split_projectors(sys)
         match, PQ = F == split_projectors_by_intersection(sys), rank_one_factors(F)
         return [(match, None), (PQ is not None and not _off_diagonal(PQ[1] * PQ[0], [one] * (d + 1)), None)]
@@ -676,7 +682,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     def gram():
         G, Ginv = sys.gram, sys.gram_inverse
         fixed = lambda W, U: all(outer(Ginv * U.row(i), G * W.column(i)) == sys.Estar[i] for i in range(d + 1))
-        idempotents = lambda: [(theorem or fixed(*sys.eigenbasis(star=True)), None)]
+        idempotents = lambda: [(theorem or sized() or fixed(*sys.eigenbasis(star=True)), None)]
         return [(True, None)] * 5 + _outcomes(1, idempotents) + [(True, None)]
 
     _add_factored(report, ["gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",

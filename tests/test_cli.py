@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leonard.cli as cli
 from leonard.cli import main
@@ -497,3 +499,34 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["checks"]
+
+
+# --- the report writer against the json module ---
+
+_LONG = st.builds(lambda k, sign: sign * (10**k + 7), st.integers(4301, 4400), st.sampled_from([-1, 1]))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _LONG, st.text(max_size=6))
+# keys and strings with quotes, backslashes, control characters and non-ASCII text
+_KEY = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x7f\u00e9\u2603\U0001f600'), max_size=4)
+_TREE = st.recursive(
+    _SCALAR | st.lists(st.one_of(st.booleans(), st.integers()), max_size=5),  # bool and int mixed in one list
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_KEY, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREE)
+def test_dump_writes_the_bytes_of_json_dumps(tree):
+    """_dump is json.dumps(sort_keys=True, indent=2) plus a newline, with the int/str limit lifted as main lifts it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert cli._dump(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_dump_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+        cli._dump({"x": [Fraction(1, 2)]})

@@ -183,3 +183,16 @@ def test_prime_inverse_matches_fermat(p):
         assert 0 <= inv.r < p and (inv * r).r == 1
     with pytest.raises(ZeroDivisionError):
         PrimeFieldElement(p, 0).inverse()
+
+
+def test_is_rational_is_computed_once_and_leaves_the_value_alone():
+    """is_rational is read once per field and then kept; equality, hash and repr still see kind and p alone,
+    and the methods that perfbench/tracing.py wraps by name stay on the class."""
+    fresh = [Field.rational(), Field.prime(7), Field.from_json({"kind": "prime", "p": 7})]
+    assert [f.is_rational for f in fresh] == [True, False, False]
+    assert [vars(f)["is_rational"] for f in fresh] == [True, False, False]  # kept on the instance
+    assert fresh[1] == fresh[2] == G7 and hash(fresh[1]) == hash(G7) and fresh[0] == Q and hash(fresh[0]) == hash(Q)
+    assert (repr(Q), repr(G7)) == ("Field(kind='rational', p=None)", "Field(kind='prime', p=7)")
+    assert Q != G7 and len({Q, G7, *fresh}) == 2
+    for name in ("invert", "encode_scalar", "decode_scalar"):
+        assert callable(Field.__dict__[name])

@@ -8,15 +8,18 @@ intentional output change, print the new digests with
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FROZEN_ARRAYS, leonard_array
+from leonard import systems
 from leonard.cli import main
 from leonard.fields import Field
 
@@ -134,6 +137,10 @@ for name, obj in (("q_racah_d8", Q_RACAH_D8), ("gfp_racah_d8", GFP_RACAH_D8)):
     for verb in VERBS[:3]:  # exit 0, 1 (not self-dual) and 0
         CASES[f"{name} {verb[0]}"] = (verb, obj)
 CASES["gfp_d20 verify"] = (["verify"], GFP_D20)
+# relatives is the one array verb that reads no budget and certifies nothing: its report is the eight arrays
+for name, obj in (("q0", ARRAYS["q0"]), ("gfp_sd", GFP_SELF_DUAL), ("q_racah_d8", Q_RACAH_D8),
+                  ("gfp_racah_d8", GFP_RACAH_D8)):
+    CASES[f"{name} relatives"] = (["relatives"], obj)
 CASES["search prime:7 d2"] = (["search", "--field", "prime:7", "--d", "2", "--limit", "4"], None)
 CASES["search rational d2"] = (
     ["search", "--field", "rational", "--d", "2", "--limit", "2", "--seed", "7"], None)
@@ -174,6 +181,7 @@ GOLDEN = {
     'gfp_nsd verify': '3e7b555d141c8dc725e9bc15885537ee8aa18ac5485c8681c97ed2cd7ec7f8c2',
     'gfp_racah_d8 bases': '8296081f8da758bd05031078d9edf32fa4ac2caf2fcc91644331f5aee0b6616c',
     'gfp_racah_d8 dualize': '0ca2fd2d8f2768cceba179899fc28ae52404fbc7f9178b3d470b288ea300101c',
+    'gfp_racah_d8 relatives': '12dae7489daca88cd190fa8442c1f24d5b03aca6391a1461bcfb3a528fd0e6e3',
     'gfp_racah_d8 verify': 'af9d46b85cd853d319757e55d03980e35f0e54ff688a09fca43270617c690002',
     'gfp_sd bases': 'fa4c5e7f14d4185c80efee033573cbd7eb6be15b3ce8d697f3e1c740630e34ae',
     'gfp_sd dualize': '073a569584f1c468aa705de38f3d29db20cc5ffc4358ffc5ba38a03ccec168f1',
@@ -181,6 +189,7 @@ GOLDEN = {
     'gfp_sd matrix-of-t --basis etastar-v0': 'af2100ff5cc18baeeb87ba001e4afa8215927493ebbe985bede08616f194abdb',
     'gfp_sd matrix-of-t --basis tau-vstard': '839ad38cde2fbba8bbe3ff19e312480d137362d88996133729145fed698aae34',
     'gfp_sd matrix-of-t --basis taustar-vd': '95dc3d728c8365e4586b3e07ecdd9306a40ebc71c8b0275f58355e4803e61bef',
+    'gfp_sd relatives': '59b37ffb302d0f2212c2e39d1b0989a71f5de964fd66ca97bace78f2b09b609d',
     'gfp_sd verify': '1a8a9e98d31aa5fa56eee1b05da5985bef3e36198f5b731debd0b70dfbbf5ba6',
     'q0 bases': '28242cc3f3233b666858681d6b043773cc92cafb035968989ebbda33d13364f2',
     'q0 dualize': '89cd70d700366d26cca750e8577847d084ec101f4b6cf99379b5716880f118ae',
@@ -188,6 +197,7 @@ GOLDEN = {
     'q0 matrix-of-t --basis etastar-v0': 'fdabf0b3150a466d6365dfde64fb28425cd3be08434b3a03d04d14950737a29e',
     'q0 matrix-of-t --basis tau-vstard': '41edbac21f887ea82a7ff3b29b1b98e276630d37be24ebf06a3399e491e1b9a1',
     'q0 matrix-of-t --basis taustar-vd': '7976beb83ac6293a6aa3438a195dde9025fc13ff60529f6902c3857d22d8621a',
+    'q0 relatives': '9d85dc737fae4ed750bbe59e2a15ffafa9a21a698aa0c2246505bd5c800b6280',
     'q0 verify': '4c009070e5f33a0b98da5df377075980b669424ddb99ee8520448a4ca30d1dc0',
     'q0_not_leonard dualize': 'd24dfb6410848e6a8d2e040fbd9abcd78591caaec7542300ad695d955f3af428',
     'q0_not_leonard verify': 'd54810560238ccb6c58748537f294fc3d66e230553cecee8ed1c08e819cd26bc',
@@ -207,6 +217,7 @@ GOLDEN = {
     'q2 verify': '4a384e515331dd72e5acc3d36e82233590eceba2609a9f278226d34a3d877fd1',
     'q_racah_d8 bases': '71296ad2edd913aaa8f1c48ccf04162449496eb836b3a8e35dc79e8d19aaa2d7',
     'q_racah_d8 dualize': '87b5e1bd7e77b96089710d7fa3f6479b9afa9b3c839e1ffc829d8fae6211eec3',
+    'q_racah_d8 relatives': 'b3c7093dfe2f5a91133ca8ca1154145ab988987152f4b75d91a195886929db6e',
     'q_racah_d8 verify': '548bac09c3b9ff3dea511fbcd03a250d5027d68047ddd882d890841873c5fe5c',
     'q_d20 verify': '5246db3943536001db2a7133f6840e668e4e421082a20d3668cefb0dc74058ff',
     'q_d8_not_leonard verify': '08cb2c15bdc7a854bf26cf432ac2b567d6655f9a49e6e585c6a7316989aaf8f6',
@@ -243,6 +254,19 @@ def digest(argv, obj) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
     assert digest(*CASES[case]) == GOLDEN[case]
+
+
+def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
+    """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "output_digests.py")
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for field in (Field.rational(), Field.prime(GFP["p"])):
+        n = field.from_int
+        for d in tool.Q_RACAH_DS:
+            want = leonard_array(field, d, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2))
+            assert tool.q_racah(SimpleNamespace(systems=systems), field, d) == want.to_json()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -155,13 +155,36 @@ def _bidiagonal_case(draw):
     return field, diag, upper
 
 
+def _bidiagonal_idempotents_by_elements(field, diag, upper=None) -> list:
+    """The reference: each eigenvector by its two-term recurrence in field operations, then w_i u_i^T."""
+    n = len(diag)
+    c = [field.one()] * (n - 1) if upper is None else upper
+    out = []
+    for i, th in enumerate(diag):
+        below, above = [field.zero()] * n, [field.zero()] * n  # supported on k >= i, k <= i
+        below[i] = above[i] = field.one()
+        for k in range(i + 1, n):
+            below[k] = c[k - 1] * below[k - 1] / (th - diag[k])
+        for k in range(i - 1, -1, -1):
+            above[k] = c[k] * above[k + 1] / (th - diag[k])
+        w, u = (below, above) if upper is None else (above, below)
+        out.append(outer(Vector(field, w), Vector(field, u)))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(_bidiagonal_case())
 def test_bidiagonal_idempotents_match_lagrange(case):
+    """Random diagonals and off-diagonals with mixed denominators over Q, and residues over GF(7) and GF(2^31-1)."""
     field, diag, upper = case
     M = bidiagonal(field, diag, upper)
+    ones = [field.one()] * (len(diag) - 1)
+    assert M == _split_pair_oracle(field, diag, diag, ones if upper is None else upper)[upper is not None]
     expected = [lagrange_idempotent(M, diag, i) for i in range(len(diag))]
-    assert bidiagonal_idempotents(field, diag, upper) == expected
+    got = bidiagonal_idempotents(field, diag, upper)
+    assert got == expected == _bidiagonal_idempotents_by_elements(field, diag, upper)
+    for X in (M, *got):
+        _assert_canonical_form(X)
 
 
 def test_is_irreducible_tridiagonal():
@@ -448,6 +471,53 @@ def test_trace_of_product_is_the_trace_of_the_product(case):
     _assert_canonical(field, [t])
 
 
+def _rank_one_factors_by_elements(mats):
+    """The reference: w_i and u_i^T cut from mats[i] and kept when their outer product gives it back."""
+    factors = []
+    for M in mats:
+        k, j = next(((k, j) for k, row in enumerate(M.rows) for j, x in enumerate(row) if x), (0, None))
+        if j is None:
+            return None
+        factors.append((M.column(j), M.row(k).normalized()))
+        if outer(*factors[-1]) != M:
+            return None
+    cols, rows = zip(*factors)
+    return Matrix.from_columns(mats[0].field, cols), Matrix.from_columns(mats[0].field, rows).transpose()
+
+
+@st.composite
+def _rank_one_family(draw):
+    """n x n matrices, each w u^T (w, u of mixed denominators, one may be zero) or any matrix."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mats = []
+    for _ in range(k):
+        w, u, S = draw(_matrix(field, 1, n)).row(0), draw(_matrix(field, 1, n)).row(0), draw(_matrix(field, n, n))
+        mats.append(draw(st.sampled_from([outer(w, u), S])))
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_one_family())
+def test_rank_one_factors_match_the_element_route(mats):
+    found = rank_one_factors(mats)
+    assert found == _rank_one_factors_by_elements(mats)
+    for X in found or ():
+        _assert_canonical_form(X)
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_rank_one_factors_on_rows_proportional_only_mod_p(p):
+    """Over GF(p) the second row is k times the first only mod p: rank one, though the stored integers are not."""
+    field, k = Field.prime(p), (p + 1) // 2  # 2k = 1 mod p
+    M = Matrix.from_ints(field, [[2, 3], [1, 3 * k % p]])
+    assert M.rank() == 1
+    W, U = rank_one_factors([M])
+    assert (W.nums, U.nums) == (((2,), (1,)), ((1, 3 * k % p),))
+    assert outer(W.column(0), U.row(0)) == M
+    assert rank_one_factors([Matrix.from_ints(field, [[2, 3], [1, 3 * k % p + 1]])]) is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_case())
 def test_rank_one_factors_exactly_the_rank_one_matrices(case):
@@ -620,6 +690,44 @@ def test_slices_over_q_keep_the_gcd_pass():
     for X, nums in ((A.column(1), ((0, 1),)), (A.row(1), ((0, 1),)), (A.submatrix(slice(1, 2), slice(1, 2)), ((1,),))):
         assert (X.nums, X.den) == (nums, 1)
     assert (A.transpose().nums, A.transpose().den) == (((1, 0), (0, 2)), 2)
+
+
+# --- constructors and JSON on the integer form, against the element and canonical-pass routes ---
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_case())
+def test_constructors_and_json_match_their_references(case):
+    """from_columns, beside, identity and zeros give the form of `_of`'s pass, with mixed denominators and zero
+    columns over Q; to_json gives the element route's encoding, with negative, zero and mixed-denominator entries."""
+    field, A, A2, _, S, v, _ = case
+    cols = A.columns()
+    den = lcm(*(c.den for c in cols))
+    by_pass = Matrix._of(field, list(zip(*([a * (den // c.den) for a in c.nums[0]] for c in cols))), den)
+    den = lcm(A.den, A2.den)
+    beside = Matrix._of(field, [[a * (den // A.den) for a in r] + [b * (den // A2.den) for b in s]
+                                for r, s in zip(A.nums, A2.nums)], den)
+    n, m = A.shape
+    built = {
+        "from_columns": (Matrix.from_columns(field, cols), by_pass),
+        "beside": (A.beside(A2), beside),
+        "identity": (Matrix.identity(field, n), Matrix._of(field, [[int(i == j) for j in range(n)] for i in range(n)])),
+        "zeros": (Matrix.zeros(field, n, m), Matrix._of(field, [[0] * m] * n)),
+    }
+    for name, (got, want) in built.items():
+        assert (got.den, got.nums) == (want.den, want.nums), name
+        _assert_canonical_form(got)
+    enc = field.encode_scalar
+    for X in (A, S, A * A2.transpose()):
+        assert X.to_json() == [[enc(a) for a in row] for row in X.rows]
+    assert v.to_json() == [enc(a) for a in v.entries]
+
+
+def test_json_examples():
+    assert Matrix(Q, [[F(-6, 4), F(0)], [F(2, 3), F(5)]]).to_json() == [["-3/2", "0/1"], ["2/3", "5/1"]]
+    assert Vector(Q, [F(0), F(-4, 2)]).to_json() == ["0/1", "-2/1"]
+    assert Matrix.from_ints(G7, [[-1, 8]]).to_json() == [[6, 1]]
+    assert Matrix.zeros(Q, 0).to_json() == [] and Matrix.zeros(G7, 2, 0).to_json() == [[], []]
 
 
 # --- the fused root-product step against the step-by-step reference ---

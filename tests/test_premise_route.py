@@ -215,6 +215,27 @@ def test_a_short_family_is_summed_densely(field):
         systems.solve_gram(short)
 
 
+COUNTED = ("edge_idempotent_E0", "edge_idempotent_Ed", "edge_idempotent_E0star", "edge_idempotent_Edstar",
+           "nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "nu_closed_forms_match_traces",
+           "split_projectors_match_intersection", "split_projectors_resolution")
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["E", "Estar"])
+@pytest.mark.parametrize("field", (Q, GFP), ids=["Q", "GF(2^31-1)"])
+def test_a_short_family_gets_a_full_report(field, star):
+    """d idempotents in E (resp. E*): the suite still lists every check, and each check that reads E_d or E*_d,
+    or both families as bases, fails naming the counts; for a short E, solve_gram names them for all seven Gram
+    checks, and for a short E* the dagger check on its factors does."""
+    s = build_system(krawtchouk(field, 3))
+    E, Estar = (s.E, s.Estar[:-1]) if star else (s.E[:-1], s.Estar)
+    report = standard_identity_suite(LeonardSystem(s.A, s.Astar, E, Estar, s.theta, s.theta_star, s.pa))
+    assert [c.name for c in report.checks] == list(SUITE_CHECKS) and not report.all_pass
+    counts = {"error": f"{len(E)} idempotents E and {len(Estar)} E*, not d + 1 = 4"}
+    assert {c.name for c in report.checks if c.witness == counts} == {*COUNTED, *(["dagger_fixes_idempotents"] * star)}
+    gram = {report[name].witness["error"] for name in GRAM_CHECKS if not report[name].passed}
+    assert gram == ({counts["error"]} if star else {"4 eigenvalues and 3 idempotents, not d + 1 = 4"})
+
+
 def test_repeated_theta_star_fails_the_tridiagonal_premise():
     """With theta* repeated, E* is orthogonal and spectral, and the B premise of solve_gram fails all seven."""
     report = standard_identity_suite(estar_repeated_theta(Q, 3))

@@ -1,14 +1,17 @@
-"""One sha256 of (exit status, stdout, stderr) per CLI call of the three benchmark workloads.
+"""One sha256 of (exit status, stdout, stderr) per CLI call of the three benchmark workloads, and more.
 
     python3 tools/output_digests.py SRC > digests.txt
 
 SRC is the `src/` directory of the tree under test.  The calls, their inputs and their order come
 from perfbench/workloads.py of this checkout, at seeds 1-3, and each call runs in process through
-perfbench/run.py's `invoke`, as in the benchmark; both are imported and left unchanged.  The inputs
-of each (workload, seed) are written to a temporary directory that is the working directory while
-the calls run, so the paths in each argv, and so the lines printed, do not depend on where either
-tree lies.  Two trees whose CLI outputs agree byte for byte print the same lines: `diff` the two
-listings.
+perfbench/run.py's `invoke`, as in the benchmark; both are imported and left unchanged.  After the
+calls of each (workload, seed), `relatives` runs on every array that workload generated, as no
+workload calls it.  Last come the q-Racah arrays of `q_racah` at d = 2..8, over Q and over
+GF(2^31 - 1), through verify, relatives, dualize and bases: over Q their W, U and W* have mixed
+denominators, which the benchmark's Krawtchouk arrays never have.  The inputs are written to a
+temporary directory that is the working directory while the calls run, so the paths in each argv,
+and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI outputs
+agree byte for byte print the same lines: `diff` the two listings.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import json
 import os
 import sys
 import tempfile
+from itertools import accumulate
 from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,6 +32,8 @@ import workloads  # noqa: E402
 from run import invoke  # noqa: E402
 
 SEEDS = (1, 2, 3)
+Q_RACAH_DS = range(2, 9)
+Q_RACAH_VERBS = ("verify", "relatives", "dualize", "bases")
 
 
 def load_program(src: str) -> SimpleNamespace:
@@ -36,8 +43,25 @@ def load_program(src: str) -> SimpleNamespace:
     cli = importlib.import_module("leonard.cli")
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"leonard imported from {cli.__file__}, not from {src}")
-    mods = {name: sys.modules[f"leonard.{name}"] for name in ("systems", "duality", "errors")}
+    mods = {name: sys.modules[f"leonard.{name}"] for name in ("systems", "duality", "errors", "fields")}
     return SimpleNamespace(cli=cli, **mods)
+
+
+def q_racah(program, field, d: int) -> dict:
+    """tests/conftest.py::leonard_array(field, d, (1, 2, 7), (1, 3, 4), 13/6, 5/2) as a JSON object, built
+    here because conftest needs pytest: theta and theta* continue by the PA5 recurrence with beta = 13/6
+    (q = 3/2), varphi_2..varphi_d follow from varphi_1 = 5/2 by PA4 and PA3, and the package's
+    complete_parameter_array checks PA1-PA5 and fixes phi."""
+    n = field.from_int
+    beta, varphi_1 = n(13) / n(6), n(5) / n(2)
+    th, ths = [n(1), n(2), n(7)], [n(1), n(3), n(4)]
+    for seq in (th, ths):
+        while len(seq) < d + 1:
+            seq.append(seq[-3] - (beta + 1) * (seq[-2] - seq[-1]))
+    s = list(accumulate(((th[h] - th[d - h]) / (th[0] - th[d]) for h in range(d)), initial=n(0)))
+    phi_1 = varphi_1 + (ths[1] - ths[0]) * (th[d] - th[0])
+    varphi = [varphi_1] + [phi_1 * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]) for i in range(2, d + 1)]
+    return program.systems.complete_parameter_array(field, th[:d + 1], ths[:d + 1], varphi).to_json()
 
 
 def call_digest(program, argv) -> str:
@@ -64,8 +88,19 @@ def main(argv=None) -> int:
                 for seed in SEEDS:
                     workdir = f"{workload}-seed{seed}"
                     os.mkdir(workdir)
-                    for k, op in enumerate(make_inputs(seed, workdir, program).ops):
-                        print(workload, seed, k, call_digest(program, op.argv), " ".join(op.argv), flush=True)
+                    inputs = make_inputs(seed, workdir, program)
+                    argvs = [op.argv for op in inputs.ops] + [("relatives", "--input", p) for p, _ in inputs.arrays]
+                    for k, argv in enumerate(argvs):
+                        print(workload, seed, k, call_digest(program, argv), " ".join(argv), flush=True)
+            fields = program.fields.Field
+            for field in (fields.rational(), fields.prime(2**31 - 1)):
+                for d in Q_RACAH_DS:
+                    path = f"q-racah-{field.kind}-d{d}.json"
+                    with open(path, "w", encoding="utf-8") as fh:
+                        json.dump(q_racah(program, field, d), fh)
+                    for k, verb in enumerate(Q_RACAH_VERBS):
+                        argv = (verb, "--input", path)
+                        print("q-racah", field.kind, d, k, call_digest(program, argv), " ".join(argv), flush=True)
         finally:
             os.chdir(cwd)
     return 0
