@@ -407,12 +407,6 @@ def trace_of_product(X: Matrix, Y: Matrix):
     return X.field.fraction(total, X.den * Y.den)
 
 
-def flat_rank(mats) -> int:
-    """dim span(mats), each matrix read as one vector of its entries; the integer
-    rows serve, as each is the matrix times its nonzero denominator."""
-    return Matrix.from_ints(mats[0].field, (chain.from_iterable(M.nums) for M in mats)).rank()
-
-
 def rank_one_factors(mats):
     """(W, U) with mats[i] == w_i u_i^T, w_i (column i of W) the first nonzero column of mats[i] and u_i^T
     (row i of U) the row k through its first nonzero entry pv = row_k[j], divided by pv; None when some matrix

@@ -11,7 +11,7 @@ reports, ``certify`` raises NotALeonardPair on any failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import prod
 from operator import mul
@@ -24,7 +24,6 @@ from .linalg import (
     bidiagonal,
     bidiagonal_idempotents,
     flag_decomposition,
-    flat_rank,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
     outer,
@@ -281,6 +280,13 @@ def _off_diagonal(M: Matrix, diag):
                  if (f.fraction(a, den) != diag[i] if i == j else a)), None)
 
 
+def _sized(sys: LeonardSystem, star: bool) -> None:
+    """d+1 idempotents E (resp. E*), the premise of each check that reads them as a basis; else DegenerateSplit."""
+    mats = sys.Estar if star else sys.E
+    if len(mats) != sys.d + 1:
+        raise DegenerateSplit(f"{len(mats)} idempotents {'E*' if star else 'E'}, not d + 1 = {sys.d + 1}")
+
+
 def _idempotent_checks(report, sys: LeonardSystem, star: bool):
     """With E_i = w_i u_i^T, E_i E_j = (u_i^T w_j) w_i u_j^T: the family is orthogonal exactly when U W = I, and the
     first (i, j) with (U W)_ij != delta_ij is the first failing product.  Then, with d+1 of each, W U = I, so sum E_i
@@ -306,11 +312,10 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
     """Check the defining axioms; failures are report entries, never exceptions."""
     report = VerificationReport()
 
-    for name, star, X in (
-        ("tridiagonal_Astar_in_A_eigenbasis", False, "Astar"),
-        ("tridiagonal_A_in_Astar_eigenbasis", True, "A"),
-    ):
-        _add_factored(report, [name], lambda: [(is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None)])
+    for name, star, X in (("tridiagonal_Astar_in_A_eigenbasis", False, "Astar"),
+                          ("tridiagonal_A_in_Astar_eigenbasis", True, "A")):  # each reads one family as a basis
+        _add_factored(report, [name], lambda: _sized(sys, star) or [
+            (is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None)])
 
     report.add(
         "standard_orderings",
@@ -594,36 +599,40 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
             raise error
         return sys.parameter_array
 
-    def sized() -> None:  # called first by each check that reads E_d or E*_d, or W and W* as bases
-        if not len(sys.E) == len(sys.Estar) == d + 1:
-            raise DegenerateSplit(f"{len(sys.E)} idempotents E and {len(sys.Estar)} E*, not d + 1 = {d + 1}")
+    sized = lambda: _sized(sys, False) or _sized(sys, True)  # first in each check that reads both families
 
-    # edge idempotents, char products and bases of F[M], M = A (A*): orthogonal and spectral E_i commute with M,
-    # and if the Krylov vectors M^i v of v = e_0 (e_d) have rank d+1, v is cyclic, so the E_i lie in F[M] and
-    # X -> X v is one-to-one on F[M] (Horn & Johnson, Matrix Analysis, ch. 3): X is read as X v, else densely.
-    edges, chars, bases = [], [], []  # (name, (passed, witness)) for A, then for A*
-    for s, M, theta, j, k in (("", sys.A, sys.theta, 0, 0), ("star", sys.Astar, sys.theta_star, d, 2)):
-        v = Matrix.identity(f, d + 1).column(j)
+    # edge idempotents, char products and bases of F[M], M = A (A*), on one cyclic v (Horn & Johnson, Matrix Analysis,
+    # ch. 3), given E (E*) of d+1 idempotents, orthogonal and spectral, and d+1 distinct theta (theta*): then F[M] holds
+    # E_i, the tau/eta families and M^i, and M^i v are W diag(U v) times a Vandermonde matrix, so v = e_0 (e_d) is
+    # cyclic when column 0 (d) of U has no zero, as in every split form, and v = sum w_i always is
+    @cache
+    def cyclic(star: bool) -> tuple:
+        """(E_i v, tau_i(M) v, eta_i(M) v), i = 0..d, and the char and bases outcomes; else the failed premise."""
+        mats, M, theta, j = (sys.Estar, sys.Astar, sys.theta_star, d) if star else (sys.E, sys.A, sys.theta, 0)
+        _sized(sys, star)
+        if failed := [c for c in ("orthogonal", "spectral") if not report[f"idempotents_E{'star' * star}_{c}"].passed]:
+            raise DegenerateSplit(f"idempotents_E{'star' * star}_{failed[0]} fails")
+        if not len(set(theta)) == len(theta) == d + 1:
+            raise DegenerateSplit(f"theta{'*' * star} is not d + 1 = {d + 1} distinct values")
+        W, U = sys.eigenbasis(star)
+        v, Ev = ((Matrix.identity(f, d + 1).column(j), [X.column(j) for X in mats]) if all(r[j] for r in U.nums)
+                 else (W * Vector(f, [f.one()] * (d + 1)), list(W.columns())))  # E_i v = w_i
+        taus, etas = (sys.root_family(kind, star, v) for kind in ("tau", "eta"))
         powers = root_product_family(M, [f.zero()] * d, v)
-        if not (report[f"idempotents_E{s}_orthogonal"].passed and report[f"idempotents_E{s}_spectral"].passed
-                and Matrix.from_columns(f, powers).rank() == d + 1):
-            v, powers = None, root_product_family(M, [f.zero()] * d)
-        E = [X if v is None else X.column(j) for X in (sys.Estar if s else sys.E)]  # E_i e_j
-        taus, etas = (sys.root_family(kind, bool(s), v) for kind in ("tau", "eta"))
+        ranks = [Matrix.from_columns(f, fam).rank() for fam in (Ev, taus, etas, powers)]
+        return Ev, taus, etas, [(root_product_family(M, theta[d:], taus[d])[-1].is_zero(), None),
+                                (ranks == [d + 1] * 4, {"ranks": ranks, "union": d + 1})]  # on v, the powers span V
 
-        def edge():
-            sized()
-            g_d, g_0 = edge_values(array())[k:k + 2]
-            return [(etas[d].scale(f.invert(g_0)) == E[0], None), (taus[d].scale(f.invert(g_d)) == E[d], None)]
+    def edge(star):
+        g_d, g_0 = edge_values(array())[2 * star:][:2]  # the extraction error before the premises
+        Ev, taus, etas, _ = cyclic(star)
+        return [(etas[d].scale(f.invert(g_0)) == Ev[0], None), (taus[d].scale(f.invert(g_d)) == Ev[d], None)]
 
-        edges += zip((f"edge_idempotent_E0{s}", f"edge_idempotent_Ed{s}"), _outcomes(2, edge))
-        chars.append((f"char_product_A{s}", (root_product_family(M, theta[d:], taus[d])[-1].is_zero(), None)))
-        rank = flat_rank if v is None else lambda fam: Matrix.from_columns(f, fam).rank()
-        ranks = [rank(fam) for fam in (E, taus, etas, powers)]
-        union = flat_rank([*E, *taus, *etas, *powers]) if v is None else d + 1  # on v, the powers span V
-        bases.append((f"subalgebra_three_bases_A{s}", ({*ranks, union} == {d + 1}, {"ranks": ranks, "union": union})))
-    for name, (passed, witness) in edges + chars + bases:
-        report.add(name, passed, witness)
+    for names, check in ((("edge_idempotent_E0", "edge_idempotent_Ed"), edge),
+                         (("char_product_A",), lambda star: cyclic(star)[3][:1]),
+                         (("subalgebra_three_bases_A",), lambda star: cyclic(star)[3][1:])):
+        for star in (False, True):
+            _add_factored(report, [name + "star" * star for name in names], lambda: check(star))
 
     # trace scalars, nu and the sandwich identities: a rank-one E has E X E = tr(E X) E, so nu E_0 E*_0 E_0 = E_0
     # reads nu tr(E_0 E*_0) = 1; traces() is tr E_0 E*_0, E_0 E*_d, E_d E*_0 and E_d E*_d
@@ -675,15 +684,10 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     _add_factored(report, ["split_pairing_delta"], pairing)
 
     # the bilinear form and its antiautomorphism: theorems of solve_gram's premises (a failed one fails all seven), and
-    # of E* orthogonal and spectral for dagger_fixes_idempotents, else (w u^T)^dagger = (G^-1 u)(G w)^T on E*'s factors
-    theorem = len(sys.Estar) == d + 1 and all(report[f"idempotents_Estar_{c}"].passed
-                                              for c in ("orthogonal", "spectral"))
-
+    # dagger_fixes_idempotents also of the premises of the F[M] checks on A*, whose first failed one is its witness
     def gram():
-        G, Ginv = sys.gram, sys.gram_inverse
-        fixed = lambda W, U: all(outer(Ginv * U.row(i), G * W.column(i)) == sys.Estar[i] for i in range(d + 1))
-        idempotents = lambda: [(theorem or sized() or fixed(*sys.eigenbasis(star=True)), None)]
-        return [(True, None)] * 5 + _outcomes(1, idempotents) + [(True, None)]
+        sys.cached("gram", lambda: solve_gram(sys))
+        return [(True, None)] * 5 + _outcomes(1, lambda: cyclic(True) and [(True, None)]) + [(True, None)]
 
     _add_factored(report, ["gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
                            "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from leonard.errors import ExhaustedTrials, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
 from leonard.linalg import Matrix, eval_root_product, intersect_column_spaces
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
-from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array
+from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array, verify_axioms
 
 GF7 = Field.prime(7)
 RATIONAL = Field.rational()
@@ -270,6 +271,28 @@ def dense_family(sys: LeonardSystem, kind: str, star: bool = False) -> list:
     M, theta = (sys.Astar, sys.theta_star) if star else (sys.A, sys.theta)
     roots = lambda i: theta[:i] if kind == "tau" else theta[len(theta) - i:]
     return [eval_root_product(roots(i), M) for i in range(sys.d + 1)]
+
+
+def flat_rank(mats) -> int:
+    """dim span(mats), each matrix read as one vector of its entries; the integer rows serve, as each is the
+    matrix times its nonzero denominator: the dense rank in the references of the F[M] checks."""
+    return Matrix.from_ints(mats[0].field, (chain.from_iterable(M.nums) for M in mats)).rank()
+
+
+def premise_error(sys: LeonardSystem, star: bool) -> str | None:
+    """The witness of the first failed premise of the F[M] checks on A (resp. A*), and on A* of
+    `dagger_fixes_idempotents`, else None: the count of E (resp. E*), then its orthogonal and spectral
+    axioms, read off `verify_axioms` (whose entries tests/test_factor_route.py and
+    tests/test_premise_route.py check densely), then d+1 distinct theta (theta*)."""
+    d, mats, theta = sys.d, sys.Estar if star else sys.E, sys.theta_star if star else sys.theta
+    if len(mats) != d + 1:
+        return f"{len(mats)} idempotents {'E*' if star else 'E'}, not d + 1 = {d + 1}"
+    label, axioms = "Estar" if star else "E", verify_axioms(sys)
+    failed = [c for c in ("orthogonal", "spectral") if not axioms[f"idempotents_{label}_{c}"].passed]
+    if failed:
+        return f"idempotents_{label}_{failed[0]} fails"
+    distinct = len(set(theta)) == len(theta) == d + 1
+    return None if distinct else f"theta{'*' if star else ''} is not d + 1 = {d + 1} distinct values"
 
 
 def dense_sum(lefts, mid: Matrix, rights) -> Matrix:

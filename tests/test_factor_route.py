@@ -29,7 +29,7 @@ from leonard.systems import (
     verify_axioms,
 )
 
-from conftest import gram_by_nullspace, leonard_arrays, split_subspace
+from conftest import gram_by_nullspace, leonard_arrays, premise_error, split_subspace
 
 Q = Field.rational()
 FIELDS = (Q, Field.prime(7), Field.prime(2**31 - 1))
@@ -144,10 +144,13 @@ def _nu_traces(sys):
 
 
 def _dagger_fixes_idempotents(sys):
+    """The dagger fixes each E_i and E*_i; a failed premise of `solve_gram`, then of E* (`premise_error`), fails it."""
     try:
-        return all(sys.dagger(E) == E for E in sys.E + sys.Estar), None
+        fixed = all(sys.dagger(E) == E for E in sys.E + sys.Estar)
     except DegenerateSplit as exc:
         return False, {"error": str(exc)}
+    error = premise_error(sys, True)
+    return (False, {"error": error}) if error else (fixed, None)
 
 
 def dense_checks(sys) -> dict:

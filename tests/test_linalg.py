@@ -20,7 +20,6 @@ from leonard.linalg import (
     intersect_column_spaces,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
-    flat_rank,
     outer,
     rank_one_factors,
     root_product_family,
@@ -29,6 +28,8 @@ from leonard.linalg import (
     transition_matrix,
     unpivoted_column_reduction,
 )
+
+from conftest import flat_rank
 
 Q = Field.rational()
 G7 = Field.prime(7)

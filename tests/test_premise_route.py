@@ -3,10 +3,10 @@
 `verify_axioms` and `standard_identity_suite` decide `idempotents_{E,Estar}_sum` and `_spectral` on the
 factors E_i = w_i u_i^T once the family is orthogonal (U W = I, with d+1 idempotents and eigenvalues): the sum
 is W U = I, and the spectral check is M w_i = theta_i w_i.  Six of the seven Gram checks are theorems of the
-premises of `solve_gram`, and `dagger_fixes_idempotents` is one once E* is orthogonal and spectral too; it is
-tested on the factors of E* otherwise.  The reference below is the dense form of the eleven checks: the sums of
-d+1 matrices, and the Gram checks as products with G and G^-1; the suite must agree with it check for check,
-witness included, on every route.
+premises of `solve_gram`, and `dagger_fixes_idempotents` is one of them and of the premises of the F[M] checks on
+A* (`tests/conftest.py::premise_error`): it fails naming the first of those that fails.  The reference
+below is the dense form of the eleven checks: the sums of d+1 matrices, and the Gram checks as products with G
+and G^-1; the suite must agree with it check for check, witness included, on every route.
 """
 
 import random
@@ -21,8 +21,9 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, outer
 from leonard.systems import LeonardSystem, build_system, certify, standard_identity_suite, verify_axioms
 
-from conftest import GRAM_CHECKS, SUITE_CHECKS, leonard_array, leonard_arrays
-from test_cyclic_route import hand_built, perturbed_arrays, w_inverse_conjugate
+from conftest import GRAM_CHECKS, SUITE_CHECKS, leonard_array, leonard_arrays, premise_error
+from test_cyclic_route import (estar_off_spectrum, estar_repeated_theta, hand_built, perturbed_arrays,
+                               w_inverse_conjugate)
 from test_factor_route import _conjugator, krawtchouk
 from test_systems import _hand_built_systems
 
@@ -49,7 +50,7 @@ def dense_sums(sys) -> dict:
 
 def dense_gram(sys) -> dict:
     """name -> (passed, witness) of the seven Gram checks as products with (G, G^-1) from `solve_gram`; a failed
-    premise fails all seven with it as witness, an idempotent family that does not factor the idempotent check."""
+    premise fails all seven with it as witness, a failed premise of E* the idempotent check."""
     f, d = sys.field, sys.d
     try:
         G, Ginv = systems.solve_gram(sys)
@@ -57,13 +58,11 @@ def dense_gram(sys) -> dict:
         return dict.fromkeys(GRAM_CHECKS, (False, {"error": str(exc)}))
     Gt = G.transpose()
     dagger = lambda X: Ginv * X.transpose() * G
-    try:
-        # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
-        idempotents = all(outer(Ginv * U.row(i), Gt * W.column(i)) == mats[i]
-                          for mats, (W, U) in ((sys.E, sys.eigenbasis()), (sys.Estar, sys.eigenbasis(star=True)))
-                          for i in range(d + 1)), None
-    except DegenerateSplit as exc:
-        idempotents = False, {"error": str(exc)}
+    # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
+    idempotents = (False, {"error": error}) if (error := premise_error(sys, True)) else (
+        all(outer(Ginv * U.row(i), Gt * W.column(i)) == mats[i]
+            for mats, (W, U) in ((sys.E, sys.eigenbasis()), (sys.Estar, sys.eigenbasis(star=True)))
+            for i in range(d + 1)), None)
     probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
     verdicts = (G == Gt, sys.A.transpose() * G == G * sys.A, sys.Astar.transpose() * G == G * sys.Astar,
                 dagger(sys.A) == sys.A, dagger(sys.Astar) == sys.Astar)
@@ -84,14 +83,6 @@ def assert_matches_dense(sys):
 # --- inputs ---
 
 
-def estar_off_spectrum(field, d):
-    """E* orthogonal, but theta*_0 and theta*_1 exchanged, so A* != sum theta*_i E*_i: the Gram premises hold,
-    and `dagger_fixes_idempotents` is tested on the factors of E*."""
-    s = build_system(krawtchouk(field, d))
-    ths = (s.theta_star[1], s.theta_star[0], *s.theta_star[2:])
-    return LeonardSystem(s.A, s.Astar, s.E, s.Estar, s.theta, ths, s.pa)
-
-
 def estar_conjugated(field, d):
     """E*_i replaced by K E*_i K^-1, K = I + e_0 e_1^T: still orthogonal, but not spectral for A*, and not fixed by
     the dagger of (A, A*), so `dagger_fixes_idempotents` fails on the factors of E*."""
@@ -102,23 +93,14 @@ def estar_conjugated(field, d):
     return LeonardSystem(s.A, s.Astar, s.E, [K * X * Kinv for X in s.Estar], s.theta, s.theta_star, s.pa)
 
 
-def estar_repeated_theta(field, d):
-    """A*' = sum theta*'_i E*_i for theta*' = theta* with theta*_1 := theta*_0: E* factors, is orthogonal and
-    spectral, but A*' has a plane for an eigenspace, so U A*' W cannot be irreducible tridiagonal."""
-    s = build_system(krawtchouk(field, d))
-    ths = (s.theta_star[0], s.theta_star[0], *s.theta_star[2:])
-    Astar = sum((Ei.scale(th) for th, Ei in zip(ths, s.Estar)), Matrix.zeros(field, d + 1))
-    return LeonardSystem(s.A, Astar, s.E, s.Estar, s.theta, ths, s.pa)
-
-
 # --- premise route == dense reference ---
 
 
 def assert_array_matches_dense(pa, s=None):
-    """The system of a Leonard array (s, when given), a dense conjugate and the conjugate by W^-1 all pass, and
-    match the reference."""
+    """The system of a Leonard array (s, when given), a dense conjugate and the conjugates by W^-1 and W*^-1 all
+    pass, and match the reference."""
     s = build_system(pa) if s is None else s
-    for sys in (s, s.conjugated(_conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s)):
+    for sys in (s, s.conjugated(_conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True)):
         assert assert_matches_dense(sys).all_pass
 
 
@@ -190,14 +172,14 @@ def test_premises_decide_the_eleven_checks(monkeypatch):
     assert len(solved) == 1
 
 
-@pytest.mark.parametrize("build, fixed", [(estar_off_spectrum, True), (estar_conjugated, False)],
-                         ids=["off-spectrum", "conjugated"])
-def test_estar_off_spectrum_takes_the_factor_route(build, fixed):
-    """E* orthogonal but not spectral: the six theorems hold, and the dagger is tested on the factors of E*."""
+@pytest.mark.parametrize("build", [estar_off_spectrum, estar_conjugated], ids=["off-spectrum", "conjugated"])
+def test_estar_off_spectrum_fails_the_dagger_premise(build):
+    """E* orthogonal but not spectral: the six theorems of solve_gram hold, and the dagger check fails naming the
+    premise, whether or not the dagger fixes each E*_i (it does when theta*_0 and theta*_1 are exchanged)."""
     report = standard_identity_suite(build(Q, 3))
     assert report["idempotents_Estar_orthogonal"].passed and not report["idempotents_Estar_spectral"].passed
-    failing = {name for name in GRAM_CHECKS if not report[name].passed}
-    assert failing == (set() if fixed else {"dagger_fixes_idempotents"})
+    assert {name: report[name].witness for name in GRAM_CHECKS if not report[name].passed} == {
+        "dagger_fixes_idempotents": {"error": "idempotents_Estar_spectral fails"}}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -215,25 +197,49 @@ def test_a_short_family_is_summed_densely(field):
         systems.solve_gram(short)
 
 
-COUNTED = ("edge_idempotent_E0", "edge_idempotent_Ed", "edge_idempotent_E0star", "edge_idempotent_Edstar",
-           "nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "nu_closed_forms_match_traces",
-           "split_projectors_match_intersection", "split_projectors_resolution")
+# the checks that read E_d and E*_d, or both families as bases
+BOTH = ("nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "nu_closed_forms_match_traces",
+        "split_projectors_match_intersection", "split_projectors_resolution")
+# the checks that read one family as a basis: E, then E*
+ONE = {False: ("tridiagonal_Astar_in_A_eigenbasis", "edge_idempotent_E0", "edge_idempotent_Ed", "char_product_A",
+               "subalgebra_three_bases_A"),
+       True: ("tridiagonal_A_in_Astar_eigenbasis", "edge_idempotent_E0star", "edge_idempotent_Edstar",
+              "char_product_Astar", "subalgebra_three_bases_Astar", "dagger_fixes_idempotents")}
+
+
+def _short(field, star):
+    """The d = 3 Krawtchouk system with only the first d idempotents of E (resp. E*)."""
+    s = build_system(krawtchouk(field, 3))
+    E, Estar = (s.E, s.Estar[:-1]) if star else (s.E[:-1], s.Estar)
+    return LeonardSystem(s.A, s.Astar, E, Estar, s.theta, s.theta_star, s.pa)
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["E", "Estar"])
+@pytest.mark.parametrize("field", (Q, GFP), ids=["Q", "GF(2^31-1)"])
+def test_a_short_family_fails_its_tridiagonal_axiom(field, star):
+    """d idempotents in E (resp. E*): U W = I for the d x d block, and U A* W (resp. U* A W*) is the d x d
+    compression, irreducible tridiagonal; the axiom that reads that family as a basis fails naming its count."""
+    report = verify_axioms(_short(field, star))
+    name = "tridiagonal_A_in_Astar_eigenbasis" if star else "tridiagonal_Astar_in_A_eigenbasis"
+    other = "tridiagonal_Astar_in_A_eigenbasis" if star else "tridiagonal_A_in_Astar_eigenbasis"
+    assert report[name].witness == {"error": f"3 idempotents {'E*' if star else 'E'}, not d + 1 = 4"}
+    assert report[other].passed and not report["standard_orderings"].passed
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["E", "Estar"])
 @pytest.mark.parametrize("field", (Q, GFP), ids=["Q", "GF(2^31-1)"])
 def test_a_short_family_gets_a_full_report(field, star):
-    """d idempotents in E (resp. E*): the suite still lists every check, and each check that reads E_d or E*_d,
-    or both families as bases, fails naming the counts; for a short E, solve_gram names them for all seven Gram
-    checks, and for a short E* the dagger check on its factors does."""
-    s = build_system(krawtchouk(field, 3))
-    E, Estar = (s.E, s.Estar[:-1]) if star else (s.E[:-1], s.Estar)
-    report = standard_identity_suite(LeonardSystem(s.A, s.Astar, E, Estar, s.theta, s.theta_star, s.pa))
+    """d idempotents in E (resp. E*): the suite still lists every check, and each check that reads both families,
+    or the short one as a basis, fails naming its count; for a short E, solve_gram names the counts for all seven
+    Gram checks, and for a short E* the premise of the dagger check does.  The F[M] checks of the other family
+    pass."""
+    report = standard_identity_suite(_short(field, star))
     assert [c.name for c in report.checks] == list(SUITE_CHECKS) and not report.all_pass
-    counts = {"error": f"{len(E)} idempotents E and {len(Estar)} E*, not d + 1 = 4"}
-    assert {c.name for c in report.checks if c.witness == counts} == {*COUNTED, *(["dagger_fixes_idempotents"] * star)}
+    counts = {"error": f"3 idempotents {'E*' if star else 'E'}, not d + 1 = 4"}
+    assert {c.name for c in report.checks if c.witness == counts} == {*BOTH, *ONE[star]}
     gram = {report[name].witness["error"] for name in GRAM_CHECKS if not report[name].passed}
     assert gram == ({counts["error"]} if star else {"4 eigenvalues and 3 idempotents, not d + 1 = 4"})
+    assert all(report[name].passed for name in ONE[not star][1:5])
 
 
 def test_repeated_theta_star_fails_the_tridiagonal_premise():

@@ -170,14 +170,25 @@ WITHOUT_MUTATION = {
 # (U A W = diag(theta) is idempotents_E_spectral once U W = I), and it tests theta distinct itself.  The sums hold
 # by construction once U W = I with d+1 idempotents and eigenvalues, and the spectral checks then read
 # M w_i = theta_i w_i; a failed premise fails the Gram checks with it as witness, and the sums are formed densely
-# (`tests/test_premise_route.py`).
+# (`tests/test_premise_route.py`).  The eight F[M] checks on A (resp. A*) read one cyclic vector once E (resp. E*)
+# has d+1 members, is orthogonal and spectral and theta (resp. theta*) is distinct, and a failed premise fails
+# the four with it as witness (`tests/test_cyclic_route.py`); so does dagger_fixes_idempotents on E*.  Premises
+# that no check of the report states are named in STATED.
+STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*")
 SOLVE_GRAM_PREMISES = ("idempotents_E_rank_one", "theta distinct", "idempotents_E_orthogonal",
                        "idempotents_E_spectral", "tridiagonal_Astar_in_A_eigenbasis")
+F_M_PREMISES = {star: (f"d+1 idempotents E{'*' * star}", f"idempotents_E{'star' * star}_orthogonal",
+                       f"idempotents_E{'star' * star}_spectral", f"theta{'*' * star} distinct")
+                for star in (False, True)}
+F_M_CHECKS = {star: tuple(name + "star" * star for name in ("edge_idempotent_E0", "edge_idempotent_Ed",
+                                                             "char_product_A", "subalgebra_three_bases_A"))
+              for star in (False, True)}
 FROM_PREMISES = {
     **dict.fromkeys(GRAM_CHECKS, SOLVE_GRAM_PREMISES),
-    "dagger_fixes_idempotents": (*SOLVE_GRAM_PREMISES, "idempotents_Estar_orthogonal", "idempotents_Estar_spectral"),
+    "dagger_fixes_idempotents": (*SOLVE_GRAM_PREMISES, *F_M_PREMISES[True]),
     **{f"idempotents_{label}_{sums}": (f"idempotents_{label}_orthogonal",)
        for label in ("E", "Estar") for sums in ("sum", "spectral")},
+    **{name: F_M_PREMISES[star] for star, names in F_M_CHECKS.items() for name in names},
 }
 
 SWEEP_CHECKS = {
@@ -198,11 +209,12 @@ def test_every_sweep_check_is_pinned_or_listed():
 
 
 def test_every_decided_check_names_premises_that_run_first():
-    assert set(FROM_PREMISES) == {*GRAM_CHECKS, *(f"idempotents_{label}_{sums}" for label in ("E", "Estar")
-                                                  for sums in ("sum", "spectral"))}
+    assert set(FROM_PREMISES) == {*GRAM_CHECKS, *F_M_CHECKS[False], *F_M_CHECKS[True],
+                                  *(f"idempotents_{label}_{sums}" for label in ("E", "Estar")
+                                    for sums in ("sum", "spectral"))}
     assert not set(FROM_PREMISES) & (SWEEP_CHECKS | set(WITHOUT_MUTATION))
     for name, premises in FROM_PREMISES.items():
-        checked = [p for p in premises if p != "theta distinct"]
+        checked = [p for p in premises if p not in STATED]
         assert all(SUITE_CHECKS.index(p) < SUITE_CHECKS.index(name) for p in checked), name
 
 
@@ -301,8 +313,12 @@ MEMO_PINS = {
     # U W of E: the orthogonality axiom, and a premise of the Gram solver
     ("UW_witness", False): ({"i": 1, "j": 2}, {
         "idempotents_E_orthogonal": {"i": 1, "j": 2},
+        **dict.fromkeys(F_M_CHECKS[False], {"error": "idempotents_E_orthogonal fails"}),
         **dict.fromkeys(GRAM_CHECKS, {"error": "U W is not I at (i, j) = (1, 2)"})}),
-    ("UW_witness", True): ({"i": 2, "j": 0}, {"idempotents_Estar_orthogonal": {"i": 2, "j": 0}}),
+    ("UW_witness", True): ({"i": 2, "j": 0}, {
+        "idempotents_Estar_orthogonal": {"i": 2, "j": 0},
+        **dict.fromkeys((*F_M_CHECKS[True], "dagger_fixes_idempotents"),
+                        {"error": "idempotents_Estar_orthogonal fails"})}),
     # U A* W: the tridiagonal axiom, and B of the Gram solver, whose premise it fails
     ("change_of_basis", False, "Astar", False): ((0, 2), {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None,
@@ -422,17 +438,20 @@ PREMISE_PINS = {
     "B-reducible": (_reducible_b, {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None,
         **dict.fromkeys(GRAM_CHECKS, {"error": B_ERROR})}),
-    # U A W = diag(theta) fails at (0, 1): the E spectral check, and the premise of solve_gram
+    # U A W = diag(theta) fails at (0, 1): the E spectral check, the premise of the F[M] checks on A and of
+    # solve_gram
     "W-mixed": (_mixed_eigenbasis(False), {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None, "idempotents_E_spectral": None,
+        **dict.fromkeys(F_M_CHECKS[False], {"error": "idempotents_E_spectral fails"}),
         **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"),
                         {"error": "split component is not one-dimensional"}),
         **dict.fromkeys(GRAM_CHECKS, {"error": UAW_ERROR})}),
-    # E* is orthogonal but not spectral on its factors: the dagger is tested on them, and E*_1 is not w*_1 u*_1^T
+    # E* is orthogonal but not spectral on its factors: the premise of the F[M] checks on A* and of the dagger check
     "Wstar-mixed": (_mixed_eigenbasis(True), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None, "idempotents_Estar_spectral": None,
+        **dict.fromkeys((*F_M_CHECKS[True], "dagger_fixes_idempotents"), {"error": "idempotents_Estar_spectral fails"}),
         "split_projectors_match_intersection": None, "split_projectors_resolution": None,
-        "split_pairing_delta": {"i": 0, "j": 1}, "dagger_fixes_idempotents": None}),
+        "split_pairing_delta": {"i": 0, "j": 1}}),
 }
 
 
