@@ -11,7 +11,7 @@ reports, ``certify`` raises NotALeonardPair on any failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 from math import prod
 from operator import mul
@@ -215,10 +215,10 @@ class LeonardSystem:
         return u.dot(self.gram * v)
 
     def eigenbasis(self, star: bool = False) -> tuple:
-        """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U
-        (`rank_one_factors`, memoised); DegenerateSplit naming the first E_i not of rank one."""
+        """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U (`rank_one_factors`,
+        memoised); DegenerateSplit naming the first E_i not of rank one, or the count of an empty family (`_sized`)."""
         mats = self.Estar if star else self.E
-        found = self.cached(("eigenbasis", star), lambda: rank_one_factors(mats))
+        found = self.cached(("eigenbasis", star), lambda: rank_one_factors(mats) if mats else _sized(self, star))
         if found is None:
             i = next(i for i, M in enumerate(mats) if M.rank() != 1)
             raise DegenerateSplit(f"idempotent {'E*' if star else 'E'}_{i} is not of rank one")
@@ -601,36 +601,34 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
 
     sized = lambda: _sized(sys, False) or _sized(sys, True)  # first in each check that reads both families
 
-    # edge idempotents, char products and bases of F[M], M = A (A*), on one cyclic v (Horn & Johnson, Matrix Analysis,
-    # ch. 3), given E (E*) of d+1 idempotents, orthogonal and spectral, and d+1 distinct theta (theta*): then F[M] holds
-    # E_i, the tau/eta families and M^i, and M^i v are W diag(U v) times a Vandermonde matrix, so v = e_0 (e_d) is
-    # cyclic when column 0 (d) of U has no zero, as in every split form, and v = sum w_i always is
-    @cache
-    def cyclic(star: bool) -> tuple:
-        """(E_i v, tau_i(M) v, eta_i(M) v), i = 0..d, and the char and bases outcomes; else the failed premise."""
-        mats, M, theta, j = (sys.Estar, sys.Astar, sys.theta_star, d) if star else (sys.E, sys.A, sys.theta, 0)
+    # edge idempotents, char products and bases of F[M], M = A (A*), given E (E*) of d+1 idempotents, orthogonal and
+    # spectral, and d+1 distinct theta (theta*): then U W = I, M = W diag(theta) U, and c = U v has no zero entry for
+    # v = e_0 (e_d) when column 0 (d) of U has none, as in every split form, else for v = sum w_i (c = 1).  E_i v is
+    # c_i w_i; tau_i(M) v is W diag(c) times a triangular matrix with diagonal tau_i(theta_i) != 0; eta_i(M) v the same
+    # with diagonal eta_i(theta_{d-i}) != 0; M^i v is W diag(c) times a Vandermonde matrix of the distinct theta; and
+    # X -> X v is one-to-one on F[M].  So each family is a basis of F[M], and tau_{d+1}(M) = W diag(tau_{d+1}(theta_k))
+    # U = 0 (Terwilliger, LAA 330 (2001); Horn & Johnson, Matrix Analysis, ch. 3): char_product_* and
+    # subalgebra_three_bases_* pass once the premises hold; the edge checks read E_0 v, E_d v, tau_d(M) v, eta_d(M) v
+    def premises(star: bool) -> tuple:
+        """(W, U) for E (E*) once the premises hold; else DegenerateSplit naming the first that fails."""
         _sized(sys, star)
         if failed := [c for c in ("orthogonal", "spectral") if not report[f"idempotents_E{'star' * star}_{c}"].passed]:
             raise DegenerateSplit(f"idempotents_E{'star' * star}_{failed[0]} fails")
-        if not len(set(theta)) == len(theta) == d + 1:
+        if not len(set(theta := sys.theta_star if star else sys.theta)) == len(theta) == d + 1:
             raise DegenerateSplit(f"theta{'*' * star} is not d + 1 = {d + 1} distinct values")
-        W, U = sys.eigenbasis(star)
-        v, Ev = ((Matrix.identity(f, d + 1).column(j), [X.column(j) for X in mats]) if all(r[j] for r in U.nums)
-                 else (W * Vector(f, [f.one()] * (d + 1)), list(W.columns())))  # E_i v = w_i
-        taus, etas = (sys.root_family(kind, star, v) for kind in ("tau", "eta"))
-        powers = root_product_family(M, [f.zero()] * d, v)
-        ranks = [Matrix.from_columns(f, fam).rank() for fam in (Ev, taus, etas, powers)]
-        return Ev, taus, etas, [(root_product_family(M, theta[d:], taus[d])[-1].is_zero(), None),
-                                (ranks == [d + 1] * 4, {"ranks": ranks, "union": d + 1})]  # on v, the powers span V
+        return sys.eigenbasis(star)
 
     def edge(star):
         g_d, g_0 = edge_values(array())[2 * star:][:2]  # the extraction error before the premises
-        Ev, taus, etas, _ = cyclic(star)
-        return [(etas[d].scale(f.invert(g_0)) == Ev[0], None), (taus[d].scale(f.invert(g_d)) == Ev[d], None)]
+        (W, U), mats, j = premises(star), (sys.Estar if star else sys.E), d * star
+        v, E0v, Edv = ((Matrix.identity(f, d + 1).column(j), mats[0].column(j), mats[d].column(j))
+                       if all(r[j] for r in U.nums) else (W * Vector(f, [f.one()] * (d + 1)), W.column(0), W.column(d)))
+        tau_d, eta_d = (sys.root_family(kind, star, v)[d] for kind in ("tau", "eta"))
+        return [(eta_d.scale(f.invert(g_0)) == E0v, None), (tau_d.scale(f.invert(g_d)) == Edv, None)]
 
-    for names, check in ((("edge_idempotent_E0", "edge_idempotent_Ed"), edge),
-                         (("char_product_A",), lambda star: cyclic(star)[3][:1]),
-                         (("subalgebra_three_bases_A",), lambda star: cyclic(star)[3][1:])):
+    decided = lambda star: premises(star) and [(True, None)]
+    for names, check in ((("edge_idempotent_E0", "edge_idempotent_Ed"), edge), (("char_product_A",), decided),
+                         (("subalgebra_three_bases_A",), decided)):
         for star in (False, True):
             _add_factored(report, [name + "star" * star for name in names], lambda: check(star))
 
@@ -687,7 +685,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # dagger_fixes_idempotents also of the premises of the F[M] checks on A*, whose first failed one is its witness
     def gram():
         sys.cached("gram", lambda: solve_gram(sys))
-        return [(True, None)] * 5 + _outcomes(1, lambda: cyclic(True) and [(True, None)]) + [(True, None)]
+        return [(True, None)] * 5 + _outcomes(1, lambda: decided(True)) + [(True, None)]
 
     _add_factored(report, ["gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
                            "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution"],

@@ -185,6 +185,33 @@ def leonard_arrays(field: Field, d: int):
             .filter(lambda pa: pa is not None))
 
 
+# --- shared inputs ---
+
+
+def conjugator(field: Field, n: int) -> Matrix:
+    """Upper unitriangular ones times its transpose: dense, determinant 1."""
+    upper = Matrix(field, ((field.one() if c >= r else field.zero() for c in range(n)) for r in range(n)))
+    return upper * upper.transpose()
+
+
+def krawtchouk_type(field: Field, d: int, theta0, s, theta_star0, s_star, r) -> ParameterArray:
+    """theta_i = theta0 + s i, theta*_i = theta*0 + s* i, varphi_i = i(i-d-1) r,
+    phi_i = i(i-d-1)(r - s s*)."""
+    n = field.from_int
+    return ParameterArray(
+        field, d,
+        [n(theta0 + s * i) for i in range(d + 1)],
+        [n(theta_star0 + s_star * i) for i in range(d + 1)],
+        [n(i * (i - d - 1) * r) for i in range(1, d + 1)],
+        [n(i * (i - d - 1) * (r - s * s_star)) for i in range(1, d + 1)],
+    )
+
+
+def krawtchouk(field: Field, d: int) -> ParameterArray:
+    """theta_i = theta*_i = d - 2i, varphi_i = i(i-d-1), phi_i = -3 i(i-d-1)."""
+    return krawtchouk_type(field, d, d, -2, d, -2, 1)
+
+
 # --- flags as nested subspaces ---
 
 

@@ -19,9 +19,8 @@ from leonard.fields import Field
 from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, build_system
 
-from conftest import leonard_arrays
+from conftest import conjugator, krawtchouk, leonard_arrays
 from test_cyclic_route import hand_built, w_inverse_conjugate
-from test_factor_route import _conjugator, krawtchouk
 
 Q, GFP = Field.rational(), Field.prime(2**31 - 1)
 CHANGES = [(a, X, b) for a in (False, True) for X in (None, "A", "Astar") for b in (False, True)]
@@ -71,7 +70,7 @@ def test_memo_matches_gauss_jordan(field, data):
     """On split systems, their conjugates and their W^-1 conjugates every W_a is invertible."""
     d = data.draw(st.integers(min_value=0, max_value=8), label="d")
     s = build_system(data.draw(leonard_arrays(field, d), label="pa"))
-    for sys in (s, s.conjugated(_conjugator(field, d + 1)), w_inverse_conjugate(s)):
+    for sys in (s, s.conjugated(conjugator(field, d + 1)), w_inverse_conjugate(s)):
         assert assert_memo_matches_reference(sys) == set()
         assert systems._orthogonality_witness(sys) is None
 

@@ -1,15 +1,16 @@
-"""The eight F[M] checks on one cyclic vector against the dense matrices they replace.
+"""The eight F[M] checks from their premises and one cyclic vector, against the dense matrices they replace.
 
-`standard_identity_suite` decides `edge_idempotent_*`, `char_product_*` and
-`subalgebra_three_bases_*` only on one cyclic vector v, under premises that run
+`standard_identity_suite` decides the eight checks under premises that run
 first: E (resp. E*) of d+1 idempotents, orthogonal and spectral, and d+1
-distinct theta (resp. theta*).  v is e_0 for A and e_d for A* when its Krylov
-vectors have rank d+1, as in every split form, else the sum of the eigencolumns
+distinct theta (resp. theta*).  `char_product_*` and `subalgebra_three_bases_*`
+are theorems of those premises and pass once they hold; `edge_idempotent_*`
+read one cyclic vector v: e_0 for A and e_d for A* when column 0 (resp. d) of
+U has no zero entry, as in every split form, else the sum of the eigencolumns
 w_i, which the premises make cyclic.  A failed premise fails the four checks of
 its side, each with that premise as its witness.  The reference below is the
 dense form of the eight checks, with every tau/eta family and power of M built
-as its own root product; where the premises hold, the suite must agree with it
-check for check, witness included.
+as its own root product and the ranks of the four families taken; where the
+premises hold, the suite must agree with it check for check, witness included.
 """
 
 from dataclasses import replace
@@ -24,8 +25,7 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product, outer
 from leonard.systems import LeonardSystem, build_system, standard_identity_suite
 
-from conftest import dense_family, flat_rank, leonard_arrays, premise_error
-from test_factor_route import _conjugator, krawtchouk
+from conftest import conjugator, dense_family, flat_rank, krawtchouk, leonard_arrays, premise_error
 from test_systems import EXTRACTION_ERROR, _swapped_idempotents
 
 Q, GFP = Field.rational(), Field.prime(2**31 - 1)
@@ -192,7 +192,7 @@ def premise_failures(field, d):
 def test_corpus_and_conjugates_match_dense(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
-        for sys in (s, s.conjugated(_conjugator(pa.field, s.d + 1)), w_inverse_conjugate(s),
+        for sys in (s, s.conjugated(conjugator(pa.field, s.d + 1)), w_inverse_conjugate(s),
                     w_inverse_conjugate(s, star=True)):
             assert assert_matches_dense(sys).all_pass
 
@@ -203,7 +203,7 @@ def test_corpus_and_conjugates_match_dense(corpus):
 def test_generated_arrays_match_dense(field, data):
     d = data.draw(st.integers(min_value=0, max_value=8), label="d")
     s = build_system(data.draw(leonard_arrays(field, d), label="pa"))
-    for sys in (s, s.conjugated(_conjugator(field, d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True)):
+    for sys in (s, s.conjugated(conjugator(field, d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True)):
         assert assert_matches_dense(sys).all_pass
 
 
@@ -321,21 +321,34 @@ MUTATIONS = {
     "edge_idempotent_Ed": _wrong_gap(0),
     "edge_idempotent_E0star": _wrong_gap(3),
     "edge_idempotent_Edstar": _wrong_gap(2),
-    "char_product_A": _wrong_last_root(False),
-    "char_product_Astar": _wrong_last_root(True),
-    "subalgebra_three_bases_A": _repeated_member(False),
-    "subalgebra_three_bases_Astar": _repeated_member(True),
 }
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-@pytest.mark.parametrize("name", EIGHT)
+@pytest.mark.parametrize("name", MUTATIONS)
 def test_each_check_fails_on_the_cyclic_route(field, name, dense_calls, monkeypatch):
-    d = 4
-    s = build_system(krawtchouk(field, d))
+    s = build_system(krawtchouk(field, 4))
     MUTATIONS[name](monkeypatch)
     report = standard_identity_suite(s)
     assert dense_calls == []
     assert not report[name].passed
-    if name.startswith("subalgebra"):
-        assert report[name].witness == {"ranks": [d + 1, d, d + 1, d + 1], "union": d + 1}
+
+
+# the checks that read tau_d(A) (resp. tau_d(A*)) on a vector: the edge check at E_d, and the split checks
+TAU_D_READERS = {False: ["edge_idempotent_Ed", "split_projectors_match_intersection", "split_projectors_resolution"],
+                 True: ["edge_idempotent_Edstar", "split_pairing_delta"]}
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@pytest.mark.parametrize("star", [False, True], ids=["A", "Astar"])
+@pytest.mark.parametrize("mutation", [_wrong_last_root, _repeated_member], ids=lambda m: m.__name__.strip("_"))
+def test_each_family_mutation_fails_the_report(field, star, mutation, dense_calls, monkeypatch):
+    """A tau family with a wrong last root or a repeated member: `char_product_*` and `subalgebra_three_bases_*`
+    are theorems of the premises, which still hold, so they pass, and the report fails at the checks that read
+    tau_d on that side."""
+    s = build_system(krawtchouk(field, 4))
+    mutation(star)(monkeypatch)
+    report = standard_identity_suite(s)
+    assert dense_calls == []
+    assert report["char_product_A" + "star" * star].passed and report["subalgebra_three_bases_A" + "star" * star].passed
+    assert [c.name for c in report.checks if not c.passed] == TAU_D_READERS[star]

@@ -20,7 +20,6 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, is_irreducible_tridiagonal
 from leonard.systems import (
     LeonardSystem,
-    ParameterArray,
     build_system,
     nu_scalars,
     solve_gram,
@@ -29,7 +28,7 @@ from leonard.systems import (
     verify_axioms,
 )
 
-from conftest import gram_by_nullspace, leonard_arrays, premise_error, split_subspace
+from conftest import conjugator, gram_by_nullspace, krawtchouk, leonard_arrays, premise_error, split_subspace
 
 Q = Field.rational()
 FIELDS = (Q, Field.prime(7), Field.prime(2**31 - 1))
@@ -195,20 +194,6 @@ def assert_both_reports_match(sys):
 # --- inputs ---
 
 
-def _conjugator(field, n):
-    """Upper unitriangular ones times its transpose: dense, determinant 1."""
-    upper = Matrix(field, ((field.one() if c >= r else field.zero() for c in range(n)) for r in range(n)))
-    return upper * upper.transpose()
-
-
-def krawtchouk(field, d):
-    """theta_i = theta*_i = d - 2i, varphi_i = i(i-d-1), phi_i = -3 i(i-d-1)."""
-    n = lambda x: field.from_int(x)
-    theta = [n(d - 2 * i) for i in range(d + 1)]
-    return ParameterArray(field, d, theta, theta, [n(i * (i - d - 1)) for i in range(1, d + 1)],
-                          [n(-3 * i * (i - d - 1)) for i in range(1, d + 1)])
-
-
 def perturbed_arrays():
     """Krawtchouk arrays at d <= 5 with varphi_bump raised by 1: not Leonard."""
     out = []
@@ -235,7 +220,7 @@ def test_corpus_reports_match_dense(corpus):
 def test_conjugated_corpus_reports_match_dense(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
-        conj = s.conjugated(_conjugator(pa.field, s.d + 1))
+        conj = s.conjugated(conjugator(pa.field, s.d + 1))
         report = assert_both_reports_match(conj)
         assert report.all_pass
 
@@ -248,7 +233,7 @@ def test_generated_reports_match_dense(field, data):
     eigenbasis, against their dense references on generated arrays."""
     d = data.draw(st.integers(min_value=0, max_value=8), label="d")
     s = build_system(data.draw(leonard_arrays(field, d), label="pa"))
-    for sys in (s, s.conjugated(_conjugator(field, d + 1))):
+    for sys in (s, s.conjugated(conjugator(field, d + 1))):
         assert assert_both_reports_match(sys).all_pass
         assert solve_gram(sys) == gram_by_nullspace(sys.A, sys.Astar)
 

@@ -25,7 +25,7 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, flag_decomposition, intersect_column_spaces, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, flag_components, leonard_arrays
+from conftest import FROZEN_ARRAYS, conjugator, flag_components, krawtchouk_type, leonard_arrays
 from test_cyclic_route import hand_built, w_inverse_conjugate
 from test_factor_route import assert_both_reports_match
 
@@ -154,25 +154,6 @@ def assert_geometry_matches_reference(sys, bundle=None):
 # --- inputs ---
 
 
-def _conjugator(field, n):
-    """Upper unitriangular ones times its transpose: dense, determinant 1."""
-    upper = Matrix(field, ((field.one() if c >= r else field.zero() for c in range(n)) for r in range(n)))
-    return upper * upper.transpose()
-
-
-def krawtchouk_type(field, d, theta0, s, theta_star0, s_star, r):
-    """theta_i = theta0 + s i, theta*_i = theta*0 + s* i, varphi_i = i(i-d-1) r,
-    phi_i = i(i-d-1)(r - s s*)."""
-    n = field.from_int
-    return ParameterArray(
-        field, d,
-        [n(theta0 + s * i) for i in range(d + 1)],
-        [n(theta_star0 + s_star * i) for i in range(d + 1)],
-        [n(i * (i - d - 1) * r) for i in range(1, d + 1)],
-        [n(i * (i - d - 1) * (r - s * s_star)) for i in range(1, d + 1)],
-    )
-
-
 def negative_controls():
     """Certified systems with theta* != theta, where T does not map the flags."""
     return [certify(krawtchouk_type(field, d, 3, 5, 11, 7, 13)) for field in (Q, GFP) for d in (2, 3, 4, 5)]
@@ -202,7 +183,7 @@ def test_corpus_opposite_vectors_match_element_loop(corpus):
 def test_conjugated_corpus_geometry_matches_reference(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
-        conj = s.conjugated(_conjugator(pa.field, s.d + 1))
+        conj = s.conjugated(conjugator(pa.field, s.d + 1))
         assert_geometry_matches_reference(conj, with_bundle(conj))
 
 
@@ -251,7 +232,7 @@ def test_flag_inverses_match_elimination(field, data):
     """U W = I holds on every system below, so each flag reads U or U* with its rows reversed."""
     d = data.draw(st.integers(min_value=0, max_value=8), label="d")
     s = certify(data.draw(leonard_arrays(field, d), label="pa"))
-    for sys in (s, s.conjugated(_conjugator(field, d + 1)), w_inverse_conjugate(s)):
+    for sys in (s, s.conjugated(conjugator(field, d + 1)), w_inverse_conjugate(s)):
         assert_flag_inverses_match_elimination(sys)
 
 

@@ -10,6 +10,7 @@ and G^-1; the suite must agree with it check for check, witness included, on eve
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,9 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, outer
 from leonard.systems import LeonardSystem, build_system, certify, standard_identity_suite, verify_axioms
 
-from conftest import GRAM_CHECKS, SUITE_CHECKS, leonard_array, leonard_arrays, premise_error
+from conftest import GRAM_CHECKS, SUITE_CHECKS, conjugator, krawtchouk, leonard_array, leonard_arrays, premise_error
 from test_cyclic_route import (estar_off_spectrum, estar_repeated_theta, hand_built, perturbed_arrays,
                                w_inverse_conjugate)
-from test_factor_route import _conjugator, krawtchouk
 from test_systems import _hand_built_systems
 
 Q, GF7, GFP = Field.rational(), Field.prime(7), Field.prime(2**31 - 1)
@@ -100,7 +100,7 @@ def assert_array_matches_dense(pa, s=None):
     """The system of a Leonard array (s, when given), a dense conjugate and the conjugates by W^-1 and W*^-1 all
     pass, and match the reference."""
     s = build_system(pa) if s is None else s
-    for sys in (s, s.conjugated(_conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True)):
+    for sys in (s, s.conjugated(conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True)):
         assert assert_matches_dense(sys).all_pass
 
 
@@ -240,6 +240,29 @@ def test_a_short_family_gets_a_full_report(field, star):
     gram = {report[name].witness["error"] for name in GRAM_CHECKS if not report[name].passed}
     assert gram == ({counts["error"]} if star else {"4 eigenvalues and 3 idempotents, not d + 1 = 4"})
     assert all(report[name].passed for name in ONE[not star][1:5])
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["E", "Estar"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("field", (Q, GFP), ids=["Q", "GF(2^31-1)"])
+def test_an_empty_family_gets_a_full_report(field, d, star):
+    """No idempotents in E (resp. E*): `LeonardSystem.eigenbasis` names the count, so verify_axioms and the suite
+    report every check, and each check that reads that family as a basis, or both families, fails naming it: for
+    an empty E the Gram checks too (solve_gram factors E first), for an empty E* the round trip (the extraction
+    factors E*)."""
+    s = build_system(krawtchouk(field, d))
+    E, Estar = (s.E, ()) if star else ((), s.Estar)
+    empty = LeonardSystem(s.A, s.Astar, E, Estar, s.theta, s.theta_star, s.pa)
+    count = f"0 idempotents {'E*' if star else 'E'}, not d + 1 = {d + 1}"
+    with pytest.raises(DegenerateSplit, match=f"^{re.escape(count)}$"):
+        empty.eigenbasis(star)
+    assert not verify_axioms(empty).all_pass
+    report = standard_identity_suite(empty)
+    assert [c.name for c in report.checks] == list(SUITE_CHECKS) and not report.all_pass
+    orthogonal = f"idempotents_E{'star' * star}_orthogonal"
+    also = ("round_trip_parameter_array",) if star else GRAM_CHECKS
+    assert {c.name for c in report.checks if c.witness == {"error": count}} == {
+        *BOTH, *ONE[star], orthogonal, "split_pairing_delta", *also}
 
 
 def test_repeated_theta_star_fails_the_tridiagonal_premise():

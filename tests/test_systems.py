@@ -42,6 +42,7 @@ from conftest import (
     GRAM_CHECKS,
     SUITE_CHECKS,
     NonUniqueForm,
+    conjugator,
     field_scalars,
     gram_by_nullspace,
     leonard_array,
@@ -611,16 +612,10 @@ def test_gram_non_unique_rejected():
         gram_by_nullspace(diag, diag)
 
 
-def _conjugator(field, n):
-    """Upper unitriangular ones times its transpose: dense, determinant 1."""
-    upper = Matrix(field, ((field.one() if c >= r else field.zero() for c in range(n)) for r in range(n)))
-    return upper * upper.transpose()
-
-
 def test_closed_form_gram_matches_nullspace(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
-        for sys in (s, s.conjugated(_conjugator(pa.field, s.d + 1))):
+        for sys in (s, s.conjugated(conjugator(pa.field, s.d + 1))):
             assert solve_gram(sys) == gram_by_nullspace(sys.A, sys.Astar)
 
 

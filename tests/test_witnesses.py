@@ -170,10 +170,11 @@ WITHOUT_MUTATION = {
 # (U A W = diag(theta) is idempotents_E_spectral once U W = I), and it tests theta distinct itself.  The sums hold
 # by construction once U W = I with d+1 idempotents and eigenvalues, and the spectral checks then read
 # M w_i = theta_i w_i; a failed premise fails the Gram checks with it as witness, and the sums are formed densely
-# (`tests/test_premise_route.py`).  The eight F[M] checks on A (resp. A*) read one cyclic vector once E (resp. E*)
-# has d+1 members, is orthogonal and spectral and theta (resp. theta*) is distinct, and a failed premise fails
-# the four with it as witness (`tests/test_cyclic_route.py`); so does dagger_fixes_idempotents on E*.  Premises
-# that no check of the report states are named in STATED.
+# (`tests/test_premise_route.py`).  The four F[M] checks on A (resp. A*) run once E (resp. E*) has d+1 members,
+# is orthogonal and spectral and theta (resp. theta*) is distinct: char_product and subalgebra_three_bases then
+# hold by construction (M = W diag(theta) U), and the two edge checks read one cyclic vector; a failed premise
+# fails the four with it as witness (`tests/test_cyclic_route.py`), and so does dagger_fixes_idempotents on E*.
+# Premises that no check of the report states are named in STATED.
 STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*")
 SOLVE_GRAM_PREMISES = ("idempotents_E_rank_one", "theta distinct", "idempotents_E_orthogonal",
                        "idempotents_E_spectral", "tridiagonal_Astar_in_A_eigenbasis")

@@ -6,9 +6,12 @@ SRC is the `src/` directory of the tree under test.  The calls, their inputs and
 from perfbench/workloads.py of this checkout, at seeds 1-3, and each call runs in process through
 perfbench/run.py's `invoke`, as in the benchmark; both are imported and left unchanged.  After the
 calls of each (workload, seed), `relatives` runs on every array that workload generated, as no
-workload calls it.  Last come the q-Racah arrays of `q_racah` at d = 2..8, over Q and over
+workload calls it.  Then come the q-Racah arrays of `q_racah` at d = 2..8, over Q and over
 GF(2^31 - 1), through verify, relatives, dualize and bases: over Q their W, U and W* have mixed
-denominators, which the benchmark's Krawtchouk arrays never have.  The inputs are written to a
+denominators, which the benchmark's Krawtchouk arrays never have.  Last, verify runs on the same
+arrays with varphi_1 raised by 1, the only verify inputs here that are not Leonard: the Gram checks
+fail on their premise that U A* W is irreducible tridiagonal while the premises of the F[M] checks
+hold, and the report (exit 1) still lists every check.  The inputs are written to a
 temporary directory that is the working directory while the calls run, so the paths in each argv,
 and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI outputs
 agree byte for byte print the same lines: `diff` the two listings.
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -64,6 +68,13 @@ def q_racah(program, field, d: int) -> dict:
     return program.systems.complete_parameter_array(field, th[:d + 1], ths[:d + 1], varphi).to_json()
 
 
+def write_array(path: str, obj: dict) -> str:
+    """path, after writing the JSON object obj to it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path
+
+
 def call_digest(program, argv) -> str:
     """sha256 over the exit status, stdout and stderr of one CLI call, each length-prefixed; a crash
     is an outcome to compare (`invoke` reports it as exit None and a line on stderr)."""
@@ -92,15 +103,20 @@ def main(argv=None) -> int:
                     argvs = [op.argv for op in inputs.ops] + [("relatives", "--input", p) for p, _ in inputs.arrays]
                     for k, argv in enumerate(argvs):
                         print(workload, seed, k, call_digest(program, argv), " ".join(argv), flush=True)
-            fields = program.fields.Field
-            for field in (fields.rational(), fields.prime(2**31 - 1)):
+            fields = (program.fields.Field.rational(), program.fields.Field.prime(2**31 - 1))
+            for field in fields:
                 for d in Q_RACAH_DS:
-                    path = f"q-racah-{field.kind}-d{d}.json"
-                    with open(path, "w", encoding="utf-8") as fh:
-                        json.dump(q_racah(program, field, d), fh)
+                    path = write_array(f"q-racah-{field.kind}-d{d}.json", q_racah(program, field, d))
                     for k, verb in enumerate(Q_RACAH_VERBS):
                         argv = (verb, "--input", path)
                         print("q-racah", field.kind, d, k, call_digest(program, argv), " ".join(argv), flush=True)
+            for field in fields:
+                for d in Q_RACAH_DS:
+                    pa = program.systems.ParameterArray.from_json(q_racah(program, field, d))
+                    raised = replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])).to_json()
+                    argv = ("verify", "--input", write_array(f"q-racah-{field.kind}-d{d}-varphi1-raised.json", raised))
+                    print("q-racah-varphi1-raised", field.kind, d, 0, call_digest(program, argv), " ".join(argv),
+                          flush=True)
         finally:
             os.chdir(cwd)
     return 0
