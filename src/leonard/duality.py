@@ -23,7 +23,6 @@ from .linalg import (
     Vector,
     bidiagonal,
     flag_decomposition,
-    outer,
     rank_one_factors,
 )
 from .report import VerificationReport
@@ -31,6 +30,7 @@ from .systems import (
     LeonardSystem,
     ParameterArray,
     _eigenbasis_inverse,
+    _orthogonality_witness,
     change_of_basis,
     d4_apply,
     edge_values,
@@ -226,12 +226,12 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
-    # with E_i = w_i u_i^T: E_i T = w_i (T^T u_i)^T and T E*_i = (T w*_i) u*_i^T
-    factors, t_tr = (sys.eigenbasis(), sys.eigenbasis(star=True)), t.transpose()
+    # with E_i = w_i u_i^T, U W = I (solve_gram, for the daggers) and U* W* = I, U (E_i T - T E*_i) W* is e_i (row i
+    # of M) - (column i of M) e_i^T for M = W^-1 T W*: zero when both vanish off (i, i); starred, M = W*^-1 T W
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
-        (W, U), (Wr, Ur) = factors[star], factors[not star]
-        report.add_first_failure(name, ({"i": i} for i in range(d + 1)
-                                        if outer(W.column(i), t_tr * U.row(i)) != outer(t * Wr.column(i), Ur.row(i))))
+        M = None if _orthogonality_witness(sys, True) else change_of_basis(sys, star, t, not star).nums
+        report.add_first_failure(name, [{"error": "idempotents_Estar_orthogonal fails"}] if M is None else (
+            {"i": i} for i in range(d + 1) if any(M[i][j] or M[j][i] for j in range(d + 1) if j != i)))
 
     # the eight product formulas with their displayed coefficients
     vp_head, _, ph_head, ph_tail = pa.split_products
@@ -295,14 +295,10 @@ def _flag(sys: LeonardSystem, z: str) -> Flag:
     return Flag(z, sys.eigenbasis(star)[0].submatrix(cols=order), inverse)
 
 
-def spans_components(F: Flag, X: Matrix) -> list:
-    """For each i, whether the first i+1 columns of X span component i of F.
-
-    In F's coordinates Y = F^-1 X: the first i+1 columns of Y vanish below row i and
-    their leading block is invertible (read off its diagonal when upper triangular, else ranked)."""
-    if F.inverse is None:
-        raise SingularMatrix("matrix has zero determinant")
-    Y, n = F.inverse * X, X.nrows
+def spans_components(Y: Matrix) -> list:
+    """For each i, whether the first i+1 columns of X span component i of a flag F, read off Y = F^-1 X: those of Y
+    vanish below row i and their leading block is invertible (read off its diagonal when triangular, else ranked)."""
+    n = Y.nrows
     low = [max((r for r in range(n) if Y.nums[r][c]), default=-1) for c in range(n)]  # last nonzero row
     lead = lambda i: Y.submatrix(slice(0, i + 1), slice(0, i + 1))
     return [all(low[c] == c for c in range(i + 1)) if all(low[c] <= c for c in range(i + 1))
@@ -385,7 +381,7 @@ def verify_geometry_suite(
     # ([zw], z) reads the vectors of [zw] and ([wz], z) their reversal; once the inversion pairs hold these are one
     # (flag, vectors) case, and each distinct case forms its F^-1 X once
     cases = {(z, w): ((z, dec.vectors), (w, dec.inversion_vectors())) for (z, w), dec in decomps.items()}
-    spans = {(u, vectors): spans_components(flags[u], Matrix.from_columns(f, vectors))
+    spans = {(u, vectors): spans_components(flags[u].inverse * Matrix.from_columns(f, vectors))
              for u, vectors in dict.fromkeys(case for pair in cases.values() for case in pair)}
     report.add_last_failure("decompositions_induce_flags", (
         {"pair": f"[{z}{w}]", "flag": case[0], "i": i}
@@ -405,15 +401,21 @@ def verify_geometry_suite(
         return report
     t = bundle.t
 
+    # T in the eigenbases, C[False] = W*^-1 T W and C[True] = W^-1 T W*, W and W* invertible as every decomposition
+    # built: T w_i is a nonzero multiple of w*_i exactly when column i of C[False] is one of e_i (starred, of C[True]),
+    # and C[star of z] in the flags' orders is [T(z)]^-1 T [z]
+    C, e = {star: change_of_basis(sys, not star, t, star) for star in (False, True)}, Matrix.identity(f, d + 1)
     report.add_last_failure("T_maps_eigenspaces", (
         {"i": i, "side": side} for i in range(d + 1) for side, star in (("E", False), ("Estar", True))
-        if not (t * sys.eigencolumn(i, star)).is_colinear(sys.eigencolumn(i, not star))))
+        if not C[star].column(i).is_colinear(e.column(i))))
     report.add_last_failure("T_on_flags", (
         {"flag": z, "i": i} for z, image in T_FLAG_IMAGE.items()
-        for i, spans in enumerate(spans_components(flags[image], t * flags[z].basis)) if not spans))
+        for i, spans in enumerate(spans_components(C["*" in z].submatrix(_ORDER[image], _ORDER[z]))) if not spans))
+    # T x once per distinct vector: [wz] is [zw] reversed, and every [zw] starts at the first vector of [z]
+    tx = {x: t * x for x in {x for dec in decomps.values() for x in dec.vectors}}
     report.add_last_failure("T_on_decompositions", (
         {"pair": f"[{z}{w}]", "i": i} for z, w in T_DECOMPOSITION_ORDER for i in range(d + 1)
-        if not (t * decomps[(z, w)].vectors[i]).is_colinear(decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
+        if not tx[decomps[(z, w)].vectors[i]].is_colinear(decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
     return report
 
 

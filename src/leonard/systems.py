@@ -85,16 +85,13 @@ class ParameterArray:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterArray":
-        field = Field.from_json(obj["field"])
-        dec = field.decode_scalar
-        return cls(
-            field=field,
-            d=obj["d"],
-            theta=tuple(dec(x) for x in obj["theta"]),
-            theta_star=tuple(dec(x) for x in obj["theta_star"]),
-            varphi=tuple(dec(x) for x in obj["varphi"]),
-            phi=tuple(dec(x) for x in obj["phi"]),
-        )
+        """The array of a JSON object; ValueError when a sequence is not a JSON array, not its characters or keys."""
+        field, d, seqs = Field.from_json(obj["field"]), obj["d"], {}
+        for name in ("theta", "theta_star", "varphi", "phi"):
+            if not isinstance(seq := obj[name], list):
+                raise ValueError(f"{name} must be a JSON array")
+            seqs[name] = tuple(map(field.decode_scalar, seq))
+        return cls(field, d, **seqs)
 
 
 def check_pa1(field: Field, d, theta, theta_star, varphi, phi) -> None:
@@ -246,14 +243,14 @@ def _eigenbasis_inverse(sys: LeonardSystem, star: bool = False) -> Matrix:
     return sys.cached(("eigenbasis_inverse", star), lambda: W.inverse() if _orthogonality_witness(sys, star) else U)
 
 
-def change_of_basis(sys: LeonardSystem, a: bool, X: str | None, b: bool) -> Matrix:
-    """W_a^-1 X W_b, memoised, for the eigenbases W_a and W_b of E (False) or E* (True) and X one of
-    None (I), "A" or "Astar"; W_a^-1 W_a is I.  SingularMatrix when W_a is singular."""
+def change_of_basis(sys: LeonardSystem, a: bool, X: str | Matrix | None, b: bool) -> Matrix:
+    """W_a^-1 X W_b, memoised under X, for the eigenbases W_a and W_b of E (False) or E* (True) and X one of
+    None (I), "A", "Astar" or a matrix (such as T); W_a^-1 W_a is I.  SingularMatrix when W_a is singular."""
     def build():
         inverse, W = _eigenbasis_inverse(sys, a), sys.eigenbasis(b)[0]
         if X is None:
             return Matrix.identity(sys.field, sys.d + 1) if a == b else inverse * W
-        return inverse * getattr(sys, X) * W
+        return inverse * (getattr(sys, X) if isinstance(X, str) else X) * W
     return sys.cached(("change_of_basis", a, X, b), build)
 
 

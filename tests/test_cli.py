@@ -136,6 +136,24 @@ def test_malformed_scalars_exit_2(tmp_path, capsys, payload):
     assert err["error"]["type"] == "ValueError"
 
 
+# d = 2 over Q, well-formed (not Leonard): each sequence of NOT_ARRAYS, read as its characters or its keys, was
+# this array's own sequence, so verify reported on it and relatives exited 0
+D2 = {"field": {"kind": "rational"}, "d": 2, "theta": ["0/1", "1/1", "2/1"], "theta_star": ["0/1", "1/1", "2/1"],
+      "varphi": ["1/1", "2/1"], "phi": ["1/1", "2/1"]}
+NOT_ARRAYS = [("theta", "012"), ("theta", {"0": 5, "1": 5, "2": 5}), ("theta_star", "012"), ("varphi", "12"),
+              ("phi", {"1": "x", "2": "y"})]
+
+
+@pytest.mark.parametrize("verb", ["verify", "relatives"])
+@pytest.mark.parametrize("name, value", NOT_ARRAYS, ids=["theta-string", "theta-object", "theta_star-string",
+                                                         "varphi-string", "phi-object"])
+def test_sequence_not_a_json_array_exits_2(tmp_path, capsys, verb, name, value):
+    code, out = run_cli(tmp_path, [verb], dict(D2, **{name: value}))
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err) == {"error": {"type": "ValueError",
+                                                             "message": f"{name} must be a JSON array"}}
+
+
 # forms Python's int() reads but the scalar grammar -?[0-9]+(/[0-9]+)? does not
 REJECTED_SCALARS = [" 6/1", "6/1 ", "+6/1", "6/+1", "6/ 1", "6_0/10", "\u0666/\u0661", "6/", "6/-1", "6/1\n"]
 KEPT_SCALARS = ["6", "12/2", "06/1", "6/01", "6/1"]

@@ -126,25 +126,31 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
 def test_products_per_verb(field, tmp_path, monkeypatch):
     """Each change of basis W_a^-1 X W_b is formed once per system (`systems.change_of_basis`) and U W
     once per family (`systems._orthogonality_witness`).  `dualize` forms E_0 E*_0 and E*_0 E_0 once for the
-    eight product formulas, and F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`:
-    12, as ([zw], z) and ([wz], z) read the same vectors.  `verify` decides the Gram block from the premises of
-    `solve_gram` and the idempotent sums from U W = I, with M w_i = theta_i w_i, d+1 products of a matrix and a
-    vector, for each spectral check.  At d = 6 that is 15/72/14/19 products of two matrices for
-    verify/dualize/bases/matrix-of-t.  When each reader formed its own, there were 33/105/29/24: U W five times
-    for two families, U A* W twice, and one F^-1 G per decomposition; dualize formed 90 while each product
-    formula and each of the 24 cases formed its own; and verify formed 28 while it tested the Gram block with
-    products by G and G^-1."""
+    eight product formulas, F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`:
+    12, as ([zw], z) and ([wz], z) read the same vectors, and T in the eigenbases, W*^-1 T W and W^-1 T W*,
+    once for its sweeps on eigenspaces, flags and E_i T = T E*_i.  `verify` decides the Gram block from the
+    premises of `solve_gram` and the idempotent sums from U W = I, with M w_i = theta_i w_i, d+1 products of
+    a matrix and a vector, for each spectral check.  At d = 6 that is 15/56/14/19 products of two matrices for
+    verify/dualize/bases/matrix-of-t, and `dualize` forms 56 products of a matrix and a vector: T x once for
+    each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at
+    the first vector of [z]), and 22 more.  When each reader formed its own, there were 33/105/29/24: U W
+    five times for two families, U A* W twice, and one F^-1 G per decomposition; dualize formed 90 while each
+    product formula and each of the 24 cases formed its own, and 60 products of two matrices and 148 of a
+    matrix and a vector while T was formed on the eigenbases, the flags and each decomposition vector by each
+    sweep; and verify formed 28 while it tested the Gram block with products by G and G^-1."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_krawtchouk_json(field, 6)))
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 15, "dualize": 72, "bases": 14, "matrix-of-t": 19}
+    bounds = {"verify": 15, "dualize": 56, "bases": 14, "matrix-of-t": 19}
+    vector_bounds = {"dualize": 56}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
         assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         assert sum(calls) <= bound, verb
+        assert calls.count(False) <= vector_bounds.get(verb, len(calls)), verb
 
 
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])

@@ -391,9 +391,10 @@ def test_random_bases_match_reference(case):
     if vectors is not None:
         assert [v.normalized() for v in vectors] == [m.column(0).normalized() for m in ref_meets(F, G)]
     n = X.ncols
-    assert du.spans_components(F, X) == [same_column_space(_prefix(X, i + 1), flag_components(F)[i]) for i in range(n)]
-    assert du.spans_components(F, G.basis) == [same_column_space(_prefix(G.basis, i + 1), flag_components(F)[i])
-                                               for i in range(n)]
+    assert du.spans_components(F.inverse * X) == [same_column_space(_prefix(X, i + 1), flag_components(F)[i])
+                                                  for i in range(n)]
+    assert du.spans_components(F.inverse * G.basis) == [same_column_space(_prefix(G.basis, i + 1),
+                                                                          flag_components(F)[i]) for i in range(n)]
 
 
 def spans_components_by_rref(F: du.Flag, X: Matrix) -> list:
@@ -421,7 +422,8 @@ def block_triangular_coordinates(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(basis_pairs().map(lambda case: (case[0], case[2])), block_triangular_coordinates()))
 def test_spans_components_match_rref(case):
-    assert du.spans_components(*case) == spans_components_by_rref(*case)
+    F, X = case
+    assert du.spans_components(F.inverse * X) == spans_components_by_rref(F, X)
 
 
 def test_singular_basis_is_never_opposite():

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import FROZEN_ARRAYS, leonard_array
+from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
 from leonard.fields import Field
@@ -257,7 +258,8 @@ def test_golden_output(case):
 
 
 def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
-    """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays."""
+    """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays,
+    theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "output_digests.py")
     spec = importlib.util.spec_from_file_location("output_digests", path)
     tool = importlib.util.module_from_spec(spec)
@@ -265,8 +267,12 @@ def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
     for field in (Field.rational(), Field.prime(GFP["p"])):
         n = field.from_int
         for d in tool.Q_RACAH_DS:
-            want = leonard_array(field, d, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2))
-            assert tool.q_racah(SimpleNamespace(systems=systems), field, d) == want.to_json()
+            for theta_star012 in ((1, 3, 4), (1, 2, 7)):
+                want = leonard_array(field, d, (n(1), n(2), n(7)), tuple(map(n, theta_star012)), n(13) / n(6),
+                                     n(5) / n(2))
+                got = tool.q_racah(SimpleNamespace(systems=systems), field, d, theta_star012)
+                assert got == want.to_json()
+                assert du.is_self_dual(want) == (theta_star012 == (1, 2, 7))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ one after the whole sweep.  Which of the two a check uses reaches stdout, so
 every sweep check is pinned here by its exact (passed, witness) under a
 library-level mutation of the self-dual Krawtchouk system at d = 3 over Q.
 Where the check's cases allow it, the mutation breaks two or more of them, so
-that the first and the last failure differ (or the sweep stops early).
+that the first and the last failure differ (or the sweep stops early).  The
+other checks of `dualize` are pinned by their verdict under such a mutation,
+so that each of its 29 checks is seen to fail.
 """
 
 import dataclasses
@@ -53,6 +55,15 @@ def wrong_t():
 def non_self_dual_t():
     """The true T of a non-self-dual system, as `dualize` reports it."""
     return _t_suites(*_setup(NON_SELF_DUAL))
+
+
+def doubled_t_star():
+    """The memoised covectors u*_d^T tau_i(A) from which T* is summed, each doubled: T* becomes 2 T*."""
+    s, anchors, bundle = _setup(SELF_DUAL)
+    _, _, u = du._through(s, (False, 0), (True, s.d))
+    family = s.root_family("tau", False, u, covector=True)
+    s._memo[("root_family", "tau", False, u, True)] = tuple(v.scale(s.field.from_int(2)) for v in family)
+    return _t_suites(s, anchors, bundle)
 
 
 def _moved_anchors(move):
@@ -234,6 +245,34 @@ def test_witness_pinned(mutation):
         name: (False, witness) for name, witness in PINS[mutation].items()}
 
 
+def _dualize_checks() -> tuple:
+    """The checks of `dualize` in report order: the duality suite, then the geometry suite."""
+    s, _, bundle = _setup(SELF_DUAL)
+    return tuple(c.name for report in (du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
+                 for c in report.checks)
+
+
+DUALIZE_CHECKS = _dualize_checks()
+
+# mutation -> the checks of `dualize` outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every
+# identity of T but those of A's own shape (A^dagger = A) and of T* alone; 2 T* breaks those of T*
+VERDICT_PINS = {
+    wrong_t: {"T_polynomial_form", "T_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger",
+              "T_squared_equals_lambda_identity", "A_T_equals_T_Astar", "Astar_T_equals_T_A", "product_T_E0star",
+              "product_E0star_Tdagger", "product_T_E0", "product_E0_Tdagger", "T_squared_expansion"},
+    doubled_t_star: {"T_star_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger", "product_Tstar_E0",
+                     "product_E0_Tstardagger", "product_Tstar_E0star", "product_E0star_Tstardagger"},
+}
+
+
+@pytest.mark.parametrize("mutation", VERDICT_PINS, ids=lambda m: m.__name__)
+def test_verdict_pinned(mutation):
+    checks = mutation()
+    failing = {name for name in DUALIZE_CHECKS if name not in SWEEP_CHECKS and not checks[name][0]}
+    assert failing == VERDICT_PINS[mutation]
+    assert all(checks[name] == (False, None) for name in failing)
+
+
 P = 2**31 - 1
 # SELF_DUAL over GF(2^31 - 1): its integer entries as residues
 SELF_DUAL_GFP = {"field": {"kind": "prime", "p": P}, "d": 3, **{
@@ -271,6 +310,7 @@ INVERSE_PINS = {
         "tridiagonal_A_in_Astar_eigenbasis": None,
         "split_projectors_match_intersection": None,
         "decompositions_induce_flags": {"pair": "[D*0*]", "flag": "0*", "i": 1},
+        "T_maps_eigenspaces": {"i": 3, "side": "E"},
         "T_on_flags": {"flag": "D", "i": 0},
     },
     (False, 3, 0): {
@@ -282,13 +322,13 @@ INVERSE_PINS = {
 }
 INVERSE_READERS = {"tridiagonal_Astar_in_A_eigenbasis", "tridiagonal_A_in_Astar_eigenbasis",
                    "split_projectors_match_intersection", "flags_mutually_opposite", "decompositions_induce_flags",
-                   "decomposition_components_one_dimensional", "T_on_flags"}
+                   "decomposition_components_one_dimensional", "T_maps_eigenspaces", "T_on_flags"}
 
 
 @pytest.mark.parametrize("entry", INVERSE_PINS, ids=lambda e: f"{'Wstar' if e[0] else 'W'}-inverse-{e[1]}{e[2]}")
 def test_eigenbasis_inverse_readers_fail_with_pinned_witness(entry):
-    """Each check that reads the memoised W^-1 or W*^-1 (the tridiagonal axioms, the split
-    lines and the flags) fails when one entry of it is wrong; among them, only the pinned ones."""
+    """Each check that reads the memoised W^-1 or W*^-1 (the tridiagonal axioms, the split lines, the flags
+    and T in the eigenbases) fails when one entry of it is wrong; among them, only the pinned ones."""
     checks = _raised_inverse_entry(*entry)
     assert {name for name in INVERSE_READERS & checks.keys() if not checks[name][0]} == set(INVERSE_PINS[entry])
     assert {name: checks[name] for name in INVERSE_PINS[entry]} == {
@@ -302,13 +342,18 @@ def test_every_eigenbasis_inverse_reader_is_pinned():
 def _mutated_memo(key, mutation) -> dict:
     """A new build of SELF_DUAL whose memoised key is mutated before any reader runs: a U W witness
     is replaced by mutation, a change of basis has entry mutation = (i, j) raised by 1.  T is the
-    certified system's, as no change of basis enters it."""
+    certified system's, as no change of basis enters it.  The duality suite, which needs the premises of
+    `solve_gram`, runs only on a mutated W_a^-1 T W_b, which it reads."""
     _, _, bundle = _setup(SELF_DUAL)
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
     s._memo[key] = mutation if key[0] == "UW_witness" else _raised(systems.change_of_basis(s, *key[1:]), *mutation)
-    return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
+    reports = [systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle)]
+    if T in key:
+        reports.append(du.verify_duality_suite(s, bundle))
+    return _checks(*reports)
 
 
+T = _setup(SELF_DUAL)[2].t  # in the memo keys of W*^-1 T W and W^-1 T W*
 # memo key -> (mutation, {check name: its witness}); the pinned checks are the only ones that fail
 MEMO_PINS = {
     # U W of E: the orthogonality axiom, and a premise of the Gram solver
@@ -348,12 +393,21 @@ MEMO_PINS = {
         "decompositions_induce_flags": {"pair": "[0*D*]", "flag": "0*", "i": 1},
         "decomposition_table_rows": {"i": 1, "row": 1},
         "T_on_decompositions": {"pair": "[0*D*]", "i": 1}}),
+    # T in the eigenbases: W*^-1 T W (T on [0] and [D] and on each w_i, and E*_i T = T E_i) and W^-1 T W*
+    ("change_of_basis", True, T, False): ((0, 1), {
+        "T_maps_eigenspaces": {"i": 1, "side": "E"},
+        "T_on_flags": {"flag": "D", "i": 2},
+        "Estar_i_T_equals_T_Ei": {"i": 0}}),
+    ("change_of_basis", False, T, True): ((0, 1), {
+        "T_maps_eigenspaces": {"i": 1, "side": "Estar"},
+        "T_on_flags": {"flag": "D*", "i": 2},
+        "Ei_T_equals_T_Estar_i": {"i": 0}}),
 }
 # read only by the premise U A W = diag(theta) of the Gram solver
 GRAM_PREMISE = ("change_of_basis", False, "A", False)
 
 
-@pytest.mark.parametrize("key", MEMO_PINS, ids=lambda key: "-".join(map(str, key)))
+@pytest.mark.parametrize("key", MEMO_PINS, ids=lambda key: "-".join("T" if k is T else str(k) for k in key))
 def test_memo_readers_fail_with_pinned_witness(key):
     mutation, pins = MEMO_PINS[key]
     checks = _mutated_memo(key, mutation)
@@ -473,3 +527,12 @@ def test_every_decided_check_fails_under_a_premise_mutation():
     """Each decided check but the two sums, which are W U = I whenever U W = I, fails under a mutation above."""
     failing = {name for _, pins in PREMISE_PINS.values() for name in pins}
     assert set(FROM_PREMISES) - failing == {"idempotents_E_sum", "idempotents_Estar_sum"}
+
+
+def test_every_dualize_check_fails_under_a_mutation():
+    """Each of the 29 checks that `dualize` reports fails under a library-level mutation pinned in this file, or
+    is listed in WITHOUT_MUTATION with the reason it holds by construction."""
+    failing = {name for table in (PINS, VERDICT_PINS, INVERSE_PINS) for pins in table.values() for name in pins}
+    failing |= {name for _, pins in (*MEMO_PINS.values(), *GRAM_PINS.values()) for name in pins}
+    assert len(DUALIZE_CHECKS) == 29
+    assert set(DUALIZE_CHECKS) <= failing | set(WITHOUT_MUTATION)

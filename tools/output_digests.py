@@ -8,10 +8,14 @@ perfbench/run.py's `invoke`, as in the benchmark; both are imported and left unc
 calls of each (workload, seed), `relatives` runs on every array that workload generated, as no
 workload calls it.  Then come the q-Racah arrays of `q_racah` at d = 2..8, over Q and over
 GF(2^31 - 1), through verify, relatives, dualize and bases: over Q their W, U and W* have mixed
-denominators, which the benchmark's Krawtchouk arrays never have.  Last, verify runs on the same
+denominators, which the benchmark's Krawtchouk arrays never have.  Then verify runs on the same
 arrays with varphi_1 raised by 1, the only verify inputs here that are not Leonard: the Gram checks
 fail on their premise that U A* W is irreducible tridiagonal while the premises of the F[M] checks
-hold, and the report (exit 1) still lists every check.  The inputs are written to a
+hold, and the report (exit 1) still lists every check.  Last come the self-dual q-Racah arrays, with
+theta* = theta, at d = 2..8 over Q and GF(2^31 - 1), through dualize, bases and matrix-of-t in each of
+its four bases: the only passing calls of these verbs here whose W, U and W* have mixed denominators
+over Q (the q-Racah arrays above are not self-dual, so dualize fails on them, and matrix-of-t refuses
+them).  The inputs are written to a
 temporary directory that is the working directory while the calls run, so the paths in each argv,
 and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI outputs
 agree byte for byte print the same lines: `diff` the two listings.
@@ -38,6 +42,8 @@ from run import invoke  # noqa: E402
 SEEDS = (1, 2, 3)
 Q_RACAH_DS = range(2, 9)
 Q_RACAH_VERBS = ("verify", "relatives", "dualize", "bases")
+SELF_DUAL_VERBS = (("dualize",), ("bases",)) + tuple(("matrix-of-t", "--basis", basis) for basis in
+                                                    ("etastar-v0", "eta-vstar0", "taustar-vd", "tau-vstard"))
 
 
 def load_program(src: str) -> SimpleNamespace:
@@ -51,14 +57,14 @@ def load_program(src: str) -> SimpleNamespace:
     return SimpleNamespace(cli=cli, **mods)
 
 
-def q_racah(program, field, d: int) -> dict:
-    """tests/conftest.py::leonard_array(field, d, (1, 2, 7), (1, 3, 4), 13/6, 5/2) as a JSON object, built
+def q_racah(program, field, d: int, theta_star012=(1, 3, 4)) -> dict:
+    """tests/conftest.py::leonard_array(field, d, (1, 2, 7), theta_star012, 13/6, 5/2) as a JSON object, built
     here because conftest needs pytest: theta and theta* continue by the PA5 recurrence with beta = 13/6
     (q = 3/2), varphi_2..varphi_d follow from varphi_1 = 5/2 by PA4 and PA3, and the package's
-    complete_parameter_array checks PA1-PA5 and fixes phi."""
+    complete_parameter_array checks PA1-PA5 and fixes phi.  With theta_star012 = (1, 2, 7) it is self-dual."""
     n = field.from_int
     beta, varphi_1 = n(13) / n(6), n(5) / n(2)
-    th, ths = [n(1), n(2), n(7)], [n(1), n(3), n(4)]
+    th, ths = [n(1), n(2), n(7)], [n(x) for x in theta_star012]
     for seq in (th, ths):
         while len(seq) < d + 1:
             seq.append(seq[-3] - (beta + 1) * (seq[-2] - seq[-1]))
@@ -117,6 +123,14 @@ def main(argv=None) -> int:
                     argv = ("verify", "--input", write_array(f"q-racah-{field.kind}-d{d}-varphi1-raised.json", raised))
                     print("q-racah-varphi1-raised", field.kind, d, 0, call_digest(program, argv), " ".join(argv),
                           flush=True)
+            for field in fields:
+                for d in Q_RACAH_DS:
+                    array = q_racah(program, field, d, (1, 2, 7))
+                    path = write_array(f"q-racah-self-dual-{field.kind}-d{d}.json", array)
+                    for k, verb in enumerate(SELF_DUAL_VERBS):
+                        argv = (*verb, "--input", path)
+                        print("q-racah-self-dual", field.kind, d, k, call_digest(program, argv), " ".join(argv),
+                              flush=True)
         finally:
             os.chdir(cwd)
     return 0
