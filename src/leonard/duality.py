@@ -35,6 +35,7 @@ from .systems import (
     d4_apply,
     edge_values,
     nu_scalars,
+    verify_axioms,
 )
 
 
@@ -106,12 +107,8 @@ def anchors_from_vectors(sys: LeonardSystem, v0, vd, v0s, vds) -> AnchorVectors:
 
 
 def choose_anchor_vectors(sys: LeonardSystem) -> AnchorVectors:
-    """Anchors from the idempotent columns, first nonzero coordinate = 1."""
-    v0 = sys.eigencolumn(0).normalized()
-    vd = sys.eigencolumn(sys.d).normalized()
-    v0s = sys.eigencolumn(0, star=True).normalized()
-    vds = sys.eigencolumn(sys.d, star=True).normalized()
-    return anchors_from_vectors(sys, v0, vd, v0s, vds)
+    """Anchors from the idempotent columns, first nonzero coordinate = 1 (`_eigen_anchor`)."""
+    return anchors_from_vectors(sys, *(_eigen_anchor(sys, key) for key in _ANCHOR_ATTR))
 
 
 # --- the operator T and its bundle ---
@@ -180,6 +177,8 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
 
     T itself exists for every Leonard system; the bundle invariants
     (T^2 = lambda I and the anchor equations) hold in the self-dual case.
+    The anchor scalars are inner products through G, so without anchors this
+    raises the DegenerateSplit of a failed premise of `solve_gram`.
     """
     pa = sys.parameter_array
     f = sys.field
@@ -200,37 +199,46 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
 
 def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> VerificationReport:
     """Every stated identity for T; the self-dual-only ones fail honestly
-    when theta differs from theta* (that failure is the negative control)."""
+    when theta differs from theta* (that failure is the negative control).
+    When a premise of `solve_gram` fails, each check that reads G (through
+    T^dagger or T*^dagger) fails with that premise as witness, as in `verify`."""
     report = VerificationReport()
     f, d = sys.field, sys.d
     pa = sys.parameter_array
     t = bundle.t
     t_star = duality_operator(sys, star=True)
-    t_dag = sys.dagger(t)
-    t_star_dag = sys.dagger(t_star)
+    try:
+        t_dag, t_star_dag, gram_error = sys.dagger(t), sys.dagger(t_star), None
+    except DegenerateSplit as exc:
+        gram_error = {"error": str(exc)}
+    add_dagger = lambda name, check: report.add(name, gram_error is None and check(), gram_error)
 
     report.add("T_polynomial_form", t == duality_operator_polynomial_form(sys))
 
     # displayed adjoint sums: sum_i tau*_i(A*) E_d E*_0 eta_{d-i}(A), and its dual with the stars swapped
-    for name, lhs, s in (("T_dagger_displayed_sum", t_dag, True), ("T_star_dagger_displayed_sum", t_star_dag, False)):
+    def displayed(s: bool) -> Matrix:
         w, c, u = _through(sys, (not s, d), (s, 0))
-        report.add(name, lhs == _outer_sum(c, sys.root_family("tau", s, w),
-                                           sys.root_family("eta", not s, u, covector=True)[::-1]))
+        return _outer_sum(c, sys.root_family("tau", s, w), sys.root_family("eta", not s, u, covector=True)[::-1])
 
+    add_dagger("T_dagger_displayed_sum", lambda: t_dag == displayed(True))
+    add_dagger("T_star_dagger_displayed_sum", lambda: t_star_dag == displayed(False))
     report.add("T_equals_T_star", t == t_star)
-    report.add("T_equals_T_dagger", t == t_dag)
-    report.add("T_equals_T_star_dagger", t == t_star_dag)
+    add_dagger("T_equals_T_dagger", lambda: t == t_dag)
+    add_dagger("T_equals_T_star_dagger", lambda: t == t_star_dag)
 
     t_squared = t * t
     report.add("T_squared_equals_lambda_identity", t_squared == Matrix.identity(f, d + 1).scale(bundle.lam))
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
-    # with E_i = w_i u_i^T, U W = I (solve_gram, for the daggers) and U* W* = I, U (E_i T - T E*_i) W* is e_i (row i
-    # of M) - (column i of M) e_i^T for M = W^-1 T W*: zero when both vanish off (i, i); starred, M = W*^-1 T W
+    # with E_i = w_i u_i^T, U W = I and U* W* = I, U (E_i T - T E*_i) W* is e_i (row i of M) - (column i of M) e_i^T
+    # for M = W^-1 T W*: zero when both vanish off (i, i); starred, M = W*^-1 T W.  Else both fail with the first
+    # failed premise as witness
+    failed = next((f"idempotents_{label}_orthogonal fails" for label, star in (("E", False), ("Estar", True))
+                   if _orthogonality_witness(sys, star)), None)
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
-        M = None if _orthogonality_witness(sys, True) else change_of_basis(sys, star, t, not star).nums
-        report.add_first_failure(name, [{"error": "idempotents_Estar_orthogonal fails"}] if M is None else (
+        M = None if failed else change_of_basis(sys, star, t, not star).nums
+        report.add_first_failure(name, [{"error": failed}] if failed else (
             {"i": i} for i in range(d + 1) if any(M[i][j] or M[j][i] for j in range(d + 1) if j != i)))
 
     # the eight product formulas with their displayed coefficients
@@ -243,12 +251,12 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     c2 = etas_d * vp / (taus_d * eta_d)
     report.add("product_T_E0star", t * Es0 == E0_Es0.scale(c1))
     report.add("product_Tstar_E0", t_star * E0 == Es0_E0.scale(c2))
-    report.add("product_E0star_Tdagger", Es0 * t_dag == Es0_E0.scale(c1))
-    report.add("product_E0_Tstardagger", E0 * t_star_dag == E0_Es0.scale(c2))
+    add_dagger("product_E0star_Tdagger", lambda: Es0 * t_dag == Es0_E0.scale(c1))
+    add_dagger("product_E0_Tstardagger", lambda: E0 * t_star_dag == E0_Es0.scale(c2))
     report.add("product_T_E0", t * E0 == Es0_E0.scale(vp / tau_d))
     report.add("product_Tstar_E0star", t_star * Es0 == E0_Es0.scale(vp / taus_d))
-    report.add("product_E0_Tdagger", E0 * t_dag == E0_Es0.scale(vp / tau_d))
-    report.add("product_E0star_Tstardagger", Es0 * t_star_dag == Es0_E0.scale(vp / taus_d))
+    add_dagger("product_E0_Tdagger", lambda: E0 * t_dag == E0_Es0.scale(vp / tau_d))
+    add_dagger("product_E0star_Tstardagger", lambda: Es0 * t_star_dag == Es0_E0.scale(vp / taus_d))
 
     # T^2 expanded: (phi_1...phi_d / nu_ddown) sum_j eta_j(A) E*_0 E_d tau*_j(A*) / (phi_d...phi_{d-j+1})
     w, c, u = _through(sys, (True, 0), (False, d))
@@ -331,8 +339,30 @@ def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
     return sys.cached(("decomposition", z, w), lambda: _decomposition(sys, z, w))
 
 
+def _certified(sys: LeonardSystem) -> bool:
+    """The premises of the certificates of `_decomposition` and `_is_basis`, memoised: every axiom of the memoised
+    `verify_axioms` report, d+1 values in theta and theta*, and no zero among the anchor coordinates U w*_0, U w*_d,
+    U* w_0 and U* w_d (columns 0 and d of U W* and U* W).  Then A = W diag(theta) U and B* = U* A W* is irreducible
+    tridiagonal, so tau_i(A) w*_0 has coordinates tau_i(B*) e_0 on W* and diag(tau_i(theta)) U w*_0 on W, both
+    triangular with a nonzero diagonal, and so has each tau/eta family on an anchor: it is a basis, and vector i spans
+    component i of the decomposition of its two flags, which are opposite (Terwilliger, LAA 330 (2001))."""
+    def build() -> bool:
+        if not (verify_axioms(sys).all_pass and len(sys.theta) == len(sys.theta_star) == sys.d + 1):
+            return False
+        return all(row[j] for a in (False, True) for row in change_of_basis(sys, a, None, not a).nums
+                   for j in (0, sys.d))
+    return sys.cached("certified", build)
+
+
 def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    """[z]^-1 [w] is W_a^-1 W_b (`change_of_basis`) with its rows and columns in the flags' orders."""
+    """Once `_certified` holds, the first family of the pair in BASIS_MEMBERSHIP, normalized: for [0D] and [0*D*]
+    the eigencolumns.  Else [z]^-1 [w] is W_a^-1 W_b (`change_of_basis`) with its rows and columns in the flags'
+    orders, decomposed by elimination (`flag_decomposition`)."""
+    if _certified(sys):
+        gen, rev, anchor_key = _parse_basis_id(BASIS_MEMBERSHIP[(z, w)][0])
+        seq = (sys.eigenbasis(gen == "estar")[0].columns() if gen in ("e", "estar")
+               else _sequence(sys, gen, _eigen_anchor(sys, anchor_key)))
+        return Decomposition(z, w, tuple(v.normalized() for v in (seq[::-1] if rev else seq)))
     F, G = build_flag(sys, z), build_flag(sys, w)
     C = None if F.inverse is None else change_of_basis(sys, z.endswith("*"), None, w.endswith("*"))
     vectors = None if C is None else flag_decomposition(C.submatrix(_ORDER[z], _ORDER[w]), G.basis)
@@ -452,9 +482,19 @@ def build_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
     """One of the 24 sequences, as a tuple of d+1 vectors.  Each forward
     sequence is built once per system and memoised; a -rev- id is its reversal."""
     gen, rev, anchor_key = _parse_basis_id(basis_id)
-    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
-    seq = sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v))
+    seq = _sequence(sys, gen, getattr(anchors, _ANCHOR_ATTR[anchor_key]))
     return seq[::-1] if rev else seq
+
+
+def _sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
+    """The forward sequence gen on v, memoised (`_basis_sequence`)."""
+    return sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v))
+
+
+def _eigen_anchor(sys: LeonardSystem, anchor_key: str) -> Vector:
+    """The anchor that `choose_anchor_vectors` picks for anchor_key (v0, vd, vstar0 or vstard): the normalized
+    eigencolumn it names."""
+    return sys.eigencolumn(sys.d if anchor_key.endswith("d") else 0, anchor_key.startswith("vstar")).normalized()
 
 
 def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
@@ -466,12 +506,15 @@ def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
 
 
 def _is_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str) -> bool:
-    """Whether the vectors build_basis(...) are a basis: ranked once per forward
-    sequence and memoised, since a -rev- id has the same columns reversed."""
+    """Whether the vectors build_basis(...) are a basis, decided once per forward sequence and memoised, since a
+    -rev- id has the same columns reversed: a basis once `_certified` holds and the anchor is a multiple of the
+    eigencolumn it names, on the side opposite gen; else ranked."""
     gen, _, anchor_key = _parse_basis_id(basis_id)
-    key = ("is_basis", gen, getattr(anchors, _ANCHOR_ATTR[anchor_key]))
-    return sys.cached(key, lambda: Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id)).rank()
-                      == sys.d + 1)
+    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
+    certified = lambda: (anchor_key.startswith("vstar") != gen.endswith("star") and _certified(sys)
+                         and v.is_colinear(_eigen_anchor(sys, anchor_key)))
+    return sys.cached(("is_basis", gen, v), lambda: certified() or Matrix.from_columns(
+        sys.field, build_basis(sys, anchors, basis_id)).rank() == sys.d + 1)
 
 
 def build_24_bases(sys: LeonardSystem, anchors: AnchorVectors) -> dict:

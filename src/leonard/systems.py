@@ -306,23 +306,20 @@ def _idempotent_checks(report, sys: LeonardSystem, star: bool):
 
 
 def verify_axioms(sys: LeonardSystem) -> VerificationReport:
-    """Check the defining axioms; failures are report entries, never exceptions."""
-    report = VerificationReport()
-
-    for name, star, X in (("tridiagonal_Astar_in_A_eigenbasis", False, "Astar"),
-                          ("tridiagonal_A_in_Astar_eigenbasis", True, "A")):  # each reads one family as a basis
-        _add_factored(report, [name], lambda: _sized(sys, star) or [
-            (is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None)])
-
-    report.add(
-        "standard_orderings",
-        report["tridiagonal_Astar_in_A_eigenbasis"].passed
-        and report["tridiagonal_A_in_Astar_eigenbasis"].passed,
-    )
-
-    _idempotent_checks(report, sys, star=False)
-    _idempotent_checks(report, sys, star=True)
-    return report
+    """Check the defining axioms; failures are report entries, never exceptions.  Memoised: `certify`, the
+    identity suite and the certificates of `duality` read this one report, and none of them extends it."""
+    def build():
+        report = VerificationReport()
+        for name, star, X in (("tridiagonal_Astar_in_A_eigenbasis", False, "Astar"),
+                              ("tridiagonal_A_in_Astar_eigenbasis", True, "A")):  # each reads one family as a basis
+            _add_factored(report, [name], lambda: _sized(sys, star) or [
+                (is_irreducible_tridiagonal(change_of_basis(sys, star, X, star)), None)])
+        report.add("standard_orderings", report["tridiagonal_Astar_in_A_eigenbasis"].passed
+                   and report["tridiagonal_A_in_Astar_eigenbasis"].passed)
+        _idempotent_checks(report, sys, star=False)
+        _idempotent_checks(report, sys, star=True)
+        return report
+    return sys.cached("axioms", build)
 
 
 def certify(pa: ParameterArray) -> LeonardSystem:
@@ -513,15 +510,22 @@ def trace_products_closed_form(pa: ParameterArray, r: int):
 # --- split decomposition projectors ---
 
 
-def split_projectors(sys: LeonardSystem) -> list:
-    """F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / c_i, c_i = varphi_1 ... varphi_i,
-    built as p_i q_i^T: with E*_0 = w*_0 u*_0^T and E_0 = w_0 u_0^T,
+def split_factors(sys: LeonardSystem) -> tuple:
+    """(P, Q) with F_i = nu tau_i(A) E*_0 E_0 tau*_i(A*) / c_i = p_i q_i^T, c_i = varphi_1 ... varphi_i, for
+    p_i column i of P and q_i^T row i of Q: with E*_0 = w*_0 u*_0^T and E_0 = w_0 u_0^T,
     p_i = tau_i(A) w*_0 and q_i^T = nu (u*_0^T w_0) u_0^T tau*_i(A*) / c_i."""
-    pa = sys.parameter_array
+    pa, f = sys.parameter_array, sys.field
     (W, U), (Ws, Us) = sys.eigenbasis(), sys.eigenbasis(star=True)
     scale = nu_scalars(pa)[0] * Us.row(0).dot(W.column(0))
     ps, qs = sys.root_family("tau", False, Ws.column(0)), sys.root_family("tau", True, U.row(0), covector=True)
-    return [outer(p, q.scale(scale / c)) for p, q, c in zip(ps, qs, pa.split_products[0])]
+    return (Matrix.from_columns(f, ps),
+            Matrix.from_columns(f, [q.scale(scale / c) for q, c in zip(qs, pa.split_products[0])]).transpose())
+
+
+def split_projectors(sys: LeonardSystem) -> list:
+    """F_i = p_i q_i^T for the factors (P, Q) of `split_factors`."""
+    P, Q = split_factors(sys)
+    return [outer(P.column(i), Q.row(i)) for i in range(P.ncols)]
 
 
 def split_projectors_by_intersection(sys: LeonardSystem) -> list:
@@ -581,7 +585,8 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     same order on every system.  When the array cannot be extracted, the round trip fails with that
     error, and the other checks read the stored array; without one, each check that reads the array
     fails with the error as witness."""
-    report = verify_axioms(sys)
+    report = VerificationReport()
+    report.merge(verify_axioms(sys))
     f, d = sys.field, sys.d
     try:
         extracted, error = sys.cached("pa", lambda: extract_parameter_array(sys)), None
@@ -652,15 +657,28 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
 
     _add_factored(report, ["trace_products_closed_form", "nu_closed_forms_match_traces"], closed_forms)
 
-    # split projectors: the closed form against the intersection construction.
-    # With F_i = p_i q_i^T, F_i F_j = (q_i^T p_j) p_i q_j^T and sum F_i = P Q,
-    # so the F_i resolve the identity exactly when Q P = I.
+    # split projectors: the closed form F_i = p_i q_i^T (`split_factors`) against the intersection construction.
+    # F_i F_j = (q_i^T p_j) p_i q_j^T and sum F_i = P Q, so the F_i resolve the identity exactly when Q P = I.
+    # Certificate: once E and E* are orthogonal, E spectral, B* = U* A W* irreducible tridiagonal, theta distinct
+    # and c = U w*_0 without a zero entry, U P = [diag(tau_i(theta)) c] is lower and U* P = [tau_i(B*) e_0] upper
+    # triangular, both with nonzero diagonals: p_i spans the split line U_i, P is invertible, and the intersection
+    # route's projector P e_i e_i^T P^-1 is F_i exactly when Q P = I.  Else the intersection route decides.
+    def certified() -> bool:
+        try:
+            U = premises(False)[1]
+        except DegenerateSplit:
+            return False
+        return (report["idempotents_Estar_orthogonal"].passed and report["tridiagonal_A_in_Astar_eigenbasis"].passed
+                and all((U * sys.eigencolumn(0, star=True)).nums[0]))
+
     def split():
-        array()  # raises the extraction error before split_projectors would extract again
+        array()  # raises the extraction error before split_factors would extract again
         sized()
-        F = split_projectors(sys)
-        match, PQ = F == split_projectors_by_intersection(sys), rank_one_factors(F)
-        return [(match, None), (PQ is not None and not _off_diagonal(PQ[1] * PQ[0], [one] * (d + 1)), None)]
+        P, Q = split_factors(sys)
+        resolves = not _off_diagonal(Q * P, [one] * (d + 1))
+        if certified():
+            return [(resolves, None)] * 2
+        return [(split_projectors(sys) == split_projectors_by_intersection(sys), None), (resolves, None)]
 
     _add_factored(report, ["split_projectors_match_intersection", "split_projectors_resolution"], split)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,14 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leonard import duality as du
-from leonard import systems
+from leonard import linalg, systems
 from leonard.cli import main
-from leonard.errors import InconsistentArray, SingularBasis, SingularMatrix, UnknownBasis, ZeroInnerProduct
+from leonard.errors import (
+    DegenerateSplit,
+    InconsistentArray,
+    SingularBasis,
+    SingularMatrix,
+    UnknownBasis,
+    ZeroInnerProduct,
+)
 from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product, flag_decomposition
 from leonard.systems import ParameterArray, certify
 
 from conftest import FROZEN_ARRAYS, flag_components, leonard_arrays, split_subspace
+from test_cyclic_route import hand_built
+from test_witnesses import DAGGER_READERS
 
 Q = Field.rational()
 
@@ -101,20 +111,28 @@ def _krawtchouk_json(field: dict, d: int) -> dict:
 
 
 def test_eliminations_per_verb(tmp_path, monkeypatch):
-    """No eigenbasis is inverted, and no basis is inverted to be certified.
+    """No eigenbasis is inverted, no split line, decomposition or basis is found by elimination, and no basis is
+    ranked to be certified.
 
-    At d = 6 certify takes 3 eliminations.  verify adds the inverse of the split
-    lines; W*^-1 is U*, since U* W* = I (`systems._eigenbasis_inverse`).  dualize
-    and bases add none: each flag's inverse is W^-1 or W*^-1, rows reversed for [D]
-    and [D*], `spans_components` reads triangular blocks with no elimination, and
-    the 12 forward sequences of bases are ranked by `Matrix.rank`, not `_echelon`.
-    matrix-of-t adds one basis inverse."""
+    An elimination is a call of `Matrix._echelon`, `Matrix.rank` or `linalg.unpivoted_column_reduction`.  At d = 6
+    certify takes 2, the solves of its round trip.  verify, dualize and bases add none to certify's count on this
+    split-form input: W^-1 is U and W*^-1 is U*, since U W = I and U* W* = I (`systems._eigenbasis_inverse`); the
+    split lines, the 12 decompositions and the 12 forward sequences of bases are read off the axioms
+    (`systems.standard_identity_suite`, `duality._certified`); and `spans_components` reads triangular blocks.
+    verify builds the system without certifying it, and runs the same axioms and round trip.  matrix-of-t adds one
+    basis inverse.  Before the certificates, verify added the elimination of the split lines and the inverse of
+    their basis, dualize the 12 eliminations of the decompositions, and bases those and 12 ranks."""
+    doc = _krawtchouk_json({"kind": "prime", "p": 2**31 - 1}, 6)
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(_krawtchouk_json({"kind": "prime", "p": 2**31 - 1}, 6)))
+    path.write_text(json.dumps(doc))
     calls = []
-    echelon = Matrix._echelon
-    monkeypatch.setattr(Matrix, "_echelon", lambda self, **kw: calls.append(1) or echelon(self, **kw))
-    bounds = {"verify": 4, "dualize": 3, "bases": 3, "matrix-of-t": 4}
+    for owner, name in ((Matrix, "_echelon"), (Matrix, "rank"), (linalg, "unpivoted_column_reduction")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _original=original, **kw: calls.append(1) or _original(*a, **kw))
+    certify(ParameterArray.from_json(doc))
+    certified = len(calls)
+    assert certified == 2
+    bounds = {"verify": certified, "dualize": certified, "bases": certified, "matrix-of-t": certified + 1}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
@@ -128,22 +146,25 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     once per family (`systems._orthogonality_witness`).  `dualize` forms E_0 E*_0 and E*_0 E_0 once for the
     eight product formulas, F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`:
     12, as ([zw], z) and ([wz], z) read the same vectors, and T in the eigenbases, W*^-1 T W and W^-1 T W*,
-    once for its sweeps on eigenspaces, flags and E_i T = T E*_i.  `verify` decides the Gram block from the
-    premises of `solve_gram` and the idempotent sums from U W = I, with M w_i = theta_i w_i, d+1 products of
-    a matrix and a vector, for each spectral check.  At d = 6 that is 15/56/14/19 products of two matrices for
-    verify/dualize/bases/matrix-of-t, and `dualize` forms 56 products of a matrix and a vector: T x once for
-    each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at
-    the first vector of [z]), and 22 more.  When each reader formed its own, there were 33/105/29/24: U W
-    five times for two families, U A* W twice, and one F^-1 G per decomposition; dualize formed 90 while each
-    product formula and each of the 24 cases formed its own, and 60 products of two matrices and 148 of a
-    matrix and a vector while T was formed on the eigenbases, the flags and each decomposition vector by each
-    sweep; and verify formed 28 while it tested the Gram block with products by G and G^-1."""
+    once for its sweeps on eigenspaces, flags and E_i T = T E*_i.  The decompositions read only columns 0 and d
+    of U W* and U* W (`duality._certified`), and [0D] and [0*D*] are the eigencolumns, so no E_i v is formed.
+    `verify` decides the Gram block from the premises of `solve_gram` and the idempotent sums from U W = I,
+    with M w_i = theta_i w_i, d+1 products of a matrix and a vector, for each spectral check, and the split
+    checks from Q P and the one product U w*_0, so U* W is not formed.  At d = 6 that is 14/56/14/19 products
+    of two matrices for verify/dualize/bases/matrix-of-t, and `dualize` forms 56 products of a matrix and a
+    vector: T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and
+    every [zw] starts at the first vector of [z]), and 22 more.  When each reader formed its own, there were
+    33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition; dualize
+    formed 90 while each product formula and each of the 24 cases formed its own, and 60 products of two
+    matrices and 148 of a matrix and a vector while T was formed on the eigenbases, the flags and each
+    decomposition vector by each sweep; verify formed 28 while it tested the Gram block with products by G and
+    G^-1, and 15 while the split lines were found in U* W."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_krawtchouk_json(field, 6)))
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 15, "dualize": 56, "bases": 14, "matrix-of-t": 19}
+    bounds = {"verify": 14, "dualize": 56, "bases": 14, "matrix-of-t": 19}
     vector_bounds = {"dualize": 56}
     for verb, bound in bounds.items():
         calls.clear()
@@ -170,6 +191,31 @@ def test_no_verb_inverts_an_eigenbasis(field, tmp_path, monkeypatch):
         inverted.clear()
         assert main([verb, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         assert not [W for W in eigenbases if W in inverted], verb
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
+def test_duality_suite_reports_a_failed_gram_premise(field):
+    """On `hand_built(field, 3)["E_0 sheared"]` U W != I, a premise of `solve_gram`.  `build_duality_bundle` raises
+    it, as its anchor scalars are inner products through G, so the bundle is built by hand: T with lambda from its
+    closed form.  The suite reports every check in the usual order; the eight that read G through T^dagger or
+    T*^dagger fail with the premise as witness, as the Gram block of `verify` does, and so do the two sweeps of
+    E_i T = T E*_i, which read U W = I (E_0 T != T E*_0 here); of the others only those of T*, which reads E_0, fail."""
+    s = hand_built(field, 3)["E_0 sheared"]
+    error = "U W is not I at (i, j) = (0, 0)"
+    with pytest.raises(DegenerateSplit, match=re.escape(error)):
+        du.build_duality_bundle(s)
+    pa, one = s.parameter_array, field.one()
+    lam = pa.split_products[2][pa.d] / systems.nu_scalars(pa)[2] ** 2
+    bundle = du.DualityBundle(du.duality_operator(s), lam, one, one, one, one)
+    checks = du.verify_duality_suite(s, bundle).checks
+    good = certify(pa)
+    assert [c.name for c in checks] == [c.name for c in du.verify_duality_suite(good, du.build_duality_bundle(good)).checks]
+    failing = {c.name: c.witness for c in checks if not c.passed}
+    assert failing == {**dict.fromkeys(DAGGER_READERS, {"error": error}),
+                       **dict.fromkeys(("Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei"),
+                                       {"error": "idempotents_E_orthogonal fails"}),
+                       **dict.fromkeys(("T_equals_T_star", "product_Tstar_E0", "product_Tstar_E0star"))}
+    assert not all(E * bundle.t == bundle.t * Es for E, Es in zip(s.E, s.Estar))
 
 
 def test_singular_basis_inverses():

@@ -108,6 +108,13 @@ def zero_basis():
     return _checks(du.verify_basis_family(s, anchors))
 
 
+def v0_on_vstar0():
+    """The anchor v0 replaced by v*0: no eigencolumn of E, so the 24 bases leave the certificate to the rank, and
+    every sequence on v0 is singular."""
+    s, anchors, _ = _setup(SELF_DUAL)
+    return _checks(du.verify_basis_family(s, dataclasses.replace(anchors, v0=anchors.v0s)))
+
+
 def doubled_estar_d(array=SELF_DUAL):
     """A hand-built system with E*_d doubled: every tr(E_r E*_d) is off."""
     s, _, _ = _setup(array)
@@ -167,13 +174,27 @@ PINS = {
         "bases_span_decomposition_components": {"pair": "[0D]", "basis": "e-vstard", "i": 3},
     },
     zero_flags: {"flag_component_dimensions": {"flag": "D", "i": 3}},
-    zero_basis: {"bases_invertible": {"basis": "tau-rev-vstard"}},
     doubled_estar_d: {"trace_products_closed_form": {"r": 0}},
+}
+# the same for the sweep checks decided from premises (FROM_PREMISES)
+DECIDED_PINS = {
+    zero_basis: {"bases_invertible": {"basis": "tau-rev-vstard"}},  # the memoised verdict
+    v0_on_vstar0: {"bases_invertible": {"basis": "estar-rev-v0"}},  # the rank, as the certificate does not apply
 }
 
 # Sweep checks no library-level mutation makes fail, with the reason.
 WITHOUT_MUTATION = {
     "bases_inversion_pairing": "each -rev- id is the reversal of the memoised forward sequence it is compared with",
+}
+
+# Comparisons inside a sweep check that hold by construction once the decomposition certificate holds
+# (`duality._certified`), with the reason; the check stays pinned above, and its other comparisons, and all of them
+# on a system the certificate leaves to elimination, are a second route.
+BY_CERTIFICATE = {
+    "bases_span_decomposition_components": "the first family of each pair in BASIS_MEMBERSHIP: [zw] is that family, "
+                                           "normalized, and [0D] and [0*D*] the eigencolumns its E_i v spans",
+    "decomposition_table_rows": "rows 0, 1 and split: [0D], [0*D*] and [0*D] are the eigencolumns w_i, w*_i and "
+                                "the first family tau_i(A) w*_0 of [0*D], normalized",
 }
 
 # Checks of `verify` decided from premises that run before them in the same report -> those premises.  The Gram
@@ -185,8 +206,17 @@ WITHOUT_MUTATION = {
 # is orthogonal and spectral and theta (resp. theta*) is distinct: char_product and subalgebra_three_bases then
 # hold by construction (M = W diag(theta) U), and the two edge checks read one cyclic vector; a failed premise
 # fails the four with it as witness (`tests/test_cyclic_route.py`), and so does dagger_fixes_idempotents on E*.
-# Premises that no check of the report states are named in STATED.
-STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*")
+# The two split checks read Q P = I once E and E* are orthogonal, E spectral, B* irreducible tridiagonal, theta
+# distinct and U w*_0 without a zero entry; else the intersection route decides (`tests/test_certificate_route.py`).
+# bases_invertible, a check of `bases`, holds once every axiom of `verify_axioms` holds, which `certify` checks
+# before it, the anchor coordinates have no zero entry and the anchor is the eigencolumn it names; else each
+# forward sequence is ranked.  Premises that no check of the report states are named in STATED.
+AXIOM_CHECKS = SUITE_CHECKS[:11]  # the report of `verify_axioms`
+STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "U w*_0 without a zero",
+          "d+1 theta and theta*", "anchor coordinates without a zero", "anchor an eigencolumn")
+SPLIT_PREMISES = ("d+1 idempotents E", "d+1 idempotents E*", "idempotents_E_orthogonal", "idempotents_E_spectral",
+                  "theta distinct", "idempotents_Estar_orthogonal", "tridiagonal_A_in_Astar_eigenbasis",
+                  "U w*_0 without a zero")
 SOLVE_GRAM_PREMISES = ("idempotents_E_rank_one", "theta distinct", "idempotents_E_orthogonal",
                        "idempotents_E_spectral", "tridiagonal_Astar_in_A_eigenbasis")
 F_M_PREMISES = {star: (f"d+1 idempotents E{'*' * star}", f"idempotents_E{'star' * star}_orthogonal",
@@ -201,6 +231,9 @@ FROM_PREMISES = {
     **{f"idempotents_{label}_{sums}": (f"idempotents_{label}_orthogonal",)
        for label in ("E", "Estar") for sums in ("sum", "spectral")},
     **{name: F_M_PREMISES[star] for star, names in F_M_CHECKS.items() for name in names},
+    **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"), SPLIT_PREMISES),
+    "bases_invertible": (*AXIOM_CHECKS, "d+1 theta and theta*", "anchor coordinates without a zero",
+                         "anchor an eigencolumn"),
 }
 
 SWEEP_CHECKS = {
@@ -209,7 +242,7 @@ SWEEP_CHECKS = {
     *(f"T_on_family_{f}" for f in T_FAMILIES),
     "decomposition_inversion_pairs", "decompositions_induce_flags", "decomposition_table_rows",
     "T_maps_eigenspaces", "T_on_flags", "T_on_decompositions", "bases_span_decomposition_components",
-    "bases_inversion_pairing", "flag_component_dimensions", "bases_invertible", "matrix_of_T_closed_form",
+    "bases_inversion_pairing", "flag_component_dimensions", "matrix_of_T_closed_form",
     "A_representations_in_four_bases", "Astar_representations_in_four_bases",
 }
 
@@ -218,16 +251,37 @@ def test_every_sweep_check_is_pinned_or_listed():
     pinned = {name for pins in PINS.values() for name in pins}
     assert pinned | set(WITHOUT_MUTATION) == SWEEP_CHECKS
     assert not pinned & set(WITHOUT_MUTATION)
+    assert set(BY_CERTIFICATE) <= pinned
 
 
 def test_every_decided_check_names_premises_that_run_first():
+    """A premise of a check of `verify` comes before it in the report; one of a check of `bases` is an axiom,
+    as `certify` runs first."""
     assert set(FROM_PREMISES) == {*GRAM_CHECKS, *F_M_CHECKS[False], *F_M_CHECKS[True],
                                   *(f"idempotents_{label}_{sums}" for label in ("E", "Estar")
-                                    for sums in ("sum", "spectral"))}
+                                    for sums in ("sum", "spectral")),
+                                  "split_projectors_match_intersection", "split_projectors_resolution",
+                                  "bases_invertible"}
     assert not set(FROM_PREMISES) & (SWEEP_CHECKS | set(WITHOUT_MUTATION))
     for name, premises in FROM_PREMISES.items():
         checked = [p for p in premises if p not in STATED]
-        assert all(SUITE_CHECKS.index(p) < SUITE_CHECKS.index(name) for p in checked), name
+        if name in SUITE_CHECKS:
+            assert all(SUITE_CHECKS.index(p) < SUITE_CHECKS.index(name) for p in checked), name
+        else:
+            assert set(checked) <= set(AXIOM_CHECKS), name
+
+
+def test_certified_comparisons_compare_a_sequence_with_itself():
+    """On the certified system each decomposition is the normalized first family of its pair, and the rows of
+    `decomposition_table_rows` read the very vectors they are compared with (BY_CERTIFICATE)."""
+    s, anchors, _ = _setup(SELF_DUAL)
+    for (z, w), (first, _) in du.BASIS_MEMBERSHIP.items():
+        vectors = du.build_decomposition(s, z, w).vectors
+        assert vectors == tuple(v.normalized() for v in du.build_basis(s, anchors, first)), (z, w)
+    splits = s.root_family("tau", False, s.eigencolumn(0, star=True))
+    for (z, w), seq in ((("0", "D"), s.eigenbasis()[0].columns()), (("0*", "D*"), s.eigenbasis(True)[0].columns()),
+                        (("0*", "D"), splits)):
+        assert du.build_decomposition(s, z, w).vectors == tuple(v.normalized() for v in seq)
 
 
 def test_unmutated_system_passes_every_sweep_check():
@@ -238,11 +292,10 @@ def test_unmutated_system_passes_every_sweep_check():
     assert all(checks[name] == (True, None) for name in SWEEP_CHECKS)
 
 
-@pytest.mark.parametrize("mutation", PINS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("mutation", {**PINS, **DECIDED_PINS}, ids=lambda m: m.__name__)
 def test_witness_pinned(mutation):
-    checks = mutation()
-    assert {name: checks[name] for name in PINS[mutation]} == {
-        name: (False, witness) for name, witness in PINS[mutation].items()}
+    checks, pins = mutation(), {**PINS, **DECIDED_PINS}[mutation]
+    assert {name: checks[name] for name in pins} == {name: (False, witness) for name, witness in pins.items()}
 
 
 def _dualize_checks() -> tuple:
@@ -295,11 +348,12 @@ def _raised(M: Matrix, i: int, j: int) -> Matrix:
 
 def _raised_inverse_entry(star: bool, i: int, j: int) -> dict:
     """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built; the
-    memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it."""
+    memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it,
+    and so is the memoised axiom report that `certify` read off them."""
     s, _, bundle = _setup(SELF_DUAL)
-    assert not any(key[0] == "flag" for key in s._memo)
+    assert not any(key[0] in ("flag", "certified") for key in s._memo)
     s._memo[("eigenbasis_inverse", star)] = _raised(systems._eigenbasis_inverse(s, star), i, j)
-    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star)]:
+    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star) or key == "axioms"]:
         del s._memo[key]
     return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 
@@ -341,12 +395,16 @@ def test_every_eigenbasis_inverse_reader_is_pinned():
 
 def _mutated_memo(key, mutation) -> dict:
     """A new build of SELF_DUAL whose memoised key is mutated before any reader runs: a U W witness
-    is replaced by mutation, a change of basis has entry mutation = (i, j) raised by 1.  T is the
-    certified system's, as no change of basis enters it.  The duality suite, which needs the premises of
-    `solve_gram`, runs only on a mutated W_a^-1 T W_b, which it reads."""
+    is replaced by mutation, a change of basis has entry mutation = (i, j) raised by 1, or for
+    mutation = (i, j, x) set to x.  T is the certified system's, as no change of basis enters it.  The
+    duality suite, which needs the premises of `solve_gram`, runs only on a mutated W_a^-1 T W_b, which it reads."""
     _, _, bundle = _setup(SELF_DUAL)
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
-    s._memo[key] = mutation if key[0] == "UW_witness" else _raised(systems.change_of_basis(s, *key[1:]), *mutation)
+    if key[0] == "UW_witness":
+        s._memo[key] = mutation
+    else:
+        M, (i, j, *x) = systems.change_of_basis(s, *key[1:]), mutation
+        s._memo[key] = _set(M, i, j, s.field.from_int(*x)) if x else _raised(M, i, j)
     reports = [systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle)]
     if T in key:
         reports.append(du.verify_duality_suite(s, bundle))
@@ -371,28 +429,18 @@ MEMO_PINS = {
         **dict.fromkeys(GRAM_CHECKS, {"error": "U A* W is not irreducible tridiagonal"})}),
     ("change_of_basis", True, "A", True): ((0, 2), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None}),
-    # W*^-1 W: the split lines and [0*0], [0*D], [D*0], [D*D]
-    ("change_of_basis", True, None, False): ((2, 1), {
-        "split_projectors_match_intersection": None,
+    # W*^-1 W and W^-1 W*: columns 0 and d are the anchor coordinates U* w_0, U* w_d, U w*_0 and U w*_d, premises of
+    # the decomposition certificate (`duality._certified`); a zero among them leaves the decompositions to elimination,
+    # which reads W*^-1 W for [0*0], [0*D], [D*0], [D*D] and W^-1 W* for [00*], [0D*], [D0*], [DD*]
+    ("change_of_basis", True, None, False): ((2, 3, 0), {
         "decomposition_inversion_pairs": {"pair": "[D*D]"},
         "decompositions_induce_flags": {"pair": "[D*D]", "flag": "D*", "i": 0},
         "decomposition_table_rows": {"i": 1, "row": "split"},
         "T_on_decompositions": {"pair": "[0D*]", "i": 1}}),
-    # W^-1 W*: [00*], [0D*], [D0*], [DD*]
-    ("change_of_basis", False, None, True): ((2, 1), {
+    ("change_of_basis", False, None, True): ((2, 3, 0), {
         "decomposition_inversion_pairs": {"pair": "[D*D]"},
         "decompositions_induce_flags": {"pair": "[DD*]", "flag": "D", "i": 0},
         "T_on_decompositions": {"pair": "[0D*]", "i": 1}}),
-    # W^-1 W = I: [0D] and [D0]; W*^-1 W* = I: [0*D*] and [D*0*]
-    ("change_of_basis", False, None, False): ((1, 2), {
-        "decomposition_inversion_pairs": {"pair": "[D0]"},
-        "decompositions_induce_flags": {"pair": "[D0]", "flag": "D", "i": 1},
-        "T_on_decompositions": {"pair": "[D*0*]", "i": 1}}),
-    ("change_of_basis", True, None, True): ((2, 1), {
-        "decomposition_inversion_pairs": {"pair": "[D*0*]"},
-        "decompositions_induce_flags": {"pair": "[0*D*]", "flag": "0*", "i": 1},
-        "decomposition_table_rows": {"i": 1, "row": 1},
-        "T_on_decompositions": {"pair": "[0*D*]", "i": 1}}),
     # T in the eigenbases: W*^-1 T W (T on [0] and [D] and on each w_i, and E*_i T = T E_i) and W^-1 T W*
     ("change_of_basis", True, T, False): ((0, 1), {
         "T_maps_eigenspaces": {"i": 1, "side": "E"},
@@ -526,6 +574,7 @@ def test_decided_checks_fail_under_a_wrong_premise_entry(array, mutation):
 def test_every_decided_check_fails_under_a_premise_mutation():
     """Each decided check but the two sums, which are W U = I whenever U W = I, fails under a mutation above."""
     failing = {name for _, pins in PREMISE_PINS.values() for name in pins}
+    failing |= {name for pins in DECIDED_PINS.values() for name in pins}
     assert set(FROM_PREMISES) - failing == {"idempotents_E_sum", "idempotents_Estar_sum"}
 
 

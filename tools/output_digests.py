@@ -11,7 +11,9 @@ GF(2^31 - 1), through verify, relatives, dualize and bases: over Q their W, U an
 denominators, which the benchmark's Krawtchouk arrays never have.  Then verify runs on the same
 arrays with varphi_1 raised by 1, the only verify inputs here that are not Leonard: the Gram checks
 fail on their premise that U A* W is irreducible tridiagonal while the premises of the F[M] checks
-hold, and the report (exit 1) still lists every check.  Last come the self-dual q-Racah arrays, with
+hold, and the report (exit 1) still lists every check.  dualize, bases and matrix-of-t --basis
+tau-vstard follow on each of them and exit 1 from certify, with the axiom report on stderr: a
+certificate that ran before certify would show here.  Last come the self-dual q-Racah arrays, with
 theta* = theta, at d = 2..8 over Q and GF(2^31 - 1), through dualize, bases and matrix-of-t in each of
 its four bases: the only passing calls of these verbs here whose W, U and W* have mixed denominators
 over Q (the q-Racah arrays above are not self-dual, so dualize fails on them, and matrix-of-t refuses
@@ -42,6 +44,7 @@ from run import invoke  # noqa: E402
 SEEDS = (1, 2, 3)
 Q_RACAH_DS = range(2, 9)
 Q_RACAH_VERBS = ("verify", "relatives", "dualize", "bases")
+RAISED_VERBS = (("verify",), ("dualize",), ("bases",), ("matrix-of-t", "--basis", "tau-vstard"))
 SELF_DUAL_VERBS = (("dualize",), ("bases",)) + tuple(("matrix-of-t", "--basis", basis) for basis in
                                                     ("etastar-v0", "eta-vstar0", "taustar-vd", "tau-vstard"))
 
@@ -120,9 +123,11 @@ def main(argv=None) -> int:
                 for d in Q_RACAH_DS:
                     pa = program.systems.ParameterArray.from_json(q_racah(program, field, d))
                     raised = replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])).to_json()
-                    argv = ("verify", "--input", write_array(f"q-racah-{field.kind}-d{d}-varphi1-raised.json", raised))
-                    print("q-racah-varphi1-raised", field.kind, d, 0, call_digest(program, argv), " ".join(argv),
-                          flush=True)
+                    path = write_array(f"q-racah-{field.kind}-d{d}-varphi1-raised.json", raised)
+                    for k, verb in enumerate(RAISED_VERBS):
+                        argv = (*verb, "--input", path)
+                        print("q-racah-varphi1-raised", field.kind, d, k, call_digest(program, argv), " ".join(argv),
+                              flush=True)
             for field in fields:
                 for d in Q_RACAH_DS:
                     array = q_racah(program, field, d, (1, 2, 7))
