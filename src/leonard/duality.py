@@ -31,11 +31,11 @@ from .systems import (
     ParameterArray,
     _eigenbasis_inverse,
     _orthogonality_witness,
+    certified,
     change_of_basis,
     d4_apply,
     edge_values,
     nu_scalars,
-    verify_axioms,
 )
 
 
@@ -339,26 +339,11 @@ def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
     return sys.cached(("decomposition", z, w), lambda: _decomposition(sys, z, w))
 
 
-def _certified(sys: LeonardSystem) -> bool:
-    """The premises of the certificates of `_decomposition` and `_is_basis`, memoised: every axiom of the memoised
-    `verify_axioms` report, d+1 values in theta and theta*, and no zero among the anchor coordinates U w*_0, U w*_d,
-    U* w_0 and U* w_d (columns 0 and d of U W* and U* W).  Then A = W diag(theta) U and B* = U* A W* is irreducible
-    tridiagonal, so tau_i(A) w*_0 has coordinates tau_i(B*) e_0 on W* and diag(tau_i(theta)) U w*_0 on W, both
-    triangular with a nonzero diagonal, and so has each tau/eta family on an anchor: it is a basis, and vector i spans
-    component i of the decomposition of its two flags, which are opposite (Terwilliger, LAA 330 (2001))."""
-    def build() -> bool:
-        if not (verify_axioms(sys).all_pass and len(sys.theta) == len(sys.theta_star) == sys.d + 1):
-            return False
-        return all(row[j] for a in (False, True) for row in change_of_basis(sys, a, None, not a).nums
-                   for j in (0, sys.d))
-    return sys.cached("certified", build)
-
-
 def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    """Once `_certified` holds, the first family of the pair in BASIS_MEMBERSHIP, normalized: for [0D] and [0*D*]
+    """Once `certified` holds, the first family of the pair in BASIS_MEMBERSHIP, normalized: for [0D] and [0*D*]
     the eigencolumns.  Else [z]^-1 [w] is W_a^-1 W_b (`change_of_basis`) with its rows and columns in the flags'
     orders, decomposed by elimination (`flag_decomposition`)."""
-    if _certified(sys):
+    if certified(sys):
         gen, rev, anchor_key = _parse_basis_id(BASIS_MEMBERSHIP[(z, w)][0])
         seq = (sys.eigenbasis(gen == "estar")[0].columns() if gen in ("e", "estar")
                else _sequence(sys, gen, _eigen_anchor(sys, anchor_key)))
@@ -380,6 +365,17 @@ _T_DISPLAYED = (("0*", "D"), ("D*", "D"), ("0*", "0"), ("D*", "0"), ("0", "D"), 
 T_DECOMPOSITION_ORDER = _T_DISPLAYED + tuple((w, z) for z, w in _T_DISPLAYED)
 
 
+def _decompositions(sys: LeonardSystem, pairs) -> tuple:
+    """({(z, w): [zw]} over the pairs that build, {"pair", "error"} of the last that does not, else None)."""
+    decomps, witness = {}, None
+    for z, w in pairs:
+        try:
+            decomps[(z, w)] = build_decomposition(sys, z, w)
+        except DegenerateSplit as exc:
+            witness = {"pair": f"[{z}{w}]", "error": str(exc)}
+    return decomps, witness
+
+
 def verify_geometry_suite(
     sys: LeonardSystem, bundle: DualityBundle | None = None
 ) -> VerificationReport:
@@ -393,12 +389,7 @@ def verify_geometry_suite(
         {"flag": z, "i": d} for z, F in flags.items() if F.inverse is None))
 
     # DECOMPOSITION_PAIRS is every ordered pair of distinct flags; each builds iff the two are opposite
-    decomps, witness = {}, None
-    for z, w in DECOMPOSITION_PAIRS:
-        try:
-            decomps[(z, w)] = build_decomposition(sys, z, w)
-        except DegenerateSplit as exc:
-            witness = {"pair": f"[{z}{w}]", "error": str(exc)}
+    decomps, witness = _decompositions(sys, DECOMPOSITION_PAIRS)
     report.add("flags_mutually_opposite", witness is None)
     report.add("decomposition_components_one_dimensional", witness is None, witness)
     if witness is not None:
@@ -507,13 +498,13 @@ def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
 
 def _is_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str) -> bool:
     """Whether the vectors build_basis(...) are a basis, decided once per forward sequence and memoised, since a
-    -rev- id has the same columns reversed: a basis once `_certified` holds and the anchor is a multiple of the
+    -rev- id has the same columns reversed: a basis once `certified` holds and the anchor is a multiple of the
     eigencolumn it names, on the side opposite gen; else ranked."""
     gen, _, anchor_key = _parse_basis_id(basis_id)
     v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
-    certified = lambda: (anchor_key.startswith("vstar") != gen.endswith("star") and _certified(sys)
-                         and v.is_colinear(_eigen_anchor(sys, anchor_key)))
-    return sys.cached(("is_basis", gen, v), lambda: certified() or Matrix.from_columns(
+    decided = lambda: (anchor_key.startswith("vstar") != gen.endswith("star") and certified(sys)
+                       and v.is_colinear(_eigen_anchor(sys, anchor_key)))
+    return sys.cached(("is_basis", gen, v), lambda: decided() or Matrix.from_columns(
         sys.field, build_basis(sys, anchors, basis_id)).rank() == sys.d + 1)
 
 
@@ -550,8 +541,9 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> Verificat
     report.add_last_failure("bases_invertible", (
         {"basis": basis_id} for basis_id in BASIS_IDS if not _is_basis(sys, anchors, basis_id)))
 
-    decomps = {(z, w): build_decomposition(sys, z, w) for z, w in BASIS_MEMBERSHIP}
-    report.add_last_failure("bases_span_decomposition_components", (
+    # a pair of flags that is not opposite fails the check with that pair as witness, as in `verify_geometry_suite`
+    decomps, witness = _decompositions(sys, BASIS_MEMBERSHIP)
+    report.add_last_failure("bases_span_decomposition_components", [witness] if witness else (
         {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), ids in BASIS_MEMBERSHIP.items()
         for basis_id in ids for i in range(d + 1) if not family[basis_id][i].is_colinear(decomps[(z, w)].vectors[i])))
 

@@ -322,6 +322,30 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
     return sys.cached("axioms", build)
 
 
+def premises(sys: LeonardSystem, star: bool = False) -> tuple:
+    """(W, U) for E (resp. E*) once, by the memoised `verify_axioms` report, it has d+1 idempotents and is orthogonal
+    and spectral, and theta (theta*) is d+1 distinct values; else DegenerateSplit naming the first that fails.  Then
+    U W = I and M = W diag(theta) U for M = A (A*): the premises of the F[M] checks and of `solve_gram`."""
+    _sized(sys, star)
+    report, label = verify_axioms(sys), "Estar" if star else "E"
+    if failed := [c for c in ("orthogonal", "spectral") if not report[f"idempotents_{label}_{c}"].passed]:
+        raise DegenerateSplit(f"idempotents_{label}_{failed[0]} fails")
+    if not len(set(theta := sys.theta_star if star else sys.theta)) == len(theta) == sys.d + 1:
+        raise DegenerateSplit(f"theta{'*' * star} is not d + 1 = {sys.d + 1} distinct values")
+    return sys.eigenbasis(star)
+
+
+def certified(sys: LeonardSystem) -> bool:
+    """Every axiom of the memoised `verify_axioms` report holds and theta and theta* have d+1 values, memoised: the
+    premise of the closed forms that stand in for the eliminations (the split lines of `standard_identity_suite`,
+    the decompositions and bases of `duality`).  Then theta and theta* are distinct, as A (A*) is diagonalizable and
+    similar to the irreducible tridiagonal B* = U* A W* (B = U A* W); U W = I gives U A W = diag(theta), which is
+    idempotents_E_spectral; and each row of U W* (U* W) is a left eigenvector of B* (B), so it has no zero at
+    either end (Terwilliger, LAA 330 (2001), Thm 1.9)."""
+    return sys.cached("certified", lambda: verify_axioms(sys).all_pass
+                      and len(sys.theta) == len(sys.theta_star) == sys.d + 1)
+
+
 def certify(pa: ParameterArray) -> LeonardSystem:
     """Build and certify; raises NotALeonardPair when the array is not realizable.
 
@@ -548,28 +572,22 @@ def split_projectors_by_intersection(sys: LeonardSystem) -> list:
 def solve_gram(sys: LeonardSystem) -> tuple:
     """(G, G^-1) for the symmetric invertible G with A^T G = G A and A*^T G = G A*, read off in the eigenbasis
     (W, U) of A.  Its premises, in order, each a DegenerateSplit naming it: every E_i of rank one
-    (`LeonardSystem.eigenbasis`), d+1 distinct theta and d+1 idempotents, U W = I, U A W = diag(theta) and
-    B = U A* W irreducible tridiagonal.  Then W U = I, A = W diag(theta) U and A* = W B U, so A^T G = G A forces
-    G = U^T diag(m) U, and A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji: m_0 = 1 and
-    m_{i+1} = m_i B_{i,i+1} / B_{i+1,i}, all nonzero (Terwilliger, LAA 330 (2001)).  G is divided by pivot, its
-    first nonzero entry of row 0, and G^-1 = W diag(pivot/m) W^T, as G G^-1 = U^T W^T = I.  So G is symmetric and
-    intertwines A and A*, and X -> G^-1 X^T G fixes A and A*, is an involution and fixes each E_i = w_i u_i^T, as
-    G w_i = (m_i/pivot) u_i and G^-1 u_i = (pivot/m_i) w_i.  Once E* is orthogonal and spectral, A* is
-    W* diag(theta*) U*, diagonalizable and, like B (irreducible tridiagonal), with only lines for eigenspaces:
-    theta* is distinct, and each E*_i, a Lagrange polynomial in A*, is fixed too."""
-    f, d, theta = sys.field, sys.d, sys.theta
-    W, U = sys.eigenbasis()
-    at = next(((i, j) for j in range(len(theta)) for i in range(j) if theta[i] == theta[j]), None)
-    if at or not len(theta) == W.ncols == d + 1:
-        raise DegenerateSplit(f"theta is not distinct at (i, j) = {at}" if at else
-                              f"{len(theta)} eigenvalues and {W.ncols} idempotents, not d + 1 = {d + 1}")
-    if at := _orthogonality_witness(sys):
-        raise DegenerateSplit(f"U W is not I at (i, j) = ({at['i']}, {at['j']})")
-    if at := _off_diagonal(change_of_basis(sys, False, "A", False), theta):
-        raise DegenerateSplit(f"U A W is not diag(theta) at (i, j) = ({at['i']}, {at['j']})")
-    B = change_of_basis(sys, False, "Astar", False)  # U A* W, as W^-1 = U
-    if not is_irreducible_tridiagonal(B):
+    (`LeonardSystem.eigenbasis`); those of `premises` on E, read off the memoised axiom report: d+1 idempotents,
+    idempotents_E_orthogonal (U W = I), idempotents_E_spectral (U A W = diag(theta)) and d+1 distinct theta; and
+    B = U A* W irreducible tridiagonal, the report's tridiagonal_Astar_in_A_eigenbasis, as W^-1 = U.  Then W U = I,
+    A = W diag(theta) U and A* = W B U, so A^T G = G A forces G = U^T diag(m) U, and A*^T G = G A* holds exactly
+    when m_i B_ij = m_j B_ji: m_0 = 1 and m_{i+1} = m_i B_{i,i+1} / B_{i+1,i}, all nonzero (Terwilliger, LAA 330
+    (2001)).  G is divided by pivot, its first nonzero entry of row 0, and G^-1 = W diag(pivot/m) W^T, as
+    G G^-1 = U^T W^T = I.  So G is symmetric and intertwines A and A*, and X -> G^-1 X^T G fixes A and A*, is an
+    involution and fixes each E_i = w_i u_i^T, as G w_i = (m_i/pivot) u_i and G^-1 u_i = (pivot/m_i) w_i.  Once E*
+    is orthogonal and spectral, A* is W* diag(theta*) U*, diagonalizable and, like B (irreducible tridiagonal), with
+    only lines for eigenspaces: theta* is distinct, and each E*_i, a Lagrange polynomial in A*, is fixed too."""
+    f, d = sys.field, sys.d
+    sys.eigenbasis()
+    W, U = premises(sys)
+    if not verify_axioms(sys)["tridiagonal_Astar_in_A_eigenbasis"].passed:
         raise DegenerateSplit("U A* W is not irreducible tridiagonal")
+    B = change_of_basis(sys, False, "Astar", False)
     m = list(accumulate((f.fraction(B.nums[i][i + 1], B.nums[i + 1][i]) for i in range(d)), mul, initial=f.one()))
     scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
     G = U.transpose() * scale_rows(m, U)
@@ -610,25 +628,17 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # with diagonal eta_i(theta_{d-i}) != 0; M^i v is W diag(c) times a Vandermonde matrix of the distinct theta; and
     # X -> X v is one-to-one on F[M].  So each family is a basis of F[M], and tau_{d+1}(M) = W diag(tau_{d+1}(theta_k))
     # U = 0 (Terwilliger, LAA 330 (2001); Horn & Johnson, Matrix Analysis, ch. 3): char_product_* and
-    # subalgebra_three_bases_* pass once the premises hold; the edge checks read E_0 v, E_d v, tau_d(M) v, eta_d(M) v
-    def premises(star: bool) -> tuple:
-        """(W, U) for E (E*) once the premises hold; else DegenerateSplit naming the first that fails."""
-        _sized(sys, star)
-        if failed := [c for c in ("orthogonal", "spectral") if not report[f"idempotents_E{'star' * star}_{c}"].passed]:
-            raise DegenerateSplit(f"idempotents_E{'star' * star}_{failed[0]} fails")
-        if not len(set(theta := sys.theta_star if star else sys.theta)) == len(theta) == d + 1:
-            raise DegenerateSplit(f"theta{'*' * star} is not d + 1 = {d + 1} distinct values")
-        return sys.eigenbasis(star)
-
+    # subalgebra_three_bases_* pass once the premises hold (`premises`); the edge checks read E_0 v, E_d v,
+    # tau_d(M) v and eta_d(M) v
     def edge(star):
         g_d, g_0 = edge_values(array())[2 * star:][:2]  # the extraction error before the premises
-        (W, U), mats, j = premises(star), (sys.Estar if star else sys.E), d * star
+        (W, U), mats, j = premises(sys, star), (sys.Estar if star else sys.E), d * star
         v, E0v, Edv = ((Matrix.identity(f, d + 1).column(j), mats[0].column(j), mats[d].column(j))
                        if all(r[j] for r in U.nums) else (W * Vector(f, [f.one()] * (d + 1)), W.column(0), W.column(d)))
         tau_d, eta_d = (sys.root_family(kind, star, v)[d] for kind in ("tau", "eta"))
         return [(eta_d.scale(f.invert(g_0)) == E0v, None), (tau_d.scale(f.invert(g_d)) == Edv, None)]
 
-    decided = lambda star: premises(star) and [(True, None)]
+    decided = lambda star: premises(sys, star) and [(True, None)]
     for names, check in ((("edge_idempotent_E0", "edge_idempotent_Ed"), edge), (("char_product_A",), decided),
                          (("subalgebra_three_bases_A",), decided)):
         for star in (False, True):
@@ -659,24 +669,16 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
 
     # split projectors: the closed form F_i = p_i q_i^T (`split_factors`) against the intersection construction.
     # F_i F_j = (q_i^T p_j) p_i q_j^T and sum F_i = P Q, so the F_i resolve the identity exactly when Q P = I.
-    # Certificate: once E and E* are orthogonal, E spectral, B* = U* A W* irreducible tridiagonal, theta distinct
-    # and c = U w*_0 without a zero entry, U P = [diag(tau_i(theta)) c] is lower and U* P = [tau_i(B*) e_0] upper
-    # triangular, both with nonzero diagonals: p_i spans the split line U_i, P is invertible, and the intersection
-    # route's projector P e_i e_i^T P^-1 is F_i exactly when Q P = I.  Else the intersection route decides.
-    def certified() -> bool:
-        try:
-            U = premises(False)[1]
-        except DegenerateSplit:
-            return False
-        return (report["idempotents_Estar_orthogonal"].passed and report["tridiagonal_A_in_Astar_eigenbasis"].passed
-                and all((U * sys.eigencolumn(0, star=True)).nums[0]))
-
+    # Once `certified` holds, c = U w*_0 has no zero entry, so U P = [diag(tau_i(theta)) c] is lower and
+    # U* P = [tau_i(B*) e_0] upper triangular, both with nonzero diagonals: p_i spans the split line U_i, P is
+    # invertible, and the intersection route's projector P e_i e_i^T P^-1 is F_i exactly when Q P = I.  Else the
+    # intersection route decides.
     def split():
         array()  # raises the extraction error before split_factors would extract again
         sized()
         P, Q = split_factors(sys)
         resolves = not _off_diagonal(Q * P, [one] * (d + 1))
-        if certified():
+        if certified(sys):
             return [(resolves, None)] * 2
         return [(split_projectors(sys) == split_projectors_by_intersection(sys), None), (resolves, None)]
 

@@ -1,15 +1,15 @@
 """The certificate routes against the eliminations they replace.
 
-`standard_identity_suite` reads the two split checks off Q P = I for the closed-form factors (P, Q) of
-`split_factors` once E and E* are orthogonal, E spectral, B* = U* A W* irreducible tridiagonal, theta distinct
-and U w*_0 without a zero entry.  `duality._decomposition` takes the first family of each pair in
-`BASIS_MEMBERSHIP`, and `duality._is_basis` accepts each of the 12 forward sequences, once `duality._certified`
-holds: every axiom of the memoised `verify_axioms` report, and anchor coordinates without a zero entry.  The routes
-they replace stay as the fallbacks and serve here as references: `split_projectors_by_intersection`,
-`flag_decomposition` and `Matrix.rank`.  On Leonard systems, in split form and conjugated to a dense basis, the
-certificates hold and no fallback runs; verdicts and normalized vectors match the references.  On systems that
-fail a premise (the not-Leonard Krawtchouk arrays, and one hand-made system per premise), the fallback runs and
-every report equals the one with the certificates switched off.
+`systems.certified` holds when every axiom of the memoised `verify_axioms` report holds and theta and theta* have
+d+1 values.  Once it holds, `standard_identity_suite` reads the two split checks off Q P = I for the closed-form
+factors (P, Q) of `split_factors`, `duality._decomposition` takes the first family of each pair in
+`BASIS_MEMBERSHIP`, and `duality._is_basis` accepts each of the 12 forward sequences.  The routes they replace
+stay as the fallbacks and serve here as references: `split_projectors_by_intersection`, `flag_decomposition` and
+`Matrix.rank`.  On Leonard systems, in split form and conjugated to a dense basis, the certificate holds, what it
+stands for holds too (theta and theta* distinct, U A W = diag(theta), no zero at either end of a row of U W* or
+U* W), no fallback runs, and verdicts and normalized vectors match the references.  On systems that fail an axiom
+(the not-Leonard Krawtchouk arrays, and one hand-made system per premise), the fallback runs and every report
+equals the one with the certificate switched off.
 """
 
 from contextlib import contextmanager
@@ -75,15 +75,9 @@ def fallbacks():
 
 
 def reports(sys, anchors) -> dict:
-    """name -> (passed, witness) over `verify`'s suite, the geometry suite and the basis family, which raises the
-    DegenerateSplit of the first pair that does not decompose."""
-    out = {c.name: (c.passed, c.witness) for report in (systems.standard_identity_suite(sys),
-                                                        du.verify_geometry_suite(sys)) for c in report.checks}
-    try:
-        out.update((c.name, (c.passed, c.witness)) for c in du.verify_basis_family(sys, anchors).checks)
-    except DegenerateSplit as exc:
-        out["basis family"] = (False, str(exc))
-    return out
+    """name -> (passed, witness) over `verify`'s suite, the geometry suite and the basis family."""
+    return {c.name: (c.passed, c.witness) for report in (systems.standard_identity_suite(sys),
+            du.verify_geometry_suite(sys), du.verify_basis_family(sys, anchors)) for c in report.checks}
 
 
 def eigen_anchors(sys) -> du.AnchorVectors:
@@ -96,7 +90,20 @@ def eigen_anchors(sys) -> du.AnchorVectors:
 # --- Leonard systems: the certificates hold and agree with the references ---
 
 
+def assert_certificate_premises(sys):
+    """What `systems.certified` stands for, formed here: theta and theta* distinct, U A W = diag(theta), and no zero
+    in columns 0 and d of U W* and U* W."""
+    (W, U), (Ws, Us) = sys.eigenbasis(), sys.eigenbasis(star=True)
+    assert len(set(sys.theta)) == len(set(sys.theta_star)) == sys.d + 1
+    assert U * sys.A * W == Matrix(sys.field, [[t if i == j else sys.field.zero() for j in range(sys.d + 1)]
+                                               for i, t in enumerate(sys.theta)])
+    for M in (U * Ws, Us * W):
+        assert all(row[j] for row in M.rows for j in (0, sys.d))
+
+
 def assert_certified_routes_match(sys):
+    assert systems.certified(sys)
+    assert_certificate_premises(sys)
     anchors = du.choose_anchor_vectors(sys)
     with fallbacks() as calls:
         report = systems.standard_identity_suite(sys)
@@ -113,7 +120,9 @@ def assert_certified_routes_match(sys):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_generated_arrays_take_the_certificates(field, data):
-    """Hypothesis `leonard_arrays` at d = 1..6, in split form and conjugated to a dense basis."""
+    """Hypothesis `leonard_arrays` at d = 1..6, in split form and conjugated to a dense basis: the certificate holds,
+    so do the premises the routes no longer form (Terwilliger, LAA 330 (2001), Thm 1.9), and the routes match the
+    references."""
     pa = data.draw(st.integers(1, 6).flatmap(lambda d: leonard_arrays(field, d)))
     s = certify(pa)
     for sys in (s, s.conjugated(conjugator(field, pa.d + 1))):
@@ -129,7 +138,7 @@ def test_corpus_takes_the_certificates(corpus):
 
 
 def assert_fallback_decides(build, anchors=eigen_anchors, taken=("split", "decomposition")):
-    """A fresh build() with the certificates and one with `duality._certified` off give the same reports, the first
+    """A fresh build() with the certificate and one with `systems.certified` off give the same reports, the first
     calling each fallback in taken; when the split fallback is taken, the split checks are the intersection route's
     outcomes."""
     sys = build()
@@ -137,7 +146,8 @@ def assert_fallback_decides(build, anchors=eigen_anchors, taken=("split", "decom
         checks = reports(sys, anchors(sys))
     assert set(taken) <= set(calls)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(du, "_certified", lambda sys: False)
+        for owner in (systems, du):  # duality reads the name it imports
+            patch.setattr(owner, "certified", lambda sys: False)
         reference = build()
         assert checks == reports(reference, anchors(reference))
     if "split" in taken:
@@ -153,10 +163,28 @@ def test_not_leonard_arrays_take_the_fallbacks(pa):
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 def test_sheared_e0_takes_the_fallbacks(field):
-    """U W != I: the premise U W = I of both certificates fails, and the split checks keep their witnesses."""
+    """U W != I: the axiom idempotents_E_orthogonal fails, so the certificate does not hold, and the split checks
+    keep their witnesses."""
     checks = assert_fallback_decides(lambda: hand_built(field, 3)["E_0 sheared"])
     assert [checks[name] for name in SPLIT] == [(False, None)] * 2
     assert not checks["idempotents_E_orthogonal"][0] and checks["flags_mutually_opposite"] == (True, None)
+
+
+NOT_OPPOSITE = ("7-d3-1", "7-d3-3", "7-d4-2", "7-d4-3", "7-d5-3")  # over GF(7), a pair of flags is not opposite
+
+
+@pytest.mark.parametrize("pa", [pa for pa in perturbed_arrays() if pa.id in NOT_OPPOSITE])
+def test_basis_family_reports_flags_that_are_not_opposite(pa):
+    """`verify_basis_family` reports, as the geometry suite does: the span check fails with the pair that does not
+    decompose and its error as witness, and the other checks run."""
+    sys = build_system(pa)
+    assert not du.verify_geometry_suite(sys)["flags_mutually_opposite"].passed
+    report = du.verify_basis_family(sys, eigen_anchors(sys))
+    assert [c.name for c in report.checks] == [
+        "bases_invertible", "bases_span_decomposition_components", "bases_inversion_pairing"]
+    span = report["bases_span_decomposition_components"]
+    assert not span.passed and set(span.witness) == {"pair", "error"}
+    assert span.witness["error"].endswith(f"of {span.witness['pair']} are not opposite")
 
 
 def _mutated(field, key, i, j):
@@ -178,18 +206,6 @@ def test_reducible_b_star_takes_the_fallbacks(field):
     checks = assert_fallback_decides(_mutated(field, (True, "A", True), 1, 0))
     assert checks["tridiagonal_A_in_Astar_eigenbasis"] == (False, None)
     assert all(checks[name] == (True, None) for name in (*SPLIT, "flags_mutually_opposite", "bases_invertible"))
-
-
-@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-@pytest.mark.parametrize("key", [(False, None, True), (True, None, False)], ids=["U-Wstar", "Ustar-W"])
-def test_zero_anchor_coordinate_takes_the_fallbacks(field, key):
-    """U W* (resp. U* W) with entry (2, 3), an anchor coordinate of w*_d (resp. w_d), set to 0: the decompositions
-    and the bases fall back, and the elimination reads the same zero.  The split certificate reads U w*_0 off its own
-    product, so it holds.  Once the axioms hold, the anchor coordinates are the end entries of left eigenvectors of
-    the irreducible tridiagonal B* (resp. B), never 0, so only a wrong memo entry fails this premise alone."""
-    checks = assert_fallback_decides(_mutated(field, key, 2, 3), taken=("decomposition", "rank"))
-    assert not checks["decompositions_induce_flags"][0]
-    assert all(checks[name] == (True, None) for name in (*SPLIT, "bases_invertible"))
 
 
 def test_bases_on_other_anchors_are_ranked():

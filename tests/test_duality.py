@@ -118,7 +118,7 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     certify takes 2, the solves of its round trip.  verify, dualize and bases add none to certify's count on this
     split-form input: W^-1 is U and W*^-1 is U*, since U W = I and U* W* = I (`systems._eigenbasis_inverse`); the
     split lines, the 12 decompositions and the 12 forward sequences of bases are read off the axioms
-    (`systems.standard_identity_suite`, `duality._certified`); and `spans_components` reads triangular blocks.
+    (`systems.certified`); and `spans_components` reads triangular blocks.
     verify builds the system without certifying it, and runs the same axioms and round trip.  matrix-of-t adds one
     basis inverse.  Before the certificates, verify added the elimination of the split lines and the inverse of
     their basis, dualize the 12 eliminations of the decompositions, and bases those and 12 ranks."""
@@ -146,26 +146,29 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     once per family (`systems._orthogonality_witness`).  `dualize` forms E_0 E*_0 and E*_0 E_0 once for the
     eight product formulas, F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`:
     12, as ([zw], z) and ([wz], z) read the same vectors, and T in the eigenbases, W*^-1 T W and W^-1 T W*,
-    once for its sweeps on eigenspaces, flags and E_i T = T E*_i.  The decompositions read only columns 0 and d
-    of U W* and U* W (`duality._certified`), and [0D] and [0*D*] are the eigencolumns, so no E_i v is formed.
-    `verify` decides the Gram block from the premises of `solve_gram` and the idempotent sums from U W = I,
-    with M w_i = theta_i w_i, d+1 products of a matrix and a vector, for each spectral check, and the split
-    checks from Q P and the one product U w*_0, so U* W is not formed.  At d = 6 that is 14/56/14/19 products
-    of two matrices for verify/dualize/bases/matrix-of-t, and `dualize` forms 56 products of a matrix and a
-    vector: T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and
-    every [zw] starts at the first vector of [z]), and 22 more.  When each reader formed its own, there were
-    33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition; dualize
-    formed 90 while each product formula and each of the 24 cases formed its own, and 60 products of two
+    once for its sweeps on eigenspaces, flags and E_i T = T E*_i.  The decompositions and the bases read the
+    certificate (`systems.certified`) off the memoised axiom report, so neither U W* nor U* W is formed, and
+    [0D] and [0*D*] are the eigencolumns, so no E_i v is formed.  `solve_gram` reads its premises off the same
+    report (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises and
+    the idempotent sums from U W = I, with M w_i = theta_i w_i, d+1 products of a matrix and a vector, for each
+    spectral check, and the split checks from Q P once the certificate holds.  At d = 6 that is 12/52/10/17
+    products of two matrices for verify/dualize/bases/matrix-of-t, and `verify` forms 14 products of a matrix
+    and a vector: 2(d+1) for the spectral checks.  `dualize` forms 56 of those: T x once for each of the 34
+    distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first vector
+    of [z]), and 22 more.  While `solve_gram` formed U A W and the certificates U W*, U* W and U w*_0, the counts
+    were 14/56/14/19, and 15 products of a matrix and a vector in `verify`.  When each reader formed its own,
+    there were 33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition;
+    dualize formed 90 while each product formula and each of the 24 cases formed its own, and 60 products of two
     matrices and 148 of a matrix and a vector while T was formed on the eigenbases, the flags and each
     decomposition vector by each sweep; verify formed 28 while it tested the Gram block with products by G and
-    G^-1, and 15 while the split lines were found in U* W."""
+    G^-1."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_krawtchouk_json(field, 6)))
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 14, "dualize": 56, "bases": 14, "matrix-of-t": 19}
-    vector_bounds = {"dualize": 56}
+    bounds = {"verify": 12, "dualize": 52, "bases": 10, "matrix-of-t": 17}
+    vector_bounds = {"verify": 14, "dualize": 56}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
@@ -201,7 +204,7 @@ def test_duality_suite_reports_a_failed_gram_premise(field):
     T*^dagger fail with the premise as witness, as the Gram block of `verify` does, and so do the two sweeps of
     E_i T = T E*_i, which read U W = I (E_0 T != T E*_0 here); of the others only those of T*, which reads E_0, fail."""
     s = hand_built(field, 3)["E_0 sheared"]
-    error = "U W is not I at (i, j) = (0, 0)"
+    error = "idempotents_E_orthogonal fails"
     with pytest.raises(DegenerateSplit, match=re.escape(error)):
         du.build_duality_bundle(s)
     pa, one = s.parameter_array, field.one()

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import FROZEN_ARRAYS, leonard_array
+from test_factor_route import FIELDS, perturbed_arrays
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
@@ -257,13 +258,19 @@ def test_golden_output(case):
     assert digest(*CASES[case]) == GOLDEN[case]
 
 
-def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
-    """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays,
-    theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""
+def _output_digests():
+    """tools/output_digests.py as a module."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "output_digests.py")
     spec = importlib.util.spec_from_file_location("output_digests", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
+    """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays,
+    theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""
+    tool = _output_digests()
     for field in (Field.rational(), Field.prime(GFP["p"])):
         n = field.from_int
         for d in tool.Q_RACAH_DS:
@@ -274,6 +281,16 @@ def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
                 assert got == want.to_json()
                 assert du.is_self_dual(want) == (theta_star012 == (1, 2, 7))
 
+
+
+def test_output_digests_builds_the_raised_krawtchouk_arrays_of_perturbed_arrays():
+    """tools/output_digests.py builds its not-Leonard Krawtchouk arrays without the tests' helpers: the arrays of
+    tests/test_factor_route.py::perturbed_arrays, in the same order."""
+    tool = _output_digests()
+    program = SimpleNamespace(systems=systems)
+    got = [array for field in FIELDS for d in tool.KRAWTCHOUK_DS for i in range(1, d + 1)
+           if (array := tool.raised_krawtchouk(program, field, d, i)) is not None]
+    assert got == [param.values[0].to_json() for param in perturbed_arrays()]
 
 if __name__ == "__main__":
     for case in sorted(CASES):

@@ -633,7 +633,7 @@ def test_gram_fallback_raises_like_nullspace(corpus):
     eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
     units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
     repeated = LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1)))
-    assert _outcome(lambda: solve_gram(repeated)) == (DegenerateSplit, "theta is not distinct at (i, j) = (0, 1)")
+    assert _outcome(lambda: solve_gram(repeated)) == (DegenerateSplit, "theta is not d + 1 = 2 distinct values")
     assert _outcome(lambda: gram_by_nullspace(repeated.A, repeated.Astar)) == (
         NonUniqueForm, "intertwiner space has dimension 2")
     diag = Matrix(Q, [[F(1), F(0)], [F(0), F(2)]])
@@ -690,12 +690,12 @@ def test_gram_recurrence_never_flips_a_verdict(field, d):
 
 
 def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
-    # E_i := E*_i factors with U W = I, but U A W != diag(theta): a failed premise, where the
-    # n^2-unknown null space would still find the form of (A, A*)
+    # E_i := E*_i factors with U W = I, but U A W != diag(theta): the failed premise idempotents_E_spectral,
+    # where the n^2-unknown null space would still find the form of (A, A*)
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
     swapped = LeonardSystem(s.A, s.Astar, s.Estar, s.Estar, s.theta, s.theta_star, s.pa)
     assert swapped.eigenbasis() == s.eigenbasis(star=True)
-    with pytest.raises(DegenerateSplit, match=r"^U A W is not diag\(theta\) at \(i, j\) = \(0, 0\)$"):
+    with pytest.raises(DegenerateSplit, match=r"^idempotents_E_spectral fails$"):
         solve_gram(swapped)
     assert gram_by_nullspace(swapped.A, swapped.Astar)[0] == s.gram
 
@@ -715,14 +715,16 @@ def _gram_premise_failure(case: str) -> LeonardSystem:
     return LeonardSystem(s.A, s.Astar, E, s.Estar, theta, s.theta_star, s.pa)
 
 
-# case -> (the premise solve_gram names, the checks outside the Gram block that carry the same error)
+# case -> (the premise solve_gram names, the checks outside the Gram block that carry the same error); the
+# premises of `systems.premises` on E are also those of the F[M] checks on A, which name them alike
+F_M_ON_A = {"edge_idempotent_E0", "edge_idempotent_Ed", "char_product_A", "subalgebra_three_bases_A"}
 GRAM_PREMISE_FAILURES = {
     "E0-rank-two": ("idempotent E_0 is not of rank one", {
         "tridiagonal_Astar_in_A_eigenbasis", "idempotents_E_orthogonal", "nu_sandwich_E0",
         "split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta"}),
-    "theta-repeated": ("theta is not distinct at (i, j) = (0, 1)", set()),
-    "UAW-not-diagonal": ("U A W is not diag(theta) at (i, j) = (0, 0)", set()),
-    "UW-not-I": ("U W is not I at (i, j) = (0, 1)", set()),
+    "theta-repeated": ("idempotents_E_spectral fails", F_M_ON_A),
+    "UAW-not-diagonal": ("idempotents_E_spectral fails", F_M_ON_A),
+    "UW-not-I": ("idempotents_E_orthogonal fails", F_M_ON_A),
 }
 
 
@@ -763,7 +765,7 @@ def test_failed_extraction_still_runs_every_check(stored):
     assert [c.name for c in report.checks] == list(SUITE_CHECKS)
     carriers = {c.name for c in report.checks if c.witness == {"error": EXTRACTION_ERROR}}
     assert carriers == {"round_trip_parameter_array", *(() if stored else ARRAY_CHECKS)}
-    premise = {"error": "U A W is not diag(theta) at (i, j) = (0, 0)"}
+    premise = {"error": "idempotents_E_spectral fails"}
     assert all(report[name].witness == premise for name in GRAM_CHECKS)
 
 

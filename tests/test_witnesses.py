@@ -18,6 +18,7 @@ import pytest
 from leonard import duality as du
 from leonard import systems
 from leonard.linalg import Matrix
+from leonard.report import VerificationReport
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
 from conftest import FROZEN_ARRAYS, GRAM_CHECKS, SUITE_CHECKS
@@ -92,8 +93,11 @@ def reversed_decompositions():
 
 
 def zero_flags():
-    """The flags [0] and [D] with a zero basis, and so zero transitions W_a^-1 W_b from or to them."""
+    """The flags [0] and [D] with a zero basis, and so zero transitions W_a^-1 W_b from or to them, and the
+    certificate memoised as not holding, as no Leonard system has such flags: the decompositions are left to
+    elimination, which finds [0] and [D] not opposite."""
     s, _, _ = _setup(SELF_DUAL)
+    s._memo["certified"] = False
     for z in ("0", "D"):
         s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1), None)
     for a, b in ((False, False), (False, True), (True, False)):
@@ -188,7 +192,7 @@ WITHOUT_MUTATION = {
 }
 
 # Comparisons inside a sweep check that hold by construction once the decomposition certificate holds
-# (`duality._certified`), with the reason; the check stays pinned above, and its other comparisons, and all of them
+# (`systems.certified`), with the reason; the check stays pinned above, and its other comparisons, and all of them
 # on a system the certificate leaves to elimination, are a second route.
 BY_CERTIFICATE = {
     "bases_span_decomposition_components": "the first family of each pair in BASIS_MEMBERSHIP: [zw] is that family, "
@@ -197,28 +201,26 @@ BY_CERTIFICATE = {
                                 "the first family tau_i(A) w*_0 of [0*D], normalized",
 }
 
-# Checks of `verify` decided from premises that run before them in the same report -> those premises.  The Gram
-# checks hold by construction once `solve_gram` returns; its premises are named by the checks that state them
-# (U A W = diag(theta) is idempotents_E_spectral once U W = I), and it tests theta distinct itself.  The sums hold
+# Checks of `verify` decided from premises that run before them in the same report -> those premises, which
+# `systems.premises` and `systems.certified` read off the memoised axiom report.  The Gram checks hold by
+# construction once `solve_gram` returns; its premises are E of rank one, those of `systems.premises` on E and
+# tridiagonal_Astar_in_A_eigenbasis, and a failed one fails the Gram checks with it as witness.  The sums hold
 # by construction once U W = I with d+1 idempotents and eigenvalues, and the spectral checks then read
-# M w_i = theta_i w_i; a failed premise fails the Gram checks with it as witness, and the sums are formed densely
-# (`tests/test_premise_route.py`).  The four F[M] checks on A (resp. A*) run once E (resp. E*) has d+1 members,
-# is orthogonal and spectral and theta (resp. theta*) is distinct: char_product and subalgebra_three_bases then
-# hold by construction (M = W diag(theta) U), and the two edge checks read one cyclic vector; a failed premise
-# fails the four with it as witness (`tests/test_cyclic_route.py`), and so does dagger_fixes_idempotents on E*.
-# The two split checks read Q P = I once E and E* are orthogonal, E spectral, B* irreducible tridiagonal, theta
-# distinct and U w*_0 without a zero entry; else the intersection route decides (`tests/test_certificate_route.py`).
-# bases_invertible, a check of `bases`, holds once every axiom of `verify_axioms` holds, which `certify` checks
-# before it, the anchor coordinates have no zero entry and the anchor is the eigencolumn it names; else each
-# forward sequence is ranked.  Premises that no check of the report states are named in STATED.
+# M w_i = theta_i w_i; else the sums are formed densely (`tests/test_premise_route.py`).  The four F[M] checks on A
+# (resp. A*) run once E (resp. E*) has d+1 members, is orthogonal and spectral and theta (resp. theta*) is
+# distinct (`systems.premises`): char_product and subalgebra_three_bases then hold by construction
+# (M = W diag(theta) U), and the two edge checks read one cyclic vector; a failed premise fails the four with it
+# as witness (`tests/test_cyclic_route.py`), and so does dagger_fixes_idempotents on E*.  The two split checks
+# read Q P = I once `systems.certified` holds: every axiom, and d+1 values in theta and theta*; else the
+# intersection route decides (`tests/test_certificate_route.py`).  bases_invertible, a check of `bases`, holds
+# once `systems.certified` holds, which `certify` checks before it, and the anchor is the eigencolumn it names;
+# else each forward sequence is ranked.  Premises that no check of the report states are named in STATED.
 AXIOM_CHECKS = SUITE_CHECKS[:11]  # the report of `verify_axioms`
-STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "U w*_0 without a zero",
-          "d+1 theta and theta*", "anchor coordinates without a zero", "anchor an eigencolumn")
-SPLIT_PREMISES = ("d+1 idempotents E", "d+1 idempotents E*", "idempotents_E_orthogonal", "idempotents_E_spectral",
-                  "theta distinct", "idempotents_Estar_orthogonal", "tridiagonal_A_in_Astar_eigenbasis",
-                  "U w*_0 without a zero")
-SOLVE_GRAM_PREMISES = ("idempotents_E_rank_one", "theta distinct", "idempotents_E_orthogonal",
-                       "idempotents_E_spectral", "tridiagonal_Astar_in_A_eigenbasis")
+STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "d+1 theta and theta*",
+          "anchor an eigencolumn")
+CERTIFIED = (*AXIOM_CHECKS, "d+1 theta and theta*")  # `systems.certified`
+SOLVE_GRAM_PREMISES = ("idempotents_E_rank_one", "d+1 idempotents E", "idempotents_E_orthogonal",
+                       "idempotents_E_spectral", "theta distinct", "tridiagonal_Astar_in_A_eigenbasis")
 F_M_PREMISES = {star: (f"d+1 idempotents E{'*' * star}", f"idempotents_E{'star' * star}_orthogonal",
                        f"idempotents_E{'star' * star}_spectral", f"theta{'*' * star} distinct")
                 for star in (False, True)}
@@ -231,9 +233,8 @@ FROM_PREMISES = {
     **{f"idempotents_{label}_{sums}": (f"idempotents_{label}_orthogonal",)
        for label in ("E", "Estar") for sums in ("sum", "spectral")},
     **{name: F_M_PREMISES[star] for star, names in F_M_CHECKS.items() for name in names},
-    **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"), SPLIT_PREMISES),
-    "bases_invertible": (*AXIOM_CHECKS, "d+1 theta and theta*", "anchor coordinates without a zero",
-                         "anchor an eigencolumn"),
+    **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"), CERTIFIED),
+    "bases_invertible": (*CERTIFIED, "anchor an eigencolumn"),
 }
 
 SWEEP_CHECKS = {
@@ -395,16 +396,15 @@ def test_every_eigenbasis_inverse_reader_is_pinned():
 
 def _mutated_memo(key, mutation) -> dict:
     """A new build of SELF_DUAL whose memoised key is mutated before any reader runs: a U W witness
-    is replaced by mutation, a change of basis has entry mutation = (i, j) raised by 1, or for
-    mutation = (i, j, x) set to x.  T is the certified system's, as no change of basis enters it.  The
-    duality suite, which needs the premises of `solve_gram`, runs only on a mutated W_a^-1 T W_b, which it reads."""
+    is replaced by mutation, or a change of basis has entry mutation = (i, j) raised by 1.  T is the certified
+    system's, as no change of basis enters it.  The duality suite, which needs the premises of `solve_gram`, runs
+    only on a mutated W_a^-1 T W_b, which it reads."""
     _, _, bundle = _setup(SELF_DUAL)
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
     if key[0] == "UW_witness":
         s._memo[key] = mutation
     else:
-        M, (i, j, *x) = systems.change_of_basis(s, *key[1:]), mutation
-        s._memo[key] = _set(M, i, j, s.field.from_int(*x)) if x else _raised(M, i, j)
+        s._memo[key] = _raised(systems.change_of_basis(s, *key[1:]), *mutation)
     reports = [systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle)]
     if T in key:
         reports.append(du.verify_duality_suite(s, bundle))
@@ -414,11 +414,10 @@ def _mutated_memo(key, mutation) -> dict:
 T = _setup(SELF_DUAL)[2].t  # in the memo keys of W*^-1 T W and W^-1 T W*
 # memo key -> (mutation, {check name: its witness}); the pinned checks are the only ones that fail
 MEMO_PINS = {
-    # U W of E: the orthogonality axiom, and a premise of the Gram solver
+    # U W of E: the orthogonality axiom, a premise of the F[M] checks on A and of the Gram solver
     ("UW_witness", False): ({"i": 1, "j": 2}, {
         "idempotents_E_orthogonal": {"i": 1, "j": 2},
-        **dict.fromkeys(F_M_CHECKS[False], {"error": "idempotents_E_orthogonal fails"}),
-        **dict.fromkeys(GRAM_CHECKS, {"error": "U W is not I at (i, j) = (1, 2)"})}),
+        **dict.fromkeys((*F_M_CHECKS[False], *GRAM_CHECKS), {"error": "idempotents_E_orthogonal fails"})}),
     ("UW_witness", True): ({"i": 2, "j": 0}, {
         "idempotents_Estar_orthogonal": {"i": 2, "j": 0},
         **dict.fromkeys((*F_M_CHECKS[True], "dagger_fixes_idempotents"),
@@ -429,18 +428,6 @@ MEMO_PINS = {
         **dict.fromkeys(GRAM_CHECKS, {"error": "U A* W is not irreducible tridiagonal"})}),
     ("change_of_basis", True, "A", True): ((0, 2), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None}),
-    # W*^-1 W and W^-1 W*: columns 0 and d are the anchor coordinates U* w_0, U* w_d, U w*_0 and U w*_d, premises of
-    # the decomposition certificate (`duality._certified`); a zero among them leaves the decompositions to elimination,
-    # which reads W*^-1 W for [0*0], [0*D], [D*0], [D*D] and W^-1 W* for [00*], [0D*], [D0*], [DD*]
-    ("change_of_basis", True, None, False): ((2, 3, 0), {
-        "decomposition_inversion_pairs": {"pair": "[D*D]"},
-        "decompositions_induce_flags": {"pair": "[D*D]", "flag": "D*", "i": 0},
-        "decomposition_table_rows": {"i": 1, "row": "split"},
-        "T_on_decompositions": {"pair": "[0D*]", "i": 1}}),
-    ("change_of_basis", False, None, True): ((2, 3, 0), {
-        "decomposition_inversion_pairs": {"pair": "[D*D]"},
-        "decompositions_induce_flags": {"pair": "[DD*]", "flag": "D", "i": 0},
-        "T_on_decompositions": {"pair": "[0D*]", "i": 1}}),
     # T in the eigenbases: W*^-1 T W (T on [0] and [D] and on each w_i, and E*_i T = T E_i) and W^-1 T W*
     ("change_of_basis", True, T, False): ((0, 1), {
         "T_maps_eigenspaces": {"i": 1, "side": "E"},
@@ -451,8 +438,6 @@ MEMO_PINS = {
         "T_on_flags": {"flag": "D*", "i": 2},
         "Ei_T_equals_T_Estar_i": {"i": 0}}),
 }
-# read only by the premise U A W = diag(theta) of the Gram solver
-GRAM_PREMISE = ("change_of_basis", False, "A", False)
 
 
 @pytest.mark.parametrize("key", MEMO_PINS, ids=lambda key: "-".join("T" if k is T else str(k) for k in key))
@@ -464,12 +449,20 @@ def test_memo_readers_fail_with_pinned_witness(key):
 
 
 def test_gram_premise_reads_the_memo():
-    """A wrong entry of the memoised U A W fails the premise U A W = diag(theta): exactly the seven
-    Gram checks fail, each with the premise as its witness."""
-    checks = _mutated_memo(GRAM_PREMISE, (0, 1))
-    assert {name for name, (passed, _) in checks.items() if not passed} == set(GRAM_CHECKS)
-    assert {name: checks[name] for name in GRAM_CHECKS} == dict.fromkeys(
-        GRAM_CHECKS, (False, {"error": "U A W is not diag(theta) at (i, j) = (0, 1)"}))
+    """A wrong verdict in the memoised axiom report, idempotents_E_spectral (U A W = diag(theta) once U W = I), fails
+    the premises of `solve_gram` and of the F[M] checks on A, read off that report (`systems.premises`): those
+    eleven checks fail with it as witness, and the verdict is copied into the report.  The certificate fails with
+    it, and the split checks, left to the intersection route, pass."""
+    s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
+    report = VerificationReport()
+    for c in systems.verify_axioms(s).checks:
+        report.add(c.name, c.passed and c.name != "idempotents_E_spectral", c.witness)
+    s._memo["axioms"] = report
+    checks = _checks(systems.standard_identity_suite(s))
+    assert not systems.certified(s)
+    assert {name: check for name, check in checks.items() if not check[0]} == {
+        "idempotents_E_spectral": (False, None),
+        **dict.fromkeys((*F_M_CHECKS[False], *GRAM_CHECKS), (False, {"error": "idempotents_E_spectral fails"}))}
 
 
 def test_every_memo_entry_is_mutated():
@@ -479,7 +472,7 @@ def test_every_memo_entry_is_mutated():
     _anchor_suites(s, anchors, bundle)
     systems.standard_identity_suite(s)
     memoised = {key for key in s._memo if key[0] in ("UW_witness", "change_of_basis")}
-    assert memoised == {*MEMO_PINS, GRAM_PREMISE}
+    assert memoised == set(MEMO_PINS)
 
 
 # the checks of `dualize` that read the memoised (G, G^-1), through T^dagger and T*^dagger
@@ -535,7 +528,7 @@ def _reducible_b(s):
         systems.change_of_basis(s, False, "Astar", False), 1, 0, s.field.zero())
 
 
-B_ERROR, UAW_ERROR = "U A* W is not irreducible tridiagonal", "U A W is not diag(theta) at (i, j) = (0, 1)"
+B_ERROR = "U A* W is not irreducible tridiagonal"
 # a premise's memo entry, mutated -> {check of `verify`: its witness}; the pinned checks are the only ones that fail
 PREMISE_PINS = {
     "B-reducible": (_reducible_b, {
@@ -545,10 +538,9 @@ PREMISE_PINS = {
     # solve_gram
     "W-mixed": (_mixed_eigenbasis(False), {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None, "idempotents_E_spectral": None,
-        **dict.fromkeys(F_M_CHECKS[False], {"error": "idempotents_E_spectral fails"}),
+        **dict.fromkeys((*F_M_CHECKS[False], *GRAM_CHECKS), {"error": "idempotents_E_spectral fails"}),
         **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"),
-                        {"error": "split component is not one-dimensional"}),
-        **dict.fromkeys(GRAM_CHECKS, {"error": UAW_ERROR})}),
+                        {"error": "split component is not one-dimensional"})}),
     # E* is orthogonal but not spectral on its factors: the premise of the F[M] checks on A* and of the dagger check
     "Wstar-mixed": (_mixed_eigenbasis(True), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None, "idempotents_Estar_spectral": None,

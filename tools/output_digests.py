@@ -17,7 +17,10 @@ certificate that ran before certify would show here.  Last come the self-dual q-
 theta* = theta, at d = 2..8 over Q and GF(2^31 - 1), through dualize, bases and matrix-of-t in each of
 its four bases: the only passing calls of these verbs here whose W, U and W* have mixed denominators
 over Q (the q-Racah arrays above are not self-dual, so dualize fails on them, and matrix-of-t refuses
-them).  The inputs are written to a
+them).  Then verify, dualize and bases run on the not-Leonard Krawtchouk arrays of `raised_krawtchouk`
+at d = 1..5 over Q, GF(7) and GF(2^31 - 1): on these verify's checks are left to the fallbacks that the
+certificate stands in for, so a certificate read too early would show here, and over GF(7) coordinates
+can vanish by accident.  dualize and bases exit 1 from certify on them.  The inputs are written to a
 temporary directory that is the working directory while the calls run, so the paths in each argv,
 and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI outputs
 agree byte for byte print the same lines: `diff` the two listings.
@@ -47,6 +50,8 @@ Q_RACAH_VERBS = ("verify", "relatives", "dualize", "bases")
 RAISED_VERBS = (("verify",), ("dualize",), ("bases",), ("matrix-of-t", "--basis", "tau-vstard"))
 SELF_DUAL_VERBS = (("dualize",), ("bases",)) + tuple(("matrix-of-t", "--basis", basis) for basis in
                                                     ("etastar-v0", "eta-vstar0", "taustar-vd", "tau-vstard"))
+KRAWTCHOUK_DS = range(1, 6)
+KRAWTCHOUK_VERBS = ("verify", "dualize", "bases")
 
 
 def load_program(src: str) -> SimpleNamespace:
@@ -75,6 +80,18 @@ def q_racah(program, field, d: int, theta_star012=(1, 3, 4)) -> dict:
     phi_1 = varphi_1 + (ths[1] - ths[0]) * (th[d] - th[0])
     varphi = [varphi_1] + [phi_1 * s[i] + (ths[i] - ths[0]) * (th[i - 1] - th[d]) for i in range(2, d + 1)]
     return program.systems.complete_parameter_array(field, th[:d + 1], ths[:d + 1], varphi).to_json()
+
+
+def raised_krawtchouk(program, field, d: int, i: int) -> dict | None:
+    """tests/conftest.py::krawtchouk(field, d), theta_h = theta*_h = d - 2h, varphi_h = h(h-d-1) and phi_h =
+    -3 h(h-d-1), with varphi_i raised by 1 and as a JSON object, as tests/test_factor_route.py::perturbed_arrays
+    builds it; None when that varphi_i is 0."""
+    n = field.from_int
+    varphi = [n(h * (h - d - 1)) + (field.one() if h == i else field.zero()) for h in range(1, d + 1)]
+    if not all(varphi):
+        return None
+    theta, phi = [n(d - 2 * h) for h in range(d + 1)], [n(-3 * h * (h - d - 1)) for h in range(1, d + 1)]
+    return program.systems.ParameterArray(field, d, theta, theta, varphi, phi).to_json()
 
 
 def write_array(path: str, obj: dict) -> str:
@@ -136,6 +153,17 @@ def main(argv=None) -> int:
                         argv = (*verb, "--input", path)
                         print("q-racah-self-dual", field.kind, d, k, call_digest(program, argv), " ".join(argv),
                               flush=True)
+            for field in (fields[0], program.fields.Field.prime(7), fields[1]):
+                label = field.p or "Q"
+                for d in KRAWTCHOUK_DS:
+                    for i in range(1, d + 1):
+                        if (array := raised_krawtchouk(program, field, d, i)) is None:
+                            continue
+                        path = write_array(f"krawtchouk-{label}-d{d}-varphi{i}-raised.json", array)
+                        for k, verb in enumerate(KRAWTCHOUK_VERBS):
+                            argv = (verb, "--input", path)
+                            print("krawtchouk-varphi-raised", label, d, i, k, call_digest(program, argv),
+                                  " ".join(argv), flush=True)
         finally:
             os.chdir(cwd)
     return 0
