@@ -54,6 +54,11 @@ def is_self_dual(pa: ParameterArray) -> bool:
 # --- anchor vectors and their eight inner products ---
 
 
+# attribute of AnchorVectors -> the two anchors of its inner product, in the order of `scalars` and of the zero check
+INNER_PRODUCTS = {"vv0": ("v0", "v0"), "vvd": ("vd", "vd"), "ss0": ("v0s", "v0s"), "ssd": ("vds", "vds"),
+                  "x00": ("v0", "v0s"), "x0d": ("v0", "vds"), "xd0": ("vd", "v0s"), "xdd": ("vd", "vds")}
+
+
 @dataclass(frozen=True)
 class AnchorVectors:
     """Deterministic eigenvector anchors and their pairwise inner products.
@@ -76,34 +81,19 @@ class AnchorVectors:
     xdd: object
 
     def scalars(self) -> dict:
-        return {
-            "v0.v0": self.vv0,
-            "vd.vd": self.vvd,
-            "v0s.v0s": self.ss0,
-            "vds.vds": self.ssd,
-            "v0.v0s": self.x00,
-            "v0.vds": self.x0d,
-            "vd.v0s": self.xd0,
-            "vd.vds": self.xdd,
-        }
+        """The eight inner products keyed "a.b" by their anchors (INNER_PRODUCTS)."""
+        return {f"{a}.{b}": getattr(self, key) for key, (a, b) in INNER_PRODUCTS.items()}
 
 
 def anchors_from_vectors(sys: LeonardSystem, v0, vd, v0s, vds) -> AnchorVectors:
-    pair = sys.pair
-    values = dict(
-        vv0=pair(v0, v0),
-        vvd=pair(vd, vd),
-        ss0=pair(v0s, v0s),
-        ssd=pair(vds, vds),
-        x00=pair(v0, v0s),
-        x0d=pair(v0, vds),
-        xd0=pair(vd, v0s),
-        xdd=pair(vd, vds),
-    )
+    """The anchors with their inner products through G (INNER_PRODUCTS); ZeroInnerProduct naming the first that
+    vanishes."""
+    vectors = dict(v0=v0, vd=vd, v0s=v0s, vds=vds)
+    values = {key: sys.pair(vectors[a], vectors[b]) for key, (a, b) in INNER_PRODUCTS.items()}
     for key, value in values.items():
         if not value:
             raise ZeroInnerProduct(f"anchor inner product {key} vanished")
-    return AnchorVectors(v0, vd, v0s, vds, **values)
+    return AnchorVectors(**vectors, **values)
 
 
 def choose_anchor_vectors(sys: LeonardSystem) -> AnchorVectors:

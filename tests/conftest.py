@@ -263,11 +263,11 @@ class NonUniqueForm(Exception):
 
 def gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
     """(G, G^-1) for G spanning the null space of the n^2-unknown intertwining constraints
-    P^T G = G P, P = A and A*: the oracle for `systems.solve_gram`, which needs no eigenbasis.
+    P^T G = G P, P = A and A*: the oracle for `systems.gram_matrices`, which needs no eigenbasis.
     The rows for P are built from P.nums = P.den P, since scaling a block of rows leaves the null
-    space unchanged.  G is normalized as `solve_gram` normalizes it, and refused with NonUniqueForm
+    space unchanged.  G is normalized as `gram_matrices` normalizes it, and refused with NonUniqueForm
     when the space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G is singular;
-    where `solve_gram` finds a form, the oracle finds the same one."""
+    where `gram_matrices` finds a form, the oracle finds the same one."""
     f, n = A.field, A.nrows
     rows = []
     for P in (A, Astar):

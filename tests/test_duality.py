@@ -149,15 +149,17 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     once for its sweeps on eigenspaces, flags and E_i T = T E*_i.  The decompositions and the bases read the
     certificate (`systems.certified`) off the memoised axiom report, so neither U W* nor U* W is formed, and
     [0D] and [0*D*] are the eigencolumns, so no E_i v is formed.  `solve_gram` reads its premises off the same
-    report (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises and
-    the idempotent sums from U W = I, with M w_i = theta_i w_i, d+1 products of a matrix and a vector, for each
-    spectral check, and the split checks from Q P once the certificate holds.  At d = 6 that is 12/52/10/17
-    products of two matrices for verify/dualize/bases/matrix-of-t, and `verify` forms 14 products of a matrix
-    and a vector: 2(d+1) for the spectral checks.  `dualize` forms 56 of those: T x once for each of the 34
+    report (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises,
+    solving for the weights of G and forming neither G nor G^-1 (`systems.gram_matrices`), the idempotent sums
+    from U W = I, with M w_i = theta_i w_i, d+1 products of a matrix and a vector, for each spectral check, and the
+    split checks from Q P once the certificate holds.  At d = 6 that is 10/52/10/17 products of two matrices for
+    verify/dualize/bases/matrix-of-t, and `verify` forms 14 products of a matrix and a vector: 2(d+1) for the
+    spectral checks.  `dualize` forms 56 of those: T x once for each of the 34
     distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first vector
-    of [z]), and 22 more.  While `solve_gram` formed U A W and the certificates U W*, U* W and U w*_0, the counts
-    were 14/56/14/19, and 15 products of a matrix and a vector in `verify`.  When each reader formed its own,
-    there were 33/105/29/24: U W five times for two families, U A* W twice, and one F^-1 G per decomposition;
+    of [z]), and 22 more.  While `verify` formed G and G^-1 it formed 12.  While `solve_gram` formed U A W and the
+    certificates U W*, U* W and U w*_0, the counts were 14/56/14/19, and 15 products of a matrix and a vector in
+    `verify`.  When each reader formed its own, there were 33/105/29/24: U W five times for two families,
+    U A* W twice, and one F^-1 G per decomposition;
     dualize formed 90 while each product formula and each of the 24 cases formed its own, and 60 products of two
     matrices and 148 of a matrix and a vector while T was formed on the eigenbases, the flags and each
     decomposition vector by each sweep; verify formed 28 while it tested the Gram block with products by G and
@@ -167,7 +169,7 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 12, "dualize": 52, "bases": 10, "matrix-of-t": 17}
+    bounds = {"verify": 10, "dualize": 52, "bases": 10, "matrix-of-t": 17}
     vector_bounds = {"verify": 14, "dualize": 56}
     for verb, bound in bounds.items():
         calls.clear()

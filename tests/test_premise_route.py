@@ -22,7 +22,8 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, outer
 from leonard.systems import LeonardSystem, build_system, certify, standard_identity_suite, verify_axioms
 
-from conftest import GRAM_CHECKS, SUITE_CHECKS, conjugator, krawtchouk, leonard_array, leonard_arrays, premise_error
+from conftest import (GRAM_CHECKS, SUITE_CHECKS, conjugator, gram_by_nullspace, krawtchouk, leonard_array,
+                      leonard_arrays, premise_error)
 from test_cyclic_route import (estar_off_spectrum, estar_repeated_theta, hand_built, perturbed_arrays,
                                w_inverse_conjugate)
 from test_systems import _hand_built_systems
@@ -49,11 +50,11 @@ def dense_sums(sys) -> dict:
 
 
 def dense_gram(sys) -> dict:
-    """name -> (passed, witness) of the seven Gram checks as products with (G, G^-1) from `solve_gram`; a failed
-    premise fails all seven with it as witness, a failed premise of E* the idempotent check."""
+    """name -> (passed, witness) of the seven Gram checks as products with (G, G^-1) from `gram_matrices`; a failed
+    premise of `solve_gram` fails all seven with it as witness, a failed premise of E* the idempotent check."""
     f, d = sys.field, sys.d
     try:
-        G, Ginv = systems.solve_gram(sys)
+        G, Ginv = systems.gram_matrices(sys)
     except DegenerateSplit as exc:
         return dict.fromkeys(GRAM_CHECKS, (False, {"error": str(exc)}))
     Gt = G.transpose()
@@ -137,6 +138,18 @@ def test_gf7_arrays_match_dense(pa):
     assert_array_matches_dense(pa)
 
 
+def test_a_normaliser_off_the_diagonal_matches_the_oracle():
+    """Over GF(7) some of the conjugates that `assert_array_matches_dense` reads have G_00 = 0, so `gram_matrices`
+    divides G by an entry of row 0 off the diagonal; the n^2-unknown null space finds the same (G, G^-1)."""
+    built = [build_system(param.values[0]) for param in gf7_arrays()]
+    conjugates = [sys for s in built for sys in (s, s.conjugated(conjugator(GF7, s.d + 1)), w_inverse_conjugate(s),
+                                                 w_inverse_conjugate(s, True))]
+    off = [s for s in conjugates if not systems.gram_matrices(s)[0].nums[0][0]]
+    assert off
+    for s in off:
+        assert systems.gram_matrices(s) == gram_by_nullspace(s.A, s.Astar)
+
+
 @pytest.mark.parametrize("pa", perturbed_arrays())
 def test_perturbed_arrays_match_dense(pa):
     assert_matches_dense(build_system(pa))
@@ -160,16 +173,19 @@ def test_report_systems_match_dense(case):
 
 
 def test_premises_decide_the_eleven_checks(monkeypatch):
-    """On a certified system the suite adds no two matrices, forms no product with the G or G^-1 it solves
-    for, and solves for them once: `perfbench` counts that solve."""
-    s = certify(krawtchouk(Q, 6))
-    solved, solve, mul = [], systems.solve_gram, Matrix.__mul__
+    """On a certified system, over Q and GF(2^31-1), the suite adds no two matrices and forms neither G nor G^-1:
+    it solves for the weights of the form once (`perfbench` counts that solve) and memoises them, and
+    `gram_matrices` is not called."""
+    solved, solve = [], systems.solve_gram
     monkeypatch.setattr(systems, "solve_gram", lambda sys: solved.append(solve(sys)) or solved[-1])
+    monkeypatch.setattr(systems, "gram_matrices", lambda sys: pytest.fail("G and G^-1 were formed"))
     monkeypatch.setattr(Matrix, "__add__", lambda self, other: pytest.fail("two matrices were added"))
-    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: pytest.fail("a product with G or G^-1") if any(
-        X is Y for X in (self, other) for pair in solved for Y in pair) else mul(self, other))
-    assert standard_identity_suite(s).all_pass
-    assert len(solved) == 1
+    for field in (Q, GFP):
+        solved.clear()
+        s = certify(krawtchouk(field, 6))
+        assert standard_identity_suite(s).all_pass
+        assert len(solved) == 1 and s._memo["gram_weights"] is solved[0] and "gram" not in s._memo
+        assert len(solved[0]) == s.d + 1 and all(solved[0])
 
 
 @pytest.mark.parametrize("build", [estar_off_spectrum, estar_conjugated], ids=["off-spectrum", "conjugated"])

@@ -23,6 +23,7 @@ from leonard.systems import (
     d4_reduce,
     edge_values,
     extract_parameter_array,
+    gram_matrices,
     nu_scalars,
     check_pa1,
     pa5_failure,
@@ -616,7 +617,7 @@ def test_closed_form_gram_matches_nullspace(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
         for sys in (s, s.conjugated(conjugator(pa.field, s.d + 1))):
-            assert solve_gram(sys) == gram_by_nullspace(sys.A, sys.Astar)
+            assert gram_matrices(sys) == gram_by_nullspace(sys.A, sys.Astar)
 
 
 def _outcome(build):
@@ -627,9 +628,9 @@ def _outcome(build):
 
 
 def test_gram_fallback_raises_like_nullspace(corpus):
-    """Where the oracle finds a form, solve_gram finds the same one; where the oracle refuses (no
-    form, or not one up to scale), solve_gram refuses with the premise on B = U A* W.  A repeated
-    theta is refused as a premise before any form is sought."""
+    """Where the oracle finds a form, gram_matrices finds the same one; where the oracle refuses (no
+    form, or not one up to scale), solve_gram refuses with the premise on B = U A* W, and gram_matrices
+    with it.  A repeated theta is refused as a premise before any form is sought."""
     eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
     units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
     repeated = LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1)))
@@ -644,7 +645,7 @@ def test_gram_fallback_raises_like_nullspace(corpus):
             varphi[i] = varphi[i] + 1
             if pa.d >= 2 and all(varphi):
                 cases.append(build_system(replace(pa, varphi=tuple(varphi))))
-    outcomes = [_outcome(lambda: solve_gram(s)) for s in cases]
+    outcomes = [_outcome(lambda: gram_matrices(s)) for s in cases]
     oracle = [_outcome(lambda: gram_by_nullspace(s.A, s.Astar)) for s in cases]
     refused = [i for i, outcome in enumerate(oracle) if outcome[0] in (NonUniqueForm, SingularMatrix)]
     assert len(refused) >= len(corpus.frozen) + 1
@@ -676,15 +677,15 @@ def random_split_arrays(field, d, count, seed):
 @pytest.mark.parametrize("field, d", [(Field.prime(5), 2), (Field.prime(7), 3), (Q, 2)],
                          ids=["GF(5)-d2", "GF(7)-d3", "Q-d2"])
 def test_gram_recurrence_never_flips_a_verdict(field, d):
-    """On 300 seeded random arrays in split form, Leonard or not, solve_gram returns the oracle's
-    (G, G^-1) wherever the oracle finds a form, and refuses with the premise on B = U A* W wherever
-    the oracle refuses: the recurrence gives up no form that the n^2-unknown null space finds."""
+    """On 300 seeded random arrays in split form, Leonard or not, gram_matrices returns the oracle's
+    (G, G^-1) wherever the oracle finds a form, and refuses with the premise of solve_gram on B = U A* W
+    wherever the oracle refuses: the recurrence gives up no form that the n^2-unknown null space finds."""
     verdicts = {True: 0, False: 0}
     for pa in random_split_arrays(field, d, 300, seed=24):
         s = build_system(pa)
         oracle = _outcome(lambda: gram_by_nullspace(s.A, s.Astar))
         refused = oracle[0] in (NonUniqueForm, SingularMatrix)
-        assert _outcome(lambda: solve_gram(s)) == ((DegenerateSplit, B_PREMISE) if refused else oracle)
+        assert _outcome(lambda: gram_matrices(s)) == ((DegenerateSplit, B_PREMISE) if refused else oracle)
         verdicts[refused] += 1
     assert verdicts[True] and verdicts[False]
 

@@ -7,19 +7,24 @@ every sweep check is pinned here by its exact (passed, witness) under a
 library-level mutation of the self-dual Krawtchouk system at d = 3 over Q.
 Where the check's cases allow it, the mutation breaks two or more of them, so
 that the first and the last failure differ (or the sweep stops early).  The
-other checks of `dualize` are pinned by their verdict under such a mutation,
-so that each of its 29 checks is seen to fail.
+other checks that the CLI reports are pinned by their verdict, or by the
+whole report, under such a mutation, so that each of the 34 checks of
+`verify`, 29 of `dualize`, 18 of `bases` and 3 of `matrix-of-t` is seen to
+fail.
 """
 
+import argparse
 import dataclasses
+from unittest import mock
 
 import pytest
 
+from leonard import cli
 from leonard import duality as du
 from leonard import systems
 from leonard.linalg import Matrix
 from leonard.report import VerificationReport
-from leonard.systems import LeonardSystem, ParameterArray, certify
+from leonard.systems import LeonardSystem, ParameterArray, certify, d4_apply
 
 from conftest import FROZEN_ARRAYS, GRAM_CHECKS, SUITE_CHECKS
 
@@ -125,6 +130,45 @@ def doubled_estar_d(array=SELF_DUAL):
     Estar = s.Estar[:-1] + (s.Estar[-1].scale(s.field.from_int(2)),)
     return _checks(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, s.E, Estar, s.theta,
                                                                  s.theta_star, s.pa)))
+
+
+def doubled_edge_trace():
+    """The memoised tr(E_0 E*_0), which the sandwiches and the nu closed forms read, doubled."""
+    s, _, _ = _setup(SELF_DUAL)
+    traces = systems.trace_products(s, 0)[:2] + systems.trace_products(s, s.d)[:2]
+    s._memo["traces"] = (traces[0] + traces[0], *traces[1:])
+    return _checks(systems.standard_identity_suite(s))
+
+
+def relative_extracted():
+    """The memoised extracted array replaced by the relative D of the stored one."""
+    s, _, _ = _setup(SELF_DUAL)
+    s._memo["pa"] = d4_apply(s.pa, "D")
+    return _checks(systems.standard_identity_suite(s))
+
+
+def _rank_two(star):
+    """A hand-built system with E_0 (resp. E*_0) replaced by E_0 + E_1, of rank two."""
+    def mutation():
+        s, _, _ = _setup(SELF_DUAL)
+        E = list(s.Estar if star else s.E)
+        E[0] += E[1]
+        E, Estar = (s.E, E) if star else (E, s.Estar)
+        return _checks(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, E, Estar, s.theta,
+                                                                     s.theta_star, s.pa)))
+    mutation.__name__ = f"E{'star' * star}0_of_rank_two"
+    return mutation
+
+
+def scaled_basis_vector():
+    """The report of `matrix-of-t --basis tau-vstard` (`cli._matrix_of_t`) on the certified system with vector 1 of
+    the memoised sequence behind tau-vstard doubled: B becomes B diag(1, 2, 1, 1), so each entry of B^-1 X B in row
+    or column 1 but (1, 1) is halved or doubled."""
+    s, anchors, _ = _setup(SELF_DUAL)
+    seq = du.build_basis(s, anchors, "tau-vstard")
+    s._memo[("basis", "tau", anchors.vds)] = (seq[0], seq[1].scale(s.field.from_int(2)), *seq[2:])
+    with mock.patch.object(cli, "certify", lambda pa: s):
+        return _checks(cli._matrix_of_t(s.pa, argparse.Namespace(basis="tau-vstard"))[1])
 
 
 T_FAMILIES = ("estar_v0", "taustar_v0", "etastar_v0", "estar_vd", "taustar_vd", "etastar_vd",
@@ -299,32 +343,79 @@ def test_witness_pinned(mutation):
     assert {name: checks[name] for name in pins} == {name: (False, witness) for name, witness in pins.items()}
 
 
-def _dualize_checks() -> tuple:
-    """The checks of `dualize` in report order: the duality suite, then the geometry suite."""
-    s, _, bundle = _setup(SELF_DUAL)
-    return tuple(c.name for report in (du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
-                 for c in report.checks)
+def _emitted_checks() -> dict:
+    """verb -> the checks that the CLI reports for it on SELF_DUAL, in report order (`cli._RUNS`)."""
+    pa, args = ParameterArray.from_json(SELF_DUAL), argparse.Namespace(require_self_dual=False, basis="tau-vstard")
+    return {verb: tuple(c.name for c in cli._RUNS[verb](pa, args)[1].checks)
+            for verb in ("verify", "dualize", "bases", "matrix-of-t")}
 
 
-DUALIZE_CHECKS = _dualize_checks()
+EMITTED_CHECKS = _emitted_checks()
+DUALIZE_CHECKS = EMITTED_CHECKS["dualize"]
+VERDICT_CHECKS = set().union(*EMITTED_CHECKS.values()) - SWEEP_CHECKS
 
-# mutation -> the checks of `dualize` outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every
-# identity of T but those of A's own shape (A^dagger = A) and of T* alone; 2 T* breaks those of T*
+# mutation -> the emitted checks outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every identity
+# of T but those of A's own shape (A^dagger = A) and of T* alone; 2 T* breaks those of T*; mixed anchors break the
+# product of the four mixed inner products, in which scaling one anchor cancels
 VERDICT_PINS = {
     wrong_t: {"T_polynomial_form", "T_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger",
               "T_squared_equals_lambda_identity", "A_T_equals_T_Astar", "Astar_T_equals_T_A", "product_T_E0star",
               "product_E0star_Tdagger", "product_T_E0", "product_E0_Tdagger", "T_squared_expansion"},
     doubled_t_star: {"T_star_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger", "product_Tstar_E0",
                      "product_E0_Tstardagger", "product_Tstar_E0star", "product_E0star_Tstardagger"},
+    mixed_anchors: {"anchor_ratio_product"},
 }
 
 
 @pytest.mark.parametrize("mutation", VERDICT_PINS, ids=lambda m: m.__name__)
 def test_verdict_pinned(mutation):
     checks = mutation()
-    failing = {name for name in DUALIZE_CHECKS if name not in SWEEP_CHECKS and not checks[name][0]}
+    failing = {name for name in VERDICT_CHECKS & checks.keys() if not checks[name][0]}
     assert failing == VERDICT_PINS[mutation]
     assert all(checks[name] == (False, None) for name in failing)
+
+
+NU_WITNESS = {"scalars": dict.fromkeys(("nu", "nu_down", "nu_ddown", "nu_down_ddown"), "8/1")}
+
+
+def _rank_two_pins(star) -> dict:
+    """The failing checks of `verify` with E_0 (resp. E*_0) of rank two: that family does not factor, so each check
+    that reads it as a basis fails naming E_0, and the F[M] checks (and, on E*, the dagger check) naming the failed
+    orthogonality; the sums are formed densely and fail, and so does each check that reads tr(A E_0) (on E) or
+    tr(E_0 E*_0)."""
+    label, name = ("Estar", "E*") if star else ("E", "E")
+    rank = {"error": f"idempotent {name}_0 is not of rank one"}
+    orthogonal = {"error": f"idempotents_{label}_orthogonal fails"}
+    return {
+        ("tridiagonal_A_in_Astar_eigenbasis" if star else "tridiagonal_Astar_in_A_eigenbasis"): rank,
+        "standard_orderings": None, f"idempotents_{label}_orthogonal": rank, f"idempotents_{label}_sum": None,
+        f"idempotents_{label}_spectral": None, f"idempotents_{label}_rank_one": {"ranks": [2, 1, 1, 1]},
+        "round_trip_parameter_array": rank if star else None,  # the extraction factors E*, and reads tr(A E_i)
+        **dict.fromkeys(F_M_CHECKS[star], orthogonal), "nu_sandwich_E0" + "star" * star: rank,
+        "nu_sandwich_E0" + "star" * (not star): None,
+        "trace_products_closed_form": {"r": 0}, "nu_closed_forms_match_traces": NU_WITNESS,
+        **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta"),
+                        rank),
+        **({"dagger_fixes_idempotents": orthogonal} if star else dict.fromkeys(GRAM_CHECKS, rank)),
+    }
+
+
+# mutation -> {check: its witness}: the checks of the one report it returns that fail, all of them
+REPORT_PINS = {
+    doubled_edge_trace: {"nu_sandwich_E0": None, "nu_sandwich_E0star": None,
+                         "nu_closed_forms_match_traces": NU_WITNESS},
+    relative_extracted: {"round_trip_parameter_array": None},
+    _rank_two(False): _rank_two_pins(False),
+    _rank_two(True): _rank_two_pins(True),
+    scaled_basis_vector: dict.fromkeys(EMITTED_CHECKS["matrix-of-t"]),
+}
+
+
+@pytest.mark.parametrize("mutation", REPORT_PINS, ids=lambda m: m.__name__)
+def test_report_pinned(mutation):
+    checks = mutation()
+    assert {name: check for name, check in checks.items() if not check[0]} == {
+        name: (False, witness) for name, witness in REPORT_PINS[mutation].items()}
 
 
 P = 2**31 - 1
@@ -480,28 +571,31 @@ DAGGER_READERS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_eq
                   "T_equals_T_star_dagger", "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger",
                   "product_E0star_Tstardagger")
 
-# mutation of the memoised (G, G^-1) -> the checks that fail, all of them among DAGGER_READERS
+# mutation of a memoised Gram entry -> (its memo key, the mutation, the checks that fail, all of them among
+# DAGGER_READERS); "gram" holds (G, G^-1) from `gram_matrices`, "gram_weights" the weights m from `solve_gram`
 GRAM_PINS = {
-    "G-raised-at-01": (lambda G, Ginv: (_raised(G, 0, 1), Ginv), set(DAGGER_READERS)),
-    "G-raised-at-01-and-10": (lambda G, Ginv: (_raised(_raised(G, 0, 1), 1, 0), Ginv), set(DAGGER_READERS)),
+    "G-raised-at-01": ("gram", lambda G, Ginv: (_raised(G, 0, 1), Ginv), set(DAGGER_READERS)),
+    "G-raised-at-01-and-10": ("gram", lambda G, Ginv: (_raised(_raised(G, 0, 1), 1, 0), Ginv), set(DAGGER_READERS)),
     # in split form E_0 = w_0 e_0^T, so E_0 G^-1 reads only row 0 of G^-1
-    "Ginv-raised-at-21": (lambda G, Ginv: (G, _raised(Ginv, 2, 1)),
+    "Ginv-raised-at-21": ("gram", lambda G, Ginv: (G, _raised(Ginv, 2, 1)),
                           set(DAGGER_READERS) - {"product_E0_Tdagger", "product_E0_Tstardagger"}),
+    # G = U^T diag(m) U with m_1 doubled: symmetric, and still A^T G = G A, but not A*^T G = G A*
+    "m1-doubled": ("gram_weights", lambda m0, m1, *rest: (m0, m1 + m1, *rest), set(DAGGER_READERS)),
 }
 
 
 @pytest.mark.parametrize("array", [SELF_DUAL, SELF_DUAL_GFP], ids=["Q", "GF(2^31-1)"])
 @pytest.mark.parametrize("mutation", GRAM_PINS)
 def test_gram_block_fails_under_a_wrong_gram_entry(array, mutation):
-    """The reports of `verify` and `dualize` on a new build whose memoised ("gram") entry (G, G^-1) is mutated
-    before any reader runs.  `verify` decides its Gram block from the premises of `solve_gram` and reads neither
-    G nor G^-1, so it passes; the `dualize` checks that form T^dagger = G^-1 T^T G and T*^dagger fail, all of them
-    under a wrong G, symmetric or not, and under a wrong entry (2, 1) of G^-1 all but the two that multiply the
-    dagger by E_0 on the left."""
-    mutate, failing = GRAM_PINS[mutation]
+    """The reports of `verify` and `dualize` on a new build whose memoised Gram entry, (G, G^-1) or the weights m,
+    is mutated before any reader runs.  `verify` decides its Gram block from the premises of `solve_gram` and forms
+    neither G nor G^-1, so it passes; the `dualize` checks that form T^dagger = G^-1 T^T G and T*^dagger fail, all
+    of them under a wrong G, symmetric or not, or a wrong weight, and under a wrong entry (2, 1) of G^-1 all but the
+    two that multiply the dagger by E_0 on the left."""
+    key, mutate, failing = GRAM_PINS[mutation]
     _, _, bundle = _setup(array)
     s = systems.build_system(ParameterArray.from_json(array))
-    s._memo["gram"] = mutate(*systems.solve_gram(s))
+    s._memo[key] = mutate(*(systems.gram_matrices if key == "gram" else systems.solve_gram)(s))
     checks = _checks(systems.standard_identity_suite(s), du.verify_duality_suite(s, bundle))
     assert {name for name, (passed, _) in checks.items() if not passed} == failing
 
@@ -571,9 +665,14 @@ def test_every_decided_check_fails_under_a_premise_mutation():
 
 
 def test_every_dualize_check_fails_under_a_mutation():
-    """Each of the 29 checks that `dualize` reports fails under a library-level mutation pinned in this file, or
-    is listed in WITHOUT_MUTATION with the reason it holds by construction."""
-    failing = {name for table in (PINS, VERDICT_PINS, INVERSE_PINS) for pins in table.values() for name in pins}
-    failing |= {name for _, pins in (*MEMO_PINS.values(), *GRAM_PINS.values()) for name in pins}
-    assert len(DUALIZE_CHECKS) == 29
-    assert set(DUALIZE_CHECKS) <= failing | set(WITHOUT_MUTATION)
+    """Each check that the CLI reports, the 29 of `dualize` and those of `verify`, `bases` and `matrix-of-t`, fails
+    under a library-level mutation pinned in this file, or is listed in WITHOUT_MUTATION with the reason it holds
+    by construction."""
+    failing = {name for table in (PINS, DECIDED_PINS, VERDICT_PINS, REPORT_PINS, INVERSE_PINS)
+               for pins in table.values() for name in pins}
+    failing |= {name for _, pins in (*MEMO_PINS.values(), *PREMISE_PINS.values()) for name in pins}
+    failing |= {name for _, _, pins in GRAM_PINS.values() for name in pins}
+    assert {verb: len(names) for verb, names in EMITTED_CHECKS.items()} == {
+        "verify": 34, "dualize": 29, "bases": 18, "matrix-of-t": 3}
+    for verb, names in EMITTED_CHECKS.items():
+        assert set(names) - failing - set(WITHOUT_MUTATION) == set(), verb
