@@ -156,13 +156,10 @@ def _matrix_of_t(pa: ParameterArray, args):
     sys_ = certify(pa)
     if not du.is_self_dual(pa):
         raise LeonardError("matrix-of-t requires a self-dual system")
-    anchors = du.choose_anchor_vectors(sys_)
-    bundle = du.build_duality_bundle(sys_, anchors)
-    rep, repA, repAs = du.basis_representations(sys_, bundle, args.basis, anchors)
-    expected = du.expected_matrix_of_T(pa)
+    rep, repA, repAs = du.basis_representations(sys_, du.duality_operator(sys_), args.basis)
+    expected, expA, expAs = du.expected_representations(sys_, args.basis)
     report = VerificationReport()
     report.add("matrix_of_T_closed_form", rep == expected)
-    expA, expAs = du.expected_pair_shapes(pa, args.basis)
     report.add("A_representation_shape", repA == expA)
     report.add("Astar_representation_shape", repAs == expAs)
     return {

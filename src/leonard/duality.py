@@ -8,6 +8,7 @@ the suites below machine-check every identity involved, exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -86,8 +87,8 @@ class AnchorVectors:
 
 
 def anchors_from_vectors(sys: LeonardSystem, v0, vd, v0s, vds) -> AnchorVectors:
-    """The anchors with their inner products through G (INNER_PRODUCTS); ZeroInnerProduct naming the first that
-    vanishes."""
+    """The anchors with their inner products (INNER_PRODUCTS, `LeonardSystem.pair`, which maps each distinct anchor
+    by U once); ZeroInnerProduct naming the first that vanishes."""
     vectors = dict(v0=v0, vd=vd, v0s=v0s, vds=vds)
     values = {key: sys.pair(vectors[a], vectors[b]) for key, (a, b) in INNER_PRODUCTS.items()}
     for key, value in values.items():
@@ -167,8 +168,8 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
 
     T itself exists for every Leonard system; the bundle invariants
     (T^2 = lambda I and the anchor equations) hold in the self-dual case.
-    The anchor scalars are inner products through G, so without anchors this
-    raises the DegenerateSplit of a failed premise of `solve_gram`.
+    The anchor scalars are inner products (`LeonardSystem.pair`), so without
+    anchors this raises the DegenerateSplit of a failed premise of `solve_gram`.
     """
     pa = sys.parameter_array
     f = sys.field
@@ -459,17 +460,22 @@ def _parse_basis_id(basis_id: str):
     return gen, rev, anchor
 
 
-def build_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str):
-    """One of the 24 sequences, as a tuple of d+1 vectors.  Each forward
+def build_basis(sys: LeonardSystem, anchors: AnchorVectors | None, basis_id: str):
+    """One of the 24 sequences, as a tuple of d+1 vectors, on an anchor of anchors (`_anchor`).  Each forward
     sequence is built once per system and memoised; a -rev- id is its reversal."""
     gen, rev, anchor_key = _parse_basis_id(basis_id)
-    seq = _sequence(sys, gen, getattr(anchors, _ANCHOR_ATTR[anchor_key]))
+    seq = _sequence(sys, gen, _anchor(sys, anchors, anchor_key))
     return seq[::-1] if rev else seq
 
 
 def _sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
     """The forward sequence gen on v, memoised (`_basis_sequence`)."""
     return sys.cached(("basis", gen, v), lambda: _basis_sequence(sys, gen, v))
+
+
+def _anchor(sys: LeonardSystem, anchors: AnchorVectors | None, anchor_key: str) -> Vector:
+    """The anchor of anchors for anchor_key, or without anchors the one `choose_anchor_vectors` picks."""
+    return _eigen_anchor(sys, anchor_key) if anchors is None else getattr(anchors, _ANCHOR_ATTR[anchor_key])
 
 
 def _eigen_anchor(sys: LeonardSystem, anchor_key: str) -> Vector:
@@ -486,12 +492,12 @@ def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
     return sys.root_family(gen.removesuffix("star"), star, v)
 
 
-def _is_basis(sys: LeonardSystem, anchors: AnchorVectors, basis_id: str) -> bool:
+def _is_basis(sys: LeonardSystem, anchors: AnchorVectors | None, basis_id: str) -> bool:
     """Whether the vectors build_basis(...) are a basis, decided once per forward sequence and memoised, since a
     -rev- id has the same columns reversed: a basis once `certified` holds and the anchor is a multiple of the
     eigencolumn it names, on the side opposite gen; else ranked."""
     gen, _, anchor_key = _parse_basis_id(basis_id)
-    v = getattr(anchors, _ANCHOR_ATTR[anchor_key])
+    v = _anchor(sys, anchors, anchor_key)
     decided = lambda: (anchor_key.startswith("vstar") != gen.endswith("star") and certified(sys)
                        and v.is_colinear(_eigen_anchor(sys, anchor_key)))
     return sys.cached(("is_basis", gen, v), lambda: decided() or Matrix.from_columns(
@@ -687,23 +693,26 @@ def expected_matrix_of_T(pa: ParameterArray) -> Matrix:
     return Matrix(f, [[c * ph_head[j] if i + j == d else f.zero() for j in range(d + 1)] for i in range(d + 1)])
 
 
-def basis_representations(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
-                          anchors: AnchorVectors) -> tuple:
-    """The matrices B^-1 T B, B^-1 A B and B^-1 A* B of T, A and A* in the
-    basis basis_id (columns of B); SingularMatrix when B is singular."""
+def basis_representations(sys: LeonardSystem, t: Matrix, basis_id: str,
+                          anchors: AnchorVectors | None = None) -> tuple:
+    """The matrices B^-1 M B of M = T (the matrix t), A and A* in the basis basis_id (columns of B, on an anchor of
+    anchors, `_anchor`).  In the four bases each is its displayed X (`expected_representations`) when B is a basis
+    (`_is_basis`) and M B == B X, as then B^-1 M B = X; otherwise B^-1 (M B), with B inverted once, SingularMatrix
+    when B is singular."""
     B = Matrix.from_columns(sys.field, build_basis(sys, anchors, basis_id))
-    inv = B.inverse()
-    return tuple(inv * (M * B) for M in (bundle.t, sys.A, sys.Astar))
+    shown = basis_id in PAIR_SHAPES and _is_basis(sys, anchors, basis_id)
+    shapes = expected_representations(sys, basis_id) if shown else (None,) * 3
+    inverse = functools.cache(B.inverse)
+    return tuple(X if X is not None and MB == B * X else inverse() * MB
+                 for MB, X in zip((M * B for M in (t, sys.A, sys.Astar)), shapes))
 
 
 def matrix_of_T(sys: LeonardSystem, bundle: DualityBundle, basis_id: str,
                 anchors: AnchorVectors | None = None) -> Matrix:
-    """The matrix representing T with respect to one of the four bases."""
+    """The matrix representing T with respect to one of the four bases (`basis_representations`)."""
     if basis_id not in FOUR_BASES:
         raise UnknownBasis(f"{basis_id!r} is not one of {FOUR_BASES}")
-    if anchors is None:
-        anchors = choose_anchor_vectors(sys)
-    return basis_representations(sys, bundle, basis_id, anchors)[0]
+    return basis_representations(sys, bundle.t, basis_id, anchors)[0]
 
 
 # basis id -> (the D4 relative whose split form is the displayed pair, whether A and A* trade places)
@@ -721,16 +730,20 @@ def expected_pair_shapes(pa: ParameterArray, basis_id: str):
     return pair[::-1] if swapped else pair
 
 
+def expected_representations(sys: LeonardSystem, basis_id: str) -> tuple:
+    """The displayed matrices of T, A and A* in one of the four bases (`expected_matrix_of_T`,
+    `expected_pair_shapes`), memoised on the system."""
+    pa = sys.parameter_array
+    return sys.cached(("expected", basis_id), lambda: (expected_matrix_of_T(pa), *expected_pair_shapes(pa, basis_id)))
+
+
 def verify_matrix_of_T(
     sys: LeonardSystem, bundle: DualityBundle, anchors: AnchorVectors | None = None
 ) -> VerificationReport:
     """The closed antidiagonal form, its basis independence and the A/A* shapes."""
     report = VerificationReport()
-    pa = sys.parameter_array
-    if anchors is None:
-        anchors = choose_anchor_vectors(sys)
-    reps = {basis_id: basis_representations(sys, bundle, basis_id, anchors) for basis_id in FOUR_BASES}
-    wanted = {basis_id: (expected_matrix_of_T(pa),) + expected_pair_shapes(pa, basis_id) for basis_id in FOUR_BASES}
+    reps = {basis_id: basis_representations(sys, bundle.t, basis_id, anchors) for basis_id in FOUR_BASES}
+    wanted = {basis_id: expected_representations(sys, basis_id) for basis_id in FOUR_BASES}
 
     def add(name, k):  # k: 0 for T, 1 for A, 2 for A*; the witness is the last failing basis
         report.add_last_failure(name, ({"basis": b} for b in FOUR_BASES if reps[b][k] != wanted[b][k]))

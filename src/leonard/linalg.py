@@ -62,14 +62,14 @@ class _Exact:
     """The canonical integer form that Matrix and Vector hold (a Vector has
     one row), and the arithmetic they share."""
 
-    __slots__ = ("field", "nums", "den", "_elements")
+    __slots__ = ("field", "nums", "den", "_elements", "_hash")
 
     def __init__(self, field: Field, rows):
         rows = [tuple(row) for row in rows]
         if len({len(row) for row in rows}) > 1:
             raise ValueError("rows of unequal length")
         nums, self.den = _to_ints(field, rows)
-        self.field, self.nums, self._elements = field, tuple(map(tuple, nums)), None
+        self.field, self.nums, self._elements, self._hash = field, tuple(map(tuple, nums)), None, None
 
     @classmethod
     def _of(cls, field: Field, rows, den: int = 1):
@@ -85,7 +85,7 @@ class _Exact:
     def _canonical(cls, field: Field, nums, den: int = 1):
         """The object nums / den for a tuple of integer row tuples already in canonical form: no pass."""
         out = object.__new__(cls)
-        out.field, out.nums, out.den, out._elements = field, nums, den, None
+        out.field, out.nums, out.den, out._elements, out._hash = field, nums, den, None, None
         return out
 
     @property
@@ -104,7 +104,10 @@ class _Exact:
         return type(other) is type(self) and (self.field, self.den, self.nums) == (other.field, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.field, self.nums, self.den))
+        """hash((nums, den)), computed on first use: memo keys and the dicts of the suites hash one object often."""
+        if self._hash is None:
+            self._hash = hash((self.nums, self.den))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not any(map(any, self.nums))

@@ -208,8 +208,11 @@ class LeonardSystem:
         return self.gram_inverse * X.transpose() * self.gram
 
     def pair(self, u: Vector, v: Vector):
-        """The bilinear form <u, v> = u^T G v."""
-        return u.dot(self.gram * v)
+        """The bilinear form <u, v> = u^T G v = (U u)^T diag(m) (U v) / pivot, for the weights m and the pivot of
+        `gram_matrices`, without forming G; U x is memoised per vector x, so each distinct vector is mapped once."""
+        m, U = _gram_weights(self), self.eigenbasis()[1]
+        a, b = (self.cached(("eigencoordinates", x), lambda: U * x) for x in (u, v))
+        return sum(map(mul, m, map(mul, a, b)), self.field.zero()) / _gram_pivot(self)
 
     def eigenbasis(self, star: bool = False) -> tuple:
         """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U (`rank_one_factors`,
@@ -589,18 +592,32 @@ def solve_gram(sys: LeonardSystem) -> tuple:
 
 def gram_matrices(sys: LeonardSystem) -> tuple:
     """(G, G^-1) from the weights m of `solve_gram`, memoised under "gram_weights" (its DegenerateSplit when a
-    premise fails).  G = U^T diag(m) U is divided by pivot, its first nonzero entry of row 0, and
+    premise fails).  G = U^T diag(m) U is divided by pivot, its first nonzero entry of row 0 (`_gram_pivot`), and
     G^-1 = W diag(pivot/m) W^T, as G G^-1 = U^T W^T = I.  So G is symmetric and intertwines A and A*, and
     X -> G^-1 X^T G fixes A and A*, is an involution and fixes each E_i = w_i u_i^T, as G w_i = (m_i/pivot) u_i and
     G^-1 u_i = (pivot/m_i) w_i.  Once E* is orthogonal and spectral, A* is W* diag(theta*) U*, diagonalizable and,
     like B (irreducible tridiagonal), with only lines for eigenspaces: theta* is distinct, and each E*_i, a Lagrange
     polynomial in A*, is fixed too."""
-    m = sys.cached("gram_weights", lambda: solve_gram(sys))
+    m, pivot = _gram_weights(sys), _gram_pivot(sys)
     f, (W, U) = sys.field, sys.eigenbasis()
     scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
     G = U.transpose() * scale_rows(m, U)
-    pivot = next(x for x in G.row(0) if x)
     return G.scale(f.invert(pivot)), W * scale_rows([pivot / x for x in m], W.transpose())
+
+
+def _gram_weights(sys: LeonardSystem) -> tuple:
+    """The weights m of `solve_gram`, memoised under "gram_weights"."""
+    return sys.cached("gram_weights", lambda: solve_gram(sys))
+
+
+def _gram_pivot(sys: LeonardSystem):
+    """The first nonzero entry of row 0 of U^T diag(m) U, which is U^T (m_i U_i0)_i, memoised: G is invertible, so
+    the row is not zero, and `gram_matrices` and `LeonardSystem.pair` divide by it."""
+    def build():
+        U = sys.eigenbasis()[1]
+        row = U.transpose() * Vector(sys.field, map(mul, _gram_weights(sys), U.column(0)))
+        return next(x for x in row if x)
+    return sys.cached("gram_pivot", build)
 
 
 # --- the aggregated Sections 3..6 identity suite ---
@@ -710,7 +727,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # dagger_fixes_idempotents also of the premises of the F[M] checks on A*, whose first failed one is its witness;
     # solving for the weights checks those premises, and G and G^-1 are left to their readers (`gram_matrices`)
     def gram():
-        sys.cached("gram_weights", lambda: solve_gram(sys))
+        _gram_weights(sys)
         return [(True, None)] * 5 + _outcomes(1, lambda: decided(True)) + [(True, None)]
 
     _add_factored(report, ["gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",

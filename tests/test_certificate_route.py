@@ -3,13 +3,15 @@
 `systems.certified` holds when every axiom of the memoised `verify_axioms` report holds and theta and theta* have
 d+1 values.  Once it holds, `standard_identity_suite` reads the two split checks off Q P = I for the closed-form
 factors (P, Q) of `split_factors`, `duality._decomposition` takes the first family of each pair in
-`BASIS_MEMBERSHIP`, and `duality._is_basis` accepts each of the 12 forward sequences.  The routes they replace
-stay as the fallbacks and serve here as references: `split_projectors_by_intersection`, `flag_decomposition` and
-`Matrix.rank`.  On Leonard systems, in split form and conjugated to a dense basis, the certificate holds, what it
-stands for holds too (theta and theta* distinct, U A W = diag(theta), no zero at either end of a row of U W* or
-U* W), no fallback runs, and verdicts and normalized vectors match the references.  On systems that fail an axiom
-(the not-Leonard Krawtchouk arrays, and one hand-made system per premise), the fallback runs and every report
-equals the one with the certificate switched off.
+`BASIS_MEMBERSHIP`, and `duality._is_basis` accepts each of the 12 forward sequences.  In a basis it accepts,
+`duality.basis_representations` reads the matrix of T, A or A* as the displayed X once M B == B X (that of T
+holds on a self-dual system only).  The routes they replace stay as the fallbacks and serve here as references:
+`split_projectors_by_intersection`, `flag_decomposition`, `Matrix.rank` and `Matrix.inverse`.  On Leonard systems,
+in split form and conjugated to a dense basis, the certificate holds, what it stands for holds too (theta and
+theta* distinct, U A W = diag(theta), no zero at either end of a row of U W* or U* W), no fallback runs, and
+verdicts and normalized vectors match the references.  On systems that fail an axiom (the not-Leonard Krawtchouk
+arrays, and one hand-made system per premise), the fallback runs and every report equals the one with the
+certificate switched off.
 """
 
 from contextlib import contextmanager
@@ -26,9 +28,10 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, flag_decomposition, rank_one_factors
 from leonard.systems import build_system, certify, split_projectors, split_projectors_by_intersection
 
-from conftest import conjugator, krawtchouk, leonard_arrays
+from conftest import conjugator, field_scalars, krawtchouk, leonard_array, leonard_arrays
 from test_cyclic_route import hand_built
 from test_factor_route import perturbed_arrays
+from test_witnesses import mixed_anchors, non_self_dual_t, scaled_basis_vector, swapped_anchors, wrong_t
 
 Q, GFP = Field.rational(), Field.prime(2**31 - 1)
 SPLIT = ("split_projectors_match_intersection", "split_projectors_resolution")
@@ -60,12 +63,21 @@ def rank_reference(sys, anchors, basis_id) -> bool:
     return Matrix.from_columns(sys.field, du.build_basis(sys, anchors, basis_id)).rank() == sys.d + 1
 
 
+def representations_reference(sys, t, basis_id, anchors=None) -> tuple:
+    """B^-1 (M B) for M = t, A and A*, with B inverted by elimination: what `basis_representations` did for every
+    basis before its certificate."""
+    B = Matrix.from_columns(sys.field, du.build_basis(sys, anchors, basis_id))
+    inverse = B.inverse()
+    return tuple(inverse * (M * B) for M in (t, sys.A, sys.Astar))
+
+
 @contextmanager
 def fallbacks():
     """The names of the fallbacks called inside the block, one entry per call."""
     calls, patch = [], pytest.MonkeyPatch()
     for owner, name, label in ((systems, "split_projectors_by_intersection", "split"),
-                               (du, "flag_decomposition", "decomposition"), (Matrix, "rank", "rank")):
+                               (du, "flag_decomposition", "decomposition"), (Matrix, "rank", "rank"),
+                               (Matrix, "inverse", "inverse")):
         original = getattr(owner, name)
         patch.setattr(owner, name, lambda *a, _original=original, _label=label: calls.append(_label) or _original(*a))
     try:
@@ -132,6 +144,58 @@ def test_generated_arrays_take_the_certificates(field, data):
 def test_corpus_takes_the_certificates(corpus):
     for pa in corpus.arrays:
         assert_certified_routes_match(corpus.system(pa))
+
+
+def self_dual_arrays(field, d):
+    """Hypothesis strategy: the arrays of `leonard_array` with theta* = theta."""
+    x = field_scalars(field)
+    return (st.tuples(st.tuples(x, x, x), x, x).map(lambda s: leonard_array(field, d, s[0], s[0], s[1], s[2]))
+            .filter(lambda pa: pa is not None))
+
+
+def assert_representations_match(sys):
+    """In each of the four bases on the anchors `choose_anchor_vectors` picks, the representations of T, A and A*
+    equal B^-1 (M B); those of A and A* are the displayed shapes, and so is that of T on a self-dual system, and B
+    is inverted exactly when that of T is not."""
+    pa, t = sys.parameter_array, du.duality_operator(sys)
+    shown = du.expected_matrix_of_T(pa)
+    for basis_id in du.FOUR_BASES:
+        with fallbacks() as calls:
+            reps = du.basis_representations(sys, t, basis_id)
+        assert reps == representations_reference(sys, t, basis_id)
+        assert reps[1:] == du.expected_pair_shapes(pa, basis_id)
+        assert du.is_self_dual(pa) <= (reps[0] == shown)
+        assert calls == ([] if reps[0] == shown else ["inverse"])
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_generated_representations_match_the_inverse(field, data):
+    """Hypothesis arrays at d = 1..6, self-dual or from `leonard_arrays`, in split form and conjugated to a dense
+    basis: once B is a basis, B^-1 M B = X exactly when M B = B X."""
+    d = data.draw(st.integers(1, 6), label="d")
+    s = certify(data.draw(st.one_of(leonard_arrays(field, d), self_dual_arrays(field, d)), label="pa"))
+    for sys in (s, s.conjugated(conjugator(field, d + 1))):
+        assert_representations_match(sys)
+
+
+def test_corpus_representations_match_the_inverse(corpus):
+    for pa in corpus.arrays:
+        assert_representations_match(corpus.system(pa))
+
+
+@pytest.mark.parametrize("mutation", [wrong_t, non_self_dual_t, scaled_basis_vector, swapped_anchors, mixed_anchors],
+                         ids=lambda m: m.__name__)
+def test_mutated_representations_match_the_inverse(mutation, monkeypatch):
+    """The pinned mutations that reach the representations give the reports they give with every representation
+    formed as B^-1 (M B); under T = A, the true T of a non-self-dual system and a scaled basis vector (the report of
+    `matrix-of-t`) the certificate fails and B is inverted.  The moved anchors leave their bases to the rank."""
+    with fallbacks() as calls:
+        checks = mutation()
+    assert ("inverse" if mutation in (wrong_t, non_self_dual_t, scaled_basis_vector) else "rank") in calls
+    monkeypatch.setattr(du, "basis_representations", representations_reference)
+    assert mutation() == checks
 
 
 # --- systems that fail a premise: the fallback runs and decides as without the certificates ---

@@ -119,9 +119,11 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     split-form input: W^-1 is U and W*^-1 is U*, since U W = I and U* W* = I (`systems._eigenbasis_inverse`); the
     split lines, the 12 decompositions and the 12 forward sequences of bases are read off the axioms
     (`systems.certified`); and `spans_components` reads triangular blocks.
-    verify builds the system without certifying it, and runs the same axioms and round trip.  matrix-of-t adds one
-    basis inverse.  Before the certificates, verify added the elimination of the split lines and the inverse of
-    their basis, dualize the 12 eliminations of the decompositions, and bases those and 12 ranks."""
+    verify builds the system without certifying it, and runs the same axioms and round trip.  matrix-of-t adds none
+    either: its basis is certified the same way, and each representation is read off M B == B X
+    (`duality.basis_representations`).  Until then matrix-of-t added one basis inverse.  Before the certificates,
+    verify added the elimination of the split lines and the inverse of their basis, dualize the 12 eliminations of
+    the decompositions, and bases those and 12 ranks."""
     doc = _krawtchouk_json({"kind": "prime", "p": 2**31 - 1}, 6)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
@@ -132,7 +134,7 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     certify(ParameterArray.from_json(doc))
     certified = len(calls)
     assert certified == 2
-    bounds = {"verify": certified, "dualize": certified, "bases": certified, "matrix-of-t": certified + 1}
+    bounds = {"verify": certified, "dualize": certified, "bases": certified, "matrix-of-t": certified}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
@@ -152,11 +154,17 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     report (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises,
     solving for the weights of G and forming neither G nor G^-1 (`systems.gram_matrices`), the idempotent sums
     from U W = I, with M w_i = theta_i w_i, d+1 products of a matrix and a vector, for each spectral check, and the
-    split checks from Q P once the certificate holds.  At d = 6 that is 10/52/10/17 products of two matrices for
-    verify/dualize/bases/matrix-of-t, and `verify` forms 14 products of a matrix and a vector: 2(d+1) for the
-    spectral checks.  `dualize` forms 56 of those: T x once for each of the 34
-    distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first vector
-    of [z]), and 22 more.  While `verify` formed G and G^-1 it formed 12.  While `solve_gram` formed U A W and the
+    split checks from Q P once the certificate holds.  An anchor inner product reads the weights of G
+    (`LeonardSystem.pair`): each distinct anchor is mapped by U once, and the pivot of G is one more product of a
+    matrix and a vector, so `bases` forms neither G nor G^-1.  `matrix-of-t` takes T from `duality_operator`, its
+    basis vector from the eigencolumn it names and each representation from M B == B X, so it forms no anchor
+    inner product, no G and no inverse.  At d = 6 that is 10/52/8/15 products of two matrices for
+    verify/dualize/bases/matrix-of-t, and `verify` and `matrix-of-t` form 14 products of a matrix and a vector:
+    2(d+1) for the spectral checks.  `dualize` forms 53 of those: T x once for each of the 34 distinct vectors of
+    the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first vector of [z]), 4 anchors and
+    the pivot, and 14 more.  While an inner product was u . (G v), the counts were 10/52/10/17, with 56 products
+    of a matrix and a vector in `dualize` (8 of G and a vector) and 22 in `matrix-of-t`, which also inverted its
+    basis.  While `verify` formed G and G^-1 it formed 12.  While `solve_gram` formed U A W and the
     certificates U W*, U* W and U w*_0, the counts were 14/56/14/19, and 15 products of a matrix and a vector in
     `verify`.  When each reader formed its own, there were 33/105/29/24: U W five times for two families,
     U A* W twice, and one F^-1 G per decomposition;
@@ -169,8 +177,8 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 10, "dualize": 52, "bases": 10, "matrix-of-t": 17}
-    vector_bounds = {"verify": 14, "dualize": 56}
+    bounds = {"verify": 10, "dualize": 52, "bases": 8, "matrix-of-t": 15}
+    vector_bounds = {"verify": 14, "dualize": 53, "matrix-of-t": 14}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
@@ -243,7 +251,7 @@ def test_singular_basis_inverses():
     assert du.verify_basis_family(s, anchors)["bases_invertible"].witness == {"basis": "estar-rev-v0"}
     bundle = du.build_duality_bundle(s, good)
     with pytest.raises(SingularMatrix, match="^matrix has zero determinant$"):
-        du.basis_representations(s, bundle, "etastar-v0", anchors)
+        du.basis_representations(s, bundle.t, "etastar-v0", anchors)
 
 
 # --- the self-duality criterion ---

@@ -244,7 +244,7 @@ def test_basis_representations_match_separate_solves(corpus):
         for basis_id in du.FOUR_BASES:
             B = Matrix.from_columns(pa.field, du.build_basis(s, anchors, basis_id))
             want = tuple(B.solve(M * B) for M in (bundle.t, s.A, s.Astar))
-            assert du.basis_representations(s, bundle, basis_id, anchors) == want
+            assert du.basis_representations(s, bundle.t, basis_id, anchors) == want
             assert du.matrix_of_T(s, bundle, basis_id, anchors) == want[0]
 
 
@@ -286,7 +286,7 @@ def test_basis_inverses_match_closed_form(field, data):
         B = Matrix.from_columns(field, du.build_basis(s, anchors, basis_id))
         inv = closed_form_basis_inverse(s, anchors, basis_id)
         assert inv == B.inverse(), basis_id
-        assert du.basis_representations(s, bundle, basis_id, anchors) == tuple(
+        assert du.basis_representations(s, bundle.t, basis_id, anchors) == tuple(
             inv * (M * B) for M in (bundle.t, s.A, s.Astar))
 
 

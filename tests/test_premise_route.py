@@ -150,6 +150,27 @@ def test_a_normaliser_off_the_diagonal_matches_the_oracle():
         assert systems.gram_matrices(s) == gram_by_nullspace(s.A, s.Astar)
 
 
+def assert_pair_matches_gram(sys) -> bool:
+    """<u, v> by `LeonardSystem.pair`, on the four anchors of `duality.choose_anchor_vectors` and the unit vectors,
+    forms no G and equals u^T G v for G from `gram_matrices`; returns whether G_00 = 0."""
+    vectors = [sys.eigencolumn(j, star).normalized() for star in (False, True) for j in (0, sys.d)]
+    vectors += Matrix.identity(sys.field, sys.d + 1).columns()
+    values = [sys.pair(u, v) for u in vectors for v in vectors]
+    assert "gram" not in sys._memo
+    G = systems.gram_matrices(sys)[0]
+    assert values == [u.dot(G * v) for u in vectors for v in vectors]
+    return not G.nums[0][0]
+
+
+def test_pair_matches_the_gram_matrix(corpus):
+    """On the corpus and the GF(7) arrays, each with its dense conjugate and its conjugates by W^-1 and W*^-1; among
+    the GF(7) conjugates some have G_00 = 0, where the pivot is an entry of row 0 off the diagonal."""
+    arrays = corpus.arrays + [param.values[0] for param in gf7_arrays()]
+    off = [assert_pair_matches_gram(sys) for pa in arrays for s in (build_system(pa),) for sys in (
+        s, s.conjugated(conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True))]
+    assert any(off)
+
+
 @pytest.mark.parametrize("pa", perturbed_arrays())
 def test_perturbed_arrays_match_dense(pa):
     assert_matches_dense(build_system(pa))

@@ -162,8 +162,8 @@ def _rank_two(star):
 
 def scaled_basis_vector():
     """The report of `matrix-of-t --basis tau-vstard` (`cli._matrix_of_t`) on the certified system with vector 1 of
-    the memoised sequence behind tau-vstard doubled: B becomes B diag(1, 2, 1, 1), so each entry of B^-1 X B in row
-    or column 1 but (1, 1) is halved or doubled."""
+    the memoised sequence behind tau-vstard doubled: B becomes B diag(1, 2, 1, 1), so M B == B X fails for each
+    displayed X, B is inverted, and each entry of B^-1 M B in row or column 1 but (1, 1) is halved or doubled."""
     s, anchors, _ = _setup(SELF_DUAL)
     seq = du.build_basis(s, anchors, "tau-vstard")
     s._memo[("basis", "tau", anchors.vds)] = (seq[0], seq[1].scale(s.field.from_int(2)), *seq[2:])
