@@ -279,6 +279,11 @@ class Matrix(_Exact):
         rows = [[sum(map(mul, a, b)) for b in cols] for a in self.nums]
         return type(other)._of(self.field, list(zip(*rows)) if vec else rows, self.den * other.den)
 
+    def scale_columns(self, c) -> "Matrix":
+        """self diag(c): column j times c[j], in one integer pass."""
+        (cs,), den = _to_ints(self.field, [c])
+        return Matrix._of(self.field, [[a * x for a, x in zip(row, cs)] for row in self.nums], self.den * den)
+
     def transpose(self) -> "Matrix":
         return Matrix._canonical(self.field, tuple(zip(*self.nums)), self.den)
 
@@ -424,10 +429,16 @@ def rank_one_factors(mats):
         cross = (a * pv - row[j] * b for row in M.nums for a, b in zip(row, top))
         if any(cross if field.is_rational else (x % field.p for x in cross)):
             return None
-        heads.append((M, top, pv, j))
-    wden, uden = lcm(*(M.den for M, *_ in heads)), lcm(*(pv for _, _, pv, _ in heads))
-    W = [[M.nums[r][j] * (wden // M.den) for M, _, _, j in heads] for r in range(len(mats[0].nums))]
-    U = [[b * (uden // pv) for b in top] for _, top, pv, _ in heads]
+        heads.append((M, k, j))
+    return _factors(heads)
+
+
+def _factors(heads):
+    """(W, U): w_i column j of M_i and u_i^T row k divided by its entry j, for heads (M_i, k, j) of rank one."""
+    field, pvs = heads[0][0].field, [M.nums[k][j] for M, k, j in heads]
+    wden, uden = lcm(*(M.den for M, _, _ in heads)), lcm(*pvs)
+    W = [[M.nums[r][j] * (wden // M.den) for M, _, j in heads] for r in range(heads[0][0].nrows)]
+    U = [[b * (uden // pv) for b in M.nums[k]] for (M, k, _), pv in zip(heads, pvs)]
     return Matrix._of(field, W, wden), Matrix._of(field, U, uden)
 
 
@@ -440,21 +451,22 @@ def bidiagonal(field: Field, diag, upper=None) -> Matrix:
                               for i in range(n)], den)
 
 
-def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
-    """The primitive idempotents E_i = w_i u_i^T of bidiagonal(field, diag, upper).
+def bidiagonal_idempotents(field: Field, diag, upper=None) -> tuple:
+    """(E, (W, U)): the primitive idempotents E_i = w_i u_i^T of bidiagonal(field, diag, upper), and their
+    eigenbasis as `rank_one_factors(E)` gives it, read off each E_i without its rank-one check.
 
     w_i and u_i^T are the right and left diag[i]-eigenvectors, triangular with
     w_i[i] = u_i[i] = 1 (so u_i^T w_i = 1); the eigenvalue equations are two-term recurrences in
     c_h / (t_i - t_h), where the one denominator of the integers t and c cancels: entry k of the
     vector below the diagonal is c_i..c_{k-1} prod_{h>k} g_h / prod_{h>i} g_h (g_h = t_i - t_h), of
     the one above it c_k..c_{i-1} prod_{h<k} g_h / prod_{h<i} g_h, so each E_i is one canonical pass.
-    Equal to lagrange_idempotent(bidiagonal(...), diag, i).
+    Equal to lagrange_idempotent(bidiagonal(...), diag, i); (W, U) reads its first nonzero row and column off w, u.
     """
     n = len(diag)
     if len(set(diag)) != n:
         raise DuplicateEigenvalue("diagonal entries must be mutually distinct")
     (t, c), _ = _to_ints(field, [diag, [field.one()] * (n - 1) if upper is None else upper])
-    out = []
+    out, heads = [], []
     for i, ti in enumerate(t):
         g = [ti - th for th in t]
         pre = list(accumulate(g[:i], mul, initial=1))  # pre[k] = prod_{h < k} g_h, k <= i
@@ -463,7 +475,8 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
         above = list(map(mul, list(accumulate(reversed(c[:i]), mul, initial=1))[::-1], pre)) + [0] * (n - 1 - i)
         w, u = (below, above) if upper is None else (above, below)
         out.append(Matrix._of(field, [[a * b for b in u] for a in w], pre[-1] * suf[0]))
-    return out
+        heads.append((out[-1], *(next(h for h, a in enumerate(v) if a) for v in (w, u))))
+    return out, _factors(heads)
 
 
 # --- polynomial evaluation at a matrix ---

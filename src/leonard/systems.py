@@ -21,6 +21,7 @@ from .fields import Field
 from .linalg import (
     Matrix,
     Vector,
+    _to_ints,
     bidiagonal,
     bidiagonal_idempotents,
     flag_decomposition,
@@ -66,11 +67,12 @@ class ParameterArray:
 
     @cached_property
     def gaps(self) -> tuple:
-        """(g, g*), built on first use: g_r = prod_{h != r} (theta_r - theta_h), which is
-        tau_r(theta_r) eta_{d-r}(theta_r), and g*_r the same over theta*."""
-        one = self.field.one()
-        return tuple(tuple(prod((x - y for h, y in enumerate(t) if h != r), start=one) for r, x in enumerate(t))
-                     for t in (self.theta, self.theta_star))
+        """(g, g*), built on first use: g_r = prod_{h != r} (theta_r - theta_h) = tau_r(theta_r) eta_{d-r}(theta_r),
+        read as prod_{h != r} (t_r - t_h) / den^d off the integers t / den of `_to_ints`; g*_r the same over theta*."""
+        (t, ts), den = _to_ints(self.field, [self.theta, self.theta_star])
+        fraction, scale = self.field.fraction, den ** self.d
+        return tuple(tuple(fraction(prod(x - y for h, y in enumerate(row) if h != r), scale) for r, x in enumerate(row))
+                     for row in (t, ts))
 
     def to_json(self) -> dict:
         enc = self.field.encode_scalar
@@ -150,13 +152,14 @@ class LeonardSystem:
 
     @classmethod
     def from_parameter_array(cls, pa: ParameterArray) -> "LeonardSystem":
-        """The system in a split basis: A and A* bidiagonal, and both
-        idempotent families from their triangular eigenvectors
-        (`bidiagonal_idempotents`, O(d^3) in all) rather than Lagrange products."""
-        f = pa.field
-        A, Astar = bidiagonal(f, pa.theta), bidiagonal(f, pa.theta_star, pa.varphi)
-        E, Estar = bidiagonal_idempotents(f, pa.theta), bidiagonal_idempotents(f, pa.theta_star, pa.varphi)
-        return cls(A, Astar, E, Estar, pa.theta, pa.theta_star, pa)
+        """The system in a split basis: A and A* bidiagonal, and both idempotent families from their triangular
+        eigenvectors (`bidiagonal_idempotents`, O(d^3) in all) rather than Lagrange products.  The eigenbases (W, U)
+        and (W*, U*) come with them and are memoised, so `eigenbasis` factors neither family."""
+        f, (t, ts) = pa.field, ((pa.theta, None), (pa.theta_star, pa.varphi))
+        (E, eig), (Estar, eig_star) = bidiagonal_idempotents(f, *t), bidiagonal_idempotents(f, *ts)
+        sys = cls(bidiagonal(f, *t), bidiagonal(f, *ts), E, Estar, pa.theta, pa.theta_star, pa)
+        sys._memo.update({("eigenbasis", False): eig, ("eigenbasis", True): eig_star})
+        return sys
 
     def conjugated(self, K: Matrix) -> "LeonardSystem":
         """The isomorphic system K X K^-1 (same parameter array)."""
@@ -216,7 +219,8 @@ class LeonardSystem:
 
     def eigenbasis(self, star: bool = False) -> tuple:
         """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U (`rank_one_factors`,
-        memoised); DegenerateSplit naming the first E_i not of rank one, or the count of an empty family (`_sized`)."""
+        memoised, or from the build); DegenerateSplit naming the first E_i not of rank one, or the count of an empty
+        family (`_sized`)."""
         mats = self.Estar if star else self.E
         found = self.cached(("eigenbasis", star), lambda: rank_one_factors(mats) if mats else _sized(self, star))
         if found is None:
@@ -290,7 +294,7 @@ def _sized(sys: LeonardSystem, star: bool) -> None:
 def _idempotent_checks(report, sys: LeonardSystem, star: bool):
     """With E_i = w_i u_i^T, E_i E_j = (u_i^T w_j) w_i u_j^T: the family is orthogonal exactly when U W = I, and the
     first (i, j) with (U W)_ij != delta_ij is the first failing product.  Then, with d+1 of each, W U = I, so sum E_i
-    is I and sum theta_i E_i = W diag(theta) U is M exactly when each M w_i = theta_i w_i; else the sums are dense."""
+    is I and sum theta_i E_i = W diag(theta) U is M exactly when M W == W diag(theta) (a column scaling); else dense."""
     label, mats, M, theta = ("Estar", sys.Estar, sys.Astar, sys.theta_star) if star else ("E", sys.E, sys.A, sys.theta)
     field, n = M.field, M.nrows
     _add_factored(report, [f"idempotents_{label}_orthogonal"],
@@ -298,7 +302,7 @@ def _idempotent_checks(report, sys: LeonardSystem, star: bool):
     decided = report[f"idempotents_{label}_orthogonal"].passed and len(mats) == len(theta) == n
     W, zero = (sys.eigenbasis(star)[0] if decided else None), Matrix.zeros(field, n)
     report.add(f"idempotents_{label}_sum", decided or sum(mats, zero) == Matrix.identity(field, n))
-    report.add(f"idempotents_{label}_spectral", all(M * w == w.scale(th) for th, w in zip(theta, W.columns()))
+    report.add(f"idempotents_{label}_spectral", M * W == W.scale_columns(theta)
                if decided else sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M)
 
     try:
@@ -352,8 +356,9 @@ def certified(sys: LeonardSystem) -> bool:
 def certify(pa: ParameterArray) -> LeonardSystem:
     """Build and certify; raises NotALeonardPair when the array is not realizable.
 
-    Certification is the axiom report plus the extraction round trip (the
-    round trip is what ties the stored second split sequence to the system).
+    Certification is the axiom report plus the extraction round trip (the round trip is what ties the stored
+    second split sequence to the system).  On the split form neither eliminates nor factors: the eigenbases come
+    from the build, and the round trip reads varphi and phi off the axioms (`_superdiagonal_in_split_basis`).
     """
     sys = build_system(pa)
     report = verify_axioms(sys)
@@ -414,11 +419,22 @@ def complete_parameter_array(field: Field, theta, theta_star, varphi) -> Paramet
 
 
 def _superdiagonal_in_split_basis(sys: LeonardSystem, kind: str):
-    """The superdiagonal of A* in the split basis tau_i(A) w*_0 (resp. eta_i(A) w*_0) for kind."""
-    cols = sys.root_family(kind, False, sys.eigencolumn(0, star=True))
+    """The superdiagonal of A* in the split basis p_i = tau_i(A) w*_0 (resp. eta_i(A) w*_0) for kind.  Once
+    `certified` holds, A* - theta*_i maps p_i into the span of p_{i-1} (Terwilliger, LAA 330 (2001), Thm 1.9 and
+    Section 3), so entry i is ((A* p_i)_k - theta*_i (p_i)_k) / (p_{i-1})_k, k the first nonzero of p_{i-1}.
+    Else A* P = P X is solved for X."""
+    cols, f = sys.root_family(kind, False, sys.eigencolumn(0, star=True)), sys.field
     if any(u.is_zero() for u in cols):
         raise DegenerateSplit("split basis vector vanished")
-    U = Matrix.from_columns(sys.field, cols)
+    if certified(sys):
+        (ts,), tden = _to_ints(f, [sys.theta_star])
+        A, out = sys.Astar, []
+        for i, (p, q) in enumerate(zip(cols[1:], cols), 1):
+            k, (a,), (b,) = q.first_nonzero_index(), p.nums, q.nums
+            out.append(f.fraction((sum(map(mul, A.nums[k], a)) * tden - ts[i] * A.den * a[k]) * q.den,
+                                  A.den * tden * p.den * b[k]))
+        return tuple(out)
+    U = Matrix.from_columns(f, cols)
     try:
         rep = U.solve(sys.Astar * U)
     except SingularMatrix as exc:
@@ -431,7 +447,8 @@ def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
 
     theta_i is read off as tr(A E_i) (the idempotents have trace 1), varphi
     from the representation of A* in a split basis, and phi from the split
-    basis of the relative with the eigenvalue ordering reversed.  Raises
+    basis of the relative with the eigenvalue ordering reversed, by ratios once
+    `certified` holds (`_superdiagonal_in_split_basis`).  Raises
     DegenerateSplit when what is read back is not a parameter array.
     """
     theta = tuple(trace_of_product(sys.A, Ei) for Ei in sys.E)
@@ -599,10 +616,9 @@ def gram_matrices(sys: LeonardSystem) -> tuple:
     like B (irreducible tridiagonal), with only lines for eigenspaces: theta* is distinct, and each E*_i, a Lagrange
     polynomial in A*, is fixed too."""
     m, pivot = _gram_weights(sys), _gram_pivot(sys)
-    f, (W, U) = sys.field, sys.eigenbasis()
-    scale_rows = lambda c, M: Matrix.from_columns(f, [M.row(i).scale(x) for i, x in enumerate(c)]).transpose()
-    G = U.transpose() * scale_rows(m, U)
-    return G.scale(f.invert(pivot)), W * scale_rows([pivot / x for x in m], W.transpose())
+    W, U = sys.eigenbasis()
+    G = U.transpose().scale_columns(m) * U
+    return G.scale(sys.field.invert(pivot)), W.scale_columns([pivot / x for x in m]) * W.transpose()
 
 
 def _gram_weights(sys: LeonardSystem) -> tuple:

@@ -4,14 +4,15 @@
 d+1 values.  Once it holds, `standard_identity_suite` reads the two split checks off Q P = I for the closed-form
 factors (P, Q) of `split_factors`, `duality._decomposition` takes the first family of each pair in
 `BASIS_MEMBERSHIP`, and `duality._is_basis` accepts each of the 12 forward sequences.  In a basis it accepts,
-`duality.basis_representations` reads the matrix of T, A or A* as the displayed X once M B == B X (that of T
-holds on a self-dual system only).  The routes they replace stay as the fallbacks and serve here as references:
-`split_projectors_by_intersection`, `flag_decomposition`, `Matrix.rank` and `Matrix.inverse`.  On Leonard systems,
-in split form and conjugated to a dense basis, the certificate holds, what it stands for holds too (theta and
-theta* distinct, U A W = diag(theta), no zero at either end of a row of U W* or U* W), no fallback runs, and
-verdicts and normalized vectors match the references.  On systems that fail an axiom (the not-Leonard Krawtchouk
-arrays, and one hand-made system per premise), the fallback runs and every report equals the one with the
-certificate switched off.
+`duality.basis_representations` reads the matrix of T, A or A* as the displayed X once M B == B X (that of T holds
+on a self-dual system only).  The round trip of `extract_parameter_array` reads each varphi_i and phi_i as one ratio
+of coordinates (`systems._superdiagonal_in_split_basis`).  The routes they replace stay as the fallbacks and serve
+here as references: `split_projectors_by_intersection`, `flag_decomposition`, `Matrix.rank`, `Matrix.inverse` and
+the round trip's `Matrix.solve`.  On Leonard systems, in split form and conjugated to a dense basis, the certificate
+holds, what it stands for holds too (theta and theta* distinct, U A W = diag(theta), no zero at either end of a row
+of U W* or U* W), no fallback runs, and verdicts, normalized vectors and extracted arrays match the references.  On
+systems that fail an axiom (the not-Leonard Krawtchouk arrays, and one hand-made system per premise), the fallback
+runs and every report and extraction equals the one with the certificate switched off.
 """
 
 from contextlib import contextmanager
@@ -29,7 +30,7 @@ from leonard.linalg import Matrix, flag_decomposition, rank_one_factors
 from leonard.systems import build_system, certify, split_projectors, split_projectors_by_intersection
 
 from conftest import conjugator, field_scalars, krawtchouk, leonard_array, leonard_arrays
-from test_cyclic_route import hand_built
+from test_cyclic_route import hand_built, premise_failures
 from test_factor_route import perturbed_arrays
 from test_witnesses import mixed_anchors, non_self_dual_t, scaled_basis_vector, swapped_anchors, wrong_t
 
@@ -77,7 +78,7 @@ def fallbacks():
     calls, patch = [], pytest.MonkeyPatch()
     for owner, name, label in ((systems, "split_projectors_by_intersection", "split"),
                                (du, "flag_decomposition", "decomposition"), (Matrix, "rank", "rank"),
-                               (Matrix, "inverse", "inverse")):
+                               (Matrix, "inverse", "inverse"), (Matrix, "solve", "solve")):
         original = getattr(owner, name)
         patch.setattr(owner, name, lambda *a, _original=original, _label=label: calls.append(_label) or _original(*a))
     try:
@@ -90,6 +91,22 @@ def reports(sys, anchors) -> dict:
     """name -> (passed, witness) over `verify`'s suite, the geometry suite and the basis family."""
     return {c.name: (c.passed, c.witness) for report in (systems.standard_identity_suite(sys),
             du.verify_geometry_suite(sys), du.verify_basis_family(sys, anchors)) for c in report.checks}
+
+
+def extractions(sys) -> tuple:
+    """(array or error, fallbacks called) of `extract_parameter_array` on sys, with the certificate and with
+    `systems.certified` off."""
+    systems.certified(sys)  # memoised first, so the calls recorded are the extraction's own
+    out = []
+    for patched in (False, True):
+        with pytest.MonkeyPatch.context() as patch, fallbacks() as calls:
+            if patched:
+                patch.setattr(systems, "certified", lambda sys: False)
+            try:
+                out.append((systems.extract_parameter_array(sys), calls))
+            except DegenerateSplit as exc:
+                out.append((str(exc), calls))
+    return tuple(out)
 
 
 def eigen_anchors(sys) -> du.AnchorVectors:
@@ -116,6 +133,9 @@ def assert_certificate_premises(sys):
 def assert_certified_routes_match(sys):
     assert systems.certified(sys)
     assert_certificate_premises(sys)
+    (extracted, calls), (reference, reference_calls) = extractions(sys)
+    assert extracted == reference == sys.parameter_array
+    assert calls == [] and reference_calls == ["solve"] * 2
     anchors = du.choose_anchor_vectors(sys)
     with fallbacks() as calls:
         report = systems.standard_identity_suite(sys)
@@ -201,7 +221,7 @@ def test_mutated_representations_match_the_inverse(mutation, monkeypatch):
 # --- systems that fail a premise: the fallback runs and decides as without the certificates ---
 
 
-def assert_fallback_decides(build, anchors=eigen_anchors, taken=("split", "decomposition")):
+def assert_fallback_decides(build, anchors=eigen_anchors, taken=("split", "decomposition", "solve")):
     """A fresh build() with the certificate and one with `systems.certified` off give the same reports, the first
     calling each fallback in taken; when the split fallback is taken, the split checks are the intersection route's
     outcomes."""
@@ -232,6 +252,18 @@ def test_sheared_e0_takes_the_fallbacks(field):
     checks = assert_fallback_decides(lambda: hand_built(field, 3)["E_0 sheared"])
     assert [checks[name] for name in SPLIT] == [(False, None)] * 2
     assert not checks["idempotents_E_orthogonal"][0] and checks["flags_mutually_opposite"] == (True, None)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(7), GFP], ids=["Q", "GF(7)", "GF(2^31-1)"])
+def test_hand_built_round_trips_take_the_solve(field):
+    """Every hand-built system that fails an axiom solves for its split sequences and extracts what it extracts with
+    the certificate off, an error included; the one whose matrices are Leonard (only its stored array moved) reads
+    them off the certificate."""
+    for name, sys in {**hand_built(field, 3), **premise_failures(field, 3)}.items():
+        (extracted, calls), (reference, reference_calls) = extractions(sys)
+        assert extracted == reference, name
+        assert systems.certified(sys) == (name == "stored theta_0 moved"), name
+        assert reference_calls == ["solve"] * 2 and calls == ([] if systems.certified(sys) else reference_calls), name
 
 
 NOT_OPPOSITE = ("7-d3-1", "7-d3-3", "7-d4-2", "7-d4-3", "7-d5-3")  # over GF(7), a pair of flags is not opposite

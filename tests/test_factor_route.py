@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leonard import systems
 from leonard.errors import DegenerateSplit, SingularMatrix
 from leonard.fields import Field
-from leonard.linalg import Matrix, is_irreducible_tridiagonal
+from leonard.linalg import Matrix, is_irreducible_tridiagonal, rank_one_factors
 from leonard.systems import (
     LeonardSystem,
     build_system,
+    certify,
     gram_matrices,
     nu_scalars,
     standard_identity_suite,
@@ -287,15 +289,38 @@ def test_rank_two_idempotent_reports_true_ranks():
 
 
 def test_eigenbasis_is_memoised_and_factors_the_idempotents(corpus):
+    """The eigenbasis a split-form system takes from its build is the one `rank_one_factors` reads off E and E*."""
     for pa in corpus.arrays:
         s = corpus.system(pa)
         for star, mats in ((False, s.E), (True, s.Estar)):
             W, U = s.eigenbasis(star)
             assert s.eigenbasis(star) is s.eigenbasis(star)
+            assert (W, U) == rank_one_factors(mats)
             for i, E in enumerate(mats):
                 assert W.column(i) == _first_nonzero_column(E) == s.eigencolumn(i, star)
                 assert E == Matrix.from_columns(pa.field, [W.column(i)]) * Matrix(pa.field, [U[i]])
             assert U * W == Matrix.identity(pa.field, s.d + 1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF(7)", "GF(2^31-1)"])
+def test_only_hand_built_systems_factor_their_idempotents(field, monkeypatch):
+    """A Krawtchouk system built from its array at d = 1..5 is certified without a call of `rank_one_factors`, and
+    its eigenbases equal those the factoring gives; a conjugate, a system from `from_pair` and one built by hand
+    factor each family once."""
+    calls = []
+    monkeypatch.setattr(systems, "rank_one_factors", lambda mats: calls.append(len(mats)) or rank_one_factors(mats))
+    for d in range(1, 6):
+        calls.clear()
+        s = certify(krawtchouk(field, d))
+        assert calls == []
+        assert [s.eigenbasis(star) for star in (False, True)] == [rank_one_factors(s.E), rank_one_factors(s.Estar)]
+        pair = (s.A, s.Astar, s.theta, s.theta_star)
+        for built in (s.conjugated(conjugator(field, d + 1)), LeonardSystem.from_pair(*pair),
+                      LeonardSystem(s.A, s.Astar, s.E, s.Estar, s.theta, s.theta_star, s.pa)):
+            calls.clear()
+            for star in (False, True, False, True):
+                built.eigenbasis(star)
+            assert calls == [d + 1, d + 1]
 
 
 # --- work bound ---

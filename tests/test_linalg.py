@@ -176,15 +176,17 @@ def _bidiagonal_idempotents_by_elements(field, diag, upper=None) -> list:
 @settings(max_examples=200, deadline=None)
 @given(_bidiagonal_case())
 def test_bidiagonal_idempotents_match_lagrange(case):
-    """Random diagonals and off-diagonals with mixed denominators over Q, and residues over GF(7) and GF(2^31-1)."""
+    """Random diagonals and off-diagonals with mixed denominators over Q, and residues over GF(7) and GF(2^31-1);
+    the eigenbasis that comes with the idempotents is the one `rank_one_factors` reads off them."""
     field, diag, upper = case
     M = bidiagonal(field, diag, upper)
     ones = [field.one()] * (len(diag) - 1)
     assert M == _split_pair_oracle(field, diag, diag, ones if upper is None else upper)[upper is not None]
     expected = [lagrange_idempotent(M, diag, i) for i in range(len(diag))]
-    got = bidiagonal_idempotents(field, diag, upper)
+    got, factors = bidiagonal_idempotents(field, diag, upper)
     assert got == expected == _bidiagonal_idempotents_by_elements(field, diag, upper)
-    for X in (M, *got):
+    assert factors == rank_one_factors(got)
+    for X in (M, *got, *factors):
         _assert_canonical_form(X)
 
 

@@ -441,11 +441,11 @@ def _raised(M: Matrix, i: int, j: int) -> Matrix:
 def _raised_inverse_entry(star: bool, i: int, j: int) -> dict:
     """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built; the
     memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it,
-    and so is the memoised axiom report that `certify` read off them."""
+    and so are the memoised axiom report that `certify` read off them and the certificate read off that report."""
     s, _, bundle = _setup(SELF_DUAL)
-    assert not any(key[0] in ("flag", "certified") for key in s._memo)
+    assert not any(key[0] == "flag" for key in s._memo)
     s._memo[("eigenbasis_inverse", star)] = _raised(systems._eigenbasis_inverse(s, star), i, j)
-    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star) or key == "axioms"]:
+    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star) or key in ("axioms", "certified")]:
         del s._memo[key]
     return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 

@@ -20,10 +20,12 @@ over Q (the q-Racah arrays above are not self-dual, so dualize fails on them, an
 them).  Then verify, dualize and bases run on the not-Leonard Krawtchouk arrays of `raised_krawtchouk`
 at d = 1..5 over Q, GF(7) and GF(2^31 - 1): on these verify's checks are left to the fallbacks that the
 certificate stands in for, so a certificate read too early would show here, and over GF(7) coordinates
-can vanish by accident.  dualize and bases exit 1 from certify on them.  The inputs are written to a
-temporary directory that is the working directory while the calls run, so the paths in each argv,
-and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI outputs
-agree byte for byte print the same lines: `diff` the two listings.
+can vanish by accident.  Among those fallbacks is the round trip's elimination, `Matrix.solve` on the
+split basis, which all 54 not-Leonard verify calls reach: the 14 on the raised q-Racah arrays and the
+40 on the raised Krawtchouk arrays.  dualize and bases exit 1 from certify on them.  The inputs are
+written to a temporary directory that is the working directory while the calls run, so the paths in
+each argv, and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI
+outputs agree byte for byte print the same lines: `diff` the two listings.
 """
 
 from __future__ import annotations
