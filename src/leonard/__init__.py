@@ -15,14 +15,7 @@ from .errors import (
     ZeroInnerProduct,
 )
 from .fields import Field, PrimeFieldElement
-from .linalg import (
-    Matrix,
-    Vector,
-    eval_root_product,
-    is_irreducible_tridiagonal,
-    lagrange_idempotent,
-    transition_matrix,
-)
+from .linalg import Matrix, Vector, is_irreducible_tridiagonal, lagrange_idempotent
 from .report import Check, VerificationReport
 from .systems import (
     LeonardSystem,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import strategies as st
@@ -22,9 +21,9 @@ from hypothesis import strategies as st
 from leonard.duality import is_self_dual
 from leonard.errors import ExhaustedTrials, NotALeonardPair
 from leonard.fields import Field, PrimeFieldElement
-from leonard.linalg import Matrix, eval_root_product, intersect_column_spaces
+from leonard.linalg import Matrix
 from leonard.search import SearchConfig, enumerate_prime_field, random_rational
-from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array, verify_axioms
+from leonard.systems import LeonardSystem, ParameterArray, certify, complete_parameter_array
 
 GF7 = Field.prime(7)
 RATIONAL = Field.rational()
@@ -212,26 +211,7 @@ def krawtchouk(field: Field, d: int) -> ParameterArray:
     return krawtchouk_type(field, d, d, -2, d, -2, 1)
 
 
-# --- flags as nested subspaces ---
-
-
-def flag_components(F) -> tuple:
-    """The d+1 components of a `duality.Flag`: component i is spanned by the first i+1 columns of its basis."""
-    return tuple(F.basis.submatrix(cols=slice(0, i)) for i in range(1, F.basis.nrows + 1))
-
-
-# --- the null-space reference for the split lines ---
-
-
-def split_subspace(sys: LeonardSystem, i: int) -> Matrix:
-    """U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V), as columns: the two
-    eigenvector spans met by one null space (`intersect_column_spaces`), the route
-    that `flag_decomposition` replaced in the split checks."""
-    span = lambda indices, star: Matrix.from_columns(sys.field, [sys.eigencolumn(j, star=star) for j in indices])
-    return intersect_column_spaces(span(range(i + 1), True), span(range(i, sys.d + 1), False))
-
-
-# --- the Gram block and the null-space reference for the Gram matrix ---
+# --- the checks of `verify` ---
 
 
 # the Gram block of `standard_identity_suite`: every check that reads (G, G^-1)
@@ -255,77 +235,3 @@ SUITE_CHECKS = (
     "gram_symmetric", "gram_intertwines_A", "gram_intertwines_Astar", "dagger_fixes_A",
     "dagger_fixes_Astar", "dagger_fixes_idempotents", "dagger_involution",
 )
-
-
-class NonUniqueForm(Exception):
-    """The oracle's refusal: the intertwining constraints do not have a 1-dimensional solution space."""
-
-
-def gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
-    """(G, G^-1) for G spanning the null space of the n^2-unknown intertwining constraints
-    P^T G = G P, P = A and A*: the oracle for `systems.gram_matrices`, which needs no eigenbasis.
-    The rows for P are built from P.nums = P.den P, since scaling a block of rows leaves the null
-    space unchanged.  G is normalized as `gram_matrices` normalizes it, and refused with NonUniqueForm
-    when the space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G is singular;
-    where `gram_matrices` finds a form, the oracle finds the same one."""
-    f, n = A.field, A.nrows
-    rows = []
-    for P in (A, Astar):
-        for i in range(n):
-            for j in range(n):
-                # coefficient of g_{ab} in (P^T G - G P)_{ij}
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += P.nums[k][i]
-                    row[i * n + k] -= P.nums[k][j]
-                rows.append(row)
-    basis = Matrix.from_ints(f, rows).nullspace()
-    if len(basis) != 1:
-        raise NonUniqueForm(f"intertwiner space has dimension {len(basis)}")
-    G = Matrix.from_ints(f, (basis[0].nums[0][i * n:(i + 1) * n] for i in range(n)))
-    pivot = next((x for x in G.row(0) if x), None)
-    if pivot is None:
-        raise NonUniqueForm("gram candidate has a zero first row")
-    G = G.scale(f.invert(pivot))
-    return G, G.inverse()
-
-
-# --- dense references for the sums through a rank-one middle factor ---
-
-
-def dense_family(sys: LeonardSystem, kind: str, star: bool = False) -> list:
-    """tau_0..tau_d (kind "tau") or eta_0..eta_d at A (resp. A*), each its own dense root product."""
-    M, theta = (sys.Astar, sys.theta_star) if star else (sys.A, sys.theta)
-    roots = lambda i: theta[:i] if kind == "tau" else theta[len(theta) - i:]
-    return [eval_root_product(roots(i), M) for i in range(sys.d + 1)]
-
-
-def flat_rank(mats) -> int:
-    """dim span(mats), each matrix read as one vector of its entries; the integer rows serve, as each is the
-    matrix times its nonzero denominator: the dense rank in the references of the F[M] checks."""
-    return Matrix.from_ints(mats[0].field, (chain.from_iterable(M.nums) for M in mats)).rank()
-
-
-def premise_error(sys: LeonardSystem, star: bool) -> str | None:
-    """The witness of the first failed premise of the F[M] checks on A (resp. A*), and on A* of
-    `dagger_fixes_idempotents`, else None: the count of E (resp. E*), then its orthogonal and spectral
-    axioms, read off `verify_axioms` (whose entries tests/test_factor_route.py and
-    tests/test_premise_route.py check densely), then d+1 distinct theta (theta*)."""
-    d, mats, theta = sys.d, sys.Estar if star else sys.E, sys.theta_star if star else sys.theta
-    if len(mats) != d + 1:
-        return f"{len(mats)} idempotents {'E*' if star else 'E'}, not d + 1 = {d + 1}"
-    label, axioms = "Estar" if star else "E", verify_axioms(sys)
-    failed = [c for c in ("orthogonal", "spectral") if not axioms[f"idempotents_{label}_{c}"].passed]
-    if failed:
-        return f"idempotents_{label}_{failed[0]} fails"
-    distinct = len(set(theta)) == len(theta) == d + 1
-    return None if distinct else f"theta{'*' if star else ''} is not d + 1 = {d + 1} distinct values"
-
-
-def dense_sum(lefts, mid: Matrix, rights) -> Matrix:
-    """sum_i lefts[i] mid rights[i] as dense products, with mid multiplied out: the reference
-    for the sums that `duality` builds on the eigenvector factors."""
-    total = Matrix.zeros(mid.field, mid.nrows)
-    for L, R in zip(lefts, rights):
-        total = total + L * mid * R
-    return total

@@ -17,10 +17,10 @@ from leonard import systems
 from leonard.errors import SingularMatrix
 from leonard.fields import Field
 from leonard.linalg import Matrix
-from leonard.systems import LeonardSystem, build_system
+from leonard.systems import build_system
 
 from conftest import conjugator, krawtchouk, leonard_arrays
-from test_cyclic_route import hand_built, w_inverse_conjugate
+from reference import hand_built, w_inverse_conjugate
 
 Q, GFP = Field.rational(), Field.prime(2**31 - 1)
 CHANGES = [(a, X, b) for a in (False, True) for X in (None, "A", "Astar") for b in (False, True)]
@@ -57,12 +57,6 @@ def assert_memo_matches_reference(sys) -> set:
     return singular
 
 
-def repeated_e0(field, d):
-    """E_0 in place of E_1: every E_i is of rank one, but W has two equal columns."""
-    s = build_system(krawtchouk(field, d))
-    return LeonardSystem(s.A, s.Astar, (s.E[0], s.E[0]) + s.E[2:], s.Estar, s.theta, s.theta_star, s.pa)
-
-
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -78,10 +72,10 @@ def test_memo_matches_gauss_jordan(field, data):
 @pytest.mark.parametrize("field", [Q, Field.prime(7), GFP], ids=["Q", "GF(7)", "GF(2^31-1)"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_memo_matches_gauss_jordan_where_UW_is_not_I(field, d):
-    """The repeated E_0 (W singular), and the sheared E_0 and doubled E*_d of `test_cyclic_route.py`
-    (W, resp. W*, invertible with an inverse other than U)."""
+    """E_0 twice (W singular), and the sheared E_0 and doubled E*_d (W, resp. W*, invertible with an inverse
+    other than U) of `reference.hand_built`."""
     built = hand_built(field, d)
-    cases = ((repeated_e0(field, d), False, {False}), (built["E_0 sheared"], False, set()),
+    cases = ((built["E_0 twice"], False, {False}), (built["E_0 sheared"], False, set()),
              (built["Estar_d doubled"], True, set()))
     for sys, star, singular in cases:
         assert systems._orthogonality_witness(sys, star) is not None

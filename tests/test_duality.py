@@ -23,8 +23,8 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product, flag_decomposition
 from leonard.systems import ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, flag_components, leonard_arrays, split_subspace
-from test_cyclic_route import hand_built
+from conftest import FROZEN_ARRAYS, leonard_arrays
+from reference import basis_by_recurrence, components, hand_built, meets
 from test_witnesses import DAGGER_READERS
 
 Q = Field.rational()
@@ -346,10 +346,10 @@ def test_flag_components():
     pa = d1_example()
     s = certify(pa)
     flag0 = du.build_flag(s, "0")
-    assert flag_components(flag0)[s.d].rank() == s.d + 1  # top component is V
+    assert components(flag0.basis)[s.d].rank() == s.d + 1  # top component is V
     flag0s = du.build_flag(s, "0*")
-    assert flag_components(flag0s)[0].ncols == 1
-    assert flag_components(flag0s)[0].rank() == 1
+    assert components(flag0s.basis)[0].ncols == 1
+    assert components(flag0s.basis)[0].rank() == 1
     with pytest.raises(ValueError):
         du.build_flag(s, "X")
 
@@ -384,8 +384,8 @@ def test_decomposition_intersection_oracle(data):
     s = certify(data.draw(leonard_arrays(field, d), label="pa"))
     dec = du.build_decomposition(s, "0*", "D")
     splits = s.root_family("tau", False, s.eigencolumn(0, star=True))
-    for i in range(s.d + 1):
-        U = split_subspace(s, i)
+    lines = meets(s.eigenbasis(star=True)[0], s.eigenbasis()[0].submatrix(cols=slice(None, None, -1)))
+    for i, U in enumerate(lines):  # U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V)
         assert U.ncols == 1
         assert dec.vectors[i] == U.column(0).normalized() == splits[i].normalized()
 
@@ -461,20 +461,6 @@ def test_24_bases_family(sd1):
     assert report.all_pass
 
 
-def _basis_by_recurrence(s, anchors, basis_id):
-    """The reference: each id, -rev- ids included, built by its own recurrence."""
-    gen, rev, anchor_key = du._parse_basis_id(basis_id)
-    v = getattr(anchors, du._ANCHOR_ATTR[anchor_key])
-    if gen in ("e", "estar"):
-        seq = [E * v for E in (s.E if gen == "e" else s.Estar)]
-    else:
-        M, theta = (s.A, s.theta) if gen in ("tau", "eta") else (s.Astar, s.theta_star)
-        seq = [v]
-        for r in (theta[:s.d] if gen in ("tau", "taustar") else theta[::-1][:s.d]):
-            seq.append(M * seq[-1] - seq[-1].scale(r))
-    return tuple(reversed(seq)) if rev else tuple(seq)
-
-
 @pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -488,7 +474,7 @@ def test_generated_leonard_arrays(field, data):
         assert ((M - Matrix.identity(field, d + 1).scale(theta[d])) * tau[d]).is_zero()
     anchors = du.choose_anchor_vectors(s)
     family = du.build_24_bases(s, anchors)
-    assert family == {basis_id: _basis_by_recurrence(s, anchors, basis_id) for basis_id in du.BASIS_IDS}
+    assert family == {basis_id: basis_by_recurrence(s, anchors, basis_id) for basis_id in du.BASIS_IDS}
 
 
 def test_unknown_basis_id(sd1):

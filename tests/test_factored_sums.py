@@ -11,7 +11,8 @@ from leonard.fields import Field
 from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, ParameterArray, certify, nu_scalars
 
-from conftest import FROZEN_ARRAYS, dense_family, dense_sum, leonard_arrays
+from conftest import FROZEN_ARRAYS, leonard_arrays
+from reference import dense_family, dense_sum
 
 FIELDS = [Field.rational(), Field.prime(2**31 - 1)]
 FIELD_IDS = ["Q", "GF(2^31-1)"]

@@ -1,63 +1,32 @@
-"""Flags as ordered bases against the subspace intersections they replace.
+"""Flags as ordered bases: the eliminations that replaced the subspace intersections, and the work they save.
 
-A flag is one ordered basis F (component i: its first i+1 columns).  Two
-flags F, G are opposite exactly when F^-1 G with its rows reversed has an LU
-factorisation without pivoting, and that elimination gives every component of
-the decomposition they induce.  "The first i+1 columns of X span component i
-of F" is read off Y = F^-1 X.  The reference below is the intersection and
-rank route those replace, one `intersect_column_spaces` or
-`same_column_space` call per component; both must agree verdict for verdict,
-witness and vector included.  The elimination itself runs on integer columns
-(`linalg.flag_decomposition`, through `unpivoted_column_reduction`); the
-element-level loop it replaced is kept below as a second reference.
+A flag is one ordered basis F (component i: its first i+1 columns).  Two flags F, G are opposite exactly when F^-1 G
+with its rows reversed has an LU factorisation without pivoting, which gives every component of the decomposition
+they induce; "the first i+1 columns of X span component i of F" is read off F^-1 X.  `tests/reference.py` decides
+the flag checks by intersections and ranks (`assert_agrees`).  Here: the elimination against the element loop and
+the intersections on random bases, the inverses of the flags and bases, and that no suite intersects subspaces.
 """
 
 from math import prod
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from leonard import duality as du
 from leonard import linalg, systems
 from leonard.errors import DegenerateSplit, SingularMatrix
 from leonard.fields import Field
-from leonard.linalg import Matrix, Vector, flag_decomposition, intersect_column_spaces, same_column_space
+from leonard.linalg import Matrix, Vector, flag_decomposition, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, conjugator, flag_components, krawtchouk_type, leonard_arrays
-from test_cyclic_route import hand_built, w_inverse_conjugate
-from test_factor_route import assert_both_reports_match
-
-Q = Field.rational()
-GFP = Field.prime(2**31 - 1)
+from conftest import FROZEN_ARRAYS, conjugator, krawtchouk_type, leonard_arrays
+from reference import (DIFFERENTIAL, GEOMETRY_CHECKS, GFP, Q, Reference, agrees_on, assert_agrees, assert_report,
+                       check_list, components, drawn, hand_built, meets, opposite_lines, passes, w_inverse_conjugate)
 
 
-# --- the intersection reference ---
-
-
-def ref_meets(F: du.Flag, G: du.Flag):
-    """Bases of F_i ∩ G_{d-i}, i = 0..d."""
-    Fc, Gc = flag_components(F), flag_components(G)
-    return [intersect_column_spaces(Fc[i], Gc[-1 - i]) for i in range(len(Fc))]
-
-
-def ref_flags_opposite(F: du.Flag, G: du.Flag) -> bool:
-    meets = ref_meets(F, G)
-    if any(meet.ncols != 1 for meet in meets):
-        return False
-    return Matrix.from_columns(F.basis.field, [meet.column(0) for meet in meets]).rank() == len(meets)
-
-
-def opposite_vectors(F: du.Flag, G: du.Flag):
-    """`linalg.flag_decomposition` of F and G; None when F is singular."""
-    return None if F.inverse is None else flag_decomposition(F.inverse * G.basis, G.basis)
-
-
-def ref_opposite_vectors(F: du.Flag, G: du.Flag):
-    """The element-level loop that `flag_decomposition` replaced: the columns of C'
-    (C = F^-1 G, rows reversed) over those of G, reduced without pivoting one
-    field element and one Vector at a time; x_i = G V[:, d-i], or None."""
+def element_loop_lines(F, G):
+    """The element-level loop that `linalg.flag_decomposition` replaced, for the `duality.Flag`s F and G: the columns
+    of C' (C = F^-1 G, rows reversed) over those of G, reduced without pivoting; x_i = G V[:, d-i], or None."""
     if F.inverse is None:
         return None
     C = F.inverse * G.basis
@@ -73,104 +42,24 @@ def ref_opposite_vectors(F: du.Flag, G: du.Flag):
 
 
 def assert_opposite_vectors_match_loop(F: du.Flag, G: du.Flag):
-    """Same verdict as the element loop, and the same vectors up to nonzero scalars."""
-    got, want = opposite_vectors(F, G), ref_opposite_vectors(F, G)
+    """`linalg.flag_decomposition` of F and G (None when F is singular) has the verdict of the element loop, and its
+    vectors up to nonzero scalars."""
+    got = None if F.inverse is None else flag_decomposition(F.inverse * G.basis, G.basis)
+    want = element_loop_lines(F, G)
     assert (got is None) == (want is None)
     if got is not None:
         assert [v.normalized() for v in got] == [v.normalized() for v in want]
     return got
 
 
-def ref_decomposition_vectors(sys, z, w):
-    """Normalised spanning vectors; raises when some component is not one-dimensional."""
-    vectors = []
-    for i, meet in enumerate(ref_meets(du.build_flag(sys, z), du.build_flag(sys, w))):
-        if meet.ncols != 1:
-            raise DegenerateSplit(f"component {i} of [{z}{w}] is not one-dimensional")
-        vectors.append(meet.column(0).normalized())
-    return tuple(vectors)
-
-
-def _prefix(M: Matrix, k: int) -> Matrix:
-    return Matrix(M.field, (row[:k] for row in M.rows))
-
-
-def reference_geometry(sys, bundle=None):
-    """(checks, decomposition vectors) of the flag checks, by intersections and ranks."""
-    f, d = sys.field, sys.d
-    flags = {z: du.build_flag(sys, z) for z in du.OMEGA}
-    checks = {}
-
-    ok, witness = True, None
-    for z, F in flags.items():
-        for i, comp in enumerate(flag_components(F)):
-            if comp.rank() != i + 1:
-                ok, witness = False, {"flag": z, "i": i}
-    checks["flag_component_dimensions"] = (ok, witness)
-    checks["flags_mutually_opposite"] = (
-        all(ref_flags_opposite(F, G) for F in flags.values() for G in flags.values() if F.label != G.label), None)
-
-    decomps = {}
-    ok, witness = True, None
-    for z, w in du.DECOMPOSITION_PAIRS:
-        try:
-            decomps[(z, w)] = ref_decomposition_vectors(sys, z, w)
-        except DegenerateSplit as exc:
-            ok, witness = False, {"pair": f"[{z}{w}]", "error": str(exc)}
-    checks["decomposition_components_one_dimensional"] = (ok, witness)
-    if not ok:
-        return checks, decomps
-
-    ok, witness = True, None
-    for (z, w), vectors in decomps.items():
-        for i in range(d + 1):
-            if not same_column_space(Matrix.from_columns(f, vectors[: i + 1]), flag_components(flags[z])[i]):
-                ok, witness = False, {"pair": f"[{z}{w}]", "flag": z, "i": i}
-            if not same_column_space(Matrix.from_columns(f, vectors[::-1][: i + 1]), flag_components(flags[w])[i]):
-                ok, witness = False, {"pair": f"[{z}{w}]", "flag": w, "i": i}
-    checks["decompositions_induce_flags"] = (ok, witness)
-
-    if bundle is not None:
-        ok, witness = True, None
-        for z, image in du.T_FLAG_IMAGE.items():
-            for i in range(d + 1):
-                if not same_column_space(bundle.t * flag_components(flags[z])[i], flag_components(flags[image])[i]):
-                    ok, witness = False, {"flag": z, "i": i}
-        checks["T_on_flags"] = (ok, witness)
-    return checks, decomps
-
-
-def assert_geometry_matches_reference(sys, bundle=None):
-    report = du.verify_geometry_suite(sys, bundle)
-    checks, decomps = reference_geometry(sys, bundle)
-    got = {name: (report[name].passed, report[name].witness) for name in checks}
-    assert got == checks
-    assert set(checks) <= {c.name for c in report.checks}
-    for (z, w), vectors in decomps.items():
-        assert du.build_decomposition(sys, z, w).vectors == vectors
-    return report
-
-
-# --- inputs ---
-
-
-def negative_controls():
-    """Certified systems with theta* != theta, where T does not map the flags."""
-    return [certify(krawtchouk_type(field, d, 3, 5, 11, 7, 13)) for field in (Q, GFP) for d in (2, 3, 4, 5)]
-
-
-def with_bundle(sys):
-    return du.build_duality_bundle(sys)
-
-
-# --- route == reference on certified systems ---
+# --- the differential test on the inputs of the flag route ---
 
 
 def test_corpus_geometry_matches_reference(corpus):
+    """`dualize` in split form."""
     for pa in corpus.arrays:
-        s = corpus.system(pa)
-        report = assert_geometry_matches_reference(s, with_bundle(s))
-        assert report.all_pass == du.is_self_dual(pa)
+        [agreed] = agrees_on(pa, ("split",), ("dualize",))
+        assert passes(agreed, "dualize") == du.is_self_dual(pa)
 
 
 def test_corpus_opposite_vectors_match_element_loop(corpus):
@@ -181,33 +70,34 @@ def test_corpus_opposite_vectors_match_element_loop(corpus):
 
 
 def test_conjugated_corpus_geometry_matches_reference(corpus):
+    """`dualize` conjugated to a dense basis."""
     for pa in corpus.arrays:
-        s = corpus.system(pa)
-        conj = s.conjugated(conjugator(pa.field, s.d + 1))
-        assert_geometry_matches_reference(conj, with_bundle(conj))
+        agrees_on(pa, ("dense",), ("dualize",))
 
 
 def test_negative_controls_match_reference_with_witness():
-    for s in negative_controls():
-        report = assert_geometry_matches_reference(s, with_bundle(s))
-        assert not report["T_on_flags"].passed and report["T_on_flags"].witness is not None
-        assert report["decompositions_induce_flags"].passed
+    """Certified Krawtchouk-type arrays with theta* != theta at d = 2..5, where T does not map the flags."""
+    for pa in (krawtchouk_type(field, d, 3, 5, 11, 7, 13) for field in (Q, GFP) for d in (2, 3, 4, 5)):
+        checks = assert_agrees(certify(pa), ("dualize",))["dualize"]
+        assert not checks["T_on_flags"][0] and checks["T_on_flags"][1] is not None
+        assert checks["decompositions_induce_flags"][0]
 
 
 def test_geometry_without_bundle_matches_reference(corpus):
     for pa in corpus.non_self_dual:
-        assert_geometry_matches_reference(certify(pa))
+        s = certify(pa)
+        geometry = Reference(s).dualize(None)
+        assert_report(check_list(du.verify_geometry_suite(s)), [n for n in GEOMETRY_CHECKS if n in geometry], geometry)
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-@settings(max_examples=20, deadline=None)
+@settings(DIFFERENTIAL, max_examples=20)
 @given(data=st.data())
 def test_generated_geometry_matches_reference(field, data):
-    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
-    pa = data.draw(leonard_arrays(field, d), label="pa")
-    s = certify(pa)
-    report = assert_geometry_matches_reference(s, with_bundle(s))
-    assert report.all_pass or not du.is_self_dual(pa)
+    """`dualize` conjugated to a dense basis."""
+    pa = data.draw(drawn(field), label="pa")
+    [agreed] = agrees_on(pa, ("dense",), ("dualize",))
+    assert passes(agreed, "dualize") or not du.is_self_dual(pa)
 
 
 def flag(label: str, basis: Matrix) -> du.Flag:
@@ -237,26 +127,23 @@ def test_flag_inverses_match_elimination(field, data):
 
 
 def test_basis_representations_match_separate_solves(corpus):
+    """The representations in the four bases, which `tests/test_certificate_route.py` holds to B^-1 (M B), are those
+    `matrix_of_T` returns."""
     for pa in corpus.self_dual:
         s = corpus.system(pa)
         anchors = du.choose_anchor_vectors(s)
         bundle = du.build_duality_bundle(s, anchors)
         for basis_id in du.FOUR_BASES:
-            B = Matrix.from_columns(pa.field, du.build_basis(s, anchors, basis_id))
-            want = tuple(B.solve(M * B) for M in (bundle.t, s.A, s.Astar))
-            assert du.basis_representations(s, bundle.t, basis_id, anchors) == want
-            assert du.matrix_of_T(s, bundle, basis_id, anchors) == want[0]
+            assert du.matrix_of_T(s, bundle, basis_id, anchors) == du.basis_representations(
+                s, bundle.t, basis_id, anchors)[0]
 
 
-def closed_form_basis_inverse(sys, anchors, basis_id) -> Matrix:
-    """B^-1 for the basis basis_id (columns of B) without elimination, where U W = I, so W^-1 = U.
-
-    E_i v = (u_i^T v) w_i, so an e/estar basis is W diag(c) with c_i = u_i^T v, and B^-1 = diag(c)^-1 U.
-    A tau or eta family on v is p_i(M) v = sum_j p_i(theta_j) c_j w_j, so B = W diag(c) L with
-    L_ji = p_i(theta_j), and B^-1 = L^-1 diag(c)^-1 U.  With x_k the roots in the family's order
-    (x_k = theta_k for tau, theta_{d-k} for eta), L^-1 is the Newton-to-Lagrange matrix of divided
-    differences: its entry (i, j) for theta_j = x_k is 1 / prod_{l <= i, l != k} (x_k - x_l) when
-    k <= i, else 0.  A -rev- id reverses the columns of B, so the rows of B^-1."""
+def closed_form_basis_inverse(sys: LeonardSystem, anchors, basis_id: str) -> Matrix:
+    """B^-1 for the basis basis_id (columns of B) without elimination, where U W = I: E_i v = (u_i^T v) w_i, so an
+    e/estar basis is W diag(c), c_i = u_i^T v, and a tau or eta family on v is W diag(c) L with L_ji = p_i(theta_j),
+    whose inverse is the Newton-to-Lagrange matrix of divided differences: for x_k the roots in the family's order
+    and theta_j = x_k, (L^-1)_ij = 1 / prod_{l <= i, l != k} (x_k - x_l) when k <= i, else 0.  A -rev- id reverses
+    the columns of B, so the rows of B^-1."""
     gen, rev, anchor = du._parse_basis_id(basis_id)
     star, f, n = gen.endswith("star"), sys.field, sys.d + 1
     W, U = sys.eigenbasis(star)
@@ -293,19 +180,15 @@ def test_basis_inverses_match_closed_form(field, data):
 # --- hand-built systems ---
 
 
-def _same_eigenbases():
-    """A d = 1 system with E*_i = E_i, so the flags [0] = [0*] and [D] = [D*]."""
-    s = certify(krawtchouk_type(Q, 1, 3, 5, 3, 5, 13))
-    return LeonardSystem(s.A, s.Astar, s.E, s.E, s.theta, s.theta_star, s.pa)
-
-
 def test_non_opposite_pair_raises_naming_the_pair():
-    # each component of [00*] is one-dimensional, but the two coincide: the
-    # intersection route built a "decomposition" that does not span V
-    s = _same_eigenbases()
-    ref = ref_decomposition_vectors(s, "0", "0*")
-    assert ref[0] == ref[1]
-    assert not ref_flags_opposite(du.build_flag(s, "0"), du.build_flag(s, "0*"))
+    # a d = 1 system with E*_i = E_i, so the flags [0] = [0*] and [D] = [D*]: each component of [00*] is
+    # one-dimensional, but the two coincide, and the intersection route built a "decomposition" that does not span V
+    c = certify(krawtchouk_type(Q, 1, 3, 5, 3, 5, 13))
+    s = LeonardSystem(c.A, c.Astar, c.E, c.E, c.theta, c.theta_star, c.pa)
+    W, Ws = s.eigenbasis()[0], s.eigenbasis(star=True)[0]
+    lines = meets(W, Ws)
+    assert all(line.ncols == 1 for line in lines) and lines[0] == lines[1]
+    assert opposite_lines(W, Ws) is None
     with pytest.raises(DegenerateSplit, match=r"\[00\*\]"):
         du.build_decomposition(s, "0", "0*")
     report = du.verify_geometry_suite(s)
@@ -313,26 +196,21 @@ def test_non_opposite_pair_raises_naming_the_pair():
     assert not report["flags_mutually_opposite"].passed
     assert report["decomposition_components_one_dimensional"].witness["pair"] == "[D*D]"
     assert "decompositions_induce_flags" not in report
+    assert_agrees(s)
 
 
 def test_dependent_flag_basis_matches_reference():
     # E_0 twice: both E-flags are spanned by one line
-    s = certify(krawtchouk_type(Q, 1, 3, 5, 3, 5, 13))
-    broken = LeonardSystem(s.A, s.Astar, (s.E[0], s.E[0]), s.Estar, s.theta, s.theta_star, s.pa)
-    report = du.verify_geometry_suite(broken)
-    checks, _ = reference_geometry(broken)
-    for name in ("flag_component_dimensions", "flags_mutually_opposite"):
-        assert (report[name].passed, report[name].witness) == checks[name]
-    assert report["flag_component_dimensions"].witness == {"flag": "D", "i": 1}
-    assert not report["decomposition_components_one_dimensional"].passed
+    report = assert_agrees(hand_built(Q, 1)["E_0 twice"])["dualize"]
+    assert report["flag_component_dimensions"] == (False, {"flag": "D", "i": 1})
+    assert not report["decomposition_components_one_dimensional"][0]
 
 
 def test_families_with_UW_not_I_invert_by_elimination(monkeypatch):
     """Where U W != I, W^-1 comes from Gauss-Jordan on W, for the flags, both tridiagonal axioms
     and the split lines: E_0 twice (W singular, so the E-flags have no inverse), and the sheared
-    E_0 and doubled E*_d of `test_cyclic_route.py` (W, resp. W*, invertible, and its inverse != U)."""
-    s = certify(krawtchouk_type(Q, 1, 3, 5, 3, 5, 13))
-    repeated = LeonardSystem(s.A, s.Astar, (s.E[0], s.E[0]), s.Estar, s.theta, s.theta_star, s.pa)
+    E_0 and doubled E*_d of `reference.hand_built` (W, resp. W*, invertible, and its inverse != U)."""
+    repeated = hand_built(Q, 1)["E_0 twice"]
     sheared, doubled = (hand_built(Q, 2)[name] for name in ("E_0 sheared", "Estar_d doubled"))
     inverted = []
     inverse = Matrix.inverse
@@ -343,8 +221,8 @@ def test_families_with_UW_not_I_invert_by_elimination(monkeypatch):
         inverted.clear()
         systems.standard_identity_suite(sys)
         assert W in inverted
-        assert_both_reports_match(sys)  # the axioms and split lines against their references
         assert_flag_inverses_match_elimination(sys)
+        assert_agrees(sys)
     assert du.build_flag(repeated, "0").inverse is du.build_flag(repeated, "D").inverse is None
     for sys, z, star in ((sheared, "0", False), (doubled, "0*", True)):
         W, U = sys.eigenbasis(star)
@@ -387,19 +265,20 @@ def basis_pairs(draw):
 def test_random_bases_match_reference(case):
     F, G, X = case
     vectors = assert_opposite_vectors_match_loop(F, G)
-    assert (vectors is not None) == ref_flags_opposite(F, G)
+    lines = opposite_lines(F.basis, G.basis)
+    assert (vectors is not None) == (lines is not None)
     if vectors is not None:
-        assert [v.normalized() for v in vectors] == [m.column(0).normalized() for m in ref_meets(F, G)]
+        assert [v.normalized() for v in vectors] == list(lines)
     n = X.ncols
-    assert du.spans_components(F.inverse * X) == [same_column_space(_prefix(X, i + 1), flag_components(F)[i])
-                                                  for i in range(n)]
-    assert du.spans_components(F.inverse * G.basis) == [same_column_space(_prefix(G.basis, i + 1),
-                                                                          flag_components(F)[i]) for i in range(n)]
+    assert du.spans_components(F.inverse * X) == [same_column_space(X.submatrix(cols=slice(0, i + 1)),
+                                                                     components(F.basis)[i]) for i in range(n)]
+    assert du.spans_components(F.inverse * G.basis) == [same_column_space(G.basis.submatrix(cols=slice(0, i + 1)),
+                                                                          components(F.basis)[i]) for i in range(n)]
 
 
-def spans_components_by_rref(F: du.Flag, X: Matrix) -> list:
-    """The rref route that `spans_components` replaced: with Y = F^-1 X, the first i+1
-    columns of Y vanish below row i and hold i+1 pivot columns of Y's rref."""
+def spans_components_by_rref(F, X: Matrix) -> list:
+    """The rref route that `duality.spans_components` replaced, for the `duality.Flag` F: with Y = F^-1 X, the first
+    i+1 columns of Y vanish below row i and hold i+1 pivot columns of Y's rref."""
     Y = F.inverse * X
     pivots, n = Y.rref()[1], Y.nrows
     return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
@@ -432,7 +311,7 @@ def test_singular_basis_is_never_opposite():
     G = flag("G", Matrix.from_ints(field, [[0, 1], [1, 0]]))
     for pair in ((F, G), (G, F), (F, F)):
         assert assert_opposite_vectors_match_loop(*pair) is None
-        assert not ref_flags_opposite(*pair)
+        assert opposite_lines(pair[0].basis, pair[1].basis) is None
 
 
 # --- work bound ---

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import FROZEN_ARRAYS, leonard_array
-from test_factor_route import FIELDS, perturbed_arrays
+from reference import FIELDS, agrees_on, not_leonard_arrays
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
@@ -267,6 +267,21 @@ def _output_digests():
     return tool
 
 
+# the arrays of the golden calls up to d = 8, by name; the d = 20 ones are left out, as the dense reference forms
+# (d+1)^2 products of two matrices per sweep and a null space in (d+1)^2 unknowns (`verify` alone takes about 6 s
+# on GFP_D20 on a shared 2-vCPU Xeon)
+GOLDEN_ARRAYS = {**ARRAYS, "q_d0": Q_D0, "gf7_d0": GF7_D0, "q0_not_leonard": Q_NOT_LEONARD,
+                 "gfp_not_leonard": GFP_NOT_LEONARD, "q_d8_not_leonard": Q_D8_NOT_LEONARD,
+                 "gfp_d8_not_leonard": GFP_D8_NOT_LEONARD, "gf7_zero_phi": GF7_ZERO_PHI, "gfp_d8_sd": GFP_D8_SELF_DUAL,
+                 "gfp_d8_nsd": GFP_D8_NON_SELF_DUAL, "q_racah_d8": Q_RACAH_D8, "gfp_racah_d8": GFP_RACAH_D8}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ARRAYS)
+def test_golden_arrays_match_the_reference(name):
+    """The differential test (`reference.assert_agrees`) on each array."""
+    agrees_on(systems.ParameterArray.from_json(GOLDEN_ARRAYS[name]))
+
+
 def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
     """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays,
     theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""
@@ -285,12 +300,12 @@ def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
 
 def test_output_digests_builds_the_raised_krawtchouk_arrays_of_perturbed_arrays():
     """tools/output_digests.py builds its not-Leonard Krawtchouk arrays without the tests' helpers: the arrays of
-    tests/test_factor_route.py::perturbed_arrays, in the same order."""
+    tests/reference.py::not_leonard_arrays, in the same order."""
     tool = _output_digests()
     program = SimpleNamespace(systems=systems)
     got = [array for field in FIELDS for d in tool.KRAWTCHOUK_DS for i in range(1, d + 1)
            if (array := tool.raised_krawtchouk(program, field, d, i)) is not None]
-    assert got == [param.values[0].to_json() for param in perturbed_arrays()]
+    assert got == [param.values[0].to_json() for param in not_leonard_arrays()]
 
 if __name__ == "__main__":
     for case in sorted(CASES):

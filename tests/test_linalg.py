@@ -29,7 +29,7 @@ from leonard.linalg import (
     unpivoted_column_reduction,
 )
 
-from conftest import flat_rank
+from reference import flat_rank
 
 Q = Field.rational()
 G7 = Field.prime(7)

@@ -1,149 +1,95 @@
-"""The Gram block and the idempotent sums from their premises, against the dense checks they replace.
+"""The Gram block and the idempotent sums from their premises: the work they save and the failures they name.
 
-`verify_axioms` and `standard_identity_suite` decide `idempotents_{E,Estar}_sum` and `_spectral` on the
-factors E_i = w_i u_i^T once the family is orthogonal (U W = I, with d+1 idempotents and eigenvalues): the sum
-is W U = I, and the spectral check is M w_i = theta_i w_i.  Six of the seven Gram checks are theorems of the
-premises of `solve_gram`, and `dagger_fixes_idempotents` is one of them and of the premises of the F[M] checks on
-A* (`tests/conftest.py::premise_error`): it fails naming the first of those that fails.  The reference
-below is the dense form of the eleven checks: the sums of d+1 matrices, and the Gram checks as products with G
-and G^-1; the suite must agree with it check for check, witness included, on every route.
+The sums and spectral checks are read off U W = I, the seven Gram checks are theorems of the premises of
+`solve_gram`, and `dagger_fixes_idempotents` also of those of the F[M] checks on A*, failing with the first that
+fails.  `tests/reference.py` forms the eleven densely, G from the null space of the intertwining constraints
+(`assert_agrees`).  Here: the form is solved for once and no G is formed, and a short or empty family is named.
 """
 
 import random
 import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leonard import systems
 from leonard.errors import DegenerateSplit
-from leonard.fields import Field
-from leonard.linalg import Matrix, outer
+from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, build_system, certify, standard_identity_suite, verify_axioms
 
-from conftest import (GRAM_CHECKS, SUITE_CHECKS, conjugator, gram_by_nullspace, krawtchouk, leonard_array,
-                      leonard_arrays, premise_error)
-from test_cyclic_route import (estar_off_spectrum, estar_repeated_theta, hand_built, perturbed_arrays,
-                               w_inverse_conjugate)
-from test_systems import _hand_built_systems
+from conftest import GRAM_CHECKS, SUITE_CHECKS, krawtchouk, leonard_array
+from reference import (DIFFERENTIAL, FIELDS, FORMS, GF7, GFP, Q, agrees_on, assert_agrees, drawn, gram_by_nullspace,
+                       hand_built, passes, perturbed_arrays, report_systems)
 
-Q, GF7, GFP = Field.rational(), Field.prime(7), Field.prime(2**31 - 1)
-FIELDS = (Q, GF7, GFP)
 FIELD_IDS = ["Q", "GF(7)", "GF(2^31-1)"]
-
 SUMS = ("idempotents_E_sum", "idempotents_E_spectral", "idempotents_Estar_sum", "idempotents_Estar_spectral")
-ELEVEN = SUMS + GRAM_CHECKS
 
 
-# --- the dense reference ---
-
-
-def dense_sums(sys) -> dict:
-    """name -> (passed, witness) of the four idempotent sums, each formed from d+1 dense matrices."""
-    f, n, out = sys.field, sys.d + 1, {}
-    for label, mats, M, theta in (("E", sys.E, sys.A, sys.theta), ("Estar", sys.Estar, sys.Astar, sys.theta_star)):
-        zero = Matrix.zeros(f, n)
-        out[f"idempotents_{label}_sum"] = sum(mats, zero) == Matrix.identity(f, n), None
-        out[f"idempotents_{label}_spectral"] = sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M, None
-    return out
-
-
-def dense_gram(sys) -> dict:
-    """name -> (passed, witness) of the seven Gram checks as products with (G, G^-1) from `gram_matrices`; a failed
-    premise of `solve_gram` fails all seven with it as witness, a failed premise of E* the idempotent check."""
-    f, d = sys.field, sys.d
-    try:
-        G, Ginv = systems.gram_matrices(sys)
-    except DegenerateSplit as exc:
-        return dict.fromkeys(GRAM_CHECKS, (False, {"error": str(exc)}))
-    Gt = G.transpose()
-    dagger = lambda X: Ginv * X.transpose() * G
-    # (w u^T)^dagger = G^-1 u w^T G = (G^-1 u)(G^T w)^T
-    idempotents = (False, {"error": error}) if (error := premise_error(sys, True)) else (
-        all(outer(Ginv * U.row(i), Gt * W.column(i)) == mats[i]
-            for mats, (W, U) in ((sys.E, sys.eigenbasis()), (sys.Estar, sys.eigenbasis(star=True)))
-            for i in range(d + 1)), None)
-    probe = sys.A * sys.Astar + sys.Estar[0].scale(f.from_int(3))
-    verdicts = (G == Gt, sys.A.transpose() * G == G * sys.A, sys.Astar.transpose() * G == G * sys.Astar,
-                dagger(sys.A) == sys.A, dagger(sys.Astar) == sys.Astar)
-    return dict(zip(GRAM_CHECKS, [(passed, None) for passed in verdicts] + [idempotents]
-                    + [(dagger(dagger(probe)) == probe, None)]))
-
-
-def assert_matches_dense(sys):
-    """The eleven checks sit at their positions in both reports (`verify_axioms` lists the first eleven of
-    SUITE_CHECKS) and equal the dense reference."""
-    dense = {**dense_sums(sys), **dense_gram(sys)}
-    for report in (verify_axioms(sys), standard_identity_suite(sys)):
-        got = [(i, c.name, c.passed, c.witness) for i, c in enumerate(report.checks) if c.name in ELEVEN]
-        assert got == [(SUITE_CHECKS.index(name), name, *dense[name]) for name in ELEVEN if name in report]
-    return report
-
-
-# --- inputs ---
-
-
-def estar_conjugated(field, d):
-    """E*_i replaced by K E*_i K^-1, K = I + e_0 e_1^T: still orthogonal, but not spectral for A*, and not fixed by
-    the dagger of (A, A*), so `dagger_fixes_idempotents` fails on the factors of E*."""
-    s = build_system(krawtchouk(field, d))
-    eye = Matrix.identity(field, d + 1)
-    K = eye + outer(eye.column(0), eye.column(1))
-    Kinv = K.inverse()
-    return LeonardSystem(s.A, s.Astar, s.E, [K * X * Kinv for X in s.Estar], s.theta, s.theta_star, s.pa)
-
-
-# --- premise route == dense reference ---
-
-
-def assert_array_matches_dense(pa, s=None):
-    """The system of a Leonard array (s, when given), a dense conjugate and the conjugates by W^-1 and W*^-1 all
-    pass, and match the reference."""
-    s = build_system(pa) if s is None else s
-    for sys in (s, s.conjugated(conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True)):
-        assert assert_matches_dense(sys).all_pass
-
-
-def test_corpus_and_conjugates_match_dense(corpus):
-    for pa in corpus.arrays:
-        assert_array_matches_dense(pa, corpus.system(pa))
-
-
-@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_generated_arrays_match_dense(field, data):
-    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
-    assert_array_matches_dense(data.draw(leonard_arrays(field, d), label="pa"))
-
-
-def gf7_arrays(per_d=2, seed=26):
-    """per_d seeded Leonard arrays over GF(7) at each d = 0..6 (d+1 distinct theta need d <= 6): `leonard_array`
-    on uniform residues, redrawn until it returns one; at d = 6 about one draw in 700 does."""
+def gf7_arrays(per_d=2, seed=26) -> list:
+    """per_d seeded Leonard arrays over GF(7) at each d = 0..6 (d+1 distinct theta need d <= 6), as pytest params:
+    `leonard_array` on uniform residues, redrawn until it returns one; at d = 6 about one draw in 700 does."""
     rng, out = random.Random(seed), []
+    x = lambda: GF7.from_int(rng.randrange(7))
     for d in range(7):
         found = []
         while len(found) < per_d:
-            x = lambda: GF7.from_int(rng.randrange(7))
-            pa = leonard_array(GF7, d, (x(), x(), x()), (x(), x(), x()), x(), x())
-            if pa is not None:
+            if (pa := leonard_array(GF7, d, (x(), x(), x()), (x(), x(), x()), x(), x())) is not None:
                 found.append(pytest.param(pa, id=f"d{d}-{len(found)}"))
         out += found
     return out
 
 
+# --- the differential test on the inputs of the premise route ---
+
+
+def test_corpus_and_conjugates_match_dense(corpus):
+    """`verify` on each corpus array conjugated by W^-1 and by W*^-1."""
+    for pa in corpus.arrays:
+        assert all(map(passes, agrees_on(pa, ("W", "Wstar"), ("verify",))))
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+@settings(DIFFERENTIAL, max_examples=10)
+@given(data=st.data())
+def test_generated_arrays_match_dense(field, data):
+    """`verify` in the four forms of `reference.FORMS`."""
+    pa = data.draw(drawn(field), label="pa")
+    assert all(map(passes, agrees_on(pa, tuple(FORMS), ("verify",))))
+
+
 @pytest.mark.parametrize("pa", gf7_arrays())
 def test_gf7_arrays_match_dense(pa):
-    assert_array_matches_dense(pa)
+    """`verify` in the four forms of `reference.FORMS`, the other verbs in split form."""
+    assert all(map(passes, agrees_on(pa, tuple(FORMS), ("verify",))))
+    agrees_on(pa, ("split",), ("dualize", "bases", "matrix-of-t"))
+
+
+@pytest.mark.parametrize("pa", perturbed_arrays())
+def test_perturbed_arrays_match_dense(pa):
+    """`verify` in split form; `dualize` runs in `tests/test_cyclic_route.py`."""
+    agrees_on(pa, ("split",), ("verify",))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hand_built_systems_match_dense(field, d):
+    """`verify`; the other verbs run in `tests/test_cyclic_route.py`."""
+    for name, sys in hand_built(field, d).items():
+        assert not passes(assert_agrees(sys, ("verify",))), name
+
+
+@pytest.mark.parametrize("case", sorted(report_systems()))
+def test_report_systems_match_dense(case):
+    assert_agrees(report_systems()[case])
+
+
+# --- the Gram matrix of the daggers, and the pairing ---
 
 
 def test_a_normaliser_off_the_diagonal_matches_the_oracle():
-    """Over GF(7) some of the conjugates that `assert_array_matches_dense` reads have G_00 = 0, so `gram_matrices`
-    divides G by an entry of row 0 off the diagonal; the n^2-unknown null space finds the same (G, G^-1)."""
-    built = [build_system(param.values[0]) for param in gf7_arrays()]
-    conjugates = [sys for s in built for sys in (s, s.conjugated(conjugator(GF7, s.d + 1)), w_inverse_conjugate(s),
-                                                 w_inverse_conjugate(s, True))]
+    """Over GF(7) some of the conjugates of the GF(7) arrays have G_00 = 0, so `gram_matrices` divides G by an entry
+    of row 0 off the diagonal; the n^2-unknown null space finds the same (G, G^-1)."""
+    conjugates = [form(build_system(param.values[0])) for param in gf7_arrays() for form in FORMS.values()]
     off = [s for s in conjugates if not systems.gram_matrices(s)[0].nums[0][0]]
     assert off
     for s in off:
@@ -166,28 +112,7 @@ def test_pair_matches_the_gram_matrix(corpus):
     """On the corpus and the GF(7) arrays, each with its dense conjugate and its conjugates by W^-1 and W*^-1; among
     the GF(7) conjugates some have G_00 = 0, where the pivot is an entry of row 0 off the diagonal."""
     arrays = corpus.arrays + [param.values[0] for param in gf7_arrays()]
-    off = [assert_pair_matches_gram(sys) for pa in arrays for s in (build_system(pa),) for sys in (
-        s, s.conjugated(conjugator(pa.field, pa.d + 1)), w_inverse_conjugate(s), w_inverse_conjugate(s, True))]
-    assert any(off)
-
-
-@pytest.mark.parametrize("pa", perturbed_arrays())
-def test_perturbed_arrays_match_dense(pa):
-    assert_matches_dense(build_system(pa))
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_hand_built_systems_match_dense(field, d):
-    built = {**hand_built(field, d), "E* off spectrum": estar_off_spectrum(field, d),
-             "E* conjugated": estar_conjugated(field, d), "E* with a repeated theta*": estar_repeated_theta(field, d)}
-    for name, sys in built.items():
-        assert not assert_matches_dense(sys).all_pass, name
-
-
-@pytest.mark.parametrize("case", sorted(_hand_built_systems()))
-def test_report_systems_match_dense(case):
-    assert_matches_dense(_hand_built_systems()[case])
+    assert any([assert_pair_matches_gram(form(build_system(pa))) for pa in arrays for form in FORMS.values()])
 
 
 # --- the route ---
@@ -209,11 +134,11 @@ def test_premises_decide_the_eleven_checks(monkeypatch):
         assert len(solved[0]) == s.d + 1 and all(solved[0])
 
 
-@pytest.mark.parametrize("build", [estar_off_spectrum, estar_conjugated], ids=["off-spectrum", "conjugated"])
-def test_estar_off_spectrum_fails_the_dagger_premise(build):
+@pytest.mark.parametrize("name", ["E* off spectrum", "E* conjugated"], ids=["off-spectrum", "conjugated"])
+def test_estar_off_spectrum_fails_the_dagger_premise(name):
     """E* orthogonal but not spectral: the six theorems of solve_gram hold, and the dagger check fails naming the
     premise, whether or not the dagger fixes each E*_i (it does when theta*_0 and theta*_1 are exchanged)."""
-    report = standard_identity_suite(build(Q, 3))
+    report = standard_identity_suite(hand_built(Q, 3)[name])
     assert report["idempotents_Estar_orthogonal"].passed and not report["idempotents_Estar_spectral"].passed
     assert {name: report[name].witness for name in GRAM_CHECKS if not report[name].passed} == {
         "dagger_fixes_idempotents": {"error": "idempotents_Estar_spectral fails"}}
@@ -223,12 +148,10 @@ def test_estar_off_spectrum_fails_the_dagger_premise(build):
 def test_a_short_family_is_summed_densely(field):
     """d idempotents for a space of dimension d+1: U W = I, but W U != I, so the sums are formed densely and
     fail, and solve_gram refuses, naming the count, before it would build a singular G."""
-    s = build_system(krawtchouk(field, 3))
-    short = LeonardSystem(s.A, s.Astar, s.E[:-1], s.Estar, s.theta, s.theta_star, s.pa)
+    short = hand_built(field, 3)["E short"]
     report = verify_axioms(short)
     assert report["idempotents_E_orthogonal"].passed
     assert [(c.name, c.passed) for c in report.checks if c.name in SUMS[:2]] == [
-        (name, passed) for name, (passed, _) in dense_sums(short).items() if name in SUMS[:2]] == [
         ("idempotents_E_sum", False), ("idempotents_E_spectral", False)]
     with pytest.raises(DegenerateSplit, match=r"^3 idempotents E, not d \+ 1 = 4$"):
         systems.solve_gram(short)
@@ -246,9 +169,7 @@ ONE = {False: ("tridiagonal_Astar_in_A_eigenbasis", "edge_idempotent_E0", "edge_
 
 def _short(field, star):
     """The d = 3 Krawtchouk system with only the first d idempotents of E (resp. E*)."""
-    s = build_system(krawtchouk(field, 3))
-    E, Estar = (s.E, s.Estar[:-1]) if star else (s.E[:-1], s.Estar)
-    return LeonardSystem(s.A, s.Astar, E, Estar, s.theta, s.theta_star, s.pa)
+    return hand_built(field, 3)["E* short" if star else "E short"]
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["E", "Estar"])
@@ -299,10 +220,11 @@ def test_an_empty_family_gets_a_full_report(field, d, star):
     also = ("round_trip_parameter_array",) if star else GRAM_CHECKS
     assert {c.name for c in report.checks if c.witness == {"error": count}} == {
         *BOTH, *ONE[star], orthogonal, "split_pairing_delta", *also}
+    assert_agrees(empty)
 
 
 def test_repeated_theta_star_fails_the_tridiagonal_premise():
     """With theta* repeated, E* is orthogonal and spectral, and the B premise of solve_gram fails all seven."""
-    report = standard_identity_suite(estar_repeated_theta(Q, 3))
+    report = standard_identity_suite(hand_built(Q, 3)["E* with a repeated theta*"])
     assert report["idempotents_Estar_orthogonal"].passed and report["idempotents_Estar_spectral"].passed
     assert {report[name].witness["error"] for name in GRAM_CHECKS} == {"U A* W is not irreducible tridiagonal"}

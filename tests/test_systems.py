@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from leonard import search
 from leonard.errors import DegenerateSplit, NotALeonardPair, SingularMatrix
 from leonard.fields import Field, PrimeFieldElement
-from leonard.linalg import Matrix, bidiagonal, eval_root_product, outer
+from leonard.linalg import Matrix, bidiagonal, eval_root_product
 from leonard.systems import (
     LeonardSystem,
     ParameterArray,
@@ -42,13 +42,12 @@ from conftest import (
     FROZEN_ARRAYS,
     GRAM_CHECKS,
     SUITE_CHECKS,
-    NonUniqueForm,
     conjugator,
     field_scalars,
-    gram_by_nullspace,
     leonard_array,
     leonard_arrays,
 )
+from reference import NonUniqueForm, gram_by_nullspace, gram_premise_failures, report_systems, swapped_idempotents
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -701,21 +700,6 @@ def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
     assert gram_by_nullspace(swapped.A, swapped.Astar)[0] == s.gram
 
 
-def _gram_premise_failure(case: str) -> LeonardSystem:
-    """The certified d = 3 Krawtchouk system with one premise of the eigenbasis solve broken, so
-    that the suite still reaches its Gram block: E_0 of rank two, theta_1 := theta_0, theta_0 and
-    theta_1 swapped (U A W != diag(theta)), or E_0 := w_0 (u_0 + u_1)^T (U W != I)."""
-    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
-    (W, U), th, E = s.eigenbasis(), s.theta, s.E
-    theta, E = {
-        "E0-rank-two": (th, (E[0] + E[1], *E[1:])),
-        "theta-repeated": ((th[0], th[0], *th[2:]), E),
-        "UAW-not-diagonal": ((th[1], th[0], *th[2:]), E),
-        "UW-not-I": (th, (outer(W.column(0), U.row(0) + U.row(1)), *E[1:])),
-    }[case]
-    return LeonardSystem(s.A, s.Astar, E, s.Estar, theta, s.theta_star, s.pa)
-
-
 # case -> (the premise solve_gram names, the checks outside the Gram block that carry the same error); the
 # premises of `systems.premises` on E are also those of the F[M] checks on A, which name them alike
 F_M_ON_A = {"edge_idempotent_E0", "edge_idempotent_Ed", "char_product_A", "subalgebra_three_bases_A"}
@@ -734,7 +718,7 @@ def test_gram_premise_failure_fails_the_gram_block(case):
     """solve_gram raises DegenerateSplit naming the failed premise, and the seven Gram checks fail
     with it as their witness; no other check gains it."""
     message, others = GRAM_PREMISE_FAILURES[case]
-    s = _gram_premise_failure(case)
+    s = gram_premise_failures()[case]
     with pytest.raises(DegenerateSplit) as info:
         solve_gram(s)
     assert str(info.value) == message
@@ -742,13 +726,6 @@ def test_gram_premise_failure_fails_the_gram_block(case):
     carriers = {c.name for c in report.checks if c.witness == {"error": message}}
     assert carriers == set(GRAM_CHECKS) | others
     assert not any(report[name].passed for name in GRAM_CHECKS)
-
-
-def _swapped_idempotents(stored: bool) -> LeonardSystem:
-    """The certified d = 3 Krawtchouk system with E replaced by E*, with its array stored or not:
-    the theta read back is tr(A E*_i), not distinct, so the extraction fails."""
-    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
-    return LeonardSystem(s.A, s.Astar, s.Estar, s.Estar, s.theta, s.theta_star, s.pa if stored else None)
 
 
 EXTRACTION_ERROR = "extracted array is not a parameter array: theta entries must be mutually distinct"
@@ -759,7 +736,7 @@ def test_failed_extraction_still_runs_every_check(stored):
     """The round trip fails with the extraction error.  With the array stored, every other check runs
     on it; without one, exactly the checks that read the array fail with that error, and the rest,
     the Gram block included, still run (the Gram block fails its own premise)."""
-    s = _swapped_idempotents(stored)
+    s = swapped_idempotents(stored)
     with pytest.raises(DegenerateSplit, match=f"^{EXTRACTION_ERROR}$"):
         extract_parameter_array(s)
     report = standard_identity_suite(s)
@@ -770,26 +747,11 @@ def test_failed_extraction_still_runs_every_check(stored):
     assert all(report[name].witness == premise for name in GRAM_CHECKS)
 
 
-def _hand_built_systems() -> dict:
-    """Systems whose reports fail in different places, by name."""
-    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
-    eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
-    units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
-    return {
-        "certified": s,
-        "not-leonard": build_system(replace(s.pa, varphi=(F(-5), F(-8), F(-6)))),
-        "E0-zero": LeonardSystem(s.A, s.Astar, (Matrix.zeros(Q, 4), *s.E[1:]), s.Estar, s.theta, s.theta_star),
-        "theta-repeated": LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1))),
-        "E-is-Estar": _swapped_idempotents(False),
-        **{f"gram-{case}": _gram_premise_failure(case) for case in GRAM_PREMISE_FAILURES},
-    }
-
-
 @pytest.mark.parametrize("case", ["certified", "not-leonard", "E0-zero", "theta-repeated", "E-is-Estar",
                                   *(f"gram-{case}" for case in GRAM_PREMISE_FAILURES)])
 def test_every_report_lists_every_check(case):
     """However a system fails, its report lists the same checks in the same order."""
-    report = standard_identity_suite(_hand_built_systems()[case])
+    report = standard_identity_suite(report_systems()[case])
     assert [c.name for c in report.checks] == list(SUITE_CHECKS)
     assert report.all_pass == (case == "certified")
 

@@ -1,114 +1,64 @@
-"""T in the eigenbases against the routes it replaced in the four T sweeps of `dualize`.
+"""T in the eigenbases: the T sweeps of `dualize` and the work they save.
 
-`verify_geometry_suite` and `verify_duality_suite` read T once per side, as the memoised
-W*^-1 T W and W^-1 T W* (`systems.change_of_basis`): T w_i is a nonzero multiple of w*_i
-exactly when column i of W*^-1 T W is a nonzero multiple of e_i; F^-1 T G for the flags
-F = [T(z)], G = [z] is that matrix with its rows and columns in the flags' orders; and, with
-U W = I and U* W* = I, E_i T = T E*_i exactly when row i and column i of W^-1 T W* vanish off
-(i, i).  T_on_decompositions forms T x once per distinct decomposition vector.  The reference
-below is the route each replaced: T w_i column by column, `spans_components` on F^-1 (T G),
-the outer products w_i (T^T u_i)^T and (T w*_i) u*_i^T, and T x for each of the 12(d+1)
-vectors.  Both must agree check for check, witness included.
+The suites read T once per side, as the memoised W*^-1 T W and W^-1 T W* (`systems.change_of_basis`): T maps the
+eigenspaces, the flags and, with U W = I and U* W* = I, E_i T = T E*_i are read off those matrices, and
+T_on_decompositions forms T x once per distinct vector.  `tests/reference.py` decides each sweep by the dense route
+it replaced (`assert_agrees`), on T from the bundle or replaced.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leonard import duality as du
-from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, outer
-from leonard.report import VerificationReport
 from leonard.systems import ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, conjugator, krawtchouk_type, leonard_array, leonard_arrays
-from test_cyclic_route import hand_built
+from conftest import FROZEN_ARRAYS, krawtchouk_type, leonard_array
+from reference import DIFFERENTIAL, GFP, Q, agrees_on, assert_agrees, drawn, hand_built, passes
 
-Q, GFP = Field.rational(), Field.prime(2**31 - 1)
 FOUR = ("Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", "T_maps_eigenspaces", "T_on_flags", "T_on_decompositions")
 
 
-def reference(sys, t) -> dict:
-    """name -> (passed, witness) of the T sweeps by the routes the eigenbasis coordinates replaced."""
-    report, d = VerificationReport(), sys.d
-    factors, t_tr = (sys.eigenbasis(), sys.eigenbasis(star=True)), t.transpose()
-    for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
-        (W, U), (Wr, Ur) = factors[star], factors[not star]
-        report.add_first_failure(name, ({"i": i} for i in range(d + 1)
-                                        if outer(W.column(i), t_tr * U.row(i)) != outer(t * Wr.column(i), Ur.row(i))))
-    report.add_last_failure("T_maps_eigenspaces", (
-        {"i": i, "side": side} for i in range(d + 1) for side, star in (("E", False), ("Estar", True))
-        if not (t * sys.eigencolumn(i, star)).is_colinear(sys.eigencolumn(i, not star))))
-    flags = {z: du.build_flag(sys, z) for z in du.OMEGA}
-    report.add_last_failure("T_on_flags", (
-        {"flag": z, "i": i} for z, image in du.T_FLAG_IMAGE.items()
-        for i, spans in enumerate(du.spans_components(flags[image].inverse * (t * flags[z].basis))) if not spans))
-    decomps = {pair: du.build_decomposition(sys, *pair) for pair in du.DECOMPOSITION_PAIRS}
-    report.add_last_failure("T_on_decompositions", (
-        {"pair": f"[{z}{w}]", "i": i} for z, w in du.T_DECOMPOSITION_ORDER for i in range(d + 1)
-        if not (t * decomps[(z, w)].vectors[i]).is_colinear(
-            decomps[(du.T_FLAG_IMAGE[z], du.T_FLAG_IMAGE[w])].vectors[i])))
-    return {c.name: (c.passed, c.witness) for c in report.checks}
+def non_self_dual_controls() -> list:
+    """q-Racah (theta* from 1, 3, 4) and Krawtchouk-type arrays, theta* != theta, over Q and GF(2^31 - 1), as params."""
+    q_racah = lambda f, d, n: leonard_array(f, d, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2))
+    return [pytest.param(pa, id=f"{name}-{field.kind}-d{d}") for field in (Q, GFP) for d in range(1, 6)
+            for name, pa in (("q-racah", q_racah(field, d, field.from_int)),
+                             ("krawtchouk", krawtchouk_type(field, d, d, -2, 1, 3, 1)))]
 
 
-def suites(sys, bundle) -> dict:
-    reports = (du.verify_duality_suite(sys, bundle), du.verify_geometry_suite(sys, bundle))
-    return {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
-
-
-def assert_matches_reference(sys, bundle=None) -> dict:
-    """The T sweeps of the suites against the reference on sys, with T from bundle (built when None)."""
-    bundle = du.build_duality_bundle(sys) if bundle is None else bundle
-    got = suites(sys, bundle)
-    assert {name: got[name] for name in FOUR} == reference(sys, bundle.t)
-    return got
-
-
-def assert_array_matches_reference(pa, s=None) -> list:
-    """The system of pa (s, when given) and a dense conjugate; returns the two verdicts of the sweeps."""
-    s = certify(pa) if s is None else s
-    return [all(got[name][0] for name in FOUR)
-            for got in (assert_matches_reference(sys) for sys in (s, s.conjugated(conjugator(pa.field, pa.d + 1))))]
+def sweeps_pass(pa, forms) -> list:
+    """Whether the T sweeps pass on the system of pa in each of forms, `dualize` agreeing with the reference."""
+    return [passes(agreed, "dualize", FOUR) for agreed in agrees_on(pa, forms, ("dualize",))]
 
 
 def test_corpus_and_conjugates_match_reference(corpus):
+    """Conjugated by W^-1, where A is diagonal."""
     for pa in corpus.arrays:
-        assert assert_array_matches_reference(pa, corpus.system(pa)) == [du.is_self_dual(pa)] * 2
-
-
-def non_self_dual_controls():
-    """q-Racah (theta* from 1, 3, 4) and Krawtchouk-type arrays with theta* != theta, over Q and GF(2^31 - 1)."""
-    out = []
-    for field in (Q, GFP):
-        n = field.from_int
-        for d in range(1, 6):
-            out.append(pytest.param(leonard_array(field, d, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6),
-                                                  n(5) / n(2)), id=f"q-racah-{field.kind}-d{d}"))
-            out.append(pytest.param(krawtchouk_type(field, d, d, -2, 1, 3, 1), id=f"krawtchouk-{field.kind}-d{d}"))
-    return out
+        assert sweeps_pass(pa, ("W",)) == [du.is_self_dual(pa)]
 
 
 @pytest.mark.parametrize("pa", non_self_dual_controls())
 def test_non_self_dual_controls_match_reference(pa):
     assert not du.is_self_dual(pa)
-    assert assert_array_matches_reference(pa) == [False, False]
+    assert sweeps_pass(pa, ("split", "dense")) == [False, False]
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-@settings(max_examples=25, deadline=None)
+@settings(DIFFERENTIAL, max_examples=25)
 @given(data=st.data())
 def test_generated_arrays_match_reference(field, data):
-    d = data.draw(st.integers(min_value=0, max_value=8), label="d")
-    assert_array_matches_reference(data.draw(leonard_arrays(field, d), label="pa"))
+    pa = data.draw(drawn(field, self_dual=True), label="pa")
+    assert sweeps_pass(pa, ("split",)) == [True] or not du.is_self_dual(pa)
 
 
 @pytest.mark.parametrize("array", [FROZEN_ARRAYS[0], FROZEN_ARRAYS[2]], ids=["d3", "d4"])
 def test_wrong_t_matches_reference(array):
     """T replaced by A, as in `tests/test_witnesses.py::wrong_t`: all four sweeps fail on both routes alike."""
     s = certify(ParameterArray.from_json(array))
-    got = assert_matches_reference(s, dataclasses.replace(du.build_duality_bundle(s), t=s.A))
+    got = assert_agrees(s, ("dualize",), dataclasses.replace(du.build_duality_bundle(s), t=s.A))["dualize"]
     assert not any(got[name][0] for name in FOUR)
 
 
@@ -120,7 +70,8 @@ def test_one_off_diagonal_coordinate_matches_reference(j, k):
     (W, _), (_, Ustar) = s.eigenbasis(), s.eigenbasis(star=True)
     eye = Matrix.identity(s.field, 4)
     M = eye + outer(eye.column(j), eye.column(k))
-    got = assert_matches_reference(s, dataclasses.replace(du.build_duality_bundle(s), t=W * M * Ustar))
+    bundle = dataclasses.replace(du.build_duality_bundle(s), t=W * M * Ustar)
+    got = assert_agrees(s, ("dualize",), bundle)["dualize"]
     assert got["Ei_T_equals_T_Estar_i"] == (False, {"i": min(j, k)})
     assert got["T_maps_eigenspaces"][0] is False
 
@@ -131,8 +82,8 @@ def test_estar_not_orthogonal_fails_both_commutation_sweeps(field):
     W^-1 T W*, and both sweeps fail with the premise as witness."""
     sys = hand_built(field, 3)["Estar_d doubled"]
     t = du.duality_operator(sys)
-    got = suites(sys, du.DualityBundle(t, *[field.one()] * 5))
-    assert {name: got[name] for name in FOUR[:2]} == dict.fromkeys(
+    report = du.verify_duality_suite(sys, du.DualityBundle(t, *[field.one()] * 5))
+    assert {name: (report[name].passed, report[name].witness) for name in FOUR[:2]} == dict.fromkeys(
         FOUR[:2], (False, {"error": "idempotents_Estar_orthogonal fails"}))
 
 

@@ -26,6 +26,7 @@ from leonard.linalg import Matrix
 from leonard.report import VerificationReport
 from leonard.systems import LeonardSystem, ParameterArray, certify, d4_apply
 
+import reference
 from conftest import FROZEN_ARRAYS, GRAM_CHECKS, SUITE_CHECKS
 
 SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]  # Krawtchouk, d = 3
@@ -115,6 +116,16 @@ def zero_basis():
     s, anchors, _ = _setup(SELF_DUAL)
     s._memo[("is_basis", "tau", anchors.vds)] = False
     return _checks(du.verify_basis_family(s, anchors))
+
+
+def unreversed_bases():
+    """`duality.build_basis` with tau-rev-vstar0 and taustar-rev-v0 left unreversed: each is then compared with the
+    reversal of its forward sequence, and so is that sequence with it."""
+    s, anchors, _ = _setup(SELF_DUAL)
+    build = du.build_basis
+    with mock.patch.object(du, "build_basis", lambda sys, a, basis_id: build(
+            sys, a, basis_id.replace("-rev", "") if basis_id in ("tau-rev-vstar0", "taustar-rev-v0") else basis_id)):
+        return _checks(du.verify_basis_family(s, anchors))
 
 
 def v0_on_vstar0():
@@ -222,17 +233,14 @@ PINS = {
         "bases_span_decomposition_components": {"pair": "[0D]", "basis": "e-vstard", "i": 3},
     },
     zero_flags: {"flag_component_dimensions": {"flag": "D", "i": 3}},
+    # tau-vstar0, taustar-rev-v0, taustar-v0 and tau-rev-vstar0 fail, in that order
+    unreversed_bases: {"bases_inversion_pairing": {"basis": "tau-rev-vstar0"}},
     doubled_estar_d: {"trace_products_closed_form": {"r": 0}},
 }
 # the same for the sweep checks decided from premises (FROM_PREMISES)
 DECIDED_PINS = {
     zero_basis: {"bases_invertible": {"basis": "tau-rev-vstard"}},  # the memoised verdict
     v0_on_vstar0: {"bases_invertible": {"basis": "estar-rev-v0"}},  # the rank, as the certificate does not apply
-}
-
-# Sweep checks no library-level mutation makes fail, with the reason.
-WITHOUT_MUTATION = {
-    "bases_inversion_pairing": "each -rev- id is the reversal of the memoised forward sequence it is compared with",
 }
 
 # Comparisons inside a sweep check that hold by construction once the decomposition certificate holds
@@ -250,15 +258,15 @@ BY_CERTIFICATE = {
 # construction once `solve_gram` returns; its premises are E of rank one, those of `systems.premises` on E and
 # tridiagonal_Astar_in_A_eigenbasis, and a failed one fails the Gram checks with it as witness.  The sums hold
 # by construction once U W = I with d+1 idempotents and eigenvalues, and the spectral checks then read
-# M w_i = theta_i w_i; else the sums are formed densely (`tests/test_premise_route.py`).  The four F[M] checks on A
-# (resp. A*) run once E (resp. E*) has d+1 members, is orthogonal and spectral and theta (resp. theta*) is
-# distinct (`systems.premises`): char_product and subalgebra_three_bases then hold by construction
-# (M = W diag(theta) U), and the two edge checks read one cyclic vector; a failed premise fails the four with it
-# as witness (`tests/test_cyclic_route.py`), and so does dagger_fixes_idempotents on E*.  The two split checks
-# read Q P = I once `systems.certified` holds: every axiom, and d+1 values in theta and theta*; else the
-# intersection route decides (`tests/test_certificate_route.py`).  bases_invertible, a check of `bases`, holds
-# once `systems.certified` holds, which `certify` checks before it, and the anchor is the eigencolumn it names;
-# else each forward sequence is ranked.  Premises that no check of the report states are named in STATED.
+# M w_i = theta_i w_i; else the sums are formed densely.  The four F[M] checks on A (resp. A*) run once E (resp.
+# E*) has d+1 members, is orthogonal and spectral and theta (resp. theta*) is distinct (`systems.premises`):
+# char_product and subalgebra_three_bases then hold by construction (M = W diag(theta) U), and the two edge checks
+# read one cyclic vector; a failed premise fails the four with it as witness, and so does dagger_fixes_idempotents
+# on E*.  The two split checks read Q P = I once `systems.certified` holds: every axiom, and d+1 values in theta
+# and theta*; else the intersection route decides.  bases_invertible, a check of `bases`, holds once
+# `systems.certified` holds, which `certify` checks before it, and the anchor is the eigencolumn it names; else
+# each forward sequence is ranked.  Premises that no check of the report states are named in STATED.  Each of these
+# checks is decided by `tests/reference.py` without its premises.
 AXIOM_CHECKS = SUITE_CHECKS[:11]  # the report of `verify_axioms`
 STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "d+1 theta and theta*",
           "anchor an eigencolumn")
@@ -294,8 +302,7 @@ SWEEP_CHECKS = {
 
 def test_every_sweep_check_is_pinned_or_listed():
     pinned = {name for pins in PINS.values() for name in pins}
-    assert pinned | set(WITHOUT_MUTATION) == SWEEP_CHECKS
-    assert not pinned & set(WITHOUT_MUTATION)
+    assert pinned == SWEEP_CHECKS
     assert set(BY_CERTIFICATE) <= pinned
 
 
@@ -307,7 +314,7 @@ def test_every_decided_check_names_premises_that_run_first():
                                     for sums in ("sum", "spectral")),
                                   "split_projectors_match_intersection", "split_projectors_resolution",
                                   "bases_invertible"}
-    assert not set(FROM_PREMISES) & (SWEEP_CHECKS | set(WITHOUT_MUTATION))
+    assert not set(FROM_PREMISES) & SWEEP_CHECKS
     for name, premises in FROM_PREMISES.items():
         checked = [p for p in premises if p not in STATED]
         if name in SUITE_CHECKS:
@@ -353,6 +360,19 @@ def _emitted_checks() -> dict:
 EMITTED_CHECKS = _emitted_checks()
 DUALIZE_CHECKS = EMITTED_CHECKS["dualize"]
 VERDICT_CHECKS = set().union(*EMITTED_CHECKS.values()) - SWEEP_CHECKS
+
+
+def test_every_emitted_check_is_decided_by_the_reference_or_runs_the_same_code():
+    """Each check of `verify`, `dualize`, `bases` and `matrix-of-t` is decided by `tests/reference.py` or listed there
+    as computed by the same code on both routes, in the verb's order, and every check decided from premises or by
+    certificate is decided there: a check newly decided from premises fails this test until the reference decides
+    it."""
+    assert {verb: [name for name in reference.VERBS[verb] if name in names] for verb, names in EMITTED_CHECKS.items()} \
+        == {verb: list(names) for verb, names in EMITTED_CHECKS.items()}
+    assert set().union(*EMITTED_CHECKS.values()) == reference.DECIDED | reference.SAME_CODE
+    assert not reference.DECIDED & reference.SAME_CODE
+    assert set(FROM_PREMISES) | set(BY_CERTIFICATE) <= reference.DECIDED
+
 
 # mutation -> the emitted checks outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every identity
 # of T but those of A's own shape (A^dagger = A) and of T* alone; 2 T* breaks those of T*; mixed anchors break the
@@ -666,8 +686,7 @@ def test_every_decided_check_fails_under_a_premise_mutation():
 
 def test_every_dualize_check_fails_under_a_mutation():
     """Each check that the CLI reports, the 29 of `dualize` and those of `verify`, `bases` and `matrix-of-t`, fails
-    under a library-level mutation pinned in this file, or is listed in WITHOUT_MUTATION with the reason it holds
-    by construction."""
+    under a library-level mutation pinned in this file."""
     failing = {name for table in (PINS, DECIDED_PINS, VERDICT_PINS, REPORT_PINS, INVERSE_PINS)
                for pins in table.values() for name in pins}
     failing |= {name for _, pins in (*MEMO_PINS.values(), *PREMISE_PINS.values()) for name in pins}
@@ -675,4 +694,4 @@ def test_every_dualize_check_fails_under_a_mutation():
     assert {verb: len(names) for verb, names in EMITTED_CHECKS.items()} == {
         "verify": 34, "dualize": 29, "bases": 18, "matrix-of-t": 3}
     for verb, names in EMITTED_CHECKS.items():
-        assert set(names) - failing - set(WITHOUT_MUTATION) == set(), verb
+        assert set(names) - failing == set(), verb

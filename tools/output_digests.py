@@ -86,7 +86,7 @@ def q_racah(program, field, d: int, theta_star012=(1, 3, 4)) -> dict:
 
 def raised_krawtchouk(program, field, d: int, i: int) -> dict | None:
     """tests/conftest.py::krawtchouk(field, d), theta_h = theta*_h = d - 2h, varphi_h = h(h-d-1) and phi_h =
-    -3 h(h-d-1), with varphi_i raised by 1 and as a JSON object, as tests/test_factor_route.py::perturbed_arrays
+    -3 h(h-d-1), with varphi_i raised by 1 and as a JSON object, as tests/reference.py::not_leonard_arrays
     builds it; None when that varphi_i is 0."""
     n = field.from_int
     varphi = [n(h * (h - d - 1)) + (field.one() if h == i else field.zero()) for h in range(1, d + 1)]
