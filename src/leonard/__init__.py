@@ -27,7 +27,6 @@ from .systems import (
     d4_orbit,
     d4_reduce,
     extract_parameter_array,
-    gram_matrices,
     nu_scalars,
     solve_gram,
     split_projectors,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import truediv
 
 from .errors import (
     DegenerateSplit,
@@ -31,7 +32,9 @@ from .systems import (
     LeonardSystem,
     ParameterArray,
     _eigenbasis_inverse,
+    _gram_weights,
     _orthogonality_witness,
+    _outcomes,
     certified,
     change_of_basis,
     d4_apply,
@@ -163,6 +166,22 @@ def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
                       sys.root_family("tau", True, found[1].row(0), covector=True))
 
 
+def _displayed_dagger(sys: LeonardSystem, star: bool = False) -> Matrix:
+    """The displayed T^dagger = sum_i tau*_i(A*) E_d E*_0 eta_{d-i}(A), or with star T*^dagger, the stars swapped."""
+    w, c, u = _through(sys, (star, sys.d), (not star, 0))
+    return _outer_sum(c, sys.root_family("tau", not star, w), sys.root_family("eta", star, u, covector=True)[::-1])
+
+
+def _in_eigenbasis(sys: LeonardSystem) -> LeonardSystem:
+    """The system U X W, once U W = I and U A W = diag(theta): A is diag(theta), A* is B = U A* W, and the factors of
+    E and E* are (I, I) and (U W*, U* W); its idempotents are not formed."""
+    (W, U), (Ws, Us), eye = sys.eigenbasis(), sys.eigenbasis(star=True), Matrix.identity(sys.field, sys.d + 1)
+    out = LeonardSystem(eye.scale_columns(sys.theta), change_of_basis(sys, False, "Astar", False), (), (), sys.theta,
+                        sys.theta_star)
+    out._memo.update({("eigenbasis", False): (eye, eye), ("eigenbasis", True): (U * Ws, Us * W)})
+    return out
+
+
 def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = None) -> DualityBundle:
     """T with lambda = (nu_ddown)^-2 phi_1...phi_d and the anchor scalars.
 
@@ -189,33 +208,43 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
 
 
 def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> VerificationReport:
-    """Every stated identity for T; the self-dual-only ones fail honestly
-    when theta differs from theta* (that failure is the negative control).
-    When a premise of `solve_gram` fails, each check that reads G (through
-    T^dagger or T*^dagger) fails with that premise as witness, as in `verify`."""
+    """Every stated identity for T; the self-dual-only ones fail honestly when theta differs from theta* (that failure
+    is the negative control).  The eight that read T^dagger or T*^dagger read the weights of `solve_gram`, and when a
+    premise of it fails, each fails with that premise as witness, as in `verify`."""
     report = VerificationReport()
     f, d = sys.field, sys.d
     pa = sys.parameter_array
     t = bundle.t
     t_star = duality_operator(sys, star=True)
-    try:
-        t_dag, t_star_dag, gram_error = sys.dagger(t), sys.dagger(t_star), None
-    except DegenerateSplit as exc:
-        gram_error = {"error": str(exc)}
-    add_dagger = lambda name, check: report.add(name, gram_error is None and check(), gram_error)
+    vp_head, _, ph_head, ph_tail = pa.split_products
+    vp, ph = vp_head[d], ph_head[d]
+    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
+    c1, c2 = eta_d * vp / (tau_d * etas_d), etas_d * vp / (taus_d * eta_d)
+
+    # X^dagger = G^-1 X^T G for G = U^T D U / pivot, D = diag(m) (`solve_gram`): as U W = I, U X^dagger W is D^-1 X^T D
+    # for X^ = U X W, so X^dagger = Y exactly when X^T D = D Y^.  In these coordinates (`_in_eigenbasis`) E_0 is
+    # e_0 e_0^T and E*_0 is k r^T, k != 0: E*_0 X^dagger = c E*_0 E_0 reads D X^ (r/m) = c r_0 e_0, and
+    # E_0 X^dagger = c E_0 E*_0 reads row 0 of X^T D = c k_0 m_0 r^T
+    def by_weights():
+        m, (W, U), hat = _gram_weights(sys), sys.eigenbasis(), _in_eigenbasis(sys)
+        (K, Ks), DT = hat.eigenbasis(star=True), lambda X: X.transpose().scale_columns(m)  # X^T D, the transpose of D X
+        k, r, x, xs = K.column(0), Ks.row(0), DT(U * t * W), DT(U * t_star * W)
+        on_e0 = lambda XD, c: XD.row(0) == r.scale(c * k[0] * m[0])
+        on_es0 = lambda XD, c: XD.transpose() * Vector(f, map(truediv, r, m)) == hat.eigencolumn(0).scale(c * r[0])
+        return [(ok, None) for ok in (
+            x == DT(_displayed_dagger(hat)).transpose(), xs == DT(_displayed_dagger(hat, star=True)).transpose(),
+            x == x.transpose(), xs == x.transpose(), on_es0(x, c1), on_e0(xs, c2), on_e0(x, vp / tau_d),
+            on_es0(xs, vp / taus_d))]
+
+    daggers = iter(_outcomes(8, by_weights))  # in report order
+    add_dagger = lambda name: report.add(name, *next(daggers))
 
     report.add("T_polynomial_form", t == duality_operator_polynomial_form(sys))
-
-    # displayed adjoint sums: sum_i tau*_i(A*) E_d E*_0 eta_{d-i}(A), and its dual with the stars swapped
-    def displayed(s: bool) -> Matrix:
-        w, c, u = _through(sys, (not s, d), (s, 0))
-        return _outer_sum(c, sys.root_family("tau", s, w), sys.root_family("eta", not s, u, covector=True)[::-1])
-
-    add_dagger("T_dagger_displayed_sum", lambda: t_dag == displayed(True))
-    add_dagger("T_star_dagger_displayed_sum", lambda: t_star_dag == displayed(False))
+    add_dagger("T_dagger_displayed_sum")
+    add_dagger("T_star_dagger_displayed_sum")
     report.add("T_equals_T_star", t == t_star)
-    add_dagger("T_equals_T_dagger", lambda: t == t_dag)
-    add_dagger("T_equals_T_star_dagger", lambda: t == t_star_dag)
+    add_dagger("T_equals_T_dagger")
+    add_dagger("T_equals_T_star_dagger")
 
     t_squared = t * t
     report.add("T_squared_equals_lambda_identity", t_squared == Matrix.identity(f, d + 1).scale(bundle.lam))
@@ -233,21 +262,16 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
             {"i": i} for i in range(d + 1) if any(M[i][j] or M[j][i] for j in range(d + 1) if j != i)))
 
     # the eight product formulas with their displayed coefficients
-    vp_head, _, ph_head, ph_tail = pa.split_products
-    vp, ph = vp_head[d], ph_head[d]
-    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     E0, Es0 = sys.E[0], sys.Estar[0]
     E0_Es0, Es0_E0 = E0 * Es0, Es0 * E0
-    c1 = eta_d * vp / (tau_d * etas_d)
-    c2 = etas_d * vp / (taus_d * eta_d)
     report.add("product_T_E0star", t * Es0 == E0_Es0.scale(c1))
     report.add("product_Tstar_E0", t_star * E0 == Es0_E0.scale(c2))
-    add_dagger("product_E0star_Tdagger", lambda: Es0 * t_dag == Es0_E0.scale(c1))
-    add_dagger("product_E0_Tstardagger", lambda: E0 * t_star_dag == E0_Es0.scale(c2))
+    add_dagger("product_E0star_Tdagger")
+    add_dagger("product_E0_Tstardagger")
     report.add("product_T_E0", t * E0 == Es0_E0.scale(vp / tau_d))
     report.add("product_Tstar_E0star", t_star * Es0 == E0_Es0.scale(vp / taus_d))
-    add_dagger("product_E0_Tdagger", lambda: E0 * t_dag == E0_Es0.scale(vp / tau_d))
-    add_dagger("product_E0star_Tstardagger", lambda: Es0 * t_star_dag == Es0_E0.scale(vp / taus_d))
+    add_dagger("product_E0_Tdagger")
+    add_dagger("product_E0star_Tstardagger")
 
     # T^2 expanded: (phi_1...phi_d / nu_ddown) sum_j eta_j(A) E*_0 E_d tau*_j(A*) / (phi_d...phi_{d-j+1})
     w, c, u = _through(sys, (True, 0), (False, d))

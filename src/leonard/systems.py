@@ -120,7 +120,7 @@ def check_pa1(field: Field, d, theta, theta_star, varphi, phi) -> None:
 class LeonardSystem:
     """Matrices A, A* with both idempotent families, in a fixed ambient basis.
 
-    Derived data (the Gram matrix, the tau/eta families, flags and
+    Derived data (the Gram weights, the tau/eta families, flags and
     decompositions) is built on first use and memoised on the instance.
     """
 
@@ -188,14 +188,6 @@ class LeonardSystem:
             return self.pa
         return self.cached("pa", lambda: extract_parameter_array(self))
 
-    @property
-    def gram(self) -> Matrix:
-        return self.cached("gram", lambda: gram_matrices(self))[0]
-
-    @property
-    def gram_inverse(self) -> Matrix:
-        return self.cached("gram", lambda: gram_matrices(self))[1]
-
     def root_family(self, kind: str, star: bool = False, start=None, covector: bool = False) -> tuple:
         """The tau or eta family (kind) p_0..p_d at M = A (resp. A*), memoised: tau_i has roots
         theta_0..theta_{i-1}, eta_i has theta_d..theta_{d-i+1}.  The matrices p_i(M) when start
@@ -206,13 +198,9 @@ class LeonardSystem:
         return self.cached(("root_family", kind, star, start, covector),
                            lambda: tuple(root_product_family(M.transpose() if covector else M, roots, start)))
 
-    def dagger(self, X: Matrix) -> Matrix:
-        """The antiautomorphism fixing A and A*: X -> G^-1 X^T G."""
-        return self.gram_inverse * X.transpose() * self.gram
-
     def pair(self, u: Vector, v: Vector):
-        """The bilinear form <u, v> = u^T G v = (U u)^T diag(m) (U v) / pivot, for the weights m and the pivot of
-        `gram_matrices`, without forming G; U x is memoised per vector x, so each distinct vector is mapped once."""
+        """The bilinear form <u, v> = u^T G v = (U u)^T diag(m) (U v) / pivot (`solve_gram`, `_gram_pivot`), without
+        forming G; U x is memoised per vector x, so each distinct vector is mapped once."""
         m, U = _gram_weights(self), self.eigenbasis()[1]
         a, b = (self.cached(("eigencoordinates", x), lambda: U * x) for x in (u, v))
         return sum(map(mul, m, map(mul, a, b)), self.field.zero()) / _gram_pivot(self)
@@ -445,14 +433,14 @@ def _superdiagonal_in_split_basis(sys: LeonardSystem, kind: str):
 def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
     """Recover (theta; theta*; varphi; phi) from the matrices alone.
 
-    theta_i is read off as tr(A E_i) (the idempotents have trace 1), varphi
-    from the representation of A* in a split basis, and phi from the split
-    basis of the relative with the eigenvalue ordering reversed, by ratios once
-    `certified` holds (`_superdiagonal_in_split_basis`).  Raises
-    DegenerateSplit when what is read back is not a parameter array.
+    theta_i is read off as tr(A E_i) (the idempotents have trace 1), varphi from the representation of A* in a split
+    basis, and phi from the split basis of the relative with the eigenvalue ordering reversed.  Once `certified` holds,
+    theta is the stored one, as U W = I and U A W = diag(theta) give tr(A E_i) = u_i^T A w_i = theta_i (theta*
+    alike), and varphi and phi are read by ratios (`_superdiagonal_in_split_basis`).  Raises DegenerateSplit when what
+    is read back is not a parameter array.
     """
-    theta = tuple(trace_of_product(sys.A, Ei) for Ei in sys.E)
-    theta_star = tuple(trace_of_product(sys.Astar, Ei) for Ei in sys.Estar)
+    theta, theta_star = (sys.theta, sys.theta_star) if certified(sys) else (
+        tuple(trace_of_product(M, X) for X in mats) for M, mats in ((sys.A, sys.E), (sys.Astar, sys.Estar)))
     varphi, phi = (_superdiagonal_in_split_basis(sys, kind) for kind in ("tau", "eta"))
     try:
         return ParameterArray(sys.field, sys.d, theta, theta_star, varphi, phi)
@@ -597,7 +585,9 @@ def solve_gram(sys: LeonardSystem) -> tuple:
     and d+1 distinct theta; and B = U A* W irreducible tridiagonal, the report's tridiagonal_Astar_in_A_eigenbasis,
     as W^-1 = U.  Then W U = I, A = W diag(theta) U and A* = W B U, so A^T G = G A forces G = U^T diag(m) U, and
     A*^T G = G A* holds exactly when m_i B_ij = m_j B_ji: m_0 = 1 and m_{i+1} = m_i B_{i,i+1} / B_{i+1,i}, all
-    nonzero (Terwilliger, LAA 330 (2001)).  So the form exists once the premises hold (`gram_matrices` builds it)."""
+    nonzero (Terwilliger, LAA 330 (2001)).  So once the premises hold G = U^T diag(m) U / pivot (`_gram_pivot`) is
+    symmetric, and X -> G^-1 X^T G fixes A, A* and each E_i = w_i u_i^T and is an involution; once E* is orthogonal and
+    spectral, each E*_i, a polynomial in A* (similar to B, so theta* is distinct), is fixed too.  No G is formed."""
     f, d = sys.field, sys.d
     sys.eigenbasis()
     premises(sys)
@@ -607,20 +597,6 @@ def solve_gram(sys: LeonardSystem) -> tuple:
     return tuple(accumulate((f.fraction(B.nums[i][i + 1], B.nums[i + 1][i]) for i in range(d)), mul, initial=f.one()))
 
 
-def gram_matrices(sys: LeonardSystem) -> tuple:
-    """(G, G^-1) from the weights m of `solve_gram`, memoised under "gram_weights" (its DegenerateSplit when a
-    premise fails).  G = U^T diag(m) U is divided by pivot, its first nonzero entry of row 0 (`_gram_pivot`), and
-    G^-1 = W diag(pivot/m) W^T, as G G^-1 = U^T W^T = I.  So G is symmetric and intertwines A and A*, and
-    X -> G^-1 X^T G fixes A and A*, is an involution and fixes each E_i = w_i u_i^T, as G w_i = (m_i/pivot) u_i and
-    G^-1 u_i = (pivot/m_i) w_i.  Once E* is orthogonal and spectral, A* is W* diag(theta*) U*, diagonalizable and,
-    like B (irreducible tridiagonal), with only lines for eigenspaces: theta* is distinct, and each E*_i, a Lagrange
-    polynomial in A*, is fixed too."""
-    m, pivot = _gram_weights(sys), _gram_pivot(sys)
-    W, U = sys.eigenbasis()
-    G = U.transpose().scale_columns(m) * U
-    return G.scale(sys.field.invert(pivot)), W.scale_columns([pivot / x for x in m]) * W.transpose()
-
-
 def _gram_weights(sys: LeonardSystem) -> tuple:
     """The weights m of `solve_gram`, memoised under "gram_weights"."""
     return sys.cached("gram_weights", lambda: solve_gram(sys))
@@ -628,7 +604,7 @@ def _gram_weights(sys: LeonardSystem) -> tuple:
 
 def _gram_pivot(sys: LeonardSystem):
     """The first nonzero entry of row 0 of U^T diag(m) U, which is U^T (m_i U_i0)_i, memoised: G is invertible, so
-    the row is not zero, and `gram_matrices` and `LeonardSystem.pair` divide by it."""
+    the row is not zero, and `LeonardSystem.pair` divides by it."""
     def build():
         U = sys.eigenbasis()[1]
         row = U.transpose() * Vector(sys.field, map(mul, _gram_weights(sys), U.column(0)))
@@ -741,7 +717,7 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
 
     # the bilinear form and its antiautomorphism: theorems of solve_gram's premises (a failed one fails all seven), and
     # dagger_fixes_idempotents also of the premises of the F[M] checks on A*, whose first failed one is its witness;
-    # solving for the weights checks those premises, and G and G^-1 are left to their readers (`gram_matrices`)
+    # solving for the weights checks those premises, and no G is formed
     def gram():
         _gram_weights(sys)
         return [(True, None)] * 5 + _outcomes(1, lambda: decided(True)) + [(True, None)]

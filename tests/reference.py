@@ -25,7 +25,7 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from leonard import cli
+from leonard import cli, systems
 from leonard import duality as du
 from leonard.errors import DegenerateSplit, LeonardError, SingularMatrix
 from leonard.fields import Field
@@ -59,8 +59,11 @@ MATRIX_OF_T_CHECKS = ("matrix_of_T_closed_form", "A_representation_shape", "Asta
 # fails, and reports the T checks only with T
 VERBS = {"verify": SUITE_CHECKS, "dualize": DUALITY_CHECKS + GEOMETRY_CHECKS, "bases": BASES_CHECKS,
          "matrix-of-t": MATRIX_OF_T_CHECKS}
-DECIDED = {*SUITE_CHECKS, "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", *GEOMETRY_CHECKS, *BASES_CHECKS[3:6],
-           *MATRIX_OF_T_CHECKS}
+# the checks of `dualize` that read T^dagger or T*^dagger, in report order
+DAGGER_CHECKS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equals_T_dagger", "T_equals_T_star_dagger",
+                 "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger", "product_E0star_Tstardagger")
+DECIDED = {*SUITE_CHECKS, *DAGGER_CHECKS, "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", *GEOMETRY_CHECKS,
+           *BASES_CHECKS[3:6], *MATRIX_OF_T_CHECKS}
 SAME_CODE = set(chain(*VERBS.values())) - DECIDED
 
 
@@ -72,9 +75,10 @@ class NonUniqueForm(Exception):
 
 
 def gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
-    """(G, G^-1) for G spanning the null space of the n^2-unknown constraints P^T G = G P, P = A and A*, normalized
-    as `systems.gram_matrices` normalizes it: the intertwiners of A first, then those of them that intertwine A*;
-    NonUniqueForm when the space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G is singular."""
+    """(G, G^-1) for G spanning the null space of the n^2-unknown constraints P^T G = G P, P = A and A*, divided by
+    its first nonzero entry of row 0, as `LeonardSystem.pair` reads it: the intertwiners of A first, then those of them
+    that intertwine A*; NonUniqueForm when the space is not 1-dimensional or row 0 of G is zero, SingularMatrix when G
+    is singular."""
     f, n, r = A.field, A.nrows, range(A.nrows)
     # row (i, j): the coefficients of the g_ab, in a, b order, in (P^T G - G P)_ij, from p = P.nums = P.den P
     constraints = lambda p: Matrix.from_ints(f, ([(p[a][i] if b == j else 0) - (p[b][j] if a == i else 0)
@@ -92,11 +96,32 @@ def gram_by_nullspace(A: Matrix, Astar: Matrix) -> tuple:
     return G, G.inverse()
 
 
+def form_by_pair(sys: LeonardSystem) -> Matrix:
+    """The package's G read entry by entry off `LeonardSystem.pair`: G_ij = <e_i, e_j>."""
+    units = Matrix.identity(sys.field, sys.d + 1).columns()
+    return Matrix(sys.field, [[sys.pair(u, v) for v in units] for u in units])
+
+
+def assert_form_is(sys: LeonardSystem, G: Matrix) -> None:
+    """The package's form is G, as the oracle (`gram_by_nullspace`) or a hand solve gives it: W^T G W = diag(m) / pivot
+    for the weights m of `solve_gram`, the eigenbasis (W, U) of A and the pivot of `systems._gram_pivot`, and
+    <u, v> = u^T G v (`form_by_pair`)."""
+    W, pivot = sys.eigenbasis()[0], systems._gram_pivot(sys)
+    assert W.transpose() * G * W == Matrix.identity(sys.field, sys.d + 1).scale_columns(
+        [x / pivot for x in systems.solve_gram(sys)])
+    assert form_by_pair(sys) == G
+
+
 def dense_family(sys: LeonardSystem, kind: str, star: bool = False) -> list:
     """tau_0..tau_d (kind "tau") or eta_0..eta_d at A (resp. A*), each its own dense root product."""
     M, theta = (sys.Astar, sys.theta_star) if star else (sys.A, sys.theta)
     roots = lambda i: theta[:i] if kind == "tau" else theta[len(theta) - i:]
     return [eval_root_product(roots(i), M) for i in range(sys.d + 1)]
+
+
+def gap(f: Field, theta, r: int):
+    """prod_{h != r} (theta_r - theta_h), which is tau_r(theta_r) eta_{d-r}(theta_r), as its own product."""
+    return prod((theta[r] - x for h, x in enumerate(theta) if h != r), start=f.one())
 
 
 def dense_sum(lefts, mid: Matrix, rights) -> Matrix:
@@ -265,6 +290,19 @@ class Reference:
         except DegenerateSplit as exc:
             return None, str(exc)
 
+    @functools.cached_property
+    def gram_premise(self):
+        """The first failed premise of `solve_gram`, read off this reference's own axioms, else None: that of the Gram
+        block of `verify` and of the daggers of `dualize`."""
+        tridiagonal = self.axioms["tridiagonal_Astar_in_A_eigenbasis"][0]
+        return self.factor(False) or self.premise(self.axioms, False) or (
+            None if tridiagonal else "U A* W is not irreducible tridiagonal")
+
+    @functools.cached_property
+    def gram(self) -> tuple:
+        """(G, G^-1) by the null space (`gram_by_nullspace`), formed once for `verify` and `dualize`."""
+        return gram_by_nullspace(self.sys.A, self.sys.Astar)
+
     def premise(self, checks: dict, star: bool):
         """The first failed premise of the F[M] checks on A (resp. A*): d+1 idempotents, orthogonal and spectral (read
         off this reference's own axioms) and d+1 distinct eigenvalues; else None."""
@@ -309,12 +347,11 @@ class Reference:
         pa, array_error = sys.pa or extracted, None if sys.pa or not error else error
         E, Es = sys.E, sys.Estar
         premise = {star: self.premise(out, star) for star in (False, True)}
-        gap = lambda t, r: prod((t[r] - x for h, x in enumerate(t) if h != r), start=one)
 
         def edge(star):
             mats, t = self.mats(star), (pa.theta_star if star else pa.theta)
-            return [(self.family("eta", star)[d].scale(f.invert(gap(t, 0))) == mats[0], None),
-                    (self.family("tau", star)[d].scale(f.invert(gap(t, d))) == mats[d], None)]
+            return [(self.family("eta", star)[d].scale(f.invert(gap(f, t, 0))) == mats[0], None),
+                    (self.family("tau", star)[d].scale(f.invert(gap(f, t, d))) == mats[d], None)]
 
         def subalgebra(star):
             M, mats = (sys.Astar if star else sys.A), self.mats(star)
@@ -373,7 +410,7 @@ class Reference:
         out |= _outcomes(["split_pairing_delta"], [self.factor(False), self.factor(True), array_error], pairing)
 
         def gram():
-            G, Ginv = gram_by_nullspace(sys.A, sys.Astar)
+            G, Ginv = self.gram
             dagger = lambda X: Ginv * X.transpose() * G
             probe = sys.A * sys.Astar * sys.Astar
             fixed = _outcomes(["dagger_fixes_idempotents"], [premise[True]],
@@ -383,8 +420,7 @@ class Reference:
                     (dagger(sys.Astar) == sys.Astar, None), fixed["dagger_fixes_idempotents"],
                     (dagger(dagger(probe)) == probe, None)]
 
-        tridiagonal = None if out["tridiagonal_Astar_in_A_eigenbasis"][0] else "U A* W is not irreducible tridiagonal"
-        out |= _outcomes(SUITE_CHECKS[-7:], [self.factor(False), premise[False], tridiagonal], gram)
+        out |= _outcomes(SUITE_CHECKS[-7:], [self.gram_premise], gram)
         return {name: out[name] for name in SUITE_CHECKS}
 
     @functools.cached_property
@@ -421,6 +457,7 @@ class Reference:
                 mats, others = self.mats(star), self.mats(not star)
                 out |= _outcomes([name], [failed], lambda: [_first({"i": i} for i in range(n)
                                                                    if mats[i] * t != t * others[i])])
+            out |= _outcomes(DAGGER_CHECKS, [self.gram_premise], lambda: self.daggers(t))
         flags, decomps = self.flags, self.decompositions
         out["flag_component_dimensions"] = _last({"flag": z, "i": i} for z, F in flags.items()
                                                  for i, comp in enumerate(components(F)) if comp.rank() != i + 1)
@@ -456,6 +493,25 @@ class Reference:
             {"pair": f"[{z}{w}]", "i": i} for z, w in du.T_DECOMPOSITION_ORDER for i in range(n)
             if not (t * decomps[(z, w)][i]).is_colinear(decomps[(du.T_FLAG_IMAGE[z], du.T_FLAG_IMAGE[w])][i]))
         return out
+
+    def daggers(self, t: Matrix) -> list:
+        """(passed, None) of each of DAGGER_CHECKS for T = t, densely: X^dagger = G^-1 X^T G for (G, G^-1) by the null
+        space, T* and the displayed sums as dense sums of the dense families, times the dense E_0 and E*_0."""
+        sys, f, d = self.sys, self.f, self.d
+        (G, Ginv), E, Es = self.gram, sys.E, sys.Estar
+        pa = sys.pa or self.extracted[0]
+        t_star = dense_sum(self.family("eta", True)[::-1], E[0] * Es[d], self.family("tau", False))
+        t_dag, t_star_dag = (Ginv * X.transpose() * G for X in (t, t_star))
+        tau_d, eta_d, taus_d, etas_d = (gap(f, th, r) for th in (pa.theta, pa.theta_star) for r in (d, 0))
+        vp = prod(pa.varphi, start=f.one())
+        c1, c2 = eta_d * vp / (tau_d * etas_d), etas_d * vp / (taus_d * eta_d)
+        E0_Es0, Es0_E0 = E[0] * Es[0], Es[0] * E[0]
+        shown = (dense_sum(self.family("tau", True), E[d] * Es[0], self.family("eta", False)[::-1]),
+                 dense_sum(self.family("tau", False), Es[d] * E[0], self.family("eta", True)[::-1]))
+        return [(ok, None) for ok in (
+            t_dag == shown[0], t_star_dag == shown[1], t == t_dag, t == t_star_dag,
+            Es[0] * t_dag == Es0_E0.scale(c1), E[0] * t_star_dag == E0_Es0.scale(c2),
+            E[0] * t_dag == E0_Es0.scale(vp / tau_d), Es[0] * t_star_dag == Es0_E0.scale(vp / taus_d))]
 
     def bases(self, anchors) -> tuple:
         """({id: the basis by its own recurrence}, name -> (passed, witness) of the three checks of the basis family);

@@ -195,6 +195,27 @@ def test_hand_built_round_trips_take_the_solve(field):
         assert reference_calls == ["solve"] * 2 and calls == ([] if systems.certified(sys) else reference_calls), name
 
 
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+def test_certified_extraction_reads_theta_without_traces(field, monkeypatch):
+    """Once the certificate holds, U W = I and U A W = diag(theta) give tr(A E_i) = theta_i (theta* alike), so
+    `certify` on a split-form array calls `trace_of_product` 0 times; on a not-Leonard array (varphi_1 raised by 1)
+    the extraction still reads theta and theta* as 2(d+1) traces, and `verify` calls it for them and more."""
+    calls, trace = [], systems.trace_of_product
+    monkeypatch.setattr(systems, "trace_of_product", lambda X, Y: calls.append(1) or trace(X, Y))
+    pa = krawtchouk(field, 4)
+    certify(pa)
+    assert calls == []
+    bumped = build_system(replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])))
+    assert not systems.certified(bumped)
+    try:
+        systems.extract_parameter_array(bumped)
+    except DegenerateSplit:
+        pass
+    assert len(calls) == 2 * (pa.d + 1)
+    systems.standard_identity_suite(build_system(bumped.pa))
+    assert len(calls) > 4 * (pa.d + 1)
+
+
 NOT_OPPOSITE = ("7-d3-1", "7-d3-3", "7-d4-2", "7-d4-3", "7-d5-3")  # over GF(7), a pair of flags is not opposite
 
 

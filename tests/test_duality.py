@@ -150,23 +150,26 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     formulas, F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`: 12, as ([zw], z) and
     ([wz], z) read the same vectors, and T in the eigenbases, W*^-1 T W and W^-1 T W*, once for its sweeps on
     eigenspaces, flags and E_i T = T E*_i.  The decompositions and the bases read the certificate
-    (`systems.certified`) off the memoised axiom report, so neither U W* nor U* W is formed, and [0D] and [0*D*] are
-    the eigencolumns, so no E_i v is formed.  `solve_gram` reads its premises off the same report
+    (`systems.certified`) off the memoised axiom report, so neither forms U W* or U* W, and [0D] and [0*D*] are the
+    eigencolumns, so no E_i v is formed.  `solve_gram` reads its premises off the same report
     (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises, solving for
-    the weights of G and forming neither G nor G^-1 (`systems.gram_matrices`), the idempotent sums from U W = I and
+    the weights of G and forming neither G nor G^-1, the idempotent sums from U W = I and
     M W == W diag(theta), and the split checks from Q P once the certificate holds.  An anchor inner product reads
     the weights of G (`LeonardSystem.pair`): each distinct anchor is mapped by U once, and the pivot of G is one
     more product of a matrix and a vector, so `bases` forms neither G nor G^-1.  `matrix-of-t` takes T from
     `duality_operator`, its basis vector from the eigencolumn it names and each representation from M B == B X, so
     it forms no anchor inner product, no G and no inverse.  Each spectral check is one product M W against the
     column scaling W diag(theta), and the round trip reads one row of A* times each split vector on the stored
-    integers, so `verify` and `matrix-of-t` form no product of a matrix and a vector.  At d = 6 that is 10/52/8/15
-    products of two matrices for verify/dualize/bases/matrix-of-t, and 0/39/41/0 products of a matrix and a vector:
-    in `dualize` T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and
-    every [zw] starts at the first vector of [z]), 4 anchors and the pivot.  While each spectral check formed M w_i,
-    d+1 products of a matrix and a vector, and the round trip solved A* P = P X, the products of two matrices were
-    as many and those of a matrix and a vector 14/53/55/14.  While an inner product was u . (G v), the counts were
-    10/52/10/17, with 56 products of a matrix and a vector in `dualize` (8 of G and a vector) and 22 in
+    integers, so `verify` and `matrix-of-t` form no product of a matrix and a vector.  `dualize` reads its eight
+    daggers off the weights m of G in the eigenbasis (W, U) of A: U T W and U T* W, U W* and U* W, and the two
+    displayed dagger sums in those coordinates, one product each, and D X^ (r/m) for the two checks on E*_0.  At
+    d = 6 that is 10/48/8/15 products of two matrices for verify/dualize/bases/matrix-of-t, and 0/41/41/0 products of
+    a matrix and a vector: in `dualize` T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is
+    [zw] reversed, and every [zw] starts at the first vector of [z]), 4 anchors, the pivot and the two D X^ (r/m).
+    While the daggers were G^-1 X^T G, with G and G^-1 formed, `dualize` formed 52 and 39.  While each spectral check
+    formed M w_i, d+1 products of a matrix and a vector, and the round trip solved A* P = P X, the products of two
+    matrices were as many and those of a matrix and a vector 14/53/55/14.  While an inner product was u . (G v), the
+    counts were 10/52/10/17, with 56 products of a matrix and a vector in `dualize` (8 of G and a vector) and 22 in
     `matrix-of-t`, which also inverted its basis.  While `verify` formed G and G^-1 it formed 12.  While
     `solve_gram` formed U A W and the certificates U W*, U* W and U w*_0, the counts were 14/56/14/19, and 15
     products of a matrix and a vector in `verify`.  When each reader formed its own, there were 33/105/29/24: U W
@@ -180,8 +183,8 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     calls = []  # one bool per call: whether both operands are matrices
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 10, "dualize": 52, "bases": 8, "matrix-of-t": 15}
-    vector_bounds = {"verify": 0, "dualize": 39, "bases": 41, "matrix-of-t": 0}
+    bounds = {"verify": 10, "dualize": 48, "bases": 8, "matrix-of-t": 15}
+    vector_bounds = {"verify": 0, "dualize": 41, "bases": 41, "matrix-of-t": 0}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []

@@ -12,7 +12,7 @@ from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, ParameterArray, certify, nu_scalars
 
 from conftest import FROZEN_ARRAYS, leonard_arrays
-from reference import dense_family, dense_sum
+from reference import dense_family, dense_sum, gram_by_nullspace
 
 FIELDS = [Field.rational(), Field.prime(2**31 - 1)]
 FIELD_IDS = ["Q", "GF(2^31-1)"]
@@ -34,10 +34,11 @@ def test_sums_match_the_dense_reference(field, data):
     assert t == dense_sum(eta[False][::-1], Es[0] * E[d], tau[True])
     assert t_star == dense_sum(eta[True][::-1], E[0] * Es[d], tau[False])
     assert du.duality_operator_polynomial_form(s) == t
-    # the displayed adjoint sums and the T^2 expansion equal their left-hand sides densely,
-    # and the suite's checks compare the same left-hand sides with the factored sums
-    assert s.dagger(t) == dense_sum(tau[True], E[d] * Es[0], eta[False][::-1])
-    assert s.dagger(t_star) == dense_sum(tau[False], Es[d] * E[0], eta[True][::-1])
+    # the displayed adjoint sums, with the dagger X -> G^-1 X^T G of the oracle's G, and the T^2 expansion equal
+    # their left-hand sides densely, and the suite's checks compare the same left-hand sides with the factored sums
+    G, Ginv = gram_by_nullspace(s.A, s.Astar)
+    assert Ginv * t.transpose() * G == dense_sum(tau[True], E[d] * Es[0], eta[False][::-1])
+    assert Ginv * t_star.transpose() * G == dense_sum(tau[False], Es[d] * E[0], eta[True][::-1])
     ph_tail, ph = pa.split_products[3], pa.split_products[2][d]
     weighted = [R.scale(field.invert(ph_tail[j])) for j, R in enumerate(tau[True])]
     assert t * t == dense_sum(eta[False], Es[0] * E[d], weighted).scale(field.invert(nu_scalars(pa)[2]) * ph)

@@ -18,8 +18,8 @@ from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, build_system, certify, standard_identity_suite, verify_axioms
 
 from conftest import GRAM_CHECKS, SUITE_CHECKS, krawtchouk, leonard_array
-from reference import (DIFFERENTIAL, FIELDS, FORMS, GF7, GFP, Q, agrees_on, assert_agrees, drawn, gram_by_nullspace,
-                       hand_built, passes, perturbed_arrays, report_systems)
+from reference import (DIFFERENTIAL, FIELDS, FORMS, GF7, GFP, Q, agrees_on, assert_agrees, assert_form_is, drawn,
+                       gram_by_nullspace, hand_built, passes, perturbed_arrays, report_systems)
 
 FIELD_IDS = ["Q", "GF(7)", "GF(2^31-1)"]
 SUMS = ("idempotents_E_sum", "idempotents_E_spectral", "idempotents_Estar_sum", "idempotents_Estar_spectral")
@@ -83,27 +83,28 @@ def test_report_systems_match_dense(case):
     assert_agrees(report_systems()[case])
 
 
-# --- the Gram matrix of the daggers, and the pairing ---
+# --- the Gram form and the pairing ---
 
 
 def test_a_normaliser_off_the_diagonal_matches_the_oracle():
-    """Over GF(7) some of the conjugates of the GF(7) arrays have G_00 = 0, so `gram_matrices` divides G by an entry
-    of row 0 off the diagonal; the n^2-unknown null space finds the same (G, G^-1)."""
+    """Over GF(7) some of the conjugates of the GF(7) arrays have G_00 = 0, so `LeonardSystem.pair` divides by an
+    entry of row 0 off the diagonal (`systems._gram_pivot`); the weights and the pivot give the G that the
+    n^2-unknown null space finds."""
     conjugates = [form(build_system(param.values[0])) for param in gf7_arrays() for form in FORMS.values()]
-    off = [s for s in conjugates if not systems.gram_matrices(s)[0].nums[0][0]]
+    forms = [(s, gram_by_nullspace(s.A, s.Astar)[0]) for s in conjugates]
+    off = [(s, G) for s, G in forms if not G.nums[0][0]]
     assert off
-    for s in off:
-        assert systems.gram_matrices(s) == gram_by_nullspace(s.A, s.Astar)
+    for s, G in off:
+        assert_form_is(s, G)
 
 
 def assert_pair_matches_gram(sys) -> bool:
     """<u, v> by `LeonardSystem.pair`, on the four anchors of `duality.choose_anchor_vectors` and the unit vectors,
-    forms no G and equals u^T G v for G from `gram_matrices`; returns whether G_00 = 0."""
+    equals u^T G v for G from the n^2-unknown null space; returns whether G_00 = 0."""
     vectors = [sys.eigencolumn(j, star).normalized() for star in (False, True) for j in (0, sys.d)]
     vectors += Matrix.identity(sys.field, sys.d + 1).columns()
     values = [sys.pair(u, v) for u in vectors for v in vectors]
-    assert "gram" not in sys._memo
-    G = systems.gram_matrices(sys)[0]
+    G = gram_by_nullspace(sys.A, sys.Astar)[0]
     assert values == [u.dot(G * v) for u in vectors for v in vectors]
     return not G.nums[0][0]
 
@@ -119,18 +120,17 @@ def test_pair_matches_the_gram_matrix(corpus):
 
 
 def test_premises_decide_the_eleven_checks(monkeypatch):
-    """On a certified system, over Q and GF(2^31-1), the suite adds no two matrices and forms neither G nor G^-1:
-    it solves for the weights of the form once (`perfbench` counts that solve) and memoises them, and
-    `gram_matrices` is not called."""
+    """On a certified system, over Q and GF(2^31-1), the suite adds no two matrices and forms neither G nor G^-1,
+    which the package never forms: it solves for the weights of the form once (`perfbench` counts that solve) and
+    memoises them."""
     solved, solve = [], systems.solve_gram
     monkeypatch.setattr(systems, "solve_gram", lambda sys: solved.append(solve(sys)) or solved[-1])
-    monkeypatch.setattr(systems, "gram_matrices", lambda sys: pytest.fail("G and G^-1 were formed"))
     monkeypatch.setattr(Matrix, "__add__", lambda self, other: pytest.fail("two matrices were added"))
     for field in (Q, GFP):
         solved.clear()
         s = certify(krawtchouk(field, 6))
         assert standard_identity_suite(s).all_pass
-        assert len(solved) == 1 and s._memo["gram_weights"] is solved[0] and "gram" not in s._memo
+        assert len(solved) == 1 and s._memo["gram_weights"] is solved[0]
         assert len(solved[0]) == s.d + 1 and all(solved[0])
 
 

@@ -23,7 +23,6 @@ from leonard.systems import (
     d4_reduce,
     edge_values,
     extract_parameter_array,
-    gram_matrices,
     nu_scalars,
     check_pa1,
     pa5_failure,
@@ -47,7 +46,8 @@ from conftest import (
     leonard_array,
     leonard_arrays,
 )
-from reference import NonUniqueForm, gram_by_nullspace, gram_premise_failures, report_systems, swapped_idempotents
+from reference import (NonUniqueForm, assert_form_is, form_by_pair, gram_by_nullspace, gram_premise_failures,
+                       report_systems, swapped_idempotents)
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -579,14 +579,14 @@ def test_split_projectors_match_intersection():
 
 def test_gram_d0():
     s = certify(ParameterArray(Q, 0, (F(4),), (F(9),), (), ()))
-    assert s.gram == Matrix(Q, [[F(1)]])
+    assert_form_is(s, Matrix(Q, [[F(1)]]))
 
 
 def test_gram_d1_frozen():
     # oracle: solved the 4-unknown intertwining system by hand
     s = certify(d1_example())
-    assert s.gram == Matrix(Q, [[F(1), F(1)], [F(1), F(-2)]])
-    G = s.gram
+    G = Matrix(Q, [[F(1), F(1)], [F(1), F(-2)]])
+    assert_form_is(s, G)
     assert G == G.transpose()
     assert s.A.transpose() * G == G * s.A
     assert s.Astar.transpose() * G == G * s.Astar
@@ -594,7 +594,7 @@ def test_gram_d1_frozen():
 
 def test_gram_normalization_leading_one(corpus):
     for pa in corpus.arrays[:6]:
-        G = corpus.system(pa).gram
+        G = form_by_pair(corpus.system(pa))
         lead = next(x for x in G[0] if x)
         assert lead == pa.field.one()
 
@@ -616,7 +616,7 @@ def test_closed_form_gram_matches_nullspace(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
         for sys in (s, s.conjugated(conjugator(pa.field, s.d + 1))):
-            assert gram_matrices(sys) == gram_by_nullspace(sys.A, sys.Astar)
+            assert_form_is(sys, gram_by_nullspace(sys.A, sys.Astar)[0])
 
 
 def _outcome(build):
@@ -626,10 +626,19 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+def _weights_agree(sys, oracle) -> bool:
+    """Whether `solve_gram` refuses with the premise on B = U A* W where the oracle's outcome refuses (no form, or
+    not one up to scale), and otherwise returns the weights of the oracle's G (`assert_form_is`)."""
+    if oracle[0] in (NonUniqueForm, SingularMatrix):
+        return _outcome(lambda: solve_gram(sys)) == (DegenerateSplit, B_PREMISE)
+    assert_form_is(sys, oracle[0])
+    return True
+
+
 def test_gram_fallback_raises_like_nullspace(corpus):
-    """Where the oracle finds a form, gram_matrices finds the same one; where the oracle refuses (no
-    form, or not one up to scale), solve_gram refuses with the premise on B = U A* W, and gram_matrices
-    with it.  A repeated theta is refused as a premise before any form is sought."""
+    """Where the oracle finds a form, solve_gram finds the weights of the same one; where the oracle refuses (no
+    form, or not one up to scale), solve_gram refuses with the premise on B = U A* W.  A repeated theta is refused
+    as a premise before any form is sought."""
     eye, swap = Matrix.identity(Q, 2), Matrix.from_ints(Q, [[0, 1], [1, 0]])
     units = [Matrix.from_ints(Q, [[1, 0], [0, 0]]), Matrix.from_ints(Q, [[0, 0], [0, 1]])]
     repeated = LeonardSystem(eye, swap, units, units, (F(1), F(1)), (F(1), F(-1)))
@@ -644,12 +653,10 @@ def test_gram_fallback_raises_like_nullspace(corpus):
             varphi[i] = varphi[i] + 1
             if pa.d >= 2 and all(varphi):
                 cases.append(build_system(replace(pa, varphi=tuple(varphi))))
-    outcomes = [_outcome(lambda: gram_matrices(s)) for s in cases]
     oracle = [_outcome(lambda: gram_by_nullspace(s.A, s.Astar)) for s in cases]
     refused = [i for i, outcome in enumerate(oracle) if outcome[0] in (NonUniqueForm, SingularMatrix)]
     assert len(refused) >= len(corpus.frozen) + 1
-    assert all(outcomes[i] == (DegenerateSplit, B_PREMISE) for i in refused)
-    assert all(outcomes[i] == oracle[i] for i in range(len(cases)) if i not in refused)
+    assert all(_weights_agree(s, outcome) for s, outcome in zip(cases, oracle))
     assert oracle[-1] == (NonUniqueForm, "intertwiner space has dimension 0")
     with pytest.raises(DegenerateSplit, match=f"^{re.escape(B_PREMISE)}$"):
         solve_gram(cases[-1])
@@ -676,16 +683,15 @@ def random_split_arrays(field, d, count, seed):
 @pytest.mark.parametrize("field, d", [(Field.prime(5), 2), (Field.prime(7), 3), (Q, 2)],
                          ids=["GF(5)-d2", "GF(7)-d3", "Q-d2"])
 def test_gram_recurrence_never_flips_a_verdict(field, d):
-    """On 300 seeded random arrays in split form, Leonard or not, gram_matrices returns the oracle's
-    (G, G^-1) wherever the oracle finds a form, and refuses with the premise of solve_gram on B = U A* W
-    wherever the oracle refuses: the recurrence gives up no form that the n^2-unknown null space finds."""
+    """On 300 seeded random arrays in split form, Leonard or not, solve_gram returns the weights of the oracle's G
+    wherever the oracle finds a form, and refuses with its premise on B = U A* W wherever the oracle refuses: the
+    recurrence gives up no form that the n^2-unknown null space finds."""
     verdicts = {True: 0, False: 0}
     for pa in random_split_arrays(field, d, 300, seed=24):
         s = build_system(pa)
         oracle = _outcome(lambda: gram_by_nullspace(s.A, s.Astar))
-        refused = oracle[0] in (NonUniqueForm, SingularMatrix)
-        assert _outcome(lambda: gram_matrices(s)) == ((DegenerateSplit, B_PREMISE) if refused else oracle)
-        verdicts[refused] += 1
+        assert _weights_agree(s, oracle)
+        verdicts[oracle[0] in (NonUniqueForm, SingularMatrix)] += 1
     assert verdicts[True] and verdicts[False]
 
 
@@ -697,7 +703,7 @@ def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
     assert swapped.eigenbasis() == s.eigenbasis(star=True)
     with pytest.raises(DegenerateSplit, match=r"^idempotents_E_spectral fails$"):
         solve_gram(swapped)
-    assert gram_by_nullspace(swapped.A, swapped.Astar)[0] == s.gram
+    assert_form_is(s, gram_by_nullspace(swapped.A, swapped.Astar)[0])
 
 
 # case -> (the premise solve_gram names, the checks outside the Gram block that carry the same error); the
@@ -756,25 +762,34 @@ def test_every_report_lists_every_check(case):
     assert report.all_pass == (case == "certified")
 
 
+def _dagger(s):
+    """X -> G^-1 X^T G for the package's G, read off `LeonardSystem.pair` (`form_by_pair`)."""
+    G = form_by_pair(s)
+    Ginv = G.inverse()
+    return lambda X: Ginv * X.transpose() * G
+
+
 def test_dagger_properties():
     s = certify(d1_example())
-    assert s.dagger(s.A) == s.A
-    assert s.dagger(s.Astar) == s.Astar
-    assert s.dagger(Matrix.identity(Q, 2)) == Matrix.identity(Q, 2)
+    dagger = _dagger(s)
+    assert dagger(s.A) == s.A
+    assert dagger(s.Astar) == s.Astar
+    assert dagger(Matrix.identity(Q, 2)) == Matrix.identity(Q, 2)
     for Ei in s.E + s.Estar:
-        assert s.dagger(Ei) == Ei
+        assert dagger(Ei) == Ei
     probe = Matrix(Q, [[F(1), F(5)], [F(-2), F(3)]])
-    assert s.dagger(s.dagger(probe)) == probe
+    assert dagger(dagger(probe)) == probe
     # antiautomorphism: (XY)^dagger = Y^dagger X^dagger
     X, Y = s.A * s.Estar[0], s.Astar + s.E[1]
-    assert s.dagger(X * Y) == s.dagger(Y) * s.dagger(X)
+    assert dagger(X * Y) == dagger(Y) * dagger(X)
 
 
 def test_dagger_fixes_idempotents_higher_d(corpus):
     pa = corpus.frozen[0]
     s = corpus.system(pa)
-    assert s.dagger(s.E[1]) == s.E[1]
-    assert s.dagger(s.Estar[1]) == s.Estar[1]
+    dagger = _dagger(s)
+    assert dagger(s.E[1]) == s.E[1]
+    assert dagger(s.Estar[1]) == s.Estar[1]
 
 
 # --- memoised derived data ---

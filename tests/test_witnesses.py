@@ -586,19 +586,14 @@ def test_every_memo_entry_is_mutated():
     assert memoised == set(MEMO_PINS)
 
 
-# the checks of `dualize` that read the memoised (G, G^-1), through T^dagger and T*^dagger
+# the checks of `dualize` that read the memoised Gram weights m, through T^dagger and T*^dagger
 DAGGER_READERS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equals_T_dagger",
                   "T_equals_T_star_dagger", "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger",
                   "product_E0star_Tstardagger")
 
-# mutation of a memoised Gram entry -> (its memo key, the mutation, the checks that fail, all of them among
-# DAGGER_READERS); "gram" holds (G, G^-1) from `gram_matrices`, "gram_weights" the weights m from `solve_gram`
+# mutation of the memoised Gram weights -> (its memo key, the mutation, the checks that fail, all of them among
+# DAGGER_READERS); "gram_weights" holds the weights m from `solve_gram`, the one form of G in the package
 GRAM_PINS = {
-    "G-raised-at-01": ("gram", lambda G, Ginv: (_raised(G, 0, 1), Ginv), set(DAGGER_READERS)),
-    "G-raised-at-01-and-10": ("gram", lambda G, Ginv: (_raised(_raised(G, 0, 1), 1, 0), Ginv), set(DAGGER_READERS)),
-    # in split form E_0 = w_0 e_0^T, so E_0 G^-1 reads only row 0 of G^-1
-    "Ginv-raised-at-21": ("gram", lambda G, Ginv: (G, _raised(Ginv, 2, 1)),
-                          set(DAGGER_READERS) - {"product_E0_Tdagger", "product_E0_Tstardagger"}),
     # G = U^T diag(m) U with m_1 doubled: symmetric, and still A^T G = G A, but not A*^T G = G A*
     "m1-doubled": ("gram_weights", lambda m0, m1, *rest: (m0, m1 + m1, *rest), set(DAGGER_READERS)),
 }
@@ -607,15 +602,14 @@ GRAM_PINS = {
 @pytest.mark.parametrize("array", [SELF_DUAL, SELF_DUAL_GFP], ids=["Q", "GF(2^31-1)"])
 @pytest.mark.parametrize("mutation", GRAM_PINS)
 def test_gram_block_fails_under_a_wrong_gram_entry(array, mutation):
-    """The reports of `verify` and `dualize` on a new build whose memoised Gram entry, (G, G^-1) or the weights m,
-    is mutated before any reader runs.  `verify` decides its Gram block from the premises of `solve_gram` and forms
-    neither G nor G^-1, so it passes; the `dualize` checks that form T^dagger = G^-1 T^T G and T*^dagger fail, all
-    of them under a wrong G, symmetric or not, or a wrong weight, and under a wrong entry (2, 1) of G^-1 all but the
-    two that multiply the dagger by E_0 on the left."""
+    """The reports of `verify` and `dualize` on a new build whose memoised Gram weights m are mutated before any
+    reader runs.  `verify` decides its Gram block from the premises of `solve_gram`, so it passes; the `dualize`
+    checks that read T^dagger and T*^dagger off m (X^dagger = Y exactly when X^T D = D Y^ in the eigenbasis of A,
+    D = diag(m)) fail, all of them."""
     key, mutate, failing = GRAM_PINS[mutation]
     _, _, bundle = _setup(array)
     s = systems.build_system(ParameterArray.from_json(array))
-    s._memo[key] = mutate(*(systems.gram_matrices if key == "gram" else systems.solve_gram)(s))
+    s._memo[key] = mutate(*systems.solve_gram(s))
     checks = _checks(systems.standard_identity_suite(s), du.verify_duality_suite(s, bundle))
     assert {name for name, (passed, _) in checks.items() if not passed} == failing
 
