@@ -176,8 +176,8 @@ def _in_eigenbasis(sys: LeonardSystem) -> LeonardSystem:
     """The system U X W, once U W = I and U A W = diag(theta): A is diag(theta), A* is B = U A* W, and the factors of
     E and E* are (I, I) and (U W*, U* W); its idempotents are not formed."""
     (W, U), (Ws, Us), eye = sys.eigenbasis(), sys.eigenbasis(star=True), Matrix.identity(sys.field, sys.d + 1)
-    out = LeonardSystem(eye.scale_columns(sys.theta), change_of_basis(sys, False, "Astar", False), (), (), sys.theta,
-                        sys.theta_star)
+    out = LeonardSystem(eye.scale_columns(sys.theta), change_of_basis(sys, False, "Astar", False), None, None,
+                        sys.theta, sys.theta_star)
     out._memo.update({("eigenbasis", False): (eye, eye), ("eigenbasis", True): (U * Ws, Us * W)})
     return out
 
@@ -261,15 +261,19 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
         report.add_first_failure(name, [{"error": failed}] if failed else (
             {"i": i} for i in range(d + 1) if any(M[i][j] or M[j][i] for j in range(d + 1) if j != i)))
 
-    # the eight product formulas with their displayed coefficients
-    E0, Es0 = sys.E[0], sys.Estar[0]
-    E0_Es0, Es0_E0 = E0 * Es0, Es0 * E0
-    report.add("product_T_E0star", t * Es0 == E0_Es0.scale(c1))
-    report.add("product_Tstar_E0", t_star * E0 == Es0_E0.scale(c2))
+    # the eight product formulas with their displayed coefficients.  X E*_0 = c E_0 E*_0 (X E_0 = c E*_0 E_0 with
+    # star false): with E*_0 = w u^T and E_0 = w' u'^T, which factor as T* is built, both sides are a column times
+    # u^T != 0, X w and c (u' . w) w', so it reads X w == c (u' . w) w'
+    def product(x, star, c):
+        w, (Wo, Uo) = sys.eigencolumn(0, star), sys.eigenbasis(not star)
+        return x * w == Wo.column(0).scale(c * Uo.row(0).dot(w))
+
+    report.add("product_T_E0star", product(t, True, c1))
+    report.add("product_Tstar_E0", product(t_star, False, c2))
     add_dagger("product_E0star_Tdagger")
     add_dagger("product_E0_Tstardagger")
-    report.add("product_T_E0", t * E0 == Es0_E0.scale(vp / tau_d))
-    report.add("product_Tstar_E0star", t_star * Es0 == E0_Es0.scale(vp / taus_d))
+    report.add("product_T_E0", product(t, False, vp / tau_d))
+    report.add("product_Tstar_E0star", product(t_star, True, vp / taus_d))
     add_dagger("product_E0_Tdagger")
     add_dagger("product_E0star_Tstardagger")
 
@@ -509,10 +513,14 @@ def _eigen_anchor(sys: LeonardSystem, anchor_key: str) -> Vector:
 
 
 def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
-    """E_i v or E*_i v, else the tau/eta family gen on v (`LeonardSystem.root_family`)."""
+    """E_i v or E*_i v, which is (u_i . v) w_i for E_i = w_i u_i^T (`LeonardSystem.coordinates`; dense when the family
+    does not factor), else the tau/eta family gen on v (`LeonardSystem.root_family`)."""
     star = gen.endswith("star")
     if gen in ("e", "estar"):
-        return tuple(E * v for E in (sys.Estar if star else sys.E))
+        try:
+            return tuple(w.scale(x) for w, x in zip(sys.eigenbasis(star)[0].columns(), sys.coordinates(v, star)))
+        except DegenerateSplit:
+            return tuple(E * v for E in sys.idempotents(star))
     return sys.root_family(gen.removesuffix("star"), star, v)
 
 
@@ -582,17 +590,17 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
     d = sys.d
     pa = sys.parameter_array
     a = anchors
-    E0, Ed, Es0, Esd = sys.E[0], sys.E[d], sys.Estar[0], sys.Estar[d]
+    E = lambda basis_id, i: build_basis(sys, anchors, basis_id)[i]  # E_i v (E*_i v) for the anchor v of basis_id
 
     projections = (
-        (E0 * a.v0s, a.v0.scale(a.x00 / a.vv0)),
-        (Ed * a.v0s, a.vd.scale(a.xd0 / a.vvd)),
-        (E0 * a.vds, a.v0.scale(a.x0d / a.vv0)),
-        (Ed * a.vds, a.vd.scale(a.xdd / a.vvd)),
-        (Es0 * a.v0, a.v0s.scale(a.x00 / a.ss0)),
-        (Esd * a.v0, a.vds.scale(a.x0d / a.ssd)),
-        (Es0 * a.vd, a.v0s.scale(a.xd0 / a.ss0)),
-        (Esd * a.vd, a.vds.scale(a.xdd / a.ssd)),
+        (E("e-vstar0", 0), a.v0.scale(a.x00 / a.vv0)),
+        (E("e-vstar0", d), a.vd.scale(a.xd0 / a.vvd)),
+        (E("e-vstard", 0), a.v0.scale(a.x0d / a.vv0)),
+        (E("e-vstard", d), a.vd.scale(a.xdd / a.vvd)),
+        (E("estar-v0", 0), a.v0s.scale(a.x00 / a.ss0)),
+        (E("estar-v0", d), a.vds.scale(a.x0d / a.ssd)),
+        (E("estar-vd", 0), a.v0s.scale(a.xd0 / a.ss0)),
+        (E("estar-vd", d), a.vds.scale(a.xdd / a.ssd)),
     )
     report.add_first_failure("anchor_projections", (
         {"projection": k} for k, (lhs, rhs) in enumerate(projections) if lhs != rhs))

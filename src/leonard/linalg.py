@@ -16,7 +16,9 @@ operands of an operation and every scalar must lie in one field (ValueError
 otherwise).  Gauss-Jordan elimination is fraction-free with first-nonzero
 pivoting (GF(p) has no magnitude order); `unpivoted_column_reduction` runs the
 same update on columns without pivoting, and `flag_decomposition` decomposes a
-pair of flags with it.  Indexing is 0-based.
+pair of flags with it.  The split form's eigenbasis (W, U) comes from
+`bidiagonal_eigenbasis` as triangular integer vectors, without any dense
+idempotent E_i = w_i u_i^T.  Indexing is 0-based.
 """
 
 from __future__ import annotations
@@ -430,12 +432,7 @@ def rank_one_factors(mats):
         if any(cross if field.is_rational else (x % field.p for x in cross)):
             return None
         heads.append((M, k, j))
-    return _factors(heads)
-
-
-def _factors(heads):
-    """(W, U): w_i column j of M_i and u_i^T row k divided by its entry j, for heads (M_i, k, j) of rank one."""
-    field, pvs = heads[0][0].field, [M.nums[k][j] for M, k, j in heads]
+    pvs = [M.nums[k][j] for M, k, j in heads]
     wden, uden = lcm(*(M.den for M, _, _ in heads)), lcm(*pvs)
     W = [[M.nums[r][j] * (wden // M.den) for M, _, j in heads] for r in range(heads[0][0].nrows)]
     U = [[b * (uden // pv) for b in M.nums[k]] for (M, k, _), pv in zip(heads, pvs)]
@@ -451,22 +448,22 @@ def bidiagonal(field: Field, diag, upper=None) -> Matrix:
                               for i in range(n)], den)
 
 
-def bidiagonal_idempotents(field: Field, diag, upper=None) -> tuple:
-    """(E, (W, U)): the primitive idempotents E_i = w_i u_i^T of bidiagonal(field, diag, upper), and their
-    eigenbasis as `rank_one_factors(E)` gives it, read off each E_i without its rank-one check.
+def bidiagonal_eigenbasis(field: Field, diag, upper=None) -> tuple:
+    """(W, U): the eigenbasis of bidiagonal(field, diag, upper), whose primitive idempotents are E_i = w_i u_i^T for
+    w_i column i of W and u_i^T row i of U, in the normalization `rank_one_factors(E)` gives; no E_i is formed.
 
-    w_i and u_i^T are the right and left diag[i]-eigenvectors, triangular with
-    w_i[i] = u_i[i] = 1 (so u_i^T w_i = 1); the eigenvalue equations are two-term recurrences in
-    c_h / (t_i - t_h), where the one denominator of the integers t and c cancels: entry k of the
-    vector below the diagonal is c_i..c_{k-1} prod_{h>k} g_h / prod_{h>i} g_h (g_h = t_i - t_h), of
-    the one above it c_k..c_{i-1} prod_{h<k} g_h / prod_{h<i} g_h, so each E_i is one canonical pass.
-    Equal to lagrange_idempotent(bidiagonal(...), diag, i); (W, U) reads its first nonzero row and column off w, u.
+    w_i and u_i^T are the right and left diag[i]-eigenvectors, triangular; the eigenvalue equations are two-term
+    recurrences in c_h / (t_i - t_h), where the one denominator of the integers t and c cancels: entry k of the
+    vector below the diagonal is c_i..c_{k-1} prod_{h>k} g_h / prod_{h>i} g_h (g_h = t_i - t_h), of the one above
+    it c_k..c_{i-1} prod_{h<k} g_h / prod_{h<i} g_h.  For these integer lists w and u, E_i = w u^T / (w[i] u[i])
+    (equal to lagrange_idempotent(bidiagonal(...), diag, i)), so with j the first nonzero entry of u, w_i (column j
+    of E_i) is w u[j] / (w[i] u[i]) and u_i^T is u / u[j]: one canonical pass per vector.
     """
     n = len(diag)
     if len(set(diag)) != n:
         raise DuplicateEigenvalue("diagonal entries must be mutually distinct")
     (t, c), _ = _to_ints(field, [diag, [field.one()] * (n - 1) if upper is None else upper])
-    out, heads = [], []
+    ws, us = [], []
     for i, ti in enumerate(t):
         g = [ti - th for th in t]
         pre = list(accumulate(g[:i], mul, initial=1))  # pre[k] = prod_{h < k} g_h, k <= i
@@ -474,9 +471,10 @@ def bidiagonal_idempotents(field: Field, diag, upper=None) -> tuple:
         below = [0] * i + list(map(mul, accumulate(c[i:], mul, initial=1), suf))
         above = list(map(mul, list(accumulate(reversed(c[:i]), mul, initial=1))[::-1], pre)) + [0] * (n - 1 - i)
         w, u = (below, above) if upper is None else (above, below)
-        out.append(Matrix._of(field, [[a * b for b in u] for a in w], pre[-1] * suf[0]))
-        heads.append((out[-1], *(next(h for h, a in enumerate(v) if a) for v in (w, u))))
-    return out, _factors(heads)
+        pv = next(a for a in u if a)
+        ws.append(Vector._of(field, [[a * pv for a in w]], w[i] * u[i]))
+        us.append(Vector._of(field, [u], pv))
+    return Matrix.from_columns(field, ws), Matrix.from_columns(field, us).transpose()
 
 
 # --- polynomial evaluation at a matrix ---

@@ -23,7 +23,7 @@ from .linalg import (
     Vector,
     _to_ints,
     bidiagonal,
-    bidiagonal_idempotents,
+    bidiagonal_eigenbasis,
     flag_decomposition,
     is_irreducible_tridiagonal,
     lagrange_idempotent,
@@ -64,6 +64,13 @@ class ParameterArray:
         one = self.field.one()
         return tuple(tuple(accumulate(run, mul, initial=one))
                      for seq in (self.varphi, self.phi) for run in (seq, seq[::-1]))
+
+    @cached_property
+    def nu(self) -> tuple:
+        """(nu, nu_down, nu_ddown, nu_down_ddown) by their closed forms, built on first use (`nu_scalars`)."""
+        tau_d, eta_d, taus_d, etas_d = edge_values(self)
+        vp, ph = self.split_products[0][self.d], self.split_products[2][self.d]
+        return eta_d * etas_d / ph, eta_d * taus_d / vp, tau_d * etas_d / vp, tau_d * taus_d / ph
 
     @cached_property
     def gaps(self) -> tuple:
@@ -120,21 +127,39 @@ def check_pa1(field: Field, d, theta, theta_star, varphi, phi) -> None:
 class LeonardSystem:
     """Matrices A, A* with both idempotent families, in a fixed ambient basis.
 
-    Derived data (the Gram weights, the tau/eta families, flags and
-    decompositions) is built on first use and memoised on the instance.
+    A system given its idempotents keeps them and factors each family on first use (`eigenbasis`).  One built from
+    a parameter array stores the eigenbases (W, U) and (W*, U*) of its split form instead: E_i = w_i u_i^T (E*_i
+    alike) is formed only when E (Estar) is first read, and every reader in the package reads the factors.
+    Derived data (the Gram weights, the tau/eta families, flags and decompositions) is built on first use and
+    memoised on the instance.
     """
 
-    __slots__ = ("pa", "A", "Astar", "E", "Estar", "theta", "theta_star", "_memo")
+    __slots__ = ("pa", "A", "Astar", "theta", "theta_star", "_memo")
 
     def __init__(self, A, Astar, E, Estar, theta, theta_star, pa=None):
+        """E or Estar None: the family is formed from the memoised eigenbasis when first read (`idempotents`)."""
         self.A = A
         self.Astar = Astar
-        self.E = tuple(E)
-        self.Estar = tuple(Estar)
         self.theta = tuple(theta)
         self.theta_star = tuple(theta_star)
         self.pa = pa
-        self._memo = {}
+        self._memo = {("idempotents", star): tuple(mats) for star, mats in ((False, E), (True, Estar))
+                      if mats is not None}
+
+    E = property(lambda self: self.idempotents(), doc="E_0..E_d (`idempotents`).")
+    Estar = property(lambda self: self.idempotents(star=True), doc="E*_0..E*_d (`idempotents`).")
+
+    def idempotents(self, star: bool = False) -> tuple:
+        """E (resp. E*): the matrices given, else w_i u_i^T for the memoised eigenbasis, formed on first read."""
+        def build():
+            W, U = self.eigenbasis(star)
+            return tuple(outer(W.column(i), U.row(i)) for i in range(W.ncols))
+        return self.cached(("idempotents", star), build)
+
+    def family_size(self, star: bool = False) -> int:
+        """The number of idempotents E (resp. E*), without forming them: those given, else the columns of W (W*)."""
+        given = self._memo.get(("idempotents", star))
+        return len(given) if given is not None else self.eigenbasis(star)[0].ncols
 
     @property
     def field(self) -> Field:
@@ -152,13 +177,13 @@ class LeonardSystem:
 
     @classmethod
     def from_parameter_array(cls, pa: ParameterArray) -> "LeonardSystem":
-        """The system in a split basis: A and A* bidiagonal, and both idempotent families from their triangular
-        eigenvectors (`bidiagonal_idempotents`, O(d^3) in all) rather than Lagrange products.  The eigenbases (W, U)
-        and (W*, U*) come with them and are memoised, so `eigenbasis` factors neither family."""
+        """The system in a split basis: A and A* bidiagonal, stored with their eigenbases (W, U) and (W*, U*), the
+        triangular eigenvectors of `bidiagonal_eigenbasis` (O(d^2) integer products each), rather than with any
+        idempotent.  `eigenbasis` factors neither family, and E_i = w_i u_i^T is formed only if E is read."""
         f, (t, ts) = pa.field, ((pa.theta, None), (pa.theta_star, pa.varphi))
-        (E, eig), (Estar, eig_star) = bidiagonal_idempotents(f, *t), bidiagonal_idempotents(f, *ts)
-        sys = cls(bidiagonal(f, *t), bidiagonal(f, *ts), E, Estar, pa.theta, pa.theta_star, pa)
-        sys._memo.update({("eigenbasis", False): eig, ("eigenbasis", True): eig_star})
+        sys = cls(bidiagonal(f, *t), bidiagonal(f, *ts), None, None, pa.theta, pa.theta_star, pa)
+        sys._memo.update({("eigenbasis", False): bidiagonal_eigenbasis(f, *t),
+                          ("eigenbasis", True): bidiagonal_eigenbasis(f, *ts)})
         return sys
 
     def conjugated(self, K: Matrix) -> "LeonardSystem":
@@ -200,19 +225,25 @@ class LeonardSystem:
 
     def pair(self, u: Vector, v: Vector):
         """The bilinear form <u, v> = u^T G v = (U u)^T diag(m) (U v) / pivot (`solve_gram`, `_gram_pivot`), without
-        forming G; U x is memoised per vector x, so each distinct vector is mapped once."""
-        m, U = _gram_weights(self), self.eigenbasis()[1]
-        a, b = (self.cached(("eigencoordinates", x), lambda: U * x) for x in (u, v))
+        forming G, on the memoised U x (`coordinates`)."""
+        m = _gram_weights(self)
+        a, b = self.coordinates(u), self.coordinates(v)
         return sum(map(mul, m, map(mul, a, b)), self.field.zero()) / _gram_pivot(self)
+
+    def coordinates(self, x: Vector, star: bool = False) -> Vector:
+        """U x (resp. U* x), memoised per vector, so each distinct vector is mapped once: E_i x = (U x)_i w_i."""
+        return self.cached(("eigencoordinates", star, x), lambda: self.eigenbasis(star)[1] * x)
 
     def eigenbasis(self, star: bool = False) -> tuple:
         """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U (`rank_one_factors`,
         memoised, or from the build); DegenerateSplit naming the first E_i not of rank one, or the count of an empty
         family (`_sized`)."""
-        mats = self.Estar if star else self.E
-        found = self.cached(("eigenbasis", star), lambda: rank_one_factors(mats) if mats else _sized(self, star))
+        def build():
+            mats = self.idempotents(star)
+            return rank_one_factors(mats) if mats else _sized(self, star)
+        found = self.cached(("eigenbasis", star), build)
         if found is None:
-            i = next(i for i, M in enumerate(mats) if M.rank() != 1)
+            i = next(i for i, M in enumerate(self.idempotents(star)) if M.rank() != 1)
             raise DegenerateSplit(f"idempotent {'E*' if star else 'E'}_{i} is not of rank one")
         return found
 
@@ -274,30 +305,30 @@ def _off_diagonal(M: Matrix, diag):
 
 def _sized(sys: LeonardSystem, star: bool) -> None:
     """d+1 idempotents E (resp. E*), the premise of each check that reads them as a basis; else DegenerateSplit."""
-    mats = sys.Estar if star else sys.E
-    if len(mats) != sys.d + 1:
-        raise DegenerateSplit(f"{len(mats)} idempotents {'E*' if star else 'E'}, not d + 1 = {sys.d + 1}")
+    if (n := sys.family_size(star)) != sys.d + 1:
+        raise DegenerateSplit(f"{n} idempotents {'E*' if star else 'E'}, not d + 1 = {sys.d + 1}")
 
 
 def _idempotent_checks(report, sys: LeonardSystem, star: bool):
     """With E_i = w_i u_i^T, E_i E_j = (u_i^T w_j) w_i u_j^T: the family is orthogonal exactly when U W = I, and the
     first (i, j) with (U W)_ij != delta_ij is the first failing product.  Then, with d+1 of each, W U = I, so sum E_i
     is I and sum theta_i E_i = W diag(theta) U is M exactly when M W == W diag(theta) (a column scaling); else dense."""
-    label, mats, M, theta = ("Estar", sys.Estar, sys.Astar, sys.theta_star) if star else ("E", sys.E, sys.A, sys.theta)
+    label, M, theta = ("Estar", sys.Astar, sys.theta_star) if star else ("E", sys.A, sys.theta)
     field, n = M.field, M.nrows
     _add_factored(report, [f"idempotents_{label}_orthogonal"],
                   lambda: [((witness := _orthogonality_witness(sys, star)) is None, witness)])
-    decided = report[f"idempotents_{label}_orthogonal"].passed and len(mats) == len(theta) == n
+    decided = report[f"idempotents_{label}_orthogonal"].passed and sys.family_size(star) == len(theta) == n
     W, zero = (sys.eigenbasis(star)[0] if decided else None), Matrix.zeros(field, n)
-    report.add(f"idempotents_{label}_sum", decided or sum(mats, zero) == Matrix.identity(field, n))
+    report.add(f"idempotents_{label}_sum", decided or sum(sys.idempotents(star), zero) == Matrix.identity(field, n))
     report.add(f"idempotents_{label}_spectral", M * W == W.scale_columns(theta)
-               if decided else sum((Ei.scale(th) for th, Ei in zip(theta, mats)), zero) == M)
+               if decided else sum((Ei.scale(th) for th, Ei in zip(theta, sys.idempotents(star))), zero) == M)
 
     try:
         factored = bool(sys.eigenbasis(star))
     except DegenerateSplit:
         factored = False
-    report.add(f"idempotents_{label}_rank_one", factored, None if factored else {"ranks": [Ei.rank() for Ei in mats]})
+    report.add(f"idempotents_{label}_rank_one", factored,
+               None if factored else {"ranks": [Ei.rank() for Ei in sys.idempotents(star)]})
 
 
 def verify_axioms(sys: LeonardSystem) -> VerificationReport:
@@ -507,22 +538,25 @@ def d4_orbit(pa: ParameterArray) -> dict:
 
 
 def nu_scalars(pa: ParameterArray):
-    """(nu, nu_down, nu_ddown, nu_down_ddown) by their closed forms."""
-    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
-    vp, ph = pa.split_products[0][pa.d], pa.split_products[2][pa.d]
-    nu = eta_d * etas_d / ph
-    nu_down = eta_d * taus_d / vp
-    nu_ddown = tau_d * etas_d / vp
-    nu_dd = tau_d * taus_d / ph
-    return nu, nu_down, nu_ddown, nu_dd
+    """(nu, nu_down, nu_ddown, nu_down_ddown) by their closed forms, memoised on the array (`ParameterArray.nu`)."""
+    return pa.nu
 
 
 def trace_products(sys: LeonardSystem, r: int):
-    """Direct traces (tr E_r E*_0, tr E_r E*_d, tr E*_r E_0, tr E*_r E_d)."""
+    """Direct traces (tr E_r E*_0, tr E_r E*_d, tr E*_r E_0, tr E*_r E_d), each tr(E_i E*_j) = (u_i . w*_j)(u*_j . w_i)
+    for E_i = w_i u_i^T and E*_j = w*_j u*_j^T, two integer dot products over one denominator; dense when a family
+    does not factor."""
     if not 0 <= r <= sys.d:
         raise IndexError(f"r = {r} outside 0..{sys.d}")
-    d, E, Es = sys.d, sys.E, sys.Estar
-    return tuple(trace_of_product(X, Y) for X, Y in ((E[r], Es[0]), (E[r], Es[d]), (Es[r], E[0]), (Es[r], E[d])))
+    d = sys.d
+    try:
+        (W, U), (Ws, Us) = sys.eigenbasis(), sys.eigenbasis(star=True)
+    except DegenerateSplit:
+        tr = lambda i, j: trace_of_product(sys.E[i], sys.Estar[j])
+    else:
+        dot = lambda X, i, Y, j: sum(a * row[j] for a, row in zip(X.nums[i], Y.nums))  # (X Y)_ij times X.den Y.den
+        tr = lambda i, j: sys.field.fraction(dot(U, i, Ws, j) * dot(Us, j, W, i), U.den * Ws.den * Us.den * W.den)
+    return tr(r, 0), tr(r, d), tr(0, r), tr(d, r)
 
 
 def trace_products_closed_form(pa: ParameterArray, r: int):
@@ -645,13 +679,14 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     # with diagonal eta_i(theta_{d-i}) != 0; M^i v is W diag(c) times a Vandermonde matrix of the distinct theta; and
     # X -> X v is one-to-one on F[M].  So each family is a basis of F[M], and tau_{d+1}(M) = W diag(tau_{d+1}(theta_k))
     # U = 0 (Terwilliger, LAA 330 (2001); Horn & Johnson, Matrix Analysis, ch. 3): char_product_* and
-    # subalgebra_three_bases_* pass once the premises hold (`premises`); the edge checks read E_0 v, E_d v,
-    # tau_d(M) v and eta_d(M) v
+    # subalgebra_three_bases_* pass once the premises hold (`premises`); the edge checks read E_0 v = c_0 w_0,
+    # E_d v = c_d w_d, tau_d(M) v and eta_d(M) v
     def edge(star):
         g_d, g_0 = edge_values(array())[2 * star:][:2]  # the extraction error before the premises
-        (W, U), mats, j = premises(sys, star), (sys.Estar if star else sys.E), d * star
-        v, E0v, Edv = ((Matrix.identity(f, d + 1).column(j), mats[0].column(j), mats[d].column(j))
-                       if all(r[j] for r in U.nums) else (W * Vector(f, [f.one()] * (d + 1)), W.column(0), W.column(d)))
+        (W, U), j = premises(sys, star), d * star
+        cyclic = all(r[j] for r in U.nums)  # then v = e_j and E_i v = U_ij w_i; else v = W 1 and E_i v = w_i
+        v = Matrix.identity(f, d + 1).column(j) if cyclic else W * Vector(f, [f.one()] * (d + 1))
+        E0v, Edv = (W.column(i).scale(f.fraction(U.nums[i][j], U.den) if cyclic else f.one()) for i in (0, d))
         tau_d, eta_d = (sys.root_family(kind, star, v)[d] for kind in ("tau", "eta"))
         return [(eta_d.scale(f.invert(g_0)) == E0v, None), (tau_d.scale(f.invert(g_d)) == Edv, None)]
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 import functools
 from argparse import Namespace
 from dataclasses import replace
-from itertools import chain
+from itertools import accumulate, chain
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import Phase, settings
@@ -29,8 +30,8 @@ from leonard import cli, systems
 from leonard import duality as du
 from leonard.errors import DegenerateSplit, LeonardError, SingularMatrix
 from leonard.fields import Field
-from leonard.linalg import (Matrix, Vector, eval_root_product, intersect_column_spaces, is_irreducible_tridiagonal,
-                            outer)
+from leonard.linalg import (Matrix, Vector, _to_ints, eval_root_product, intersect_column_spaces,
+                            is_irreducible_tridiagonal, outer)
 from leonard.systems import (LeonardSystem, ParameterArray, build_system, certify, nu_scalars,
                              standard_identity_suite, trace_products_closed_form)
 
@@ -68,6 +69,25 @@ SAME_CODE = set(chain(*VERBS.values())) - DECIDED
 
 
 # --- dense constructions ---
+
+
+def bidiagonal_idempotents(field: Field, diag, upper=None) -> list:
+    """The primitive idempotents E_i of `linalg.bidiagonal(field, diag, upper)`, each formed densely in one canonical
+    pass as w u^T / (w[i] u[i]) from the integer eigenvectors w and u (the recurrences of
+    `linalg.bidiagonal_eigenbasis`): the closed form the split-form build used while it formed every E_i, kept as
+    the reference for the idempotents that a system built from an array forms on demand."""
+    n = len(diag)
+    (t, c), _ = _to_ints(field, [diag, [field.one()] * (n - 1) if upper is None else upper])
+    out = []
+    for i, ti in enumerate(t):
+        g = [ti - th for th in t]
+        pre = list(accumulate(g[:i], mul, initial=1))  # pre[k] = prod_{h < k} g_h, k <= i
+        suf = list(accumulate(reversed(g[i + 1:]), mul, initial=1))[::-1]  # suf[k - i] = prod_{h > k} g_h, k >= i
+        below = [0] * i + list(map(mul, accumulate(c[i:], mul, initial=1), suf))
+        above = list(map(mul, list(accumulate(reversed(c[:i]), mul, initial=1))[::-1], pre)) + [0] * (n - 1 - i)
+        w, u = (below, above) if upper is None else (above, below)
+        out.append(Matrix._of(field, [[a * b for b in u] for a in w], pre[-1] * suf[0]))
+    return out
 
 
 class NonUniqueForm(Exception):

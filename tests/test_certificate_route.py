@@ -199,7 +199,8 @@ def test_hand_built_round_trips_take_the_solve(field):
 def test_certified_extraction_reads_theta_without_traces(field, monkeypatch):
     """Once the certificate holds, U W = I and U A W = diag(theta) give tr(A E_i) = theta_i (theta* alike), so
     `certify` on a split-form array calls `trace_of_product` 0 times; on a not-Leonard array (varphi_1 raised by 1)
-    the extraction still reads theta and theta* as 2(d+1) traces, and `verify` calls it for them and more."""
+    the extraction still reads theta and theta* as 2(d+1) traces, and `verify` calls it for them alone, as
+    `trace_products` reads tr(E_r E*_j) off the eigenbases (while it formed them densely, for them and more)."""
     calls, trace = [], systems.trace_of_product
     monkeypatch.setattr(systems, "trace_of_product", lambda X, Y: calls.append(1) or trace(X, Y))
     pa = krawtchouk(field, 4)
@@ -213,7 +214,7 @@ def test_certified_extraction_reads_theta_without_traces(field, monkeypatch):
         pass
     assert len(calls) == 2 * (pa.d + 1)
     systems.standard_identity_suite(build_system(bumped.pa))
-    assert len(calls) > 4 * (pa.d + 1)
+    assert len(calls) == 4 * (pa.d + 1)
 
 
 NOT_OPPOSITE = ("7-d3-1", "7-d3-3", "7-d4-2", "7-d4-3", "7-d5-3")  # over GF(7), a pair of flags is not opposite

@@ -21,9 +21,9 @@ from leonard.errors import (
 )
 from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product, flag_decomposition
-from leonard.systems import ParameterArray, certify
+from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, leonard_arrays
+from conftest import FROZEN_ARRAYS, leonard_array, leonard_arrays
 from reference import basis_by_recurrence, components, hand_built, meets
 from test_witnesses import DAGGER_READERS
 
@@ -162,11 +162,17 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     column scaling W diag(theta), and the round trip reads one row of A* times each split vector on the stored
     integers, so `verify` and `matrix-of-t` form no product of a matrix and a vector.  `dualize` reads its eight
     daggers off the weights m of G in the eigenbasis (W, U) of A: U T W and U T* W, U W* and U* W, and the two
-    displayed dagger sums in those coordinates, one product each, and D X^ (r/m) for the two checks on E*_0.  At
-    d = 6 that is 10/48/8/15 products of two matrices for verify/dualize/bases/matrix-of-t, and 0/41/41/0 products of
-    a matrix and a vector: in `dualize` T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is
-    [zw] reversed, and every [zw] starts at the first vector of [z]), 4 anchors, the pivot and the two D X^ (r/m).
-    While the daggers were G^-1 X^T G, with G and G^-1 formed, `dualize` formed 52 and 39.  While each spectral check
+    displayed dagger sums in those coordinates, one product each, and D X^ (r/m) for the two checks on E*_0.  A
+    system built from an array stores its eigenbases, and no verb forms a dense E_i or E*_i: `LeonardSystem.idempotents`
+    is never read.  The four other product formulas read X E_0 = c E*_0 E_0 as X w_0 = c (u*_0 . w_0) w*_0, one
+    product of a matrix and a vector each, and each E_i v of the bases e-* and estar-* is (U v)_i w_i on the memoised
+    U v (U* v), which the anchor projections read too.  At d = 6 that is 10/42/8/15 products of two matrices for
+    verify/dualize/bases/matrix-of-t, and 0/45/7/0 products of a matrix and a vector: in `dualize` T x once for each
+    of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first
+    vector of [z]), 4 anchors, the pivot, the two D X^ (r/m) and the four X w; in `bases` U x of the 4 anchors, the
+    pivot and U* v0 and U* vd.  While the build formed every E_i and E*_i densely, each product formula read E_0 E*_0
+    or E*_0 E_0 and each E_i v was a product, the counts were 10/48/8/15 and 0/41/41/0.  While the daggers were
+    G^-1 X^T G, with G and G^-1 formed, `dualize` formed 52 and 39.  While each spectral check
     formed M w_i, d+1 products of a matrix and a vector, and the round trip solved A* P = P X, the products of two
     matrices were as many and those of a matrix and a vector 14/53/55/14.  While an inner product was u . (G v), the
     counts were 10/52/10/17, with 56 products of a matrix and a vector in `dualize` (8 of G and a vector) and 22 in
@@ -180,17 +186,40 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     G^-1."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_krawtchouk_json(field, 6)))
-    calls = []  # one bool per call: whether both operands are matrices
-    mul = Matrix.__mul__
+    calls, families = [], []  # one bool per product: whether both operands are matrices; one entry per family read
+    mul, idempotents = Matrix.__mul__, LeonardSystem.idempotents
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
-    bounds = {"verify": 10, "dualize": 48, "bases": 8, "matrix-of-t": 15}
-    vector_bounds = {"verify": 0, "dualize": 41, "bases": 41, "matrix-of-t": 0}
+    monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
+        self, star))
+    bounds = {"verify": 10, "dualize": 42, "bases": 8, "matrix-of-t": 15}
+    vector_bounds = {"verify": 0, "dualize": 45, "bases": 7, "matrix-of-t": 0}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
         assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         assert sum(calls) <= bound, verb
-        assert calls.count(False) <= vector_bounds.get(verb, len(calls)), verb
+        assert calls.count(False) <= vector_bounds[verb], verb
+        assert families == [], verb
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
+def test_no_verb_forms_a_dense_idempotent(field, tmp_path, monkeypatch):
+    """A system built from an array stores the eigenbases of its split form, and every reader reads E_i = w_i u_i^T
+    and E*_i = w*_i u*_i^T off them.  On q-Racah arrays at d = 5, whose eigenbases have mixed denominators over Q,
+    self-dual and not (where `dualize` exits 1 after its report), no verb reads `LeonardSystem.idempotents`, which
+    forms a dense family on first read."""
+    n = field.from_int
+    families, idempotents = [], LeonardSystem.idempotents
+    monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
+        self, star))
+    for theta_star012 in ((1, 3, 4), (1, 2, 7)):
+        pa = leonard_array(field, 5, (n(1), n(2), n(7)), tuple(map(n, theta_star012)), n(13) / n(6), n(5) / n(2))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(pa.to_json()))
+        for verb in ("verify", "dualize", "bases", *(f"matrix-of-t --basis {b}" for b in du.FOUR_BASES)):
+            rc = main([*verb.split(), "--input", str(path), "--output", str(tmp_path / "out.json")])
+            assert rc == int(theta_star012 == (1, 3, 4) and verb not in ("verify", "bases")), verb
+            assert families == [], (theta_star012, verb)
 
 
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])

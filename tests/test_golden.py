@@ -19,11 +19,12 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import FROZEN_ARRAYS, leonard_array
-from reference import FIELDS, agrees_on, not_leonard_arrays
+from reference import FIELDS, agrees_on, bidiagonal_idempotents, not_leonard_arrays
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
 from leonard.fields import Field
+from leonard.linalg import trace_of_product
 
 GFP = {"kind": "prime", "p": 2147483647}
 
@@ -280,6 +281,27 @@ GOLDEN_ARRAYS = {**ARRAYS, "q_d0": Q_D0, "gf7_d0": GF7_D0, "q0_not_leonard": Q_N
 def test_golden_arrays_match_the_reference(name):
     """The differential test (`reference.assert_agrees`) on each array."""
     agrees_on(systems.ParameterArray.from_json(GOLDEN_ARRAYS[name]))
+
+
+@pytest.mark.parametrize("array", [Q_D20, GFP_D20], ids=["q_d20", "gfp_d20"])
+def test_d20_idempotents_traces_and_projections_match_the_dense_closed_form(array):
+    """At d = 20, which the differential test does not reach: the idempotents that a system built from an array
+    forms on demand from its stored eigenbasis are the dense closed form (`reference.bidiagonal_idempotents`),
+    `trace_products` reads the dense traces for every r, and the sequences E_i v and E*_i v on the anchors that
+    `anchor_projections` reads are the dense products, the check passing.  E and E* are read last, as reading them
+    forms them."""
+    pa = systems.ParameterArray.from_json(array)
+    s, f, d = systems.certify(pa), pa.field, pa.d
+    E, Es = bidiagonal_idempotents(f, pa.theta), bidiagonal_idempotents(f, pa.theta_star, pa.varphi)
+    for r in range(d + 1):
+        assert systems.trace_products(s, r) == tuple(trace_of_product(X, Y) for X, Y in (
+            (E[r], Es[0]), (E[r], Es[d]), (Es[r], E[0]), (Es[r], E[d]))), r
+    anchors = du.choose_anchor_vectors(s)
+    for basis_id, mats, v in (("e-vstar0", E, anchors.v0s), ("e-vstard", E, anchors.vds),
+                              ("estar-v0", Es, anchors.v0), ("estar-vd", Es, anchors.vd)):
+        assert du.build_basis(s, anchors, basis_id) == tuple(X * v for X in mats), basis_id
+    assert du.verify_anchor_relations(s, anchors)["anchor_projections"].passed
+    assert (s.E, s.Estar) == (tuple(E), tuple(Es))
 
 
 def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():

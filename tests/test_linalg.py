@@ -15,7 +15,7 @@ from leonard.linalg import (
     _reduce_ints,
     _to_ints,
     bidiagonal,
-    bidiagonal_idempotents,
+    bidiagonal_eigenbasis,
     eval_root_product,
     intersect_column_spaces,
     is_irreducible_tridiagonal,
@@ -29,7 +29,7 @@ from leonard.linalg import (
     unpivoted_column_reduction,
 )
 
-from reference import flat_rank
+from reference import bidiagonal_idempotents, flat_rank
 
 Q = Field.rational()
 G7 = Field.prime(7)
@@ -135,7 +135,7 @@ def test_lagrange_duplicate_eigenvalue():
     with pytest.raises(DuplicateEigenvalue):
         lagrange_idempotent(mat([[1, 0], [0, 1]]), [F(1), F(1)], 0)
     with pytest.raises(DuplicateEigenvalue):
-        bidiagonal_idempotents(Q, [F(1), F(2), F(1)])
+        bidiagonal_eigenbasis(Q, [F(1), F(2), F(1)])
 
 
 def _scalars(field, n, nonzero=False, unique=False):
@@ -176,17 +176,20 @@ def _bidiagonal_idempotents_by_elements(field, diag, upper=None) -> list:
 @settings(max_examples=200, deadline=None)
 @given(_bidiagonal_case())
 def test_bidiagonal_idempotents_match_lagrange(case):
-    """Random diagonals and off-diagonals with mixed denominators over Q, and residues over GF(7) and GF(2^31-1);
-    the eigenbasis that comes with the idempotents is the one `rank_one_factors` reads off them."""
+    """Random diagonals and off-diagonals with mixed denominators over Q, and residues over GF(7) and GF(2^31-1):
+    the idempotents w_i u_i^T of `bidiagonal_eigenbasis` are the Lagrange projectors and the dense closed form
+    (`reference.bidiagonal_idempotents`), and the eigenbasis is the one `rank_one_factors` reads off them."""
     field, diag, upper = case
     M = bidiagonal(field, diag, upper)
     ones = [field.one()] * (len(diag) - 1)
     assert M == _split_pair_oracle(field, diag, diag, ones if upper is None else upper)[upper is not None]
     expected = [lagrange_idempotent(M, diag, i) for i in range(len(diag))]
-    got, factors = bidiagonal_idempotents(field, diag, upper)
-    assert got == expected == _bidiagonal_idempotents_by_elements(field, diag, upper)
-    assert factors == rank_one_factors(got)
-    for X in (M, *got, *factors):
+    W, U = bidiagonal_eigenbasis(field, diag, upper)
+    got = [outer(W.column(i), U.row(i)) for i in range(len(diag))]
+    assert got == expected == bidiagonal_idempotents(field, diag, upper)
+    assert got == _bidiagonal_idempotents_by_elements(field, diag, upper)
+    assert (W, U) == rank_one_factors(got)
+    for X in (M, *got, W, U):
         _assert_canonical_form(X)
 
 

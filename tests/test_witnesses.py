@@ -32,8 +32,9 @@ from conftest import FROZEN_ARRAYS, GRAM_CHECKS, SUITE_CHECKS
 SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]  # Krawtchouk, d = 3
 
 
-def _setup(array):
-    s = certify(ParameterArray.from_json(array))
+def _setup(array, form="split"):
+    """The certified system of array in form (`reference.FORMS`), its anchors and its bundle."""
+    s = reference.FORMS[form](certify(ParameterArray.from_json(array)))
     anchors = du.choose_anchor_vectors(s)
     return s, anchors, du.build_duality_bundle(s, anchors)
 
@@ -64,13 +65,20 @@ def non_self_dual_t():
     return _t_suites(*_setup(NON_SELF_DUAL))
 
 
-def doubled_t_star():
+def doubled_t_star(form="split"):
     """The memoised covectors u*_d^T tau_i(A) from which T* is summed, each doubled: T* becomes 2 T*."""
-    s, anchors, bundle = _setup(SELF_DUAL)
+    s, anchors, bundle = _setup(SELF_DUAL, form)
     _, _, u = du._through(s, (False, 0), (True, s.d))
     family = s.root_family("tau", False, u, covector=True)
     s._memo[("root_family", "tau", False, u, True)] = tuple(v.scale(s.field.from_int(2)) for v in family)
     return _t_suites(s, anchors, bundle)
+
+
+def conjugated_doubled_t_star():
+    """`doubled_t_star` on SELF_DUAL conjugated to a dense basis (`reference.FORMS`).  In split form the E_0 dagger
+    checks read k_0 = (U w*_0)_0 = 1; here k_0 != 1, so these pins fail if either check drops it: product_E0_Tdagger,
+    which reads T alone, passes, and product_E0_Tstardagger fails."""
+    return doubled_t_star("dense")
 
 
 def _moved_anchors(move):
@@ -375,14 +383,16 @@ def test_every_emitted_check_is_decided_by_the_reference_or_runs_the_same_code()
 
 
 # mutation -> the emitted checks outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every identity
-# of T but those of A's own shape (A^dagger = A) and of T* alone; 2 T* breaks those of T*; mixed anchors break the
-# product of the four mixed inner products, in which scaling one anchor cancels
+# of T but those of A's own shape (A^dagger = A) and of T* alone; 2 T* breaks those of T*, in split form and in a
+# dense basis; mixed anchors break the product of the four mixed inner products, in which scaling one anchor cancels
+DOUBLED_T_STAR = {"T_star_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger", "product_Tstar_E0",
+                  "product_E0_Tstardagger", "product_Tstar_E0star", "product_E0star_Tstardagger"}
 VERDICT_PINS = {
     wrong_t: {"T_polynomial_form", "T_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger",
               "T_squared_equals_lambda_identity", "A_T_equals_T_Astar", "Astar_T_equals_T_A", "product_T_E0star",
               "product_E0star_Tdagger", "product_T_E0", "product_E0_Tdagger", "T_squared_expansion"},
-    doubled_t_star: {"T_star_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_star_dagger", "product_Tstar_E0",
-                     "product_E0_Tstardagger", "product_Tstar_E0star", "product_E0star_Tstardagger"},
+    doubled_t_star: DOUBLED_T_STAR,
+    conjugated_doubled_t_star: DOUBLED_T_STAR,
     mixed_anchors: {"anchor_ratio_product"},
 }
 
@@ -623,7 +633,8 @@ def _set(M: Matrix, i: int, j: int, x) -> Matrix:
 
 def _mixed_eigenbasis(star):
     """(W K, K^-1 U) for the eigenbasis (W, U) of E (resp. E*) and K = I + e_0 e_1^T: still U W = I, but column 1
-    is w_0 + w_1, no eigenvector, and E_1 != w_1 u_1^T."""
+    is w_0 + w_1, no eigenvector.  A split-form system stores its eigenbasis, so its family is now the one formed
+    from these factors: E_0 = w_0 (u_0 - u_1)^T and E_1 = (w_0 + w_1) u_1^T."""
     def mutate(s):
         (W, U), K = s.eigenbasis(star), _raised(Matrix.identity(s.field, s.d + 1), 0, 1)
         s._memo[("eigenbasis", star)] = (W * K, K.inverse() * U)
@@ -637,6 +648,10 @@ def _reducible_b(s):
 
 
 B_ERROR = "U A* W is not irreducible tridiagonal"
+# tr(E_0 E*_0) = (u_0 . w*_0)(u*_0 . w_0) read off mixed factors: u_0 - u_1 in place of u_0 (u*_0 - u*_1 in place
+# of u*_0), and (U W*)_10 != 0, so the trace closed forms and the sandwiches fail (NU_WITNESS in the array's field)
+MIXED_TRACES = {"nu_sandwich_E0": None, "nu_sandwich_E0star": None, "trace_products_closed_form": {"r": 0},
+                "nu_closed_forms_match_traces": NU_WITNESS}
 # a premise's memo entry, mutated -> {check of `verify`: its witness}; the pinned checks are the only ones that fail
 PREMISE_PINS = {
     "B-reducible": (_reducible_b, {
@@ -648,13 +663,13 @@ PREMISE_PINS = {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None, "idempotents_E_spectral": None,
         **dict.fromkeys((*F_M_CHECKS[False], *GRAM_CHECKS), {"error": "idempotents_E_spectral fails"}),
         **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"),
-                        {"error": "split component is not one-dimensional"})}),
+                        {"error": "split component is not one-dimensional"}), **MIXED_TRACES}),
     # E* is orthogonal but not spectral on its factors: the premise of the F[M] checks on A* and of the dagger check
     "Wstar-mixed": (_mixed_eigenbasis(True), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None, "idempotents_Estar_spectral": None,
         **dict.fromkeys((*F_M_CHECKS[True], "dagger_fixes_idempotents"), {"error": "idempotents_Estar_spectral fails"}),
         "split_projectors_match_intersection": None, "split_projectors_resolution": None,
-        "split_pairing_delta": {"i": 0, "j": 1}}),
+        "split_pairing_delta": {"i": 0, "j": 1}, **MIXED_TRACES}),
 }
 
 
@@ -667,8 +682,9 @@ def test_decided_checks_fail_under_a_wrong_premise_entry(array, mutation):
     s = systems.build_system(ParameterArray.from_json(array))
     mutate(s)
     checks = _checks(systems.standard_identity_suite(s))
+    nu = {"scalars": dict.fromkeys(NU_WITNESS["scalars"], s.field.encode_scalar(s.field.from_int(8)))}
     assert {name: (passed, witness) for name, (passed, witness) in checks.items() if not passed} == {
-        name: (False, witness) for name, witness in pins.items()}
+        name: (False, nu if witness is NU_WITNESS else witness) for name, witness in pins.items()}
 
 
 def test_every_decided_check_fails_under_a_premise_mutation():
