@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import truediv
+from operator import mul, truediv
 
 from .errors import (
     DegenerateSplit,
@@ -207,15 +207,36 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
     return DualityBundle(t, lam, alpha, beta, alpha_star, beta_star)
 
 
+def _t_diagonals(sys: LeonardSystem, t: Matrix):
+    """(c, c*), the diagonals of C = W*^-1 T W and C* = W^-1 T W* (`change_of_basis`), when U W = I = U* W* and both
+    are diagonal with no zero on the diagonal: then T W = W* diag(c) and T W* = W diag(c*).  Else None."""
+    if _orthogonality_witness(sys) or _orthogonality_witness(sys, star=True):
+        return None
+    Cs = [change_of_basis(sys, not star, t, star) for star in (False, True)]
+    if any(not a if i == j else a for C in Cs for i, row in enumerate(C.nums) for j, a in enumerate(row)):
+        return None
+    return [[sys.field.fraction(row[i], C.den) for i, row in enumerate(C.nums)] for C in Cs]
+
+
 def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> VerificationReport:
     """Every stated identity for T; the self-dual-only ones fail honestly when theta differs from theta* (that failure
     is the negative control).  The eight that read T^dagger or T*^dagger read the weights of `solve_gram`, and when a
-    premise of it fails, each fails with that premise as witness, as in `verify`."""
+    premise of it fails, each fails with that premise as witness, as in `verify`.
+
+    Once U W = I = U* W* and T maps each E_iV onto E*_iV and back, T W = W* diag(c) and T W* = W diag(c*) for the
+    diagonals (c, c*) of W*^-1 T W and W^-1 T W* (`_t_diagonals`), and the identities of T are read off them:
+    T^2 = W diag(c c*) U, so T^2 = lambda I exactly when every c_i c*_i = lambda, and the displayed T^2 expansion is
+    compared with mu I when every c_i c*_i = mu; U T W = K diag(c) for K = U W*; T E*_0 = c1 E_0 E*_0 reads
+    c*_0 = c1 K_00, and T E_0 = c E*_0 E_0 reads c_0 = c K*_00 for K* = U* W.  Once T = T* holds, T* is read as T:
+    U T* W is U T W, and its two product formulas are those of T.  When a premise fails, T^2, U T W, U T* W, T w and
+    T* w are formed densely."""
     report = VerificationReport()
     f, d = sys.field, sys.d
     pa = sys.parameter_array
     t = bundle.t
     t_star = duality_operator(sys, star=True)
+    same = t == t_star
+    diag = _t_diagonals(sys, t)
     vp_head, _, ph_head, ph_tail = pa.split_products
     vp, ph = vp_head[d], ph_head[d]
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
@@ -228,7 +249,8 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     def by_weights():
         m, (W, U), hat = _gram_weights(sys), sys.eigenbasis(), _in_eigenbasis(sys)
         (K, Ks), DT = hat.eigenbasis(star=True), lambda X: X.transpose().scale_columns(m)  # X^T D, the transpose of D X
-        k, r, x, xs = K.column(0), Ks.row(0), DT(U * t * W), DT(U * t_star * W)
+        k, r, x = K.column(0), Ks.row(0), DT(K.scale_columns(diag[0]) if diag else U * t * W)
+        xs = x if same else DT(U * t_star * W)
         on_e0 = lambda XD, c: XD.row(0) == r.scale(c * k[0] * m[0])
         on_es0 = lambda XD, c: XD.transpose() * Vector(f, map(truediv, r, m)) == hat.eigencolumn(0).scale(c * r[0])
         return [(ok, None) for ok in (
@@ -242,11 +264,12 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("T_polynomial_form", t == duality_operator_polynomial_form(sys))
     add_dagger("T_dagger_displayed_sum")
     add_dagger("T_star_dagger_displayed_sum")
-    report.add("T_equals_T_star", t == t_star)
+    report.add("T_equals_T_star", same)
     add_dagger("T_equals_T_dagger")
     add_dagger("T_equals_T_star_dagger")
 
-    t_squared = t * t
+    squares = set(map(mul, *diag)) if diag else ()
+    t_squared = Matrix.identity(f, d + 1).scale(*squares) if len(squares) == 1 else t * t
     report.add("T_squared_equals_lambda_identity", t_squared == Matrix.identity(f, d + 1).scale(bundle.lam))
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
@@ -263,17 +286,21 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
 
     # the eight product formulas with their displayed coefficients.  X E*_0 = c E_0 E*_0 (X E_0 = c E*_0 E_0 with
     # star false): with E*_0 = w u^T and E_0 = w' u'^T, which factor as T* is built, both sides are a column times
-    # u^T != 0, X w and c (u' . w) w', so it reads X w == c (u' . w) w'
-    def product(x, star, c):
+    # u^T != 0, X w and c (u' . w) w', so it reads X w == c (u' . w) w', or c_0 == c (u' . w) (c*_0 starred) once
+    # X w = c_0 w' is read off the diagonals
+    def product(of_star, star, c):
         w, (Wo, Uo) = sys.eigencolumn(0, star), sys.eigenbasis(not star)
-        return x * w == Wo.column(0).scale(c * Uo.row(0).dot(w))
+        c = c * Uo.row(0).dot(w)
+        if diag and (same or not of_star):
+            return diag[star][0] == c
+        return (t_star if of_star else t) * w == Wo.column(0).scale(c)
 
-    report.add("product_T_E0star", product(t, True, c1))
-    report.add("product_Tstar_E0", product(t_star, False, c2))
+    report.add("product_T_E0star", product(False, True, c1))
+    report.add("product_Tstar_E0", product(True, False, c2))
     add_dagger("product_E0star_Tdagger")
     add_dagger("product_E0_Tstardagger")
-    report.add("product_T_E0", product(t, False, vp / tau_d))
-    report.add("product_Tstar_E0star", product(t_star, True, vp / taus_d))
+    report.add("product_T_E0", product(False, False, vp / tau_d))
+    report.add("product_Tstar_E0star", product(True, True, vp / taus_d))
     add_dagger("product_E0_Tdagger")
     add_dagger("product_E0star_Tstardagger")
 
@@ -398,7 +425,12 @@ def _decompositions(sys: LeonardSystem, pairs) -> tuple:
 def verify_geometry_suite(
     sys: LeonardSystem, bundle: DualityBundle | None = None
 ) -> VerificationReport:
-    """Flag/decomposition structure plus, when a bundle is given, T's action."""
+    """Flag/decomposition structure plus, when a bundle is given, T's action.
+
+    T_on_flags holds once T_maps_eigenspaces and flag_component_dimensions hold, and T_on_decompositions once
+    T_on_flags, decomposition_inversion_pairs and decompositions_induce_flags hold: T, invertible, then maps
+    component i of [zw], [z]_i ∩ [w]_{d-i}, onto component i of [T(z) T(w)].  When a premise fails, each flag
+    component is read off W*^-1 T W or W^-1 T W*, and T x is formed for each distinct decomposition vector."""
     report = VerificationReport()
     f, d = sys.field, sys.d
     flags = {z: build_flag(sys, z) for z in OMEGA}
@@ -448,14 +480,16 @@ def verify_geometry_suite(
     report.add_last_failure("T_maps_eigenspaces", (
         {"i": i, "side": side} for i in range(d + 1) for side, star in (("E", False), ("Estar", True))
         if not C[star].column(i).is_colinear(e.column(i))))
-    report.add_last_failure("T_on_flags", (
+    held = lambda *names: all(report[name].passed for name in names)
+    report.add_last_failure("T_on_flags", () if held("T_maps_eigenspaces", "flag_component_dimensions") else (
         {"flag": z, "i": i} for z, image in T_FLAG_IMAGE.items()
         for i, spans in enumerate(spans_components(C["*" in z].submatrix(_ORDER[image], _ORDER[z]))) if not spans))
     # T x once per distinct vector: [wz] is [zw] reversed, and every [zw] starts at the first vector of [z]
-    tx = {x: t * x for x in {x for dec in decomps.values() for x in dec.vectors}}
-    report.add_last_failure("T_on_decompositions", (
+    tx = functools.cache(t.__mul__)
+    report.add_last_failure("T_on_decompositions", () if held(
+        "T_on_flags", "decomposition_inversion_pairs", "decompositions_induce_flags") else (
         {"pair": f"[{z}{w}]", "i": i} for z, w in T_DECOMPOSITION_ORDER for i in range(d + 1)
-        if not tx[decomps[(z, w)].vectors[i]].is_colinear(decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
+        if not tx(decomps[(z, w)].vectors[i]).is_colinear(decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
     return report
 
 

@@ -63,8 +63,11 @@ VERBS = {"verify": SUITE_CHECKS, "dualize": DUALITY_CHECKS + GEOMETRY_CHECKS, "b
 # the checks of `dualize` that read T^dagger or T*^dagger, in report order
 DAGGER_CHECKS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equals_T_dagger", "T_equals_T_star_dagger",
                  "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger", "product_E0star_Tstardagger")
-DECIDED = {*SUITE_CHECKS, *DAGGER_CHECKS, "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", *GEOMETRY_CHECKS,
-           *BASES_CHECKS[3:6], *MATRIX_OF_T_CHECKS}
+# the checks of `dualize` on T^2 and on the product formulas of T and T*, in report order
+SQUARE_AND_PRODUCT_CHECKS = ("T_squared_equals_lambda_identity", "product_T_E0star", "product_Tstar_E0",
+                             "product_T_E0", "product_Tstar_E0star", "T_squared_expansion")
+DECIDED = {*SUITE_CHECKS, *DAGGER_CHECKS, *SQUARE_AND_PRODUCT_CHECKS, "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei",
+           *GEOMETRY_CHECKS, *BASES_CHECKS[3:6], *MATRIX_OF_T_CHECKS}
 SAME_CODE = set(chain(*VERBS.values())) - DECIDED
 
 
@@ -464,11 +467,11 @@ class Reference:
         return next(({"pair": f"[{z}{w}]", "error": f"the flags [{z}] and [{w}] of [{z}{w}] are not opposite"}
                      for z, w in reversed(list(pairs)) if self.decompositions[(z, w)] is None), None)
 
-    def dualize(self, t: Matrix | None) -> dict:
-        """name -> (passed, witness) of the decided checks of `dualize`, for T = t (None: the geometry suite alone),
-        in report order; the suite ends where a pair of flags is not opposite."""
+    def dualize(self, bundle: du.DualityBundle | None) -> dict:
+        """name -> (passed, witness) of the decided checks of `dualize`, for the T of bundle (None: the geometry suite
+        alone), in report order; the suite ends where a pair of flags is not opposite."""
         sys, f, d, n = self.sys, self.f, self.d, self.n
-        out = {}
+        out, t = {}, None if bundle is None else bundle.t
         if t is not None:
             checks = self.axioms
             failed = next((f"idempotents_{label}_orthogonal fails" for label in ("E", "Estar")
@@ -478,6 +481,7 @@ class Reference:
                 out |= _outcomes([name], [failed], lambda: [_first({"i": i} for i in range(n)
                                                                    if mats[i] * t != t * others[i])])
             out |= _outcomes(DAGGER_CHECKS, [self.gram_premise], lambda: self.daggers(t))
+            out |= dict(zip(SQUARE_AND_PRODUCT_CHECKS, self.squares_and_products(bundle), strict=True))
         flags, decomps = self.flags, self.decompositions
         out["flag_component_dimensions"] = _last({"flag": z, "i": i} for z, F in flags.items()
                                                  for i, comp in enumerate(components(F)) if comp.rank() != i + 1)
@@ -514,24 +518,45 @@ class Reference:
             if not (t * decomps[(z, w)][i]).is_colinear(decomps[(du.T_FLAG_IMAGE[z], du.T_FLAG_IMAGE[w])][i]))
         return out
 
+    @functools.cached_property
+    def displayed(self) -> tuple:
+        """(T* as a dense sum of the dense families, E_0 E*_0, E*_0 E_0, and the coefficients c1, c2, vp / tau_d and
+        vp / tau*_d of the product formulas, each gap its own product)."""
+        sys, f, d = self.sys, self.f, self.d
+        E, Es, pa = sys.E, sys.Estar, sys.pa or self.extracted[0]
+        tau_d, eta_d, taus_d, etas_d = (gap(f, th, r) for th in (pa.theta, pa.theta_star) for r in (d, 0))
+        vp = prod(pa.varphi, start=f.one())
+        return (dense_sum(self.family("eta", True)[::-1], E[0] * Es[d], self.family("tau", False)), E[0] * Es[0],
+                Es[0] * E[0], eta_d * vp / (tau_d * etas_d), etas_d * vp / (taus_d * eta_d), vp / tau_d, vp / taus_d)
+
     def daggers(self, t: Matrix) -> list:
         """(passed, None) of each of DAGGER_CHECKS for T = t, densely: X^dagger = G^-1 X^T G for (G, G^-1) by the null
         space, T* and the displayed sums as dense sums of the dense families, times the dense E_0 and E*_0."""
-        sys, f, d = self.sys, self.f, self.d
+        sys, d = self.sys, self.d
         (G, Ginv), E, Es = self.gram, sys.E, sys.Estar
-        pa = sys.pa or self.extracted[0]
-        t_star = dense_sum(self.family("eta", True)[::-1], E[0] * Es[d], self.family("tau", False))
+        t_star, E0_Es0, Es0_E0, c1, c2, c3, c4 = self.displayed
         t_dag, t_star_dag = (Ginv * X.transpose() * G for X in (t, t_star))
-        tau_d, eta_d, taus_d, etas_d = (gap(f, th, r) for th in (pa.theta, pa.theta_star) for r in (d, 0))
-        vp = prod(pa.varphi, start=f.one())
-        c1, c2 = eta_d * vp / (tau_d * etas_d), etas_d * vp / (taus_d * eta_d)
-        E0_Es0, Es0_E0 = E[0] * Es[0], Es[0] * E[0]
         shown = (dense_sum(self.family("tau", True), E[d] * Es[0], self.family("eta", False)[::-1]),
                  dense_sum(self.family("tau", False), Es[d] * E[0], self.family("eta", True)[::-1]))
         return [(ok, None) for ok in (
             t_dag == shown[0], t_star_dag == shown[1], t == t_dag, t == t_star_dag,
             Es[0] * t_dag == Es0_E0.scale(c1), E[0] * t_star_dag == E0_Es0.scale(c2),
-            E[0] * t_dag == E0_Es0.scale(vp / tau_d), Es[0] * t_star_dag == Es0_E0.scale(vp / taus_d))]
+            E[0] * t_dag == E0_Es0.scale(c3), Es[0] * t_star_dag == Es0_E0.scale(c4))]
+
+    def squares_and_products(self, bundle: du.DualityBundle) -> list:
+        """(passed, None) of each of SQUARE_AND_PRODUCT_CHECKS for the bundle, densely: T T against lambda I and
+        against the displayed expansion, a dense sum of the dense families, and T and T* times the dense E_0 and
+        E*_0."""
+        sys, f, d = self.sys, self.f, self.d
+        t, E, Es, pa = bundle.t, sys.E, sys.Estar, sys.pa or self.extracted[0]
+        t_star, E0_Es0, Es0_E0, c1, c2, c3, c4 = self.displayed
+        square, ph = t * t, prod(pa.phi, start=f.one())
+        expansion = dense_sum(self.family("eta", False), Es[0] * E[d], [R.scale(f.invert(prod(
+            pa.phi[d - j:], start=f.one()))) for j, R in enumerate(self.family("tau", True))])
+        return [(ok, None) for ok in (
+            square == Matrix.identity(f, self.n).scale(bundle.lam), t * Es[0] == E0_Es0.scale(c1),
+            t_star * E[0] == Es0_E0.scale(c2), t * E[0] == Es0_E0.scale(c3), t_star * Es[0] == E0_Es0.scale(c4),
+            square == expansion.scale(ph / nu_scalars(pa)[2]))]
 
     def bases(self, anchors) -> tuple:
         """({id: the basis by its own recurrence}, name -> (passed, witness) of the three checks of the basis family);
@@ -603,7 +628,7 @@ def assert_agrees(sys: LeonardSystem, verbs=tuple(VERBS), bundle: du.DualityBund
         bundle = du.build_duality_bundle(sys, anchors)
     t = None if bundle is None else bundle.t
     if "dualize" in verbs:
-        geometry = ref.dualize(t)
+        geometry = ref.dualize(bundle)
         out["dualize"] = report = check_list(*([du.verify_duality_suite(sys, bundle)] if t is not None else []),
                                           du.verify_geometry_suite(sys, bundle))
         names = (DUALITY_CHECKS if t is not None else ()) + tuple(name for name in GEOMETRY_CHECKS if name in geometry)

@@ -164,14 +164,17 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     daggers off the weights m of G in the eigenbasis (W, U) of A: U T W and U T* W, U W* and U* W, and the two
     displayed dagger sums in those coordinates, one product each, and D X^ (r/m) for the two checks on E*_0.  A
     system built from an array stores its eigenbases, and no verb forms a dense E_i or E*_i: `LeonardSystem.idempotents`
-    is never read.  The four other product formulas read X E_0 = c E*_0 E_0 as X w_0 = c (u*_0 . w_0) w*_0, one
-    product of a matrix and a vector each, and each E_i v of the bases e-* and estar-* is (U v)_i w_i on the memoised
-    U v (U* v), which the anchor projections read too.  At d = 6 that is 10/42/8/15 products of two matrices for
-    verify/dualize/bases/matrix-of-t, and 0/45/7/0 products of a matrix and a vector: in `dualize` T x once for each
-    of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first
-    vector of [z]), 4 anchors, the pivot, the two D X^ (r/m) and the four X w; in `bases` U x of the 4 anchors, the
-    pivot and U* v0 and U* vd.  While the build formed every E_i and E*_i densely, each product formula read E_0 E*_0
-    or E*_0 E_0 and each E_i v was a product, the counts were 10/48/8/15 and 0/41/41/0.  While the daggers were
+    is never read.  Once T maps the eigenspaces, `dualize` reads T in its eigen-coordinates (`duality._t_diagonals`):
+    T^2 off the diagonals of W*^-1 T W and W^-1 T W*, U T W as (U W*) diag(c) and U T* W as U T W once T = T*, the
+    four other product formulas as scalars, T_on_flags and T_on_decompositions from their premises; so it forms
+    neither T T nor (U T) W, pinned here.  Each E_i v of the bases e-* and estar-* is (U v)_i w_i on the memoised
+    U v (U* v), which the anchor projections read too.  At d = 6 that is 10/37/8/15 products of two matrices for
+    verify/dualize/bases/matrix-of-t, and 0/7/7/0 products of a matrix and a vector: in `dualize` 4 anchors, the
+    pivot and the two D X^ (r/m); in `bases` U x of the 4 anchors, the pivot and U* v0 and U* vd.  While `dualize`
+    formed T T, U T W and U T* W, read each of the four other product formulas as X w_0 = c (u*_0 . w_0) w*_0 and
+    formed T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every
+    [zw] starts at the first vector of [z]), it formed 42 and 45.  While the build formed every E_i and E*_i
+    densely, each product formula read E_0 E*_0 or E*_0 E_0 and each E_i v was a product, the counts were 10/48/8/15 and 0/41/41/0.  While the daggers were
     G^-1 X^T G, with G and G^-1 formed, `dualize` formed 52 and 39.  While each spectral check
     formed M w_i, d+1 products of a matrix and a vector, and the round trip solved A* P = P X, the products of two
     matrices were as many and those of a matrix and a vector 14/53/55/14.  While an inner product was u . (G v), the
@@ -184,22 +187,27 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     matrices and 148 of a matrix and a vector while T was formed on the eigenbases, the flags and each
     decomposition vector by each sweep; verify formed 28 while it tested the Gram block with products by G and
     G^-1."""
+    doc = _krawtchouk_json(field, 6)
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(_krawtchouk_json(field, 6)))
-    calls, families = [], []  # one bool per product: whether both operands are matrices; one entry per family read
+    path.write_text(json.dumps(doc))
+    s = certify(ParameterArray.from_json(doc))
+    (W, U), t = s.eigenbasis(), du.duality_operator(s)
+    dense = ((t, t), (U * t, W))  # T T, and U T W, which is U T* W as T = T*: `dualize` forms neither
+    calls, families = [], []  # the operands of each product; one entry per family read
     mul, idempotents = Matrix.__mul__, LeonardSystem.idempotents
-    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append(type(other) is Matrix) or mul(self, other))
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append((self, other)) or mul(self, other))
     monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
         self, star))
-    bounds = {"verify": 10, "dualize": 42, "bases": 8, "matrix-of-t": 15}
-    vector_bounds = {"verify": 0, "dualize": 45, "bases": 7, "matrix-of-t": 0}
+    bounds = {"verify": 10, "dualize": 37, "bases": 8, "matrix-of-t": 15}
+    vector_bounds = {"verify": 0, "dualize": 7, "bases": 7, "matrix-of-t": 0}
     for verb, bound in bounds.items():
         calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
         assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-        assert sum(calls) <= bound, verb
-        assert calls.count(False) <= vector_bounds[verb], verb
+        assert sum(type(other) is Matrix for _, other in calls) <= bound, verb
+        assert sum(type(other) is Vector for _, other in calls) <= vector_bounds[verb], verb
         assert families == [], verb
+        assert not [pair for pair in calls if pair in dense], verb
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])

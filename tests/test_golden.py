@@ -304,6 +304,38 @@ def test_d20_idempotents_traces_and_projections_match_the_dense_closed_form(arra
     assert (s.E, s.Estar) == (tuple(E), tuple(Es))
 
 
+@pytest.mark.parametrize("array", [Q_D20, GFP_D20, krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1", s_star=-4),
+                                   krawtchouk(GFP, 20, gfp, s_star=-4)], ids=["q_d20", "gfp_d20", "q_d20_nsd", "gfp_d20_nsd"])
+def test_d20_t_identities_match_their_dense_forms(array, monkeypatch):
+    """At d = 20, which the differential test does not reach: on the self-dual arrays `dualize` reads T^2, U T W,
+    U T* W, the product formulas, T_on_flags and T_on_decompositions off the diagonals of W*^-1 T W and W^-1 T W*
+    (`duality._t_diagonals`), and on those with theta* != theta it leaves them to their dense routes.  Either way
+    each has the verdict and witness of its dense form: the duality suite with the diagonals withheld, which forms
+    T T, U T W, U T* W and each X w; T_on_flags read off each component of W*^-1 T W and W^-1 T W*; and
+    T_on_decompositions as T x against the vectors of [T(z) T(w)]."""
+    pa = systems.ParameterArray.from_json(array)
+    s = systems.certify(pa)
+    bundle = du.build_duality_bundle(s)
+    t, d = bundle.t, pa.d
+    assert (du._t_diagonals(s, t) is not None) == du.is_self_dual(pa)
+    checks = lambda *reports: {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
+    got = checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
+    assert all(passed for passed, _ in got.values()) == du.is_self_dual(pa)
+    with monkeypatch.context() as patched:
+        patched.setattr(du, "_t_diagonals", lambda sys, t: None)
+        assert checks(du.verify_duality_suite(s, bundle)).items() <= got.items()
+    C = {star: systems.change_of_basis(s, not star, t, star) for star in (False, True)}
+    flags = [{"flag": z, "i": i} for z, image in du.T_FLAG_IMAGE.items() for i, spans in enumerate(
+        du.spans_components(C["*" in z].submatrix(du._ORDER[image], du._ORDER[z]))) if not spans]
+    assert got["T_on_flags"] == (not flags, flags[-1] if flags else None)
+    decomps = {pair: du.build_decomposition(s, *pair).vectors for pair in du.DECOMPOSITION_PAIRS}
+    tx = {x: t * x for x in {x for vectors in decomps.values() for x in vectors}}
+    image = du.T_FLAG_IMAGE
+    moved = [{"pair": f"[{z}{w}]", "i": i} for z, w in du.T_DECOMPOSITION_ORDER for i in range(d + 1)
+             if not tx[decomps[(z, w)][i]].is_colinear(decomps[(image[z], image[w])][i])]
+    assert got["T_on_decompositions"] == (not moved, moved[-1] if moved else None)
+
+
 def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
     """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays,
     theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""

@@ -62,6 +62,20 @@ def test_wrong_t_matches_reference(array):
     assert not any(got[name][0] for name in FOUR)
 
 
+@pytest.mark.parametrize("k", [2, -1])
+def test_scaled_t_matches_reference(k):
+    """T replaced by k T on the d = 4 self-dual system: k T still maps each E_iV onto E*_iV and back, so the checks
+    read off the diagonals of W*^-1 T W and W^-1 T W* (`duality._t_diagonals`) decide, and agree with the dense
+    reference.  (k T)^2 = k^2 lambda I, so T^2 = lambda I fails at k = 2 and holds at k = -1; k T != T* either way."""
+    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
+    bundle = du.build_duality_bundle(s)
+    t = bundle.t.scale(s.field.from_int(k))
+    assert du._t_diagonals(s, t) is not None
+    got = assert_agrees(s, ("dualize",), dataclasses.replace(bundle, t=t))["dualize"]
+    assert [got[name][0] for name in ("T_squared_equals_lambda_identity", "T_equals_T_star")] == [k * k == 1, False]
+    assert all(got[name][0] for name in FOUR)
+
+
 @pytest.mark.parametrize("j, k", [(j, k) for j in range(4) for k in range(4) if j != k])
 def test_one_off_diagonal_coordinate_matches_reference(j, k):
     """T = W (I + e_j e_k^T) W*^-1 on the d = 3 self-dual system: W^-1 T W* has one entry off the diagonal, at
@@ -87,15 +101,30 @@ def test_estar_not_orthogonal_fails_both_commutation_sweeps(field):
         FOUR[:2], (False, {"error": "idempotents_Estar_orthogonal fails"}))
 
 
-def test_each_decomposition_vector_is_mapped_once(monkeypatch):
-    """T_on_decompositions forms T x once per distinct vector: 6(d-1) + 4 at d >= 1, as [wz] holds the vectors of
-    [zw] reversed and the three decompositions [zw] share their first vector, that of [z]."""
-    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))  # d = 4
+def _mapped_vectors(monkeypatch, s_star: int) -> tuple:
+    """(passed, the vectors x of each T x) of T_maps_eigenspaces, T_on_flags and T_on_decompositions on the
+    Krawtchouk-type array at d = 4 with theta_i = 4 - 2i and theta*_i = 4 + s_star i."""
+    s = certify(krawtchouk_type(Q, 4, 4, -2, 4, s_star, 1))
     bundle = du.build_duality_bundle(s)
     du.verify_geometry_suite(s)  # flags and decompositions, before T is read
     vectors = []
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: (self is bundle.t and type(other) is Vector
                                                                 and vectors.append(other)) or mul(self, other))
-    assert du.verify_geometry_suite(s, bundle).all_pass
-    assert len(vectors) == len(set(vectors)) == 6 * (s.d - 1) + 4
+    report = du.verify_geometry_suite(s, bundle)
+    return [report[name].passed for name in FOUR[2:]], vectors
+
+
+def test_each_decomposition_vector_is_mapped_once(monkeypatch):
+    """Where T does not map the eigenspaces, as on an array with theta* != theta, T_on_decompositions forms T x once
+    per distinct vector: 6(d-1) + 4 at d >= 1, as [wz] holds the vectors of [zw] reversed and the three
+    decompositions [zw] share their first vector, that of [z]."""
+    passed, vectors = _mapped_vectors(monkeypatch, -4)
+    assert passed == [False] * 3
+    assert len(vectors) == len(set(vectors)) == 6 * (4 - 1) + 4
+
+
+def test_no_decomposition_vector_is_mapped_on_a_self_dual_array(monkeypatch):
+    """On a self-dual array T maps the eigenspaces, so T_on_flags and then T_on_decompositions follow from their
+    premises (`duality.verify_geometry_suite`), and no T x is formed."""
+    assert _mapped_vectors(monkeypatch, -2) == ([True] * 3, [])

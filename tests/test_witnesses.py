@@ -22,7 +22,7 @@ import pytest
 from leonard import cli
 from leonard import duality as du
 from leonard import systems
-from leonard.linalg import Matrix
+from leonard.linalg import Matrix, Vector
 from leonard.report import VerificationReport
 from leonard.systems import LeonardSystem, ParameterArray, certify, d4_apply
 
@@ -380,6 +380,81 @@ def test_every_emitted_check_is_decided_by_the_reference_or_runs_the_same_code()
     assert set().union(*EMITTED_CHECKS.values()) == reference.DECIDED | reference.SAME_CODE
     assert not reference.DECIDED & reference.SAME_CODE
     assert set(FROM_PREMISES) | set(BY_CERTIFICATE) <= reference.DECIDED
+
+
+# Checks of `dualize` decided from premises -> those premises.  Once U W = I = U* W* and T maps each E_iV onto E*_iV
+# and back (T_DIAGONALS), `duality._t_diagonals` returns the diagonals (c, c*) of W*^-1 T W and W^-1 T W*: T^2 and
+# the product formulas of T are read off them, and U T W is K diag(c), which the dagger checks on T read.  Once
+# T_equals_T_star holds too, T* is read as T: the product formulas of T* and U T* W, which the dagger checks on T*
+# read.  T_on_flags holds once T maps the eigenspaces and every flag has d+1 independent vectors, and
+# T_on_decompositions once T maps the flags and the decompositions are their inversion pairs and induce them.  A
+# failed premise leaves each to its dense route: T T, U T W, U T* W, T x and T* w.  FROM_PREMISES leaves out the
+# sweep checks, and T_maps_eigenspaces comes after the T^2 checks in the merged report, so these are mapped apart;
+# the orthogonality axioms run in `certify`, before `dualize`.  `tests/reference.py` decides each densely.
+T_DIAGONALS = ("idempotents_E_orthogonal", "idempotents_Estar_orthogonal", "T_maps_eigenspaces")
+DUALIZE_FROM_PREMISES = {
+    **dict.fromkeys(("T_dagger_displayed_sum", "T_equals_T_dagger", "T_squared_equals_lambda_identity",
+                     "product_T_E0star", "product_E0star_Tdagger", "product_T_E0", "product_E0_Tdagger",
+                     "T_squared_expansion"), T_DIAGONALS),
+    **dict.fromkeys(("T_star_dagger_displayed_sum", "T_equals_T_star_dagger", "product_Tstar_E0",
+                     "product_E0_Tstardagger", "product_Tstar_E0star", "product_E0star_Tstardagger"),
+                    (*T_DIAGONALS, "T_equals_T_star")),
+    "T_on_flags": ("T_maps_eigenspaces", "flag_component_dimensions"),
+    "T_on_decompositions": ("T_on_flags", "decomposition_inversion_pairs", "decompositions_induce_flags"),
+}
+
+
+def test_every_decided_dualize_check_names_premises_that_dualize_or_certify_checks():
+    assert set(DUALIZE_FROM_PREMISES) <= set(DUALIZE_CHECKS) & reference.DECIDED
+    for name, premises in DUALIZE_FROM_PREMISES.items():
+        assert set(premises) <= {*DUALIZE_CHECKS, *AXIOM_CHECKS} - {name}, name
+
+
+def _negative_control():
+    s, _, bundle = _setup(NON_SELF_DUAL)
+    return s, bundle
+
+
+def _t_is_a():
+    s, _, bundle = _setup(SELF_DUAL)
+    return s, dataclasses.replace(bundle, t=s.A)
+
+
+def _estar_d_doubled():
+    s = reference.hand_built(reference.Q, 3)["Estar_d doubled"]
+    return s, du.DualityBundle(du.duality_operator(s), *[s.field.one()] * 5)
+
+
+# case -> (its system and bundle, the premise of T_DIAGONALS it fails, whether T x is formed for each vector of the
+# decompositions, as T_on_flags fails)
+FAILED_PREMISES = {
+    "negative-control": (_negative_control, "T_maps_eigenspaces", True),  # theta* != theta: T maps no eigenspace
+    "wrong-t": (_t_is_a, "T_maps_eigenspaces", True),  # T replaced by A, as in `wrong_t`
+    "Estar_d-doubled": (_estar_d_doubled, "idempotents_Estar_orthogonal", False),  # hand-built: U* W* != I
+}
+
+
+@pytest.mark.parametrize("case", FAILED_PREMISES)
+def test_a_failed_dualize_premise_takes_the_dense_route(case, monkeypatch):
+    """Where a premise of T_DIAGONALS fails, `dualize` forms T T, U T W, T w_0 and T w*_0 (and T x for each vector of
+    the decompositions where T does not map the flags), and each check of DUALIZE_FROM_PREMISES has the verdict and witness of the dense reference; so do all the others
+    (`reference.assert_agrees`)."""
+    build, premise, maps_vectors = FAILED_PREMISES[case]
+    s, bundle = build()
+    t, (W, U) = bundle.t, s.eigenbasis()
+    axioms = _checks(systems.verify_axioms(s))
+    suites = lambda: _checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
+    assert not {**axioms, **suites()}[premise][0]
+    assert du._t_diagonals(s, t) is None
+    ut, pairs, mul = U * t, [], Matrix.__mul__
+    with monkeypatch.context() as patched:
+        patched.setattr(Matrix, "__mul__", lambda self, other: pairs.append((self, other)) or mul(self, other))
+        checks = suites()
+    assert (t, t) in pairs and (ut, W) in pairs
+    vectors = 6 * (s.d - 1) + 4 if maps_vectors else 0  # those of the decompositions, as in tests/test_t_route.py
+    assert sum(x is t and isinstance(v, Vector) for x, v in pairs) == 2 + vectors  # and T w_0 and T w*_0
+    got = reference.assert_agrees(s, ("dualize",), bundle)["dualize"]
+    assert {name: checks[name] for name in DUALIZE_FROM_PREMISES} == {name: got[name] for name in DUALIZE_FROM_PREMISES}
 
 
 # mutation -> the emitted checks outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every identity
