@@ -26,6 +26,7 @@ from .linalg import (
     bidiagonal,
     flag_decomposition,
     rank_one_factors,
+    root_product_family,
 )
 from .report import VerificationReport
 from .systems import (
@@ -156,14 +157,26 @@ def duality_operator(sys: LeonardSystem, star: bool = False) -> Matrix:
 
 
 def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
-    """T as a polynomial in A and A*: the edge idempotents E*_0 E_d expanded into the
-    dense core eta*_d(A*) tau_d(A), which is factored as w u^T (`rank_one_factors`)."""
+    """T as a polynomial in A and A*: the edge idempotents E*_0 E_d expanded into the core eta*_d(A*) tau_d(A) = w u^T.
+    Once `certified` holds, tau_d(A) = tau_d(theta_d) E_d has rank one (Terwilliger, LAA 330 (2001), Thm 1.9), so for
+    q its first nonzero column, k the first nonzero entry of q and r^T row k, tau_d(A) = q r^T / q_k and the core is
+    (eta*_d(A*) q)(r^T / q_k): three vector families (`root_product_family`, not memoised, so T* shares none of them).
+    Else the dense core is formed and factored (`rank_one_factors`)."""
+    f, roots, d = sys.field, sys.theta[:-1], sys.d
     tau_d, _, _, etas_d = edge_values(sys.parameter_array)
-    found = rank_one_factors([sys.root_family("eta", True)[sys.d] * sys.root_family("tau")[sys.d]])
-    if found is None:
+    if certified(sys):
+        e = Matrix.identity(f, d + 1)
+        q = next(v for v in (root_product_family(sys.A, roots, e.column(j))[-1] for j in range(d + 1))
+                 if v.first_nonzero_index() is not None)
+        k = q.first_nonzero_index()
+        w = root_product_family(sys.Astar, sys.theta_star[:0:-1], q)[-1]
+        u = root_product_family(sys.A.transpose(), roots, e.column(k))[-1].scale(f.invert(q[k]))
+    elif found := rank_one_factors([sys.root_family("eta", True)[d] * sys.root_family("tau")[d]]):
+        w, u = found[0].column(0), found[1].row(0)
+    else:
         raise ValueError("the middle factor is not of rank one")
-    return _outer_sum(sys.field.invert(tau_d * etas_d), sys.root_family("eta", False, found[0].column(0))[::-1],
-                      sys.root_family("tau", True, found[1].row(0), covector=True))
+    return _outer_sum(f.invert(tau_d * etas_d), sys.root_family("eta", False, w)[::-1],
+                      sys.root_family("tau", True, u, covector=True))
 
 
 def _displayed_dagger(sys: LeonardSystem, star: bool = False) -> Matrix:
@@ -427,6 +440,9 @@ def verify_geometry_suite(
 ) -> VerificationReport:
     """Flag/decomposition structure plus, when a bundle is given, T's action.
 
+    decompositions_induce_flags holds once `certified` holds: each [zw] is then the normalized first family of its pair
+    (`_decomposition`), whose vector i lies in [z]_i ∩ [w]_{d-i}, and its vectors are a basis, so the first i+1 span
+    [z]_i and the last i+1 span [w]_i.  Else each (flag, vectors) case is read off F^-1 X (`spans_components`).
     T_on_flags holds once T_maps_eigenspaces and flag_component_dimensions hold, and T_on_decompositions once
     T_on_flags, decomposition_inversion_pairs and decompositions_induce_flags hold: T, invertible, then maps
     component i of [zw], [z]_i ∩ [w]_{d-i}, onto component i of [T(z) T(w)].  When a premise fails, each flag
@@ -451,8 +467,9 @@ def verify_geometry_suite(
         if decomps[(w, z)].vectors != dec.inversion_vectors()))
 
     # ([zw], z) reads the vectors of [zw] and ([wz], z) their reversal; once the inversion pairs hold these are one
-    # (flag, vectors) case, and each distinct case forms its F^-1 X once
-    cases = {(z, w): ((z, dec.vectors), (w, dec.inversion_vectors())) for (z, w), dec in decomps.items()}
+    # (flag, vectors) case, and each distinct case forms its F^-1 X once, unless the certificate holds
+    cases = {} if certified(sys) else {
+        (z, w): ((z, dec.vectors), (w, dec.inversion_vectors())) for (z, w), dec in decomps.items()}
     spans = {(u, vectors): spans_components(flags[u].inverse * Matrix.from_columns(f, vectors))
              for u, vectors in dict.fromkeys(case for pair in cases.values() for case in pair)}
     report.add_last_failure("decompositions_induce_flags", (
@@ -595,7 +612,12 @@ BASIS_MEMBERSHIP = {
 
 
 def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> VerificationReport:
-    """Invertibility, component membership and the inversion pairing of the 24 bases."""
+    """Invertibility, component membership and the inversion pairing of the 24 bases.
+
+    bases_span_decomposition_components holds once `certified` holds and each anchor is a multiple of the eigencolumn
+    it names (`_eigen_anchor`): each basis of BASIS_MEMBERSHIP is then a family on an eigencolumn, whose vector i
+    spans component i of its decomposition (Terwilliger, LAA 330 (2001), Thm 1.9).  Else the vectors of each basis are
+    compared with those of its decomposition."""
     report = VerificationReport()
     d = sys.d
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
@@ -604,10 +626,13 @@ def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> Verificat
         {"basis": basis_id} for basis_id in BASIS_IDS if not _is_basis(sys, anchors, basis_id)))
 
     # a pair of flags that is not opposite fails the check with that pair as witness, as in `verify_geometry_suite`
-    decomps, witness = _decompositions(sys, BASIS_MEMBERSHIP)
+    decided = certified(sys) and all(_anchor(sys, anchors, key).is_colinear(_eigen_anchor(sys, key))
+                                     for key in _ANCHOR_ATTR)
+    decomps, witness = ({}, None) if decided else _decompositions(sys, BASIS_MEMBERSHIP)
     report.add_last_failure("bases_span_decomposition_components", [witness] if witness else (
-        {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), ids in BASIS_MEMBERSHIP.items()
-        for basis_id in ids for i in range(d + 1) if not family[basis_id][i].is_colinear(decomps[(z, w)].vectors[i])))
+        {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), dec in decomps.items()
+        for basis_id in BASIS_MEMBERSHIP[(z, w)] for i in range(d + 1) if not family[basis_id][i].is_colinear(
+            dec.vectors[i])))
 
     partner = lambda gen, rev, anchor: f"{gen}-{anchor}" if rev else f"{gen}-rev-{anchor}"
     report.add_last_failure("bases_inversion_pairing", (

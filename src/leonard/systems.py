@@ -94,9 +94,16 @@ class ParameterArray:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterArray":
-        """The array of a JSON object; ValueError when a sequence is not a JSON array, not its characters or keys."""
+        """The array of a JSON object; ValueError naming the fault when obj is not an object, a key is missing or a
+        sequence is not a JSON array (not its characters or keys)."""
+        if not isinstance(obj, dict):
+            kind = "null" if obj is None else type(obj).__name__
+            raise ValueError(f"a parameter array must be a JSON object, not {kind}")
+        names = ("theta", "theta_star", "varphi", "phi")
+        if missing := [key for key in ("field", "d", *names) if key not in obj]:
+            raise ValueError(f"missing key {missing[0]!r}")
         field, d, seqs = Field.from_json(obj["field"]), obj["d"], {}
-        for name in ("theta", "theta_star", "varphi", "phi"):
+        for name in names:
             if not isinstance(seq := obj[name], list):
                 raise ValueError(f"{name} must be a JSON array")
             seqs[name] = tuple(map(field.decode_scalar, seq))

@@ -66,8 +66,8 @@ DAGGER_CHECKS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equ
 # the checks of `dualize` on T^2 and on the product formulas of T and T*, in report order
 SQUARE_AND_PRODUCT_CHECKS = ("T_squared_equals_lambda_identity", "product_T_E0star", "product_Tstar_E0",
                              "product_T_E0", "product_Tstar_E0star", "T_squared_expansion")
-DECIDED = {*SUITE_CHECKS, *DAGGER_CHECKS, *SQUARE_AND_PRODUCT_CHECKS, "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei",
-           *GEOMETRY_CHECKS, *BASES_CHECKS[3:6], *MATRIX_OF_T_CHECKS}
+DECIDED = {*SUITE_CHECKS, "T_polynomial_form", *DAGGER_CHECKS, *SQUARE_AND_PRODUCT_CHECKS, "Ei_T_equals_T_Estar_i",
+           "Estar_i_T_equals_T_Ei", *GEOMETRY_CHECKS, *BASES_CHECKS[3:6], *MATRIX_OF_T_CHECKS}
 SAME_CODE = set(chain(*VERBS.values())) - DECIDED
 
 
@@ -473,6 +473,11 @@ class Reference:
         sys, f, d, n = self.sys, self.f, self.d, self.n
         out, t = {}, None if bundle is None else bundle.t
         if t is not None:
+            pa = sys.pa or self.extracted[0]
+            core = self.family("eta", True)[d] * self.family("tau", False)[d]  # eta*_d(A*) tau_d(A), dense
+            core = core.scale(f.invert(gap(f, pa.theta, d) * gap(f, pa.theta_star, 0)))
+            out["T_polynomial_form"] = (t == dense_sum(self.family("eta", False)[::-1], core, self.family("tau", True)),
+                                        None)
             checks = self.axioms
             failed = next((f"idempotents_{label}_orthogonal fails" for label in ("E", "Estar")
                            if not checks[f"idempotents_{label}_orthogonal"][0]), None)

@@ -99,6 +99,27 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("verb", ["verify", "relatives", "dualize"])
+@pytest.mark.parametrize("document, message", [
+    (None, "a parameter array must be a JSON object, not null"),
+    ([], "a parameter array must be a JSON object, not list"),
+    ("x", "a parameter array must be a JSON object, not str"),
+    ({}, "missing key 'field'"),
+    ({"field": {"kind": "rational"}, "d": 1}, "missing key 'theta'"),
+    ({key: value for key, value in D1_SELF_DUAL.items() if key != "phi"}, "missing key 'phi'"),
+], ids=["null", "list", "string", "empty-object", "no-theta", "no-phi"])
+def test_malformed_document_names_the_fault(tmp_path, capsys, verb, document, message):
+    """A document that is not an object, or lacks a key, exits 2 with one JSON error line that names the fault; null,
+    [] and {} once reported Python's TypeError and KeyError messages."""
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(document))  # run_cli reads stdin for None
+    assert main([verb, "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"type": "ValueError", "message": message}}
+
+
 def test_verify_structurally_invalid_is_malformed(tmp_path):
     dup = dict(D1_SELF_DUAL, theta=["1/1", "1/1"])
     code, _ = run_cli(tmp_path, ["verify"], dup)

@@ -146,10 +146,8 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
 def test_products_per_verb(field, tmp_path, monkeypatch):
     """Each change of basis W_a^-1 X W_b is formed once per system (`systems.change_of_basis`) and U W once per
-    family (`systems._orthogonality_witness`).  `dualize` forms E_0 E*_0 and E*_0 E_0 once for the eight product
-    formulas, F^-1 X once per distinct (flag, vectors) case of `decompositions_induce_flags`: 12, as ([zw], z) and
-    ([wz], z) read the same vectors, and T in the eigenbases, W*^-1 T W and W^-1 T W*, once for its sweeps on
-    eigenspaces, flags and E_i T = T E*_i.  The decompositions and the bases read the certificate
+    family (`systems._orthogonality_witness`).  `dualize` forms T in the eigenbases, W*^-1 T W and W^-1 T W*, once
+    for its sweeps on eigenspaces, flags and E_i T = T E*_i.  The decompositions and the bases read the certificate
     (`systems.certified`) off the memoised axiom report, so neither forms U W* or U* W, and [0D] and [0*D*] are the
     eigencolumns, so no E_i v is formed.  `solve_gram` reads its premises off the same report
     (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises, solving for
@@ -167,13 +165,19 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     is never read.  Once T maps the eigenspaces, `dualize` reads T in its eigen-coordinates (`duality._t_diagonals`):
     T^2 off the diagonals of W*^-1 T W and W^-1 T W*, U T W as (U W*) diag(c) and U T* W as U T W once T = T*, the
     four other product formulas as scalars, T_on_flags and T_on_decompositions from their premises; so it forms
-    neither T T nor (U T) W, pinned here.  Each E_i v of the bases e-* and estar-* is (U v)_i w_i on the memoised
-    U v (U* v), which the anchor projections read too.  At d = 6 that is 10/37/8/15 products of two matrices for
-    verify/dualize/bases/matrix-of-t, and 0/7/7/0 products of a matrix and a vector: in `dualize` 4 anchors, the
-    pivot and the two D X^ (r/m); in `bases` U x of the 4 anchors, the pivot and U* v0 and U* vd.  While `dualize`
-    formed T T, U T W and U T* W, read each of the four other product formulas as X w_0 = c (u*_0 . w_0) w*_0 and
-    formed T x once for each of the 34 distinct vectors of the 12 decompositions ([wz] is [zw] reversed, and every
-    [zw] starts at the first vector of [z]), it formed 42 and 45.  While the build formed every E_i and E*_i
+    neither T T nor (U T) W, pinned here.  On the certified system `dualize` builds the core eta*_d(A*) tau_d(A) of
+    T_polynomial_form from three vector families (tau_d(A) e_j, eta*_d(A*) of it and tau_d(A^T) e_k), and reads
+    decompositions_induce_flags off the certificate, so it forms no F^-1 X; no verb calls `root_product_family`
+    without a start, which forms a dense tau/eta family; both are pinned here.  Each E_i v of the bases e-* and
+    estar-* is (U v)_i w_i on the memoised U v (U* v), which the anchor projections read too.  At d = 6 that is
+    10/24/8/15 products of two matrices for verify/dualize/bases/matrix-of-t, and 0/7/7/0 products of a matrix and a
+    vector: in `dualize` 4 anchors, the pivot and the two D X^ (r/m); in `bases` U x of the 4 anchors, the pivot and
+    U* v0 and U* vd.  While T_polynomial_form formed the dense families eta*_j(A*) and tau_j(A) and their product
+    eta*_d(A*) tau_d(A), and decompositions_induce_flags formed F^-1 X for each of its 12 distinct (flag, vectors)
+    cases, `dualize` formed 37 products of two matrices; while it formed T T, U T W and U T* W, read each of the four
+    other product formulas as X w_0 = c (u*_0 . w_0) w*_0 and formed T x once for each of the 34 distinct vectors of
+    the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first vector of [z]), it formed 42
+    and 45.  While the build formed every E_i and E*_i
     densely, each product formula read E_0 E*_0 or E*_0 E_0 and each E_i v was a product, the counts were 10/48/8/15 and 0/41/41/0.  While the daggers were
     G^-1 X^T G, with G and G^-1 formed, `dualize` formed 52 and 39.  While each spectral check
     formed M w_i, d+1 products of a matrix and a vector, and the round trip solved A* P = P X, the products of two
@@ -192,22 +196,31 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     path.write_text(json.dumps(doc))
     s = certify(ParameterArray.from_json(doc))
     (W, U), t = s.eigenbasis(), du.duality_operator(s)
-    dense = ((t, t), (U * t, W))  # T T, and U T W, which is U T* W as T = T*: `dualize` forms neither
-    calls, families = [], []  # the operands of each product; one entry per family read
-    mul, idempotents = Matrix.__mul__, LeonardSystem.idempotents
+    decomps = [du.build_decomposition(s, *pair) for pair in du.DECOMPOSITION_PAIRS]
+    induce = [(du.build_flag(s, u).inverse, Matrix.from_columns(s.field, vectors)) for dec in decomps
+              for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors()))]
+    # T T, and U T W, which is U T* W as T = T*, and F^-1 X of decompositions_induce_flags: `dualize` forms none
+    dense = ((t, t), (U * t, W), *induce)
+    calls, families, unstarted = [], [], []  # the operands of each product; one entry per family read
+    mul, idempotents, family = Matrix.__mul__, LeonardSystem.idempotents, linalg.root_product_family
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append((self, other)) or mul(self, other))
     monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
         self, star))
-    bounds = {"verify": 10, "dualize": 37, "bases": 8, "matrix-of-t": 15}
+    for module in (linalg, systems, du):  # each calls it by its own name
+        monkeypatch.setattr(module, "root_product_family", lambda M, roots, start=None: unstarted.append(
+            start is None) or family(M, roots, start))
+    bounds = {"verify": 10, "dualize": 24, "bases": 8, "matrix-of-t": 15}
     vector_bounds = {"verify": 0, "dualize": 7, "bases": 7, "matrix-of-t": 0}
     for verb, bound in bounds.items():
         calls.clear()
+        unstarted.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
         assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         assert sum(type(other) is Matrix for _, other in calls) <= bound, verb
         assert sum(type(other) is Vector for _, other in calls) <= vector_bounds[verb], verb
         assert families == [], verb
         assert not [pair for pair in calls if pair in dense], verb
+        assert not any(unstarted), verb
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])

@@ -304,8 +304,12 @@ def test_d20_idempotents_traces_and_projections_match_the_dense_closed_form(arra
     assert (s.E, s.Estar) == (tuple(E), tuple(Es))
 
 
-@pytest.mark.parametrize("array", [Q_D20, GFP_D20, krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1", s_star=-4),
-                                   krawtchouk(GFP, 20, gfp, s_star=-4)], ids=["q_d20", "gfp_d20", "q_d20_nsd", "gfp_d20_nsd"])
+D20_ARRAYS = {"q_d20": Q_D20, "gfp_d20": GFP_D20,
+              "q_d20_nsd": krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1", s_star=-4),
+              "gfp_d20_nsd": krawtchouk(GFP, 20, gfp, s_star=-4)}
+
+
+@pytest.mark.parametrize("array", D20_ARRAYS.values(), ids=D20_ARRAYS)
 def test_d20_t_identities_match_their_dense_forms(array, monkeypatch):
     """At d = 20, which the differential test does not reach: on the self-dual arrays `dualize` reads T^2, U T W,
     U T* W, the product formulas, T_on_flags and T_on_decompositions off the diagonals of W*^-1 T W and W^-1 T W*
@@ -334,6 +338,26 @@ def test_d20_t_identities_match_their_dense_forms(array, monkeypatch):
     moved = [{"pair": f"[{z}{w}]", "i": i} for z, w in du.T_DECOMPOSITION_ORDER for i in range(d + 1)
              if not tx[decomps[(z, w)][i]].is_colinear(decomps[(image[z], image[w])][i])]
     assert got["T_on_decompositions"] == (not moved, moved[-1] if moved else None)
+
+
+@pytest.mark.parametrize("array", D20_ARRAYS.values(), ids=D20_ARRAYS)
+def test_d20_certified_geometry_matches_its_dense_forms(array):
+    """At d = 20, which the differential test does not reach: on the certified system T_polynomial_form builds its
+    core eta*_d(A*) tau_d(A) from three vector families, and decompositions_induce_flags and
+    bases_span_decomposition_components hold from the certificate.  Each has the value of its dense form, on a
+    second build with the certificate withheld: the dense core, formed and factored, and the two sweeps, with the
+    decompositions by elimination."""
+    pa = systems.ParameterArray.from_json(array)
+    s, dense = systems.certify(pa), systems.build_system(pa)
+    dense._memo["certified"] = False
+    anchors = du.choose_anchor_vectors(s)
+    assert du.duality_operator_polynomial_form(s) == du.duality_operator_polynomial_form(dense) == \
+        du.duality_operator(s)
+    checks = lambda *reports: {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
+    names = ("decompositions_induce_flags", "bases_span_decomposition_components")
+    got = checks(du.verify_geometry_suite(s), du.verify_basis_family(s, anchors))
+    want = checks(du.verify_geometry_suite(dense), du.verify_basis_family(dense, anchors))
+    assert [got[name] for name in names] == [want[name] for name in names] == [(True, None)] * 2
 
 
 def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():

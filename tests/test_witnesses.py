@@ -97,13 +97,22 @@ def mixed_anchors():
                                         a.v0s + a.vds.scale(n(2)), a.vds + a.v0s.scale(n(3))))
 
 
-def reversed_decompositions():
-    """The memoised vectors of [0D], [0*D] and [D*0] in reverse order."""
+def reversed_decompositions(certificate=True):
+    """The memoised vectors of [0D], [0*D] and [D*0] in reverse order; without certificate, with the certificate
+    memoised as not holding, before any decomposition is built."""
     s, anchors, bundle = _setup(SELF_DUAL)
+    if not certificate:
+        s._memo["certified"] = False
     for z, w in (("0", "D"), ("0*", "D"), ("D*", "0")):
         dec = du.build_decomposition(s, z, w)
         s._memo[("decomposition", z, w)] = du.Decomposition(z, w, dec.vectors[::-1])
     return _checks(du.verify_geometry_suite(s, bundle), du.verify_basis_family(s, anchors))
+
+
+def uncertified_reversed_decompositions():
+    """`reversed_decompositions` with the certificate withheld: decompositions_induce_flags and
+    bases_span_decomposition_components then sweep, as they do not read the memoised vectors once it holds."""
+    return reversed_decompositions(certificate=False)
 
 
 def zero_flags():
@@ -235,10 +244,8 @@ PINS = {
     },
     reversed_decompositions: {
         "decomposition_inversion_pairs": {"pair": "[D*0]"},
-        "decompositions_induce_flags": {"pair": "[D*0]", "flag": "0", "i": 2},
         "decomposition_table_rows": {"i": 3, "row": "split"},
         "T_on_decompositions": {"pair": "[0D*]", "i": 3},
-        "bases_span_decomposition_components": {"pair": "[0D]", "basis": "e-vstard", "i": 3},
     },
     zero_flags: {"flag_component_dimensions": {"flag": "D", "i": 3}},
     # tau-vstar0, taustar-rev-v0, taustar-v0 and tau-rev-vstar0 fail, in that order
@@ -249,14 +256,16 @@ PINS = {
 DECIDED_PINS = {
     zero_basis: {"bases_invertible": {"basis": "tau-rev-vstard"}},  # the memoised verdict
     v0_on_vstar0: {"bases_invertible": {"basis": "estar-rev-v0"}},  # the rank, as the certificate does not apply
+    uncertified_reversed_decompositions: {  # the sweeps, as the certificate is withheld
+        "decompositions_induce_flags": {"pair": "[D*0]", "flag": "0", "i": 2},
+        "bases_span_decomposition_components": {"pair": "[0D]", "basis": "e-vstard", "i": 3},
+    },
 }
 
 # Comparisons inside a sweep check that hold by construction once the decomposition certificate holds
 # (`systems.certified`), with the reason; the check stays pinned above, and its other comparisons, and all of them
 # on a system the certificate leaves to elimination, are a second route.
 BY_CERTIFICATE = {
-    "bases_span_decomposition_components": "the first family of each pair in BASIS_MEMBERSHIP: [zw] is that family, "
-                                           "normalized, and [0D] and [0*D*] the eigencolumns its E_i v spans",
     "decomposition_table_rows": "rows 0, 1 and split: [0D], [0*D*] and [0*D] are the eigencolumns w_i, w*_i and "
                                 "the first family tau_i(A) w*_0 of [0*D], normalized",
 }
@@ -273,8 +282,13 @@ BY_CERTIFICATE = {
 # on E*.  The two split checks read Q P = I once `systems.certified` holds: every axiom, and d+1 values in theta
 # and theta*; else the intersection route decides.  bases_invertible, a check of `bases`, holds once
 # `systems.certified` holds, which `certify` checks before it, and the anchor is the eigencolumn it names; else
-# each forward sequence is ranked.  Premises that no check of the report states are named in STATED.  Each of these
-# checks is decided by `tests/reference.py` without its premises.
+# each forward sequence is ranked.  Two sweep checks are decided from the same certificate (DECIDED_SWEEPS):
+# decompositions_induce_flags, a check of `dualize`, as each [zw] is then the normalized first family of its pair,
+# whose vector i lies in [z]_i ∩ [w]_{d-i}; and bases_span_decomposition_components, a check of `bases`, once every
+# anchor is also the eigencolumn it names, as each basis is then a family on an eigencolumn.  Else each sweeps, and
+# the sweep is pinned where its premise fails (mixed_anchors, uncertified_reversed_decompositions).  Premises that no
+# check of the report states are named in STATED.  Each of these checks is decided by `tests/reference.py` without
+# its premises.
 AXIOM_CHECKS = SUITE_CHECKS[:11]  # the report of `verify_axioms`
 STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "d+1 theta and theta*",
           "anchor an eigencolumn")
@@ -287,6 +301,8 @@ F_M_PREMISES = {star: (f"d+1 idempotents E{'*' * star}", f"idempotents_E{'star' 
 F_M_CHECKS = {star: tuple(name + "star" * star for name in ("edge_idempotent_E0", "edge_idempotent_Ed",
                                                              "char_product_A", "subalgebra_three_bases_A"))
               for star in (False, True)}
+DECIDED_SWEEPS = {"decompositions_induce_flags": CERTIFIED,
+                  "bases_span_decomposition_components": (*CERTIFIED, "anchor an eigencolumn")}
 FROM_PREMISES = {
     **dict.fromkeys(GRAM_CHECKS, SOLVE_GRAM_PREMISES),
     "dagger_fixes_idempotents": (*SOLVE_GRAM_PREMISES, *F_M_PREMISES[True]),
@@ -295,22 +311,25 @@ FROM_PREMISES = {
     **{name: F_M_PREMISES[star] for star, names in F_M_CHECKS.items() for name in names},
     **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"), CERTIFIED),
     "bases_invertible": (*CERTIFIED, "anchor an eigencolumn"),
+    **DECIDED_SWEEPS,
 }
 
 SWEEP_CHECKS = {
     "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", "anchor_projections", "anchor_ratio_squares",
     "T_on_anchor_vectors", "trace_products_closed_form", *TRANSITIONS, *MIXED_TRANSITIONS,
     *(f"T_on_family_{f}" for f in T_FAMILIES),
-    "decomposition_inversion_pairs", "decompositions_induce_flags", "decomposition_table_rows",
-    "T_maps_eigenspaces", "T_on_flags", "T_on_decompositions", "bases_span_decomposition_components",
-    "bases_inversion_pairing", "flag_component_dimensions", "matrix_of_T_closed_form",
+    "decomposition_inversion_pairs", "decomposition_table_rows", "T_maps_eigenspaces", "T_on_flags",
+    "T_on_decompositions", "bases_inversion_pairing", "flag_component_dimensions", "matrix_of_T_closed_form",
     "A_representations_in_four_bases", "Astar_representations_in_four_bases",
 }
 
 
 def test_every_sweep_check_is_pinned_or_listed():
+    """Each sweep check is pinned in PINS, and so is each of DECIDED_SWEEPS under a mutation that fails its premise
+    (mixed_anchors); each of DECIDED_SWEEPS is pinned with the certificate withheld in DECIDED_PINS."""
     pinned = {name for pins in PINS.values() for name in pins}
-    assert pinned == SWEEP_CHECKS
+    assert pinned - SWEEP_CHECKS <= set(DECIDED_SWEEPS) and SWEEP_CHECKS <= pinned
+    assert set(DECIDED_SWEEPS) <= {name for pins in DECIDED_PINS.values() for name in pins}
     assert set(BY_CERTIFICATE) <= pinned
 
 
@@ -321,7 +340,7 @@ def test_every_decided_check_names_premises_that_run_first():
                                   *(f"idempotents_{label}_{sums}" for label in ("E", "Estar")
                                     for sums in ("sum", "spectral")),
                                   "split_projectors_match_intersection", "split_projectors_resolution",
-                                  "bases_invertible"}
+                                  "bases_invertible", *DECIDED_SWEEPS}
     assert not set(FROM_PREMISES) & SWEEP_CHECKS
     for name, premises in FROM_PREMISES.items():
         checked = [p for p in premises if p not in STATED]
@@ -367,7 +386,7 @@ def _emitted_checks() -> dict:
 
 EMITTED_CHECKS = _emitted_checks()
 DUALIZE_CHECKS = EMITTED_CHECKS["dualize"]
-VERDICT_CHECKS = set().union(*EMITTED_CHECKS.values()) - SWEEP_CHECKS
+VERDICT_CHECKS = set().union(*EMITTED_CHECKS.values()) - SWEEP_CHECKS - set(DECIDED_SWEEPS)
 
 
 def test_every_emitted_check_is_decided_by_the_reference_or_runs_the_same_code():

@@ -28,7 +28,9 @@ s = s* = -2, r = 1) at d = 12 and d = 20 over Q and GF(2^31 - 1), the sizes wher
 eigenbasis products cost most.  Then dualize runs on the same arrays with s* = -4, so theta* != theta: T maps no
 eigenspace there, so each check that dualize reads off T's eigen-coordinates on a self-dual array (T^2, U T W, the
 product formulas, T on the flags and on the decompositions) takes its dense route at a large d, and the call
-exits 1.  1059 calls in all, in about 4 s per tree on a shared 2-vCPU Xeon.  The inputs are
+exits 1.  bases follows on each, and passes: the certificate from which it decides that each basis spans the
+components of its decomposition is then read on arrays that are not self-dual at a large d.  1063 calls in all, in
+about 3 s per tree on a shared 2-vCPU Xeon.  The inputs are
 written to a temporary directory that is the working directory while the calls run, so the paths in
 each argv, and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI
 outputs agree byte for byte print the same lines: `diff` the two listings.
@@ -56,7 +58,8 @@ SEEDS = (1, 2, 3)
 Q_RACAH_DS = range(2, 9)
 Q_RACAH_VERBS = ("verify", "relatives", "dualize", "bases")
 RAISED_VERBS = (("verify",), ("dualize",), ("bases",), ("matrix-of-t", "--basis", "tau-vstard"))
-LARGE_KRAWTCHOUK_DS = (12, 20)  # through RAISED_VERBS, all of which pass, then dualize with s* = -4
+LARGE_KRAWTCHOUK_DS = (12, 20)  # through RAISED_VERBS, all of which pass, then NON_SELF_DUAL_VERBS with s* = -4
+NON_SELF_DUAL_VERBS = ("dualize", "bases")
 SELF_DUAL_VERBS = (("dualize",), ("bases",)) + tuple(("matrix-of-t", "--basis", basis) for basis in
                                                     ("etastar-v0", "eta-vstar0", "taustar-vd", "tau-vstard"))
 KRAWTCHOUK_DS = range(1, 6)
@@ -183,9 +186,11 @@ def main(argv=None) -> int:
             for field in fields:
                 for d in LARGE_KRAWTCHOUK_DS:
                     array = workloads.krawtchouk_array(field.to_json(), d, d, -2, d, -4, 1)
-                    argv = ("dualize", "--input", write_array(f"krawtchouk-non-self-dual-{field.kind}-d{d}.json", array))
-                    print("krawtchouk-non-self-dual", field.kind, d, 0, call_digest(program, argv), " ".join(argv),
-                          flush=True)
+                    path = write_array(f"krawtchouk-non-self-dual-{field.kind}-d{d}.json", array)
+                    for k, verb in enumerate(NON_SELF_DUAL_VERBS):
+                        argv = (verb, "--input", path)
+                        print("krawtchouk-non-self-dual", field.kind, d, k, call_digest(program, argv), " ".join(argv),
+                              flush=True)
         finally:
             os.chdir(cwd)
     return 0
