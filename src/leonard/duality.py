@@ -12,30 +12,15 @@ import functools
 from dataclasses import dataclass
 from operator import mul, truediv
 
-from .errors import (
-    DegenerateSplit,
-    InconsistentArray,
-    SingularBasis,
-    SingularMatrix,
-    UnknownBasis,
-    ZeroInnerProduct,
-)
-from .linalg import (
-    Matrix,
-    Vector,
-    bidiagonal,
-    flag_decomposition,
-    rank_one_factors,
-    root_product_family,
-)
+from .errors import DegenerateSplit, InconsistentArray, SingularBasis, UnknownBasis, ZeroInnerProduct
+from .linalg import Matrix, Vector, bidiagonal, root_product_family
 from .report import VerificationReport
 from .systems import (
     LeonardSystem,
     ParameterArray,
-    _eigenbasis_inverse,
     _gram_weights,
-    _orthogonality_witness,
     _outcomes,
+    certificate_failure,
     certified,
     change_of_basis,
     d4_apply,
@@ -158,23 +143,20 @@ def duality_operator(sys: LeonardSystem, star: bool = False) -> Matrix:
 
 def duality_operator_polynomial_form(sys: LeonardSystem) -> Matrix:
     """T as a polynomial in A and A*: the edge idempotents E*_0 E_d expanded into the core eta*_d(A*) tau_d(A) = w u^T.
-    Once `certified` holds, tau_d(A) = tau_d(theta_d) E_d has rank one (Terwilliger, LAA 330 (2001), Thm 1.9), so for
-    q its first nonzero column, k the first nonzero entry of q and r^T row k, tau_d(A) = q r^T / q_k and the core is
-    (eta*_d(A*) q)(r^T / q_k): three vector families (`root_product_family`, not memoised, so T* shares none of them).
-    Else the dense core is formed and factored (`rank_one_factors`)."""
+    Its premise is `certified` (else DegenerateSplit naming the failed axiom, `certificate_failure`): then
+    tau_d(A) = tau_d(theta_d) E_d has rank one (Terwilliger, LAA 330 (2001), Thm 1.9), so for q its first nonzero
+    column, k the first nonzero entry of q and r^T row k, tau_d(A) = q r^T / q_k and the core is (eta*_d(A*) q)(r^T /
+    q_k): three vector families (`root_product_family`, not memoised, so T* shares none of them)."""
+    if failed := certificate_failure(sys):
+        raise DegenerateSplit(failed)
     f, roots, d = sys.field, sys.theta[:-1], sys.d
     tau_d, _, _, etas_d = edge_values(sys.parameter_array)
-    if certified(sys):
-        e = Matrix.identity(f, d + 1)
-        q = next(v for v in (root_product_family(sys.A, roots, e.column(j))[-1] for j in range(d + 1))
-                 if v.first_nonzero_index() is not None)
-        k = q.first_nonzero_index()
-        w = root_product_family(sys.Astar, sys.theta_star[:0:-1], q)[-1]
-        u = root_product_family(sys.A.transpose(), roots, e.column(k))[-1].scale(f.invert(q[k]))
-    elif found := rank_one_factors([sys.root_family("eta", True)[d] * sys.root_family("tau")[d]]):
-        w, u = found[0].column(0), found[1].row(0)
-    else:
-        raise ValueError("the middle factor is not of rank one")
+    e = Matrix.identity(f, d + 1)
+    q = next(v for v in (root_product_family(sys.A, roots, e.column(j))[-1] for j in range(d + 1))
+             if v.first_nonzero_index() is not None)
+    k = q.first_nonzero_index()
+    w = root_product_family(sys.Astar, sys.theta_star[:0:-1], q)[-1]
+    u = root_product_family(sys.A.transpose(), roots, e.column(k))[-1].scale(f.invert(q[k]))
     return _outer_sum(f.invert(tau_d * etas_d), sys.root_family("eta", False, w)[::-1],
                       sys.root_family("tau", True, u, covector=True))
 
@@ -221,9 +203,10 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
 
 
 def _t_diagonals(sys: LeonardSystem, t: Matrix):
-    """(c, c*), the diagonals of C = W*^-1 T W and C* = W^-1 T W* (`change_of_basis`), when U W = I = U* W* and both
-    are diagonal with no zero on the diagonal: then T W = W* diag(c) and T W* = W diag(c*).  Else None."""
-    if _orthogonality_witness(sys) or _orthogonality_witness(sys, star=True):
+    """(c, c*), the diagonals of C = W*^-1 T W and C* = W^-1 T W* (`change_of_basis`), once `certified` holds, so
+    U W = I = U* W*, and both are diagonal with no zero on the diagonal: then T W = W* diag(c) and T W* = W diag(c*).
+    Else None."""
+    if not certified(sys):
         return None
     Cs = [change_of_basis(sys, not star, t, star) for star in (False, True)]
     if any(not a if i == j else a for C in Cs for i, row in enumerate(C.nums) for j, a in enumerate(row)):
@@ -234,15 +217,17 @@ def _t_diagonals(sys: LeonardSystem, t: Matrix):
 def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> VerificationReport:
     """Every stated identity for T; the self-dual-only ones fail honestly when theta differs from theta* (that failure
     is the negative control).  The eight that read T^dagger or T*^dagger read the weights of `solve_gram`, and when a
-    premise of it fails, each fails with that premise as witness, as in `verify`.
+    premise of it fails, each fails with that premise as witness, as in `verify`.  T_polynomial_form,
+    Ei_T_equals_T_Estar_i and Estar_i_T_equals_T_Ei take `certified` as their premise, and when it fails each fails
+    with the failed axiom as witness (`certificate_failure`).
 
-    Once U W = I = U* W* and T maps each E_iV onto E*_iV and back, T W = W* diag(c) and T W* = W diag(c*) for the
-    diagonals (c, c*) of W*^-1 T W and W^-1 T W* (`_t_diagonals`), and the identities of T are read off them:
-    T^2 = W diag(c c*) U, so T^2 = lambda I exactly when every c_i c*_i = lambda, and the displayed T^2 expansion is
-    compared with mu I when every c_i c*_i = mu; U T W = K diag(c) for K = U W*; T E*_0 = c1 E_0 E*_0 reads
-    c*_0 = c1 K_00, and T E_0 = c E*_0 E_0 reads c_0 = c K*_00 for K* = U* W.  Once T = T* holds, T* is read as T:
-    U T* W is U T W, and its two product formulas are those of T.  When a premise fails, T^2, U T W, U T* W, T w and
-    T* w are formed densely."""
+    Once `certified` holds (so U W = I = U* W*) and T maps each E_iV onto E*_iV and back, T W = W* diag(c) and
+    T W* = W diag(c*) for the diagonals (c, c*) of W*^-1 T W and W^-1 T W* (`_t_diagonals`), and the identities of T
+    are read off them: T^2 = W diag(c c*) U, so T^2 = lambda I exactly when every c_i c*_i = lambda, and the displayed
+    T^2 expansion is compared with mu I when every c_i c*_i = mu; U T W = K diag(c) for K = U W*; T E*_0 = c1 E_0 E*_0
+    reads c*_0 = c1 K_00, and T E_0 = c E*_0 E_0 reads c_0 = c K*_00 for K* = U* W.  Once T = T* holds, T* is read as
+    T: U T* W is U T W, and its two product formulas are those of T.  When a premise fails, T^2, U T W, U T* W, T w
+    and T* w are formed densely."""
     report = VerificationReport()
     f, d = sys.field, sys.d
     pa = sys.parameter_array
@@ -274,7 +259,7 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     daggers = iter(_outcomes(8, by_weights))  # in report order
     add_dagger = lambda name: report.add(name, *next(daggers))
 
-    report.add("T_polynomial_form", t == duality_operator_polynomial_form(sys))
+    report.add("T_polynomial_form", *_outcomes(1, lambda: [(t == duality_operator_polynomial_form(sys), None)])[0])
     add_dagger("T_dagger_displayed_sum")
     add_dagger("T_star_dagger_displayed_sum")
     report.add("T_equals_T_star", same)
@@ -287,11 +272,10 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
-    # with E_i = w_i u_i^T, U W = I and U* W* = I, U (E_i T - T E*_i) W* is e_i (row i of M) - (column i of M) e_i^T
-    # for M = W^-1 T W*: zero when both vanish off (i, i); starred, M = W*^-1 T W.  Else both fail with the first
-    # failed premise as witness
-    failed = next((f"idempotents_{label}_orthogonal fails" for label, star in (("E", False), ("Estar", True))
-                   if _orthogonality_witness(sys, star)), None)
+    # with E_i = w_i u_i^T, U W = I and U* W* = I, which `certified` gives, U (E_i T - T E*_i) W* is
+    # e_i (row i of M) - (column i of M) e_i^T for M = W^-1 T W*: zero when both vanish off (i, i); starred,
+    # M = W*^-1 T W.  Else both fail with the failed premise as witness
+    failed = certificate_failure(sys)
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
         M = None if failed else change_of_basis(sys, star, t, not star).nums
         report.add_first_failure(name, [{"error": failed}] if failed else (
@@ -334,11 +318,10 @@ _ORDER = {z: slice(None, None, -1 if z.startswith("D") else 1) for z in OMEGA}  
 @dataclass(frozen=True)
 class Flag:
     """Nested subspaces of dimensions 1..d+1 as one ordered basis: component
-    i is spanned by the first i+1 columns of basis; inverse is basis^-1, None when basis is singular."""
+    i is spanned by the first i+1 columns of basis."""
 
     label: str
     basis: Matrix
-    inverse: Matrix | None
 
     def to_json(self) -> dict:
         rows = self.basis.to_json()  # component i is the first i+1 entries of every row
@@ -346,20 +329,10 @@ class Flag:
 
 
 def build_flag(sys: LeonardSystem, z: str) -> Flag:
-    """The flag [z], memoised on the system."""
+    """The flag [z], memoised on the system: [0] and [0*] are W and W*, [D] and [D*] reverse their columns."""
     if z not in OMEGA:
         raise ValueError(f"flag symbol must be one of {OMEGA}")
-    return sys.cached(("flag", z), lambda: _flag(sys, z))
-
-
-def _flag(sys: LeonardSystem, z: str) -> Flag:
-    """[0] and [0*] are W and W*, [D] and [D*] reverse their columns: the inverse is W^-1 (W*^-1), rows reversed."""
-    star, order = z.endswith("*"), _ORDER[z]
-    try:
-        inverse = _eigenbasis_inverse(sys, star).submatrix(rows=order)
-    except SingularMatrix:
-        inverse = None
-    return Flag(z, sys.eigenbasis(star)[0].submatrix(cols=order), inverse)
+    return sys.cached(("flag", z), lambda: Flag(z, sys.eigenbasis(z.endswith("*"))[0].submatrix(cols=_ORDER[z])))
 
 
 def spans_components(Y: Matrix) -> list:
@@ -399,20 +372,16 @@ def build_decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
 
 
 def _decomposition(sys: LeonardSystem, z: str, w: str) -> Decomposition:
-    """Once `certified` holds, the first family of the pair in BASIS_MEMBERSHIP, normalized: for [0D] and [0*D*]
-    the eigencolumns.  Else [z]^-1 [w] is W_a^-1 W_b (`change_of_basis`) with its rows and columns in the flags'
-    orders, decomposed by elimination (`flag_decomposition`)."""
-    if certified(sys):
-        gen, rev, anchor_key = _parse_basis_id(BASIS_MEMBERSHIP[(z, w)][0])
-        seq = (sys.eigenbasis(gen == "estar")[0].columns() if gen in ("e", "estar")
-               else _sequence(sys, gen, _eigen_anchor(sys, anchor_key)))
-        return Decomposition(z, w, tuple(v.normalized() for v in (seq[::-1] if rev else seq)))
-    F, G = build_flag(sys, z), build_flag(sys, w)
-    C = None if F.inverse is None else change_of_basis(sys, z.endswith("*"), None, w.endswith("*"))
-    vectors = None if C is None else flag_decomposition(C.submatrix(_ORDER[z], _ORDER[w]), G.basis)
-    if vectors is None:
-        raise DegenerateSplit(f"the flags [{z}] and [{w}] of [{z}{w}] are not opposite")
-    return Decomposition(z, w, tuple(v.normalized() for v in vectors))
+    """The first family of the pair in BASIS_MEMBERSHIP, normalized: for [0D] and [0*D*] the eigencolumns.  Its
+    premise is `certified` (else DegenerateSplit naming the failed axiom, `certificate_failure`): then each family on
+    an eigencolumn is triangular with a nonzero diagonal in both eigenbases, so its vector i spans [z]_i ∩ [w]_{d-i}
+    (Terwilliger, LAA 330 (2001), Thm 1.9)."""
+    if failed := certificate_failure(sys):
+        raise DegenerateSplit(failed)
+    gen, rev, anchor_key = _parse_basis_id(BASIS_MEMBERSHIP[(z, w)][0])
+    seq = (sys.eigenbasis(gen == "estar")[0].columns() if gen in ("e", "estar")
+           else _sequence(sys, gen, _eigen_anchor(sys, anchor_key)))
+    return Decomposition(z, w, tuple(v.normalized() for v in (seq[::-1] if rev else seq)))
 
 
 DECOMPOSITION_PAIRS = tuple((z, w) for z in OMEGA for w in OMEGA if z != w)
@@ -424,57 +393,36 @@ _T_DISPLAYED = (("0*", "D"), ("D*", "D"), ("0*", "0"), ("D*", "0"), ("0", "D"), 
 T_DECOMPOSITION_ORDER = _T_DISPLAYED + tuple((w, z) for z, w in _T_DISPLAYED)
 
 
-def _decompositions(sys: LeonardSystem, pairs) -> tuple:
-    """({(z, w): [zw]} over the pairs that build, {"pair", "error"} of the last that does not, else None)."""
-    decomps, witness = {}, None
-    for z, w in pairs:
-        try:
-            decomps[(z, w)] = build_decomposition(sys, z, w)
-        except DegenerateSplit as exc:
-            witness = {"pair": f"[{z}{w}]", "error": str(exc)}
-    return decomps, witness
-
-
 def verify_geometry_suite(
     sys: LeonardSystem, bundle: DualityBundle | None = None
 ) -> VerificationReport:
     """Flag/decomposition structure plus, when a bundle is given, T's action.
 
-    decompositions_induce_flags holds once `certified` holds: each [zw] is then the normalized first family of its pair
-    (`_decomposition`), whose vector i lies in [z]_i ∩ [w]_{d-i}, and its vectors are a basis, so the first i+1 span
-    [z]_i and the last i+1 span [w]_i.  Else each (flag, vectors) case is read off F^-1 X (`spans_components`).
-    T_on_flags holds once T_maps_eigenspaces and flag_component_dimensions hold, and T_on_decompositions once
-    T_on_flags, decomposition_inversion_pairs and decompositions_induce_flags hold: T, invertible, then maps
-    component i of [zw], [z]_i ∩ [w]_{d-i}, onto component i of [T(z) T(w)].  When a premise fails, each flag
-    component is read off W*^-1 T W or W^-1 T W*, and T x is formed for each distinct decomposition vector."""
+    The flags and decompositions are read off `certified`, their one premise: U W = I = U* W*, so each flag is a basis
+    (flag_component_dimensions), and each [zw] is the normalized first family of its pair (`_decomposition`), whose
+    vector i lies in [z]_i ∩ [w]_{d-i}, and its vectors are a basis: the flags are mutually opposite, each component
+    is one-dimensional, and the first i+1 vectors span [z]_i and the last i+1 span [w]_i
+    (decompositions_induce_flags).  When it fails, these four fail with the failed axiom as witness
+    (`certificate_failure`) and the suite ends, as no decomposition is built for the checks that read its vectors.
+
+    T_on_flags then holds once T_maps_eigenspaces holds, and T_on_decompositions once T_on_flags and
+    decomposition_inversion_pairs hold: T, invertible, then maps component i of [zw], [z]_i ∩ [w]_{d-i}, onto
+    component i of [T(z) T(w)].  When one of these fails, each flag component is read off W*^-1 T W or W^-1 T W*, and
+    T x is formed for each distinct decomposition vector."""
     report = VerificationReport()
     f, d = sys.field, sys.d
-    flags = {z: build_flag(sys, z) for z in OMEGA}
-
-    # a dependent prefix of the basis makes every longer one dependent: the last failure is at i = d
-    report.add_last_failure("flag_component_dimensions", (
-        {"flag": z, "i": d} for z, F in flags.items() if F.inverse is None))
-
-    # DECOMPOSITION_PAIRS is every ordered pair of distinct flags; each builds iff the two are opposite
-    decomps, witness = _decompositions(sys, DECOMPOSITION_PAIRS)
-    report.add("flags_mutually_opposite", witness is None)
-    report.add("decomposition_components_one_dimensional", witness is None, witness)
-    if witness is not None:
+    failed = certificate_failure(sys)
+    by_certificate = lambda *names: [report.add(name, not failed, {"error": failed}) for name in names]
+    by_certificate("flag_component_dimensions", "flags_mutually_opposite", "decomposition_components_one_dimensional")
+    if failed:
+        by_certificate("decompositions_induce_flags")
         return report
 
+    decomps = {pair: build_decomposition(sys, *pair) for pair in DECOMPOSITION_PAIRS}
     report.add_last_failure("decomposition_inversion_pairs", (
         {"pair": f"[{z}{w}]"} for (z, w), dec in decomps.items()
         if decomps[(w, z)].vectors != dec.inversion_vectors()))
-
-    # ([zw], z) reads the vectors of [zw] and ([wz], z) their reversal; once the inversion pairs hold these are one
-    # (flag, vectors) case, and each distinct case forms its F^-1 X once, unless the certificate holds
-    cases = {} if certified(sys) else {
-        (z, w): ((z, dec.vectors), (w, dec.inversion_vectors())) for (z, w), dec in decomps.items()}
-    spans = {(u, vectors): spans_components(flags[u].inverse * Matrix.from_columns(f, vectors))
-             for u, vectors in dict.fromkeys(case for pair in cases.values() for case in pair)}
-    report.add_last_failure("decompositions_induce_flags", (
-        {"pair": f"[{z}{w}]", "flag": case[0], "i": i}
-        for (z, w), pair in cases.items() for i in range(d + 1) for case in pair if not spans[case][i]))
+    by_certificate("decompositions_induce_flags")
 
     # rows 0, 1 and split: component i of [0D], [0*D*] and [0*D] spans E_iV, E*_iV and the split
     # line U_i, which is tau_i(A) E*_0 V (Terwilliger, LAA 330, 2001)
@@ -490,21 +438,20 @@ def verify_geometry_suite(
         return report
     t = bundle.t
 
-    # T in the eigenbases, C[False] = W*^-1 T W and C[True] = W^-1 T W*, W and W* invertible as every decomposition
-    # built: T w_i is a nonzero multiple of w*_i exactly when column i of C[False] is one of e_i (starred, of C[True]),
+    # T in the eigenbases, C[False] = W*^-1 T W and C[True] = W^-1 T W*, W and W* invertible as `certified` holds:
+    # T w_i is a nonzero multiple of w*_i exactly when column i of C[False] is one of e_i (starred, of C[True]),
     # and C[star of z] in the flags' orders is [T(z)]^-1 T [z]
     C, e = {star: change_of_basis(sys, not star, t, star) for star in (False, True)}, Matrix.identity(f, d + 1)
     report.add_last_failure("T_maps_eigenspaces", (
         {"i": i, "side": side} for i in range(d + 1) for side, star in (("E", False), ("Estar", True))
         if not C[star].column(i).is_colinear(e.column(i))))
     held = lambda *names: all(report[name].passed for name in names)
-    report.add_last_failure("T_on_flags", () if held("T_maps_eigenspaces", "flag_component_dimensions") else (
+    report.add_last_failure("T_on_flags", () if held("T_maps_eigenspaces") else (
         {"flag": z, "i": i} for z, image in T_FLAG_IMAGE.items()
         for i, spans in enumerate(spans_components(C["*" in z].submatrix(_ORDER[image], _ORDER[z]))) if not spans))
     # T x once per distinct vector: [wz] is [zw] reversed, and every [zw] starts at the first vector of [z]
     tx = functools.cache(t.__mul__)
-    report.add_last_failure("T_on_decompositions", () if held(
-        "T_on_flags", "decomposition_inversion_pairs", "decompositions_induce_flags") else (
+    report.add_last_failure("T_on_decompositions", () if held("T_on_flags", "decomposition_inversion_pairs") else (
         {"pair": f"[{z}{w}]", "i": i} for z, w in T_DECOMPOSITION_ORDER for i in range(d + 1)
         if not tx(decomps[(z, w)].vectors[i]).is_colinear(decomps[(T_FLAG_IMAGE[z], T_FLAG_IMAGE[w])].vectors[i])))
     return report
@@ -564,14 +511,12 @@ def _eigen_anchor(sys: LeonardSystem, anchor_key: str) -> Vector:
 
 
 def _basis_sequence(sys: LeonardSystem, gen: str, v: Vector) -> tuple:
-    """E_i v or E*_i v, which is (u_i . v) w_i for E_i = w_i u_i^T (`LeonardSystem.coordinates`; dense when the family
-    does not factor), else the tau/eta family gen on v (`LeonardSystem.root_family`)."""
+    """E_i v or E*_i v, which is (u_i . v) w_i for E_i = w_i u_i^T (`LeonardSystem.coordinates`; the DegenerateSplit
+    of `LeonardSystem.eigenbasis` when the family does not factor), else the tau/eta family gen on v
+    (`LeonardSystem.root_family`)."""
     star = gen.endswith("star")
     if gen in ("e", "estar"):
-        try:
-            return tuple(w.scale(x) for w, x in zip(sys.eigenbasis(star)[0].columns(), sys.coordinates(v, star)))
-        except DegenerateSplit:
-            return tuple(E * v for E in sys.idempotents(star))
+        return tuple(w.scale(x) for w, x in zip(sys.eigenbasis(star)[0].columns(), sys.coordinates(v, star)))
     return sys.root_family(gen.removesuffix("star"), star, v)
 
 
@@ -614,25 +559,21 @@ BASIS_MEMBERSHIP = {
 def verify_basis_family(sys: LeonardSystem, anchors: AnchorVectors) -> VerificationReport:
     """Invertibility, component membership and the inversion pairing of the 24 bases.
 
-    bases_span_decomposition_components holds once `certified` holds and each anchor is a multiple of the eigencolumn
-    it names (`_eigen_anchor`): each basis of BASIS_MEMBERSHIP is then a family on an eigencolumn, whose vector i
-    spans component i of its decomposition (Terwilliger, LAA 330 (2001), Thm 1.9).  Else the vectors of each basis are
-    compared with those of its decomposition."""
+    bases_span_decomposition_components holds once its premise holds: `certified`, and each anchor a multiple of the
+    eigencolumn it names (`_eigen_anchor`).  Each basis of BASIS_MEMBERSHIP is then a family on an eigencolumn, whose
+    vector i spans component i of its decomposition (Terwilliger, LAA 330 (2001), Thm 1.9).  Else the check fails
+    with the failed premise as witness: the failed axiom (`certificate_failure`), or the first anchor that is not
+    such a multiple."""
     report = VerificationReport()
-    d = sys.d
     family = {basis_id: build_basis(sys, anchors, basis_id) for basis_id in BASIS_IDS}
 
     report.add_last_failure("bases_invertible", (
         {"basis": basis_id} for basis_id in BASIS_IDS if not _is_basis(sys, anchors, basis_id)))
 
-    # a pair of flags that is not opposite fails the check with that pair as witness, as in `verify_geometry_suite`
-    decided = certified(sys) and all(_anchor(sys, anchors, key).is_colinear(_eigen_anchor(sys, key))
-                                     for key in _ANCHOR_ATTR)
-    decomps, witness = ({}, None) if decided else _decompositions(sys, BASIS_MEMBERSHIP)
-    report.add_last_failure("bases_span_decomposition_components", [witness] if witness else (
-        {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), dec in decomps.items()
-        for basis_id in BASIS_MEMBERSHIP[(z, w)] for i in range(d + 1) if not family[basis_id][i].is_colinear(
-            dec.vectors[i])))
+    failed = certificate_failure(sys) or next((
+        f"anchor {key} is not a multiple of the eigencolumn it names" for key in _ANCHOR_ATTR
+        if not _anchor(sys, anchors, key).is_colinear(_eigen_anchor(sys, key))), None)
+    report.add("bases_span_decomposition_components", not failed, {"error": failed})
 
     partner = lambda gen, rev, anchor: f"{gen}-{anchor}" if rev else f"{gen}-rev-{anchor}"
     report.add_last_failure("bases_inversion_pairing", (
@@ -696,35 +637,25 @@ def verify_transition_relations(sys: LeonardSystem, anchors: AnchorVectors) -> V
     vp_head, vp_tail, ph_head, ph_tail = pa.split_products
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
 
+    # relation i reads coefficient nums[i] / dens[i] times its anchor ratio, which is divided once per relation
+    n = d + 1
     relations = (
-        ("taustar_rev_v0_vs_eta_vstard", "taustar-rev-v0", "eta-vstard",
-         lambda i: taus_d / vp_tail[i] * (a.x0d / a.ssd)),
-        ("etastar_rev_v0_vs_eta_vstar0", "etastar-rev-v0", "eta-vstar0",
-         lambda i: etas_d / ph_head[i] * (a.x00 / a.ss0)),
-        ("taustar_rev_vd_vs_tau_vstard", "taustar-rev-vd", "tau-vstard",
-         lambda i: taus_d / ph_tail[i] * (a.xdd / a.ssd)),
-        ("etastar_rev_vd_vs_tau_vstar0", "etastar-rev-vd", "tau-vstar0",
-         lambda i: etas_d / vp_head[i] * (a.xd0 / a.ss0)),
-        ("tau_rev_vstar0_vs_etastar_vd", "tau-rev-vstar0", "etastar-vd",
-         lambda i: tau_d / vp_tail[i] * (a.xd0 / a.vvd)),
-        ("eta_rev_vstar0_vs_etastar_v0", "eta-rev-vstar0", "etastar-v0",
-         lambda i: eta_d / ph_tail[i] * (a.x00 / a.vv0)),
-        ("tau_rev_vstard_vs_taustar_vd", "tau-rev-vstard", "taustar-vd",
-         lambda i: tau_d / ph_head[i] * (a.xdd / a.vvd)),
-        ("eta_rev_vstard_vs_taustar_v0", "eta-rev-vstard", "taustar-v0",
-         lambda i: eta_d / vp_head[i] * (a.x0d / a.vv0)),
-        ("estar_vd_vs_estar_v0", "estar-vd", "estar-v0",
-         lambda i: ph_head[i] / vp_head[i] * (a.xd0 / a.x00)),
-        ("estar_rev_vd_vs_estar_rev_v0", "estar-rev-vd", "estar-rev-v0",
-         lambda i: vp_tail[i] / ph_tail[i] * (a.xdd / a.x0d)),
-        ("e_vstard_vs_e_vstar0", "e-vstard", "e-vstar0",
-         lambda i: ph_tail[i] / vp_head[i] * (a.x0d / a.x00)),
-        ("e_rev_vstard_vs_e_rev_vstar0", "e-rev-vstard", "e-rev-vstar0",
-         lambda i: vp_tail[i] / ph_head[i] * (a.xdd / a.xd0)),
+        ("taustar_rev_v0_vs_eta_vstard", "taustar-rev-v0", "eta-vstard", (taus_d,) * n, vp_tail, a.x0d / a.ssd),
+        ("etastar_rev_v0_vs_eta_vstar0", "etastar-rev-v0", "eta-vstar0", (etas_d,) * n, ph_head, a.x00 / a.ss0),
+        ("taustar_rev_vd_vs_tau_vstard", "taustar-rev-vd", "tau-vstard", (taus_d,) * n, ph_tail, a.xdd / a.ssd),
+        ("etastar_rev_vd_vs_tau_vstar0", "etastar-rev-vd", "tau-vstar0", (etas_d,) * n, vp_head, a.xd0 / a.ss0),
+        ("tau_rev_vstar0_vs_etastar_vd", "tau-rev-vstar0", "etastar-vd", (tau_d,) * n, vp_tail, a.xd0 / a.vvd),
+        ("eta_rev_vstar0_vs_etastar_v0", "eta-rev-vstar0", "etastar-v0", (eta_d,) * n, ph_tail, a.x00 / a.vv0),
+        ("tau_rev_vstard_vs_taustar_vd", "tau-rev-vstard", "taustar-vd", (tau_d,) * n, ph_head, a.xdd / a.vvd),
+        ("eta_rev_vstard_vs_taustar_v0", "eta-rev-vstard", "taustar-v0", (eta_d,) * n, vp_head, a.x0d / a.vv0),
+        ("estar_vd_vs_estar_v0", "estar-vd", "estar-v0", ph_head, vp_head, a.xd0 / a.x00),
+        ("estar_rev_vd_vs_estar_rev_v0", "estar-rev-vd", "estar-rev-v0", vp_tail, ph_tail, a.xdd / a.x0d),
+        ("e_vstard_vs_e_vstar0", "e-vstard", "e-vstar0", ph_tail, vp_head, a.x0d / a.x00),
+        ("e_rev_vstard_vs_e_rev_vstar0", "e-rev-vstard", "e-rev-vstar0", vp_tail, ph_head, a.xdd / a.xd0),
     )
-    for name, lhs_id, rhs_id, coeff in relations:
+    for name, lhs_id, rhs_id, nums, dens, ratio in relations:
         report.add_first_failure(name, (
-            {"i": i} for i in range(d + 1) if family[lhs_id][i] != family[rhs_id][i].scale(coeff(i))))
+            {"i": i} for i in range(n) if family[lhs_id][i] != family[rhs_id][i].scale(nums[i] / dens[i] * ratio)))
     return report
 
 

@@ -26,8 +26,9 @@ class NotALeonardPair(LeonardError):
 
 
 class DegenerateSplit(LeonardError):
-    """A split-basis vector vanished, the extracted array is invalid or two
-    flags are not opposite: the input is not a Leonard system."""
+    """A split-basis vector vanished, the extracted array is invalid, two
+    flags are not opposite or a premise of a construction fails: the input is
+    not a Leonard system."""
 
 
 class InconsistentArray(LeonardError):

@@ -379,6 +379,16 @@ def certified(sys: LeonardSystem) -> bool:
                       and len(sys.theta) == len(sys.theta_star) == sys.d + 1)
 
 
+def certificate_failure(sys: LeonardSystem) -> str | None:
+    """None once `certified` holds, else the failed premise as a message: the first failed axiom of the memoised
+    `verify_axioms` report, else theta and theta* not of d+1 values.  The one premise of every check of `duality`
+    read off the certificate, each of which fails with {"error": message} as witness."""
+    if certified(sys):
+        return None
+    failed = next((c.name for c in verify_axioms(sys).checks if not c.passed), None)
+    return f"{failed} fails" if failed else f"theta and theta* are not d + 1 = {sys.d + 1} values"
+
+
 def certify(pa: ParameterArray) -> LeonardSystem:
     """Build and certify; raises NotALeonardPair when the array is not realizable.
 

@@ -55,6 +55,8 @@ BASES_CHECKS = ("anchor_projections", "anchor_ratio_product", "anchor_ratio_squa
                 "etastar_rev_vd_vs_tau_vstar0", "tau_rev_vstar0_vs_etastar_vd", "eta_rev_vstar0_vs_etastar_v0",
                 "tau_rev_vstard_vs_taustar_vd", "eta_rev_vstard_vs_taustar_v0", "estar_vd_vs_estar_v0",
                 "estar_rev_vd_vs_estar_rev_v0", "e_vstard_vs_e_vstar0", "e_rev_vstard_vs_e_rev_vstar0")
+# the checks of the geometry suite that the package reads off `systems.certified` alone
+CERTIFICATE_GEOMETRY = (*GEOMETRY_CHECKS[:3], "decompositions_induce_flags")
 MATRIX_OF_T_CHECKS = ("matrix_of_T_closed_form", "A_representation_shape", "Astar_representation_shape")
 # verb -> its checks in report order: `dualize` ends after decomposition_components_one_dimensional when that
 # fails, and reports the T checks only with T
@@ -322,6 +324,24 @@ class Reference:
             None if tridiagonal else "U A* W is not irreducible tridiagonal")
 
     @functools.cached_property
+    def certificate(self):
+        """The first failed premise of the certificates of `duality` (`systems.certificate_failure`), with the package's
+        message, read off this reference's own axioms: the first that fails, else theta and theta* not of d+1 values;
+        else None."""
+        failed = next((name for name, (passed, _) in self.axioms.items() if not passed), None)
+        if failed or not len(self.sys.theta) == len(self.sys.theta_star) == self.n:
+            return f"{failed} fails" if failed else f"theta and theta* are not d + 1 = {self.n} values"
+        return None
+
+    def anchor_premise(self, anchors):
+        """The first failed premise of bases_span_decomposition_components with the package's message: the
+        certificate, else the first anchor that is not a multiple of the eigencolumn it names; else None."""
+        return self.certificate or next((
+            f"anchor {key} is not a multiple of the eigencolumn it names" for key, attr in du._ANCHOR_ATTR.items()
+            if not getattr(anchors, attr).is_colinear(self.eigenbasis(key.startswith("vstar")).column(
+                self.d if key.endswith("d") else 0))), None)
+
+    @functools.cached_property
     def gram(self) -> tuple:
         """(G, G^-1) by the null space (`gram_by_nullspace`), formed once for `verify` and `dualize`."""
         return gram_by_nullspace(self.sys.A, self.sys.Astar)
@@ -469,24 +489,28 @@ class Reference:
 
     def dualize(self, bundle: du.DualityBundle | None) -> dict:
         """name -> (passed, witness) of the decided checks of `dualize`, for the T of bundle (None: the geometry suite
-        alone), in report order; the suite ends where a pair of flags is not opposite."""
+        alone), in report order.  Where the certificate fails (`certificate`), T_polynomial_form, the two E_i T sweeps
+        and the four geometry checks read off it fail with it as witness, and the suite leaves out those that read the
+        vectors of the decompositions; else they are decided densely, and the suite ends where a pair of flags is not
+        opposite."""
         sys, f, d, n = self.sys, self.f, self.d, self.n
         out, t = {}, None if bundle is None else bundle.t
         if t is not None:
-            pa = sys.pa or self.extracted[0]
-            core = self.family("eta", True)[d] * self.family("tau", False)[d]  # eta*_d(A*) tau_d(A), dense
-            core = core.scale(f.invert(gap(f, pa.theta, d) * gap(f, pa.theta_star, 0)))
-            out["T_polynomial_form"] = (t == dense_sum(self.family("eta", False)[::-1], core, self.family("tau", True)),
-                                        None)
-            checks = self.axioms
-            failed = next((f"idempotents_{label}_orthogonal fails" for label in ("E", "Estar")
-                           if not checks[f"idempotents_{label}_orthogonal"][0]), None)
+            def polynomial_form():
+                pa = sys.pa or self.extracted[0]
+                core = self.family("eta", True)[d] * self.family("tau", False)[d]  # eta*_d(A*) tau_d(A), dense
+                core = core.scale(f.invert(gap(f, pa.theta, d) * gap(f, pa.theta_star, 0)))
+                return [(t == dense_sum(self.family("eta", False)[::-1], core, self.family("tau", True)), None)]
+
+            out |= _outcomes(["T_polynomial_form"], [self.certificate], polynomial_form)
             for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
                 mats, others = self.mats(star), self.mats(not star)
-                out |= _outcomes([name], [failed], lambda: [_first({"i": i} for i in range(n)
-                                                                   if mats[i] * t != t * others[i])])
+                out |= _outcomes([name], [self.certificate], lambda: [_first({"i": i} for i in range(n)
+                                                                             if mats[i] * t != t * others[i])])
             out |= _outcomes(DAGGER_CHECKS, [self.gram_premise], lambda: self.daggers(t))
             out |= dict(zip(SQUARE_AND_PRODUCT_CHECKS, self.squares_and_products(bundle), strict=True))
+        if self.certificate:  # the package reads the flags and decompositions off the certificate alone
+            return out | dict.fromkeys(CERTIFICATE_GEOMETRY, (False, {"error": self.certificate}))
         flags, decomps = self.flags, self.decompositions
         out["flag_component_dimensions"] = _last({"flag": z, "i": i} for z, F in flags.items()
                                                  for i, comp in enumerate(components(F)) if comp.rank() != i + 1)
@@ -574,7 +598,8 @@ class Reference:
                 self._bases[key] = seq, Matrix.from_columns(self.f, seq).rank() == n
             family[basis_id], ranked[basis_id] = self._bases[key]
         out = {"bases_invertible": _last({"basis": basis_id} for basis_id, ok in ranked.items() if not ok)}
-        witness = self.not_opposite(du.BASIS_MEMBERSHIP)
+        premise = self.anchor_premise(anchors)
+        witness = {"error": premise} if premise else self.not_opposite(du.BASIS_MEMBERSHIP)
         out["bases_span_decomposition_components"] = (witness is None, witness) if witness else _last(
             {"pair": f"[{z}{w}]", "basis": basis_id, "i": i} for (z, w), ids in du.BASIS_MEMBERSHIP.items()
             for basis_id in ids for i in range(n)
@@ -638,7 +663,7 @@ def assert_agrees(sys: LeonardSystem, verbs=tuple(VERBS), bundle: du.DualityBund
                                           du.verify_geometry_suite(sys, bundle))
         names = (DUALITY_CHECKS if t is not None else ()) + tuple(name for name in GEOMETRY_CHECKS if name in geometry)
         assert_report(report, names, geometry)
-        if ref.not_opposite(du.DECOMPOSITION_PAIRS) is None:
+        if ref.certificate is None and ref.not_opposite(du.DECOMPOSITION_PAIRS) is None:
             assert {pair: du.build_decomposition(sys, *pair).vectors for pair in du.DECOMPOSITION_PAIRS} == \
                 ref.decompositions
     if {"bases", "matrix-of-t"} & set(verbs):

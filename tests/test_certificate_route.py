@@ -4,9 +4,12 @@ Once `systems.certified` holds (every axiom, and d+1 values in theta and theta*)
 each decomposition is the first family of its pair in `BASIS_MEMBERSHIP`, each forward sequence is a basis, a
 representation in a basis is the displayed X once M B == B X, and the round trip reads varphi and phi as ratios.
 `tests/reference.py` decides all of these without the certificate (`assert_agrees`).  Here: on Leonard systems the
-certificate holds, so does what it stands for, and no fallback (`split_projectors_by_intersection`,
-`flag_decomposition`, `Matrix.rank`, `Matrix.inverse`, `Matrix.solve`) runs; on systems that fail an axiom the
-fallbacks run, and on a mutated memo they decide as with the certificate switched off.
+certificate holds, so does what it stands for, and no fallback (`split_projectors_by_intersection` and its
+`flag_decomposition`, `Matrix.rank`, `Matrix.inverse`, `Matrix.solve`) runs.  On systems that fail an axiom, the
+fallbacks of `verify` run, while `duality` keeps none: each of its checks read off the certificate (T_polynomial_form,
+the flags and decompositions of the geometry suite, bases_span_decomposition_components) fails with the first failed
+axiom as witness (`systems.certificate_failure`), and no decomposition is built.  On a mutated memo the fallbacks
+decide as with the certificate switched off.
 """
 
 from contextlib import contextmanager
@@ -23,11 +26,14 @@ from leonard.linalg import Matrix
 from leonard.systems import build_system, certify
 
 from conftest import krawtchouk
-from reference import (DIFFERENTIAL, FORMS, GFP, Q, agrees_on, assert_agrees, by_inverse, drawn, eigen_anchors,
-                       hand_built, not_leonard_arrays, passes)
+from reference import (CERTIFICATE_GEOMETRY, DIFFERENTIAL, FORMS, GF7, GFP, Q, Reference, agrees_on, assert_agrees,
+                       by_inverse, drawn, eigen_anchors, hand_built, not_leonard_arrays, passes)
 from test_witnesses import mixed_anchors, non_self_dual_t, scaled_basis_vector, swapped_anchors, wrong_t
 
 SPLIT = ("split_projectors_match_intersection", "split_projectors_resolution")
+# the checks of `duality` read off the certificate alone: four of the geometry suite, the only ones it reports when
+# the certificate fails, and bases_span_decomposition_components
+PREMISE_CHECKS = (*CERTIFICATE_GEOMETRY, "bases_span_decomposition_components")
 
 
 @contextmanager
@@ -35,7 +41,7 @@ def fallbacks():
     """The names of the fallbacks called inside the block, one entry per call."""
     calls, patch = [], pytest.MonkeyPatch()
     for owner, name, label in ((systems, "split_projectors_by_intersection", "split"),
-                               (du, "flag_decomposition", "decomposition"), (Matrix, "rank", "rank"),
+                               (systems, "flag_decomposition", "decomposition"), (Matrix, "rank", "rank"),
                                (Matrix, "inverse", "inverse"), (Matrix, "solve", "solve")):
         original = getattr(owner, name)
         patch.setattr(owner, name, lambda *a, _original=original, _label=label: calls.append(_label) or _original(*a))
@@ -160,27 +166,37 @@ def test_mutated_representations_match_the_inverse(mutation, monkeypatch):
 # --- systems that fail a premise: the fallbacks run ---
 
 
+def premise_failed(checks: dict, error: str) -> bool:
+    """Whether each of PREMISE_CHECKS fails with error as witness."""
+    return all(checks[name] == (False, {"error": error}) for name in PREMISE_CHECKS)
+
+
 @pytest.mark.parametrize("pa", not_leonard_arrays())
 def test_not_leonard_arrays_take_the_fallbacks(pa):
-    """Both tridiagonal axioms fail on these arrays, so the certificate does not hold and each certificate leaves
-    its checks to the elimination (`tests/test_factor_route.py` holds these reports to the reference)."""
+    """Both tridiagonal axioms fail on these arrays, so the certificate does not hold: `verify` leaves its split
+    checks and round trip to the elimination, and each check of `duality` read off the certificate fails with the
+    first failed axiom as witness (`tests/test_factor_route.py` holds these reports to the reference)."""
     sys = build_system(pa)
     with fallbacks() as calls:
         checks = reports(sys, eigen_anchors(sys))
     assert not systems.certified(sys) and not all(passed for passed, _ in checks.values())
     assert {"split", "decomposition", "solve"} <= set(calls)
+    assert premise_failed(checks, "tridiagonal_Astar_in_A_eigenbasis fails")
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 def test_sheared_e0_takes_the_fallbacks(field):
-    """U W != I: the axiom idempotents_E_orthogonal fails, so the certificate does not hold, and the split checks
-    keep their witnesses (`tests/test_premise_route.py` holds these reports to the reference)."""
+    """U W != I: the axiom idempotents_E_orthogonal fails, so the certificate does not hold, the split checks keep
+    their witnesses, and the checks of `duality` read off the certificate fail with that axiom as witness, although
+    the flags, W and W* unchanged, are mutually opposite (`tests/test_premise_route.py` holds these reports to the
+    reference)."""
     sys = hand_built(field, 3)["E_0 sheared"]
     with fallbacks() as calls:
         checks = reports(sys, eigen_anchors(sys))
     assert {"split", "decomposition", "solve"} <= set(calls)
     assert [checks[name] for name in SPLIT] == [(False, None)] * 2
-    assert not checks["idempotents_E_orthogonal"][0] and checks["flags_mutually_opposite"] == (True, None)
+    assert not checks["idempotents_E_orthogonal"][0] and premise_failed(checks, "idempotents_E_orthogonal fails")
+    assert Reference(sys).not_opposite(du.DECOMPOSITION_PAIRS) is None
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(7), GFP], ids=["Q", "GF(7)", "GF(2^31-1)"])
@@ -222,16 +238,54 @@ NOT_OPPOSITE = ("7-d3-1", "7-d3-3", "7-d4-2", "7-d4-3", "7-d5-3")  # over GF(7),
 
 @pytest.mark.parametrize("pa", [pa for pa in not_leonard_arrays() if pa.id in NOT_OPPOSITE])
 def test_basis_family_reports_flags_that_are_not_opposite(pa):
-    """`verify_basis_family` reports, as the geometry suite does: the span check fails with the pair that does not
-    decompose and its error as witness, and the other checks run."""
+    """On these arrays a pair of flags is not opposite (the reference's intersections find it), and the certificate
+    fails: `verify_basis_family` reports, as the geometry suite does, with the span check failing on the first failed
+    axiom as witness, and the other checks run."""
     sys = build_system(pa)
-    assert not du.verify_geometry_suite(sys)["flags_mutually_opposite"].passed
+    assert Reference(sys).not_opposite(du.DECOMPOSITION_PAIRS) is not None
+    premise = {"error": systems.certificate_failure(sys)}
+    assert du.verify_geometry_suite(sys)["flags_mutually_opposite"].witness == premise
     report = du.verify_basis_family(sys, eigen_anchors(sys))
     assert [c.name for c in report.checks] == [
         "bases_invertible", "bases_span_decomposition_components", "bases_inversion_pairing"]
-    span = report["bases_span_decomposition_components"]
-    assert not span.passed and set(span.witness) == {"pair", "error"}
-    assert span.witness["error"].endswith(f"of {span.witness['pair']} are not opposite")
+    assert report["bases_span_decomposition_components"].witness == premise == {
+        "error": "tridiagonal_Astar_in_A_eigenbasis fails"}
+
+
+def assert_fails_on_the_first_failed_axiom(sys):
+    """The certificate fails on sys, and every check of `duality` read off it fails with the first failed axiom of
+    `verify_axioms` as witness: the geometry suite reports only those four checks, T_polynomial_form's
+    construction raises that message, and where both families are d+1 matrices of rank one, so that anchors and T
+    exist, bases_span_decomposition_components and T_polynomial_form fail with it.  No flag_decomposition runs."""
+    error = next(f"{c.name} fails" for c in systems.verify_axioms(sys).checks if not c.passed)
+    witness = (False, {"error": error})
+    ref = Reference(sys)
+    with fallbacks() as calls:
+        geometry = du.verify_geometry_suite(sys)
+        with pytest.raises(DegenerateSplit) as raised:
+            du.duality_operator_polynomial_form(sys)
+        if not any(ref.factor(star) or ref.count(star) for star in (False, True)):
+            bundle = du.DualityBundle(du.duality_operator(sys), *[sys.field.one()] * 5)
+            checks = {c.name: (c.passed, c.witness) for report in (du.verify_duality_suite(sys, bundle),
+                      du.verify_basis_family(sys, eigen_anchors(sys))) for c in report.checks}
+            assert checks["T_polynomial_form"] == checks["bases_span_decomposition_components"] == witness
+    assert "decomposition" not in calls
+    assert str(raised.value) == systems.certificate_failure(sys) == error
+    assert [(c.name, c.passed, c.witness) for c in geometry.checks] == [
+        (name, *witness) for name in CERTIFICATE_GEOMETRY]
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GFP], ids=["Q", "GF(7)", "GF(2^31-1)"])
+def test_hand_built_systems_fail_on_the_first_failed_axiom(field):
+    """Every hand-built system but the one whose matrices are Leonard (only its stored array moved)."""
+    for name, sys in hand_built(field, 3).items():
+        if name != "stored theta_0 moved":
+            assert_fails_on_the_first_failed_axiom(sys)
+
+
+@pytest.mark.parametrize("pa", not_leonard_arrays())
+def test_not_leonard_arrays_fail_on_the_first_failed_axiom(pa):
+    assert_fails_on_the_first_failed_axiom(build_system(pa))
 
 
 # --- a mutated memo: the fallbacks decide as with the certificate switched off ---
@@ -251,9 +305,10 @@ def _mutated(field, key, i, j):
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 def test_reducible_b_star_takes_the_fallbacks(field):
-    """B* = U* A W* with entry (1, 0) set to 0: tridiagonal, not irreducible.  The tridiagonal axiom fails, so both
-    certificates fall back, calling each fallback, and decide as with `systems.certified` off; the eliminations read
-    no B*, so the split checks and the decompositions pass."""
+    """B* = U* A W* with entry (1, 0) set to 0: tridiagonal, not irreducible.  The tridiagonal axiom fails, so the
+    certificates of `verify` fall back, calling each fallback, and decide as with `systems.certified` off; the
+    eliminations read no B*, so the split checks and the ranks of the bases pass, while the checks of `duality` read
+    off the certificate fail with that axiom as witness."""
     build = _mutated(field, (True, "A", True), 1, 0)
     sys = build()
     with fallbacks() as calls:
@@ -265,7 +320,8 @@ def test_reducible_b_star_takes_the_fallbacks(field):
         reference = build()
         assert checks == reports(reference, eigen_anchors(reference))
     assert checks["tridiagonal_A_in_Astar_eigenbasis"] == (False, None)
-    assert all(checks[name] == (True, None) for name in (*SPLIT, "flags_mutually_opposite", "bases_invertible"))
+    assert all(checks[name] == (True, None) for name in (*SPLIT, "bases_invertible"))
+    assert premise_failed(checks, "tridiagonal_A_in_Astar_eigenbasis fails")
 
 
 def test_bases_on_other_anchors_are_ranked():

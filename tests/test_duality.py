@@ -197,7 +197,8 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     s = certify(ParameterArray.from_json(doc))
     (W, U), t = s.eigenbasis(), du.duality_operator(s)
     decomps = [du.build_decomposition(s, *pair) for pair in du.DECOMPOSITION_PAIRS]
-    induce = [(du.build_flag(s, u).inverse, Matrix.from_columns(s.field, vectors)) for dec in decomps
+    flag_inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])  # [z]^-1
+    induce = [(flag_inverse(u), Matrix.from_columns(s.field, vectors)) for dec in decomps
               for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors()))]
     # T T, and U T W, which is U T* W as T = T*, and F^-1 X of decompositions_induce_flags: `dualize` forms none
     dense = ((t, t), (U * t, W), *induce)
@@ -267,8 +268,9 @@ def test_duality_suite_reports_a_failed_gram_premise(field):
     """On `hand_built(field, 3)["E_0 sheared"]` U W != I, a premise of `solve_gram`.  `build_duality_bundle` raises
     it, as its anchor scalars are inner products through G, so the bundle is built by hand: T with lambda from its
     closed form.  The suite reports every check in the usual order; the eight that read G through T^dagger or
-    T*^dagger fail with the premise as witness, as the Gram block of `verify` does, and so do the two sweeps of
-    E_i T = T E*_i, which read U W = I (E_0 T != T E*_0 here); of the others only those of T*, which reads E_0, fail."""
+    T*^dagger fail with the premise as witness, as the Gram block of `verify` does, and so do T_polynomial_form and
+    the two sweeps of E_i T = T E*_i, which take the certificate as premise, here failing on that axiom
+    (E_0 T != T E*_0 here); of the others only those of T*, which reads E_0, fail."""
     s = hand_built(field, 3)["E_0 sheared"]
     error = "idempotents_E_orthogonal fails"
     with pytest.raises(DegenerateSplit, match=re.escape(error)):
@@ -281,7 +283,7 @@ def test_duality_suite_reports_a_failed_gram_premise(field):
     assert [c.name for c in checks] == [c.name for c in du.verify_duality_suite(good, du.build_duality_bundle(good)).checks]
     failing = {c.name: c.witness for c in checks if not c.passed}
     assert failing == {**dict.fromkeys(DAGGER_READERS, {"error": error}),
-                       **dict.fromkeys(("Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei"),
+                       **dict.fromkeys(("T_polynomial_form", "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei"),
                                        {"error": "idempotents_E_orthogonal fails"}),
                        **dict.fromkeys(("T_equals_T_star", "product_Tstar_E0", "product_Tstar_E0star"))}
     assert not all(E * bundle.t == bundle.t * Es for E, Es in zip(s.E, s.Estar))
@@ -410,9 +412,11 @@ def test_flag_components():
 def test_flags_mutually_opposite(sd1):
     _, s, _, _ = sd1
     flags = [du.build_flag(s, z) for z in du.OMEGA]
-    assert all(flag_decomposition(F.inverse * G.basis, G.basis) is not None for F in flags for G in flags if F is not G)
+    inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])  # [z]^-1
+    assert all(flag_decomposition(inverse(F.label) * G.basis, G.basis) is not None
+               for F in flags for G in flags if F is not G)
     # a flag is never opposite to itself for d >= 1
-    assert flag_decomposition(flags[0].inverse * flags[0].basis, flags[0].basis) is None
+    assert flag_decomposition(inverse(flags[0].label) * flags[0].basis, flags[0].basis) is None
 
 
 def test_decomposition_known_rows(sd1):

@@ -74,14 +74,17 @@ def test_root_family_is_memoised():
 
 
 def test_sums_reject_a_vanishing_middle_factor():
-    """With E* = E the middle factors E*_0 E_d and E_0 E*_d are 0, and so is the core
-    eta*_d(A*) tau_d(A), a multiple of E_0 E_d."""
+    """With E* = E the middle factors E*_0 E_d and E_0 E*_d are 0.  So is the core eta*_d(A*) tau_d(A), a multiple
+    of E_0 E_d, which the polynomial form reads only once `systems.certified` holds: here U A* W = diag(theta) is
+    not irreducible, and it raises that failed axiom."""
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
     same = LeonardSystem(s.A, s.A, s.E, s.E, s.theta, s.theta, s.pa)
     dual = lambda sys: du.duality_operator(sys, star=True)
-    for build in (du.duality_operator, dual, du.duality_operator_polynomial_form):
+    for build in (du.duality_operator, dual):
         with pytest.raises(ValueError, match="^the middle factor is not of rank one$"):
             build(same)
+    with pytest.raises(DegenerateSplit, match="^tridiagonal_Astar_in_A_eigenbasis fails$"):
+        du.duality_operator_polynomial_form(same)
 
 
 def test_sums_name_a_family_that_does_not_factor():

@@ -2,11 +2,15 @@
 
 A flag is one ordered basis F (component i: its first i+1 columns).  Two flags F, G are opposite exactly when F^-1 G
 with its rows reversed has an LU factorisation without pivoting, which gives every component of the decomposition
-they induce; "the first i+1 columns of X span component i of F" is read off F^-1 X.  `tests/reference.py` decides
-the flag checks by intersections and ranks (`assert_agrees`).  Here: the elimination against the element loop and
-the intersections on random bases, the inverses of the flags and bases, and that no suite intersects subspaces.
+they induce; "the first i+1 columns of X span component i of F" is read off F^-1 X.  The package reads the flags and
+decompositions off the certificate, and `spans_components` decides T_on_flags where T does not map the eigenspaces;
+`tests/reference.py` decides the flag checks by intersections and ranks (`assert_agrees`).  Here: the elimination
+(`linalg.flag_decomposition`, which the split lines of `verify` take without the certificate) against the element
+loop and the intersections on random bases, the inverses of the flags (the memoised W^-1 and W*^-1,
+`systems._eigenbasis_inverse`) and bases, and that no suite intersects subspaces.
 """
 
+from dataclasses import dataclass
 from math import prod
 
 from hypothesis import given, settings, strategies as st
@@ -20,12 +24,39 @@ from leonard.linalg import Matrix, Vector, flag_decomposition, same_column_space
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
 from conftest import FROZEN_ARRAYS, conjugator, krawtchouk_type, leonard_arrays
-from reference import (DIFFERENTIAL, GEOMETRY_CHECKS, GFP, Q, Reference, agrees_on, assert_agrees, assert_report,
-                       check_list, components, drawn, hand_built, meets, opposite_lines, passes, w_inverse_conjugate)
+from reference import (CERTIFICATE_GEOMETRY, DIFFERENTIAL, GEOMETRY_CHECKS, GFP, Q, Reference, agrees_on,
+                       assert_agrees, assert_report, check_list, components, drawn, hand_built, meets, opposite_lines,
+                       passes, w_inverse_conjugate)
+
+
+@dataclass(frozen=True)
+class Ordered:
+    """The ordered basis of a flag with its inverse, None when the basis is singular."""
+
+    basis: Matrix
+    inverse: Matrix | None
+
+
+def flag(basis: Matrix) -> Ordered:
+    """A flag on an arbitrary ordered basis, its inverse by Gauss-Jordan."""
+    try:
+        return Ordered(basis, basis.inverse())
+    except SingularMatrix:
+        return Ordered(basis, None)
+
+
+def system_flag(sys, z: str) -> Ordered:
+    """The flag [z] of sys (`duality.build_flag`) with its inverse: the memoised W^-1 (W*^-1) with its rows in the
+    flag's order (`systems._eigenbasis_inverse`), None when W (W*) is singular."""
+    try:
+        inverse = systems._eigenbasis_inverse(sys, z.endswith("*")).submatrix(rows=du._ORDER[z])
+    except SingularMatrix:
+        inverse = None
+    return Ordered(du.build_flag(sys, z).basis, inverse)
 
 
 def element_loop_lines(F, G):
-    """The element-level loop that `linalg.flag_decomposition` replaced, for the `duality.Flag`s F and G: the columns
+    """The element-level loop that `linalg.flag_decomposition` replaced, for the flags F and G (`Ordered`): the columns
     of C' (C = F^-1 G, rows reversed) over those of G, reduced without pivoting; x_i = G V[:, d-i], or None."""
     if F.inverse is None:
         return None
@@ -41,7 +72,7 @@ def element_loop_lines(F, G):
     return tuple(Vector(C.field, cols[n - 1 - i].entries[n:]) for i in range(n))
 
 
-def assert_opposite_vectors_match_loop(F: du.Flag, G: du.Flag):
+def assert_opposite_vectors_match_loop(F: Ordered, G: Ordered):
     """`linalg.flag_decomposition` of F and G (None when F is singular) has the verdict of the element loop, and its
     vectors up to nonzero scalars."""
     got = None if F.inverse is None else flag_decomposition(F.inverse * G.basis, G.basis)
@@ -66,7 +97,7 @@ def test_corpus_opposite_vectors_match_element_loop(corpus):
     for pa in corpus.arrays:
         s = corpus.system(pa)
         for z, w in du.DECOMPOSITION_PAIRS:
-            assert assert_opposite_vectors_match_loop(du.build_flag(s, z), du.build_flag(s, w)) is not None
+            assert assert_opposite_vectors_match_loop(system_flag(s, z), system_flag(s, w)) is not None
 
 
 def test_conjugated_corpus_geometry_matches_reference(corpus):
@@ -100,19 +131,12 @@ def test_generated_geometry_matches_reference(field, data):
     assert passes(agreed, "dualize") or not du.is_self_dual(pa)
 
 
-def flag(label: str, basis: Matrix) -> du.Flag:
-    """A flag on an arbitrary ordered basis, its inverse by Gauss-Jordan (None when singular)."""
-    try:
-        return du.Flag(label, basis, basis.inverse())
-    except SingularMatrix:
-        return du.Flag(label, basis, None)
-
-
 def assert_flag_inverses_match_elimination(sys):
-    """Each flag's inverse is Gauss-Jordan's inverse of its basis, and None exactly when that is singular."""
+    """Each flag's inverse, read off the memoised W^-1 or W*^-1 (`system_flag`), is Gauss-Jordan's inverse of its
+    basis, and None exactly when that is singular."""
     for z in du.OMEGA:
-        F = du.build_flag(sys, z)
-        assert F.inverse == flag(z, F.basis).inverse, z
+        F = system_flag(sys, z)
+        assert F.inverse == flag(F.basis).inverse, z
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
@@ -180,29 +204,31 @@ def test_basis_inverses_match_closed_form(field, data):
 # --- hand-built systems ---
 
 
-def test_non_opposite_pair_raises_naming_the_pair():
+def test_non_opposite_pair_raises_naming_the_premise():
     # a d = 1 system with E*_i = E_i, so the flags [0] = [0*] and [D] = [D*]: each component of [00*] is
-    # one-dimensional, but the two coincide, and the intersection route built a "decomposition" that does not span V
+    # one-dimensional, but the two coincide, and the intersection route built a "decomposition" that does not span V.
+    # W* = W, so W*^-1 A W* = diag(theta) is not irreducible: the certificate fails on
+    # tridiagonal_A_in_Astar_eigenbasis, and every decomposition and the flag checks name that premise
     c = certify(krawtchouk_type(Q, 1, 3, 5, 3, 5, 13))
     s = LeonardSystem(c.A, c.Astar, c.E, c.E, c.theta, c.theta_star, c.pa)
     W, Ws = s.eigenbasis()[0], s.eigenbasis(star=True)[0]
     lines = meets(W, Ws)
     assert all(line.ncols == 1 for line in lines) and lines[0] == lines[1]
     assert opposite_lines(W, Ws) is None
-    with pytest.raises(DegenerateSplit, match=r"\[00\*\]"):
+    premise = "tridiagonal_A_in_Astar_eigenbasis fails"
+    with pytest.raises(DegenerateSplit, match=f"^{premise}$"):
         du.build_decomposition(s, "0", "0*")
     report = du.verify_geometry_suite(s)
-    assert report["flag_component_dimensions"].passed
-    assert not report["flags_mutually_opposite"].passed
-    assert report["decomposition_components_one_dimensional"].witness["pair"] == "[D*D]"
-    assert "decompositions_induce_flags" not in report
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        (name, False, {"error": premise}) for name in CERTIFICATE_GEOMETRY]
     assert_agrees(s)
 
 
 def test_dependent_flag_basis_matches_reference():
     # E_0 twice: both E-flags are spanned by one line
+    # the certificate fails (U A* W, with W singular, is not irreducible tridiagonal), so the flag checks name it
     report = assert_agrees(hand_built(Q, 1)["E_0 twice"])["dualize"]
-    assert report["flag_component_dimensions"] == (False, {"flag": "D", "i": 1})
+    assert report["flag_component_dimensions"] == (False, {"error": "tridiagonal_Astar_in_A_eigenbasis fails"})
     assert not report["decomposition_components_one_dimensional"][0]
 
 
@@ -223,10 +249,10 @@ def test_families_with_UW_not_I_invert_by_elimination(monkeypatch):
         assert W in inverted
         assert_flag_inverses_match_elimination(sys)
         assert_agrees(sys)
-    assert du.build_flag(repeated, "0").inverse is du.build_flag(repeated, "D").inverse is None
+    assert system_flag(repeated, "0").inverse is system_flag(repeated, "D").inverse is None
     for sys, z, star in ((sheared, "0", False), (doubled, "0*", True)):
         W, U = sys.eigenbasis(star)
-        assert du.build_flag(sys, z).inverse == inverse(W) != U
+        assert system_flag(sys, z).inverse == inverse(W) != U
 
 
 # --- random ordered bases ---
@@ -257,7 +283,7 @@ def basis_pairs(draw):
         X = F * Matrix.from_ints(field, [[draw(ENTRIES) if c >= r else 0 for c in range(n)] for r in range(n)])
     else:
         X = Matrix.from_ints(field, [[draw(ENTRIES) for _ in range(n)] for _ in range(n)])
-    return flag("F", F), flag("G", G), X
+    return flag(F), flag(G), X
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,7 +303,7 @@ def test_random_bases_match_reference(case):
 
 
 def spans_components_by_rref(F, X: Matrix) -> list:
-    """The rref route that `duality.spans_components` replaced, for the `duality.Flag` F: with Y = F^-1 X, the first
+    """The rref route that `duality.spans_components` replaced, for the flag F (`Ordered`): with Y = F^-1 X, the first
     i+1 columns of Y vanish below row i and hold i+1 pivot columns of Y's rref."""
     Y = F.inverse * X
     pivots, n = Y.rref()[1], Y.nrows
@@ -295,7 +321,7 @@ def block_triangular_coordinates(draw):
     block = lambda i: next(k for k, end in enumerate(ends) if i <= end)
     Y = Matrix.from_ints(field, [[draw(ENTRIES) if block(r) <= block(c) else 0 for c in range(n)] for r in range(n)])
     F = draw(invertible(field, n))
-    return flag("F", F), F * Y
+    return flag(F), F * Y
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,8 +333,8 @@ def test_spans_components_match_rref(case):
 
 def test_singular_basis_is_never_opposite():
     field = Field.prime(7)
-    F = flag("F", Matrix.from_ints(field, [[1, 2], [2, 4]]))
-    G = flag("G", Matrix.from_ints(field, [[0, 1], [1, 0]]))
+    F = flag(Matrix.from_ints(field, [[1, 2], [2, 4]]))
+    G = flag(Matrix.from_ints(field, [[0, 1], [1, 0]]))
     for pair in ((F, G), (G, F), (F, F)):
         assert assert_opposite_vectors_match_loop(*pair) is None
         assert opposite_lines(pair[0].basis, pair[1].basis) is None

@@ -24,7 +24,7 @@ from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
 from leonard.fields import Field
-from leonard.linalg import trace_of_product
+from leonard.linalg import Matrix, rank_one_factors, trace_of_product
 
 GFP = {"kind": "prime", "p": 2147483647}
 
@@ -259,10 +259,10 @@ def test_golden_output(case):
     assert digest(*CASES[case]) == GOLDEN[case]
 
 
-def _output_digests():
-    """tools/output_digests.py as a module."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "output_digests.py")
-    spec = importlib.util.spec_from_file_location("output_digests", path)
+def _tool(name: str = "output_digests"):
+    """tools/<name>.py as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -344,26 +344,34 @@ def test_d20_t_identities_match_their_dense_forms(array, monkeypatch):
 def test_d20_certified_geometry_matches_its_dense_forms(array):
     """At d = 20, which the differential test does not reach: on the certified system T_polynomial_form builds its
     core eta*_d(A*) tau_d(A) from three vector families, and decompositions_induce_flags and
-    bases_span_decomposition_components hold from the certificate.  Each has the value of its dense form, on a
-    second build with the certificate withheld: the dense core, formed and factored, and the two sweeps, with the
-    decompositions by elimination."""
+    bases_span_decomposition_components hold from the certificate.  Each is held to its dense form, formed here: the
+    dense core, factored (`linalg.rank_one_factors`) into the same sum; F^-1 X for each decomposition X in both of its flags
+    (`duality.spans_components`, [z]^-1 the memoised W^-1 or W*^-1 in the flag's order); and each basis of
+    BASIS_MEMBERSHIP against the vectors of its decomposition."""
     pa = systems.ParameterArray.from_json(array)
-    s, dense = systems.certify(pa), systems.build_system(pa)
-    dense._memo["certified"] = False
+    s, d = systems.certify(pa), pa.d
     anchors = du.choose_anchor_vectors(s)
-    assert du.duality_operator_polynomial_form(s) == du.duality_operator_polynomial_form(dense) == \
-        du.duality_operator(s)
+    (W, U), (tau_d, _, _, etas_d) = rank_one_factors([s.root_family("eta", True)[d] * s.root_family("tau")[d]]), \
+        systems.edge_values(pa)
+    dense = du._outer_sum(s.field.invert(tau_d * etas_d), s.root_family("eta", False, W.column(0))[::-1],
+                          s.root_family("tau", True, U.row(0), covector=True))
+    assert du.duality_operator_polynomial_form(s) == dense == du.duality_operator(s)
+    inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])
+    decomps = {pair: du.build_decomposition(s, *pair) for pair in du.DECOMPOSITION_PAIRS}
+    assert all(all(du.spans_components(inverse(u) * Matrix.from_columns(s.field, vectors)))
+               for dec in decomps.values() for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors())))
+    assert all(x.is_colinear(y) for pair, ids in du.BASIS_MEMBERSHIP.items() for basis_id in ids
+               for x, y in zip(du.build_basis(s, anchors, basis_id), decomps[pair].vectors, strict=True))
     checks = lambda *reports: {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
-    names = ("decompositions_induce_flags", "bases_span_decomposition_components")
     got = checks(du.verify_geometry_suite(s), du.verify_basis_family(s, anchors))
-    want = checks(du.verify_geometry_suite(dense), du.verify_basis_family(dense, anchors))
-    assert [got[name] for name in names] == [want[name] for name in names] == [(True, None)] * 2
+    assert [got[name] for name in ("decompositions_induce_flags", "bases_span_decomposition_components")] == [
+        (True, None)] * 2
 
 
 def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
     """tools/output_digests.py builds its q-Racah arrays without conftest, which needs pytest: the same arrays,
     theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""
-    tool = _output_digests()
+    tool = _tool()
     for field in (Field.rational(), Field.prime(GFP["p"])):
         n = field.from_int
         for d in tool.Q_RACAH_DS:
@@ -379,7 +387,7 @@ def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
 def test_output_digests_builds_the_raised_krawtchouk_arrays_of_perturbed_arrays():
     """tools/output_digests.py builds its not-Leonard Krawtchouk arrays without the tests' helpers: the arrays of
     tests/reference.py::not_leonard_arrays, in the same order."""
-    tool = _output_digests()
+    tool = _tool()
     program = SimpleNamespace(systems=systems)
     got = [array for field in FIELDS for d in tool.KRAWTCHOUK_DS for i in range(1, d + 1)
            if (array := tool.raised_krawtchouk(program, field, d, i)) is not None]
@@ -388,3 +396,39 @@ def test_output_digests_builds_the_raised_krawtchouk_arrays_of_perturbed_arrays(
 if __name__ == "__main__":
     for case in sorted(CASES):
         print(f"    {case!r}: {digest(*CASES[case])!r},")
+
+
+REACHED_SOURCE = '''X = 1
+
+
+def f(a):
+    """doc"""
+    try:
+        b = (a +
+             1)
+    except ValueError:
+        raise
+    if (a and
+            b):
+        return b
+
+
+class C:
+    Y = 2
+
+    @staticmethod
+    def g():
+        def h():
+            return 1
+        return h
+'''
+
+
+def test_reached_lines_reads_each_statement_of_a_function_body():
+    """tools/reached_lines.py reads a body line as the first line of a statement inside a function, but its docstring
+    and `try:`, and reaches a compound statement through the lines before its body, any other through any of its
+    lines; module and class statements, and the def lines among them, are not body lines.  (The traced run over the
+    digest calls takes about 10 s, so it is left to the CI report.)"""
+    assert _tool("reached_lines").body_lines(REACHED_SOURCE) == {
+        7: range(7, 9), 10: range(10, 11), 11: range(11, 13), 13: range(13, 14), 21: range(21, 22),
+        22: range(22, 23), 23: range(23, 24)}

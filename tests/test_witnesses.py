@@ -97,34 +97,42 @@ def mixed_anchors():
                                         a.v0s + a.vds.scale(n(2)), a.vds + a.v0s.scale(n(3))))
 
 
-def reversed_decompositions(certificate=True):
-    """The memoised vectors of [0D], [0*D] and [D*0] in reverse order; without certificate, with the certificate
-    memoised as not holding, before any decomposition is built."""
+def _withhold_certificate(s, axiom: str) -> None:
+    """The memoised axiom report of s replaced by one where axiom fails, and the certificate read off it again."""
+    report = VerificationReport()
+    for c in systems.verify_axioms(s).checks:
+        report.add(c.name, c.passed and c.name != axiom, c.witness)
+    s._memo["axioms"] = report
+    s._memo.pop("certified", None)
+
+
+def reversed_decompositions(withheld=None):
+    """The memoised vectors of [0D], [0*D] and [D*0] in reverse order; then, with withheld, the certificate withheld
+    on that axiom (`_withhold_certificate`)."""
     s, anchors, bundle = _setup(SELF_DUAL)
-    if not certificate:
-        s._memo["certified"] = False
     for z, w in (("0", "D"), ("0*", "D"), ("D*", "0")):
         dec = du.build_decomposition(s, z, w)
         s._memo[("decomposition", z, w)] = du.Decomposition(z, w, dec.vectors[::-1])
+    if withheld:
+        _withhold_certificate(s, withheld)
     return _checks(du.verify_geometry_suite(s, bundle), du.verify_basis_family(s, anchors))
 
 
 def uncertified_reversed_decompositions():
-    """`reversed_decompositions` with the certificate withheld: decompositions_induce_flags and
-    bases_span_decomposition_components then sweep, as they do not read the memoised vectors once it holds."""
-    return reversed_decompositions(certificate=False)
+    """`reversed_decompositions` with the certificate withheld on standard_orderings: decompositions_induce_flags and
+    bases_span_decomposition_components read the certificate alone, not the memoised vectors, so both fail with
+    the withheld axiom as witness, and the geometry suite leaves out the checks that read the vectors."""
+    return reversed_decompositions("standard_orderings")
 
 
 def zero_flags():
-    """The flags [0] and [D] with a zero basis, and so zero transitions W_a^-1 W_b from or to them, and the
-    certificate memoised as not holding, as no Leonard system has such flags: the decompositions are left to
-    elimination, which finds [0] and [D] not opposite."""
+    """The flags [0] and [D] memoised with a zero basis, and the certificate withheld on idempotents_E_rank_one, as no
+    Leonard system has such flags: the flag checks read the certificate alone, not the flags, so each fails with
+    the withheld axiom as witness."""
     s, _, _ = _setup(SELF_DUAL)
-    s._memo["certified"] = False
+    _withhold_certificate(s, "idempotents_E_rank_one")
     for z in ("0", "D"):
-        s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1), None)
-    for a, b in ((False, False), (False, True), (True, False)):
-        s._memo[("change_of_basis", a, None, b)] = Matrix.zeros(s.field, s.d + 1)
+        s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1))
     return _checks(du.verify_geometry_suite(s))
 
 
@@ -237,7 +245,7 @@ PINS = {
     },
     mixed_anchors: {
         "anchor_ratio_squares": {"identity": 0, "lhs": "92200/2601", "rhs": "8/1"},
-        "bases_span_decomposition_components": {"pair": "[0D*]", "basis": "eta-rev-vstard", "i": 3},
+        "bases_span_decomposition_components": {"error": "anchor v0 is not a multiple of the eigencolumn it names"},
         "A_representations_in_four_bases": {"basis": "taustar-vd"},
         "Astar_representations_in_four_bases": {"basis": "tau-vstard"},
         **{name: {"i": 0} for name in MIXED_TRANSITIONS},
@@ -247,24 +255,26 @@ PINS = {
         "decomposition_table_rows": {"i": 3, "row": "split"},
         "T_on_decompositions": {"pair": "[0D*]", "i": 3},
     },
-    zero_flags: {"flag_component_dimensions": {"flag": "D", "i": 3}},
     # tau-vstar0, taustar-rev-v0, taustar-v0 and tau-rev-vstar0 fail, in that order
     unreversed_bases: {"bases_inversion_pairing": {"basis": "tau-rev-vstar0"}},
     doubled_estar_d: {"trace_products_closed_form": {"r": 0}},
 }
-# the same for the sweep checks decided from premises (FROM_PREMISES)
+# the checks of `dualize` outside the sweeps whose verdict is the certificate alone (`systems.certified`)
+CERTIFICATE_VERDICTS = ("flags_mutually_opposite", "decomposition_components_one_dimensional")
+# the same for the sweep checks decided from premises, and for CERTIFICATE_VERDICTS (FROM_PREMISES)
 DECIDED_PINS = {
     zero_basis: {"bases_invertible": {"basis": "tau-rev-vstard"}},  # the memoised verdict
     v0_on_vstar0: {"bases_invertible": {"basis": "estar-rev-v0"}},  # the rank, as the certificate does not apply
-    uncertified_reversed_decompositions: {  # the sweeps, as the certificate is withheld
-        "decompositions_induce_flags": {"pair": "[D*0]", "flag": "0", "i": 2},
-        "bases_span_decomposition_components": {"pair": "[0D]", "basis": "e-vstard", "i": 3},
-    },
+    # the certificate withheld: each check read off it fails with the withheld axiom as witness
+    uncertified_reversed_decompositions: dict.fromkeys(
+        ("decompositions_induce_flags", "bases_span_decomposition_components"), {"error": "standard_orderings fails"}),
+    zero_flags: dict.fromkeys(("flag_component_dimensions", *CERTIFICATE_VERDICTS),
+                              {"error": "idempotents_E_rank_one fails"}),
 }
 
 # Comparisons inside a sweep check that hold by construction once the decomposition certificate holds
-# (`systems.certified`), with the reason; the check stays pinned above, and its other comparisons, and all of them
-# on a system the certificate leaves to elimination, are a second route.
+# (`systems.certified`, without which the check does not run), with the reason; the check stays pinned above, and
+# its other comparisons are a second route.
 BY_CERTIFICATE = {
     "decomposition_table_rows": "rows 0, 1 and split: [0D], [0*D*] and [0*D] are the eigencolumns w_i, w*_i and "
                                 "the first family tau_i(A) w*_0 of [0*D], normalized",
@@ -282,13 +292,14 @@ BY_CERTIFICATE = {
 # on E*.  The two split checks read Q P = I once `systems.certified` holds: every axiom, and d+1 values in theta
 # and theta*; else the intersection route decides.  bases_invertible, a check of `bases`, holds once
 # `systems.certified` holds, which `certify` checks before it, and the anchor is the eigencolumn it names; else
-# each forward sequence is ranked.  Two sweep checks are decided from the same certificate (DECIDED_SWEEPS):
-# decompositions_induce_flags, a check of `dualize`, as each [zw] is then the normalized first family of its pair,
-# whose vector i lies in [z]_i ∩ [w]_{d-i}; and bases_span_decomposition_components, a check of `bases`, once every
-# anchor is also the eigencolumn it names, as each basis is then a family on an eigencolumn.  Else each sweeps, and
-# the sweep is pinned where its premise fails (mixed_anchors, uncertified_reversed_decompositions).  Premises that no
-# check of the report states are named in STATED.  Each of these checks is decided by `tests/reference.py` without
-# its premises.
+# each forward sequence is ranked.  Three sweep checks are decided from the same certificate (DECIDED_SWEEPS), and so
+# are CERTIFICATE_VERDICTS: flag_component_dimensions, a check of `dualize`, as U W = I = U* W*; the flags mutually
+# opposite, each component one-dimensional and decompositions_induce_flags, as each [zw] is then the normalized
+# first family of its pair, whose vector i lies in [z]_i ∩ [w]_{d-i}; and bases_span_decomposition_components, a
+# check of `bases`, once every anchor is also the eigencolumn it names, as each basis is then a family on an
+# eigencolumn.  Else each fails with the failed premise as witness, pinned where it fails (mixed_anchors,
+# uncertified_reversed_decompositions, zero_flags).  Premises that no check of the report states are named in
+# STATED.  Each of these checks is decided by `tests/reference.py` without its premises.
 AXIOM_CHECKS = SUITE_CHECKS[:11]  # the report of `verify_axioms`
 STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "d+1 theta and theta*",
           "anchor an eigencolumn")
@@ -301,7 +312,7 @@ F_M_PREMISES = {star: (f"d+1 idempotents E{'*' * star}", f"idempotents_E{'star' 
 F_M_CHECKS = {star: tuple(name + "star" * star for name in ("edge_idempotent_E0", "edge_idempotent_Ed",
                                                              "char_product_A", "subalgebra_three_bases_A"))
               for star in (False, True)}
-DECIDED_SWEEPS = {"decompositions_induce_flags": CERTIFIED,
+DECIDED_SWEEPS = {"flag_component_dimensions": CERTIFIED, "decompositions_induce_flags": CERTIFIED,
                   "bases_span_decomposition_components": (*CERTIFIED, "anchor an eigencolumn")}
 FROM_PREMISES = {
     **dict.fromkeys(GRAM_CHECKS, SOLVE_GRAM_PREMISES),
@@ -312,6 +323,7 @@ FROM_PREMISES = {
     **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution"), CERTIFIED),
     "bases_invertible": (*CERTIFIED, "anchor an eigencolumn"),
     **DECIDED_SWEEPS,
+    **dict.fromkeys(CERTIFICATE_VERDICTS, CERTIFIED),
 }
 
 SWEEP_CHECKS = {
@@ -319,17 +331,18 @@ SWEEP_CHECKS = {
     "T_on_anchor_vectors", "trace_products_closed_form", *TRANSITIONS, *MIXED_TRANSITIONS,
     *(f"T_on_family_{f}" for f in T_FAMILIES),
     "decomposition_inversion_pairs", "decomposition_table_rows", "T_maps_eigenspaces", "T_on_flags",
-    "T_on_decompositions", "bases_inversion_pairing", "flag_component_dimensions", "matrix_of_T_closed_form",
+    "T_on_decompositions", "bases_inversion_pairing", "matrix_of_T_closed_form",
     "A_representations_in_four_bases", "Astar_representations_in_four_bases",
 }
 
 
 def test_every_sweep_check_is_pinned_or_listed():
     """Each sweep check is pinned in PINS, and so is each of DECIDED_SWEEPS under a mutation that fails its premise
-    (mixed_anchors); each of DECIDED_SWEEPS is pinned with the certificate withheld in DECIDED_PINS."""
+    (mixed_anchors); each of DECIDED_SWEEPS and CERTIFICATE_VERDICTS is pinned with the certificate withheld in
+    DECIDED_PINS."""
     pinned = {name for pins in PINS.values() for name in pins}
     assert pinned - SWEEP_CHECKS <= set(DECIDED_SWEEPS) and SWEEP_CHECKS <= pinned
-    assert set(DECIDED_SWEEPS) <= {name for pins in DECIDED_PINS.values() for name in pins}
+    assert {*DECIDED_SWEEPS, *CERTIFICATE_VERDICTS} <= {name for pins in DECIDED_PINS.values() for name in pins}
     assert set(BY_CERTIFICATE) <= pinned
 
 
@@ -340,7 +353,7 @@ def test_every_decided_check_names_premises_that_run_first():
                                   *(f"idempotents_{label}_{sums}" for label in ("E", "Estar")
                                     for sums in ("sum", "spectral")),
                                   "split_projectors_match_intersection", "split_projectors_resolution",
-                                  "bases_invertible", *DECIDED_SWEEPS}
+                                  "bases_invertible", *DECIDED_SWEEPS, *CERTIFICATE_VERDICTS}
     assert not set(FROM_PREMISES) & SWEEP_CHECKS
     for name, premises in FROM_PREMISES.items():
         checked = [p for p in premises if p not in STATED]
@@ -401,16 +414,17 @@ def test_every_emitted_check_is_decided_by_the_reference_or_runs_the_same_code()
     assert set(FROM_PREMISES) | set(BY_CERTIFICATE) <= reference.DECIDED
 
 
-# Checks of `dualize` decided from premises -> those premises.  Once U W = I = U* W* and T maps each E_iV onto E*_iV
-# and back (T_DIAGONALS), `duality._t_diagonals` returns the diagonals (c, c*) of W*^-1 T W and W^-1 T W*: T^2 and
+# Checks of `dualize` decided from premises -> those premises.  Once `systems.certified` holds, so U W = I = U* W*,
+# and T maps each E_iV onto E*_iV and back (T_DIAGONALS), `duality._t_diagonals` returns the diagonals (c, c*) of W*^-1 T W and W^-1 T W*: T^2 and
 # the product formulas of T are read off them, and U T W is K diag(c), which the dagger checks on T read.  Once
 # T_equals_T_star holds too, T* is read as T: the product formulas of T* and U T* W, which the dagger checks on T*
 # read.  T_on_flags holds once T maps the eigenspaces and every flag has d+1 independent vectors, and
 # T_on_decompositions once T maps the flags and the decompositions are their inversion pairs and induce them.  A
-# failed premise leaves each to its dense route: T T, U T W, U T* W, T x and T* w.  FROM_PREMISES leaves out the
-# sweep checks, and T_maps_eigenspaces comes after the T^2 checks in the merged report, so these are mapped apart;
-# the orthogonality axioms run in `certify`, before `dualize`.  `tests/reference.py` decides each densely.
-T_DIAGONALS = ("idempotents_E_orthogonal", "idempotents_Estar_orthogonal", "T_maps_eigenspaces")
+# failed premise leaves each to its dense route: T T, U T W, U T* W, T x and T* w; where the certificate fails, the
+# geometry suite builds no decomposition and reports neither T_on_flags nor T_on_decompositions.  FROM_PREMISES
+# leaves out the sweep checks, and T_maps_eigenspaces comes after the T^2 checks in the merged report, so these are
+# mapped apart; the axioms run in `certify`, before `dualize`.  `tests/reference.py` decides each densely.
+T_DIAGONALS = (*AXIOM_CHECKS, "T_maps_eigenspaces")
 DUALIZE_FROM_PREMISES = {
     **dict.fromkeys(("T_dagger_displayed_sum", "T_equals_T_dagger", "T_squared_equals_lambda_identity",
                      "product_T_E0star", "product_E0star_Tdagger", "product_T_E0", "product_E0_Tdagger",
@@ -456,8 +470,8 @@ FAILED_PREMISES = {
 @pytest.mark.parametrize("case", FAILED_PREMISES)
 def test_a_failed_dualize_premise_takes_the_dense_route(case, monkeypatch):
     """Where a premise of T_DIAGONALS fails, `dualize` forms T T, U T W, T w_0 and T w*_0 (and T x for each vector of
-    the decompositions where T does not map the flags), and each check of DUALIZE_FROM_PREMISES has the verdict and witness of the dense reference; so do all the others
-    (`reference.assert_agrees`)."""
+    the decompositions where T does not map the flags), and each check of DUALIZE_FROM_PREMISES that it reports has
+    the verdict and witness of the dense reference; so do all the others (`reference.assert_agrees`)."""
     build, premise, maps_vectors = FAILED_PREMISES[case]
     s, bundle = build()
     t, (W, U) = bundle.t, s.eigenbasis()
@@ -473,7 +487,10 @@ def test_a_failed_dualize_premise_takes_the_dense_route(case, monkeypatch):
     vectors = 6 * (s.d - 1) + 4 if maps_vectors else 0  # those of the decompositions, as in tests/test_t_route.py
     assert sum(x is t and isinstance(v, Vector) for x, v in pairs) == 2 + vectors  # and T w_0 and T w*_0
     got = reference.assert_agrees(s, ("dualize",), bundle)["dualize"]
-    assert {name: checks[name] for name in DUALIZE_FROM_PREMISES} == {name: got[name] for name in DUALIZE_FROM_PREMISES}
+    reported = DUALIZE_FROM_PREMISES.keys() & checks.keys()
+    assert reported == DUALIZE_FROM_PREMISES.keys() & got.keys() and (case == "Estar_d-doubled") == (
+        "T_on_flags" not in reported)
+    assert {name: checks[name] for name in reported} == {name: got[name] for name in reported}
 
 
 # mutation -> the emitted checks outside SWEEP_CHECKS that fail, each with no witness: T = A breaks every identity
@@ -562,43 +579,49 @@ def _raised(M: Matrix, i: int, j: int) -> Matrix:
     return Matrix(M.field, rows)
 
 
-def _raised_inverse_entry(star: bool, i: int, j: int) -> dict:
+def _raised_inverse_entry(star: bool, i: int, j: int, recertified: bool = True) -> dict:
     """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built; the
-    memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it,
-    and so are the memoised axiom report that `certify` read off them and the certificate read off that report."""
+    memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it, and
+    when recertified so are the memoised axiom report that `certify` read off them and the certificate read off
+    that report; else both are kept from the certified build."""
     s, _, bundle = _setup(SELF_DUAL)
     assert not any(key[0] == "flag" for key in s._memo)
     s._memo[("eigenbasis_inverse", star)] = _raised(systems._eigenbasis_inverse(s, star), i, j)
-    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star) or key in ("axioms", "certified")]:
+    dropped = ("axioms", "certified") if recertified else ()
+    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star) or key in dropped]:
         del s._memo[key]
     return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 
 
-# (star, i, j) -> {check name: its witness}, over the checks that read W^-1 or W*^-1
+# (star, i, j[, recertified]) -> {check name: its witness}, over the checks that read W^-1 or W*^-1: a tridiagonal
+# axiom reads it, and the flag checks read the certificate off that axiom; with the certificate kept, T in the
+# eigenbases reads it
 INVERSE_PINS = {
     (True, 2, 1): {
         "tridiagonal_A_in_Astar_eigenbasis": None,
         "split_projectors_match_intersection": None,
-        "decompositions_induce_flags": {"pair": "[D*0*]", "flag": "0*", "i": 1},
-        "T_maps_eigenspaces": {"i": 3, "side": "E"},
-        "T_on_flags": {"flag": "D", "i": 0},
+        **dict.fromkeys(reference.CERTIFICATE_GEOMETRY, {"error": "tridiagonal_A_in_Astar_eigenbasis fails"}),
     },
     (False, 3, 0): {
         "tridiagonal_Astar_in_A_eigenbasis": None,
-        "flags_mutually_opposite": None,
-        "decomposition_components_one_dimensional": {
-            "pair": "[0D*]", "error": "the flags [0] and [D*] of [0D*] are not opposite"},
+        **dict.fromkeys(reference.CERTIFICATE_GEOMETRY, {"error": "tridiagonal_Astar_in_A_eigenbasis fails"}),
+    },
+    (True, 2, 1, False): {
+        "T_maps_eigenspaces": {"i": 3, "side": "E"},
+        "T_on_flags": {"flag": "D", "i": 0},
     },
 }
 INVERSE_READERS = {"tridiagonal_Astar_in_A_eigenbasis", "tridiagonal_A_in_Astar_eigenbasis",
-                   "split_projectors_match_intersection", "flags_mutually_opposite", "decompositions_induce_flags",
-                   "decomposition_components_one_dimensional", "T_maps_eigenspaces", "T_on_flags"}
+                   "split_projectors_match_intersection", *reference.CERTIFICATE_GEOMETRY, "T_maps_eigenspaces",
+                   "T_on_flags"}
 
 
-@pytest.mark.parametrize("entry", INVERSE_PINS, ids=lambda e: f"{'Wstar' if e[0] else 'W'}-inverse-{e[1]}{e[2]}")
+@pytest.mark.parametrize("entry", INVERSE_PINS, ids=lambda e: f"{'Wstar' if e[0] else 'W'}-inverse-{e[1]}{e[2]}" + (
+    "-certificate-kept" if e[3:] == (False,) else ""))
 def test_eigenbasis_inverse_readers_fail_with_pinned_witness(entry):
-    """Each check that reads the memoised W^-1 or W*^-1 (the tridiagonal axioms, the split lines, the flags
-    and T in the eigenbases) fails when one entry of it is wrong; among them, only the pinned ones."""
+    """Each check that reads the memoised W^-1 or W*^-1 (the tridiagonal axioms, the split lines, the flag checks
+    through the certificate, and T in the eigenbases) fails when one entry of it is wrong; among them, only the
+    pinned ones.  Where the axioms are read again, the certificate fails, and the geometry suite ends before T."""
     checks = _raised_inverse_entry(*entry)
     assert {name for name in INVERSE_READERS & checks.keys() if not checks[name][0]} == set(INVERSE_PINS[entry])
     assert {name: checks[name] for name in INVERSE_PINS[entry]} == {
@@ -629,20 +652,24 @@ def _mutated_memo(key, mutation) -> dict:
 T = _setup(SELF_DUAL)[2].t  # in the memo keys of W*^-1 T W and W^-1 T W*
 # memo key -> (mutation, {check name: its witness}); the pinned checks are the only ones that fail
 MEMO_PINS = {
-    # U W of E: the orthogonality axiom, a premise of the F[M] checks on A and of the Gram solver
+    # U W of E: the orthogonality axiom, a premise of the F[M] checks on A, of the Gram solver and of the certificate,
+    # from which the flag checks are read
     ("UW_witness", False): ({"i": 1, "j": 2}, {
         "idempotents_E_orthogonal": {"i": 1, "j": 2},
-        **dict.fromkeys((*F_M_CHECKS[False], *GRAM_CHECKS), {"error": "idempotents_E_orthogonal fails"})}),
+        **dict.fromkeys((*F_M_CHECKS[False], *GRAM_CHECKS, *reference.CERTIFICATE_GEOMETRY),
+                        {"error": "idempotents_E_orthogonal fails"})}),
     ("UW_witness", True): ({"i": 2, "j": 0}, {
         "idempotents_Estar_orthogonal": {"i": 2, "j": 0},
-        **dict.fromkeys((*F_M_CHECKS[True], "dagger_fixes_idempotents"),
+        **dict.fromkeys((*F_M_CHECKS[True], "dagger_fixes_idempotents", *reference.CERTIFICATE_GEOMETRY),
                         {"error": "idempotents_Estar_orthogonal fails"})}),
-    # U A* W: the tridiagonal axiom, and B of the Gram solver, whose premise it fails
+    # U A* W: the tridiagonal axiom, and B of the Gram solver, whose premise it fails, as it fails the certificate
     ("change_of_basis", False, "Astar", False): ((0, 2), {
         "tridiagonal_Astar_in_A_eigenbasis": None, "standard_orderings": None,
-        **dict.fromkeys(GRAM_CHECKS, {"error": "U A* W is not irreducible tridiagonal"})}),
+        **dict.fromkeys(GRAM_CHECKS, {"error": "U A* W is not irreducible tridiagonal"}),
+        **dict.fromkeys(reference.CERTIFICATE_GEOMETRY, {"error": "tridiagonal_Astar_in_A_eigenbasis fails"})}),
     ("change_of_basis", True, "A", True): ((0, 2), {
-        "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None}),
+        "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None,
+        **dict.fromkeys(reference.CERTIFICATE_GEOMETRY, {"error": "tridiagonal_A_in_Astar_eigenbasis fails"})}),
     # T in the eigenbases: W*^-1 T W (T on [0] and [D] and on each w_i, and E*_i T = T E_i) and W^-1 T W*
     ("change_of_basis", True, T, False): ((0, 1), {
         "T_maps_eigenspaces": {"i": 1, "side": "E"},
@@ -669,10 +696,7 @@ def test_gram_premise_reads_the_memo():
     eleven checks fail with it as witness, and the verdict is copied into the report.  The certificate fails with
     it, and the split checks, left to the intersection route, pass."""
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
-    report = VerificationReport()
-    for c in systems.verify_axioms(s).checks:
-        report.add(c.name, c.passed and c.name != "idempotents_E_spectral", c.witness)
-    s._memo["axioms"] = report
+    _withhold_certificate(s, "idempotents_E_spectral")
     checks = _checks(systems.standard_identity_suite(s))
     assert not systems.certified(s)
     assert {name: check for name, check in checks.items() if not check[0]} == {
