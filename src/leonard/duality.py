@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import mul, truediv
+from operator import truediv
 
 from .errors import DegenerateSplit, InconsistentArray, SingularBasis, UnknownBasis, ZeroInnerProduct
 from .linalg import Matrix, Vector, bidiagonal, root_product_family
@@ -20,6 +20,7 @@ from .systems import (
     ParameterArray,
     _gram_weights,
     _outcomes,
+    _sized,
     certificate_failure,
     certified,
     change_of_basis,
@@ -87,7 +88,9 @@ def anchors_from_vectors(sys: LeonardSystem, v0, vd, v0s, vds) -> AnchorVectors:
 
 
 def choose_anchor_vectors(sys: LeonardSystem) -> AnchorVectors:
-    """Anchors from the idempotent columns, first nonzero coordinate = 1 (`_eigen_anchor`)."""
+    """Anchors from the idempotent columns, first nonzero coordinate = 1 (`_eigen_anchor`); the DegenerateSplit of
+    `systems._sized` when E or E* is not d+1 idempotents."""
+    _sized(sys, False), _sized(sys, True)
     return anchors_from_vectors(sys, *(_eigen_anchor(sys, key) for key in _ANCHOR_ATTR))
 
 
@@ -120,7 +123,8 @@ class DualityBundle:
 def _through(sys: LeonardSystem, x: tuple, y: tuple) -> tuple:
     """(w, c, u) with E_x E_y = c w u^T, for x and y each (star, i) naming E_i or E*_i:
     with E_x = w u_x^T and E_y = w_y u^T, c = u_x^T w_y.  ValueError when c = 0 (E_x E_y is not of rank one),
-    DegenerateSplit when a family does not factor."""
+    DegenerateSplit when a family does not factor or is not d+1 idempotents (`systems._sized`)."""
+    _sized(sys, x[0]), _sized(sys, y[0])
     (W, U), (Wy, Uy) = sys.eigenbasis(x[0]), sys.eigenbasis(y[0])
     if not (c := U.row(x[1]).dot(Wy.column(y[1]))):
         raise ValueError("the middle factor is not of rank one")
@@ -168,13 +172,17 @@ def _displayed_dagger(sys: LeonardSystem, star: bool = False) -> Matrix:
 
 
 def _in_eigenbasis(sys: LeonardSystem) -> LeonardSystem:
-    """The system U X W, once U W = I and U A W = diag(theta): A is diag(theta), A* is B = U A* W, and the factors of
-    E and E* are (I, I) and (U W*, U* W); its idempotents are not formed."""
-    (W, U), (Ws, Us), eye = sys.eigenbasis(), sys.eigenbasis(star=True), Matrix.identity(sys.field, sys.d + 1)
-    out = LeonardSystem(eye.scale_columns(sys.theta), change_of_basis(sys, False, "Astar", False), None, None,
-                        sys.theta, sys.theta_star)
-    out._memo.update({("eigenbasis", False): (eye, eye), ("eigenbasis", True): (U * Ws, Us * W)})
-    return out
+    """The system U X W, memoised, once U W = I and U A W = diag(theta): A is diag(theta), A* is B = U A* W, and the
+    factors of E and E* are (I, I) and (K, K*) for K = U W* and K* = U* W (`change_of_basis`); its idempotents are
+    not formed."""
+    def build():
+        eye = Matrix.identity(sys.field, sys.d + 1)
+        out = LeonardSystem(eye.scale_columns(sys.theta), change_of_basis(sys, False, "Astar", False), None, None,
+                            sys.theta, sys.theta_star)
+        out._memo.update({("eigenbasis", False): (eye, eye), ("eigenbasis", True): (
+            change_of_basis(sys, False, None, True), change_of_basis(sys, True, None, False))})
+        return out
+    return sys.cached("in_eigenbasis", build)
 
 
 def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = None) -> DualityBundle:
@@ -186,14 +194,11 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
     anchors this raises the DegenerateSplit of a failed premise of `solve_gram`.
     """
     pa = sys.parameter_array
-    f = sys.field
     if anchors is None:
         anchors = choose_anchor_vectors(sys)
     t = duality_operator(sys)
-    nu_ddown = nu_scalars(pa)[2]
-    inv_nu_ddown = f.invert(nu_ddown)
     vp, ph = pa.split_products[0][pa.d], pa.split_products[2][pa.d]
-    lam = inv_nu_ddown * inv_nu_ddown * ph
+    lam = ph / nu_scalars(pa)[2] ** 2
     tau_d, eta_d, _, _ = edge_values(pa)
     alpha = vp / tau_d * anchors.x00 / anchors.ss0
     beta = vp / eta_d * anchors.xdd / anchors.ssd
@@ -202,55 +207,42 @@ def build_duality_bundle(sys: LeonardSystem, anchors: AnchorVectors | None = Non
     return DualityBundle(t, lam, alpha, beta, alpha_star, beta_star)
 
 
-def _t_diagonals(sys: LeonardSystem, t: Matrix):
-    """(c, c*), the diagonals of C = W*^-1 T W and C* = W^-1 T W* (`change_of_basis`), once `certified` holds, so
-    U W = I = U* W*, and both are diagonal with no zero on the diagonal: then T W = W* diag(c) and T W* = W diag(c*).
-    Else None."""
-    if not certified(sys):
-        return None
-    Cs = [change_of_basis(sys, not star, t, star) for star in (False, True)]
-    if any(not a if i == j else a for C in Cs for i, row in enumerate(C.nums) for j, a in enumerate(row)):
-        return None
-    return [[sys.field.fraction(row[i], C.den) for i, row in enumerate(C.nums)] for C in Cs]
-
-
 def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> VerificationReport:
     """Every stated identity for T; the self-dual-only ones fail honestly when theta differs from theta* (that failure
-    is the negative control).  The eight that read T^dagger or T*^dagger read the weights of `solve_gram`, and when a
-    premise of it fails, each fails with that premise as witness, as in `verify`.  T_polynomial_form,
-    Ei_T_equals_T_Estar_i and Estar_i_T_equals_T_Ei take `certified` as their premise, and when it fails each fails
-    with the failed axiom as witness (`certificate_failure`).
-
-    Once `certified` holds (so U W = I = U* W*) and T maps each E_iV onto E*_iV and back, T W = W* diag(c) and
-    T W* = W diag(c*) for the diagonals (c, c*) of W*^-1 T W and W^-1 T W* (`_t_diagonals`), and the identities of T
-    are read off them: T^2 = W diag(c c*) U, so T^2 = lambda I exactly when every c_i c*_i = lambda, and the displayed
-    T^2 expansion is compared with mu I when every c_i c*_i = mu; U T W = K diag(c) for K = U W*; T E*_0 = c1 E_0 E*_0
-    reads c*_0 = c1 K_00, and T E_0 = c E*_0 E_0 reads c_0 = c K*_00 for K* = U* W.  Once T = T* holds, T* is read as
-    T: U T* W is U T W, and its two product formulas are those of T.  When a premise fails, T^2, U T W, U T* W, T w
-    and T* w are formed densely."""
+    is the negative control).  All but T_polynomial_form and the two with A and A* are read on the system U X W
+    (`_in_eigenbasis`) off T's eigen-coordinates C = W*^-1 T W and C* = W^-1 T W* (`change_of_basis`).  Their premise
+    is `certified`, which gives U W = I = U* W* (Terwilliger, LAA 330 (2001), Thm 1.9), so T W = W* C, T W* = W C*,
+    U T W = K C for K = U W*, and U T^2 W = C* C; U T* W is T* of U X W.  When it fails, each of them fails with the
+    failed axiom as witness (`certificate_failure`), and the eight that read the weights of `solve_gram` through
+    T^dagger or T*^dagger fail first with a failed premise of it, as in `verify`."""
     report = VerificationReport()
     f, d = sys.field, sys.d
     pa = sys.parameter_array
     t = bundle.t
-    t_star = duality_operator(sys, star=True)
-    same = t == t_star
-    diag = _t_diagonals(sys, t)
     vp_head, _, ph_head, ph_tail = pa.split_products
     vp, ph = vp_head[d], ph_head[d]
     tau_d, eta_d, taus_d, etas_d = edge_values(pa)
     c1, c2 = eta_d * vp / (tau_d * etas_d), etas_d * vp / (taus_d * eta_d)
+    if not (failed := certificate_failure(sys)):  # X = U T W and Xs = U T* W, the very X when the two are equal
+        hat, C, Cs = _in_eigenbasis(sys), change_of_basis(sys, True, t, False), change_of_basis(sys, False, t, True)
+        (K, Ks), e0 = hat.eigenbasis(star=True), hat.eigencolumn(0)
+        k, r, X, Xs = K.column(0), Ks.row(0), K * C, duality_operator(hat, star=True)
+        Xs, square = X if Xs == X else Xs, Cs * C
+    by_coordinates = lambda name, check: report.add(name, *((False, {"error": failed}) if failed else (check(),)))
 
     # X^dagger = G^-1 X^T G for G = U^T D U / pivot, D = diag(m) (`solve_gram`): as U W = I, U X^dagger W is D^-1 X^T D
-    # for X^ = U X W, so X^dagger = Y exactly when X^T D = D Y^.  In these coordinates (`_in_eigenbasis`) E_0 is
-    # e_0 e_0^T and E*_0 is k r^T, k != 0: E*_0 X^dagger = c E*_0 E_0 reads D X^ (r/m) = c r_0 e_0, and
-    # E_0 X^dagger = c E_0 E*_0 reads row 0 of X^T D = c k_0 m_0 r^T
+    # for X^ = U X W, so X^dagger = Y exactly when X^T D = D Y^.  In these coordinates E_0 is e_0 e_0^T and E*_0 is
+    # k r^T, k != 0: E*_0 X^dagger = c E*_0 E_0 reads D X^ (r/m) = c r_0 e_0, and E_0 X^dagger = c E_0 E*_0 reads
+    # row 0 of X^T D = c k_0 m_0 r^T
     def by_weights():
-        m, (W, U), hat = _gram_weights(sys), sys.eigenbasis(), _in_eigenbasis(sys)
-        (K, Ks), DT = hat.eigenbasis(star=True), lambda X: X.transpose().scale_columns(m)  # X^T D, the transpose of D X
-        k, r, x = K.column(0), Ks.row(0), DT(K.scale_columns(diag[0]) if diag else U * t * W)
-        xs = x if same else DT(U * t_star * W)
+        m = _gram_weights(sys)
+        if failed:
+            raise DegenerateSplit(failed)
+        DT = lambda Y: Y.transpose().scale_columns(m)  # Y^T D, the transpose of D Y
+        x = DT(X)
+        xs = x if Xs is X else DT(Xs)
         on_e0 = lambda XD, c: XD.row(0) == r.scale(c * k[0] * m[0])
-        on_es0 = lambda XD, c: XD.transpose() * Vector(f, map(truediv, r, m)) == hat.eigencolumn(0).scale(c * r[0])
+        on_es0 = lambda XD, c: XD.transpose() * Vector(f, map(truediv, r, m)) == e0.scale(c * r[0])
         return [(ok, None) for ok in (
             x == DT(_displayed_dagger(hat)).transpose(), xs == DT(_displayed_dagger(hat, star=True)).transpose(),
             x == x.transpose(), xs == x.transpose(), on_es0(x, c1), on_e0(xs, c2), on_e0(x, vp / tau_d),
@@ -262,50 +254,47 @@ def verify_duality_suite(sys: LeonardSystem, bundle: DualityBundle) -> Verificat
     report.add("T_polynomial_form", *_outcomes(1, lambda: [(t == duality_operator_polynomial_form(sys), None)])[0])
     add_dagger("T_dagger_displayed_sum")
     add_dagger("T_star_dagger_displayed_sum")
-    report.add("T_equals_T_star", same)
+    by_coordinates("T_equals_T_star", lambda: Xs is X)
     add_dagger("T_equals_T_dagger")
     add_dagger("T_equals_T_star_dagger")
 
-    squares = set(map(mul, *diag)) if diag else ()
-    t_squared = Matrix.identity(f, d + 1).scale(*squares) if len(squares) == 1 else t * t
-    report.add("T_squared_equals_lambda_identity", t_squared == Matrix.identity(f, d + 1).scale(bundle.lam))
+    by_coordinates("T_squared_equals_lambda_identity", lambda: square == Matrix.identity(f, d + 1).scale(bundle.lam))
     report.add("A_T_equals_T_Astar", sys.A * t == t * sys.Astar)
     report.add("Astar_T_equals_T_A", sys.Astar * t == t * sys.A)
 
     # with E_i = w_i u_i^T, U W = I and U* W* = I, which `certified` gives, U (E_i T - T E*_i) W* is
     # e_i (row i of M) - (column i of M) e_i^T for M = W^-1 T W*: zero when both vanish off (i, i); starred,
     # M = W*^-1 T W.  Else both fail with the failed premise as witness
-    failed = certificate_failure(sys)
     for name, star in (("Ei_T_equals_T_Estar_i", False), ("Estar_i_T_equals_T_Ei", True)):
         M = None if failed else change_of_basis(sys, star, t, not star).nums
         report.add_first_failure(name, [{"error": failed}] if failed else (
             {"i": i} for i in range(d + 1) if any(M[i][j] or M[j][i] for j in range(d + 1) if j != i)))
 
-    # the eight product formulas with their displayed coefficients.  X E*_0 = c E_0 E*_0 (X E_0 = c E*_0 E_0 with
-    # star false): with E*_0 = w u^T and E_0 = w' u'^T, which factor as T* is built, both sides are a column times
-    # u^T != 0, X w and c (u' . w) w', so it reads X w == c (u' . w) w', or c_0 == c (u' . w) (c*_0 starred) once
-    # X w = c_0 w' is read off the diagonals
-    def product(of_star, star, c):
-        w, (Wo, Uo) = sys.eigencolumn(0, star), sys.eigenbasis(not star)
-        c = c * Uo.row(0).dot(w)
-        if diag and (same or not of_star):
-            return diag[star][0] == c
-        return (t_star if of_star else t) * w == Wo.column(0).scale(c)
-
-    report.add("product_T_E0star", product(False, True, c1))
-    report.add("product_Tstar_E0", product(True, False, c2))
+    # the eight product formulas with their displayed coefficients.  With E_0 = w_0 u_0^T and E*_0 = w*_0 u*_0^T,
+    # Y E_0 = c E*_0 E_0 reads Y w_0 == c (u*_0 . w_0) w*_0, and Y E*_0 = c E_0 E*_0 reads Y w*_0 == c (u_0 . w*_0) w_0.
+    # As U w_0 = e_0, U w*_0 = k, u*_0 . w_0 = r_0 and u_0 . w*_0 = k_0, they read column 0 of U Y W == c r_0 k and
+    # (U Y W) k == c k_0 e_0, where (U T W) k = U T W* e_0 is column 0 of C*
+    on_e0 = lambda Y, c: Y.column(0) == k.scale(c * r[0])
+    on_es0 = lambda Y, c: (Cs.column(0) if Y is X else Y * k) == e0.scale(c * k[0])
+    by_coordinates("product_T_E0star", lambda: on_es0(X, c1))
+    by_coordinates("product_Tstar_E0", lambda: on_e0(Xs, c2))
     add_dagger("product_E0star_Tdagger")
     add_dagger("product_E0_Tstardagger")
-    report.add("product_T_E0", product(False, False, vp / tau_d))
-    report.add("product_Tstar_E0star", product(True, True, vp / taus_d))
+    by_coordinates("product_T_E0", lambda: on_e0(X, vp / tau_d))
+    by_coordinates("product_Tstar_E0star", lambda: on_es0(Xs, vp / taus_d))
     add_dagger("product_E0_Tdagger")
     add_dagger("product_E0star_Tstardagger")
 
-    # T^2 expanded: (phi_1...phi_d / nu_ddown) sum_j eta_j(A) E*_0 E_d tau*_j(A*) / (phi_d...phi_{d-j+1})
-    w, c, u = _through(sys, (True, 0), (False, d))
-    weighted = [r.scale(f.invert(ph_tail[j])) for j, r in enumerate(sys.root_family("tau", True, u, covector=True))]
-    acc = _outer_sum(c * f.invert(nu_scalars(pa)[2]) * ph, sys.root_family("eta", False, w), weighted)
-    report.add("T_squared_expansion", t_squared == acc)
+    # T^2 expanded: (phi_1...phi_d / nu_ddown) sum_j eta_j(A) E*_0 E_d tau*_j(A*) / (phi_d...phi_{d-j+1}), and
+    # T^2 = W (C* C) U, which is C* C when that is a scalar matrix
+    def expansion():
+        w, c, u = _through(sys, (True, 0), (False, d))
+        weighted = [v.scale(f.invert(ph_tail[j])) for j, v in enumerate(sys.root_family("tau", True, u, covector=True))]
+        acc = _outer_sum(c * f.invert(nu_scalars(pa)[2]) * ph, sys.root_family("eta", False, w), weighted)
+        (W, U), scalar = sys.eigenbasis(), square == Matrix.identity(f, d + 1).scale(square.column(0)[0])
+        return acc == (square if scalar else W * square * U)
+
+    by_coordinates("T_squared_expansion", expansion)
     return report
 
 

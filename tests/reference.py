@@ -65,10 +65,11 @@ VERBS = {"verify": SUITE_CHECKS, "dualize": DUALITY_CHECKS + GEOMETRY_CHECKS, "b
 # the checks of `dualize` that read T^dagger or T*^dagger, in report order
 DAGGER_CHECKS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equals_T_dagger", "T_equals_T_star_dagger",
                  "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger", "product_E0star_Tstardagger")
-# the checks of `dualize` on T^2 and on the product formulas of T and T*, in report order
-SQUARE_AND_PRODUCT_CHECKS = ("T_squared_equals_lambda_identity", "product_T_E0star", "product_Tstar_E0",
-                             "product_T_E0", "product_Tstar_E0star", "T_squared_expansion")
-DECIDED = {*SUITE_CHECKS, "T_polynomial_form", *DAGGER_CHECKS, *SQUARE_AND_PRODUCT_CHECKS, "Ei_T_equals_T_Estar_i",
+# the other checks of `dualize` that the package reads off T's eigen-coordinates: T = T*, T^2 and the product
+# formulas of T and T*, in report order
+T_COORDINATE_CHECKS = ("T_equals_T_star", "T_squared_equals_lambda_identity", "product_T_E0star", "product_Tstar_E0",
+                       "product_T_E0", "product_Tstar_E0star", "T_squared_expansion")
+DECIDED = {*SUITE_CHECKS, "T_polynomial_form", *DAGGER_CHECKS, *T_COORDINATE_CHECKS, "Ei_T_equals_T_Estar_i",
            "Estar_i_T_equals_T_Ei", *GEOMETRY_CHECKS, *BASES_CHECKS[3:6], *MATRIX_OF_T_CHECKS}
 SAME_CODE = set(chain(*VERBS.values())) - DECIDED
 
@@ -489,10 +490,10 @@ class Reference:
 
     def dualize(self, bundle: du.DualityBundle | None) -> dict:
         """name -> (passed, witness) of the decided checks of `dualize`, for the T of bundle (None: the geometry suite
-        alone), in report order.  Where the certificate fails (`certificate`), T_polynomial_form, the two E_i T sweeps
-        and the four geometry checks read off it fail with it as witness, and the suite leaves out those that read the
-        vectors of the decompositions; else they are decided densely, and the suite ends where a pair of flags is not
-        opposite."""
+        alone), in report order.  Where the certificate fails (`certificate`), T_polynomial_form, the two E_i T sweeps,
+        T_COORDINATE_CHECKS and the four geometry checks read off it fail with it as witness, and so do the daggers
+        where the premises of `solve_gram` hold, and the suite leaves out those that read the vectors of the
+        decompositions; else they are decided densely, and the suite ends where a pair of flags is not opposite."""
         sys, f, d, n = self.sys, self.f, self.d, self.n
         out, t = {}, None if bundle is None else bundle.t
         if t is not None:
@@ -507,8 +508,8 @@ class Reference:
                 mats, others = self.mats(star), self.mats(not star)
                 out |= _outcomes([name], [self.certificate], lambda: [_first({"i": i} for i in range(n)
                                                                              if mats[i] * t != t * others[i])])
-            out |= _outcomes(DAGGER_CHECKS, [self.gram_premise], lambda: self.daggers(t))
-            out |= dict(zip(SQUARE_AND_PRODUCT_CHECKS, self.squares_and_products(bundle), strict=True))
+            out |= _outcomes(DAGGER_CHECKS, [self.gram_premise, self.certificate], lambda: self.daggers(t))
+            out |= _outcomes(T_COORDINATE_CHECKS, [self.certificate], lambda: self.t_identities(bundle))
         if self.certificate:  # the package reads the flags and decompositions off the certificate alone
             return out | dict.fromkeys(CERTIFICATE_GEOMETRY, (False, {"error": self.certificate}))
         flags, decomps = self.flags, self.decompositions
@@ -572,10 +573,10 @@ class Reference:
             Es[0] * t_dag == Es0_E0.scale(c1), E[0] * t_star_dag == E0_Es0.scale(c2),
             E[0] * t_dag == E0_Es0.scale(c3), Es[0] * t_star_dag == Es0_E0.scale(c4))]
 
-    def squares_and_products(self, bundle: du.DualityBundle) -> list:
-        """(passed, None) of each of SQUARE_AND_PRODUCT_CHECKS for the bundle, densely: T T against lambda I and
-        against the displayed expansion, a dense sum of the dense families, and T and T* times the dense E_0 and
-        E*_0."""
+    def t_identities(self, bundle: du.DualityBundle) -> list:
+        """(passed, None) of each of T_COORDINATE_CHECKS for the bundle, densely: T against the dense T*, T T against
+        lambda I and against the displayed expansion, a dense sum of the dense families, and T and T* times the dense
+        E_0 and E*_0."""
         sys, f, d = self.sys, self.f, self.d
         t, E, Es, pa = bundle.t, sys.E, sys.Estar, sys.pa or self.extracted[0]
         t_star, E0_Es0, Es0_E0, c1, c2, c3, c4 = self.displayed
@@ -583,7 +584,7 @@ class Reference:
         expansion = dense_sum(self.family("eta", False), Es[0] * E[d], [R.scale(f.invert(prod(
             pa.phi[d - j:], start=f.one()))) for j, R in enumerate(self.family("tau", True))])
         return [(ok, None) for ok in (
-            square == Matrix.identity(f, self.n).scale(bundle.lam), t * Es[0] == E0_Es0.scale(c1),
+            t == t_star, square == Matrix.identity(f, self.n).scale(bundle.lam), t * Es[0] == E0_Es0.scale(c1),
             t_star * E[0] == Es0_E0.scale(c2), t * E[0] == Es0_E0.scale(c3), t_star * Es[0] == E0_Es0.scale(c4),
             square == expansion.scale(ph / nu_scalars(pa)[2]))]
 

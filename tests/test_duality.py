@@ -23,8 +23,8 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product, flag_decomposition
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, leonard_array, leonard_arrays
-from reference import basis_by_recurrence, components, hand_built, meets
+from conftest import FROZEN_ARRAYS, krawtchouk_type, leonard_array, leonard_arrays
+from reference import T_COORDINATE_CHECKS, basis_by_recurrence, components, hand_built, meets
 from test_witnesses import DAGGER_READERS
 
 Q = Field.rational()
@@ -145,83 +145,67 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
 def test_products_per_verb(field, tmp_path, monkeypatch):
-    """Each change of basis W_a^-1 X W_b is formed once per system (`systems.change_of_basis`) and U W once per
-    family (`systems._orthogonality_witness`).  `dualize` forms T in the eigenbases, W*^-1 T W and W^-1 T W*, once
-    for its sweeps on eigenspaces, flags and E_i T = T E*_i.  The decompositions and the bases read the certificate
-    (`systems.certified`) off the memoised axiom report, so neither forms U W* or U* W, and [0D] and [0*D*] are the
-    eigencolumns, so no E_i v is formed.  `solve_gram` reads its premises off the same report
-    (`systems.premises`), so U A W is not formed.  `verify` decides the Gram block from those premises, solving for
-    the weights of G and forming neither G nor G^-1, the idempotent sums from U W = I and
-    M W == W diag(theta), and the split checks from Q P once the certificate holds.  An anchor inner product reads
-    the weights of G (`LeonardSystem.pair`): each distinct anchor is mapped by U once, and the pivot of G is one
-    more product of a matrix and a vector, so `bases` forms neither G nor G^-1.  `matrix-of-t` takes T from
-    `duality_operator`, its basis vector from the eigencolumn it names and each representation from M B == B X, so
-    it forms no anchor inner product, no G and no inverse.  Each spectral check is one product M W against the
-    column scaling W diag(theta), and the round trip reads one row of A* times each split vector on the stored
-    integers, so `verify` and `matrix-of-t` form no product of a matrix and a vector.  `dualize` reads its eight
-    daggers off the weights m of G in the eigenbasis (W, U) of A: U T W and U T* W, U W* and U* W, and the two
-    displayed dagger sums in those coordinates, one product each, and D X^ (r/m) for the two checks on E*_0.  A
-    system built from an array stores its eigenbases, and no verb forms a dense E_i or E*_i: `LeonardSystem.idempotents`
-    is never read.  Once T maps the eigenspaces, `dualize` reads T in its eigen-coordinates (`duality._t_diagonals`):
-    T^2 off the diagonals of W*^-1 T W and W^-1 T W*, U T W as (U W*) diag(c) and U T* W as U T W once T = T*, the
-    four other product formulas as scalars, T_on_flags and T_on_decompositions from their premises; so it forms
-    neither T T nor (U T) W, pinned here.  On the certified system `dualize` builds the core eta*_d(A*) tau_d(A) of
-    T_polynomial_form from three vector families (tau_d(A) e_j, eta*_d(A*) of it and tau_d(A^T) e_k), and reads
-    decompositions_induce_flags off the certificate, so it forms no F^-1 X; no verb calls `root_product_family`
-    without a start, which forms a dense tau/eta family; both are pinned here.  Each E_i v of the bases e-* and
-    estar-* is (U v)_i w_i on the memoised U v (U* v), which the anchor projections read too.  At d = 6 that is
-    10/24/8/15 products of two matrices for verify/dualize/bases/matrix-of-t, and 0/7/7/0 products of a matrix and a
-    vector: in `dualize` 4 anchors, the pivot and the two D X^ (r/m); in `bases` U x of the 4 anchors, the pivot and
-    U* v0 and U* vd.  While T_polynomial_form formed the dense families eta*_j(A*) and tau_j(A) and their product
-    eta*_d(A*) tau_d(A), and decompositions_induce_flags formed F^-1 X for each of its 12 distinct (flag, vectors)
-    cases, `dualize` formed 37 products of two matrices; while it formed T T, U T W and U T* W, read each of the four
-    other product formulas as X w_0 = c (u*_0 . w_0) w*_0 and formed T x once for each of the 34 distinct vectors of
-    the 12 decompositions ([wz] is [zw] reversed, and every [zw] starts at the first vector of [z]), it formed 42
-    and 45.  While the build formed every E_i and E*_i
-    densely, each product formula read E_0 E*_0 or E*_0 E_0 and each E_i v was a product, the counts were 10/48/8/15 and 0/41/41/0.  While the daggers were
-    G^-1 X^T G, with G and G^-1 formed, `dualize` formed 52 and 39.  While each spectral check
-    formed M w_i, d+1 products of a matrix and a vector, and the round trip solved A* P = P X, the products of two
-    matrices were as many and those of a matrix and a vector 14/53/55/14.  While an inner product was u . (G v), the
-    counts were 10/52/10/17, with 56 products of a matrix and a vector in `dualize` (8 of G and a vector) and 22 in
-    `matrix-of-t`, which also inverted its basis.  While `verify` formed G and G^-1 it formed 12.  While
-    `solve_gram` formed U A W and the certificates U W*, U* W and U w*_0, the counts were 14/56/14/19, and 15
-    products of a matrix and a vector in `verify`.  When each reader formed its own, there were 33/105/29/24: U W
-    five times for two families, U A* W twice, and one F^-1 G per decomposition;
-    dualize formed 90 while each product formula and each of the 24 cases formed its own, and 60 products of two
-    matrices and 148 of a matrix and a vector while T was formed on the eigenbases, the flags and each
-    decomposition vector by each sweep; verify formed 28 while it tested the Gram block with products by G and
-    G^-1."""
+    """The products of two matrices and of a matrix and a vector that each verb forms at d = 6 on the Krawtchouk
+    array: 10/26/8/15 and 0/7/7/0 for verify/dualize/bases/matrix-of-t.  Each change of basis W_a^-1 X W_b is formed
+    once per system (`systems.change_of_basis`) and U W once per family; no verb reads `LeonardSystem.idempotents`,
+    which forms a dense E_i, or calls `root_product_family` without a start, which forms a dense tau/eta family.
+    - `verify` decides the Gram block from the premises of `solve_gram` (no G or G^-1), the sums from U W = I, each
+      spectral check as one product M W, and the split checks from Q P; the round trip reads rows of A* on the
+      stored integers, so it forms no product of a matrix and a vector.
+    - `dualize` forms the same 26 on this self-dual array and on the one with s* = -4 (theta* != theta, exit 1): it
+      reads T's identities off its eigen-coordinates C = W*^-1 T W and C* = W^-1 T W*, U T W as K C, U T^2 W as
+      C* C and U T* W as T* summed in the eigenbasis of A (`duality._in_eigenbasis`), so neither array forms T T,
+      (U T) W, U T* W or a dense T*, nor the F^-1 X of decompositions_induce_flags, read off the certificate; all
+      pinned here.  Its 7 products of a matrix and a vector are the 4 anchors, the pivot of G and the two D X^ (r/m)
+      of the daggers on E*_0; with s* = -4, where T maps no flag, T x for each of the 34 distinct decomposition
+      vectors adds 34.
+    - `bases` maps the 4 anchors by U, forms the pivot and U* v0 and U* vd, and forms neither G nor G^-1.
+    - `matrix-of-t` takes T from `duality_operator`, its basis from the eigencolumn it names and each representation
+      from M B == B X, so it forms no anchor inner product, no G and no inverse."""
+    def run(verb, doc, rc=0):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        calls.clear()
+        unstarted.clear()
+        extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
+        assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == rc
+        assert families == [] and not any(unstarted), verb
+        return sum(type(other) is Matrix for _, other in calls), sum(type(other) is Vector for _, other in calls)
+
+    def dense(doc):  # T T, (U T) W, (U T*) W and F^-1 X of decompositions_induce_flags, on the system of doc
+        s = certify(ParameterArray.from_json(doc))
+        (W, U), t, t_star = s.eigenbasis(), du.duality_operator(s), du.duality_operator(s, star=True)
+        flag_inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])
+        return [(t, t), (U * t, W), (U * t_star, W), *(
+            (flag_inverse(u), Matrix.from_columns(s.field, vectors)) for pair in du.DECOMPOSITION_PAIRS
+            for dec in [du.build_decomposition(s, *pair)]
+            for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors())))]
+
     doc = _krawtchouk_json(field, 6)
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
-    s = certify(ParameterArray.from_json(doc))
-    (W, U), t = s.eigenbasis(), du.duality_operator(s)
-    decomps = [du.build_decomposition(s, *pair) for pair in du.DECOMPOSITION_PAIRS]
-    flag_inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])  # [z]^-1
-    induce = [(flag_inverse(u), Matrix.from_columns(s.field, vectors)) for dec in decomps
-              for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors()))]
-    # T T, and U T W, which is U T* W as T = T*, and F^-1 X of decompositions_induce_flags: `dualize` forms none
-    dense = ((t, t), (U * t, W), *induce)
-    calls, families, unstarted = [], [], []  # the operands of each product; one entry per family read
-    mul, idempotents, family = Matrix.__mul__, LeonardSystem.idempotents, linalg.root_product_family
+    f = Field.from_json(field)
+    s_star_doc = krawtchouk_type(f, 6, 6, -2, 6, -4, 1).to_json()
+    forbidden = dense(doc) + dense(s_star_doc)
+    calls, families, unstarted, starred = [], [], [], []  # the operands of each product; one entry per family read
+    mul, idempotents, family, operator = Matrix.__mul__, LeonardSystem.idempotents, linalg.root_product_family, \
+        du.duality_operator
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append((self, other)) or mul(self, other))
     monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
         self, star))
     for module in (linalg, systems, du):  # each calls it by its own name
         monkeypatch.setattr(module, "root_product_family", lambda M, roots, start=None: unstarted.append(
             start is None) or family(M, roots, start))
-    bounds = {"verify": 10, "dualize": 24, "bases": 8, "matrix-of-t": 15}
-    vector_bounds = {"verify": 0, "dualize": 7, "bases": 7, "matrix-of-t": 0}
-    for verb, bound in bounds.items():
-        calls.clear()
-        unstarted.clear()
-        extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
-        assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-        assert sum(type(other) is Matrix for _, other in calls) <= bound, verb
-        assert sum(type(other) is Vector for _, other in calls) <= vector_bounds[verb], verb
-        assert families == [], verb
-        assert not [pair for pair in calls if pair in dense], verb
-        assert not any(unstarted), verb
+    monkeypatch.setattr(du, "duality_operator", lambda sys, star=False: (star and starred.append(sys.A)) or operator(
+        sys, star))
+    bounds = {"verify": (10, 0), "dualize": (26, 7), "bases": (8, 7), "matrix-of-t": (15, 0)}
+    for verb, (bound, vector_bound) in bounds.items():
+        matrices, vectors = run(verb, doc)
+        assert matrices <= bound and vectors <= vector_bound, verb
+        assert not [pair for pair in calls if pair in forbidden], verb
+    assert run("dualize", s_star_doc, rc=1) == (26, 7 + 34)
+    assert not [pair for pair in calls if pair in forbidden]
+    # T* is summed only on the system U X W, where A is diagonal
+    assert starred and not [A for A in starred if any(a for i, row in enumerate(A.nums) for j, a in enumerate(row)
+                                                       if i != j)]
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
@@ -268,9 +252,9 @@ def test_duality_suite_reports_a_failed_gram_premise(field):
     """On `hand_built(field, 3)["E_0 sheared"]` U W != I, a premise of `solve_gram`.  `build_duality_bundle` raises
     it, as its anchor scalars are inner products through G, so the bundle is built by hand: T with lambda from its
     closed form.  The suite reports every check in the usual order; the eight that read G through T^dagger or
-    T*^dagger fail with the premise as witness, as the Gram block of `verify` does, and so do T_polynomial_form and
-    the two sweeps of E_i T = T E*_i, which take the certificate as premise, here failing on that axiom
-    (E_0 T != T E*_0 here); of the others only those of T*, which reads E_0, fail."""
+    T*^dagger fail with the premise as witness, as the Gram block of `verify` does, and so do T_polynomial_form, the
+    two sweeps of E_i T = T E*_i and the seven checks read off T's eigen-coordinates, which take the certificate as
+    premise, here failing on that axiom (E_0 T != T E*_0 here); only the two with A and A* pass."""
     s = hand_built(field, 3)["E_0 sheared"]
     error = "idempotents_E_orthogonal fails"
     with pytest.raises(DegenerateSplit, match=re.escape(error)):
@@ -282,11 +266,22 @@ def test_duality_suite_reports_a_failed_gram_premise(field):
     good = certify(pa)
     assert [c.name for c in checks] == [c.name for c in du.verify_duality_suite(good, du.build_duality_bundle(good)).checks]
     failing = {c.name: c.witness for c in checks if not c.passed}
-    assert failing == {**dict.fromkeys(DAGGER_READERS, {"error": error}),
-                       **dict.fromkeys(("T_polynomial_form", "Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei"),
-                                       {"error": "idempotents_E_orthogonal fails"}),
-                       **dict.fromkeys(("T_equals_T_star", "product_Tstar_E0", "product_Tstar_E0star"))}
+    assert failing == dict.fromkeys((*DAGGER_READERS, "T_polynomial_form", "Ei_T_equals_T_Estar_i",
+                                     "Estar_i_T_equals_T_Ei", *T_COORDINATE_CHECKS), {"error": error})
     assert not all(E * bundle.t == bundle.t * Es for E, Es in zip(s.E, s.Estar))
+
+
+@pytest.mark.parametrize("name", ["E short", "E* short"])
+def test_a_short_family_raises_its_count(name):
+    """On `hand_built(Q, 3)[name]`, whose E (resp. E*) holds d of its d+1 idempotents, the anchors, T, T* and the
+    bundle raise the DegenerateSplit of `systems._sized` that `verify` reports, not an IndexError."""
+    s = hand_built(Q, 3)[name]
+    error = f"3 idempotents {name.split()[0]}, not d + 1 = 4"
+    assert {"error": error} in [c.witness for c in systems.standard_identity_suite(s).checks]
+    for call in (du.choose_anchor_vectors, du.duality_operator, lambda s: du.duality_operator(s, star=True),
+                 du.build_duality_bundle):
+        with pytest.raises(DegenerateSplit, match=f"^{re.escape(error)}$"):
+            call(s)
 
 
 def test_singular_basis_inverses():

@@ -24,7 +24,7 @@ from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
 from leonard.fields import Field
-from leonard.linalg import Matrix, rank_one_factors, trace_of_product
+from leonard.linalg import Matrix, Vector, rank_one_factors, trace_of_product
 
 GFP = {"kind": "prime", "p": 2147483647}
 
@@ -310,24 +310,52 @@ D20_ARRAYS = {"q_d20": Q_D20, "gfp_d20": GFP_D20,
 
 
 @pytest.mark.parametrize("array", D20_ARRAYS.values(), ids=D20_ARRAYS)
-def test_d20_t_identities_match_their_dense_forms(array, monkeypatch):
-    """At d = 20, which the differential test does not reach: on the self-dual arrays `dualize` reads T^2, U T W,
-    U T* W, the product formulas, T_on_flags and T_on_decompositions off the diagonals of W*^-1 T W and W^-1 T W*
-    (`duality._t_diagonals`), and on those with theta* != theta it leaves them to their dense routes.  Either way
-    each has the verdict and witness of its dense form: the duality suite with the diagonals withheld, which forms
-    T T, U T W, U T* W and each X w; T_on_flags read off each component of W*^-1 T W and W^-1 T W*; and
-    T_on_decompositions as T x against the vectors of [T(z) T(w)]."""
+def test_d20_t_identities_match_their_dense_forms(array):
+    """At d = 20, which the differential test does not reach, each check that `dualize` reads off T's
+    eigen-coordinates W*^-1 T W and W^-1 T W* has the verdict and witness of its dense form, formed here: T T against
+    lambda I and against the displayed expansion, T against the dense T*, each product formula as X w*_0 or X w_0
+    for X = T and T*, and the daggers on the dense U T W and U T* W (X^dagger = Y exactly when (U X W)^T D = D U Y W
+    for D = diag(m), the weights of `solve_gram`); T_on_flags that read off each component of W*^-1 T W and
+    W^-1 T W*, and T_on_decompositions that of T x against the vectors of [T(z) T(w)]."""
     pa = systems.ParameterArray.from_json(array)
     s = systems.certify(pa)
     bundle = du.build_duality_bundle(s)
-    t, d = bundle.t, pa.d
-    assert (du._t_diagonals(s, t) is not None) == du.is_self_dual(pa)
+    t, d, f = bundle.t, pa.d, pa.field
     checks = lambda *reports: {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
     got = checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
     assert all(passed for passed, _ in got.values()) == du.is_self_dual(pa)
-    with monkeypatch.context() as patched:
-        patched.setattr(du, "_t_diagonals", lambda sys, t: None)
-        assert checks(du.verify_duality_suite(s, bundle)).items() <= got.items()
+
+    (W, U), (Ws, Us), e = s.eigenbasis(), s.eigenbasis(star=True), Matrix.identity(f, d + 1)
+    t_star, square = du.duality_operator(s, star=True), t * t
+    vp, ph, ph_tail = pa.split_products[0][d], pa.split_products[2][d], pa.split_products[3]
+    tau_d, eta_d, taus_d, etas_d = systems.edge_values(pa)
+    c1, c2, c3, c4 = eta_d * vp / (tau_d * etas_d), etas_d * vp / (taus_d * eta_d), vp / tau_d, vp / taus_d
+    w, c, u = du._through(s, (True, 0), (False, d))
+    expansion = du._outer_sum(c * f.invert(systems.nu_scalars(pa)[2]) * ph, s.root_family("eta", False, w), [
+        r.scale(f.invert(ph_tail[j])) for j, r in enumerate(s.root_family("tau", True, u, covector=True))])
+    # X E*_0 = c E_0 E*_0 and X E_0 = c E*_0 E_0 on the vectors w*_0 and w_0
+    on_star = lambda X, c: X * Ws.column(0) == W.column(0).scale(c * U.row(0).dot(Ws.column(0)))
+    on_e = lambda X, c: X * W.column(0) == Ws.column(0).scale(c * Us.row(0).dot(W.column(0)))
+    # the daggers in the eigenbasis of A, where E_0 = e_0 e_0^T and E*_0 = k r^T
+    m, hat = systems.solve_gram(s), du._in_eigenbasis(s)
+    (K, Ks), DT = hat.eigenbasis(star=True), lambda X: X.transpose().scale_columns(m)
+    k, r, x, xs = K.column(0), Ks.row(0), DT(U * t * W), DT(U * t_star * W)
+    on_e0 = lambda XD, c: XD.row(0) == r.scale(c * k[0] * m[0])
+    on_es0 = lambda XD, c: XD.transpose() * Vector(f, [a / b for a, b in zip(r, m)]) == e.column(0).scale(c * r[0])
+    dense = {
+        "T_dagger_displayed_sum": x == DT(du._displayed_dagger(hat)).transpose(),
+        "T_star_dagger_displayed_sum": xs == DT(du._displayed_dagger(hat, star=True)).transpose(),
+        "T_equals_T_star": t == t_star, "T_equals_T_dagger": x == x.transpose(),
+        "T_equals_T_star_dagger": xs == x.transpose(),
+        "T_squared_equals_lambda_identity": square == e.scale(bundle.lam),
+        "product_T_E0star": on_star(t, c1), "product_Tstar_E0": on_e(t_star, c2),
+        "product_E0star_Tdagger": on_es0(x, c1), "product_E0_Tstardagger": on_e0(xs, c2),
+        "product_T_E0": on_e(t, c3), "product_Tstar_E0star": on_star(t_star, c4),
+        "product_E0_Tdagger": on_e0(x, c3), "product_E0star_Tstardagger": on_es0(xs, c4),
+        "T_squared_expansion": square == expansion,
+    }
+    assert {name: got[name] for name in dense} == {name: (ok, None) for name, ok in dense.items()}
+    assert all(dense.values()) == du.is_self_dual(pa)
     C = {star: systems.change_of_basis(s, not star, t, star) for star in (False, True)}
     flags = [{"flag": z, "i": i} for z, image in du.T_FLAG_IMAGE.items() for i, spans in enumerate(
         du.spans_components(C["*" in z].submatrix(du._ORDER[image], du._ORDER[z]))) if not spans]

@@ -46,6 +46,18 @@ def test_non_self_dual_controls_match_reference(pa):
     assert sweeps_pass(pa, ("split", "dense")) == [False, False]
 
 
+@pytest.mark.parametrize("s_star", [-2, -4], ids=["self-dual", "s*=-4"])
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+def test_d12_krawtchouk_dualize_matches_reference(field, s_star):
+    """At d = 12, above the d <= 8 of the other differential tests: `dualize` on the Krawtchouk array (theta_i =
+    12 - 2i) with theta* = theta and with theta*_i = 12 - 4i agrees with the dense reference
+    (`reference.assert_agrees`), each check read off T's eigen-coordinates with its dense form; every check passes
+    on the first, and the second fails."""
+    s = certify(krawtchouk_type(field, 12, 12, -2, 12, s_star, 1))
+    got = assert_agrees(s, ("dualize",))["dualize"]
+    assert all(passed for passed, _ in got.values()) == (s_star == -2)
+
+
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 @settings(DIFFERENTIAL, max_examples=25)
 @given(data=st.data())
@@ -64,13 +76,12 @@ def test_wrong_t_matches_reference(array):
 
 @pytest.mark.parametrize("k", [2, -1])
 def test_scaled_t_matches_reference(k):
-    """T replaced by k T on the d = 4 self-dual system: k T still maps each E_iV onto E*_iV and back, so the checks
-    read off the diagonals of W*^-1 T W and W^-1 T W* (`duality._t_diagonals`) decide, and agree with the dense
-    reference.  (k T)^2 = k^2 lambda I, so T^2 = lambda I fails at k = 2 and holds at k = -1; k T != T* either way."""
+    """T replaced by k T on the d = 4 self-dual system: k T still maps each E_iV onto E*_iV and back, and the checks
+    read off T's eigen-coordinates W*^-1 T W and W^-1 T W* agree with the dense reference.  (k T)^2 = k^2 lambda I,
+    so T^2 = lambda I fails at k = 2 and holds at k = -1; k T != T* either way."""
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
     bundle = du.build_duality_bundle(s)
     t = bundle.t.scale(s.field.from_int(k))
-    assert du._t_diagonals(s, t) is not None
     got = assert_agrees(s, ("dualize",), dataclasses.replace(bundle, t=t))["dualize"]
     assert [got[name][0] for name in ("T_squared_equals_lambda_identity", "T_equals_T_star")] == [k * k == 1, False]
     assert all(got[name][0] for name in FOUR)

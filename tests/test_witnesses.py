@@ -66,11 +66,13 @@ def non_self_dual_t():
 
 
 def doubled_t_star(form="split"):
-    """The memoised covectors u*_d^T tau_i(A) from which T* is summed, each doubled: T* becomes 2 T*."""
+    """The memoised covectors from which `dualize` sums T* in the eigenbasis of A, those of the system U X W
+    (`duality._in_eigenbasis`), each doubled: U T* W becomes 2 U T* W."""
     s, anchors, bundle = _setup(SELF_DUAL, form)
-    _, _, u = du._through(s, (False, 0), (True, s.d))
-    family = s.root_family("tau", False, u, covector=True)
-    s._memo[("root_family", "tau", False, u, True)] = tuple(v.scale(s.field.from_int(2)) for v in family)
+    hat = du._in_eigenbasis(s)
+    _, _, u = du._through(hat, (False, 0), (True, s.d))
+    family = hat.root_family("tau", False, u, covector=True)
+    hat._memo[("root_family", "tau", False, u, True)] = tuple(v.scale(s.field.from_int(2)) for v in family)
     return _t_suites(s, anchors, bundle)
 
 
@@ -415,23 +417,15 @@ def test_every_emitted_check_is_decided_by_the_reference_or_runs_the_same_code()
 
 
 # Checks of `dualize` decided from premises -> those premises.  Once `systems.certified` holds, so U W = I = U* W*,
-# and T maps each E_iV onto E*_iV and back (T_DIAGONALS), `duality._t_diagonals` returns the diagonals (c, c*) of W*^-1 T W and W^-1 T W*: T^2 and
-# the product formulas of T are read off them, and U T W is K diag(c), which the dagger checks on T read.  Once
-# T_equals_T_star holds too, T* is read as T: the product formulas of T* and U T* W, which the dagger checks on T*
-# read.  T_on_flags holds once T maps the eigenspaces and every flag has d+1 independent vectors, and
-# T_on_decompositions once T maps the flags and the decompositions are their inversion pairs and induce them.  A
-# failed premise leaves each to its dense route: T T, U T W, U T* W, T x and T* w; where the certificate fails, the
-# geometry suite builds no decomposition and reports neither T_on_flags nor T_on_decompositions.  FROM_PREMISES
-# leaves out the sweep checks, and T_maps_eigenspaces comes after the T^2 checks in the merged report, so these are
-# mapped apart; the axioms run in `certify`, before `dualize`.  `tests/reference.py` decides each densely.
-T_DIAGONALS = (*AXIOM_CHECKS, "T_maps_eigenspaces")
+# T's identities are read off its eigen-coordinates W*^-1 T W and W^-1 T W* in the eigenbasis of A: T = T*, T^2,
+# the product formulas, and U T W and U T* W, which the dagger checks read with the weights of `solve_gram`
+# (`duality.verify_duality_suite`).  T_on_flags holds once T maps the eigenspaces and every flag has d+1 independent
+# vectors, and T_on_decompositions once T maps the flags and the decompositions are their inversion pairs and
+# induce them; else each flag component is ranked and T x is formed.  FROM_PREMISES leaves out the sweep checks, and
+# T_maps_eigenspaces comes after the T^2 checks in the merged report, so these are mapped apart; the axioms run in
+# `certify`, before `dualize`.  `tests/reference.py` decides each densely.
 DUALIZE_FROM_PREMISES = {
-    **dict.fromkeys(("T_dagger_displayed_sum", "T_equals_T_dagger", "T_squared_equals_lambda_identity",
-                     "product_T_E0star", "product_E0star_Tdagger", "product_T_E0", "product_E0_Tdagger",
-                     "T_squared_expansion"), T_DIAGONALS),
-    **dict.fromkeys(("T_star_dagger_displayed_sum", "T_equals_T_star_dagger", "product_Tstar_E0",
-                     "product_E0_Tstardagger", "product_Tstar_E0star", "product_E0star_Tstardagger"),
-                    (*T_DIAGONALS, "T_equals_T_star")),
+    **dict.fromkeys((*reference.DAGGER_CHECKS, *reference.T_COORDINATE_CHECKS), AXIOM_CHECKS),
     "T_on_flags": ("T_maps_eigenspaces", "flag_component_dimensions"),
     "T_on_decompositions": ("T_on_flags", "decomposition_inversion_pairs", "decompositions_induce_flags"),
 }
@@ -458,34 +452,34 @@ def _estar_d_doubled():
     return s, du.DualityBundle(du.duality_operator(s), *[s.field.one()] * 5)
 
 
-# case -> (its system and bundle, the premise of T_DIAGONALS it fails, whether T x is formed for each vector of the
-# decompositions, as T_on_flags fails)
+# case -> (its system and bundle, whether T x is formed for each vector of the decompositions, as T_on_flags fails)
 FAILED_PREMISES = {
-    "negative-control": (_negative_control, "T_maps_eigenspaces", True),  # theta* != theta: T maps no eigenspace
-    "wrong-t": (_t_is_a, "T_maps_eigenspaces", True),  # T replaced by A, as in `wrong_t`
-    "Estar_d-doubled": (_estar_d_doubled, "idempotents_Estar_orthogonal", False),  # hand-built: U* W* != I
+    "negative-control": (_negative_control, True),  # theta* != theta: T maps no eigenspace
+    "wrong-t": (_t_is_a, True),  # T replaced by A, as in `wrong_t`
+    "Estar_d-doubled": (_estar_d_doubled, False),  # hand-built: U* W* != I, so the certificate fails
 }
 
 
 @pytest.mark.parametrize("case", FAILED_PREMISES)
-def test_a_failed_dualize_premise_takes_the_dense_route(case, monkeypatch):
-    """Where a premise of T_DIAGONALS fails, `dualize` forms T T, U T W, T w_0 and T w*_0 (and T x for each vector of
-    the decompositions where T does not map the flags), and each check of DUALIZE_FROM_PREMISES that it reports has
-    the verdict and witness of the dense reference; so do all the others (`reference.assert_agrees`)."""
-    build, premise, maps_vectors = FAILED_PREMISES[case]
+def test_a_failed_dualize_premise_forms_no_dense_t_product(case, monkeypatch):
+    """Where T maps no eigenspace, or the certificate fails, each check of DUALIZE_FROM_PREMISES that `dualize`
+    reports has the verdict and witness of the dense reference, and so do all the others (`reference.assert_agrees`).
+    No T T, (U T) W, U T* W or dense T* is formed: T is an operand of the four products of A_T_equals_T_Astar and
+    Astar_T_equals_T_A, of W*^-1 T and W^-1 T, from which its eigen-coordinates are built once the certificate
+    holds, and of T x once per vector of the decompositions where T does not map the flags; T* is summed only in
+    the eigenbasis of A (`duality._in_eigenbasis`)."""
+    build, maps_vectors = FAILED_PREMISES[case]
     s, bundle = build()
-    t, (W, U) = bundle.t, s.eigenbasis()
-    axioms = _checks(systems.verify_axioms(s))
-    suites = lambda: _checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
-    assert not {**axioms, **suites()}[premise][0]
-    assert du._t_diagonals(s, t) is None
-    ut, pairs, mul = U * t, [], Matrix.__mul__
+    t, pairs, summed = bundle.t, [], []
+    mul, operator = Matrix.__mul__, du.duality_operator
     with monkeypatch.context() as patched:
         patched.setattr(Matrix, "__mul__", lambda self, other: pairs.append((self, other)) or mul(self, other))
-        checks = suites()
-    assert (t, t) in pairs and (ut, W) in pairs
+        patched.setattr(du, "duality_operator", lambda sys, star=False: summed.append(sys) or operator(sys, star))
+        checks = _checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
+    operands = [type(y) for x, y in pairs if x is t or y is t]
     vectors = 6 * (s.d - 1) + 4 if maps_vectors else 0  # those of the decompositions, as in tests/test_t_route.py
-    assert sum(x is t and isinstance(v, Vector) for x, v in pairs) == 2 + vectors  # and T w_0 and T w*_0
+    assert (operands.count(Matrix), operands.count(Vector)) == (4 + 2 * systems.certified(s), vectors)
+    assert s not in summed
     got = reference.assert_agrees(s, ("dualize",), bundle)["dualize"]
     reported = DUALIZE_FROM_PREMISES.keys() & checks.keys()
     assert reported == DUALIZE_FROM_PREMISES.keys() & got.keys() and (case == "Estar_d-doubled") == (
@@ -636,7 +630,7 @@ def _mutated_memo(key, mutation) -> dict:
     """A new build of SELF_DUAL whose memoised key is mutated before any reader runs: a U W witness
     is replaced by mutation, or a change of basis has entry mutation = (i, j) raised by 1.  T is the certified
     system's, as no change of basis enters it.  The duality suite, which needs the premises of `solve_gram`, runs
-    only on a mutated W_a^-1 T W_b, which it reads."""
+    only on a mutated change of basis that it reads: W_a^-1 T W_b, K = U W* or K* = U* W."""
     _, _, bundle = _setup(SELF_DUAL)
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
     if key[0] == "UW_witness":
@@ -644,7 +638,7 @@ def _mutated_memo(key, mutation) -> dict:
     else:
         s._memo[key] = _raised(systems.change_of_basis(s, *key[1:]), *mutation)
     reports = [systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle)]
-    if T in key:
+    if T in key or None in key:
         reports.append(du.verify_duality_suite(s, bundle))
     return _checks(*reports)
 
@@ -670,15 +664,28 @@ MEMO_PINS = {
     ("change_of_basis", True, "A", True): ((0, 2), {
         "tridiagonal_A_in_Astar_eigenbasis": None, "standard_orderings": None,
         **dict.fromkeys(reference.CERTIFICATE_GEOMETRY, {"error": "tridiagonal_A_in_Astar_eigenbasis fails"})}),
-    # T in the eigenbases: W*^-1 T W (T on [0] and [D] and on each w_i, and E*_i T = T E_i) and W^-1 T W*
+    # T in the eigenbases: C = W*^-1 T W (T on [0] and [D] and on each w_i, E*_i T = T E_i, and U T W = K C, which
+    # T = T*, the daggers on T and T^2 = W C* C U read) and C* = W^-1 T W* (its column 1 is read by T^2 alone of the
+    # duality suite)
     ("change_of_basis", True, T, False): ((0, 1), {
         "T_maps_eigenspaces": {"i": 1, "side": "E"},
         "T_on_flags": {"flag": "D", "i": 2},
-        "Estar_i_T_equals_T_Ei": {"i": 0}}),
+        "Estar_i_T_equals_T_Ei": {"i": 0},
+        **dict.fromkeys(("T_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_dagger", "T_equals_T_star_dagger",
+                         "T_squared_equals_lambda_identity", "product_E0star_Tdagger", "T_squared_expansion"))}),
     ("change_of_basis", False, T, True): ((0, 1), {
         "T_maps_eigenspaces": {"i": 1, "side": "Estar"},
         "T_on_flags": {"flag": "D*", "i": 2},
-        "Ei_T_equals_T_Estar_i": {"i": 0}}),
+        "Ei_T_equals_T_Estar_i": {"i": 0},
+        **dict.fromkeys(("T_squared_equals_lambda_identity", "T_squared_expansion"))}),
+    # K = U W* and K* = U* W, the factors of E* in the eigenbasis of A (`duality._in_eigenbasis`): U T W = K C, U T* W
+    # and the displayed dagger sums are summed on them, and the product formulas read k = K e_0, K_00 and K*_00
+    ("change_of_basis", False, None, True): ((1, 0), dict.fromkeys((
+        "T_dagger_displayed_sum", "T_equals_T_star", "T_equals_T_dagger", "T_equals_T_star_dagger", "product_Tstar_E0",
+        "product_E0star_Tdagger", "product_Tstar_E0star", "product_E0_Tdagger"))),
+    ("change_of_basis", True, None, False): ((0, 0), dict.fromkeys((
+        "T_dagger_displayed_sum", "product_Tstar_E0", "product_E0star_Tdagger", "product_E0_Tstardagger",
+        "product_T_E0", "product_E0_Tdagger", "product_E0star_Tstardagger"))),
 }
 
 

@@ -26,9 +26,9 @@ split basis, which all 54 not-Leonard verify calls reach: the 14 on the raised q
 and matrix-of-t --basis tau-vstard run on the Krawtchouk arrays of perfbench/workloads.py (theta_0 = theta*_0 = d,
 s = s* = -2, r = 1) at d = 12 and d = 20 over Q and GF(2^31 - 1), the sizes where the idempotents and the
 eigenbasis products cost most.  Then dualize runs on the same arrays with s* = -4, so theta* != theta: T maps no
-eigenspace there, so each check that dualize reads off T's eigen-coordinates on a self-dual array (T^2, U T W, the
-product formulas, T on the flags and on the decompositions) takes its dense route at a large d, and the call
-exits 1.  bases follows on each, and passes: the certificate from which it decides that each basis spans the
+eigenspace there, so these arrays take the same route as the self-dual ones, reading T^2, U T W, U T* W and the
+product formulas off T's eigen-coordinates W*^-1 T W and W^-1 T W*, which are not diagonal here, at a large d, and
+the call exits 1.  bases follows on each, and passes: the certificate from which it decides that each basis spans the
 components of its decomposition is then read on arrays that are not self-dual at a large d.  1063 calls in all, in
 about 3 s per tree on a shared 2-vCPU Xeon.  The inputs are
 written to a temporary directory that is the working directory while the calls run, so the paths in
