@@ -3,7 +3,9 @@
 T is defined for any Leonard system by the idempotent-weighted sum
 T = sum_i eta_{d-i}(A) E*_0 E_d tau*_i(A*).  When theta = theta* the system
 is self-dual and conjugation by T swaps the starred and unstarred halves;
-the suites below machine-check every identity involved, exactly.
+the suites below machine-check every identity involved, exactly.  Each check
+read off a certificate takes ``systems.certified`` as its one premise and fails
+with the first failed axiom where it fails; there is no dense fallback.
 """
 
 from __future__ import annotations
@@ -326,12 +328,10 @@ def build_flag(sys: LeonardSystem, z: str) -> Flag:
 
 def spans_components(Y: Matrix) -> list:
     """For each i, whether the first i+1 columns of X span component i of a flag F, read off Y = F^-1 X: those of Y
-    vanish below row i and their leading block is invertible (read off its diagonal when triangular, else ranked)."""
+    vanish below row i and their leading block is invertible."""
     n = Y.nrows
     low = [max((r for r in range(n) if Y.nums[r][c]), default=-1) for c in range(n)]  # last nonzero row
-    lead = lambda i: Y.submatrix(slice(0, i + 1), slice(0, i + 1))
-    return [all(low[c] == c for c in range(i + 1)) if all(low[c] <= c for c in range(i + 1))
-            else max(low[:i + 1]) <= i and lead(i).rank() == i + 1 for i in range(n)]
+    return [max(low[:i + 1]) <= i and Y.submatrix(slice(0, i + 1), slice(0, i + 1)).rank() == i + 1 for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -597,13 +597,9 @@ def verify_anchor_relations(sys: LeonardSystem, anchors: AnchorVectors) -> Verif
     vp, ph = pa.split_products[0][d], pa.split_products[2][d]
     report.add("anchor_ratio_product", a.x0d * a.xd0 / (a.x00 * a.xdd) == vp / ph)
 
-    tau_d, eta_d, taus_d, etas_d = edge_values(pa)
-    squares = (
-        (a.vv0 * a.ss0 / (a.x00 * a.x00), eta_d * etas_d / ph),
-        (a.vv0 * a.ssd / (a.x0d * a.x0d), eta_d * taus_d / vp),
-        (a.vvd * a.ss0 / (a.xd0 * a.xd0), tau_d * etas_d / vp),
-        (a.vvd * a.ssd / (a.xdd * a.xdd), tau_d * taus_d / ph),
-    )
+    # each against nu, nu_down, nu_ddown and nu_down_ddown in turn (`ParameterArray.nu`)
+    squares = zip((a.vv0 * a.ss0 / (a.x00 * a.x00), a.vv0 * a.ssd / (a.x0d * a.x0d),
+                   a.vvd * a.ss0 / (a.xd0 * a.xd0), a.vvd * a.ssd / (a.xdd * a.xdd)), pa.nu)
     enc = sys.field.encode_scalar
     report.add_first_failure("anchor_ratio_squares", (
         {"identity": k, "lhs": enc(lhs), "rhs": enc(rhs)} for k, (lhs, rhs) in enumerate(squares) if lhs != rhs))

@@ -216,8 +216,8 @@ class Field:
         if not isinstance(obj, dict):
             raise ValueError(f"field spec must be an object, not {obj!r}")
         kind = obj.get("kind")
-        if kind == "rational":
-            return cls.rational()
-        if kind == "prime":
-            return cls.prime(obj["p"])
+        if kind == "prime" and "p" not in obj:
+            raise ValueError("missing key 'p' in the prime field spec")
+        if kind in ("rational", "prime"):
+            return cls(kind, obj.get("p"))  # a rational spec with a modulus is refused as Field refuses it
         raise ValueError(f"unknown field spec {obj!r}")

@@ -410,13 +410,6 @@ def outer(u: Vector, v: Vector) -> Matrix:
     return Matrix._of(u.field, [[a * b for b in v.nums[0]] for a in u.nums[0]], u.den * v.den)
 
 
-def trace_of_product(X: Matrix, Y: Matrix):
-    """tr(XY) for n x m X and m x n Y as one exact integer dot product, O(nm)."""
-    _check_operands(X, Y, X.shape == Y.shape[::-1])
-    total = sum(map(mul, chain.from_iterable(X.nums), chain.from_iterable(zip(*Y.nums))))
-    return X.field.fraction(total, X.den * Y.den)
-
-
 def rank_one_factors(mats):
     """(W, U) with mats[i] == w_i u_i^T, w_i (column i of W) the first nonzero column of mats[i] and u_i^T
     (row i of U) the row k through its first nonzero entry pv = row_k[j], divided by pv; None when some matrix

@@ -5,7 +5,11 @@ the ambient basis declared to be a split basis, so the defining matrices are
 bidiagonal verbatim: A has diagonal theta_0..theta_d and subdiagonal 1,
 A* has diagonal theta*_0..theta*_d and superdiagonal varphi_1..varphi_d.
 Certification is explicit: ``build_system`` never rejects, ``verify_axioms``
-reports, ``certify`` raises NotALeonardPair on any failure.
+reports, ``certify`` raises NotALeonardPair on any failure.  Every reader takes
+the idempotents through their factors E_i = w_i u_i^T (``LeonardSystem.eigenbasis``):
+tr(M E_i) = u_i^T M w_i and tr(E_i E*_j) = (u_i . w*_j)(u*_j . w_i) for any family
+that factors, so no check forms a dense E_i, and a family that does not factor
+fails each check that reads it with that DegenerateSplit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .linalg import (
     outer,
     rank_one_factors,
     root_product_family,
-    trace_of_product,
 )
 from .report import VerificationReport
 
@@ -243,15 +246,16 @@ class LeonardSystem:
 
     def eigenbasis(self, star: bool = False) -> tuple:
         """(W, U) with E_i == w_i u_i^T (resp. E*_i) for w_i column i of W and u_i^T row i of U (`rank_one_factors`,
-        memoised, or from the build); DegenerateSplit naming the first E_i not of rank one, or the count of an empty
-        family (`_sized`)."""
+        memoised, or from the build); DegenerateSplit naming the first E_i not of rank one, memoised too, so a family
+        is ranked once, or the count of an empty family (`_sized`)."""
         def build():
             mats = self.idempotents(star)
             return rank_one_factors(mats) if mats else _sized(self, star)
         found = self.cached(("eigenbasis", star), build)
         if found is None:
-            i = next(i for i, M in enumerate(self.idempotents(star)) if M.rank() != 1)
-            raise DegenerateSplit(f"idempotent {'E*' if star else 'E'}_{i} is not of rank one")
+            raise DegenerateSplit(self.cached(("eigenbasis_failure", star), lambda: next(
+                f"idempotent {'E*' if star else 'E'}_{i} is not of rank one"
+                for i, M in enumerate(self.idempotents(star)) if M.rank() != 1)))
         return found
 
     def eigencolumn(self, i: int, star: bool = False) -> Vector:
@@ -478,17 +482,24 @@ def _superdiagonal_in_split_basis(sys: LeonardSystem, kind: str):
     return tuple(rep.row(i - 1)[i] for i in range(1, sys.d + 1))
 
 
+def _diagonal_of_product(X: Matrix, Y: Matrix) -> tuple:
+    """(X Y)_ii for each row i of X, one integer dot product each."""
+    return tuple(X.field.fraction(sum(a * row[i] for a, row in zip(X.nums[i], Y.nums)), X.den * Y.den)
+                 for i in range(X.nrows))
+
+
 def extract_parameter_array(sys: LeonardSystem) -> ParameterArray:
     """Recover (theta; theta*; varphi; phi) from the matrices alone.
 
     theta_i is read off as tr(A E_i) (the idempotents have trace 1), varphi from the representation of A* in a split
-    basis, and phi from the split basis of the relative with the eigenvalue ordering reversed.  Once `certified` holds,
-    theta is the stored one, as U W = I and U A W = diag(theta) give tr(A E_i) = u_i^T A w_i = theta_i (theta*
-    alike), and varphi and phi are read by ratios (`_superdiagonal_in_split_basis`).  Raises DegenerateSplit when what
-    is read back is not a parameter array.
+    basis, and phi from the split basis of the relative with the eigenvalue ordering reversed.  With E_i = w_i u_i^T,
+    tr(A E_i) = u_i^T A w_i, the diagonal of U (A W), whether or not U W = I (`_diagonal_of_product`; theta* alike);
+    once `certified` holds, U A W = diag(theta), so theta is the stored one, and varphi and phi are read by ratios
+    (`_superdiagonal_in_split_basis`).  Raises DegenerateSplit when a family does not factor
+    (`LeonardSystem.eigenbasis`) or what is read back is not a parameter array.
     """
     theta, theta_star = (sys.theta, sys.theta_star) if certified(sys) else (
-        tuple(trace_of_product(M, X) for X in mats) for M, mats in ((sys.A, sys.E), (sys.Astar, sys.Estar)))
+        _diagonal_of_product(U, M * W) for M, (W, U) in ((sys.A, sys.eigenbasis()), (sys.Astar, sys.eigenbasis(True))))
     varphi, phi = (_superdiagonal_in_split_basis(sys, kind) for kind in ("tau", "eta"))
     try:
         return ParameterArray(sys.field, sys.d, theta, theta_star, varphi, phi)
@@ -561,18 +572,13 @@ def nu_scalars(pa: ParameterArray):
 
 def trace_products(sys: LeonardSystem, r: int):
     """Direct traces (tr E_r E*_0, tr E_r E*_d, tr E*_r E_0, tr E*_r E_d), each tr(E_i E*_j) = (u_i . w*_j)(u*_j . w_i)
-    for E_i = w_i u_i^T and E*_j = w*_j u*_j^T, two integer dot products over one denominator; dense when a family
-    does not factor."""
+    for E_i = w_i u_i^T and E*_j = w*_j u*_j^T, two integer dot products over one denominator; DegenerateSplit when a
+    family does not factor (`LeonardSystem.eigenbasis`)."""
     if not 0 <= r <= sys.d:
         raise IndexError(f"r = {r} outside 0..{sys.d}")
-    d = sys.d
-    try:
-        (W, U), (Ws, Us) = sys.eigenbasis(), sys.eigenbasis(star=True)
-    except DegenerateSplit:
-        tr = lambda i, j: trace_of_product(sys.E[i], sys.Estar[j])
-    else:
-        dot = lambda X, i, Y, j: sum(a * row[j] for a, row in zip(X.nums[i], Y.nums))  # (X Y)_ij times X.den Y.den
-        tr = lambda i, j: sys.field.fraction(dot(U, i, Ws, j) * dot(Us, j, W, i), U.den * Ws.den * Us.den * W.den)
+    d, ((W, U), (Ws, Us)) = sys.d, (sys.eigenbasis(), sys.eigenbasis(star=True))
+    dot = lambda X, i, Y, j: sum(a * row[j] for a, row in zip(X.nums[i], Y.nums))  # (X Y)_ij times X.den Y.den
+    tr = lambda i, j: sys.field.fraction(dot(U, i, Ws, j) * dot(Us, j, W, i), U.den * Ws.den * Us.den * W.den)
     return tr(r, 0), tr(r, d), tr(0, r), tr(d, r)
 
 

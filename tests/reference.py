@@ -307,9 +307,10 @@ class Reference:
 
     @functools.cached_property
     def extracted(self):
-        """(the array read back by elimination, None), or (None, its error)."""
+        """(the array read back by elimination, None), or (None, its error): the package reads theta and theta* off the
+        factors of E and E*, so a family that does not factor is its first premise."""
         try:
-            if error := self.factor(True):
+            if error := self.factor(False) or self.factor(True):
                 raise DegenerateSplit(error)
             families = (self.family("tau", False), self.family("eta", False))
             return extract_by_elimination(self.sys, self.eigenbasis(True).column(0), families), None
@@ -413,7 +414,7 @@ class Reference:
             out |= _outcomes([f"char_product_A{s}"], [premise[star]], lambda: [(eval_root_product(
                 sys.theta_star if star else sys.theta, sys.Astar if star else sys.A).is_zero(), None)])
             out |= _outcomes([f"subalgebra_three_bases_A{s}"], [premise[star]], lambda: subalgebra(star))
-            out |= _outcomes([f"nu_sandwich_E0{s}"], [self.factor(star), array_error, *counts],
+            out |= _outcomes([f"nu_sandwich_E0{s}"], [self.factor(star), array_error, *counts, self.factor(not star)],
                              lambda: [((X[0] * Y[0] * X[0]).scale(nu()) == X[0], None)])
 
         def traces():
@@ -427,7 +428,8 @@ class Reference:
             scalars = {"scalars": dict(zip(names, map(f.encode_scalar, values)))}
             return [(first is None, first), (ok, None if ok else scalars)]
 
-        out |= _outcomes(["trace_products_closed_form", "nu_closed_forms_match_traces"], [array_error, *counts], traces)
+        out |= _outcomes(["trace_products_closed_form", "nu_closed_forms_match_traces"],
+                         [array_error, *counts, self.factor(False), self.factor(True)], traces)
 
         def split():
             taus, tauss, c = self.family("tau", False), self.family("tau", True), pa.split_products[0]

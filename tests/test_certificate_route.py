@@ -23,11 +23,11 @@ from leonard import systems
 from leonard.errors import DegenerateSplit
 from leonard.fields import Field
 from leonard.linalg import Matrix
-from leonard.systems import build_system, certify
+from leonard.systems import LeonardSystem, build_system, certify
 
-from conftest import krawtchouk
+from conftest import krawtchouk, leonard_array
 from reference import (CERTIFICATE_GEOMETRY, DIFFERENTIAL, FORMS, GF7, GFP, Q, Reference, agrees_on, assert_agrees,
-                       by_inverse, drawn, eigen_anchors, hand_built, not_leonard_arrays, passes)
+                       bidiagonal_idempotents, by_inverse, drawn, eigen_anchors, hand_built, not_leonard_arrays, passes)
 from test_witnesses import mixed_anchors, non_self_dual_t, scaled_basis_vector, swapped_anchors, wrong_t
 
 SPLIT = ("split_projectors_match_intersection", "split_projectors_resolution")
@@ -201,24 +201,27 @@ def test_sheared_e0_takes_the_fallbacks(field):
 
 @pytest.mark.parametrize("field", [Q, Field.prime(7), GFP], ids=["Q", "GF(7)", "GF(2^31-1)"])
 def test_hand_built_round_trips_take_the_solve(field):
-    """Every hand-built system that fails an axiom solves for its split sequences and extracts what it extracts with
-    the certificate off, an error included; the one whose matrices are Leonard (only its stored array moved) reads
-    them off the certificate."""
+    """Every hand-built system that fails an axiom and whose families factor solves for its split sequences and
+    extracts what it extracts with the certificate off, an error included; one with a family that does not factor
+    fails on it (`Reference.factor`) before any fallback, ranking no E_i again, as `verify_axioms` ranked them; the
+    one whose matrices are Leonard (only its stored array moved) reads them off the certificate."""
     for name, sys in hand_built(field, 3).items():
         (extracted, calls), (reference, reference_calls) = extractions(sys)
         assert extracted == reference, name
         assert systems.certified(sys) == (name == "stored theta_0 moved"), name
-        assert reference_calls == ["solve"] * 2 and calls == ([] if systems.certified(sys) else reference_calls), name
+        factor = Reference(sys).factor(False) or Reference(sys).factor(True)
+        assert extracted == factor if factor else reference_calls == ["solve"] * 2, name
+        assert calls == ([] if systems.certified(sys) or factor else reference_calls), name
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-def test_certified_extraction_reads_theta_without_traces(field, monkeypatch):
+def test_extraction_reads_theta_off_the_factors(field, monkeypatch):
     """Once the certificate holds, U W = I and U A W = diag(theta) give tr(A E_i) = theta_i (theta* alike), so
-    `certify` on a split-form array calls `trace_of_product` 0 times; on a not-Leonard array (varphi_1 raised by 1)
-    the extraction still reads theta and theta* as 2(d+1) traces, and `verify` calls it for them alone, as
-    `trace_products` reads tr(E_r E*_j) off the eigenbases (while it formed them densely, for them and more)."""
-    calls, trace = [], systems.trace_of_product
-    monkeypatch.setattr(systems, "trace_of_product", lambda X, Y: calls.append(1) or trace(X, Y))
+    `certify` on a split-form array reads no diagonal of a product; on a not-Leonard array (varphi_1 raised by 1) the
+    extraction reads theta and theta* as the diagonals of U (A W) and U* (A* W*), 2 of them, which are the dense
+    traces tr(A E_i) and tr(A* E*_i) (`reference.bidiagonal_idempotents`), and `verify` reads them alone."""
+    calls, diagonal = [], systems._diagonal_of_product
+    monkeypatch.setattr(systems, "_diagonal_of_product", lambda X, Y: calls.append((X, Y)) or diagonal(X, Y))
     pa = krawtchouk(field, 4)
     certify(pa)
     assert calls == []
@@ -228,9 +231,28 @@ def test_certified_extraction_reads_theta_without_traces(field, monkeypatch):
         systems.extract_parameter_array(bumped)
     except DegenerateSplit:
         pass
-    assert len(calls) == 2 * (pa.d + 1)
+    dense = [(bumped.A, bidiagonal_idempotents(field, pa.theta)),
+             (bumped.Astar, bidiagonal_idempotents(field, pa.theta_star, bumped.pa.varphi))]
+    assert [diagonal(X, Y) for X, Y in calls] == [tuple((M * E).trace() for E in mats) for M, mats in dense]
     systems.standard_identity_suite(build_system(bumped.pa))
-    assert len(calls) == 4 * (pa.d + 1)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+def test_verify_forms_no_idempotent(field, monkeypatch):
+    """With E_i = w_i u_i^T, tr(A E_i) = u_i^T A w_i and tr(E_i E*_j) = (u_i . w*_j)(u*_j . w_i) whether or not
+    U W = I, so `verify` reads `LeonardSystem.idempotents` 0 times, on the q-Racah and Krawtchouk arrays at d = 4 and
+    on each with varphi_1 raised by 1 (not Leonard, where the extraction once formed both families for 2(d+1) dense
+    traces), and no dense E_i is formed."""
+    reads, idempotents = [], LeonardSystem.idempotents
+    monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: reads.append(star) or idempotents(
+        self, star))
+    n = field.from_int
+    arrays = [leonard_array(field, 4, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2)),
+              krawtchouk(field, 4)]
+    for pa in arrays + [replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])) for pa in arrays]:
+        report = systems.standard_identity_suite(build_system(pa))
+        assert reads == [] and report.all_pass == (pa in arrays), pa
 
 
 NOT_OPPOSITE = ("7-d3-1", "7-d3-3", "7-d4-2", "7-d4-3", "7-d5-3")  # over GF(7), a pair of flags is not opposite

@@ -107,10 +107,14 @@ def test_verify_malformed_input(tmp_path, capsys):
     ({}, "missing key 'field'"),
     ({"field": {"kind": "rational"}, "d": 1}, "missing key 'theta'"),
     ({key: value for key, value in D1_SELF_DUAL.items() if key != "phi"}, "missing key 'phi'"),
-], ids=["null", "list", "string", "empty-object", "no-theta", "no-phi"])
+    (dict(D1_SELF_DUAL, field={"kind": "prime"}), "missing key 'p' in the prime field spec"),
+    (dict(D1_SELF_DUAL, field={"kind": "rational", "p": 7}), "rational field takes no modulus"),
+], ids=["null", "list", "string", "empty-object", "no-theta", "no-phi", "prime-without-p", "rational-with-p"])
 def test_malformed_document_names_the_fault(tmp_path, capsys, verb, document, message):
-    """A document that is not an object, or lacks a key, exits 2 with one JSON error line that names the fault; null,
-    [] and {} once reported Python's TypeError and KeyError messages."""
+    """A document that is not an object, lacks a key, or whose field spec lacks its modulus or has one that the
+    rationals refuse, exits 2 with one JSON error line that names the fault; null, [] and {} once reported Python's
+    TypeError and KeyError messages, a prime spec without p the KeyError text 'p', and a rational one with p was
+    read as Q."""
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(document))  # run_cli reads stdin for None
     assert main([verb, "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 2

@@ -119,12 +119,12 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     coordinates (`systems._superdiagonal_in_split_basis`); until then it took 2, the solves of that round trip.
     verify, dualize and bases add none to certify's count on this split-form input: W^-1 is U and W*^-1 is U*, since
     U W = I and U* W* = I (`systems._eigenbasis_inverse`); the split lines, the 12 decompositions and the 12 forward
-    sequences of bases are read off the axioms (`systems.certified`); and `spans_components` reads triangular
-    blocks.  verify builds the system without certifying it, and runs the same axioms and round trip.  matrix-of-t
-    adds none either: its basis is certified the same way, and each representation is read off M B == B X
-    (`duality.basis_representations`).  Until then matrix-of-t added one basis inverse.  Before the certificates,
-    verify added the elimination of the split lines and the inverse of their basis, dualize the 12 eliminations of
-    the decompositions, and bases those and 12 ranks."""
+    sequences of bases are read off the axioms (`systems.certified`); and T_on_flags follows from T_maps_eigenspaces,
+    ranking no block.  verify builds the system without certifying it, and runs the same axioms and round trip.
+    matrix-of-t adds none either: its basis is certified the same way, and each representation is read off
+    M B == B X (`duality.basis_representations`).  Until then matrix-of-t added one basis inverse.  Before the
+    certificates, verify added the elimination of the split lines and the inverse of their basis, dualize the 12
+    eliminations of the decompositions, and bases those and 12 ranks."""
     doc = _krawtchouk_json({"kind": "prime", "p": 2**31 - 1}, 6)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))

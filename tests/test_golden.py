@@ -24,7 +24,7 @@ from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
 from leonard.fields import Field
-from leonard.linalg import Matrix, Vector, rank_one_factors, trace_of_product
+from leonard.linalg import Matrix, Vector, rank_one_factors
 
 GFP = {"kind": "prime", "p": 2147483647}
 
@@ -294,7 +294,7 @@ def test_d20_idempotents_traces_and_projections_match_the_dense_closed_form(arra
     s, f, d = systems.certify(pa), pa.field, pa.d
     E, Es = bidiagonal_idempotents(f, pa.theta), bidiagonal_idempotents(f, pa.theta_star, pa.varphi)
     for r in range(d + 1):
-        assert systems.trace_products(s, r) == tuple(trace_of_product(X, Y) for X, Y in (
+        assert systems.trace_products(s, r) == tuple((X * Y).trace() for X, Y in (
             (E[r], Es[0]), (E[r], Es[d]), (Es[r], E[0]), (Es[r], E[d]))), r
     anchors = du.choose_anchor_vectors(s)
     for basis_id, mats, v in (("e-vstar0", E, anchors.v0s), ("e-vstard", E, anchors.vds),

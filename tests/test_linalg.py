@@ -24,7 +24,6 @@ from leonard.linalg import (
     rank_one_factors,
     root_product_family,
     same_column_space,
-    trace_of_product,
     transition_matrix,
     unpivoted_column_reduction,
 )
@@ -460,23 +459,6 @@ def test_column_space_basis_keeps_rows_at_rank_zero(field):
     assert (meet.nrows, meet.ncols) == (3, 0)
 
 
-@st.composite
-def _trace_case(draw):
-    """n x m and m x n operands, n, m >= 1, or the 0 x 0 pair."""
-    field = draw(st.sampled_from(KERNEL_FIELDS))
-    n, m = draw(st.just((0, 0)) | st.tuples(st.integers(1, 5), st.integers(1, 5)))
-    return field, draw(_matrix(field, n, m)), draw(_matrix(field, m, n))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_trace_case())
-def test_trace_of_product_is_the_trace_of_the_product(case):
-    field, X, Y = case
-    t = trace_of_product(X, Y)
-    assert t == (X * Y).trace()
-    _assert_canonical(field, [t])
-
-
 def _rank_one_factors_by_elements(mats):
     """The reference: w_i and u_i^T cut from mats[i] and kept when their outer product gives it back."""
     factors = []
@@ -546,8 +528,8 @@ def test_mismatched_shapes_raise(field):
     v3, v2 = Vector(field, [field.from_int(x) for x in (1, 2, 3)]), Vector(field, [field.one()] * 2)
     M22, M13 = Matrix.from_ints(field, [[1, 2], [3, 4]]), Matrix.from_ints(field, [[1, 2, 3]])
     for bad in (lambda: v3.dot(v2), lambda: v3 + v2, lambda: v3 - v2, lambda: M22 + M13, lambda: M22 - M13,
-                lambda: M22 * v3, lambda: M22 * M13.transpose(), lambda: trace_of_product(M22, M13),
-                lambda: M22.solve(M13), lambda: intersect_column_spaces(M22, M13.transpose())):
+                lambda: M22 * v3, lambda: M22 * M13.transpose(), lambda: M22.solve(M13),
+                lambda: intersect_column_spaces(M22, M13.transpose())):
         with pytest.raises(ValueError, match="incompatible shapes"):
             bad()
     with pytest.raises(ValueError, match="unequal length"):
@@ -557,8 +539,7 @@ def test_mismatched_shapes_raise(field):
     other = Field.prime(11)
     N22, w2 = Matrix.from_ints(other, [[1, 2], [3, 4]]), Vector(other, [other.one()] * 2)
     for bad in (lambda: M22 + N22, lambda: M22 - N22, lambda: M22 * N22, lambda: M22 * w2, lambda: v2 + w2,
-                lambda: v2.dot(w2), lambda: M22.beside(N22), lambda: M22.solve(N22), lambda: outer(v2, w2),
-                lambda: trace_of_product(M22, N22)):
+                lambda: v2.dot(w2), lambda: M22.beside(N22), lambda: M22.solve(N22), lambda: outer(v2, w2)):
         with pytest.raises(ValueError, match="different fields"):
             bad()
     for c in (other.from_int(10), 2, F(1, 2) if not field.is_rational else G7.one()):
@@ -645,7 +626,7 @@ def test_canonical_form_matches_element_row_reference(case):
     assert got == expected
     Av = A * v
     assert Av == Vector(field, (r[0] for r in _ref_products(field, A.rows, [v.entries])))
-    assert trace_of_product(A, A2.transpose()) == _ref_products(
+    assert (A * A2.transpose()).trace() == _ref_products(
         field, [[x for r in A.rows for x in r]], [[x for r in A2.rows for x in r]])[0][0]
     assert (A == A2) == (A.rows == A2.rows)
     i = v.first_nonzero_index()

@@ -711,7 +711,8 @@ def test_gram_falls_back_when_A_is_not_diagonal_in_the_eigenbasis():
 F_M_ON_A = {"edge_idempotent_E0", "edge_idempotent_Ed", "char_product_A", "subalgebra_three_bases_A"}
 GRAM_PREMISE_FAILURES = {
     "E0-rank-two": ("idempotent E_0 is not of rank one", {
-        "tridiagonal_Astar_in_A_eigenbasis", "idempotents_E_orthogonal", "nu_sandwich_E0",
+        "tridiagonal_Astar_in_A_eigenbasis", "idempotents_E_orthogonal", "round_trip_parameter_array",
+        "nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "nu_closed_forms_match_traces",
         "split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta"}),
     "theta-repeated": ("idempotents_E_spectral fails", F_M_ON_A),
     "UAW-not-diagonal": ("idempotents_E_spectral fails", F_M_ON_A),

@@ -514,10 +514,10 @@ NU_WITNESS = {"scalars": dict.fromkeys(("nu", "nu_down", "nu_ddown", "nu_down_dd
 
 
 def _rank_two_pins(star) -> dict:
-    """The failing checks of `verify` with E_0 (resp. E*_0) of rank two: that family does not factor, so each check
-    that reads it as a basis fails naming E_0, and the F[M] checks (and, on E*, the dagger check) naming the failed
-    orthogonality; the sums are formed densely and fail, and so does each check that reads tr(A E_0) (on E) or
-    tr(E_0 E*_0)."""
+    """The failing checks of `verify` with E_0 (resp. E*_0) of rank two: that family does not factor, so the round
+    trip (the extraction reads theta and theta* off both factorizations), each check that reads the family as a
+    basis and each that reads a trace tr(E_0 E*_j) or tr(E*_0 E_j) fails naming E_0, and the F[M] checks (and, on E*,
+    the dagger check) naming the failed orthogonality; the sums are formed densely and fail."""
     label, name = ("Estar", "E*") if star else ("E", "E")
     rank = {"error": f"idempotent {name}_0 is not of rank one"}
     orthogonal = {"error": f"idempotents_{label}_orthogonal fails"}
@@ -525,11 +525,10 @@ def _rank_two_pins(star) -> dict:
         ("tridiagonal_A_in_Astar_eigenbasis" if star else "tridiagonal_Astar_in_A_eigenbasis"): rank,
         "standard_orderings": None, f"idempotents_{label}_orthogonal": rank, f"idempotents_{label}_sum": None,
         f"idempotents_{label}_spectral": None, f"idempotents_{label}_rank_one": {"ranks": [2, 1, 1, 1]},
-        "round_trip_parameter_array": rank if star else None,  # the extraction factors E*, and reads tr(A E_i)
-        **dict.fromkeys(F_M_CHECKS[star], orthogonal), "nu_sandwich_E0" + "star" * star: rank,
-        "nu_sandwich_E0" + "star" * (not star): None,
-        "trace_products_closed_form": {"r": 0}, "nu_closed_forms_match_traces": NU_WITNESS,
-        **dict.fromkeys(("split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta"),
+        **dict.fromkeys(F_M_CHECKS[star], orthogonal),
+        **dict.fromkeys(("round_trip_parameter_array", "nu_sandwich_E0", "nu_sandwich_E0star",
+                         "trace_products_closed_form", "nu_closed_forms_match_traces",
+                         "split_projectors_match_intersection", "split_projectors_resolution", "split_pairing_delta"),
                         rank),
         **({"dagger_fixes_idempotents": orthogonal} if star else dict.fromkeys(GRAM_CHECKS, rank)),
     }
