@@ -328,10 +328,10 @@ def build_flag(sys: LeonardSystem, z: str) -> Flag:
 
 def spans_components(Y: Matrix) -> list:
     """For each i, whether the first i+1 columns of X span component i of a flag F, read off Y = F^-1 X: those of Y
-    vanish below row i and their leading block is invertible."""
-    n = Y.nrows
+    vanish below row i and are independent, that is the pivot columns of Y's rref begin 0..i (one elimination)."""
+    n, pivots = Y.nrows, Y.rref()[1]
     low = [max((r for r in range(n) if Y.nums[r][c]), default=-1) for c in range(n)]  # last nonzero row
-    return [max(low[:i + 1]) <= i and Y.submatrix(slice(0, i + 1), slice(0, i + 1)).rank() == i + 1 for i in range(n)]
+    return [max(low[:i + 1]) <= i and pivots[:i + 1] == list(range(i + 1)) for i in range(n)]
 
 
 @dataclass(frozen=True)

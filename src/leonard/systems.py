@@ -359,17 +359,16 @@ def verify_axioms(sys: LeonardSystem) -> VerificationReport:
     return sys.cached("axioms", build)
 
 
-def premises(sys: LeonardSystem, star: bool = False) -> tuple:
-    """(W, U) for E (resp. E*) once, by the memoised `verify_axioms` report, it has d+1 idempotents and is orthogonal
-    and spectral, and theta (theta*) is d+1 distinct values; else DegenerateSplit naming the first that fails.  Then
-    U W = I and M = W diag(theta) U for M = A (A*): the premises of the F[M] checks and of `solve_gram`."""
+def premises(sys: LeonardSystem, star: bool = False) -> None:
+    """Only raises, DegenerateSplit naming the first premise that fails, read off the memoised `verify_axioms` report:
+    E (resp. E*) of d+1 idempotents, orthogonal and spectral, and theta (theta*) of d+1 distinct values.  Once they
+    hold, U W = I and M = W diag(theta) U for M = A (A*): the premises of the F[M] checks and of `solve_gram`."""
     _sized(sys, star)
     report, label = verify_axioms(sys), "Estar" if star else "E"
     if failed := [c for c in ("orthogonal", "spectral") if not report[f"idempotents_{label}_{c}"].passed]:
         raise DegenerateSplit(f"idempotents_{label}_{failed[0]} fails")
     if not len(set(theta := sys.theta_star if star else sys.theta)) == len(theta) == sys.d + 1:
         raise DegenerateSplit(f"theta{'*' * star} is not d + 1 = {sys.d + 1} distinct values")
-    return sys.eigenbasis(star)
 
 
 def certified(sys: LeonardSystem) -> bool:
@@ -696,24 +695,20 @@ def standard_identity_suite(sys: LeonardSystem) -> VerificationReport:
     sized = lambda: _sized(sys, False) or _sized(sys, True)  # first in each check that reads both families
 
     # edge idempotents, char products and bases of F[M], M = A (A*), given E (E*) of d+1 idempotents, orthogonal and
-    # spectral, and d+1 distinct theta (theta*): then U W = I, M = W diag(theta) U, and c = U v has no zero entry for
-    # v = e_0 (e_d) when column 0 (d) of U has none, as in every split form, else for v = sum w_i (c = 1).  E_i v is
-    # c_i w_i; tau_i(M) v is W diag(c) times a triangular matrix with diagonal tau_i(theta_i) != 0; eta_i(M) v the same
-    # with diagonal eta_i(theta_{d-i}) != 0; M^i v is W diag(c) times a Vandermonde matrix of the distinct theta; and
-    # X -> X v is one-to-one on F[M].  So each family is a basis of F[M], and tau_{d+1}(M) = W diag(tau_{d+1}(theta_k))
-    # U = 0 (Terwilliger, LAA 330 (2001); Horn & Johnson, Matrix Analysis, ch. 3): char_product_* and
-    # subalgebra_three_bases_* pass once the premises hold (`premises`); the edge checks read E_0 v = c_0 w_0,
-    # E_d v = c_d w_d, tau_d(M) v and eta_d(M) v
+    # spectral, and d+1 distinct theta (theta*): then U W = I and M = W diag(theta) U, so p(M) = W diag(p(theta_k)) U
+    # for each polynomial p.  Hence tau_{d+1}(M) = 0, each of tau_i(M), eta_i(M), M^i is a basis of F[M] (triangular
+    # resp. Vandermonde in the independent E_k), eta_d(M) = eta_d(theta_0) E_0 and tau_d(M) = tau_d(theta_d) E_d
+    # (Terwilliger, LAA 330 (2001), Thm 1.9; Horn & Johnson, Matrix Analysis, ch. 3).  So char_product_* and
+    # subalgebra_three_bases_* pass once the premises hold (`premises`), and each edge check compares the array's gap
+    # with that product over the system's own theta, started at one() so that at d = 0 it is a field element
     def edge(star):
         g_d, g_0 = edge_values(array())[2 * star:][:2]  # the extraction error before the premises
-        (W, U), j = premises(sys, star), d * star
-        cyclic = all(r[j] for r in U.nums)  # then v = e_j and E_i v = U_ij w_i; else v = W 1 and E_i v = w_i
-        v = Matrix.identity(f, d + 1).column(j) if cyclic else W * Vector(f, [f.one()] * (d + 1))
-        E0v, Edv = (W.column(i).scale(f.fraction(U.nums[i][j], U.den) if cyclic else f.one()) for i in (0, d))
-        tau_d, eta_d = (sys.root_family(kind, star, v)[d] for kind in ("tau", "eta"))
-        return [(eta_d.scale(f.invert(g_0)) == E0v, None), (tau_d.scale(f.invert(g_d)) == Edv, None)]
+        premises(sys, star)
+        theta = sys.theta_star if star else sys.theta
+        return [(prod((theta[0] - t for t in theta[1:]), start=f.one()) == g_0, None),
+                (prod((theta[d] - t for t in theta[:d]), start=f.one()) == g_d, None)]
 
-    decided = lambda star: premises(sys, star) and [(True, None)]
+    decided = lambda star: premises(sys, star) or [(True, None)]
     for names, check in ((("edge_idempotent_E0", "edge_idempotent_Ed"), edge), (("char_product_A",), decided),
                          (("subalgebra_three_bases_A",), decided)):
         for star in (False, True):

@@ -700,8 +700,7 @@ def assert_agrees(sys: LeonardSystem, verbs=tuple(VERBS), bundle: du.DualityBund
 
 
 def w_inverse_conjugate(s: LeonardSystem, star: bool = False) -> LeonardSystem:
-    """W^-1 X W (resp. W*^-1 X W*): A (resp. A*) becomes diagonal, so e_0 (resp. e_d) is an eigenvector of it and
-    not cyclic."""
+    """W^-1 X W (resp. W*^-1 X W*): A (resp. A*) becomes diagonal."""
     return s.conjugated(s.eigenbasis(star)[0].inverse())
 
 

@@ -1,23 +1,24 @@
-"""The eight F[M] checks from their premises and one cyclic vector: the work they save and the failures they name.
+"""The eight F[M] checks read off their premises: the work they save and the failures they name.
 
 `standard_identity_suite` decides the eight checks once E (resp. E*) has d+1 idempotents, is orthogonal and
-spectral and theta (theta*) is distinct: `char_product_*` and `subalgebra_three_bases_*` are theorems of those
-premises, and `edge_idempotent_*` read one cyclic vector, e_0 for A and e_d for A* when column 0 (d) of U has no
-zero entry, else the sum of the eigencolumns.  A failed premise fails the four checks of its side with it as
-witness.  `tests/reference.py` forms the eight densely, ranks included (`assert_agrees`).  Here: which vector starts
-the families, that no dense family is built, and the failures under library-level mutations.
+spectral and theta (theta*) is distinct (`systems.premises`): then U W = I and M = W diag(theta) U, so
+`char_product_*` and `subalgebra_three_bases_*` are theorems of those premises, and eta_d(M) = eta_d(theta_0) E_0
+and tau_d(M) = tau_d(theta_d) E_d, so `edge_idempotent_*` compare the array's gaps (`edge_values`) with the same
+products over the system's own theta.  No vector and no tau/eta family is built for them.  A failed premise fails
+the four checks of its side with it as witness.  `tests/reference.py` forms the eight densely, ranks included
+(`assert_agrees`).  Here: that no family is built for the eight, and the failures under library-level mutations.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leonard import linalg, systems
-from leonard.linalg import Matrix, Vector
+from leonard.linalg import Vector
 from leonard.systems import LeonardSystem, build_system, standard_identity_suite
 
 from conftest import krawtchouk
 from reference import (DIFFERENTIAL, GF7, GFP, Q, agrees_on, assert_agrees, drawn, hand_built, passes,
-                       perturbed_arrays, swapped_idempotents, w_inverse_conjugate)
+                       perturbed_arrays, swapped_idempotents)
 from test_systems import EXTRACTION_ERROR
 
 FIELDS = (Q, GF7, GFP)
@@ -42,31 +43,11 @@ def dense_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def sums_built(monkeypatch):
-    """A list that grows by one on each vector that `systems` builds: the all-ones vector of W 1 = w_0 + ... + w_d."""
-    built = []
-    monkeypatch.setattr(systems, "Vector", lambda field, entries: built.append(len(entries)) or Vector(field, entries))
-    return built
-
-
-def eigencolumn_sum(sys, star: bool) -> Vector:
-    """w_0 + ... + w_d for the eigenbasis W of E (resp. E*)."""
-    W = sys.eigenbasis(star)[0]
-    return W * Vector(sys.field, [sys.field.one()] * W.ncols)
-
-
-def starts(sys, star: bool) -> set:
-    """The vectors at which the suite built a tau or eta family on A (resp. A*): v of the F[M] checks, and the
-    eigencolumns that the split checks start from."""
-    return {key[3] for key in sys._memo if key[:1] == ("root_family",) and key[2] == star and not key[4]}
-
-
-# --- the differential test on the inputs of the cyclic route ---
+# --- the differential test on the inputs of the eight checks ---
 
 
 def test_corpus_and_conjugates_match_dense(corpus):
-    """`bases` and `matrix-of-t` conjugated by W*^-1, where the families on A* start at the eigencolumn sum."""
+    """`bases` and `matrix-of-t` conjugated by W*^-1, where A* is diagonal."""
     for pa in corpus.arrays:
         agrees_on(pa, ("Wstar",), ("bases", "matrix-of-t"))
 
@@ -106,7 +87,7 @@ def test_hand_built_failures_reach_the_eight_checks():
         "E_0 rank two": premise("idempotents_E_orthogonal fails", False),
         "E_0 sheared": premise("idempotents_E_orthogonal fails", False),
         "E_0 twice": premise("idempotents_E_orthogonal fails", False),
-        "stored theta_0 moved": {"edge_idempotent_E0": None, "edge_idempotent_Ed": None},  # cyclic: wrong gaps
+        "stored theta_0 moved": {"edge_idempotent_E0": None, "edge_idempotent_Ed": None},  # wrong gaps
         "E short": premise("2 idempotents E, not d + 1 = 3", False),
         "E* short": premise("2 idempotents E*, not d + 1 = 3", True),
         "E* off spectrum": premise("idempotents_Estar_spectral fails", True),
@@ -129,30 +110,21 @@ def test_edge_checks_read_the_array_before_the_premises():
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-def test_cli_inputs_take_the_cyclic_route(field, dense_calls, sums_built):
-    """The `verify` path builds no dense tau/eta family, no dense power and no sum of eigencolumns, and starts the
-    F[M] families at e_0 (resp. e_d).  (In a split form, e_0 is w_0 + ... + w_d, as w_i = E_i e_0.)"""
+def test_f_m_checks_build_no_family(field, dense_calls):
+    """The `verify` path builds no dense tau/eta family or power, and each vector family it memoises is read by a
+    check outside the eight: none starts at e_d on A*, and those on A at e_0 are the extraction's split bases at
+    w*_0 = e_0."""
     s = build_system(krawtchouk(field, 8))
     assert standard_identity_suite(s).all_pass
-    assert dense_calls == [] and sums_built == []
-    assert not [key for key in s._memo if key[:1] == ("root_family",) and key[3] is None]
-    eye = Matrix.identity(field, 9)
-    assert eye.column(0) in starts(s, False) and eye.column(8) in starts(s, True)
+    assert dense_calls == []
+    (W, U), (Ws, Us) = s.eigenbasis(), s.eigenbasis(star=True)
+    assert {key[1:] for key in s._memo if key[:1] == ("root_family",)} == {
+        ("tau", False, Ws.column(0), False), ("eta", False, Ws.column(0), False),  # varphi and phi of the extraction
+        ("tau", True, U.row(0), True),  # q_i of `split_factors`
+        ("tau", False, Us.row(0), True), ("tau", True, W.column(0), False)}  # split_pairing_delta
 
 
-@pytest.mark.parametrize("star", [False, True], ids=["W", "Wstar"])
-def test_w_conjugates_start_at_the_eigencolumn_sum(star, dense_calls, sums_built):
-    """Conjugated by W^-1 (resp. W*^-1), A (resp. A*) is diagonal: that side starts its families at w_0 + ... + w_d,
-    built once, the other at e_d (resp. e_0), and no dense family is built."""
-    s = w_inverse_conjugate(build_system(krawtchouk(Q, 8)), star)
-    assert standard_identity_suite(s).all_pass
-    assert dense_calls == [] and sums_built == [9]
-    eye = Matrix.identity(Q, 9)
-    assert eigencolumn_sum(s, star) in starts(s, star) and eye.column(8 if star else 0) not in starts(s, star)
-    assert eye.column(0 if star else 8) in starts(s, not star)
-
-
-# --- each check fails under a library-level mutation on the cyclic route ---
+# --- each check fails under a library-level mutation ---
 
 
 def _wrong_gap(k):
@@ -210,9 +182,10 @@ def test_each_check_fails_on_the_cyclic_route(field, name, dense_calls, monkeypa
     assert not report[name].passed
 
 
-# the checks that read tau_d(A) (resp. tau_d(A*)) on a vector: the edge check at E_d, and the split checks
-TAU_D_READERS = {False: ["edge_idempotent_Ed", "split_projectors_match_intersection", "split_projectors_resolution"],
-                 True: ["edge_idempotent_Edstar", "split_pairing_delta"]}
+# the checks that read tau_d(A) (resp. tau_d(A*)) on a vector: the split checks; the edge check at E_d reads no
+# family
+TAU_D_READERS = {False: ["split_projectors_match_intersection", "split_projectors_resolution"],
+                 True: ["split_pairing_delta"]}
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
@@ -228,3 +201,19 @@ def test_each_family_mutation_fails_the_report(field, star, mutation, dense_call
     assert dense_calls == []
     assert report["char_product_A" + "star" * star].passed and report["subalgebra_three_bases_A" + "star" * star].passed
     assert [c.name for c in report.checks if not c.passed] == TAU_D_READERS[star]
+
+
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+def test_wrong_eta_family_fails_the_round_trip(field, monkeypatch):
+    """eta_d on A replaced by eta_{d-1}: the edge check at E_0 reads no family, so the report fails where the
+    extraction reads phi off the eta split basis, the round trip, and only there."""
+    s = build_system(krawtchouk(field, 4))
+    root_family = LeonardSystem.root_family
+
+    def mutated(self, kind, star=False, start=None, covector=False):
+        fam = root_family(self, kind, star, start, covector)
+        return fam[:-1] + fam[-2:-1] if (kind, star, covector) == ("eta", False, False) else fam
+
+    monkeypatch.setattr(LeonardSystem, "root_family", mutated)
+    report = standard_identity_suite(s)
+    assert [c.name for c in report.checks if not c.passed] == ["round_trip_parameter_array"]

@@ -58,6 +58,16 @@ def test_d12_krawtchouk_dualize_matches_reference(field, s_star):
     assert all(passed for passed, _ in got.values()) == (s_star == -2)
 
 
+@pytest.mark.parametrize("s_star", [-2, -4], ids=["self-dual", "s*=-4"])
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+def test_d12_krawtchouk_verify_matches_reference(field, s_star):
+    """`verify` on the same arrays agrees with the dense reference, each check decided from `systems.premises` or
+    `systems.certified` with its dense form, above the d <= 8 of the other differential tests; every check passes."""
+    s = certify(krawtchouk_type(field, 12, 12, -2, 12, s_star, 1))
+    got = assert_agrees(s, ("verify",))["verify"]
+    assert all(passed for passed, _ in got.values())
+
+
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 @settings(DIFFERENTIAL, max_examples=25)
 @given(data=st.data())

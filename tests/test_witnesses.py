@@ -290,18 +290,18 @@ BY_CERTIFICATE = {
 # M w_i = theta_i w_i; else the sums are formed densely.  The four F[M] checks on A (resp. A*) run once E (resp.
 # E*) has d+1 members, is orthogonal and spectral and theta (resp. theta*) is distinct (`systems.premises`):
 # char_product and subalgebra_three_bases then hold by construction (M = W diag(theta) U), and the two edge checks
-# read one cyclic vector; a failed premise fails the four with it as witness, and so does dagger_fixes_idempotents
-# on E*.  The two split checks read Q P = I once `systems.certified` holds: every axiom, and d+1 values in theta
-# and theta*; else the intersection route decides.  bases_invertible, a check of `bases`, holds once
-# `systems.certified` holds, which `certify` checks before it, and the anchor is the eigencolumn it names; else
-# each forward sequence is ranked.  Three sweep checks are decided from the same certificate (DECIDED_SWEEPS), and so
-# are CERTIFICATE_VERDICTS: flag_component_dimensions, a check of `dualize`, as U W = I = U* W*; the flags mutually
-# opposite, each component one-dimensional and decompositions_induce_flags, as each [zw] is then the normalized
-# first family of its pair, whose vector i lies in [z]_i ∩ [w]_{d-i}; and bases_span_decomposition_components, a
-# check of `bases`, once every anchor is also the eigencolumn it names, as each basis is then a family on an
-# eigencolumn.  Else each fails with the failed premise as witness, pinned where it fails (mixed_anchors,
-# uncertified_reversed_decompositions, zero_flags).  Premises that no check of the report states are named in
-# STATED.  Each of these checks is decided by `tests/reference.py` without its premises.
+# compare the array's gaps with eta_d(theta_0) and tau_d(theta_d); a failed premise fails the four with it as
+# witness, and so does dagger_fixes_idempotents on E*.  The two split checks read Q P = I once `systems.certified`
+# holds: every axiom, and d+1 values in theta and theta*; else the intersection route decides.  bases_invertible,
+# a check of `bases`, holds once `systems.certified` holds, which `certify` checks before it, and the anchor is the
+# eigencolumn it names; else each forward sequence is ranked.  Three sweep checks are decided from the same
+# certificate (DECIDED_SWEEPS), and so are CERTIFICATE_VERDICTS: flag_component_dimensions, a check of `dualize`, as
+# U W = I = U* W*; the flags mutually opposite, each component one-dimensional and decompositions_induce_flags, as
+# each [zw] is then the normalized first family of its pair, whose vector i lies in [z]_i ∩ [w]_{d-i}; and
+# bases_span_decomposition_components, a check of `bases`, once every anchor is also the eigencolumn it names, as
+# each basis is then a family on an eigencolumn.  Else each fails with the failed premise as witness, pinned where it
+# fails (mixed_anchors, uncertified_reversed_decompositions, zero_flags).  Premises that no check of the report
+# states are named in STATED.  Each of these checks is decided by `tests/reference.py` without its premises.
 AXIOM_CHECKS = SUITE_CHECKS[:11]  # the report of `verify_axioms`
 STATED = ("theta distinct", "theta* distinct", "d+1 idempotents E", "d+1 idempotents E*", "d+1 theta and theta*",
           "anchor an eigencolumn")

@@ -29,7 +29,10 @@ eigenbasis products cost most.  Then dualize runs on the same arrays with s* = -
 eigenspace there, so these arrays take the same route as the self-dual ones, reading T^2, U T W, U T* W and the
 product formulas off T's eigen-coordinates W*^-1 T W and W^-1 T W*, which are not diagonal here, at a large d, and
 the call exits 1.  bases follows on each, and passes: the certificate from which it decides that each basis spans the
-components of its decomposition is then read on arrays that are not self-dual at a large d.  1063 calls in all, in
+components of its decomposition is then read on arrays that are not self-dual at a large d.  After them, the self-dual
+array at d = 0 (theta_0 = theta*_0 = -5/3, 1 x 1 matrices and empty split sequences) over Q, GF(7) and GF(2^31 - 1)
+runs through verify, relatives, dualize, bases and matrix-of-t --basis tau-vstard: there every product over an
+empty range of roots is the field's one, which a product started at the int 1 is not.  1078 calls in all, in
 about 3 s per tree on a shared 2-vCPU Xeon.  The inputs are
 written to a temporary directory that is the working directory while the calls run, so the paths in
 each argv, and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI
@@ -64,6 +67,7 @@ SELF_DUAL_VERBS = (("dualize",), ("bases",)) + tuple(("matrix-of-t", "--basis", 
                                                     ("etastar-v0", "eta-vstar0", "taustar-vd", "tau-vstard"))
 KRAWTCHOUK_DS = range(1, 6)
 KRAWTCHOUK_VERBS = ("verify", "dualize", "bases")
+D0_VERBS = (("verify",), ("relatives",), ("dualize",), ("bases",), ("matrix-of-t", "--basis", "tau-vstard"))
 
 
 def load_program(src: str) -> SimpleNamespace:
@@ -191,6 +195,14 @@ def main(argv=None) -> int:
                         argv = (verb, "--input", path)
                         print("krawtchouk-non-self-dual", field.kind, d, k, call_digest(program, argv), " ".join(argv),
                               flush=True)
+            for field in (fields[0], program.fields.Field.prime(7), fields[1]):
+                label = field.p or "Q"
+                theta = (field.from_int(-5) / field.from_int(3),)
+                path = write_array(f"d0-self-dual-{label}.json",
+                                   program.systems.ParameterArray(field, 0, theta, theta, (), ()).to_json())
+                for k, verb in enumerate(D0_VERBS):
+                    argv = (*verb, "--input", path)
+                    print("d0-self-dual", label, k, call_digest(program, argv), " ".join(argv), flush=True)
         finally:
             os.chdir(cwd)
     return 0
