@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import truediv
 
 from .errors import DegenerateSplit, InconsistentArray, SingularBasis, UnknownBasis, ZeroInnerProduct
-from .linalg import Matrix, Vector, bidiagonal, root_product_family
+from .linalg import Matrix, Vector, _gauss_jordan, bidiagonal, root_product_family
 from .report import VerificationReport
 from .systems import (
     LeonardSystem,
@@ -178,12 +178,9 @@ def _in_eigenbasis(sys: LeonardSystem) -> LeonardSystem:
     factors of E and E* are (I, I) and (K, K*) for K = U W* and K* = U* W (`change_of_basis`); its idempotents are
     not formed."""
     def build():
-        eye = Matrix.identity(sys.field, sys.d + 1)
-        out = LeonardSystem(eye.scale_columns(sys.theta), change_of_basis(sys, False, "Astar", False), None, None,
-                            sys.theta, sys.theta_star)
-        out._memo.update({("eigenbasis", False): (eye, eye), ("eigenbasis", True): (
-            change_of_basis(sys, False, None, True), change_of_basis(sys, True, None, False))})
-        return out
+        eye, B = Matrix.identity(sys.field, sys.d + 1), change_of_basis(sys, False, "Astar", False)
+        K = change_of_basis(sys, False, None, True), change_of_basis(sys, True, None, False)
+        return LeonardSystem.from_eigenbases(eye.scale_columns(sys.theta), B, (eye, eye), K, sys.theta, sys.theta_star)
     return sys.cached("in_eigenbasis", build)
 
 
@@ -328,8 +325,8 @@ def build_flag(sys: LeonardSystem, z: str) -> Flag:
 
 def spans_components(Y: Matrix) -> list:
     """For each i, whether the first i+1 columns of X span component i of a flag F, read off Y = F^-1 X: those of Y
-    vanish below row i and are independent, that is the pivot columns of Y's rref begin 0..i (one elimination)."""
-    n, pivots = Y.nrows, Y.rref()[1]
+    vanish below row i and are independent, that is the pivots of one elimination of Y's rows begin 0..i."""
+    n, pivots = Y.nrows, _gauss_jordan(Y.field, [list(row) for row in Y.nums], Y.ncols)
     low = [max((r for r in range(n) if Y.nums[r][c]), default=-1) for c in range(n)]  # last nonzero row
     return [max(low[:i + 1]) <= i and pivots[:i + 1] == list(range(i + 1)) for i in range(n)]
 
@@ -460,19 +457,14 @@ BASIS_IDS = (
 FOUR_BASES = ("etastar-v0", "eta-vstar0", "taustar-vd", "tau-vstard")
 
 _ANCHOR_ATTR = {"v0": "v0", "vd": "vd", "vstar0": "v0s", "vstard": "vds"}
+_BASES = {basis_id: (gen, bool(rev), anchor) for basis_id in BASIS_IDS for gen, *rev, anchor in [basis_id.split("-")]}
 
 
 def _parse_basis_id(basis_id: str):
-    parts = basis_id.split("-")
-    if len(parts) == 3 and parts[1] == "rev":
-        gen, rev, anchor = parts[0], True, parts[2]
-    elif len(parts) == 2:
-        gen, rev, anchor = parts[0], False, parts[1]
-    else:
+    """(gen, whether it is reversed, anchor key) of one of BASIS_IDS (`_BASES`); UnknownBasis for any other id."""
+    if basis_id not in _BASES:
         raise UnknownBasis(basis_id)
-    if gen not in ("tau", "eta", "taustar", "etastar", "e", "estar") or anchor not in _ANCHOR_ATTR:
-        raise UnknownBasis(basis_id)
-    return gen, rev, anchor
+    return _BASES[basis_id]
 
 
 def build_basis(sys: LeonardSystem, anchors: AnchorVectors | None, basis_id: str):

@@ -17,17 +17,19 @@ class Check:
 
 
 class VerificationReport:
-    """An ordered list of named checks; each identity appears exactly once."""
+    """Named checks in the order added, kept in one dict by name; each identity appears exactly once."""
 
     def __init__(self):
-        self.checks: list[Check] = []
-        self._names: set[str] = set()
+        self._by_name: dict[str, Check] = {}
+
+    @property
+    def checks(self) -> list[Check]:
+        return list(self._by_name.values())
 
     def add(self, name: str, passed: bool, witness=None) -> None:
-        if name in self._names:
+        if name in self._by_name:
             raise ValueError(f"duplicate check name {name!r}")
-        self._names.add(name)
-        self.checks.append(Check(name, bool(passed), witness if not passed else None))
+        self._by_name[name] = Check(name, bool(passed), witness if not passed else None)
 
     def add_first_failure(self, name: str, failures) -> None:
         """Add a sweep check: failures yields one witness (never None) per failing
@@ -53,13 +55,10 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def __getitem__(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return self._by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._names
+        return name in self._by_name
 
     def to_json(self) -> dict:
         return {"checks": [c.to_json() for c in self.checks]}

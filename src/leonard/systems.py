@@ -137,9 +137,9 @@ def check_pa1(field: Field, d, theta, theta_star, varphi, phi) -> None:
 class LeonardSystem:
     """Matrices A, A* with both idempotent families, in a fixed ambient basis.
 
-    A system given its idempotents keeps them and factors each family on first use (`eigenbasis`).  One built from
-    a parameter array stores the eigenbases (W, U) and (W*, U*) of its split form instead: E_i = w_i u_i^T (E*_i
-    alike) is formed only when E (Estar) is first read, and every reader in the package reads the factors.
+    A system given its idempotents keeps them and factors each family on first use (`eigenbasis`).  One built by
+    `from_eigenbases` (`build_system` on a parameter array) stores the eigenbases (W, U) and (W*, U*) instead:
+    E_i = w_i u_i^T (E*_i alike) is formed only when E (Estar) is first read, and every reader reads the factors.
     Derived data (the Gram weights, the tau/eta families, flags and decompositions) is built on first use and
     memoised on the instance.
     """
@@ -186,14 +186,11 @@ class LeonardSystem:
         return cls(A, Astar, E, Estar, theta, theta_star, pa)
 
     @classmethod
-    def from_parameter_array(cls, pa: ParameterArray) -> "LeonardSystem":
-        """The system in a split basis: A and A* bidiagonal, stored with their eigenbases (W, U) and (W*, U*), the
-        triangular eigenvectors of `bidiagonal_eigenbasis` (O(d^2) integer products each), rather than with any
-        idempotent.  `eigenbasis` factors neither family, and E_i = w_i u_i^T is formed only if E is read."""
-        f, (t, ts) = pa.field, ((pa.theta, None), (pa.theta_star, pa.varphi))
-        sys = cls(bidiagonal(f, *t), bidiagonal(f, *ts), None, None, pa.theta, pa.theta_star, pa)
-        sys._memo.update({("eigenbasis", False): bidiagonal_eigenbasis(f, *t),
-                          ("eigenbasis", True): bidiagonal_eigenbasis(f, *ts)})
+    def from_eigenbases(cls, A, Astar, eigenbasis, eigenbasis_star, theta, theta_star, pa=None) -> "LeonardSystem":
+        """The system stored with the eigenbases (W, U) of A and (W*, U*) of A* rather than with any idempotent:
+        `eigenbasis` factors neither family, and E_i = w_i u_i^T is formed only if E is read."""
+        sys = cls(A, Astar, None, None, theta, theta_star, pa)
+        sys._memo.update({("eigenbasis", False): eigenbasis, ("eigenbasis", True): eigenbasis_star})
         return sys
 
     def conjugated(self, K: Matrix) -> "LeonardSystem":
@@ -264,7 +261,10 @@ class LeonardSystem:
 
 
 def build_system(pa: ParameterArray) -> LeonardSystem:
-    return LeonardSystem.from_parameter_array(pa)
+    """The split form: A and A* bidiagonal with the eigenbases of `bidiagonal_eigenbasis` (`from_eigenbases`)."""
+    f, (t, ts) = pa.field, ((pa.theta, None), (pa.theta_star, pa.varphi))
+    return LeonardSystem.from_eigenbases(bidiagonal(f, *t), bidiagonal(f, *ts), bidiagonal_eigenbasis(f, *t),
+                                         bidiagonal_eigenbasis(f, *ts), pa.theta, pa.theta_star, pa)
 
 
 def _orthogonality_witness(sys: LeonardSystem, star: bool = False):
@@ -273,18 +273,13 @@ def _orthogonality_witness(sys: LeonardSystem, star: bool = False):
     return sys.cached(("UW_witness", star), lambda: _off_diagonal(U * W, [sys.field.one()] * W.ncols))
 
 
-def _eigenbasis_inverse(sys: LeonardSystem, star: bool = False) -> Matrix:
-    """W^-1 for (W, U) = sys.eigenbasis(star), memoised: U once U W = I, else Gauss-Jordan on W
-    (SingularMatrix when W is singular)."""
-    W, U = sys.eigenbasis(star)
-    return sys.cached(("eigenbasis_inverse", star), lambda: W.inverse() if _orthogonality_witness(sys, star) else U)
-
-
 def change_of_basis(sys: LeonardSystem, a: bool, X: str | Matrix | None, b: bool) -> Matrix:
-    """W_a^-1 X W_b, memoised under X, for the eigenbases W_a and W_b of E (False) or E* (True) and X one of
-    None (I), "A", "Astar" or a matrix (such as T); W_a^-1 W_a is I.  SingularMatrix when W_a is singular."""
+    """W_a^-1 X W_b, memoised under X, for the eigenbases (W_a, U_a) and W_b of E (False) or E* (True) and X one of
+    None (I), "A", "Astar" or a matrix (such as T); W_a^-1 W_a is I.  W_a^-1 is U_a once U_a W_a = I, else
+    Gauss-Jordan on W_a (SingularMatrix when W_a is singular)."""
     def build():
-        inverse, W = _eigenbasis_inverse(sys, a), sys.eigenbasis(b)[0]
+        W, U = sys.eigenbasis(a)
+        inverse, W = W.inverse() if _orthogonality_witness(sys, a) else U, sys.eigenbasis(b)[0]
         if X is None:
             return Matrix.identity(sys.field, sys.d + 1) if a == b else inverse * W
         return inverse * (getattr(sys, X) if isinstance(X, str) else X) * W

@@ -118,7 +118,7 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     certify takes none: once the axioms hold, its round trip reads each varphi_i and phi_i as one ratio of
     coordinates (`systems._superdiagonal_in_split_basis`); until then it took 2, the solves of that round trip.
     verify, dualize and bases add none to certify's count on this split-form input: W^-1 is U and W*^-1 is U*, since
-    U W = I and U* W* = I (`systems._eigenbasis_inverse`); the split lines, the 12 decompositions and the 12 forward
+    U W = I and U* W* = I (`systems.change_of_basis`); the split lines, the 12 decompositions and the 12 forward
     sequences of bases are read off the axioms (`systems.certified`); and T_on_flags follows from T_maps_eigenspaces,
     ranking no block.  verify builds the system without certifying it, and runs the same axioms and round trip.
     matrix-of-t adds none either: its basis is certified the same way, and each representation is read off
@@ -175,7 +175,7 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     def dense(doc):  # T T, (U T) W, (U T*) W and F^-1 X of decompositions_induce_flags, on the system of doc
         s = certify(ParameterArray.from_json(doc))
         (W, U), t, t_star = s.eigenbasis(), du.duality_operator(s), du.duality_operator(s, star=True)
-        flag_inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])
+        flag_inverse = lambda z: s.eigenbasis(z.endswith("*"))[1].submatrix(rows=du._ORDER[z])  # U W = I
         return [(t, t), (U * t, W), (U * t_star, W), *(
             (flag_inverse(u), Matrix.from_columns(s.field, vectors)) for pair in du.DECOMPOSITION_PAIRS
             for dec in [du.build_decomposition(s, *pair)]
@@ -407,7 +407,7 @@ def test_flag_components():
 def test_flags_mutually_opposite(sd1):
     _, s, _, _ = sd1
     flags = [du.build_flag(s, z) for z in du.OMEGA]
-    inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])  # [z]^-1
+    inverse = lambda z: s.eigenbasis(z.endswith("*"))[1].submatrix(rows=du._ORDER[z])  # [z]^-1, as U W = I
     assert all(flag_decomposition(inverse(F.label) * G.basis, G.basis) is not None
                for F in flags for G in flags if F is not G)
     # a flag is never opposite to itself for d >= 1
@@ -535,6 +535,20 @@ def test_unknown_basis_id(sd1):
         du.build_basis(s, a, "sigma-v0")
     with pytest.raises(UnknownBasis):
         du.build_basis(s, a, "tau-rev-rev-v0")
+
+
+def test_only_the_24_ids_name_a_basis(sd1):
+    """Each of the 24 ids reads its family, whether it is reversed and its anchor, on the side opposite the family;
+    an id of the same shape outside BASIS_IDS, a family on an anchor of its own side, raises UnknownBasis."""
+    _, s, a, _ = sd1
+    anchors = {"tau": ("vstar0", "vstard"), "eta": ("vstar0", "vstard"), "e": ("vstar0", "vstard"),
+               "taustar": ("v0", "vd"), "etastar": ("v0", "vd"), "estar": ("v0", "vd")}
+    expected = {f"{gen}-rev-{anchor}" if rev else f"{gen}-{anchor}": (gen, rev, anchor)
+                for gen, keys in anchors.items() for anchor in keys for rev in (False, True)}
+    assert {basis_id: du._parse_basis_id(basis_id) for basis_id in du.BASIS_IDS} == expected
+    for basis_id in ("tau-v0", "estar-vstar0", "eta-rev-vd", "taustar-rev-vstard"):
+        with pytest.raises(UnknownBasis):
+            du.build_basis(s, a, basis_id)
 
 
 def test_transition_relations(sd1):

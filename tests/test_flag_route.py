@@ -6,8 +6,8 @@ they induce; "the first i+1 columns of X span component i of F" is read off F^-1
 decompositions off the certificate, and `spans_components` decides T_on_flags where T does not map the eigenspaces;
 `tests/reference.py` decides the flag checks by intersections and ranks (`assert_agrees`).  Here: the elimination
 (`linalg.flag_decomposition`, which the split lines of `verify` take without the certificate) against the element
-loop and the intersections on random bases, the inverses of the flags (the memoised W^-1 and W*^-1,
-`systems._eigenbasis_inverse`) and bases, and that no suite intersects subspaces.
+loop and the intersections on random bases, the inverses of the flags (W^-1 and W*^-1 by Gauss-Jordan) and bases,
+and that no suite intersects subspaces.
 """
 
 from dataclasses import dataclass
@@ -46,10 +46,10 @@ def flag(basis: Matrix) -> Ordered:
 
 
 def system_flag(sys, z: str) -> Ordered:
-    """The flag [z] of sys (`duality.build_flag`) with its inverse: the memoised W^-1 (W*^-1) with its rows in the
-    flag's order (`systems._eigenbasis_inverse`), None when W (W*) is singular."""
+    """The flag [z] of sys (`duality.build_flag`) with its inverse: W^-1 (W*^-1) by Gauss-Jordan (`Matrix.inverse`)
+    with its rows in the flag's order, None when W (W*) is singular."""
     try:
-        inverse = systems._eigenbasis_inverse(sys, z.endswith("*")).submatrix(rows=du._ORDER[z])
+        inverse = sys.eigenbasis(z.endswith("*"))[0].inverse().submatrix(rows=du._ORDER[z])
     except SingularMatrix:
         inverse = None
     return Ordered(du.build_flag(sys, z).basis, inverse)
@@ -132,8 +132,8 @@ def test_generated_geometry_matches_reference(field, data):
 
 
 def assert_flag_inverses_match_elimination(sys):
-    """Each flag's inverse, read off the memoised W^-1 or W*^-1 (`system_flag`), is Gauss-Jordan's inverse of its
-    basis, and None exactly when that is singular."""
+    """Each flag's inverse, W^-1 or W*^-1 with its rows in the flag's order (`system_flag`), is Gauss-Jordan's inverse
+    of its basis, and None exactly when that is singular."""
     for z in du.OMEGA:
         F = system_flag(sys, z)
         assert F.inverse == flag(F.basis).inverse, z
@@ -143,11 +143,13 @@ def assert_flag_inverses_match_elimination(sys):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_flag_inverses_match_elimination(field, data):
-    """U W = I holds on every system below, so each flag reads U or U* with its rows reversed."""
+    """U W = I holds on every system below, so each flag's inverse is U or U* with its rows in the flag's order."""
     d = data.draw(st.integers(min_value=0, max_value=8), label="d")
     s = certify(data.draw(leonard_arrays(field, d), label="pa"))
     for sys in (s, s.conjugated(conjugator(field, d + 1)), w_inverse_conjugate(s)):
         assert_flag_inverses_match_elimination(sys)
+        assert all(system_flag(sys, z).inverse == sys.eigenbasis(z.endswith("*"))[1].submatrix(rows=du._ORDER[z])
+                   for z in du.OMEGA)
 
 
 def test_basis_representations_match_separate_solves(corpus):
@@ -303,12 +305,21 @@ def test_random_bases_match_reference(case):
 
 
 def spans_components_by_leading_ranks(F, X: Matrix) -> list:
-    """The route that one rref of `duality.spans_components` replaced, for the flag F (`Ordered`): with Y = F^-1 X,
-    the first i+1 columns of Y vanish below row i and their leading (i+1) x (i+1) block has rank i+1, one rank each."""
+    """The route that one elimination of `duality.spans_components` replaced, for the flag F (`Ordered`): with
+    Y = F^-1 X, the first i+1 columns of Y vanish below row i and their leading (i+1) x (i+1) block has rank i+1,
+    one rank each."""
     Y = F.inverse * X
     n = Y.nrows
     return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
             and Y.submatrix(slice(0, i + 1), slice(0, i + 1)).rank() == i + 1 for i in range(n)]
+
+
+def spans_components_by_rref(Y: Matrix) -> list:
+    """The same read off the pivot columns of `Matrix.rref`, which also scales the rows and forms the reduced
+    matrix: the first i+1 columns of Y vanish below row i and the pivots begin 0..i."""
+    n, pivots = Y.nrows, Y.rref()[1]
+    return [not any(Y.nums[r][c] for r in range(i + 1, n) for c in range(i + 1))
+            and pivots[:i + 1] == list(range(i + 1)) for i in range(n)]
 
 
 @st.composite
@@ -327,9 +338,10 @@ def block_triangular_coordinates(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(basis_pairs().map(lambda case: (case[0], case[2])), block_triangular_coordinates()))
 def test_spans_components_match_rref(case):
-    """The one rref of `spans_components` against a rank of each leading block."""
+    """The one elimination of `spans_components` against the pivots of rref and a rank of each leading block."""
     F, X = case
-    assert du.spans_components(F.inverse * X) == spans_components_by_leading_ranks(F, X)
+    Y = F.inverse * X
+    assert du.spans_components(Y) == spans_components_by_rref(Y) == spans_components_by_leading_ranks(F, X)
 
 
 def test_singular_basis_is_never_opposite():

@@ -374,7 +374,7 @@ def test_d20_certified_geometry_matches_its_dense_forms(array):
     core eta*_d(A*) tau_d(A) from three vector families, and decompositions_induce_flags and
     bases_span_decomposition_components hold from the certificate.  Each is held to its dense form, formed here: the
     dense core, factored (`linalg.rank_one_factors`) into the same sum; F^-1 X for each decomposition X in both of its flags
-    (`duality.spans_components`, [z]^-1 the memoised W^-1 or W*^-1 in the flag's order); and each basis of
+    (`duality.spans_components`, [z]^-1 U or U* in the flag's order, as U W = I); and each basis of
     BASIS_MEMBERSHIP against the vectors of its decomposition."""
     pa = systems.ParameterArray.from_json(array)
     s, d = systems.certify(pa), pa.d
@@ -384,7 +384,7 @@ def test_d20_certified_geometry_matches_its_dense_forms(array):
     dense = du._outer_sum(s.field.invert(tau_d * etas_d), s.root_family("eta", False, W.column(0))[::-1],
                           s.root_family("tau", True, U.row(0), covector=True))
     assert du.duality_operator_polynomial_form(s) == dense == du.duality_operator(s)
-    inverse = lambda z: systems._eigenbasis_inverse(s, z.endswith("*")).submatrix(rows=du._ORDER[z])
+    inverse = lambda z: s.eigenbasis(z.endswith("*"))[1].submatrix(rows=du._ORDER[z])
     decomps = {pair: du.build_decomposition(s, *pair) for pair in du.DECOMPOSITION_PAIRS}
     assert all(all(du.spans_components(inverse(u) * Matrix.from_columns(s.field, vectors)))
                for dec in decomps.values() for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors())))

@@ -68,6 +68,17 @@ def test_d12_krawtchouk_verify_matches_reference(field, s_star):
     assert all(passed for passed, _ in got.values())
 
 
+@pytest.mark.parametrize("s_star", [-2, -4], ids=["self-dual", "s*=-4"])
+@pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
+def test_d12_krawtchouk_bases_and_matrix_of_t_match_reference(field, s_star):
+    """`bases` and `matrix-of-t` on the same arrays agree with the dense reference: the 24 bases, their certificates
+    and the 18 checks of `bases`, which all pass, and T, A and A* in each of the four bases with B^-1 M B by
+    Gauss-Jordan, and with the report of `matrix-of-t` where theta* = theta."""
+    s = certify(krawtchouk_type(field, 12, 12, -2, 12, s_star, 1))
+    got = assert_agrees(s, ("bases", "matrix-of-t"))["bases"]
+    assert len(got) == 18 and all(passed for passed, _ in got.values())
+
+
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 @settings(DIFFERENTIAL, max_examples=25)
 @given(data=st.data())

@@ -573,22 +573,27 @@ def _raised(M: Matrix, i: int, j: int) -> Matrix:
 
 
 def _raised_inverse_entry(star: bool, i: int, j: int, recertified: bool = True) -> dict:
-    """The memoised W^-1 (resp. W*^-1) with entry (i, j) raised by 1, before any flag is built; the
-    memoised changes of basis W^-1 X W_b built from it so far are dropped, so they are rebuilt from it, and
-    when recertified so are the memoised axiom report that `certify` read off them and the certificate read off
-    that report; else both are kept from the certified build."""
+    """Every memoised change of basis W^-1 X W_b (resp. W*^-1 X W_b) replaced, before any flag is built, by the one
+    read off W^-1 (W*^-1), which is U (U*) on the certified build, with entry (i, j) raised by 1: X each of I, A, A*
+    and T and W_b each eigenbasis, W^-1 W alone kept as I (`systems.change_of_basis`).  When recertified, the
+    memoised axiom report that `certify` read off them and the certificate read off that report are dropped, so
+    they are read again; else both are kept from the certified build."""
     s, _, bundle = _setup(SELF_DUAL)
     assert not any(key[0] == "flag" for key in s._memo)
-    s._memo[("eigenbasis_inverse", star)] = _raised(systems._eigenbasis_inverse(s, star), i, j)
-    dropped = ("axioms", "certified") if recertified else ()
-    for key in [key for key in s._memo if key[:2] == ("change_of_basis", star) or key in dropped]:
+    inverse, eye = _raised(s.eigenbasis(star)[1], i, j), Matrix.identity(s.field, s.d + 1)
+    for X, M in ((None, eye), ("A", s.A), ("Astar", s.Astar), (bundle.t, bundle.t)):
+        for b in (False, True):
+            if X is not None or b != star:
+                s._memo[("change_of_basis", star, X, b)] = inverse * M * s.eigenbasis(b)[0]
+    for key in ("axioms", "certified") if recertified else ():
         del s._memo[key]
     return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 
 
-# (star, i, j[, recertified]) -> {check name: its witness}, over the checks that read W^-1 or W*^-1: a tridiagonal
-# axiom reads it, and the flag checks read the certificate off that axiom; with the certificate kept, T in the
-# eigenbases reads it
+# (star, i, j[, recertified]) -> {check name: its witness}, over the checks that read W^-1 or W*^-1 through a memoised
+# change of basis: a tridiagonal axiom reads W^-1 A* W (W*^-1 A W*), and the flag checks read the certificate off that
+# axiom; the split lines, left to the intersection route once the certificate fails, read W*^-1 W; with the
+# certificate kept, T in the eigenbases reads W*^-1 T W
 INVERSE_PINS = {
     (True, 2, 1): {
         "tridiagonal_A_in_Astar_eigenbasis": None,
@@ -612,9 +617,10 @@ INVERSE_READERS = {"tridiagonal_Astar_in_A_eigenbasis", "tridiagonal_A_in_Astar_
 @pytest.mark.parametrize("entry", INVERSE_PINS, ids=lambda e: f"{'Wstar' if e[0] else 'W'}-inverse-{e[1]}{e[2]}" + (
     "-certificate-kept" if e[3:] == (False,) else ""))
 def test_eigenbasis_inverse_readers_fail_with_pinned_witness(entry):
-    """Each check that reads the memoised W^-1 or W*^-1 (the tridiagonal axioms, the split lines, the flag checks
-    through the certificate, and T in the eigenbases) fails when one entry of it is wrong; among them, only the
-    pinned ones.  Where the axioms are read again, the certificate fails, and the geometry suite ends before T."""
+    """Each check that reads W^-1 or W*^-1 through a memoised change of basis (the tridiagonal axioms, the split lines,
+    the flag checks through the certificate, and T in the eigenbases) fails when one entry of it is wrong; among
+    them, only the pinned ones.  Where the axioms are read again, the certificate fails, and the geometry suite ends
+    before T."""
     checks = _raised_inverse_entry(*entry)
     assert {name for name in INVERSE_READERS & checks.keys() if not checks[name][0]} == set(INVERSE_PINS[entry])
     assert {name: checks[name] for name in INVERSE_PINS[entry]} == {
