@@ -9,9 +9,10 @@ disagreement between the two routes raises NotALeonardPair.  Self-dual mode
 draws theta* = theta; PA4's phi is then palindromic (s_{d+1-i} = s_i), so
 every array it accepts is self-dual with no further test.
 
-Rational draws are integers, 12 times each box value.  PA1-PA5 are homogeneous
-((theta, theta*, varphi, phi) -> (a theta, b theta*, ab varphi, ab phi) keeps each), so
-`systems.pa_failure` classifies (12 theta, 12 theta*, 144 varphi); only survivors become Fractions.
+Rational draws are integers, 12 times each box value, read off the 19-row table `_BOX` by two `Random.choice`
+calls, which consume the stream as randint(-9, 9), randint(1, 4) would.  PA5 rejects a trial first, as it reads no
+varphi; PA1-PA5 are homogeneous ((theta, theta*, varphi, phi) -> (a theta, b theta*, ab varphi, ab phi) keeps each),
+so `systems.pa_failure` classifies (12 theta, 12 theta*, 144 varphi); only survivors become Fractions.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class SearchConfig:
             raise ValueError("limit must be >= 1")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")  # random.Random seeds from |seed|, so -s would repeat s
         if self.field.is_rational and self.d + 1 > _BOX_SIZE:
             raise ValueError(f"rational search needs d + 1 <= {_BOX_SIZE}, the draw box size")
         if not self.field.is_rational and self.field.p == 2:
@@ -117,12 +120,12 @@ def enumerate_prime_field(cfg: SearchConfig) -> list[ParameterArray]:
     return found
 
 
-_BOX = {(n, q): 12 * n // q for n in range(-9, 10) for q in range(1, 5)}  # 12 n/q: 12 is the lcm of the q
-_BOX_SIZE = len(set(_BOX.values()))  # the number of distinct values _draw_scalar returns (51)
+_BOX = tuple(tuple(12 * n // q for q in range(1, 5)) for n in range(-9, 10))  # _BOX[n + 9][q - 1] == 12 n/q, 12 = lcm(q)
+_BOX_SIZE = len({x for row in _BOX for x in row})  # the number of distinct values _draw_scalar returns (51)
 
 
 def _draw_scalar(rng: random.Random) -> int:
-    return _BOX[rng.randint(-9, 9), rng.randint(1, 4)]
+    return rng.choice(rng.choice(_BOX))  # row, then column: the stream of randint(-9, 9), randint(1, 4)
 
 
 def _draw_distinct(rng: random.Random, n: int) -> tuple:
@@ -135,8 +138,7 @@ def _draw_distinct(rng: random.Random, n: int) -> tuple:
 def _draw_nonzero(rng: random.Random, n: int) -> tuple:
     out = []
     while len(out) < n:
-        x = _draw_scalar(rng)
-        if x:
+        if x := _draw_scalar(rng):
             out.append(x)
     return tuple(out)
 
@@ -156,8 +158,8 @@ def random_rational(cfg: SearchConfig) -> list[ParameterArray]:
         theta = _draw_distinct(rng, cfg.d + 1)
         theta_star = theta if cfg.self_dual_only else _draw_distinct(rng, cfg.d + 1)
         varphi = _draw_nonzero(rng, cfg.d)
-        # draws are 12 times the entries, and PA2-PA5 hold on (12 theta, 12 theta*, 144 varphi) iff on the array
-        if isinstance(pa_failure(theta, theta_star, [12 * x for x in varphi]), str):
+        # PA5 reads no varphi, so it rejects first; PA2-PA5 hold on (12 theta, 12 theta*, 144 varphi) iff on the array
+        if pa5_failure(theta, theta_star) is not None or isinstance(pa_failure(theta, theta_star, [12 * x for x in varphi]), str):
             continue
         pa = _certified_array(field, *(tuple(Fraction(x, 12) for x in seq) for seq in (theta, theta_star, varphi)))
         if pa is None:
@@ -165,9 +167,7 @@ def random_rational(cfg: SearchConfig) -> list[ParameterArray]:
         found.append(pa)
         if len(found) >= cfg.limit:
             return found
-    raise ExhaustedTrials(
-        f"found {len(found)} of {cfg.limit} within {cfg.max_trials} trials", found
-    )
+    raise ExhaustedTrials(f"found {len(found)} of {cfg.limit} within {cfg.max_trials} trials", found)
 
 
 def run_search(cfg: SearchConfig) -> list[ParameterArray]:

@@ -418,10 +418,13 @@ def test_search_exhausted_partial_output(tmp_path, capsys):
     ["--field", "bogus", "--d", "1"],
     ["--field", "prime:8", "--d", "1"],
     ["--field", "prime:2", "--d", "1"],
-], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials", "unknown-field", "composite-p", "even-p"])
+    ["--field", "rational", "--d", "1", "--seed", "-11"],
+], ids=["rational-d-beyond-draw-box", "zero-trials", "negative-trials", "unknown-field", "composite-p", "even-p",
+        "negative-seed"])
 def test_search_bad_config_exit_2(tmp_path, capsys, argv):
     # the first once looped forever, the next two reported "found 0 of 1" with exit 1; GF(2) is refused by
-    # SearchConfig while the input is read, not by the enumeration
+    # SearchConfig while the input is read, not by the enumeration; a negative seed once repeated the corpus of
+    # its absolute value
     code, text = run_cli(tmp_path, ["search", *argv])
     assert code == 2 and text == ""
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"

@@ -191,6 +191,10 @@ def test_config_validation():
     for trials in (0, -5):
         with pytest.raises(ValueError):
             SearchConfig(Q, 1, max_trials=trials)
+    for seed in (-1, -11):  # random.Random seeds from |seed|, so -11 would repeat the corpus of 11
+        with pytest.raises(ValueError):
+            SearchConfig(Q, 1, seed=seed)
+    SearchConfig(Q, 1, seed=0)
 
 
 def test_rational_diameter_bounded_by_draw_box():
@@ -238,13 +242,51 @@ def test_draws_match_fraction_oracle(n):
             assert fast.getstate() == slow.getstate()
 
 
+def _reference_search(d, self_dual, limit, seed, max_trials):
+    """random_rational's trial loop on the Fraction oracles, deciding each full draw by
+    complete_parameter_array alone: no integer classifier and no PA5 skip.  Returns the
+    arrays found and whether the limit was reached."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(max_trials):
+        theta = _oracle_distinct(rng, d + 1)
+        theta_star = theta if self_dual else _oracle_distinct(rng, d + 1)
+        varphi = _oracle_nonzero(rng, d)
+        try:
+            found.append(complete_parameter_array(Q, theta, theta_star, varphi))
+        except NotALeonardPair:
+            continue
+        if len(found) >= limit:
+            return found, True
+    return found, False
+
+
+@pytest.mark.parametrize("self_dual", [False, True], ids=["general", "self-dual"])
+@pytest.mark.parametrize("d", range(5))
+def test_random_rational_matches_reference_search(d, self_dual):
+    # same arrays, and the same ExhaustedTrials.found, as the reference search on the same seed; seed 142 is
+    # one of the few that find a d = 3 self-dual array within 300 trials, so a hit past the PA5 skip is compared
+    for seed in (0, 1, 2, 142):
+        cfg = SearchConfig(Q, d, self_dual, limit=3, seed=seed, max_trials=300)
+        expected, reached = _reference_search(d, self_dual, cfg.limit, seed, cfg.max_trials)
+        try:
+            found = random_rational(cfg)
+        except ExhaustedTrials as exc:
+            assert not reached
+            found = exc.found
+        else:
+            assert reached
+        assert found == expected
+
+
 def test_draw_box_shares_equal_values():
-    # each key (n, q) holds the integer 12 n/q, so equal fractions hold one value
-    assert len(search._BOX) == 19 * 4
-    assert all(type(x) is int and x == 12 * Fraction(*key) for key, x in search._BOX.items())
-    assert search._BOX[-2, 2] == search._BOX[-1, 1] == search._BOX[-4, 4] == -12
-    assert search._BOX[0, 3] == search._BOX[0, 1] == 0
-    assert len(set(search._BOX.values())) == _BOX_SIZE == 51
+    # row n + 9, column q - 1 holds the integer 12 n/q, so equal fractions hold one value
+    box = lambda n, q: search._BOX[n + 9][q - 1]
+    assert len(search._BOX) == 19 and all(len(row) == 4 for row in search._BOX)
+    assert all(type(box(n, q)) is int and box(n, q) == 12 * Fraction(n, q) for n in range(-9, 10) for q in range(1, 5))
+    assert box(-2, 2) == box(-1, 1) == box(-4, 4) == -12
+    assert box(0, 3) == box(0, 1) == 0
+    assert len({x for row in search._BOX for x in row}) == _BOX_SIZE == 51
 
 
 def _classifier_scan(field, d, self_dual):

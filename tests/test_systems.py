@@ -332,7 +332,7 @@ def completion(complete, *args):
     return out
 
 
-BOX_VALUES = sorted(set(search._BOX.values()))  # twelve times each value of the rational search box
+BOX_VALUES = sorted({x for row in search._BOX for x in row})  # twelve times each value of the rational search box
 
 
 @st.composite
