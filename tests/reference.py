@@ -10,17 +10,24 @@ Gauss-Jordan for the round trip and the representations.  Where a premise fails,
 off it with that premise as witness; the reference reads the premise off its own dense checks.  The checks in
 SAME_CODE run the same code on both routes and are taken as the package reports them.  `assert_agrees` is the one
 differential test: each verb's report equals the reference's check for check, witness included, and so do the
-decompositions, bases, extracted array and representations that the verbs print.
+decompositions, bases, extracted array and representations that the verbs print.  The module also defines, each once,
+the inputs that several test files read, the library-level mutations that the witness pins read, the documents and
+the contract of the command line, and `recording`, the one call recorder of the tests that count work.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
+import io
+import json
 from argparse import Namespace
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import accumulate, chain
 from math import prod
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, settings
@@ -699,6 +706,13 @@ def assert_agrees(sys: LeonardSystem, verbs=tuple(VERBS), bundle: du.DualityBund
 # --- inputs, each defined once ---
 
 
+def q_racah(field: Field, d: int, theta_star012=(1, 3, 4)) -> ParameterArray:
+    """`leonard_array` with theta from (1, 2, 7), theta* from theta_star012, beta = 13/6 and varphi_1 = 5/2: q-Racah
+    type with q = 3/2 (13/6 = q + 1/q), whose entries grow with d; self-dual for theta* from (1, 2, 7)."""
+    n = field.from_int
+    return leonard_array(field, d, (n(1), n(2), n(7)), tuple(map(n, theta_star012)), n(13) / n(6), n(5) / n(2))
+
+
 def w_inverse_conjugate(s: LeonardSystem, star: bool = False) -> LeonardSystem:
     """W^-1 X W (resp. W*^-1 X W*): A (resp. A*) becomes diagonal."""
     return s.conjugated(s.eigenbasis(star)[0].inverse())
@@ -829,3 +843,159 @@ def drawn(field: Field, self_dual: bool = False):
 def passes(agreed: dict, verb: str = "verify", names=None) -> bool:
     """Whether every check of verb (of names, when given) passes in the outcome of `assert_agrees`."""
     return all(agreed[verb][name][0] for name in names or agreed[verb])
+
+
+# the error of `extract_parameter_array` on a system whose theta, read back as tr(A E_i), repeats
+EXTRACTION_ERROR = "extracted array is not a parameter array: theta entries must be mutually distinct"
+
+
+# --- library-level mutations of the certified d = 3 Krawtchouk systems, each giving name -> (passed, witness) ---
+
+
+SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]
+
+
+def pinned_system(array, form="split"):
+    """The certified system of array in form (FORMS), its anchors and its bundle."""
+    s = FORMS[form](certify(ParameterArray.from_json(array)))
+    anchors = du.choose_anchor_vectors(s)
+    return s, anchors, du.build_duality_bundle(s, anchors)
+
+
+def checks_of(*reports) -> dict:
+    return {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
+
+
+def t_suites(s, anchors, bundle) -> dict:
+    return checks_of(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle),
+                     du.verify_T_on_bases(s, bundle, anchors), du.verify_matrix_of_T(s, bundle, anchors))
+
+
+def anchor_suites(s, anchors, bundle) -> dict:
+    return checks_of(du.verify_anchor_relations(s, anchors), du.verify_basis_family(s, anchors),
+                     du.verify_transition_relations(s, anchors), du.verify_T_on_bases(s, bundle, anchors),
+                     du.verify_matrix_of_T(s, bundle, anchors))
+
+
+def wrong_t():
+    """T replaced by A."""
+    s, anchors, bundle = pinned_system(SELF_DUAL)
+    return t_suites(s, anchors, replace(bundle, t=s.A))
+
+
+def non_self_dual_t():
+    """The true T of a non-self-dual system, as `dualize` reports it."""
+    return t_suites(*pinned_system(NON_SELF_DUAL))
+
+
+def moved_anchors(move):
+    s, anchors, bundle = pinned_system(SELF_DUAL)
+    return anchor_suites(s, du.anchors_from_vectors(s, *move(s.field.from_int, anchors)), bundle)
+
+
+def swapped_anchors():
+    """v0 and vd exchanged."""
+    return moved_anchors(lambda n, a: (a.vd, a.v0, a.v0s, a.vds))
+
+
+def mixed_anchors():
+    """Each anchor plus a multiple of its partner: v0 + vd, vd + 2 v0, v*0 + 2 v*d, v*d + 3 v*0."""
+    return moved_anchors(lambda n, a: (a.v0 + a.vd, a.vd + a.v0.scale(n(2)),
+                                       a.v0s + a.vds.scale(n(2)), a.vds + a.v0s.scale(n(3))))
+
+
+def scaled_basis_vector():
+    """The report of `matrix-of-t --basis tau-vstard` (`cli._matrix_of_t`) on the certified system with vector 1 of
+    the memoised sequence behind tau-vstard doubled: B becomes B diag(1, 2, 1, 1), so M B == B X fails for each
+    displayed X, B is inverted, and each entry of B^-1 M B in row or column 1 but (1, 1) is halved or doubled."""
+    s, anchors, _ = pinned_system(SELF_DUAL)
+    seq = du.build_basis(s, anchors, "tau-vstard")
+    s._memo[("basis", "tau", anchors.vds)] = (seq[0], seq[1].scale(s.field.from_int(2)), *seq[2:])
+    with mock.patch.object(cli, "certify", lambda pa: s):
+        return checks_of(cli._matrix_of_t(s.pa, Namespace(basis="tau-vstard"))[1])
+
+
+# --- documents of the command line, and its contract ---
+
+
+D1_SELF_DUAL = {"field": {"kind": "rational"}, "d": 1, "theta": ["1/1", "-1/1"], "theta_star": ["1/1", "-1/1"],
+                "varphi": ["2/1"], "phi": ["6/1"]}
+D1_NON_SELF_DUAL = {"field": {"kind": "rational"}, "d": 1, "theta": ["1/1", "-1/1"], "theta_star": ["2/1", "0/1"],
+                    "varphi": ["1/1"], "phi": ["5/1"]}
+D0 = {"field": {"kind": "rational"}, "d": 0, "theta": ["3/1"], "theta_star": ["3/1"], "varphi": [], "phi": []}
+# forms Python's int() reads but the scalar grammar -?[0-9]+(/[0-9]+)? does not
+REJECTED_SCALARS = [" 6/1", "6/1 ", "+6/1", "6/+1", "6/ 1", "6_0/10", "\u0666/\u0661", "6/", "6/-1", "6/1\n"]
+
+
+def cli_call(argv, text):
+    """(exit code, stdout, stderr) of `cli.main` on argv with text on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_error_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1 and err.endswith("\n"), err
+    obj = json.loads(lines[0])
+    assert obj.keys() >= {"error"} and set(obj["error"]) == {"type", "message"}, obj
+    assert all(isinstance(v, str) for v in obj["error"].values())
+    return obj
+
+
+def assert_cli_contract(argv, text: str) -> int:
+    """The CLI contract for one call on the input text, whatever the text: exit 0, 1 or 2 and no traceback; on exit 2
+    one `{"error": {"type", "message"}}` line on stderr and nothing on stdout; on exit 0 or 1 JSON on stdout (or, for
+    a domain error, one such error line), the same bytes when called again.  Returns the exit code."""
+    code, out, err = result = cli_call(argv, text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert set(_one_error_line(err)) == {"error"}
+        return code
+    if out:
+        json.loads(out)
+    else:  # a domain error (exit 1): the error object alone
+        assert code == 1
+        _one_error_line(err)
+    assert cli_call(argv, text) == result
+    return code
+
+
+# --- the call recorder ---
+
+
+class Calls(list):
+    """(name, arguments) of each call that `recording` saw, in call order; the arguments in the order of the
+    signature, defaults filled in."""
+
+    def of(self, name: str) -> list:
+        return [args for called, args in self if called == name]
+
+    @property
+    def names(self) -> list:
+        return [name for name, _ in self]
+
+
+@contextmanager
+def recording(*targets):
+    """Records the calls made inside the block to each (owner, name) of targets, as `Calls`; owner may be a tuple of
+    the modules that each bind the same function by that name.  Each call runs the original."""
+    calls, patch = Calls(), pytest.MonkeyPatch()
+    for owners, name in targets:
+        for owner in owners if isinstance(owners, tuple) else (owners,):
+            original = getattr(owner, name)
+
+            def recorded(*args, _original=original, _name=name, _bind=inspect.signature(original).bind, **kwargs):
+                bound = _bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((_name, bound.args))
+                return _original(*args, **kwargs)
+
+            patch.setattr(owner, name, recorded)
+    try:
+        yield calls
+    finally:
+        patch.undo()

@@ -12,7 +12,6 @@ axiom as witness (`systems.certificate_failure`), and no decomposition is built.
 decide as with the certificate switched off.
 """
 
-from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -25,10 +24,11 @@ from leonard.fields import Field
 from leonard.linalg import Matrix
 from leonard.systems import LeonardSystem, build_system, certify
 
-from conftest import krawtchouk, leonard_array
+from conftest import krawtchouk
 from reference import (CERTIFICATE_GEOMETRY, DIFFERENTIAL, FORMS, GF7, GFP, Q, Reference, agrees_on, assert_agrees,
-                       bidiagonal_idempotents, by_inverse, drawn, eigen_anchors, hand_built, not_leonard_arrays, passes)
-from test_witnesses import mixed_anchors, non_self_dual_t, scaled_basis_vector, swapped_anchors, wrong_t
+                       bidiagonal_idempotents, by_inverse, drawn, eigen_anchors, hand_built, mixed_anchors,
+                       non_self_dual_t, not_leonard_arrays, passes, q_racah, recording, scaled_basis_vector,
+                       swapped_anchors, wrong_t)
 
 SPLIT = ("split_projectors_match_intersection", "split_projectors_resolution")
 # the checks of `duality` read off the certificate alone: four of the geometry suite, the only ones it reports when
@@ -36,19 +36,10 @@ SPLIT = ("split_projectors_match_intersection", "split_projectors_resolution")
 PREMISE_CHECKS = (*CERTIFICATE_GEOMETRY, "bases_span_decomposition_components")
 
 
-@contextmanager
-def fallbacks():
-    """The names of the fallbacks called inside the block, one entry per call."""
-    calls, patch = [], pytest.MonkeyPatch()
-    for owner, name, label in ((systems, "split_projectors_by_intersection", "split"),
-                               (systems, "flag_decomposition", "decomposition"), (Matrix, "rank", "rank"),
-                               (Matrix, "inverse", "inverse"), (Matrix, "solve", "solve")):
-        original = getattr(owner, name)
-        patch.setattr(owner, name, lambda *a, _original=original, _label=label: calls.append(_label) or _original(*a))
-    try:
-        yield calls
-    finally:
-        patch.undo()
+# the fallbacks, for `reference.recording`; those of the split checks and the round trip of `verify`
+FALLBACKS = ((systems, "split_projectors_by_intersection"), (systems, "flag_decomposition"), (Matrix, "rank"),
+             (Matrix, "inverse"), (Matrix, "solve"))
+SPLIT_FALLBACKS = {"split_projectors_by_intersection", "flag_decomposition", "solve"}
 
 
 def reports(sys, anchors) -> dict:
@@ -63,13 +54,13 @@ def extractions(sys) -> tuple:
     systems.certified(sys)  # memoised first, so the calls recorded are the extraction's own
     out = []
     for patched in (False, True):
-        with pytest.MonkeyPatch.context() as patch, fallbacks() as calls:
+        with pytest.MonkeyPatch.context() as patch, recording(*FALLBACKS) as calls:
             if patched:
                 patch.setattr(systems, "certified", lambda sys: False)
             try:
-                out.append((systems.extract_parameter_array(sys), calls))
+                out.append((systems.extract_parameter_array(sys), calls.names))
             except DegenerateSplit as exc:
-                out.append((str(exc), calls))
+                out.append((str(exc), calls.names))
     return tuple(out)
 
 
@@ -91,7 +82,7 @@ def assert_certificates_taken(sys):
     assert extracted == reference == sys.parameter_array
     assert calls == [] and reference_calls == ["solve"] * 2
     anchors = du.choose_anchor_vectors(sys)
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         systems.standard_identity_suite(sys)
         for pair in du.DECOMPOSITION_PAIRS:
             du.build_decomposition(sys, *pair)
@@ -122,11 +113,11 @@ def assert_representations_shown(sys):
     pa, t = sys.parameter_array, du.duality_operator(sys)
     shown = du.expected_matrix_of_T(pa)
     for basis_id in du.FOUR_BASES:
-        with fallbacks() as calls:
+        with recording(*FALLBACKS) as calls:
             reps = du.basis_representations(sys, t, basis_id)
         assert reps[1:] == du.expected_pair_shapes(pa, basis_id)
         assert du.is_self_dual(pa) <= (reps[0] == shown)
-        assert calls == ([] if reps[0] == shown else ["inverse"])
+        assert calls.names == ([] if reps[0] == shown else ["inverse"])
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
@@ -155,9 +146,9 @@ def test_mutated_representations_match_the_inverse(mutation, monkeypatch):
     """The pinned mutations that reach the representations give the reports they give with every representation
     formed as B^-1 (M B); under T = A, the true T of a non-self-dual system and a scaled basis vector (the report of
     `matrix-of-t`) the certificate fails and B is inverted.  The moved anchors leave their bases to the rank."""
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         checks = mutation()
-    assert ("inverse" if mutation in (wrong_t, non_self_dual_t, scaled_basis_vector) else "rank") in calls
+    assert ("inverse" if mutation in (wrong_t, non_self_dual_t, scaled_basis_vector) else "rank") in calls.names
     monkeypatch.setattr(du, "basis_representations", lambda sys, t, basis_id, anchors=None: by_inverse(
         sys, t, du.build_basis(sys, anchors, basis_id)))
     assert mutation() == checks
@@ -177,10 +168,10 @@ def test_not_leonard_arrays_take_the_fallbacks(pa):
     checks and round trip to the elimination, and each check of `duality` read off the certificate fails with the
     first failed axiom as witness (`tests/test_factor_route.py` holds these reports to the reference)."""
     sys = build_system(pa)
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         checks = reports(sys, eigen_anchors(sys))
     assert not systems.certified(sys) and not all(passed for passed, _ in checks.values())
-    assert {"split", "decomposition", "solve"} <= set(calls)
+    assert SPLIT_FALLBACKS <= set(calls.names)
     assert premise_failed(checks, "tridiagonal_Astar_in_A_eigenbasis fails")
 
 
@@ -191,9 +182,9 @@ def test_sheared_e0_takes_the_fallbacks(field):
     the flags, W and W* unchanged, are mutually opposite (`tests/test_premise_route.py` holds these reports to the
     reference)."""
     sys = hand_built(field, 3)["E_0 sheared"]
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         checks = reports(sys, eigen_anchors(sys))
-    assert {"split", "decomposition", "solve"} <= set(calls)
+    assert SPLIT_FALLBACKS <= set(calls.names)
     assert [checks[name] for name in SPLIT] == [(False, None)] * 2
     assert not checks["idempotents_E_orthogonal"][0] and premise_failed(checks, "idempotents_E_orthogonal fails")
     assert Reference(sys).not_opposite(du.DECOMPOSITION_PAIRS) is None
@@ -215,43 +206,40 @@ def test_hand_built_round_trips_take_the_solve(field):
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-def test_extraction_reads_theta_off_the_factors(field, monkeypatch):
+def test_extraction_reads_theta_off_the_factors(field):
     """Once the certificate holds, U W = I and U A W = diag(theta) give tr(A E_i) = theta_i (theta* alike), so
     `certify` on a split-form array reads no diagonal of a product; on a not-Leonard array (varphi_1 raised by 1) the
     extraction reads theta and theta* as the diagonals of U (A W) and U* (A* W*), 2 of them, which are the dense
     traces tr(A E_i) and tr(A* E*_i) (`reference.bidiagonal_idempotents`), and `verify` reads them alone."""
-    calls, diagonal = [], systems._diagonal_of_product
-    monkeypatch.setattr(systems, "_diagonal_of_product", lambda X, Y: calls.append((X, Y)) or diagonal(X, Y))
     pa = krawtchouk(field, 4)
-    certify(pa)
-    assert calls == []
-    bumped = build_system(replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])))
-    assert not systems.certified(bumped)
-    try:
-        systems.extract_parameter_array(bumped)
-    except DegenerateSplit:
-        pass
+    with recording((systems, "_diagonal_of_product")) as calls:
+        certify(pa)
+        assert calls == []
+        bumped = build_system(replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])))
+        assert not systems.certified(bumped)
+        try:
+            systems.extract_parameter_array(bumped)
+        except DegenerateSplit:
+            pass
+        read = list(calls)
+        systems.standard_identity_suite(build_system(bumped.pa))
     dense = [(bumped.A, bidiagonal_idempotents(field, pa.theta)),
              (bumped.Astar, bidiagonal_idempotents(field, pa.theta_star, bumped.pa.varphi))]
-    assert [diagonal(X, Y) for X, Y in calls] == [tuple((M * E).trace() for E in mats) for M, mats in dense]
-    systems.standard_identity_suite(build_system(bumped.pa))
+    assert [systems._diagonal_of_product(*args) for _, args in read] == [
+        tuple((M * E).trace() for E in mats) for M, mats in dense]
     assert len(calls) == 4
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-def test_verify_forms_no_idempotent(field, monkeypatch):
+def test_verify_forms_no_idempotent(field):
     """With E_i = w_i u_i^T, tr(A E_i) = u_i^T A w_i and tr(E_i E*_j) = (u_i . w*_j)(u*_j . w_i) whether or not
     U W = I, so `verify` reads `LeonardSystem.idempotents` 0 times, on the q-Racah and Krawtchouk arrays at d = 4 and
     on each with varphi_1 raised by 1 (not Leonard, where the extraction once formed both families for 2(d+1) dense
     traces), and no dense E_i is formed."""
-    reads, idempotents = [], LeonardSystem.idempotents
-    monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: reads.append(star) or idempotents(
-        self, star))
-    n = field.from_int
-    arrays = [leonard_array(field, 4, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2)),
-              krawtchouk(field, 4)]
+    arrays = [q_racah(field, 4), krawtchouk(field, 4)]
     for pa in arrays + [replace(pa, varphi=(pa.varphi[0] + field.one(), *pa.varphi[1:])) for pa in arrays]:
-        report = systems.standard_identity_suite(build_system(pa))
+        with recording((LeonardSystem, "idempotents")) as reads:
+            report = systems.standard_identity_suite(build_system(pa))
         assert reads == [] and report.all_pass == (pa in arrays), pa
 
 
@@ -282,7 +270,7 @@ def assert_fails_on_the_first_failed_axiom(sys):
     error = next(f"{c.name} fails" for c in systems.verify_axioms(sys).checks if not c.passed)
     witness = (False, {"error": error})
     ref = Reference(sys)
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         geometry = du.verify_geometry_suite(sys)
         with pytest.raises(DegenerateSplit) as raised:
             du.duality_operator_polynomial_form(sys)
@@ -291,7 +279,7 @@ def assert_fails_on_the_first_failed_axiom(sys):
             checks = {c.name: (c.passed, c.witness) for report in (du.verify_duality_suite(sys, bundle),
                       du.verify_basis_family(sys, eigen_anchors(sys))) for c in report.checks}
             assert checks["T_polynomial_form"] == checks["bases_span_decomposition_components"] == witness
-    assert "decomposition" not in calls
+    assert "flag_decomposition" not in calls.names
     assert str(raised.value) == systems.certificate_failure(sys) == error
     assert [(c.name, c.passed, c.witness) for c in geometry.checks] == [
         (name, *witness) for name in CERTIFICATE_GEOMETRY]
@@ -333,9 +321,9 @@ def test_reducible_b_star_takes_the_fallbacks(field):
     off the certificate fail with that axiom as witness."""
     build = _mutated(field, (True, "A", True), 1, 0)
     sys = build()
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         checks = reports(sys, eigen_anchors(sys))
-    assert {"split", "decomposition", "solve"} <= set(calls)
+    assert SPLIT_FALLBACKS <= set(calls.names)
     with pytest.MonkeyPatch.context() as patch:
         for owner in (systems, du):  # duality reads the name it imports
             patch.setattr(owner, "certified", lambda sys: False)
@@ -351,9 +339,9 @@ def test_bases_on_other_anchors_are_ranked():
     sequence on v0 singular; `assert_agrees` holds the verdicts to the reference's ranks on such anchors."""
     s = certify(krawtchouk(Q, 3))
     anchors = replace(du.choose_anchor_vectors(s), v0=du.choose_anchor_vectors(s).v0s)
-    with fallbacks() as calls:
+    with recording(*FALLBACKS) as calls:
         verdicts = {basis_id: du._is_basis(s, anchors, basis_id) for basis_id in du.BASIS_IDS}
-    assert calls.count("rank") == 3  # taustar, etastar and estar on v0
+    assert calls.names.count("rank") == 3  # taustar, etastar and estar on v0
     assert {basis_id for basis_id, ok in verdicts.items() if not ok} == {
         basis_id for basis_id in du.BASIS_IDS if basis_id.endswith("-v0")}
     assert_agrees(s, ("bases",))

@@ -14,33 +14,7 @@ from leonard.cli import main
 from leonard.fields import MAX_DIGITS, Field
 
 from conftest import SUITE_CHECKS, leonard_array
-
-D1_SELF_DUAL = {
-    "field": {"kind": "rational"},
-    "d": 1,
-    "theta": ["1/1", "-1/1"],
-    "theta_star": ["1/1", "-1/1"],
-    "varphi": ["2/1"],
-    "phi": ["6/1"],
-}
-
-D1_NON_SELF_DUAL = {
-    "field": {"kind": "rational"},
-    "d": 1,
-    "theta": ["1/1", "-1/1"],
-    "theta_star": ["2/1", "0/1"],
-    "varphi": ["1/1"],
-    "phi": ["5/1"],
-}
-
-D0 = {
-    "field": {"kind": "rational"},
-    "d": 0,
-    "theta": ["3/1"],
-    "theta_star": ["3/1"],
-    "varphi": [],
-    "phi": [],
-}
+from reference import D0, D1_NON_SELF_DUAL, D1_SELF_DUAL, REJECTED_SCALARS
 
 
 def run_cli(tmp_path, argv, payload=None):
@@ -179,8 +153,6 @@ def test_sequence_not_a_json_array_exits_2(tmp_path, capsys, verb, name, value):
                                                              "message": f"{name} must be a JSON array"}}
 
 
-# forms Python's int() reads but the scalar grammar -?[0-9]+(/[0-9]+)? does not
-REJECTED_SCALARS = [" 6/1", "6/1 ", "+6/1", "6/+1", "6/ 1", "6_0/10", "\u0666/\u0661", "6/", "6/-1", "6/1\n"]
 KEPT_SCALARS = ["6", "12/2", "06/1", "6/01", "6/1"]
 
 

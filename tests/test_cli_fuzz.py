@@ -2,7 +2,8 @@
 
 Every array verb reads one JSON document.  Whatever that document is (a wrong
 type, a missing or extra key, a boolean, a float, a huge integer, a long digit
-string, a bad modulus, a scalar outside the grammar), `main` must:
+string, a bad modulus, a scalar outside the grammar), `main` must
+(`reference.assert_cli_contract`):
 
 - exit 0, 1 or 2;
 - on exit 2, write exactly one `{"error": {"type", "message"}}` line to stderr
@@ -15,20 +16,16 @@ The documents are small (d <= 3), so each call takes milliseconds.
 """
 
 import copy
-import io
 import json
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from leonard.cli import main
 from leonard.fields import Field
 
 from conftest import FROZEN_ARRAYS, leonard_array
-from test_cli import D0, D1_NON_SELF_DUAL, D1_SELF_DUAL, REJECTED_SCALARS
+from reference import D0, D1_NON_SELF_DUAL, D1_SELF_DUAL, REJECTED_SCALARS, assert_cli_contract
 
 GF7_D2 = {"field": {"kind": "prime", "p": 7}, "d": 2, "theta": [0, 1, 2], "theta_star": [0, 1, 2],
           "varphi": [1, 1], "phi": [3, 3]}
@@ -80,44 +77,6 @@ def mutated_documents(draw):
         elif kind == "whole":
             doc = draw(JUNK)
     return doc
-
-
-def _call(argv, text):
-    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
-def _one_error_line(err: str) -> dict:
-    lines = err.splitlines()
-    assert len(lines) == 1 and err.endswith("\n"), err
-    obj = json.loads(lines[0])
-    assert obj.keys() >= {"error"} and set(obj["error"]) == {"type", "message"}, obj
-    assert all(isinstance(v, str) for v in obj["error"].values())
-    return obj
-
-
-def assert_cli_contract(argv, text: str) -> int:
-    """The contract of the module docstring for one call on the input text; returns the exit code."""
-    code, out, err = result = _call(argv, text)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in out + err
-    if code == 2:
-        assert out == ""
-        assert set(_one_error_line(err)) == {"error"}
-        return code
-    if out:
-        json.loads(out)
-    else:  # a domain error (exit 1): the error object alone
-        assert code == 1
-        _one_error_line(err)
-    assert _call(argv, text) == result
-    return code
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

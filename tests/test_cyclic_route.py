@@ -17,9 +17,8 @@ from leonard.linalg import Vector
 from leonard.systems import LeonardSystem, build_system, standard_identity_suite
 
 from conftest import krawtchouk
-from reference import (DIFFERENTIAL, GF7, GFP, Q, agrees_on, assert_agrees, drawn, hand_built, passes,
-                       perturbed_arrays, swapped_idempotents)
-from test_systems import EXTRACTION_ERROR
+from reference import (DIFFERENTIAL, EXTRACTION_ERROR, GF7, GFP, Q, agrees_on, assert_agrees, drawn, hand_built,
+                       passes, perturbed_arrays, recording, swapped_idempotents)
 
 FIELDS = (Q, GF7, GFP)
 
@@ -29,18 +28,10 @@ SIDE = {False: [name for name in EIGHT if not name.endswith("star")],
         True: [name for name in EIGHT if name.endswith("star")]}
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """A list that grows by one on each dense tau/eta family or dense power that `systems` builds."""
-    calls, kernel = [], systems.root_product_family
-
-    def recorded(M, roots, start=None):
-        if not isinstance(start, Vector):
-            calls.append(len(roots))
-        return kernel(M, roots, start)
-
-    monkeypatch.setattr(systems, "root_product_family", recorded)
-    return calls
+def dense_families(calls) -> list:
+    """The dense tau/eta families and powers that `systems` built among the recorded calls: those of
+    `root_product_family` without a start vector."""
+    return [args for args in calls.of("root_product_family") if not isinstance(args[2], Vector)]
 
 
 # --- the differential test on the inputs of the eight checks ---
@@ -110,13 +101,14 @@ def test_edge_checks_read_the_array_before_the_premises():
 
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
-def test_f_m_checks_build_no_family(field, dense_calls):
+def test_f_m_checks_build_no_family(field):
     """The `verify` path builds no dense tau/eta family or power, and each vector family it memoises is read by a
     check outside the eight: none starts at e_d on A*, and those on A at e_0 are the extraction's split bases at
     w*_0 = e_0."""
-    s = build_system(krawtchouk(field, 8))
-    assert standard_identity_suite(s).all_pass
-    assert dense_calls == []
+    with recording((systems, "root_product_family")) as calls:
+        s = build_system(krawtchouk(field, 8))
+        assert standard_identity_suite(s).all_pass
+    assert dense_families(calls) == []
     (W, U), (Ws, Us) = s.eigenbasis(), s.eigenbasis(star=True)
     assert {key[1:] for key in s._memo if key[:1] == ("root_family",)} == {
         ("tau", False, Ws.column(0), False), ("eta", False, Ws.column(0), False),  # varphi and phi of the extraction
@@ -174,11 +166,12 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 @pytest.mark.parametrize("name", MUTATIONS)
-def test_each_check_fails_on_the_cyclic_route(field, name, dense_calls, monkeypatch):
-    s = build_system(krawtchouk(field, 4))
-    MUTATIONS[name](monkeypatch)
-    report = standard_identity_suite(s)
-    assert dense_calls == []
+def test_each_check_fails_on_the_cyclic_route(field, name, monkeypatch):
+    with recording((systems, "root_product_family")) as calls:
+        s = build_system(krawtchouk(field, 4))
+        MUTATIONS[name](monkeypatch)
+        report = standard_identity_suite(s)
+    assert dense_families(calls) == []
     assert not report[name].passed
 
 
@@ -191,14 +184,15 @@ TAU_D_READERS = {False: ["split_projectors_match_intersection", "split_projector
 @pytest.mark.parametrize("field", [Q, GFP], ids=["Q", "GF(2^31-1)"])
 @pytest.mark.parametrize("star", [False, True], ids=["A", "Astar"])
 @pytest.mark.parametrize("mutation", [_wrong_last_root, _repeated_member], ids=lambda m: m.__name__.strip("_"))
-def test_each_family_mutation_fails_the_report(field, star, mutation, dense_calls, monkeypatch):
+def test_each_family_mutation_fails_the_report(field, star, mutation, monkeypatch):
     """A tau family with a wrong last root or a repeated member: `char_product_*` and `subalgebra_three_bases_*`
     are theorems of the premises, which still hold, so they pass, and the report fails at the checks that read
     tau_d on that side."""
-    s = build_system(krawtchouk(field, 4))
-    mutation(star)(monkeypatch)
-    report = standard_identity_suite(s)
-    assert dense_calls == []
+    with recording((systems, "root_product_family")) as calls:
+        s = build_system(krawtchouk(field, 4))
+        mutation(star)(monkeypatch)
+        report = standard_identity_suite(s)
+    assert dense_families(calls) == []
     assert report["char_product_A" + "star" * star].passed and report["subalgebra_three_bases_A" + "star" * star].passed
     assert [c.name for c in report.checks if not c.passed] == TAU_D_READERS[star]
 

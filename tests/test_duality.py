@@ -23,9 +23,9 @@ from leonard.fields import Field
 from leonard.linalg import Matrix, Vector, eval_root_product, flag_decomposition
 from leonard.systems import LeonardSystem, ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, krawtchouk_type, leonard_array, leonard_arrays
-from reference import T_COORDINATE_CHECKS, basis_by_recurrence, components, hand_built, meets
-from test_witnesses import DAGGER_READERS
+from conftest import FROZEN_ARRAYS, krawtchouk_type, leonard_arrays
+from reference import (DAGGER_CHECKS, T_COORDINATE_CHECKS, basis_by_recurrence, components, hand_built, meets, q_racah,
+                       recording)
 
 Q = Field.rational()
 
@@ -50,16 +50,14 @@ def sd1():
 # --- memoised derived data ---
 
 
-def test_gram_solved_once_across_suites(monkeypatch):
-    calls = []
-    solve = systems.solve_gram
-    monkeypatch.setattr(systems, "solve_gram", lambda s: calls.append(1) or solve(s))
-    s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
-    assert systems.standard_identity_suite(s).all_pass
-    anchors = du.choose_anchor_vectors(s)
-    bundle = du.build_duality_bundle(s, anchors)
-    assert du.verify_duality_suite(s, bundle).all_pass
-    assert du.verify_geometry_suite(s, bundle).all_pass
+def test_gram_solved_once_across_suites():
+    with recording((systems, "solve_gram")) as calls:
+        s = certify(ParameterArray.from_json(FROZEN_ARRAYS[0]))
+        assert systems.standard_identity_suite(s).all_pass
+        anchors = du.choose_anchor_vectors(s)
+        bundle = du.build_duality_bundle(s, anchors)
+        assert du.verify_duality_suite(s, bundle).all_pass
+        assert du.verify_geometry_suite(s, bundle).all_pass
     assert len(calls) == 1
 
 
@@ -74,26 +72,24 @@ def test_flags_and_decompositions_built_once():
     assert du.build_decomposition(s.conjugated(K), "0*", "D") is not dec
 
 
-def test_each_basis_sequence_built_once(tmp_path, monkeypatch):
+def test_each_basis_sequence_built_once(tmp_path):
     """The 12 forward sequences are built once per system; the 12 -rev- ids
     and every later suite read them back."""
-    calls = []
-    build = du._basis_sequence
-    monkeypatch.setattr(du, "_basis_sequence", lambda *args: calls.append(args[1]) or build(*args))
     path, out = tmp_path / "in.json", str(tmp_path / "out.json")
     path.write_text(json.dumps(FROZEN_ARRAYS[2]))  # d = 4, self-dual
-    assert main(["bases", "--input", str(path), "--output", out]) == 0
+    with recording((du, "_basis_sequence")) as calls:
+        assert main(["bases", "--input", str(path), "--output", out]) == 0
     assert len(calls) == 12
-    calls.clear()
-    assert main(["matrix-of-t", "--basis", "tau-vstard", "--input", str(path), "--output", out]) == 0
-    assert calls == ["tau"]
+    with recording((du, "_basis_sequence")) as calls:
+        assert main(["matrix-of-t", "--basis", "tau-vstard", "--input", str(path), "--output", out]) == 0
+    assert [gen for _, gen, _ in calls.of("_basis_sequence")] == ["tau"]
 
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
     anchors = du.choose_anchor_vectors(s)
     family = du.build_24_bases(s, anchors)
-    calls.clear()
-    assert du.verify_transition_relations(s, anchors).all_pass
-    assert du.verify_T_on_bases(s, du.build_duality_bundle(s, anchors), anchors).all_pass
+    with recording((du, "_basis_sequence")) as calls:
+        assert du.verify_transition_relations(s, anchors).all_pass
+        assert du.verify_T_on_bases(s, du.build_duality_bundle(s, anchors), anchors).all_pass
     assert calls == []
     assert all(du.build_basis(s, anchors, basis_id) == seq for basis_id, seq in family.items())
 
@@ -110,7 +106,7 @@ def _krawtchouk_json(field: dict, d: int) -> dict:
     }
 
 
-def test_eliminations_per_verb(tmp_path, monkeypatch):
+def test_eliminations_per_verb(tmp_path):
     """No eigenbasis is inverted, no split line, decomposition or basis is found by elimination, and no basis is
     ranked to be certified.
 
@@ -128,30 +124,31 @@ def test_eliminations_per_verb(tmp_path, monkeypatch):
     doc = _krawtchouk_json({"kind": "prime", "p": 2**31 - 1}, 6)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    calls = []
-    for owner, name in ((Matrix, "_echelon"), (Matrix, "rank"), (linalg, "unpivoted_column_reduction")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, _original=original, **kw: calls.append(1) or _original(*a, **kw))
-    certify(ParameterArray.from_json(doc))
+    eliminations = ((Matrix, "_echelon"), (Matrix, "rank"), (linalg, "unpivoted_column_reduction"))
+    with recording(*eliminations) as calls:
+        certify(ParameterArray.from_json(doc))
     certified = len(calls)
     assert certified == 0
     bounds = {"verify": certified, "dualize": certified, "bases": certified, "matrix-of-t": certified}
     for verb, bound in bounds.items():
-        calls.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
-        assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+        with recording(*eliminations) as calls:
+            assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         assert len(calls) <= bound, verb
 
 
-@pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
-def test_products_per_verb(field, tmp_path, monkeypatch):
+@pytest.mark.parametrize("field, d", [({"kind": "rational"}, 6), ({"kind": "prime", "p": 2**31 - 1}, 6),
+                                      ({"kind": "rational"}, 8), ({"kind": "rational"}, 16)],
+                         ids=["Q", "GF(2^31-1)", "Q-verify-d8", "Q-verify-d16"])
+def test_products_per_verb(field, d, tmp_path):
     """The products of two matrices and of a matrix and a vector that each verb forms at d = 6 on the Krawtchouk
     array: 10/26/8/15 and 0/7/7/0 for verify/dualize/bases/matrix-of-t.  Each change of basis W_a^-1 X W_b is formed
     once per system (`systems.change_of_basis`) and U W once per family; no verb reads `LeonardSystem.idempotents`,
     which forms a dense E_i, or calls `root_product_family` without a start, which forms a dense tau/eta family.
     - `verify` decides the Gram block from the premises of `solve_gram` (no G or G^-1), the sums from U W = I, each
       spectral check as one product M W, and the split checks from Q P; the round trip reads rows of A* on the
-      stored integers, so it forms no product of a matrix and a vector.
+      stored integers, so it forms no product of a matrix and a vector.  Its 10 do not grow with d: at d = 8 and 16
+      too (the (d+1)^2 loops of dense rank-one products made 724 at d = 8).
     - `dualize` forms the same 26 on this self-dual array and on the one with s* = -4 (theta* != theta, exit 1): it
       reads T's identities off its eigen-coordinates C = W*^-1 T W and C* = W^-1 T W*, U T W as K C, U T^2 W as
       C* C and U T* W as T* summed in the eigenbasis of A (`duality._in_eigenbasis`), so neither array forms T T,
@@ -162,15 +159,20 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
     - `bases` maps the 4 anchors by U, forms the pivot and U* v0 and U* vd, and forms neither G nor G^-1.
     - `matrix-of-t` takes T from `duality_operator`, its basis from the eigencolumn it names and each representation
       from M B == B X, so it forms no anchor inner product, no G and no inverse."""
+    starred = []  # the A of each system on which T* is summed
+
     def run(verb, doc, rc=0):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
-        calls.clear()
-        unstarted.clear()
         extra = ["--basis", "tau-vstard"] if verb == "matrix-of-t" else []
-        assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == rc
-        assert families == [] and not any(unstarted), verb
-        return sum(type(other) is Matrix for _, other in calls), sum(type(other) is Vector for _, other in calls)
+        with recording((Matrix, "__mul__"), (LeonardSystem, "idempotents"),
+                       ((linalg, systems, du), "root_product_family"), (du, "duality_operator")) as calls:
+            assert main([verb, *extra, "--input", str(path), "--output", str(tmp_path / "out.json")]) == rc
+        assert calls.of("idempotents") == [], verb
+        assert all(start is not None for *_, start in calls.of("root_product_family")), verb
+        starred.extend(sys.A for sys, star in calls.of("duality_operator") if star)
+        products = calls.of("__mul__")
+        return sum(type(y) is Matrix for _, y in products), sum(type(y) is Vector for _, y in products), products
 
     def dense(doc):  # T T, (U T) W, (U T*) W and F^-1 X of decompositions_induce_flags, on the system of doc
         s = certify(ParameterArray.from_json(doc))
@@ -181,55 +183,45 @@ def test_products_per_verb(field, tmp_path, monkeypatch):
             for dec in [du.build_decomposition(s, *pair)]
             for u, vectors in ((dec.z, dec.vectors), (dec.w, dec.inversion_vectors())))]
 
-    doc = _krawtchouk_json(field, 6)
+    doc = _krawtchouk_json(field, d)
+    if d != 6:
+        assert run("verify", doc)[:2] == (10, 0)
+        return
     f = Field.from_json(field)
     s_star_doc = krawtchouk_type(f, 6, 6, -2, 6, -4, 1).to_json()
     forbidden = dense(doc) + dense(s_star_doc)
-    calls, families, unstarted, starred = [], [], [], []  # the operands of each product; one entry per family read
-    mul, idempotents, family, operator = Matrix.__mul__, LeonardSystem.idempotents, linalg.root_product_family, \
-        du.duality_operator
-    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: calls.append((self, other)) or mul(self, other))
-    monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
-        self, star))
-    for module in (linalg, systems, du):  # each calls it by its own name
-        monkeypatch.setattr(module, "root_product_family", lambda M, roots, start=None: unstarted.append(
-            start is None) or family(M, roots, start))
-    monkeypatch.setattr(du, "duality_operator", lambda sys, star=False: (star and starred.append(sys.A)) or operator(
-        sys, star))
     bounds = {"verify": (10, 0), "dualize": (26, 7), "bases": (8, 7), "matrix-of-t": (15, 0)}
     for verb, (bound, vector_bound) in bounds.items():
-        matrices, vectors = run(verb, doc)
+        matrices, vectors, products = run(verb, doc)
         assert matrices <= bound and vectors <= vector_bound, verb
-        assert not [pair for pair in calls if pair in forbidden], verb
-    assert run("dualize", s_star_doc, rc=1) == (26, 7 + 34)
-    assert not [pair for pair in calls if pair in forbidden]
+        assert not [pair for pair in products if pair in forbidden], verb
+    matrices, vectors, products = run("dualize", s_star_doc, rc=1)
+    assert (matrices, vectors) == (26, 7 + 34)
+    assert not [pair for pair in products if pair in forbidden]
     # T* is summed only on the system U X W, where A is diagonal
     assert starred and not [A for A in starred if any(a for i, row in enumerate(A.nums) for j, a in enumerate(row)
                                                        if i != j)]
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
-def test_no_verb_forms_a_dense_idempotent(field, tmp_path, monkeypatch):
+def test_no_verb_forms_a_dense_idempotent(field, tmp_path):
     """A system built from an array stores the eigenbases of its split form, and every reader reads E_i = w_i u_i^T
     and E*_i = w*_i u*_i^T off them.  On q-Racah arrays at d = 5, whose eigenbases have mixed denominators over Q,
     self-dual and not (where `dualize` exits 1 after its report), no verb reads `LeonardSystem.idempotents`, which
     forms a dense family on first read."""
-    n = field.from_int
-    families, idempotents = [], LeonardSystem.idempotents
-    monkeypatch.setattr(LeonardSystem, "idempotents", lambda self, star=False: families.append(star) or idempotents(
-        self, star))
     for theta_star012 in ((1, 3, 4), (1, 2, 7)):
-        pa = leonard_array(field, 5, (n(1), n(2), n(7)), tuple(map(n, theta_star012)), n(13) / n(6), n(5) / n(2))
+        pa = q_racah(field, 5, theta_star012)
         path = tmp_path / "in.json"
         path.write_text(json.dumps(pa.to_json()))
         for verb in ("verify", "dualize", "bases", *(f"matrix-of-t --basis {b}" for b in du.FOUR_BASES)):
-            rc = main([*verb.split(), "--input", str(path), "--output", str(tmp_path / "out.json")])
+            with recording((LeonardSystem, "idempotents")) as families:
+                rc = main([*verb.split(), "--input", str(path), "--output", str(tmp_path / "out.json")])
             assert rc == int(theta_star012 == (1, 3, 4) and verb not in ("verify", "bases")), verb
             assert families == [], (theta_star012, verb)
 
 
 @pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}], ids=["Q", "GF(2^31-1)"])
-def test_no_verb_inverts_an_eigenbasis(field, tmp_path, monkeypatch):
+def test_no_verb_inverts_an_eigenbasis(field, tmp_path):
     """Every array the CLI reads is in split form, where U W = I: W^-1 is U, so neither
     W nor W*, nor either with its columns reversed (the flags [D] and [D*]), is inverted."""
     doc = _krawtchouk_json(field, 8)
@@ -238,13 +230,10 @@ def test_no_verb_inverts_an_eigenbasis(field, tmp_path, monkeypatch):
     s = systems.build_system(ParameterArray.from_json(doc))
     eigenbases = [s.eigenbasis(star)[0] for star in (False, True)]
     eigenbases += [W.submatrix(cols=slice(None, None, -1)) for W in eigenbases]
-    inverted = []
-    inverse = Matrix.inverse
-    monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or inverse(self))
     for verb in ("verify", "dualize", "bases"):
-        inverted.clear()
-        assert main([verb, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-        assert not [W for W in eigenbases if W in inverted], verb
+        with recording((Matrix, "inverse")) as calls:
+            assert main([verb, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+        assert not [W for W in eigenbases if (W,) in calls.of("inverse")], verb
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(2**31 - 1)], ids=["Q", "GF(2^31-1)"])
@@ -266,7 +255,7 @@ def test_duality_suite_reports_a_failed_gram_premise(field):
     good = certify(pa)
     assert [c.name for c in checks] == [c.name for c in du.verify_duality_suite(good, du.build_duality_bundle(good)).checks]
     failing = {c.name: c.witness for c in checks if not c.passed}
-    assert failing == dict.fromkeys((*DAGGER_READERS, "T_polynomial_form", "Ei_T_equals_T_Estar_i",
+    assert failing == dict.fromkeys((*DAGGER_CHECKS, "T_polynomial_form", "Ei_T_equals_T_Estar_i",
                                      "Estar_i_T_equals_T_Ei", *T_COORDINATE_CHECKS), {"error": error})
     assert not all(E * bundle.t == bundle.t * Es for E, Es in zip(s.E, s.Estar))
 

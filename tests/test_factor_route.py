@@ -15,7 +15,7 @@ from leonard.systems import LeonardSystem, build_system, certify, standard_ident
 
 from conftest import SUITE_CHECKS, conjugator, krawtchouk
 from reference import (DIFFERENTIAL, DUALITY_CHECKS, FIELDS, FORMS, GFP, Q, agrees_on, assert_form_is, drawn,
-                       first_nonzero_column, gram_by_nullspace, hand_built, not_leonard_arrays, passes)
+                       first_nonzero_column, gram_by_nullspace, hand_built, not_leonard_arrays, passes, recording)
 
 
 # --- the differential test on the inputs of the factor route ---
@@ -78,23 +78,22 @@ def test_zero_idempotent_reports_true_ranks():
         broken.eigencolumn(0)
 
 
-def test_rank_two_idempotent_reports_true_ranks(monkeypatch):
+def test_rank_two_idempotent_reports_true_ranks():
     """E_0 of rank two: the failure of `LeonardSystem.eigenbasis` is memoised, so E is ranked once, up to E_0, however
     often the family is read; only the witness of idempotents_E_rank_one ranks every E_i.  Each check that reads E
     through its factors, the round trip and the traces included, fails naming E_0."""
     broken = hand_built(Q, 2)["E_0 rank two"]
-    ranked, rank = [], Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda M: ranked.append(M) or rank(M))
-    for _ in range(2):
-        with pytest.raises(DegenerateSplit, match="^idempotent E_0 is not of rank one$"):
-            broken.eigenbasis()
-    assert ranked == [broken.E[0]]
-    axioms = verify_axioms(broken)
-    assert axioms["idempotents_E_rank_one"].witness == {"ranks": [2, 1, 1]}
-    assert axioms["idempotents_Estar_rank_one"].passed
-    assert not axioms.all_pass
-    report = standard_identity_suite(broken)
-    assert not report.all_pass and ranked == [broken.E[0], *broken.E]
+    with recording((Matrix, "rank")) as ranked:
+        for _ in range(2):
+            with pytest.raises(DegenerateSplit, match="^idempotent E_0 is not of rank one$"):
+                broken.eigenbasis()
+        assert ranked.of("rank") == [(broken.E[0],)]
+        axioms = verify_axioms(broken)
+        assert axioms["idempotents_E_rank_one"].witness == {"ranks": [2, 1, 1]}
+        assert axioms["idempotents_Estar_rank_one"].passed
+        assert not axioms.all_pass
+        report = standard_identity_suite(broken)
+    assert not report.all_pass and ranked.of("rank") == [(broken.E[0],), *((E,) for E in broken.E)]
     for name in ("tridiagonal_Astar_in_A_eigenbasis", "idempotents_E_orthogonal", "round_trip_parameter_array",
                  "nu_sandwich_E0", "nu_sandwich_E0star", "trace_products_closed_form", "split_pairing_delta",
                  "dagger_fixes_idempotents"):
@@ -116,42 +115,19 @@ def test_eigenbasis_is_memoised_and_factors_the_idempotents(corpus):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF(7)", "GF(2^31-1)"])
-def test_only_hand_built_systems_factor_their_idempotents(field, monkeypatch):
+def test_only_hand_built_systems_factor_their_idempotents(field):
     """A Krawtchouk system built from its array at d = 1..5 is certified without a call of `rank_one_factors`, and
     its eigenbases equal those the factoring gives; a conjugate, a system from `from_pair` and one built by hand
     factor each family once."""
-    calls = []
-    monkeypatch.setattr(systems, "rank_one_factors", lambda mats: calls.append(len(mats)) or rank_one_factors(mats))
     for d in range(1, 6):
-        calls.clear()
-        s = certify(krawtchouk(field, d))
+        with recording((systems, "rank_one_factors")) as calls:
+            s = certify(krawtchouk(field, d))
         assert calls == []
         assert [s.eigenbasis(star) for star in (False, True)] == [rank_one_factors(s.E), rank_one_factors(s.Estar)]
         pair = (s.A, s.Astar, s.theta, s.theta_star)
         for built in (s.conjugated(conjugator(field, d + 1)), LeonardSystem.from_pair(*pair),
                       LeonardSystem(s.A, s.Astar, s.E, s.Estar, s.theta, s.theta_star, s.pa)):
-            calls.clear()
-            for star in (False, True, False, True):
-                built.eigenbasis(star)
-            assert calls == [d + 1, d + 1]
-
-
-# --- work bound ---
-
-
-@pytest.mark.parametrize("d", [8, 16])
-def test_standard_suite_product_count_is_linear_in_d(monkeypatch, d):
-    """n x n products (both result dimensions > 1) per suite stay below
-    16 (d + 1); the (d+1)^2 loops of dense rank-one products made 724 at d = 8."""
-    count = [0]
-    mul = Matrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, Matrix) and self.nrows > 1 and other.ncols > 1:
-            count[0] += 1
-        return mul(self, other)
-
-    pa = krawtchouk(Q, d)
-    monkeypatch.setattr(Matrix, "__mul__", counted)
-    assert standard_identity_suite(build_system(pa)).all_pass
-    assert count[0] < 16 * (d + 1)
+            with recording((systems, "rank_one_factors")) as calls:
+                for star in (False, True, False, True):
+                    built.eigenbasis(star)
+            assert [len(mats) for (mats,) in calls.of("rank_one_factors")] == [d + 1, d + 1]

@@ -26,7 +26,7 @@ from leonard.systems import LeonardSystem, ParameterArray, certify
 from conftest import FROZEN_ARRAYS, conjugator, krawtchouk_type, leonard_arrays
 from reference import (CERTIFICATE_GEOMETRY, DIFFERENTIAL, GEOMETRY_CHECKS, GFP, Q, Reference, agrees_on,
                        assert_agrees, assert_report, check_list, components, drawn, hand_built, meets, opposite_lines,
-                       passes, w_inverse_conjugate)
+                       passes, recording, w_inverse_conjugate)
 
 
 @dataclass(frozen=True)
@@ -234,27 +234,24 @@ def test_dependent_flag_basis_matches_reference():
     assert not report["decomposition_components_one_dimensional"][0]
 
 
-def test_families_with_UW_not_I_invert_by_elimination(monkeypatch):
+def test_families_with_UW_not_I_invert_by_elimination():
     """Where U W != I, W^-1 comes from Gauss-Jordan on W, for the flags, both tridiagonal axioms
     and the split lines: E_0 twice (W singular, so the E-flags have no inverse), and the sheared
     E_0 and doubled E*_d of `reference.hand_built` (W, resp. W*, invertible, and its inverse != U)."""
     repeated = hand_built(Q, 1)["E_0 twice"]
     sheared, doubled = (hand_built(Q, 2)[name] for name in ("E_0 sheared", "Estar_d doubled"))
-    inverted = []
-    inverse = Matrix.inverse
-    monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or inverse(self))
     for sys, star in ((repeated, False), (sheared, False), (doubled, True)):
         W, U = sys.eigenbasis(star)
         assert U * W != Matrix.identity(Q, sys.d + 1)
-        inverted.clear()
-        systems.standard_identity_suite(sys)
-        assert W in inverted
+        with recording((Matrix, "inverse")) as calls:
+            systems.standard_identity_suite(sys)
+        assert (W,) in calls.of("inverse")
         assert_flag_inverses_match_elimination(sys)
         assert_agrees(sys)
     assert system_flag(repeated, "0").inverse is system_flag(repeated, "D").inverse is None
     for sys, z, star in ((sheared, "0", False), (doubled, "0*", True)):
         W, U = sys.eigenbasis(star)
-        assert system_flag(sys, z).inverse == inverse(W) != U
+        assert system_flag(sys, z).inverse == W.inverse() != U
 
 
 # --- random ordered bases ---
@@ -356,27 +353,16 @@ def test_singular_basis_is_never_opposite():
 # --- work bound ---
 
 
-def test_suites_use_no_rank_or_intersection_loops(monkeypatch):
+def test_suites_use_no_rank_or_intersection_loops():
     """No suite intersects subspaces or compares column spaces: the split lines too come
     from the flag elimination."""
     s = certify(ParameterArray.from_json(FROZEN_ARRAYS[2]))
-    calls = {"same_column_space": 0, "intersect_column_spaces": 0}
-
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in calls:
-        wrapper = counted(name, getattr(linalg, name))
-        for module in (linalg, systems, du):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
-    assert systems.standard_identity_suite(s).all_pass
-    anchors = du.choose_anchor_vectors(s)
-    bundle = du.build_duality_bundle(s, anchors)
-    assert du.verify_geometry_suite(s, bundle).all_pass
-    du.build_24_bases(s, anchors)
-    assert du.verify_basis_family(s, anchors).all_pass
-    assert calls == {"same_column_space": 0, "intersect_column_spaces": 0}
+    with recording(*((tuple(m for m in (linalg, systems, du) if hasattr(m, name)), name)
+                     for name in ("same_column_space", "intersect_column_spaces"))) as calls:
+        assert systems.standard_identity_suite(s).all_pass
+        anchors = du.choose_anchor_vectors(s)
+        bundle = du.build_duality_bundle(s, anchors)
+        assert du.verify_geometry_suite(s, bundle).all_pass
+        du.build_24_bases(s, anchors)
+        assert du.verify_basis_family(s, anchors).all_pass
+    assert calls == []

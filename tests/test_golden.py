@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FROZEN_ARRAYS, leonard_array
-from reference import FIELDS, agrees_on, bidiagonal_idempotents, not_leonard_arrays
+from conftest import FROZEN_ARRAYS
+from reference import FIELDS, agrees_on, bidiagonal_idempotents, not_leonard_arrays, q_racah
 from leonard import duality as du
 from leonard import systems
 from leonard.cli import main
@@ -95,14 +95,8 @@ Q_D20 = krawtchouk({"kind": "rational"}, 20, lambda x: f"{x}/1")
 GFP_D20 = krawtchouk(GFP, 20, gfp)
 
 
-def q_racah(field: Field) -> dict:
-    """leonard_array(field, 8, (1, 2, 7), (1, 3, 4), 13/6, 5/2): q-Racah type with q = 3/2
-    (13/6 = q + 1/q), not self-dual; over Q its W, U and W* have mixed denominators."""
-    n = field.from_int
-    return leonard_array(field, 8, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2)).to_json()
-
-
-Q_RACAH_D8, GFP_RACAH_D8 = q_racah(Field.rational()), q_racah(Field.prime(GFP["p"]))
+# not self-dual; over Q its W, U and W* have mixed denominators
+Q_RACAH_D8, GFP_RACAH_D8 = (q_racah(field, 8).to_json() for field in (Field.rational(), Field.prime(GFP["p"])))
 
 ARRAYS = {
     "q0": FROZEN_ARRAYS[0],
@@ -401,11 +395,9 @@ def test_output_digests_builds_the_q_racah_arrays_of_leonard_array():
     theta* from (1, 3, 4) and, self-dual, from (1, 2, 7)."""
     tool = _tool()
     for field in (Field.rational(), Field.prime(GFP["p"])):
-        n = field.from_int
         for d in tool.Q_RACAH_DS:
             for theta_star012 in ((1, 3, 4), (1, 2, 7)):
-                want = leonard_array(field, d, (n(1), n(2), n(7)), tuple(map(n, theta_star012)), n(13) / n(6),
-                                     n(5) / n(2))
+                want = q_racah(field, d, theta_star012)
                 got = tool.q_racah(SimpleNamespace(systems=systems), field, d, theta_star012)
                 assert got == want.to_json()
                 assert du.is_self_dual(want) == (theta_star012 == (1, 2, 7))

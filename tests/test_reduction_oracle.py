@@ -12,7 +12,7 @@ in practice; an input or output denominator divisible by p is assumed away.
 
 Modulo a small prime (7, 11, 13) a reduced array can become degenerate, and
 the runs need not agree; there the reduced array only has to keep the CLI
-contract of `test_cli_fuzz.py`.
+contract of `reference.assert_cli_contract`.
 """
 
 import json
@@ -27,7 +27,7 @@ from leonard.duality import FOUR_BASES
 from leonard.fields import Field
 
 from conftest import leonard_array
-from test_cli_fuzz import _call, assert_cli_contract
+from reference import assert_cli_contract, cli_call
 
 Q = Field.rational()
 P = 2**31 - 1
@@ -105,8 +105,8 @@ def perturbed_arrays(draw):
 
 def _assert_reduction_commutes(argv, doc):
     assume(_reducible(doc))
-    code, out, err = _call(argv, json.dumps(doc))
-    gf_result = _call(argv, json.dumps(_reduce(doc)))
+    code, out, err = cli_call(argv, json.dumps(doc))
+    gf_result = cli_call(argv, json.dumps(_reduce(doc)))
     event(f"exit {code}")
     try:
         reduced = (code, _dump(_reduce(json.loads(out))) if out else "", _reduce_lines(err))

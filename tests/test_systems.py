@@ -46,8 +46,8 @@ from conftest import (
     leonard_array,
     leonard_arrays,
 )
-from reference import (NonUniqueForm, assert_form_is, form_by_pair, gram_by_nullspace, gram_premise_failures,
-                       report_systems, swapped_idempotents)
+from reference import (EXTRACTION_ERROR, NonUniqueForm, assert_form_is, form_by_pair, gram_by_nullspace,
+                       gram_premise_failures, report_systems, swapped_idempotents)
 
 Q = Field.rational()
 GFP = Field.prime(2**31 - 1)
@@ -733,9 +733,6 @@ def test_gram_premise_failure_fails_the_gram_block(case):
     carriers = {c.name for c in report.checks if c.witness == {"error": message}}
     assert carriers == set(GRAM_CHECKS) | others
     assert not any(report[name].passed for name in GRAM_CHECKS)
-
-
-EXTRACTION_ERROR = "extracted array is not a parameter array: theta entries must be mutually distinct"
 
 
 @pytest.mark.parametrize("stored", [True, False], ids=["stored", "no-stored-array"])

@@ -15,17 +15,16 @@ from leonard import duality as du
 from leonard.linalg import Matrix, Vector, outer
 from leonard.systems import ParameterArray, certify
 
-from conftest import FROZEN_ARRAYS, krawtchouk_type, leonard_array
-from reference import DIFFERENTIAL, GFP, Q, agrees_on, assert_agrees, drawn, hand_built, passes
+from conftest import FROZEN_ARRAYS, krawtchouk_type
+from reference import DIFFERENTIAL, GFP, Q, agrees_on, assert_agrees, drawn, hand_built, passes, q_racah, recording
 
 FOUR = ("Ei_T_equals_T_Estar_i", "Estar_i_T_equals_T_Ei", "T_maps_eigenspaces", "T_on_flags", "T_on_decompositions")
 
 
 def non_self_dual_controls() -> list:
     """q-Racah (theta* from 1, 3, 4) and Krawtchouk-type arrays, theta* != theta, over Q and GF(2^31 - 1), as params."""
-    q_racah = lambda f, d, n: leonard_array(f, d, (n(1), n(2), n(7)), (n(1), n(3), n(4)), n(13) / n(6), n(5) / n(2))
     return [pytest.param(pa, id=f"{name}-{field.kind}-d{d}") for field in (Q, GFP) for d in range(1, 6)
-            for name, pa in (("q-racah", q_racah(field, d, field.from_int)),
+            for name, pa in (("q-racah", q_racah(field, d)),
                              ("krawtchouk", krawtchouk_type(field, d, d, -2, 1, 3, 1)))]
 
 
@@ -89,7 +88,7 @@ def test_generated_arrays_match_reference(field, data):
 
 @pytest.mark.parametrize("array", [FROZEN_ARRAYS[0], FROZEN_ARRAYS[2]], ids=["d3", "d4"])
 def test_wrong_t_matches_reference(array):
-    """T replaced by A, as in `tests/test_witnesses.py::wrong_t`: all four sweeps fail on both routes alike."""
+    """T replaced by A, as in `reference.wrong_t`: all four sweeps fail on both routes alike."""
     s = certify(ParameterArray.from_json(array))
     got = assert_agrees(s, ("dualize",), dataclasses.replace(du.build_duality_bundle(s), t=s.A))["dualize"]
     assert not any(got[name][0] for name in FOUR)
@@ -133,30 +132,28 @@ def test_estar_not_orthogonal_fails_both_commutation_sweeps(field):
         FOUR[:2], (False, {"error": "idempotents_Estar_orthogonal fails"}))
 
 
-def _mapped_vectors(monkeypatch, s_star: int) -> tuple:
+def _mapped_vectors(s_star: int) -> tuple:
     """(passed, the vectors x of each T x) of T_maps_eigenspaces, T_on_flags and T_on_decompositions on the
     Krawtchouk-type array at d = 4 with theta_i = 4 - 2i and theta*_i = 4 + s_star i."""
     s = certify(krawtchouk_type(Q, 4, 4, -2, 4, s_star, 1))
     bundle = du.build_duality_bundle(s)
     du.verify_geometry_suite(s)  # flags and decompositions, before T is read
-    vectors = []
-    mul = Matrix.__mul__
-    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: (self is bundle.t and type(other) is Vector
-                                                                and vectors.append(other)) or mul(self, other))
-    report = du.verify_geometry_suite(s, bundle)
+    with recording((Matrix, "__mul__")) as calls:
+        report = du.verify_geometry_suite(s, bundle)
+    vectors = [x for M, x in calls.of("__mul__") if M is bundle.t and type(x) is Vector]
     return [report[name].passed for name in FOUR[2:]], vectors
 
 
-def test_each_decomposition_vector_is_mapped_once(monkeypatch):
+def test_each_decomposition_vector_is_mapped_once():
     """Where T does not map the eigenspaces, as on an array with theta* != theta, T_on_decompositions forms T x once
     per distinct vector: 6(d-1) + 4 at d >= 1, as [wz] holds the vectors of [zw] reversed and the three
     decompositions [zw] share their first vector, that of [z]."""
-    passed, vectors = _mapped_vectors(monkeypatch, -4)
+    passed, vectors = _mapped_vectors(-4)
     assert passed == [False] * 3
     assert len(vectors) == len(set(vectors)) == 6 * (4 - 1) + 4
 
 
-def test_no_decomposition_vector_is_mapped_on_a_self_dual_array(monkeypatch):
+def test_no_decomposition_vector_is_mapped_on_a_self_dual_array():
     """On a self-dual array T maps the eigenspaces, so T_on_flags and then T_on_decompositions follow from their
     premises (`duality.verify_geometry_suite`), and no T x is formed."""
-    assert _mapped_vectors(monkeypatch, -2) == ([True] * 3, [])
+    assert _mapped_vectors(-2) == ([True] * 3, [])

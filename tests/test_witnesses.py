@@ -24,56 +24,23 @@ from leonard import duality as du
 from leonard import systems
 from leonard.linalg import Matrix, Vector
 from leonard.report import VerificationReport
-from leonard.systems import LeonardSystem, ParameterArray, certify, d4_apply
+from leonard.systems import LeonardSystem, ParameterArray, d4_apply
 
 import reference
-from conftest import FROZEN_ARRAYS, GRAM_CHECKS, SUITE_CHECKS
-
-SELF_DUAL, NON_SELF_DUAL = FROZEN_ARRAYS[0], FROZEN_ARRAYS[1]  # Krawtchouk, d = 3
-
-
-def _setup(array, form="split"):
-    """The certified system of array in form (`reference.FORMS`), its anchors and its bundle."""
-    s = reference.FORMS[form](certify(ParameterArray.from_json(array)))
-    anchors = du.choose_anchor_vectors(s)
-    return s, anchors, du.build_duality_bundle(s, anchors)
-
-
-def _checks(*reports) -> dict:
-    return {c.name: (c.passed, c.witness) for report in reports for c in report.checks}
-
-
-def _t_suites(s, anchors, bundle) -> dict:
-    return _checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle),
-                   du.verify_T_on_bases(s, bundle, anchors), du.verify_matrix_of_T(s, bundle, anchors))
-
-
-def _anchor_suites(s, anchors, bundle) -> dict:
-    return _checks(du.verify_anchor_relations(s, anchors), du.verify_basis_family(s, anchors),
-                   du.verify_transition_relations(s, anchors), du.verify_T_on_bases(s, bundle, anchors),
-                   du.verify_matrix_of_T(s, bundle, anchors))
-
-
-def wrong_t():
-    """T replaced by A."""
-    s, anchors, bundle = _setup(SELF_DUAL)
-    return _t_suites(s, anchors, dataclasses.replace(bundle, t=s.A))
-
-
-def non_self_dual_t():
-    """The true T of a non-self-dual system, as `dualize` reports it."""
-    return _t_suites(*_setup(NON_SELF_DUAL))
+from conftest import GRAM_CHECKS, SUITE_CHECKS
+from reference import (NON_SELF_DUAL, SELF_DUAL, anchor_suites, checks_of, mixed_anchors, non_self_dual_t,
+                       pinned_system, scaled_basis_vector, swapped_anchors, t_suites, wrong_t)
 
 
 def doubled_t_star(form="split"):
     """The memoised covectors from which `dualize` sums T* in the eigenbasis of A, those of the system U X W
     (`duality._in_eigenbasis`), each doubled: U T* W becomes 2 U T* W."""
-    s, anchors, bundle = _setup(SELF_DUAL, form)
+    s, anchors, bundle = pinned_system(SELF_DUAL, form)
     hat = du._in_eigenbasis(s)
     _, _, u = du._through(hat, (False, 0), (True, s.d))
     family = hat.root_family("tau", False, u, covector=True)
     hat._memo[("root_family", "tau", False, u, True)] = tuple(v.scale(s.field.from_int(2)) for v in family)
-    return _t_suites(s, anchors, bundle)
+    return t_suites(s, anchors, bundle)
 
 
 def conjugated_doubled_t_star():
@@ -81,22 +48,6 @@ def conjugated_doubled_t_star():
     checks read k_0 = (U w*_0)_0 = 1; here k_0 != 1, so these pins fail if either check drops it: product_E0_Tdagger,
     which reads T alone, passes, and product_E0_Tstardagger fails."""
     return doubled_t_star("dense")
-
-
-def _moved_anchors(move):
-    s, anchors, bundle = _setup(SELF_DUAL)
-    return _anchor_suites(s, du.anchors_from_vectors(s, *move(s.field.from_int, anchors)), bundle)
-
-
-def swapped_anchors():
-    """v0 and vd exchanged."""
-    return _moved_anchors(lambda n, a: (a.vd, a.v0, a.v0s, a.vds))
-
-
-def mixed_anchors():
-    """Each anchor plus a multiple of its partner: v0 + vd, vd + 2 v0, v*0 + 2 v*d, v*d + 3 v*0."""
-    return _moved_anchors(lambda n, a: (a.v0 + a.vd, a.vd + a.v0.scale(n(2)),
-                                        a.v0s + a.vds.scale(n(2)), a.vds + a.v0s.scale(n(3))))
 
 
 def _withhold_certificate(s, axiom: str) -> None:
@@ -111,13 +62,13 @@ def _withhold_certificate(s, axiom: str) -> None:
 def reversed_decompositions(withheld=None):
     """The memoised vectors of [0D], [0*D] and [D*0] in reverse order; then, with withheld, the certificate withheld
     on that axiom (`_withhold_certificate`)."""
-    s, anchors, bundle = _setup(SELF_DUAL)
+    s, anchors, bundle = pinned_system(SELF_DUAL)
     for z, w in (("0", "D"), ("0*", "D"), ("D*", "0")):
         dec = du.build_decomposition(s, z, w)
         s._memo[("decomposition", z, w)] = du.Decomposition(z, w, dec.vectors[::-1])
     if withheld:
         _withhold_certificate(s, withheld)
-    return _checks(du.verify_geometry_suite(s, bundle), du.verify_basis_family(s, anchors))
+    return checks_of(du.verify_geometry_suite(s, bundle), du.verify_basis_family(s, anchors))
 
 
 def uncertified_reversed_decompositions():
@@ -131,82 +82,71 @@ def zero_flags():
     """The flags [0] and [D] memoised with a zero basis, and the certificate withheld on idempotents_E_rank_one, as no
     Leonard system has such flags: the flag checks read the certificate alone, not the flags, so each fails with
     the withheld axiom as witness."""
-    s, _, _ = _setup(SELF_DUAL)
+    s, _, _ = pinned_system(SELF_DUAL)
     _withhold_certificate(s, "idempotents_E_rank_one")
     for z in ("0", "D"):
         s._memo[("flag", z)] = du.Flag(z, Matrix.zeros(s.field, s.d + 1))
-    return _checks(du.verify_geometry_suite(s))
+    return checks_of(du.verify_geometry_suite(s))
 
 
 def zero_basis():
     """The forward sequence behind tau-vstard (and tau-rev-vstard) memoised as not a basis."""
-    s, anchors, _ = _setup(SELF_DUAL)
+    s, anchors, _ = pinned_system(SELF_DUAL)
     s._memo[("is_basis", "tau", anchors.vds)] = False
-    return _checks(du.verify_basis_family(s, anchors))
+    return checks_of(du.verify_basis_family(s, anchors))
 
 
 def unreversed_bases():
     """`duality.build_basis` with tau-rev-vstar0 and taustar-rev-v0 left unreversed: each is then compared with the
     reversal of its forward sequence, and so is that sequence with it."""
-    s, anchors, _ = _setup(SELF_DUAL)
+    s, anchors, _ = pinned_system(SELF_DUAL)
     build = du.build_basis
     with mock.patch.object(du, "build_basis", lambda sys, a, basis_id: build(
             sys, a, basis_id.replace("-rev", "") if basis_id in ("tau-rev-vstar0", "taustar-rev-v0") else basis_id)):
-        return _checks(du.verify_basis_family(s, anchors))
+        return checks_of(du.verify_basis_family(s, anchors))
 
 
 def v0_on_vstar0():
     """The anchor v0 replaced by v*0: no eigencolumn of E, so the 24 bases leave the certificate to the rank, and
     every sequence on v0 is singular."""
-    s, anchors, _ = _setup(SELF_DUAL)
-    return _checks(du.verify_basis_family(s, dataclasses.replace(anchors, v0=anchors.v0s)))
+    s, anchors, _ = pinned_system(SELF_DUAL)
+    return checks_of(du.verify_basis_family(s, dataclasses.replace(anchors, v0=anchors.v0s)))
 
 
 def doubled_estar_d(array=SELF_DUAL):
     """A hand-built system with E*_d doubled: every tr(E_r E*_d) is off."""
-    s, _, _ = _setup(array)
+    s, _, _ = pinned_system(array)
     Estar = s.Estar[:-1] + (s.Estar[-1].scale(s.field.from_int(2)),)
-    return _checks(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, s.E, Estar, s.theta,
+    return checks_of(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, s.E, Estar, s.theta,
                                                                  s.theta_star, s.pa)))
 
 
 def doubled_edge_trace():
     """The memoised tr(E_0 E*_0), which the sandwiches and the nu closed forms read, doubled."""
-    s, _, _ = _setup(SELF_DUAL)
+    s, _, _ = pinned_system(SELF_DUAL)
     traces = systems.trace_products(s, 0)[:2] + systems.trace_products(s, s.d)[:2]
     s._memo["traces"] = (traces[0] + traces[0], *traces[1:])
-    return _checks(systems.standard_identity_suite(s))
+    return checks_of(systems.standard_identity_suite(s))
 
 
 def relative_extracted():
     """The memoised extracted array replaced by the relative D of the stored one."""
-    s, _, _ = _setup(SELF_DUAL)
+    s, _, _ = pinned_system(SELF_DUAL)
     s._memo["pa"] = d4_apply(s.pa, "D")
-    return _checks(systems.standard_identity_suite(s))
+    return checks_of(systems.standard_identity_suite(s))
 
 
 def _rank_two(star):
     """A hand-built system with E_0 (resp. E*_0) replaced by E_0 + E_1, of rank two."""
     def mutation():
-        s, _, _ = _setup(SELF_DUAL)
+        s, _, _ = pinned_system(SELF_DUAL)
         E = list(s.Estar if star else s.E)
         E[0] += E[1]
         E, Estar = (s.E, E) if star else (E, s.Estar)
-        return _checks(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, E, Estar, s.theta,
+        return checks_of(systems.standard_identity_suite(LeonardSystem(s.A, s.Astar, E, Estar, s.theta,
                                                                      s.theta_star, s.pa)))
     mutation.__name__ = f"E{'star' * star}0_of_rank_two"
     return mutation
-
-
-def scaled_basis_vector():
-    """The report of `matrix-of-t --basis tau-vstard` (`cli._matrix_of_t`) on the certified system with vector 1 of
-    the memoised sequence behind tau-vstard doubled: B becomes B diag(1, 2, 1, 1), so M B == B X fails for each
-    displayed X, B is inverted, and each entry of B^-1 M B in row or column 1 but (1, 1) is halved or doubled."""
-    s, anchors, _ = _setup(SELF_DUAL)
-    seq = du.build_basis(s, anchors, "tau-vstard")
-    s._memo[("basis", "tau", anchors.vds)] = (seq[0], seq[1].scale(s.field.from_int(2)), *seq[2:])
-    with mock.patch.object(cli, "certify", lambda pa: s):
-        return _checks(cli._matrix_of_t(s.pa, argparse.Namespace(basis="tau-vstard"))[1])
 
 
 T_FAMILIES = ("estar_v0", "taustar_v0", "etastar_v0", "estar_vd", "taustar_vd", "etastar_vd",
@@ -368,7 +308,7 @@ def test_every_decided_check_names_premises_that_run_first():
 def test_certified_comparisons_compare_a_sequence_with_itself():
     """On the certified system each decomposition is the normalized first family of its pair, and the rows of
     `decomposition_table_rows` read the very vectors they are compared with (BY_CERTIFICATE)."""
-    s, anchors, _ = _setup(SELF_DUAL)
+    s, anchors, _ = pinned_system(SELF_DUAL)
     for (z, w), (first, _) in du.BASIS_MEMBERSHIP.items():
         vectors = du.build_decomposition(s, z, w).vectors
         assert vectors == tuple(v.normalized() for v in du.build_basis(s, anchors, first)), (z, w)
@@ -379,9 +319,9 @@ def test_certified_comparisons_compare_a_sequence_with_itself():
 
 
 def test_unmutated_system_passes_every_sweep_check():
-    s, anchors, bundle = _setup(SELF_DUAL)
-    checks = {**_t_suites(s, anchors, bundle), **_anchor_suites(s, anchors, bundle),
-              **_checks(systems.standard_identity_suite(s))}
+    s, anchors, bundle = pinned_system(SELF_DUAL)
+    checks = {**t_suites(s, anchors, bundle), **anchor_suites(s, anchors, bundle),
+              **checks_of(systems.standard_identity_suite(s))}
     assert SWEEP_CHECKS <= checks.keys()
     assert all(checks[name] == (True, None) for name in SWEEP_CHECKS)
 
@@ -438,12 +378,12 @@ def test_every_decided_dualize_check_names_premises_that_dualize_or_certify_chec
 
 
 def _negative_control():
-    s, _, bundle = _setup(NON_SELF_DUAL)
+    s, _, bundle = pinned_system(NON_SELF_DUAL)
     return s, bundle
 
 
 def _t_is_a():
-    s, _, bundle = _setup(SELF_DUAL)
+    s, _, bundle = pinned_system(SELF_DUAL)
     return s, dataclasses.replace(bundle, t=s.A)
 
 
@@ -461,7 +401,7 @@ FAILED_PREMISES = {
 
 
 @pytest.mark.parametrize("case", FAILED_PREMISES)
-def test_a_failed_dualize_premise_forms_no_dense_t_product(case, monkeypatch):
+def test_a_failed_dualize_premise_forms_no_dense_t_product(case):
     """Where T maps no eigenspace, or the certificate fails, each check of DUALIZE_FROM_PREMISES that `dualize`
     reports has the verdict and witness of the dense reference, and so do all the others (`reference.assert_agrees`).
     No T T, (U T) W, U T* W or dense T* is formed: T is an operand of the four products of A_T_equals_T_Astar and
@@ -470,16 +410,13 @@ def test_a_failed_dualize_premise_forms_no_dense_t_product(case, monkeypatch):
     the eigenbasis of A (`duality._in_eigenbasis`)."""
     build, maps_vectors = FAILED_PREMISES[case]
     s, bundle = build()
-    t, pairs, summed = bundle.t, [], []
-    mul, operator = Matrix.__mul__, du.duality_operator
-    with monkeypatch.context() as patched:
-        patched.setattr(Matrix, "__mul__", lambda self, other: pairs.append((self, other)) or mul(self, other))
-        patched.setattr(du, "duality_operator", lambda sys, star=False: summed.append(sys) or operator(sys, star))
-        checks = _checks(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
-    operands = [type(y) for x, y in pairs if x is t or y is t]
+    t = bundle.t
+    with reference.recording((Matrix, "__mul__"), (du, "duality_operator")) as calls:
+        checks = checks_of(du.verify_duality_suite(s, bundle), du.verify_geometry_suite(s, bundle))
+    operands = [type(y) for x, y in calls.of("__mul__") if x is t or y is t]
     vectors = 6 * (s.d - 1) + 4 if maps_vectors else 0  # those of the decompositions, as in tests/test_t_route.py
     assert (operands.count(Matrix), operands.count(Vector)) == (4 + 2 * systems.certified(s), vectors)
-    assert s not in summed
+    assert s not in [sys for sys, _ in calls.of("duality_operator")]
     got = reference.assert_agrees(s, ("dualize",), bundle)["dualize"]
     reported = DUALIZE_FROM_PREMISES.keys() & checks.keys()
     assert reported == DUALIZE_FROM_PREMISES.keys() & got.keys() and (case == "Estar_d-doubled") == (
@@ -578,7 +515,7 @@ def _raised_inverse_entry(star: bool, i: int, j: int, recertified: bool = True) 
     and T and W_b each eigenbasis, W^-1 W alone kept as I (`systems.change_of_basis`).  When recertified, the
     memoised axiom report that `certify` read off them and the certificate read off that report are dropped, so
     they are read again; else both are kept from the certified build."""
-    s, _, bundle = _setup(SELF_DUAL)
+    s, _, bundle = pinned_system(SELF_DUAL)
     assert not any(key[0] == "flag" for key in s._memo)
     inverse, eye = _raised(s.eigenbasis(star)[1], i, j), Matrix.identity(s.field, s.d + 1)
     for X, M in ((None, eye), ("A", s.A), ("Astar", s.Astar), (bundle.t, bundle.t)):
@@ -587,7 +524,7 @@ def _raised_inverse_entry(star: bool, i: int, j: int, recertified: bool = True) 
                 s._memo[("change_of_basis", star, X, b)] = inverse * M * s.eigenbasis(b)[0]
     for key in ("axioms", "certified") if recertified else ():
         del s._memo[key]
-    return _checks(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
+    return checks_of(systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle))
 
 
 # (star, i, j[, recertified]) -> {check name: its witness}, over the checks that read W^-1 or W*^-1 through a memoised
@@ -636,7 +573,7 @@ def _mutated_memo(key, mutation) -> dict:
     is replaced by mutation, or a change of basis has entry mutation = (i, j) raised by 1.  T is the certified
     system's, as no change of basis enters it.  The duality suite, which needs the premises of `solve_gram`, runs
     only on a mutated change of basis that it reads: W_a^-1 T W_b, K = U W* or K* = U* W."""
-    _, _, bundle = _setup(SELF_DUAL)
+    _, _, bundle = pinned_system(SELF_DUAL)
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
     if key[0] == "UW_witness":
         s._memo[key] = mutation
@@ -645,10 +582,10 @@ def _mutated_memo(key, mutation) -> dict:
     reports = [systems.standard_identity_suite(s), du.verify_geometry_suite(s, bundle)]
     if T in key or None in key:
         reports.append(du.verify_duality_suite(s, bundle))
-    return _checks(*reports)
+    return checks_of(*reports)
 
 
-T = _setup(SELF_DUAL)[2].t  # in the memo keys of W*^-1 T W and W^-1 T W*
+T = pinned_system(SELF_DUAL)[2].t  # in the memo keys of W*^-1 T W and W^-1 T W*
 # memo key -> (mutation, {check name: its witness}); the pinned checks are the only ones that fail
 MEMO_PINS = {
     # U W of E: the orthogonality axiom, a premise of the F[M] checks on A, of the Gram solver and of the certificate,
@@ -709,7 +646,7 @@ def test_gram_premise_reads_the_memo():
     it, and the split checks, left to the intersection route, pass."""
     s = systems.build_system(ParameterArray.from_json(SELF_DUAL))
     _withhold_certificate(s, "idempotents_E_spectral")
-    checks = _checks(systems.standard_identity_suite(s))
+    checks = checks_of(systems.standard_identity_suite(s))
     assert not systems.certified(s)
     assert {name: check for name, check in checks.items() if not check[0]} == {
         "idempotents_E_spectral": (False, None),
@@ -718,24 +655,19 @@ def test_gram_premise_reads_the_memo():
 
 def test_every_memo_entry_is_mutated():
     """The U W witnesses and changes of basis that the suites memoise are exactly those mutated above."""
-    s, anchors, bundle = _setup(SELF_DUAL)
-    _t_suites(s, anchors, bundle)
-    _anchor_suites(s, anchors, bundle)
+    s, anchors, bundle = pinned_system(SELF_DUAL)
+    t_suites(s, anchors, bundle)
+    anchor_suites(s, anchors, bundle)
     systems.standard_identity_suite(s)
     memoised = {key for key in s._memo if key[0] in ("UW_witness", "change_of_basis")}
     assert memoised == set(MEMO_PINS)
 
 
-# the checks of `dualize` that read the memoised Gram weights m, through T^dagger and T*^dagger
-DAGGER_READERS = ("T_dagger_displayed_sum", "T_star_dagger_displayed_sum", "T_equals_T_dagger",
-                  "T_equals_T_star_dagger", "product_E0star_Tdagger", "product_E0_Tstardagger", "product_E0_Tdagger",
-                  "product_E0star_Tstardagger")
-
 # mutation of the memoised Gram weights -> (its memo key, the mutation, the checks that fail, all of them among
-# DAGGER_READERS); "gram_weights" holds the weights m from `solve_gram`, the one form of G in the package
+# reference.DAGGER_CHECKS); "gram_weights" holds the weights m from `solve_gram`, the one form of G in the package
 GRAM_PINS = {
     # G = U^T diag(m) U with m_1 doubled: symmetric, and still A^T G = G A, but not A*^T G = G A*
-    "m1-doubled": ("gram_weights", lambda m0, m1, *rest: (m0, m1 + m1, *rest), set(DAGGER_READERS)),
+    "m1-doubled": ("gram_weights", lambda m0, m1, *rest: (m0, m1 + m1, *rest), set(reference.DAGGER_CHECKS)),
 }
 
 
@@ -747,10 +679,10 @@ def test_gram_block_fails_under_a_wrong_gram_entry(array, mutation):
     checks that read T^dagger and T*^dagger off m (X^dagger = Y exactly when X^T D = D Y^ in the eigenbasis of A,
     D = diag(m)) fail, all of them."""
     key, mutate, failing = GRAM_PINS[mutation]
-    _, _, bundle = _setup(array)
+    _, _, bundle = pinned_system(array)
     s = systems.build_system(ParameterArray.from_json(array))
     s._memo[key] = mutate(*systems.solve_gram(s))
-    checks = _checks(systems.standard_identity_suite(s), du.verify_duality_suite(s, bundle))
+    checks = checks_of(systems.standard_identity_suite(s), du.verify_duality_suite(s, bundle))
     assert {name for name, (passed, _) in checks.items() if not passed} == failing
 
 
@@ -811,7 +743,7 @@ def test_decided_checks_fail_under_a_wrong_premise_entry(array, mutation):
     mutate, pins = PREMISE_PINS[mutation]
     s = systems.build_system(ParameterArray.from_json(array))
     mutate(s)
-    checks = _checks(systems.standard_identity_suite(s))
+    checks = checks_of(systems.standard_identity_suite(s))
     nu = {"scalars": dict.fromkeys(NU_WITNESS["scalars"], s.field.encode_scalar(s.field.from_int(8)))}
     assert {name: (passed, witness) for name, (passed, witness) in checks.items() if not passed} == {
         name: (False, nu if witness is NU_WITNESS else witness) for name, witness in pins.items()}

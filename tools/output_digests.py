@@ -8,7 +8,9 @@ perfbench/run.py's `invoke`, as in the benchmark; both are imported and left unc
 calls of each (workload, seed), `relatives` runs on every array that workload generated, as no
 workload calls it.  Then come the q-Racah arrays of `q_racah` at d = 2..8, over Q and over
 GF(2^31 - 1), through verify, relatives, dualize and bases: over Q their W, U and W* have mixed
-denominators, which the benchmark's Krawtchouk arrays never have.  Then verify runs on the same
+denominators, which the benchmark's Krawtchouk arrays never have.  dualize --require-self-dual and
+matrix-of-t --basis tau-vstard follow on each, and refuse it after certify as not self-dual (exit 1):
+no other call here reaches those two refusals.  Then verify runs on the same
 arrays with varphi_1 raised by 1, the only verify inputs here that are not Leonard: the Gram checks
 fail on their premise that U A* W is irreducible tridiagonal while the premises of the F[M] checks
 hold, and the report (exit 1) still lists every check.  dualize, bases and matrix-of-t --basis
@@ -32,7 +34,7 @@ the call exits 1.  bases follows on each, and passes: the certificate from which
 components of its decomposition is then read on arrays that are not self-dual at a large d.  After them, the self-dual
 array at d = 0 (theta_0 = theta*_0 = -5/3, 1 x 1 matrices and empty split sequences) over Q, GF(7) and GF(2^31 - 1)
 runs through verify, relatives, dualize, bases and matrix-of-t --basis tau-vstard: there every product over an
-empty range of roots is the field's one, which a product started at the int 1 is not.  1078 calls in all, in
+empty range of roots is the field's one, which a product started at the int 1 is not.  1106 calls in all, in
 about 3 s per tree on a shared 2-vCPU Xeon.  The inputs are
 written to a temporary directory that is the working directory while the calls run, so the paths in
 each argv, and so the lines printed, do not depend on where either tree lies.  Two trees whose CLI
@@ -59,7 +61,8 @@ from run import invoke  # noqa: E402
 
 SEEDS = (1, 2, 3)
 Q_RACAH_DS = range(2, 9)
-Q_RACAH_VERBS = ("verify", "relatives", "dualize", "bases")
+Q_RACAH_VERBS = (("verify",), ("relatives",), ("dualize",), ("bases",), ("dualize", "--require-self-dual"),
+                 ("matrix-of-t", "--basis", "tau-vstard"))
 RAISED_VERBS = (("verify",), ("dualize",), ("bases",), ("matrix-of-t", "--basis", "tau-vstard"))
 LARGE_KRAWTCHOUK_DS = (12, 20)  # through RAISED_VERBS, all of which pass, then NON_SELF_DUAL_VERBS with s* = -4
 NON_SELF_DUAL_VERBS = ("dualize", "bases")
@@ -150,7 +153,7 @@ def main(argv=None) -> int:
                 for d in Q_RACAH_DS:
                     path = write_array(f"q-racah-{field.kind}-d{d}.json", q_racah(program, field, d))
                     for k, verb in enumerate(Q_RACAH_VERBS):
-                        argv = (verb, "--input", path)
+                        argv = (*verb, "--input", path)
                         print("q-racah", field.kind, d, k, call_digest(program, argv), " ".join(argv), flush=True)
             for field in fields:
                 for d in Q_RACAH_DS:
