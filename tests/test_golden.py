@@ -452,3 +452,47 @@ def test_reached_lines_reads_each_statement_of_a_function_body():
     assert _tool("reached_lines").body_lines(REACHED_SOURCE) == {
         7: range(7, 9), 10: range(10, 11), 11: range(11, 13), 13: range(13, 14), 21: range(21, 22),
         22: range(22, 23), 23: range(23, 24)}
+
+
+BENCH_METRICS = [{"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.25},
+                 {"name": "ops_close", "unit": "1/s", "better": "higher", "bound": 0.25},
+                 {"name": "p50", "unit": "ms", "better": "lower", "bound": 0.05}]
+
+
+def test_bench_pairs_summary_on_fixed_runs():
+    """tools/bench_pairs.py: quartiles by `statistics.quantiles` (exclusive method), pairs won in the metric's direction,
+    and a gain only with >= 9 of 10 pairs won and a median gap wider than the base's q3 - q1 = 17.25 - 11.75 = 5.5:
+    `ops` wins 9 by a gap of 6, `ops_close` wins 9 by a gap of 5, and `p50` loses every pair, 10 % beyond its bound."""
+    base = list(range(10, 20))
+    head = {"ops": [b + 7 for b in base[:9]] + [18], "ops_close": [b + 6 for b in base[:9]] + [18],
+            "p50": [1.1 * b for b in base]}
+
+    def runs(values):
+        return [{"metrics": {m["name"]: {"value": values[m["name"]][k]} for m in BENCH_METRICS}} for k in range(10)]
+
+    rows = _tool("bench_pairs").summarize(runs({m["name"]: base for m in BENCH_METRICS}), runs(head), BENCH_METRICS)
+    got = {r["metric"]: (r["base"], r["head"][1], r["wins"], r["pairs"], r["within_bound"], r["gain"]) for r in rows}
+    assert got == {"ops": ((11.75, 14.5, 17.25), 20.5, 9, 10, True, True),
+                   "ops_close": ((11.75, 14.5, 17.25), 19.5, 9, 10, True, False),
+                   "p50": ((11.75, 14.5, 17.25), pytest.approx(15.95), 0, 10, False, False)}
+    assert rows[2]["change"] == pytest.approx(0.1)
+
+
+def test_bench_pairs_refuses_trees_whose_benchmarks_differ(tmp_path):
+    """Exit 2, before any run, when perfbench/ or BENCHMARK.json differ in a byte or a file; what running perfbench
+    leaves in it (_out, _work, __pycache__) is not compared."""
+    tool = _tool("bench_pairs")
+    for side in ("base", "head"):
+        for path, text in (("BENCHMARK.json", "{}"), ("perfbench/run.py", "x = 1\n"), (f"perfbench/_out/{side}", side)):
+            (tmp_path / side / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / path).write_text(text)
+    base, head = str(tmp_path / "base"), str(tmp_path / "head")
+    assert tool.benchmark_differences(base, head) == []
+    (tmp_path / "head" / "perfbench" / "run.py").write_text("x = 2\n")
+    (tmp_path / "head" / "perfbench" / "extra.py").write_text("")
+    assert tool.benchmark_differences(base, head) == ["perfbench/extra.py", "perfbench/run.py"]
+    assert tool.main([base, head, "--workload", "verify-q"]) == 2
+    (tmp_path / "head" / "perfbench" / "run.py").write_text("x = 1\n")
+    (tmp_path / "head" / "perfbench" / "extra.py").unlink()
+    (tmp_path / "head" / "BENCHMARK.json").write_text("{} ")
+    assert tool.main([base, head, "--workload", "verify-q"]) == 2

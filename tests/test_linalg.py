@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -28,7 +29,7 @@ from leonard.linalg import (
     unpivoted_column_reduction,
 )
 
-from reference import bidiagonal_idempotents, flat_rank
+from reference import bidiagonal_idempotents, flat_rank, q_racah
 
 Q = Field.rational()
 G7 = Field.prime(7)
@@ -781,6 +782,33 @@ def test_root_product_family_examples_and_refusals():
             _root_product_family_by_steps(M, roots, start)
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_large_entries_match_the_references(field):
+    """The q-Racah split pair at d = 12: over Q mixed denominators and entries of hundreds of bits, which the drawn
+    cases above (n <= 6, |num| <= 9) never reach.  Both eigenbases against the element route and `rank_one_factors`,
+    and the tau/eta-type families on A* from w*_0, on A^T from u_0 and on A from I against the step-by-step route."""
+    pa = q_racah(field, 12)
+    A, Astar = bidiagonal(field, pa.theta), bidiagonal(field, pa.theta_star, pa.varphi)
+    pairs = ((pa.theta, None), (pa.theta_star, pa.varphi))
+    bases = [bidiagonal_eigenbasis(field, diag, upper) for diag, upper in pairs]
+    if field.is_rational:
+        assert len({x.denominator for x in pa.theta_star + pa.varphi}) > 2
+        assert min(max(abs(a).bit_length() for row in X.nums for a in row) for X in chain(*bases)) > 300
+    for (diag, upper), (W, U) in zip(pairs, bases):
+        got = [outer(W.column(i), U.row(i)) for i in range(len(diag))]
+        assert got == _bidiagonal_idempotents_by_elements(field, diag, upper)
+        assert (W, U) == rank_one_factors(got)
+        for X in (W, U):
+            _assert_canonical_form(X)
+    (_, U), (Ws, _) = bases
+    for M, roots, start in ((Astar, pa.theta_star[:0:-1], Ws.column(0)), (A.transpose(), pa.theta[:0:-1], U.row(0)),
+                            (A, pa.theta[:-1], None)):
+        family = root_product_family(M, roots, start)
+        assert family == _root_product_family_by_steps(M, roots, start) and not family[-1].is_zero()
+        for Y in family:
+            _assert_canonical_form(Y)
+
+
 # --- colinearity on the stored integers against normalized vectors ---
 
 
@@ -844,6 +872,14 @@ def test_entries_outside_the_field_raise():
                 lambda: Vector(G7, [G7.one(), G11.one()]), lambda: Matrix(Q, [[G7.one()]]), lambda: Vector(Q, [1])):
         with pytest.raises(ValueError, match="not an element"):
             bad()
+    # `scale` reads its scalar without `_to_ints`, and a family reads every root before its first step
+    M7, v7, MQ, vQ = Matrix.from_ints(G7, [[1, 2]]), Vector(G7, [G7.one()] * 2), mat([[1, 2]]), Vector(Q, [F(1)] * 2)
+    for M, v, c in ((M7, v7, G11.from_int(10)), (M7, v7, F(1, 2)), (MQ, vQ, G7.one())):
+        for bad in (lambda: M.scale(c), lambda: v.scale(c), lambda: M.scale_columns([M.field.one(), c])):
+            with pytest.raises(ValueError, match="not an element"):
+                bad()
+    with pytest.raises(ValueError, match="not an element"):
+        root_product_family(Matrix.from_ints(G7, [[1, 2], [3, 4]]), [G7.one(), G7.from_int(3), G11.one()], v7)
     with pytest.raises(ValueError, match="field other than"):
         Matrix.from_columns(G7, [Vector(G11, [G11.from_int(10)])])
     assert Matrix(G7, [[G7.from_int(10)]]) == Matrix.from_ints(G7, [[3]])
