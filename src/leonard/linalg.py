@@ -1,22 +1,30 @@
 """Dense exact linear algebra over a ground field.
 
-Matrices and vectors are immutable values holding one canonical integer form, which all arithmetic reads: integer rows
-`nums` over one denominator `den` > 0 with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
-Each result is made canonical in one pass (`_lowest`), the gcd pass over Q and `% p` over GF(p), where a product and a
-step of `root_product_family` reduce each entry as they form it.  A transpose, `beside`, `from_columns`, `identity`,
-`zeros` and a slice (`row`, `column`, `submatrix`) with den = 1 are canonical by construction; with den > 1 a slice
-may lose gcd(den, nums) = 1, so it keeps the pass.  Equality compares forms.  Field elements are read in by `_to_ints`
-and made by `Field.fraction` only for indexing and scalars; JSON is read off the integer form.  Every entry, both
-operands of an operation and every scalar must lie in one field (ValueError otherwise).  Gauss-Jordan elimination is
-fraction-free with first-nonzero pivoting (GF(p) has no magnitude order); `unpivoted_column_reduction` runs the same
-update on columns without pivoting, and `flag_decomposition` decomposes a pair of flags with it.
-`bidiagonal_eigenbasis` gives the split form's eigenbasis (W, U) without forming any idempotent.  Indexing is 0-based.
+Matrices and vectors are immutable values holding one canonical integer form,
+which all arithmetic reads: integer rows `nums` over one denominator `den` > 0
+with gcd(den, nums) = 1 over Q, residues in [0, p) with den = 1 over GF(p).
+Each result is made canonical in one pass, the gcd pass over Q and `% p` over
+GF(p), where a product and a step M Y - r Y of `root_product_family` reduce
+each entry as they form it (a step reads Y column by column).  A
+transpose, `beside`, `from_columns`, `identity`, `zeros`, and a slice (`row`,
+`column`, `submatrix`) with den = 1 make rows canonical by construction and
+run no pass; with den > 1 a slice may drop the entries that kept
+gcd(den, nums) = 1, so it keeps the pass.  Equality compares forms.  Field
+elements are read in by `_to_ints` and made by `Field.fraction` only for
+indexing and scalars; JSON is read off the integer form.  Every entry, both
+operands of an operation and every scalar must lie in one field (ValueError
+otherwise).  Gauss-Jordan elimination is fraction-free with first-nonzero
+pivoting (GF(p) has no magnitude order); `unpivoted_column_reduction` runs the
+same update on columns without pivoting, and `flag_decomposition` decomposes a
+pair of flags with it.  The split form's eigenbasis (W, U) comes from
+`bidiagonal_eigenbasis` as triangular integer vectors, without any dense
+idempotent E_i = w_i u_i^T.  Indexing is 0-based.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DuplicateEigenvalue, SingularMatrix
@@ -52,15 +60,6 @@ def _reduce_ints(field: Field, nums):
     return [a // g for a in nums] if g > 1 else nums
 
 
-def _lowest(field: Field, rows, den: int) -> tuple:
-    """(nums, den), nums a tuple of row tuples, for the integer rows / den (den != 0) in canonical form."""
-    if not field.is_rational:
-        p, s = field.p, (pow(den, -1, field.p) if den != 1 else 1)
-        return tuple([tuple([a * s % p for a in row]) for row in rows]), 1
-    g = gcd(den, *chain.from_iterable(rows)) * (-1 if den < 0 else 1)
-    return (tuple([tuple([a // g for a in row]) for row in rows]) if g != 1 else tuple(map(tuple, rows))), den // g
-
-
 class _Exact:
     """The canonical integer form that Matrix and Vector hold (a Vector has
     one row), and the arithmetic they share."""
@@ -77,7 +76,12 @@ class _Exact:
     @classmethod
     def _of(cls, field: Field, rows, den: int = 1):
         """The object rows / den in canonical form, for a list or tuple of integer rows and den != 0."""
-        return cls._canonical(field, *_lowest(field, rows, den))
+        if not field.is_rational:
+            p, s = field.p, (pow(den, -1, field.p) if den != 1 else 1)
+            return cls._canonical(field, tuple([tuple([a * s % p for a in row]) for row in rows]))
+        g = gcd(den, *chain.from_iterable(rows)) * (-1 if den < 0 else 1)
+        nums = tuple([tuple([a // g for a in row]) for row in rows]) if g != 1 else tuple(map(tuple, rows))
+        return cls._canonical(field, nums, den // g)
 
     @classmethod
     def _canonical(cls, field: Field, nums, den: int = 1):
@@ -127,9 +131,7 @@ class _Exact:
         return self._of(self.field, [[-a for a in r] for r in self.nums], self.den)
 
     def scale(self, c):
-        if not self.field.contains(c):
-            raise ValueError(f"{c!r} is not an element of {self.field}")
-        num, den = (c.numerator, c.denominator) if self.field.is_rational else (c.r, 1)
+        [[num]], den = _to_ints(self.field, [[c]])
         return self._of(self.field, [[num * a for a in r] for r in self.nums], self.den * den)
 
     def to_json(self):
@@ -267,15 +269,16 @@ class Matrix(_Exact):
         return self.scale(c)
 
     def __mul__(self, other):
-        """self times a scalar, a Matrix or a Vector: one pass of integer dots, `% p` as each forms over GF(p), else
-        one gcd pass; by a Vector its one row, dotted with each row of self (dots are symmetric), is the result's row."""
+        """self times a scalar, a Matrix or a Vector in one pass of integer dots, each reduced `% p` as it forms over
+        GF(p), else one gcd pass; by a Vector, the dots of its one row with the rows of self form the result's row."""
         if not isinstance(other, _Exact):
             return self.scale(other)
         vec, p = isinstance(other, Vector), self.field.p  # p is None over Q
         _check_operands(self, other, self.ncols == (len(other) if vec else other.nrows))
-        left, right = (other.nums, self.nums) if vec else (self.nums, list(zip(*other.nums)))
+        left, right = (other.nums, self.nums) if vec else (self.nums, list(zip(*other.nums)))  # dots are symmetric
         if p:  # each dot product reduced here is canonical as it stands
-            return type(other)._canonical(self.field, tuple([tuple([sum(map(mul, a, b)) % p for b in right]) for a in left]))
+            rows = tuple([tuple([sum(map(mul, a, b)) % p for b in right]) for a in left])
+            return type(other)._canonical(self.field, rows)
         return type(other)._of(self.field, [[sum(map(mul, a, b)) for b in right] for a in left], self.den * other.den)
 
     def scale_columns(self, c) -> "Matrix":
@@ -446,8 +449,10 @@ def bidiagonal_eigenbasis(field: Field, diag, upper=None) -> tuple:
     recurrences in c_h / (t_i - t_h), where the one denominator of the integers t and c cancels: entry k of the
     vector below the diagonal is c_i..c_{k-1} prod_{h>k} g_h / prod_{h>i} g_h (g_h = t_i - t_h), of the one above
     it c_k..c_{i-1} prod_{h<k} g_h / prod_{h<i} g_h.  For these integer lists w and u, E_i = w u^T / (w[i] u[i])
-    (= lagrange_idempotent(bidiagonal(...), diag, i)), so with j the first nonzero entry of u, w_i = w u[j] / (w[i]
-    u[i]) (column j of E_i) and u_i^T = u / u[j], each reduced on its list; W and U are stacked over one lcm each."""
+    (equal to lagrange_idempotent(bidiagonal(...), diag, i)), so with j the first nonzero entry of u, w_i (column j
+    of E_i) is w u[j] / (w[i] u[i]) and u_i^T is u / u[j]: one canonical pass per vector, on its integer list, and
+    W and U each stacked over the lcm of its vectors' denominators as one canonical matrix.
+    """
     n = len(diag)
     if len(set(diag)) != n:
         raise DuplicateEigenvalue("diagonal entries must be mutually distinct")
@@ -461,11 +466,11 @@ def bidiagonal_eigenbasis(field: Field, diag, upper=None) -> tuple:
         above = list(map(mul, list(accumulate(reversed(c[:i]), mul, initial=1))[::-1], pre)) + [0] * (n - 1 - i)
         w, u = (below, above) if upper is None else (above, below)
         pv = next(a for a in u if a)
-        ws.append(_lowest(field, ([a * pv for a in w],), w[i] * u[i]))
-        us.append(_lowest(field, (u,), pv))
-    wden, uden = lcm(*(den for _, den in ws)), lcm(*(den for _, den in us))  # reduced vectors over their lcm stay canonical
-    return (Matrix._canonical(field, tuple(zip(*([a * (wden // den) for a in w] for (w,), den in ws))), wden),
-            Matrix._canonical(field, tuple([tuple([a * (uden // den) for a in u]) for (u,), den in us]), uden))
+        ws.append(_Exact._of(field, [[a * pv for a in w]], w[i] * u[i]))
+        us.append(_Exact._of(field, [u], pv))
+    wden, uden = lcm(*(x.den for x in ws)), lcm(*(x.den for x in us))  # reduced rows over their lcm stay canonical
+    return (Matrix._canonical(field, tuple(zip(*([a * (wden // x.den) for a in x.nums[0]] for x in ws))), wden),
+            Matrix._canonical(field, tuple([tuple([a * (uden // x.den) for a in x.nums[0]]) for x in us]), uden))
 
 
 # --- polynomial evaluation at a matrix ---
@@ -479,12 +484,15 @@ def root_product_family(M: Matrix, roots, start=None) -> list:
     vec = isinstance(Y, Vector)  # a Vector's one row is the one column to multiply
     _check_operands(M, Y, M.is_square and M.ncols == (len(Y) if vec else Y.nrows))
     (rns,), rd = _to_ints(M.field, [tuple(roots)])
-    f, p, Mn, out, cols, den = M.field, M.field.p, M.nums, [Y], (Y.nums if vec else tuple(zip(*Y.nums))), Y.den
-    for c in (rn * M.den for rn in rns):
+    f, p, Mn, Md = M.field, M.field.p, M.nums, M.den
+    out, cols, den = [Y], (Y.nums if vec else tuple(zip(*Y.nums))), Y.den  # cols: the columns of Y as integer lists
+    for c in (rn * Md for rn in rns):
         if p:  # rd = Md = Yd = 1
             cols = tuple([tuple([(sum(map(mul, a, y)) - c * b) % p for a, b in zip(Mn, y)]) for y in cols])
         else:
-            cols, den = _lowest(f, [[rd * sum(map(mul, a, y)) - c * b for a, b in zip(Mn, y)] for y in cols], M.den * den * rd)
+            rows = [[rd * sum(map(mul, a, y)) - c * b for a, b in zip(Mn, y)] for y in cols]
+            Z = _Exact._of(f, rows, Md * den * rd)  # the columns as the rows of one object, for the one gcd pass
+            cols, den = Z.nums, Z.den
         out.append(type(Y)._canonical(f, cols if vec else tuple(zip(*cols)), den))
     return out
 
@@ -503,8 +511,9 @@ def lagrange_idempotent(M: Matrix, eigenvalues, i: int) -> Matrix:
     ev = list(eigenvalues)
     for a, b in ((a, b) for a in range(len(ev)) for b in range(a + 1, len(ev)) if ev[a] == ev[b]):
         raise DuplicateEigenvalue(f"eigenvalues {a} and {b} coincide")
-    others = ev[:i] + ev[i + 1:]
-    c = prod((ev[i] - theta_j for theta_j in others), start=M.field.one())
+    others, c = ev[:i] + ev[i + 1:], M.field.one()
+    for theta_j in others:
+        c = c * (ev[i] - theta_j)
     return root_product_family(M, others)[-1].scale(M.field.invert(c))
 
 

@@ -462,7 +462,8 @@ BENCH_METRICS = [{"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.2
 def test_bench_pairs_summary_on_fixed_runs():
     """tools/bench_pairs.py: quartiles by `statistics.quantiles` (exclusive method), pairs won in the metric's direction,
     and a gain only with >= 9 of 10 pairs won and a median gap wider than the base's q3 - q1 = 17.25 - 11.75 = 5.5:
-    `ops` wins 9 by a gap of 6, `ops_close` wins 9 by a gap of 5, and `p50` loses every pair, 10 % beyond its bound."""
+    `ops` wins 9 by a gap of 6, `ops_close` wins 9 by a gap of 5, and `p50` loses every pair, 10 % beyond its bound.
+    Two pairs won of two claim no gain: the rule needs ten pairs."""
     base = list(range(10, 20))
     head = {"ops": [b + 7 for b in base[:9]] + [18], "ops_close": [b + 6 for b in base[:9]] + [18],
             "p50": [1.1 * b for b in base]}
@@ -476,6 +477,9 @@ def test_bench_pairs_summary_on_fixed_runs():
                    "ops_close": ((11.75, 14.5, 17.25), 19.5, 9, 10, True, False),
                    "p50": ((11.75, 14.5, 17.25), pytest.approx(15.95), 0, 10, False, False)}
     assert rows[2]["change"] == pytest.approx(0.1)
+    short = _tool("bench_pairs").summarize(runs({m["name"]: base for m in BENCH_METRICS})[:2], runs(head)[:2],
+                                           BENCH_METRICS)
+    assert [(r["wins"], r["pairs"], r["gain"]) for r in short] == [(2, 2, False), (2, 2, False), (0, 2, False)]
 
 
 def test_bench_pairs_refuses_trees_whose_benchmarks_differ(tmp_path):

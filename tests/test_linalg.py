@@ -872,7 +872,7 @@ def test_entries_outside_the_field_raise():
                 lambda: Vector(G7, [G7.one(), G11.one()]), lambda: Matrix(Q, [[G7.one()]]), lambda: Vector(Q, [1])):
         with pytest.raises(ValueError, match="not an element"):
             bad()
-    # `scale` reads its scalar without `_to_ints`, and a family reads every root before its first step
+    # a scalar of `scale` or `scale_columns` and every root of a family, all read before any arithmetic
     M7, v7, MQ, vQ = Matrix.from_ints(G7, [[1, 2]]), Vector(G7, [G7.one()] * 2), mat([[1, 2]]), Vector(Q, [F(1)] * 2)
     for M, v, c in ((M7, v7, G11.from_int(10)), (M7, v7, F(1, 2)), (MQ, vQ, G7.one())):
         for bad in (lambda: M.scale(c), lambda: v.scale(c), lambda: M.scale_columns([M.field.one(), c])):

@@ -1,18 +1,19 @@
 """Alternating benchmark pairs of two checkouts, summarised metric by metric.
 
-    python3 tools/bench_pairs.py BASE HEAD --workload dualize-gfp [--pairs 10] [--seconds S] [--seed N]
+    python3 tools/bench_pairs.py BASE HEAD --workload dualize-gfp [--seed N]
 
-BASE and HEAD are the roots of two checkouts (the parent commit and the change).  Each pair runs
-`perfbench/run.py --trace 0` of each checkout on itself, one after the other, in a fresh process;
-the side that runs first alternates from pair to pair.  --seconds defaults to `run_seconds` of
-BENCHMARK.json.  The two trees must hold byte-identical `perfbench/` and BENCHMARK.json (else exit
-2), so that both sides run the same benchmark code with the same settings.
+BASE and HEAD are the roots of two checkouts (the parent commit and the change).  Each of the ten
+pairs runs `perfbench/run.py --trace 0` of each checkout on itself, one after the other, in a fresh
+process, for the `run_seconds` of BENCHMARK.json; the side that runs first alternates from pair to
+pair.  Pass a seed that was not used while writing the change.  The two trees must hold
+byte-identical `perfbench/` and BENCHMARK.json (else exit 2), so that both sides run the same
+benchmark code with the same settings.
 
 For each end-to-end metric of BENCHMARK.json, with its direction, the summary gives each side's
 median and quartiles over the runs, the median's change and its bound, the pairs the head wins
-(ties count for neither side), and whether a gain may be claimed: the head wins at least nine
-tenths of the pairs and its median beats the base's by more than the distance between the base's
-quartiles.  A run whose result is not correct is reported.
+(ties count for neither side), and whether a gain may be claimed: there are at least ten pairs,
+the head wins at least nine tenths of them, and its median beats the base's by more than the
+distance between the base's quartiles.  A run whose result is not correct is reported.
 
 Nothing is written in either tree beyond run.py's own gitignored `perfbench/_out/` and
 `perfbench/_work/`: bytecode goes to a temporary directory (PYTHONPYCACHEPREFIX), a fresh one per
@@ -31,6 +32,7 @@ import sys
 import tempfile
 
 GENERATED = {"_out", "_work", "__pycache__"}  # what running or testing perfbench leaves in perfbench/
+PAIRS = 10  # the fewest pairs a gain may be claimed on
 
 
 def _files(root: str) -> set:
@@ -66,7 +68,8 @@ def summarize(base_runs, head_runs, metrics) -> list:
     """One row per metric for the run results base_runs[k], head_runs[k] of pair k ({"metrics": {name: {"value"}}}
     as run.py prints them) and metrics, the end-to-end entries of BENCHMARK.json: name, the base's and the head's
     (q1, median, q3), the relative change of the median, whether it stays within the bound, the pairs won by the
-    head and whether a gain may be claimed (>= 9/10 of the pairs won, median gap wider than the base's q3 - q1)."""
+    head and whether a gain may be claimed (>= PAIRS pairs, >= 9/10 of them won, median gap wider than the base's
+    q3 - q1)."""
     rows = []
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
@@ -79,7 +82,7 @@ def summarize(base_runs, head_runs, metrics) -> list:
             "metric": m["name"], "unit": m["unit"], "better": m["better"],
             "base": (b1, bm, b3), "head": (h1, hm, h3), "change": change,
             "within_bound": -sign * change <= m["bound"], "wins": wins, "pairs": len(base),
-            "gain": 10 * wins >= 9 * len(base) and sign * (hm - bm) > b3 - b1,
+            "gain": len(base) >= PAIRS and 10 * wins >= 9 * len(base) and sign * (hm - bm) > b3 - b1,
         })
     return rows
 
@@ -100,13 +103,8 @@ def parse_args(argv=None):
     parser.add_argument("base")
     parser.add_argument("head")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -118,17 +116,17 @@ def main(argv=None) -> int:
         return 2
     with open(os.path.join(base, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     runs = ([], [])  # base, head
     try:
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             for side in (0, 1) if k % 2 == 0 else (1, 0):
                 runs[side].append(run_once((base, head)[side], args.workload, args.seed, seconds))
-            sys.stderr.write(f"bench_pairs: pair {k + 1} of {args.pairs} done\n")
+            sys.stderr.write(f"bench_pairs: pair {k + 1} of {PAIRS} done\n")
     except RuntimeError as exc:
         sys.stderr.write(f"bench_pairs: {exc}\n")
         return 1
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s, base {base}, head {head}")
+    print(f"{args.workload}, seed {args.seed}, {PAIRS} pairs of {seconds:g} s, base {base}, head {head}")
     print(format_rows(summarize(*runs, spec["end_to_end"])))
     for name, side in zip(("base", "head"), runs):
         bad, failed = sum(not r["correct"] for r in side), sum(r["failed"] for r in side)
